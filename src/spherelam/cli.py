@@ -101,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("cones", help="maximal cones at bounded height")
     s.add_argument("--max-height", type=int, default=6)
-    s.add_argument("--json", action="store_true", help="accepted for symmetry")
 
     s = sub.add_parser("locate", help="quasi-lamination of an integer vector")
     s.add_argument("--vector", required=True, help='JSON array, e.g. "[-3,2,1,-3,2,1]"')

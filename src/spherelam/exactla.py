@@ -1,120 +1,97 @@
-"""Small exact linear algebra over the rationals: rank, linear solves,
-matrix inversion, and extreme rays of polyhedral cones by the double
-description method.  No floating point anywhere."""
+"""Small exact linear algebra: rank, linear solves, adjugates and inverses
+of integer matrices by one fraction-free elimination kernel, and extreme
+rays of polyhedral cones by the double description method over the
+rationals.  No floating point anywhere."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import index
 from typing import Sequence
 
 Vec = tuple[Fraction, ...]
 
 
-def _frac_rows(rows) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
+def _int_rows(rows) -> list[list[int]]:
+    # operator.index refuses Fraction and float: the kernel's floor
+    # division would silently truncate them
+    return [[index(x) for x in row] for row in rows]
+
+
+def _bareiss(m: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
+    1968) of the integer matrix m, in place, pivoting on its first ncols
+    columns in order.
+
+    Returns (pivot columns, last pivot d, sign of the row swaps).  The
+    k-th pivot ends in row k and every division is exact, so all entries
+    stay integers.  When the pivots are columns 0..n-1 of m = [A | B],
+    d is the determinant of the top n rows of A in their new order (for
+    square A, d = sign * det(A)), the top n rows of the B block end as
+    d times A's inverse on those rows applied to B's, and every lower row
+    ends as bordered minors, which vanish exactly when that row lies in
+    the span of the pivot rows.  Entries left of each pivot column are not
+    updated further, so the A block holds no result."""
+    nrows = len(m)
+    pivots: list[int] = []
+    prev = 1
+    sign = 1
+    for c in range(ncols):
+        r = len(pivots)
+        p_row = next((i for i in range(r, nrows) if m[i][c]), None)
+        if p_row is None:
+            continue
+        if p_row != r:
+            m[r], m[p_row] = m[p_row], m[r]
+            sign = -sign
+        top = m[r][c:]
+        p = top[0]
+        for i in range(nrows):
+            if i != r:
+                row = m[i]
+                f = row[c]
+                row[c:] = [(p * a - f * b) // prev for a, b in zip(row[c:], top)]
+        pivots.append(c)
+        prev = p
+    return pivots, prev, sign
 
 
 def rank(rows: Sequence[Sequence[int]]) -> int:
-    m = _frac_rows(rows)
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][col]
-        for i in range(nrows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col] / pv
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    m = _int_rows(rows)
+    return len(_bareiss(m, len(m[0]) if m else 0)[0])
 
 
-def solve(matrix: Sequence[Sequence[int]], rhs: Sequence) -> Vec | None:
-    """Unique exact solution of an (m x n) system with full column rank,
-    or None when inconsistent.  Raises on rank-deficient columns."""
-    m = [[Fraction(x) for x in row] + [Fraction(rhs[i])]
-         for i, row in enumerate(matrix)]
-    nrows = len(m)
+def solve(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> Vec | None:
+    """Unique exact solution of an integer (m x n) system with full column
+    rank, or None when inconsistent.  Raises on rank-deficient columns."""
     ncols = len(matrix[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][col] != 0), None)
-        if pivot is None:
-            raise ValueError("column-rank-deficient system")
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][col]
-        m[r] = [a / pv for a in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, nrows):
-        if m[i][ncols] != 0:
-            return None
-    return tuple(m[i][ncols] for i in range(ncols))
-
-
-def invert(matrix: Sequence[Sequence[int]]) -> list[list[Fraction]] | None:
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        pv = m[col][col]
-        m[col] = [a / pv for a in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return [row[n:] for row in m]
+    m = _int_rows(list(row) + [rhs[i]] for i, row in enumerate(matrix))
+    pivots, d, _ = _bareiss(m, ncols)
+    if len(pivots) < ncols:
+        raise ValueError("column-rank-deficient system")
+    if any(row[ncols] for row in m[ncols:]):
+        return None
+    return tuple(Fraction(row[ncols], d) for row in m[:ncols])
 
 
 def adjugate(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int] | tuple[None, int]:
     """Integer adjugate and determinant of an integer matrix, so that
     adj @ M = det * I.  Returns (None, 0) for singular input."""
-    inv = invert(matrix)
-    if inv is None:
-        return None, 0
     n = len(matrix)
-    det = Fraction(1)
-    # det from the product of pivots: recompute directly instead
-    det = _det(matrix)
-    adj = [[int(inv[i][j] * det) for j in range(n)] for i in range(n)]
-    return adj, det
+    m = _int_rows(list(row) + [int(i == j) for j in range(n)]
+                  for i, row in enumerate(matrix))
+    pivots, d, sign = _bareiss(m, n)
+    if len(pivots) < n:
+        return None, 0
+    return [[sign * a for a in row[n:]] for row in m], sign * d
 
 
-def _det(matrix: Sequence[Sequence[int]]) -> int:
-    m = _frac_rows(matrix)
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        pv = m[col][col]
-        for i in range(col + 1, n):
-            if m[i][col] != 0:
-                f = m[i][col] / pv
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    assert det.denominator == 1
-    return int(det)
+def invert(matrix: Sequence[Sequence[int]]) -> list[list[Fraction]] | None:
+    adj, det = adjugate(matrix)
+    if adj is None:
+        return None
+    return [[Fraction(a, det) for a in row] for row in adj]
 
 
 def dot(a: Sequence, b: Sequence) -> Fraction:

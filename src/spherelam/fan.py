@@ -13,6 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, Sequence
 
 from . import exactla
@@ -25,7 +26,7 @@ from .curves import (
     kappa,
     kappa_inv,
 )
-from .errors import BoundExhausted, RankDeficient
+from .errors import BoundExhausted, InternalError, InternalNonUnique, RankDeficient
 from .lattice import Slope, enumerate_slopes
 from .shear import (
     GAMMA24,
@@ -166,56 +167,65 @@ def membership(v: Sequence, cone: Cone):
     return coeffs
 
 
+def _cone_functionals(
+    cone: Cone,
+) -> tuple[list[tuple[int, ...]], int, tuple[int, ...] | None]:
+    """(rows, det, normal): integer 6-vectors f_k and det > 0 with
+    coefficient k of v equal to f_k . v / det for every v in the cone's
+    span, and for a 5-dimensional cone a normal n with v in the span iff
+    n . v == 0 (None for a 6-dimensional cone).
+
+    The f_k are the adjugate rows of the first r x r block of generator
+    coordinates (rows in lexicographic order) that is invertible, signed
+    so det > 0, with zeros at the coordinates left out of the block."""
+    cols = [list(col) for col in zip(*cone.generators)]
+    r = len(cone.generators)
+    for rows in itertools.combinations(range(6), r):
+        adj, det = exactla.adjugate([cols[i] for i in rows])
+        if adj is not None:
+            break
+    else:
+        raise RankDeficient(f"no invertible {r} x {r} block of generator coordinates")
+    sign = 1 if det > 0 else -1
+    functionals = []
+    for row in adj:
+        full = [0] * 6
+        for val, i in zip(row, rows):
+            full[i] = sign * val
+        functionals.append(tuple(full))
+    det *= sign
+    if r == 6:
+        return functionals, det, None
+    # the left-out coordinate i: v_i * det == sum_k cols[i][k] * (f_k . v)
+    (i,) = set(range(6)) - set(rows)
+    normal = tuple(
+        det * (j == i) - sum(c * f[j] for c, f in zip(cols[i], functionals))
+        for j in range(6)
+    )
+    return functionals, det, normal
+
+
 class _ConeIndex:
-    """All maximal cones at a height, with per-cone exact solvers."""
+    """All maximal cones at a height, with per-cone integer functionals."""
 
     def __init__(self, max_height: int):
         self.cones = [cone_of(c) for c in maximal_collections(max_height)]
-        self._solvers = [self._make_solver(c) for c in self.cones]
-
-    @staticmethod
-    def _make_solver(cone: Cone):
-        # integer adjugate solvers: coefficients come out as s/det with
-        # integer s, so integer inputs stay in integer arithmetic
-        cols = [list(col) for col in zip(*cone.generators)]
-        n = len(cone.generators)
-        if n == 6:
-            adj, det = exactla.adjugate(cols)
-            assert adj is not None
-
-            def solve6(v):
-                return tuple(
-                    Fraction(sum(a * x for a, x in zip(row, v)), det) for row in adj
-                )
-
-            return solve6
-        # rank 5: invert five independent rows, check the remaining one
-        for rows in itertools.combinations(range(6), 5):
-            sub = [cols[i] for i in rows]
-            adj5, det5 = exactla.adjugate(sub)
-            if adj5 is None:
-                continue
-            others = [i for i in range(6) if i not in rows]
-
-            def solve5(v, rows=rows, adj5=adj5, det5=det5, others=others):
-                picked = [v[i] for i in rows]
-                x = tuple(
-                    Fraction(sum(a * y for a, y in zip(row, picked)), det5)
-                    for row in adj5
-                )
-                for i in others:
-                    if sum(c * xi for c, xi in zip(cols[i], x)) != v[i]:
-                        return None
-                return x
-
-            return solve5
-        raise RankDeficient("no invertible 5x5 minor")
+        self._functionals = [_cone_functionals(c) for c in self.cones]
 
     def containing(self, v) -> Iterator[tuple[Cone, tuple[Fraction, ...]]]:
-        for cone, solver in zip(self.cones, self._solvers):
-            coeffs = solver(v)
-            if coeffs is not None and all(c >= 0 for c in coeffs):
-                yield cone, coeffs
+        # integer signs decide membership; a cone is dropped on its first
+        # negative coefficient, and Fractions are built only for a hit
+        for cone, (rows, det, normal) in zip(self.cones, self._functionals):
+            if normal is not None and sum(map(mul, normal, v)):
+                continue
+            s = []
+            for row in rows:
+                x = sum(map(mul, row, v))
+                if x < 0:
+                    break
+                s.append(x)
+            else:
+                yield cone, tuple(Fraction(x, det) for x in s)
 
 
 _INDEX_CACHE: dict[int, _ConeIndex] = {}
@@ -237,19 +247,20 @@ def locate(v: Sequence[int], max_height: int = 6) -> QuasiLamination:
     index = cone_index(max_height)
     result: QuasiLamination | None = None
     for cone, coeffs in index.containing(v):
-        assert cone.collection is not None
+        if cone.collection is None:
+            raise InternalError("indexed cone without its collection")
         weights = []
         for curve, c in zip(cone.collection.curves, coeffs):
             if c == 0:
                 continue
             if c.denominator != 1:
-                raise AssertionError(f"non-integer weight {c} for integer input")
+                raise InternalError(f"non-integer weight {c} for integer input")
             weights.append((curve, int(c)))
         lam = QuasiLamination(tuple(weights))
         if result is None:
             result = lam
         elif result != lam:
-            raise AssertionError("ambiguous location across containing cones")
+            raise InternalNonUnique("ambiguous location across containing cones")
     if result is None:
         raise BoundExhausted(
             f"no cone at height {max_height} contains {tuple(v)}; raise max_height"
@@ -363,7 +374,8 @@ def flip_adjacency(cone: Cone) -> list[Cone]:
     """Neighboring maximal cones: the six flips for kinds I-VI, the four
     double-spiral reversals for kind VII."""
     coll = cone.collection
-    assert coll is not None
+    if coll is None:
+        raise InternalError("flip adjacency needs the cone's collection")
     if cone.kind != "VII":
         tri = TaggedTriangulation(tuple(kappa_inv(c) for c in coll.curves))
         out = []
@@ -386,34 +398,11 @@ def flip_adjacency(cone: Cone) -> list[Cone]:
 
 
 def _h_rep(cone: Cone) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """(inequalities, equalities) cutting out the cone."""
-    cols = [list(col) for col in zip(*cone.generators)]
-    n = len(cone.generators)
-    if n == 6:
-        inv = exactla.invert(cols)
-        assert inv is not None
-        return [exactla.primitive(row) for row in inv], []
-    # 5-dimensional cone: coefficient functionals on the span plus the
-    # span's orthogonal complement as equalities
-    normals = _null_space(cone.generators)
-    for rows in itertools.combinations(range(6), 5):
-        sub = [cols[i] for i in rows]
-        inv5 = exactla.invert(sub)
-        if inv5 is not None:
-            ineqs = []
-            for row in inv5:
-                full = [Fraction(0)] * 6
-                for val, i in zip(row, rows):
-                    full[i] = val
-                ineqs.append(exactla.primitive(full))
-            return ineqs, normals
-    raise RankDeficient("no invertible 5x5 minor")
-
-
-def _null_space(gens: Sequence[ShearVector]) -> list[tuple[int, ...]]:
-    """Basis of {n : n . g = 0 for all generators g}."""
-    rays, lines = exactla.dd_rays([], eqs=list(gens), dim=6)
-    return [l for l in lines if any(l)]
+    """(inequalities, equalities) cutting out the cone: the coefficient
+    functionals, and for a 5-dimensional cone the normal of its span."""
+    rows, _, normal = _cone_functionals(cone)
+    ineqs = [exactla.primitive(row) for row in rows]
+    return ineqs, [] if normal is None else [exactla.primitive(normal)]
 
 
 def cone_rays(cone: Cone) -> set[tuple[int, ...]]:
@@ -491,7 +480,8 @@ def induced_torus_check(max_height: int) -> bool:
         torus_gens = []
         for s in triple:
             pair_vecs = [shear_closed_form(c) for c in coll.curves if c.slope == s]
-            assert len(pair_vecs) == 2
+            if len(pair_vecs) != 2:
+                raise InternalError(f"slope {s} has {len(pair_vecs)} curves in a type-I collection")
             if apply_perm(PERM_X, pair_vecs[0]) != pair_vecs[1]:
                 return False
             total = tuple(a + b for a, b in zip(pair_vecs[0], pair_vecs[1]))

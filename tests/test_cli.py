@@ -116,6 +116,8 @@ class TestFanCommands:
         assert doc["count"] == len(doc["cones"])
         kinds = {c["kind"] for c in doc["cones"]}
         assert "VII" in kinds and "I" in kinds
+        # the former no-op --json flag is a usage error now
+        assert run(["cones", "--max-height", "1", "--json"])[0] == 2
 
     def test_tangle_check(self):
         tangle = json.dumps([{"curve": {"closed": "1/1"}, "weight": 1}])

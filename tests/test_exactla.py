@@ -1,6 +1,10 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherelam.exactla import adjugate, dd_rays, invert, primitive, rank, solve
 
@@ -105,3 +109,116 @@ class TestDoubleDescription:
         rays, lines = dd_rays(ineqs)
         assert not [l for l in lines if any(l)]
         assert set(rays) == {primitive(g) for g in gens}
+
+
+# ---------------------------------------------------------------------------
+# Property tests of the Bareiss kernel against plain Fraction elimination
+# ---------------------------------------------------------------------------
+
+
+def _rref(rows):
+    """Oracle: reduced row echelon form over Fraction, with pivot columns."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [a / m[r][col] for a in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    return m, pivots
+
+
+def _leibniz_det(m):
+    """Oracle: determinant as a signed sum over permutations."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(n))
+    return total
+
+
+@st.composite
+def int_matrices(draw, square=False):
+    """Integer matrices up to 6 x 7 with entries in [-9, 9], about half of
+    them 0 so that pivots need row swaps; rows are often copies, negations
+    or zeros of earlier rows, and columns copies of earlier columns, so
+    singular and rank-deficient inputs are common."""
+    nrows = draw(st.integers(1, 6))
+    ncols = nrows if square else draw(st.integers(1, 7))
+    entries = st.just(0) | st.integers(-9, 9)
+    m = [draw(st.lists(entries, min_size=ncols, max_size=ncols))
+         for _ in range(nrows)]
+    for i in range(1, nrows):
+        how = draw(st.sampled_from(("keep", "keep", "copy", "negate", "zero")))
+        j = draw(st.integers(0, i - 1))
+        if how == "copy":
+            m[i] = list(m[j])
+        elif how == "negate":
+            m[i] = [-x for x in m[j]]
+        elif how == "zero":
+            m[i] = [0] * ncols
+    for c in range(1, ncols):
+        if draw(st.integers(0, 5)) == 0:
+            src = draw(st.integers(0, c - 1))
+            for row in m:
+                row[c] = row[src]
+    return m
+
+
+class TestKernelProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(int_matrices())
+    def test_rank(self, m):
+        assert rank(m) == len(_rref(m)[1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(int_matrices(), st.lists(st.integers(-9, 9), min_size=6, max_size=6))
+    def test_solve(self, m, b):
+        ncols = len(m[0])
+        rhs = b[:len(m)]
+        if len(_rref(m)[1]) < ncols:
+            with pytest.raises(ValueError):
+                solve(m, rhs)
+            return
+        red, pivots = _rref([row + [x] for row, x in zip(m, rhs)])
+        if ncols in pivots:
+            assert solve(m, rhs) is None
+        else:
+            assert solve(m, rhs) == tuple(red[i][ncols] for i in range(ncols))
+
+    @settings(max_examples=300, deadline=None)
+    @given(int_matrices(square=True))
+    def test_invert_and_adjugate(self, m):
+        n = len(m)
+        det = _leibniz_det(m)
+        red, pivots = _rref([row + [int(i == j) for j in range(n)]
+                             for i, row in enumerate(m)])
+        if det == 0:
+            assert pivots[:n] != list(range(n))
+            assert invert(m) is None
+            assert adjugate(m) == (None, 0)
+            return
+        inverse = [row[n:] for row in red]
+        assert invert(m) == inverse
+        adj, got_det = adjugate(m)
+        assert got_det == det
+        assert adj == [[det * x for x in row] for row in inverse]
+        assert all(isinstance(x, int) for row in adj for x in row)
+        prod = [[sum(adj[i][k] * m[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+        assert prod == [[det if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def test_rejects_non_integers(self):
+        # the kernel divides with //, so a Fraction or float must not slip in
+        with pytest.raises(TypeError):
+            rank([[Fraction(1, 2), 1]])
+        with pytest.raises(TypeError):
+            adjugate([[1.0, 0], [0, 1]])

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from spherelam import fan
+from spherelam import exactla, fan
 from spherelam.curves import (
     V00, V01,
     AllowableCurve,
@@ -11,7 +11,7 @@ from spherelam.curves import (
     enumerate_curves,
     kappa,
 )
-from spherelam.errors import BoundExhausted
+from spherelam.errors import BoundExhausted, InternalError, InternalNonUnique
 from spherelam.lattice import INF, Slope, enumerate_slopes
 from spherelam.shear import GAMMA24, QuasiLamination, Tangle, apply_perm, \
     shear_closed_form, tangle_shear
@@ -127,6 +127,86 @@ class TestLocate:
             lam = QuasiLamination(tuple((c, rng.randint(1, 3)) for c in chosen))
             vec = tangle_shear(Tangle(lam.weights))
             assert fan.locate(vec, 2) == lam
+
+
+class _StubIndex:
+    def __init__(self, hits):
+        self.hits = hits
+
+    def containing(self, v):
+        return iter(self.hits)
+
+
+class TestLocateChecks:
+    def test_disagreeing_cones_are_internal_non_unique(self, monkeypatch):
+        cone = base_cone()
+        one, two = (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)
+        stub = _StubIndex([(cone, tuple(map(Fraction, one))),
+                           (cone, tuple(map(Fraction, two)))])
+        monkeypatch.setattr(fan, "cone_index", lambda h: stub)
+        with pytest.raises(InternalNonUnique):
+            fan.locate((-1, 0, 0, 0, 0, 0), 1)
+
+    def test_non_integer_weight_is_internal_error(self, monkeypatch):
+        cone = base_cone()
+        half = (Fraction(1, 2),) + (Fraction(0),) * 5
+        monkeypatch.setattr(fan, "cone_index", lambda h: _StubIndex([(cone, half)]))
+        with pytest.raises(InternalError):
+            fan.locate((-1, 0, 0, 0, 0, 0), 1)
+
+    def test_no_asserts_in_checked_modules(self):
+        # invariant checks must stay active under python -O
+        import ast
+        import inspect
+
+        for module in (fan, exactla):
+            tree = ast.parse(inspect.getsource(module))
+            assert not [n for n in ast.walk(tree) if isinstance(n, ast.Assert)], module
+
+
+class TestContainingAgreesWithMembership:
+    """The integer sign scan of the cone index against the Fraction
+    solve path of membership."""
+
+    def test_coverage(self):
+        # both branches the integer scan adds are exercised below: cones
+        # whose generator block has det < 0, and 5-dimensional kind VII
+        cones = fan.cone_index(2).cones
+        dets = [exactla.adjugate([list(col) for col in zip(*c.generators)])[1]
+                for c in cones if c.kind != "VII"]
+        assert any(d < 0 for d in dets) and any(d > 0 for d in dets)
+        assert any(c.kind == "VII" for c in cones)
+
+    def test_boundary_vectors_of_every_cone(self):
+        rng = random.Random(11)
+        idx = fan.cone_index(2)
+        for cone in idx.cones:
+            picked = rng.sample(range(len(cone.generators)), rng.randint(1, 4))
+            weights = [rng.randint(1, 3) if k in picked else 0
+                       for k in range(len(cone.generators))]
+            v = tuple(sum(w * g[i] for w, g in zip(weights, cone.generators))
+                      for i in range(6))
+            hits = list(idx.containing(v))
+            for c, coeffs in hits:
+                assert fan.membership(v, c) == coeffs
+            assert [co for c, co in hits if c is cone] == [tuple(weights)]
+
+    def test_full_scan_agrees(self):
+        rng = random.Random(12)
+        idx = fan.cone_index(2)
+        vectors = []
+        for cone in rng.sample(idx.cones, 12):
+            picked = rng.sample(cone.generators, rng.randint(1, 4))
+            vectors.append(tuple(map(sum, zip(*picked))))
+        vectors += [tuple(rng.randint(-4, 4) for _ in range(6)) for _ in range(12)]
+        vii = next(c for c in idx.cones if c.kind == "VII")
+        inside = tuple(map(sum, zip(*vii.generators)))
+        vectors += [inside, tuple(x + (i == 0) for i, x in enumerate(inside))]
+        for v in vectors:
+            got = {id(c): co for c, co in idx.containing(v)}
+            want = {id(c): co for c in idx.cones
+                    if (co := fan.membership(v, c)) is not None}
+            assert got == want, v
 
 
 class TestCounting:
