@@ -2,7 +2,8 @@
 
 Every command emits a single JSON document on stdout (bare arrays for
 vector results, schema-tagged objects otherwise).  Exit codes: 0 success,
-1 domain error, 2 usage error.
+1 bad input (an error document with ``"kind": "domain"``), 2 usage error,
+3 internal error, a bug (an error document with ``"kind": "internal"``).
 """
 
 from __future__ import annotations
@@ -13,8 +14,14 @@ import sys
 
 from . import fan, render, shear, triangulation
 from .curves import AllowableCurve, TaggedArc, Puncture, Tagging, \
-    arcs_compatible, classify_pair, curves_compatible
-from .errors import DomainError, BoundExhausted, SphereLamError
+    arcs_compatible, classify_pair, curves_compatible, json_field
+from .errors import (
+    BoundExhausted,
+    DomainError,
+    InternalError,
+    MalformedInput,
+    SphereLamError,
+)
 from .lattice import Slope
 from .shear import BASE_TRI, Tangle, TypeITri
 from .selftest import run_selftest
@@ -41,9 +48,23 @@ def _parse_tagged_triangulation(text: str) -> triangulation.TaggedTriangulation:
 def _parse_object(text: str):
     """An arc or a curve, depending on the JSON fields."""
     obj = json.loads(text)
-    if "closed" in obj or (obj.get("ends") and "spiral" in obj["ends"][0]):
+    if not isinstance(obj, dict):
+        raise MalformedInput("an arc or a curve is a JSON object")
+    ends = obj.get("ends")
+    first = ends[0] if isinstance(ends, list) and ends else None
+    if "closed" in obj or (isinstance(first, dict) and "spiral" in first):
         return AllowableCurve.from_json(obj)
     return TaggedArc.from_json(obj)
+
+
+def _parse_matrix(text: str) -> triangulation.ExchangeMatrix:
+    B = json.loads(text)
+    if not (isinstance(B, list) and len(B) == 6 and all(
+        isinstance(row, list) and len(row) == 6
+        and all(type(x) is int for x in row) for row in B
+    )):
+        raise MalformedInput("matrix must be a 6x6 array of integers")
+    return tuple(tuple(row) for row in B)
 
 
 def _parse_tags(items: list[str]):
@@ -190,9 +211,7 @@ def _cmd_badj(args) -> str:
 
 
 def _cmd_mutate(args) -> str:
-    B = tuple(tuple(row) for row in json.loads(args.matrix))
-    if len(B) != 6 or any(len(r) != 6 for r in B):
-        raise DomainError("matrix must be 6x6")
+    B = _parse_matrix(args.matrix)
     if any(B[i][j] != -B[j][i] for i in range(6) for j in range(6)):
         raise DomainError("matrix must be skew-symmetric")
     if not 0 <= args.k < 6:
@@ -214,7 +233,7 @@ def _cmd_cones(args) -> str:
 
 def _cmd_locate(args) -> str:
     v = json.loads(args.vector)
-    if len(v) != 6 or any(not isinstance(x, int) for x in v):
+    if not isinstance(v, list) or len(v) != 6 or any(type(x) is not int for x in v):
         raise DomainError("vector must be six integers")
     lam = fan.locate(tuple(v), args.max_height)
     return _doc(lamination=[
@@ -232,12 +251,21 @@ def _cmd_universal(args) -> str:
     return _doc(max_height=args.max_height, vectors=[list(v) for v in vecs])
 
 
+def _parse_tangle(text: str) -> Tangle:
+    entries = json.loads(text)
+    if not isinstance(entries, list):
+        raise MalformedInput("a tangle is a JSON array of {curve, weight} objects")
+    weights = []
+    for e in entries:
+        curve = AllowableCurve.from_json(json_field(e, "curve", dict))
+        if type(e.get("weight")) is not int:
+            raise MalformedInput("a tangle weight is an integer")
+        weights.append((curve, e["weight"]))
+    return Tangle(tuple(weights))
+
+
 def _cmd_tangle_check(args) -> str:
-    entries = json.loads(args.tangle)
-    weights = tuple(
-        (AllowableCurve.from_json(e["curve"]), int(e["weight"])) for e in entries
-    )
-    tangle = Tangle(weights)
+    tangle = _parse_tangle(args.tangle)
     witness = shear.find_witness(tangle, args.max_height)
     if witness is None:
         return _doc(witness=None)
@@ -306,6 +334,10 @@ def _plain_text(out: str) -> str:
     return "\n".join(lines)
 
 
+def _error_doc(message: str, kind: str) -> str:
+    return json.dumps({"schema": SCHEMA, "error": message, "kind": kind})
+
+
 def run(argv: list[str]) -> tuple[int, str]:
     """Dispatch a command line; returns (exit code, stdout text)."""
     parser = build_parser()
@@ -315,10 +347,12 @@ def run(argv: list[str]) -> tuple[int, str]:
         return (int(e.code or 0) and 2, "")
     try:
         out = _DISPATCH[args.command](args)
+    except InternalError as e:
+        return 3, _error_doc(f"{type(e).__name__}: {e}", "internal")
     except (DomainError, BoundExhausted) as e:
-        return 1, json.dumps({"schema": SCHEMA, "error": str(e)})
+        return 1, _error_doc(str(e), "domain")
     except (ValueError, KeyError, json.JSONDecodeError, SphereLamError) as e:
-        return 1, json.dumps({"schema": SCHEMA, "error": f"{type(e).__name__}: {e}"})
+        return 1, _error_doc(f"{type(e).__name__}: {e}", "domain")
     if args.plain:
         return 0, _plain_text(out)
     return 0, out

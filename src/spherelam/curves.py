@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .errors import ClosedCurveHasNoArc
+from .errors import ClosedCurveHasNoArc, MalformedInput
 from .lattice import Slope, farey_distance
 
 
@@ -53,6 +53,29 @@ V01 = Puncture(0, 1)
 V10 = Puncture(1, 0)
 V11 = Puncture(1, 1)
 PUNCTURES = (V00, V01, V10, V11)
+
+
+_JSON_TYPE_NAMES = {str: "string", list: "array", dict: "object"}
+
+
+def json_field(obj, key: str, kind: type):
+    """``obj[key]`` of a JSON object, checked to be a ``kind`` (str, list
+    or dict); anything else is :class:`MalformedInput`."""
+    if not isinstance(obj, dict):
+        raise MalformedInput(f"expected a JSON object, got {obj!r:.60}")
+    value = obj.get(key)
+    if not isinstance(value, kind):
+        raise MalformedInput(f"field {key!r} must be a JSON {_JSON_TYPE_NAMES[kind]}")
+    return value
+
+
+def _json_ends(obj, mark: str) -> list[tuple[Puncture, str]]:
+    """The two endpoints of an arc or curve object: (puncture, obj[mark])."""
+    ends = json_field(obj, "ends", list)
+    if len(ends) != 2:
+        raise MalformedInput(f"'ends' must list two endpoints, got {len(ends)}")
+    return [(Puncture.parse(json_field(e, "v", str)), json_field(e, mark, str))
+            for e in ends]
 
 
 class Tagging(enum.Enum):
@@ -139,10 +162,9 @@ class TaggedArc:
 
     @staticmethod
     def from_json(obj: dict) -> "TaggedArc":
-        ends = tuple(
-            (Puncture.parse(e["v"]), Tagging(e["tag"])) for e in obj["ends"]
-        )
-        return TaggedArc(Slope.parse(obj["slope"]), ends)  # type: ignore[arg-type]
+        ends = tuple((p, Tagging(t)) for p, t in _json_ends(obj, "tag"))
+        slope = Slope.parse(json_field(obj, "slope", str))
+        return TaggedArc(slope, ends)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -208,12 +230,11 @@ class AllowableCurve:
 
     @staticmethod
     def from_json(obj: dict) -> "AllowableCurve":
-        if "closed" in obj:
+        if isinstance(obj, dict) and "closed" in obj:
             return AllowableCurve(Slope.parse(obj["closed"]))
-        ends = tuple(
-            (Puncture.parse(e["v"]), SpiralDir(e["spiral"])) for e in obj["ends"]
-        )
-        return AllowableCurve(Slope.parse(obj["slope"]), ends)  # type: ignore[arg-type]
+        ends = tuple((p, SpiralDir(d)) for p, d in _json_ends(obj, "spiral"))
+        slope = Slope.parse(json_field(obj, "slope", str))
+        return AllowableCurve(slope, ends)  # type: ignore[arg-type]
 
 
 def closed_curve(s: Slope) -> AllowableCurve:

@@ -34,6 +34,10 @@ class ClosedCurveHasNoArc(DomainError):
     """kappa_inv is only defined on spiraling curves."""
 
 
+class MalformedInput(DomainError):
+    """JSON input of the wrong shape (a wrong type, or a missing field)."""
+
+
 class InvalidParameters(DomainError):
     """Triangulation-type parameters violate their row constraints."""
 

@@ -13,6 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -137,13 +138,19 @@ class Cone:
         return exactla.rank(self.generators)
 
     def canonical(self) -> tuple[tuple[int, ...], ...]:
+        return self._canonical
+
+    @cached_property
+    def _canonical(self) -> tuple[tuple[int, ...], ...]:
+        # computed on first use, not in the constructor, so building the
+        # cone index does not pay for it
         return tuple(sorted(exactla.primitive(g) for g in self.generators))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Cone) and self.canonical() == other.canonical()
+        return isinstance(other, Cone) and self._canonical == other._canonical
 
     def __hash__(self) -> int:
-        return hash(self.canonical())
+        return hash(self._canonical)
 
 
 def cone_of(coll: MaximalCollection) -> Cone:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import NotFareyNeighbors, NotFareyTriple, ZeroVector
+from .errors import MalformedInput, NotFareyNeighbors, NotFareyTriple, ZeroVector
 
 #: Hard cap on enumeration heights; keeps accidental sweeps bounded.
 MAX_HEIGHT = 64
@@ -87,6 +87,8 @@ class Slope:
     @staticmethod
     def parse(text: str) -> "Slope":
         """Parse "b/a" ("inf" for the vertical slope, bare "n" for n/1)."""
+        if not isinstance(text, str):
+            raise MalformedInput(f"a slope is a string, got {text!r:.60}")
         text = text.strip()
         if text in ("inf", "-inf", "1/0", "-1/0"):
             return Slope(0, 1)
@@ -243,6 +245,20 @@ def _chirality(u1: tuple[int, int], u2: tuple[int, int], u3: tuple[int, int]) ->
     return det2(u1, u2) * det2(u3, u1) * det2(u3, u2)
 
 
+def pair_to_basis(
+    s: Slope | tuple[int, int], t: Slope | tuple[int, int]
+) -> UnimodularMap:
+    """Orientation-preserving lattice map L with L(s) = (1, 0) and
+    L(t) = (0, det(s, t)) for a Farey-1 pair s, t (slope objects or their
+    lattice vectors): s goes to slope 0 and t to slope inf."""
+    delta = det2(s, t)
+    if abs(delta) != 1:
+        raise NotFareyNeighbors(f"{s} and {t} are not Farey neighbors")
+    a1, b1 = s.vector if isinstance(s, Slope) else s
+    a2, b2 = t.vector if isinstance(t, Slope) else t
+    return UnimodularMap(((delta * b2, -delta * a2), (-b1, a1)))
+
+
 def triple_to_basis(triple: tuple[Slope, Slope, Slope]) -> UnimodularMap:
     """Orientation-preserving lattice map carrying the slope set of a
     Farey-1 triple onto {0, inf, -1}, hence the lifted type-I triangulation
@@ -258,13 +274,7 @@ def triple_to_basis(triple: tuple[Slope, Slope, Slope]) -> UnimodularMap:
     u1, u2, u3 = q1.vector, q2.vector, q3.vector
     if _chirality(u1, u2, u3) == -1:
         u1, u2 = u2, u1
-    # L with L(u1) = (1, 0), L(u2) = (0, +-1), det L = +1.
-    delta = det2(u1, u2)
-    a2, b2 = u2
-    a1, b1 = u1
-    lin: Matrix2 = ((delta * b2, -delta * a2), (-b1, a1))
-    m = UnimodularMap(lin)
-    assert m.det == 1
+    m = pair_to_basis(u1, u2)
     assert m.apply_slope(Slope(*_std_pair(u1))) == ZERO
     assert m.apply_slope(Slope(*_std_pair(u2))) == INF
     assert m.apply_slope(Slope(*_std_pair(u3))) == MINUS_ONE

@@ -32,6 +32,7 @@ from .curves import (
     Tagging,
     curves_compatible,
     endpoint_sets,
+    json_field,
 )
 from .errors import BoundExhausted, NotFareyTriple, UnsupportedBaseCase
 from .lattice import (
@@ -444,8 +445,8 @@ class TypeITri:
 
     @staticmethod
     def from_json(obj: dict) -> "TypeITri":
-        triple = tuple(Slope.parse(s) for s in obj["triple"])
-        tags = obj.get("tags", {})
+        triple = tuple(Slope.parse(s) for s in json_field(obj, "triple", list))
+        tags = json_field(obj, "tags", dict) if "tags" in obj else {}
         taggings = tuple(
             (p, Tagging(tags.get(str(p), "plain"))) for p in PUNCTURES
         )

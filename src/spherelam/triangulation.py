@@ -12,9 +12,16 @@ combinatorial types:
 
 Types are parametrized exactly as enumerated by :func:`enumerate_triangulations`
 and recognized by :func:`classify`; :func:`build_type` inverts classify.
-Signed adjacency matrices are computed geometrically from the lifted
-segment arrangement, independently of flips, so the flip/mutation identity
-is a genuine cross-check.
+
+Neither kernel depends on the height.  :func:`flip` tries at most 12
+candidate slopes: with s, t two distinct remaining slopes and
+d = det(s, t), the new slope is an integral (i*s + j*t) / d with
+|i|, |j| <= 2, by Cramer's rule and the Farey-distance bound of
+compatibility.  :func:`signed_adjacency` maps an all-plain triangulation
+to a height-1 representative by an orientation-preserving lattice map and
+computes the matrix there, geometrically from the lifted segment
+arrangement and independently of flips, so the flip/mutation identity is a
+genuine cross-check.
 """
 
 from __future__ import annotations
@@ -31,13 +38,21 @@ from .curves import (
     arcs_compatible,
     endpoint_sets,
 )
-from .errors import InternalNonUnique, InvalidParameters, NotAllPlain
+from .errors import (
+    InternalError,
+    InternalNonUnique,
+    InvalidParameters,
+    MalformedInput,
+    NotAllPlain,
+)
 from .lattice import (
     Slope,
+    UnimodularMap,
+    det2,
     enumerate_slopes,
     farey_distance,
     is_farey1_triple,
-    mediant,
+    pair_to_basis,
     standard_form,
 )
 from .plane import triangular_faces
@@ -93,6 +108,8 @@ class TaggedTriangulation:
 
     @staticmethod
     def from_json(obj: list) -> "TaggedTriangulation":
+        if not isinstance(obj, list):
+            raise MalformedInput("a triangulation is a JSON array of arcs")
         return TaggedTriangulation(tuple(TaggedArc.from_json(a) for a in obj))
 
 
@@ -418,26 +435,45 @@ def enumerate_triangulations(max_height: int) -> Iterator[TaggedTriangulation]:
                 yield build_type(TriType("VI", triple, v=v, taggings=tags))
 
 
+def _flip_slopes(rest: Sequence[TaggedArc]) -> set[Slope]:
+    """Every slope the arc completing ``rest`` to a triangulation can have.
+
+    Take two distinct slopes s, t of the remaining arcs; they exist because
+    one slope carries at most four arcs (two underlying arcs, each in at
+    most two tagged versions).  Compatible arcs have Farey distance at most
+    2, so d = det(s, t) is +-1 or +-2, and the new slope w has
+    |det(w, s)|, |det(w, t)| <= 2.  Cramer's rule gives
+    d * w = det(w, t) * s + det(s, w) * t, so w is one of the integral
+    vectors (i*s + j*t) / d with |i|, |j| <= 2: at most 12 slopes at any
+    height.
+    """
+    s = rest[0].slope
+    t = next(a.slope for a in rest if a.slope != s)
+    d = det2(s, t)
+    out = set()
+    for i, j in itertools.product(range(-2, 3), repeat=2):
+        x, y = i * s.a + j * t.a, i * s.b + j * t.b
+        if (i, j) != (0, 0) and x % d == 0 and y % d == 0:
+            out.add(standard_form(x // d, y // d))
+    return out
+
+
 def flip(tri: TaggedTriangulation, k: int) -> TaggedTriangulation:
     """Replace arc k by the unique other arc completing a triangulation.
 
-    Candidate slopes: those already present, mediants of Farey-1 pairs of
-    present slopes, and every slope up to twice the triangulation height
-    plus two; candidates incompatible with a remaining arc at the slope
-    level (Farey distance above 2) are discarded before tag enumeration.
+    The new slope is one of the at most 12 candidates of
+    :func:`_flip_slopes`, a set whose size does not depend on the height.
+    Candidate slopes at Farey distance above 2 from a remaining arc are
+    dropped; for the others every endpoint pair and tagging is tried, and
+    an arc is kept when it is compatible with the remaining five and
+    completes a valid triangulation.  Exactly one must be kept.
     """
     removed = tri.arcs[k]
     rest = tuple(a for i, a in enumerate(tri.arcs) if i != k)
-    h = tri.height
-    slopes = {arc.slope for arc in tri.arcs}
-    for s, t in itertools.combinations(list(slopes), 2):
-        if farey_distance(s, t) == 1:
-            slopes.add(mediant(s, t))
-    slopes.update(enumerate_slopes(min(2 * h + 2, 64)))
     rest_slopes = [a.slope for a in rest]
 
     found = []
-    for slope in sorted(slopes):
+    for slope in sorted(_flip_slopes(rest)):
         if any(farey_distance(slope, s) > 2 for s in rest_slopes):
             continue
         for pair in endpoint_sets(slope):
@@ -498,13 +534,14 @@ def _canonical_triangle(tri_pts) -> tuple:
     return best
 
 
-def signed_adjacency(tri: TaggedTriangulation) -> ExchangeMatrix:
+def _box_adjacency(tri: TaggedTriangulation) -> ExchangeMatrix:
     """The signed adjacency matrix of an all-plain triangulation, computed
-    from the triangular faces of the lifted segment arrangement: each face,
-    canonicalized under lattice half-turns and even translations, adds +1
-    for every clockwise-consecutive pair of its sides."""
-    if not tri.all_plain:
-        raise NotAllPlain("signed adjacency needs all arcs tagged plain")
+    from the triangular faces of the lifted segment arrangement in a box
+    of side 2(3h+6): each face, canonicalized under lattice half-turns and
+    even translations, adds +1 for every clockwise-consecutive pair of its
+    sides.  Its cost grows with the height h; :func:`signed_adjacency`
+    calls it on height-1 representatives only, and tests use it at the
+    original height as an independent oracle."""
     h = tri.height
     box = 3 * h + 6
     inner = box - 2 * h - 2
@@ -532,6 +569,64 @@ def signed_adjacency(tri: TaggedTriangulation) -> ExchangeMatrix:
             B[s][t] += 1
             B[t][s] -= 1
     return tuple(tuple(row) for row in B)
+
+
+# Signed adjacency matrices of the canonical (height-1) arc sets, rows in
+# canonical arc order.  There are four such sets: type I on {0, inf, 1}
+# and on {0, inf, -1}, and type II on {1, -1} with two choices of v, so
+# the memo is bounded by construction.
+_CANONICAL_ADJACENCY: dict[tuple[TaggedArc, ...], ExchangeMatrix] = {}
+
+
+def _canonical_pair(slopes: set[Slope]) -> tuple[Slope, Slope]:
+    """A Farey-1 pair (s, t) of the slopes of an all-plain triangulation
+    with every other slope at Farey distance <= 1 from both: any two of the
+    triple for type I, the two companion slopes for type II."""
+    for s, t in itertools.combinations(sorted(slopes), 2):
+        if farey_distance(s, t) == 1 and all(
+            farey_distance(r, s) <= 1 and farey_distance(r, t) <= 1
+            for r in slopes
+        ):
+            return s, t
+    raise InternalError(
+        "no Farey-1 pair spans the slopes " + ", ".join(map(str, sorted(slopes)))
+    )
+
+
+def _map_arc(m: UnimodularMap, arc: TaggedArc) -> TaggedArc:
+    """The image of an arc under a linear lattice map; punctures move by
+    the map's reduction mod 2, tags stay."""
+    ends = tuple((Puncture(*m.apply_parity((p.i, p.j))), t) for p, t in arc.ends)
+    return TaggedArc(m.apply_slope(arc.slope), ends)  # type: ignore[arg-type]
+
+
+def signed_adjacency(tri: TaggedTriangulation) -> ExchangeMatrix:
+    """The signed adjacency matrix of an all-plain triangulation.
+
+    An all-plain triangulation has type I or II, and the orientation-
+    preserving lattice map sending its :func:`_canonical_pair` (s, t) to
+    (1, 0) and (0, +-1) carries every arc to height 1: the remaining slopes
+    are +-s +- t.  The map keeps faces and their orientation, so the matrix
+    of the image, with arcs in the same order, is the matrix of ``tri``.
+    It is computed by :func:`_box_adjacency` once per canonical arc set,
+    memoized, and permuted back to the caller's arc order: the cost does
+    not depend on the height.
+    """
+    if not tri.all_plain:
+        raise NotAllPlain("signed adjacency needs all arcs tagged plain")
+    m = pair_to_basis(*_canonical_pair({arc.slope for arc in tri.arcs}))
+    image = [_map_arc(m, arc) for arc in tri.arcs]
+    order = sorted(
+        range(6), key=lambda i: (image[i].slope.vector, min(image[i].punctures))
+    )
+    canon = tuple(image[i] for i in order)
+    B = _CANONICAL_ADJACENCY.get(canon)
+    if B is None:
+        if any(arc.height != 1 for arc in canon):
+            raise InternalError("canonical representative above height 1")
+        B = _CANONICAL_ADJACENCY[canon] = _box_adjacency(TaggedTriangulation(canon))
+    pos = {i: r for r, i in enumerate(order)}
+    return tuple(tuple(B[pos[i]][pos[j]] for j in range(6)) for i in range(6))
 
 
 def mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from spherelam import cli
 from spherelam.cli import run
+from spherelam.errors import InternalNonUnique
 from spherelam.curves import AllowableCurve, TaggedArc
 from spherelam.render import RenderSpec, curve_polyline, grid_lines, render
 from spherelam.lattice import Slope
@@ -205,6 +207,47 @@ class TestRender:
         assert doc == render(RenderSpec(triangulation=tri, window=(0, 3, 0, 3)))
 
 
+class TestErrorDocuments:
+    """Bad input exits 1 with one error document of kind "domain"; a bug
+    exits 3 with kind "internal"."""
+
+    def domain_error(self, argv):
+        doc = json.loads(fails(argv))
+        assert doc["schema"] == "sphere-lam/1" and doc["kind"] == "domain"
+
+    def test_curve_list(self):
+        self.domain_error(["shear", "--curve", "[1,2]"])
+
+    def test_closed_int(self):
+        self.domain_error(["shear", "--curve", '{"closed":3}'])
+
+    def test_matrix_int(self):
+        self.domain_error(["mutate", "--matrix", "5", "--k", "1"])
+
+    def test_ends_empty(self):
+        self.domain_error(["compat", "--a", '{"slope":"1/1","ends":[]}',
+                           "--b", '{"closed":"1/1"}'])
+
+    def test_tangle_shapes(self):
+        for tangle in ("[5]", "{}", '[{"curve":{"closed":"1/1"},"weight":1.5}]',
+                       '[{"curve":{"closed":"1/1"},"weight":[1]}]'):
+            self.domain_error(["tangle-check", "--tangle", tangle])
+
+    def test_curve_with_one_end(self):
+        self.domain_error(["shear", "--curve",
+                           '{"slope":"1/1","ends":[{"v":"00","spiral":"cw"}]}'])
+
+    def test_internal_error(self, monkeypatch):
+        def broken_flip(tri, k):
+            raise InternalNonUnique("flip produced 0 completions instead of 1")
+
+        monkeypatch.setattr(cli.triangulation, "flip", broken_flip)
+        t0 = json.dumps(base_triangulation().to_json())
+        doc = json.loads(fails(["flip", "--tri", t0, "--k", "0"], code=3))
+        assert doc["kind"] == "internal"
+        assert doc["error"].startswith("InternalNonUnique:")
+
+
 class TestJsonRoundTrips:
     def test_triangulation_doc(self):
         t0 = base_triangulation()
@@ -214,3 +257,4 @@ class TestJsonRoundTrips:
         out = fails(["classify", "--tri", "[]"])
         doc = json.loads(out)
         assert "error" in doc and doc["schema"] == "sphere-lam/1"
+        assert doc["kind"] == "domain"

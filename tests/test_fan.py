@@ -79,6 +79,17 @@ class TestCones:
                     continue
                 assert not all(curves_compatible(extra, c) for c in coll.curves)
 
+    def test_cached_equality_and_hash(self):
+        cones = fan.cone_index(2).cones
+        fresh = [fan.Cone(c.generators, c.kind) for c in cones]
+        for c, f in zip(cones, fresh):
+            key = tuple(sorted(exactla.primitive(g) for g in c.generators))
+            assert hash(c) == hash(key) == hash(f)
+            assert c == f
+            assert c.canonical() == key  # read back from the stored key
+        keys = {c.canonical() for c in fresh}
+        assert len(set(cones)) == len(keys)
+
 
 class TestMembership:
     def test_generator_combination(self):

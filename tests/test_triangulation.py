@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 from collections import Counter
 
 import pytest
@@ -8,10 +10,14 @@ from spherelam.curves import (
     Puncture,
     TaggedArc,
     Tagging,
+    arcs_compatible,
     endpoint_sets,
 )
 from spherelam.errors import InvalidParameters, NotAllPlain
-from spherelam.lattice import INF, MINUS_ONE, ZERO, Slope, enumerate_slopes, farey_distance
+from spherelam.lattice import (
+    INF, MINUS_ONE, ZERO, Slope, enumerate_slopes, farey_distance, mediant,
+    standard_form,
+)
 from spherelam.triangulation import (
     FIG1_MATRIX,
     TaggedTriangulation,
@@ -24,12 +30,78 @@ from spherelam.triangulation import (
     flip,
     mutate,
     signed_adjacency,
+    _CANONICAL_ADJACENCY,
+    _TAGS,
+    _box_adjacency,
     _farey1_triples,
     _farey2_pairs,
+    _flip_slopes,
 )
 
 PLAIN, NOTCHED = Tagging.PLAIN, Tagging.NOTCHED
 ALL_PLAIN = tuple((p, PLAIN) for p in (V00, V01, V10, V11))
+
+
+def sweep_flip(tri, k):
+    """The former height-capped flip, kept as an oracle: the candidate
+    slopes are the present ones, the mediants of their Farey-1 pairs and
+    every slope up to height min(2h + 2, 64)."""
+    removed = tri.arcs[k]
+    rest = tuple(a for i, a in enumerate(tri.arcs) if i != k)
+    slopes = {arc.slope for arc in tri.arcs}
+    for s, t in itertools.combinations(list(slopes), 2):
+        if farey_distance(s, t) == 1:
+            slopes.add(mediant(s, t))
+    slopes.update(enumerate_slopes(min(2 * tri.height + 2, 64)))
+    found = []
+    for slope in sorted(slopes):
+        if any(farey_distance(slope, a.slope) > 2 for a in rest):
+            continue
+        for pair in endpoint_sets(slope):
+            for t0, t1 in itertools.product(_TAGS, repeat=2):
+                cand = TaggedArc(slope, ((pair[0], t0), (pair[1], t1)))
+                if cand == removed or cand in rest:
+                    continue
+                if not all(arcs_compatible(cand, a) for a in rest):
+                    continue
+                try:
+                    found.append(TaggedTriangulation(rest[:k] + (cand,) + rest[k:]))
+                except ValueError:
+                    continue
+    assert len(found) == 1, found
+    return found[0]
+
+
+def type_i_start(rng, lo, hi, tags=None):
+    """A type-I triangulation of height in [lo, hi]: a random primitive
+    f = (a, b), a Farey neighbour g = (c, d) with 0 <= c < a, and the
+    lower of f - g and f + g."""
+    while True:
+        a, b = rng.randint(1, hi), rng.randint(-hi, hi)
+        if math.gcd(a, b) == 1 and max(a, abs(b)) >= lo:
+            break
+    c = pow(b, -1, a) if a > 1 else 0  # c*b = 1 mod a
+    d = (c * b - 1) // a  # a*d - b*c = -1
+    third = min(standard_form(a - c, b - d), standard_form(a + c, b + d),
+                key=lambda s: s.height)
+    triple = (standard_form(a, b), standard_form(c, d), third)
+    if tags is None:
+        tags = tuple((p, rng.choice((PLAIN, NOTCHED))) for p in (V00, V01, V10, V11))
+    return build_type(TriType("I", triple, taggings=tags))
+
+
+def plain_walk(start, steps, rng):
+    """(T, k, flip(T, k)) along a random walk through all-plain flips."""
+    t = start
+    for _ in range(steps):
+        ks = list(range(6))
+        rng.shuffle(ks)
+        for k in ks:
+            f = flip(t, k)
+            if f.all_plain:
+                yield t, k, f
+                t = f
+                break
 
 
 class TestBaseTriangulation:
@@ -158,6 +230,38 @@ class TestFlip:
                 f = flip(t, k)
                 assert flip(f, f.arcs.index(next(iter(f.arc_set - t.arc_set)))) == t
 
+    def test_matches_sweep_oracle(self):
+        for t in enumerate_triangulations(2):
+            for k in range(6):
+                rest = t.arcs[:k] + t.arcs[k + 1:]
+                assert len(_flip_slopes(rest)) <= 12
+                assert flip(t, k).arcs == sweep_flip(t, k).arcs
+
+    def test_large_height_type_i(self):
+        rng = random.Random(7)
+        for _ in range(20):
+            t = type_i_start(rng, 100, 10_000)
+            assert 100 <= t.height <= 10_000
+            for k in range(6):
+                f = flip(t, k)
+                assert flip(f, k) == t
+                assert build_type(classify(f)) == f
+
+    def test_large_height_tagged_walks(self):
+        # walks through every type, far above the former slope cap of 64
+        rng = random.Random(11)
+        kinds = Counter()
+        for _ in range(10):
+            t = type_i_start(rng, 100, 10_000)
+            for _ in range(30):
+                k = rng.randrange(6)
+                f = flip(t, k)
+                assert flip(f, k) == t
+                assert build_type(classify(f)) == f
+                kinds[classify(f).tag] += 1
+                t = f
+        assert set(kinds) == {"I", "II", "III", "IV", "V", "VI"}
+
     def test_type_v_neighbors(self):
         spec = TriType("V", (Slope(1, 1), Slope(1, -1)), v=V00,
                        taggings=((V00, PLAIN), (V11, PLAIN)))
@@ -207,6 +311,51 @@ class TestMatrices:
                 f = flip(t, k)
                 if f.all_plain:
                     assert signed_adjacency(f) == mutate(B, k)
+
+
+class TestCanonicalAdjacency:
+    """signed_adjacency computes on a height-1 representative; the box
+    computation at the original height is the oracle."""
+
+    def test_matches_box_up_to_height_three(self):
+        rng = random.Random(2)
+        tris = [t for t in enumerate_triangulations(3) if t.all_plain]
+        assert {classify(t).tag for t in tris} == {"I", "II"}
+        for t in tris:
+            assert signed_adjacency(t) == _box_adjacency(t)
+            shuffled = TaggedTriangulation(tuple(rng.sample(t.arcs, 6)))
+            assert signed_adjacency(shuffled) == _box_adjacency(shuffled)
+
+    def test_matches_box_along_plain_walks(self):
+        rng = random.Random(3)
+        heights = []
+        for _ in range(2):
+            for _, _, f in plain_walk(base_triangulation(), 40, rng):
+                if f.height > 10:
+                    break
+                heights.append(f.height)
+                assert signed_adjacency(f) == _box_adjacency(f)
+        assert max(heights) >= 8
+
+    def test_flip_matches_mutation_at_large_height(self):
+        rng = random.Random(5)
+        for _ in range(3):
+            t = type_i_start(rng, 10**6, 10**7, ALL_PLAIN)
+            B = signed_adjacency(t)
+            for _, k, f in plain_walk(t, 30, rng):
+                assert f.height >= 10**5
+                B_new = signed_adjacency(f)
+                assert B_new == mutate(B, k)
+                B = B_new
+
+    def test_memo_is_bounded(self):
+        rng = random.Random(9)
+        for _ in range(40):
+            t = type_i_start(rng, 1, 10**6, ALL_PLAIN)
+            for _, _, f in plain_walk(t, 10, rng):
+                signed_adjacency(f)
+        assert 0 < len(_CANONICAL_ADJACENCY) <= 4
+        assert all(arc.height == 1 for key in _CANONICAL_ADJACENCY for arc in key)
 
 
 class TestJson:
