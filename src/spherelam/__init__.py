@@ -10,78 +10,57 @@ The main entry points are:
 - :mod:`spherelam.shear` -- shear coordinates (three independent computation paths)
 - :mod:`spherelam.fan` -- maximal cones of the rational quasi-lamination fan
 - :mod:`spherelam.cli` -- command line front end
+
+The names below are re-exported from those modules.  A module is imported
+on first access to one of its names (PEP 562), so ``import spherelam`` and
+every command line call load only the modules they use.
 """
 
-from .lattice import (
-    Slope,
-    UnimodularMap,
-    standard_form,
-    farey_distance,
-    is_farey1_triple,
-    mediant,
-    enumerate_slopes,
-    separating_neighbors,
-    triple_to_basis,
-)
-from .curves import (
-    Puncture,
-    Tagging,
-    SpiralDir,
-    TaggedArc,
-    AllowableCurve,
-    PairClass,
-    endpoint_sets,
-    kappa,
-    kappa_inv,
-    arcs_compatible,
-    curves_compatible,
-    classify_pair,
-    enumerate_arcs,
-    enumerate_curves,
-)
-from .triangulation import (
-    TaggedTriangulation,
-    TriType,
-    base_triangulation,
-    classify,
-    build_type,
-    enumerate_triangulations,
-    flip,
-    signed_adjacency,
-    mutate,
-)
-from .shear import (
-    Word,
-    TypeITri,
-    Tangle,
-    QuasiLamination,
-    word_prime,
-    word_of_curve,
-    shear_via_word,
-    shear_closed_form,
-    shear_oracle,
-    shear_wrt,
-    shear_lamination,
-    tangle_shear,
-    torus_shear,
-    sphere_torus_check,
-    find_witness,
-    apply_perm,
-    PERM_X, PERM_Z, GROUP_X, GROUP_Y, GROUP_Z, GAMMA24,
-)
-from .fan import (
-    MaximalCollection,
-    Cone,
-    maximal_collections,
-    cone_of,
-    membership,
-    locate,
-    count_containing_cones,
-    g_vectors,
-    universal_coeffs,
-    flip_adjacency,
-    fan_check,
-    induced_torus_check,
-)
+import importlib
 
+_EXPORTS = {
+    "lattice": (
+        "Slope", "UnimodularMap", "standard_form", "farey_distance",
+        "is_farey1_triple", "mediant", "enumerate_slopes",
+        "separating_neighbors", "triple_to_basis",
+    ),
+    "curves": (
+        "Puncture", "Tagging", "SpiralDir", "TaggedArc", "AllowableCurve",
+        "PairClass", "endpoint_sets", "kappa", "kappa_inv", "arcs_compatible",
+        "curves_compatible", "classify_pair", "enumerate_arcs", "enumerate_curves",
+    ),
+    "triangulation": (
+        "TaggedTriangulation", "TriType", "base_triangulation", "classify",
+        "build_type", "enumerate_triangulations", "flip", "signed_adjacency",
+        "mutate",
+    ),
+    "shear": (
+        "Word", "TypeITri", "Tangle", "QuasiLamination", "word_prime",
+        "word_of_curve", "shear_via_word", "shear_closed_form", "shear_oracle",
+        "shear_wrt", "shear_lamination", "tangle_shear", "torus_shear",
+        "sphere_torus_check", "find_witness", "apply_perm",
+        "PERM_X", "PERM_Z", "GROUP_X", "GROUP_Y", "GROUP_Z", "GAMMA24",
+    ),
+    "fan": (
+        "MaximalCollection", "Cone", "maximal_collections", "cone_of",
+        "membership", "locate", "count_containing_cones", "g_vectors",
+        "universal_coeffs", "flip_adjacency", "fan_check", "induced_torus_check",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_OWNER)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

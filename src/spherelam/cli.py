@@ -4,6 +4,9 @@ Every command emits a single JSON document on stdout (bare arrays for
 vector results, schema-tagged objects otherwise).  Exit codes: 0 success,
 1 bad input (an error document with ``"kind": "domain"``), 2 usage error,
 3 internal error, a bug (an error document with ``"kind": "internal"``).
+
+Each call is a fresh interpreter, so a command imports the modules beyond
+``curves`` and ``lattice`` inside the functions that use them.
 """
 
 from __future__ import annotations
@@ -11,8 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import fan, render, shear, triangulation
 from .curves import AllowableCurve, TaggedArc, Puncture, Tagging, \
     arcs_compatible, classify_pair, curves_compatible, json_field
 from .errors import (
@@ -23,10 +26,19 @@ from .errors import (
     SphereLamError,
 )
 from .lattice import Slope
-from .shear import BASE_TRI, Tangle, TypeITri
-from .selftest import run_selftest
+
+if TYPE_CHECKING:
+    from .shear import Tangle, TypeITri
+    from .triangulation import ExchangeMatrix, TaggedTriangulation
 
 SCHEMA = "sphere-lam/1"
+
+# Work caps.  The word and oracle paths walk every crossing of the curve, so
+# their time grows linearly with the slope height; render draws one element
+# per lattice line and puncture that meets the window.  At each cap a
+# command takes under a second (2-core Xeon, Python 3.11).
+SHEAR_MAX_HEIGHT = {"word": 50_000, "oracle": 1_000}
+RENDER_MAX_ELEMENTS = 10_000
 
 
 def _doc(**fields) -> str:
@@ -37,12 +49,17 @@ def _parse_curve(text: str) -> AllowableCurve:
     return AllowableCurve.from_json(json.loads(text))
 
 
-def _parse_tri(text: str) -> TypeITri:
-    return TypeITri.from_json(json.loads(text))
+def _parse_tri(text: str | None) -> TypeITri:
+    """A type-I triangulation; the base one when no text is given."""
+    from .shear import BASE_TRI, TypeITri
+
+    return TypeITri.from_json(json.loads(text)) if text else BASE_TRI
 
 
-def _parse_tagged_triangulation(text: str) -> triangulation.TaggedTriangulation:
-    return triangulation.TaggedTriangulation.from_json(json.loads(text))
+def _parse_tagged_triangulation(text: str) -> TaggedTriangulation:
+    from .triangulation import TaggedTriangulation
+
+    return TaggedTriangulation.from_json(json.loads(text))
 
 
 def _parse_object(text: str):
@@ -57,7 +74,7 @@ def _parse_object(text: str):
     return TaggedArc.from_json(obj)
 
 
-def _parse_matrix(text: str) -> triangulation.ExchangeMatrix:
+def _parse_matrix(text: str) -> ExchangeMatrix:
     B = json.loads(text)
     if not (isinstance(B, list) and len(B) == 6 and all(
         isinstance(row, list) and len(row) == 6
@@ -151,16 +168,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_shear(args) -> str:
+    from . import shear
+
     curve = _parse_curve(args.curve)
-    tri = _parse_tri(args.tri) if args.tri else BASE_TRI
+    tri = _parse_tri(args.tri)
+    cap = SHEAR_MAX_HEIGHT.get(args.method)
+    if cap is not None and curve.height > cap:
+        raise DomainError(f"the {args.method} method is capped at slope height "
+                          f"{cap}; this curve has height {curve.height}")
     if args.method == "formula":
         vec = shear.shear_wrt(curve, tri)
     elif args.method == "word":
-        if tri != BASE_TRI:
+        if tri != shear.BASE_TRI:
             raise DomainError("the word method computes against the base triangulation")
         vec = shear.shear_via_word(curve)
     else:
-        if tri != BASE_TRI:
+        if tri != shear.BASE_TRI:
             raise DomainError("the oracle computes against the base triangulation")
         vec = shear.shear_oracle(curve)
     return json.dumps(list(vec))
@@ -178,6 +201,8 @@ def _cmd_compat(args) -> str:
 
 
 def _cmd_triangulate(args) -> str:
+    from . import triangulation
+
     slopes = [Slope.parse(s) for s in (args.p, args.q, args.r) if s]
     spec = triangulation.TriType(
         args.tri_type,
@@ -192,11 +217,15 @@ def _cmd_triangulate(args) -> str:
 
 
 def _cmd_classify(args) -> str:
+    from . import triangulation
+
     tri = _parse_tagged_triangulation(args.tri)
     return _doc(type=triangulation.classify(tri).to_json())
 
 
 def _cmd_flip(args) -> str:
+    from . import triangulation
+
     tri = _parse_tagged_triangulation(args.tri)
     if not 0 <= args.k < 6:
         raise DomainError("arc index must be in 0..5")
@@ -206,6 +235,8 @@ def _cmd_flip(args) -> str:
 
 
 def _cmd_badj(args) -> str:
+    from . import triangulation
+
     tri = _parse_tagged_triangulation(args.tri)
     return json.dumps([list(r) for r in triangulation.signed_adjacency(tri)])
 
@@ -216,10 +247,14 @@ def _cmd_mutate(args) -> str:
         raise DomainError("matrix must be skew-symmetric")
     if not 0 <= args.k < 6:
         raise DomainError("mutation index must be in 0..5")
+    from . import triangulation
+
     return json.dumps([list(r) for r in triangulation.mutate(B, args.k)])
 
 
 def _cmd_cones(args) -> str:
+    from . import fan
+
     cones = fan.cone_index(args.max_height).cones
     return _doc(
         max_height=args.max_height,
@@ -235,6 +270,8 @@ def _cmd_locate(args) -> str:
     v = json.loads(args.vector)
     if not isinstance(v, list) or len(v) != 6 or any(type(x) is not int for x in v):
         raise DomainError("vector must be six integers")
+    from . import fan
+
     lam = fan.locate(tuple(v), args.max_height)
     return _doc(lamination=[
         {"curve": c.to_json(), "weight": w} for c, w in lam.weights
@@ -242,16 +279,22 @@ def _cmd_locate(args) -> str:
 
 
 def _cmd_gvectors(args) -> str:
+    from . import fan
+
     return _doc(max_height=args.max_height,
                 vectors=[list(v) for v in fan.g_vectors(args.max_height)])
 
 
 def _cmd_universal(args) -> str:
+    from . import fan
+
     vecs = fan.universal_coeffs(args.max_height, args.form)
     return _doc(max_height=args.max_height, vectors=[list(v) for v in vecs])
 
 
 def _parse_tangle(text: str) -> Tangle:
+    from .shear import Tangle
+
     entries = json.loads(text)
     if not isinstance(entries, list):
         raise MalformedInput("a tangle is a JSON array of {curve, weight} objects")
@@ -265,6 +308,8 @@ def _parse_tangle(text: str) -> Tangle:
 
 
 def _cmd_tangle_check(args) -> str:
+    from . import shear
+
     tangle = _parse_tangle(args.tangle)
     witness = shear.find_witness(tangle, args.max_height)
     if witness is None:
@@ -274,12 +319,18 @@ def _cmd_tangle_check(args) -> str:
 
 
 def _cmd_render(args) -> str:
+    from . import render
+
     curves = tuple(_parse_curve(c) for c in args.curve)
-    tri = _parse_tri(args.tri) if args.tri else BASE_TRI
+    tri = _parse_tri(args.tri)
     window = tuple(int(x) for x in args.window.split(","))
     if len(window) != 4:
         raise DomainError("window must be xmin,xmax,ymin,ymax")
     spec = render.RenderSpec(curves=curves, triangulation=tri, window=window)
+    elements = render.element_count(spec)
+    if elements > RENDER_MAX_ELEMENTS:
+        raise DomainError(f"render draws at most {RENDER_MAX_ELEMENTS} lattice "
+                          f"lines and punctures; this window needs {elements}")
     doc = render.render(spec)
     with open(args.out, "w") as fh:
         fh.write(doc)
@@ -287,6 +338,8 @@ def _cmd_render(args) -> str:
 
 
 def _cmd_selftest(_args) -> str:
+    from .selftest import run_selftest
+
     checks = run_selftest()
     failed = [c for c in checks if not c[1]]
     doc = _doc(

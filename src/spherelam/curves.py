@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .errors import ClosedCurveHasNoArc, MalformedInput
+from .errors import ClosedCurveHasNoArc, InternalError, MalformedInput
 from .lattice import Slope, farey_distance
 
 
@@ -198,7 +198,8 @@ class AllowableCurve:
         return self.slope.height
 
     def spiral_at(self, p: Puncture) -> SpiralDir:
-        assert self.ends is not None
+        if self.ends is None:
+            raise InternalError(f"the closed curve of slope {self.slope} has no spiral points")
         for q, d in self.ends:
             if q == p:
                 return d

@@ -10,7 +10,6 @@ cones of the fan; cones are exact integer/rational objects throughout.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -49,7 +48,6 @@ from .shear import (
     perm_product,
     shear_closed_form,
 )
-from .triangulation import TaggedTriangulation, classify, enumerate_triangulations, flip
 
 # ---------------------------------------------------------------------------
 # Maximal collections
@@ -112,6 +110,8 @@ def closed_collections(slope: Slope) -> list[MaximalCollection]:
 def maximal_collections(max_height: int) -> Iterator[MaximalCollection]:
     """Kappa images of all triangulations plus all type-VII collections,
     with slope parameters bounded by max_height."""
+    from .triangulation import classify, enumerate_triangulations
+
     for tri in enumerate_triangulations(max_height):
         kind = classify(tri).tag
         yield MaximalCollection(tuple(kappa(a) for a in tri.arcs), kind)
@@ -384,6 +384,8 @@ def flip_adjacency(cone: Cone) -> list[Cone]:
     if coll is None:
         raise InternalError("flip adjacency needs the cone's collection")
     if cone.kind != "VII":
+        from .triangulation import TaggedTriangulation, classify, flip
+
         tri = TaggedTriangulation(tuple(kappa_inv(c) for c in coll.curves))
         out = []
         for k in range(6):
@@ -436,6 +438,8 @@ class FanReport:
 def fan_check(cones: Sequence[Cone], trials: int, seed: int = 0) -> FanReport:
     """Sample cone pairs and verify each intersection is the common face
     spanned by the shared generators (exact double-description check)."""
+    import random
+
     rng = random.Random(seed)
     failures = 0
     checked = 0

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import MalformedInput, NotFareyNeighbors, NotFareyTriple, ZeroVector
+from .errors import (
+    InternalError,
+    MalformedInput,
+    NotFareyNeighbors,
+    NotFareyTriple,
+    ZeroVector,
+)
 
 #: Hard cap on enumeration heights; keeps accidental sweeps bounded.
 MAX_HEIGHT = 64
@@ -166,13 +172,15 @@ def _left_farey_neighbor(f: Slope) -> Slope:
     a0, b0 = f.vector
     # Solve c*b0 - d*a0 = 1 (then d/c < b0/a0); shift by (a0, b0) until c >= 1.
     g, u, v = _egcd(b0, -a0)
-    assert g == 1 or g == -1
+    if g not in (1, -1):
+        raise InternalError(f"slope {f} is not in lowest terms")
     c, d = u * g, v * g  # c*b0 - d*a0 = 1
     if c < 1:
         t = -((c - 1) // a0)
         c, d = c + t * a0, d + t * b0
     x = Slope(c, d)
-    assert det2(x, f) == 1 and x < f
+    if not (det2(x, f) == 1 and x < f):
+        raise InternalError(f"{x} is not a left Farey neighbor of {f}")
     return x
 
 
@@ -196,7 +204,8 @@ def separating_neighbors(M: Iterable[Slope], f: Slope) -> tuple[Slope, Slope]:
     while any(x <= q for q in below):
         x = mediant(x, f)
     y = mediant(x, f)
-    assert is_farey1_triple(x, y, f) and x < y < f
+    if not (is_farey1_triple(x, y, f) and x < y < f):
+        raise InternalError(f"({x}, {y}, {f}) is not an increasing Farey-1 triple")
     return x, y
 
 
@@ -275,12 +284,6 @@ def triple_to_basis(triple: tuple[Slope, Slope, Slope]) -> UnimodularMap:
     if _chirality(u1, u2, u3) == -1:
         u1, u2 = u2, u1
     m = pair_to_basis(u1, u2)
-    assert m.apply_slope(Slope(*_std_pair(u1))) == ZERO
-    assert m.apply_slope(Slope(*_std_pair(u2))) == INF
-    assert m.apply_slope(Slope(*_std_pair(u3))) == MINUS_ONE
+    if tuple(m.apply_slope(standard_form(*u)) for u in (u1, u2, u3)) != (ZERO, INF, MINUS_ONE):
+        raise InternalError(f"the basis change of {triple} misses (0, inf, -1)")
     return m
-
-
-def _std_pair(v: tuple[int, int]) -> tuple[int, int]:
-    s = standard_form(*v)
-    return (s.a, s.b)

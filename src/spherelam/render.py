@@ -57,18 +57,33 @@ def _clip_line(p0, d, window) -> tuple | None:
     return a, b
 
 
+def _line_offsets(s, window: Window) -> range:
+    """The c of the lattice lines b*x - a*y = c of slope s (a, b) that can
+    meet the window: every integer between the values at its corners."""
+    xmin, xmax, ymin, ymax = window
+    a, b = s.vector
+    vals = [b * x - a * y for x in (xmin, xmax) for y in (ymin, ymax)]
+    return range(min(vals), max(vals) + 1)
+
+
+def element_count(spec: RenderSpec) -> int:
+    """An upper bound on the lattice lines and punctures :func:`render`
+    draws, computed without drawing them."""
+    xmin, xmax, ymin, ymax = spec.window
+    # range.stop - range.start, not len(), which overflows past sys.maxsize
+    lines = sum(r.stop - r.start for r in (_line_offsets(s, spec.window)
+                                           for s in spec.triangulation.triple))
+    return lines + (xmax - xmin + 1) * (ymax - ymin + 1)
+
+
 def grid_lines(tri: TypeITri, window: Window):
     """All lattice lines of the triple's three slopes meeting the window,
     grouped by slope family, as clipped segments."""
-    xmin, xmax, ymin, ymax = window
-    corners = [(x, y) for x in (xmin, xmax) for y in (ymin, ymax)]
     families = []
     for s in tri.triple:
         a, b = s.vector
-        # lines b*x - a*y = c through lattice points: all integer c
-        vals = [b * x - a * y for x, y in corners]
         segs = []
-        for c in range(min(vals), max(vals) + 1):
+        for c in _line_offsets(s, window):
             # anchor point on the line
             if a == 0 and b == 0:
                 continue

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from . import plane
 from .curves import (
     V00,
     PUNCTURES,
@@ -34,7 +33,7 @@ from .curves import (
     endpoint_sets,
     json_field,
 )
-from .errors import BoundExhausted, NotFareyTriple, UnsupportedBaseCase
+from .errors import BoundExhausted, InternalError, NotFareyTriple, UnsupportedBaseCase
 from .lattice import (
     INF,
     MINUS_ONE,
@@ -196,7 +195,6 @@ def word_of_curve(curve: AllowableCurve) -> Word:
     rk, tl = _suffix_letters(a, b)
     if curve.is_closed:
         return (T1,) + wp + (rk, tl) + tuple(reversed(wp)) + (R2, T1)
-    assert curve.ends is not None
     if V00 not in curve.punctures or curve.spiral_at(V00) is not SpiralDir.CCW:
         raise UnsupportedBaseCase("open base case needs a CCW spiral at v00")
     other = V00.translate(curve.slope.parity)
@@ -223,7 +221,8 @@ def shear_via_word(curve: AllowableCurve) -> ShearVector:
             vec[4] += 1
     rr = [i for i in range(len(w) - 1) if w[i][0] == "r" and w[i + 1][0] == "r"]
     tt = [i for i in range(len(w) - 1) if w[i][0] == "t" and w[i + 1][0] == "t"]
-    assert not (rr and tt), "a base word never contains both rr and tt pairs"
+    if rr and tt:
+        raise InternalError("a base word never contains both rr and tt pairs")
     # tt pairs score +1 alternating slots 3,6,...; rr pairs -1 alternating 6,3,...
     for n, _ in enumerate(tt):
         vec[2 if n % 2 == 0 else 5] += 1
@@ -343,7 +342,7 @@ def _base_open(curve: AllowableCurve) -> ShearVector:
             s1 = curve.spiral_at(far.translate(t))
             item = BASE_ITEMS[(s0, s1)](a, b)
             return apply_perm(TRANSLATION_PERMS[t], item)
-    raise AssertionError("unreachable: some parity translation always matches")
+    raise InternalError("no parity translation matches the curve's endpoints")
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +360,8 @@ def shear_oracle(curve: AllowableCurve) -> ShearVector:
     scored -1/0/+1 from its quadrilateral; no closed formulas, words or
     coordinate permutations are involved.
     """
+    from . import plane
+
     a, b = curve.slope.vector
     if curve.is_closed:
         start = (Fraction(1, 2 * abs(b)), Fraction(0)) if b else (Fraction(0), Fraction(1, 2))
@@ -384,7 +385,8 @@ def shear_oracle(curve: AllowableCurve) -> ShearVector:
     (p_punc, p_dir), (q_punc, q_dir) = curve.ends  # type: ignore[misc]
     base = (p_punc.i, p_punc.j)
     tip = (base[0] + a, base[1] + b)
-    assert (tip[0] % 2, tip[1] % 2) == (q_punc.i, q_punc.j)
+    if (tip[0] % 2, tip[1] % 2) != (q_punc.i, q_punc.j):
+        raise InternalError(f"the lift of {curve.slope} from v{p_punc} ends off v{q_punc}")
     eps = Fraction(1, 8 * (abs(a) + abs(b) + 2) ** 2)
     side_left = p_dir is SpiralDir.CCW
     seq = (
@@ -570,6 +572,8 @@ def _torus_base(a: int, b: int) -> tuple[int, int, int]:
     """Torus shear of the closed curve of nonnegative slope b/a with
     respect to the plain torus triangulation of triple (0, inf, -1),
     computed from the cyclic crossing word of one period."""
+    from . import plane
+
     start = (Fraction(1, 2 * abs(b)), Fraction(0)) if b else (Fraction(0), Fraction(1, 2))
     xs = plane.segment_crossings(start, (a, b), Fraction(0), Fraction(1), include_lo=True)
     letters = [c.family for c in xs if c.family in ("h", "v")]
@@ -578,7 +582,8 @@ def _torus_base(a: int, b: int) -> tuple[int, int, int]:
     n = len(letters)
     tt = sum(1 for i in range(n) if letters[i] == "h" and letters[(i + 1) % n] == "h")
     rr = sum(1 for i in range(n) if letters[i] == "v" and letters[(i + 1) % n] == "v")
-    assert not (tt and rr)
+    if tt and rr:
+        raise InternalError("a torus word never contains both hh and vv pairs")
     return (x1, x2, tt - rr)
 
 

@@ -55,7 +55,6 @@ from .lattice import (
     pair_to_basis,
     standard_form,
 )
-from .plane import triangular_faces
 
 _ADMISSIBLE_DEGREES = {(2, 2, 2, 6), (2, 2, 3, 5), (2, 2, 4, 4), (3, 3, 3, 3)}
 
@@ -322,7 +321,7 @@ def classify(tri: TaggedTriangulation) -> TriType:
     def common_tag(p: Puncture) -> Tagging:
         seen = {arc.tag_at(p) for arc in arcs if p in arc.punctures}
         if len(seen) != 1:
-            raise AssertionError(f"mixed tags at v{p} outside a coinciding end")
+            raise InternalError(f"mixed tags at v{p} outside a coinciding end")
         return seen.pop()
 
     if degseq == (3, 3, 3, 3):
@@ -542,6 +541,8 @@ def _box_adjacency(tri: TaggedTriangulation) -> ExchangeMatrix:
     sides.  Its cost grows with the height h; :func:`signed_adjacency`
     calls it on height-1 representatives only, and tests use it at the
     original height as an independent oracle."""
+    from .plane import triangular_faces
+
     h = tri.height
     box = 3 * h + 6
     inner = box - 2 * h - 2

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import spherelam
 from spherelam import cli
 from spherelam.cli import run
 from spherelam.errors import InternalNonUnique
@@ -10,7 +14,7 @@ from spherelam.curves import AllowableCurve, TaggedArc
 from spherelam.render import RenderSpec, curve_polyline, grid_lines, render
 from spherelam.lattice import Slope
 from spherelam.shear import BASE_TRI
-from spherelam.triangulation import TaggedTriangulation, base_triangulation
+from spherelam.triangulation import TaggedTriangulation, base_triangulation, signed_adjacency
 
 
 def ok(argv):
@@ -241,11 +245,109 @@ class TestErrorDocuments:
         def broken_flip(tri, k):
             raise InternalNonUnique("flip produced 0 completions instead of 1")
 
-        monkeypatch.setattr(cli.triangulation, "flip", broken_flip)
+        monkeypatch.setattr(spherelam.triangulation, "flip", broken_flip)
         t0 = json.dumps(base_triangulation().to_json())
         doc = json.loads(fails(["flip", "--tri", t0, "--k", "0"], code=3))
         assert doc["kind"] == "internal"
         assert doc["error"].startswith("InternalNonUnique:")
+
+
+class TestWorkCaps:
+    """Inputs whose work grows without bound are rejected with one error
+    document that names the cap."""
+
+    def test_oracle_height(self, monkeypatch):
+        huge = '{"closed":"99999999999999999999/1"}'
+        for method in ("word", "oracle"):
+            with monkeypatch.context() as m:
+                m.setitem(cli.SHEAR_MAX_HEIGHT, method, 5)
+                assert ok(["shear", "--method", method, "--curve", '{"closed":"5/1"}']) == \
+                    ok(["shear", "--curve", '{"closed":"5/1"}'])
+                fails(["shear", "--method", method, "--curve", '{"closed":"6/1"}'])
+            cap = cli.SHEAR_MAX_HEIGHT[method]
+            doc = json.loads(fails(["shear", "--method", method, "--curve", huge]))
+            assert doc["kind"] == "domain" and f"height {cap}" in doc["error"]
+        # the closed formula does not walk the curve and has no cap
+        assert ok(["shear", "--curve", huge])[0] == -99999999999999999999
+
+    def test_render_window(self, tmp_path):
+        out = tmp_path / "huge.svg"
+        doc = json.loads(fails(["render", "--window", "0,1,0,1000000", "--out", str(out)]))
+        assert doc["kind"] == "domain" and str(cli.RENDER_MAX_ELEMENTS) in doc["error"]
+        assert not out.exists()
+        # steep grid lines count too, not only the window area
+        tri = json.dumps({"triple": ["10000/1", "10001/1", "inf"],
+                          "tags": {"00": "plain", "01": "plain", "10": "plain", "11": "plain"}})
+        fails(["render", "--tri", tri, "--window", "0,1,0,1", "--out", str(out)])
+
+    def test_element_count_bounds_render(self):
+        from spherelam.render import element_count
+        from spherelam.shear import TypeITri
+
+        for tri in (BASE_TRI, TypeITri((Slope(2, 1), Slope(3, 2), Slope(1, 1)))):
+            for window in ((0, 2, 0, 2), (-3, 1, 2, 7), (0, 1, 0, 9)):
+                spec = RenderSpec(triangulation=tri, window=window)
+                svg = render(spec)
+                assert svg.count("<line") + svg.count("<circle") <= element_count(spec)
+
+
+SRC = os.path.dirname(os.path.dirname(spherelam.__file__))
+
+
+def _modules_loaded(argv):
+    """The spherelam modules a fresh interpreter holds after one command."""
+    code = ("import sys; from spherelam.cli import run; code, _ = run(sys.argv[1:]); "
+            "print(code, *sorted(m for m in sys.modules if m.startswith('spherelam.')))")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, check=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    code, *mods = proc.stdout.split()
+    assert code == "0", proc.stdout
+    return {m.removeprefix("spherelam.") for m in mods}
+
+
+class TestColdStart:
+    """Each command imports only the modules it runs."""
+
+    def test_command_import_sets(self):
+        t0 = json.dumps(base_triangulation().to_json())
+        B = json.dumps([list(r) for r in signed_adjacency(base_triangulation())])
+        never = {"render", "selftest"}
+        cases = {
+            "shear": (["shear", "--curve", CURVE_PRIME],
+                      {"fan", "triangulation", "exactla", "plane"}),
+            "compat": (["compat", "--a", '{"closed":"3/2"}', "--b", '{"closed":"1/1"}'],
+                       {"fan", "triangulation", "exactla", "shear", "plane"}),
+            "mutate": (["mutate", "--matrix", B, "--k", "2"], {"plane", "shear", "fan"}),
+            "flip": (["flip", "--tri", t0, "--k", "0"], {"plane", "shear", "fan"}),
+            "gvectors": (["gvectors", "--max-height", "1"], {"triangulation", "plane"}),
+        }
+        for name, (argv, absent) in cases.items():
+            loaded = _modules_loaded(argv)
+            assert not loaded & (absent | never), (name, sorted(loaded))
+
+    def test_exports_resolve(self):
+        import importlib
+
+        table = spherelam._EXPORTS
+        assert spherelam.__all__ == [n for names in table.values() for n in names]
+        for module, names in table.items():
+            mod = importlib.import_module(f"spherelam.{module}")
+            for name in names:
+                assert getattr(spherelam, name) is getattr(mod, name), name
+        ns: dict = {}
+        exec("from spherelam import *", ns)
+        assert set(spherelam.__all__) <= set(ns)
+        with pytest.raises(AttributeError):
+            spherelam.no_such_name  # noqa: B018
+
+    def test_selftest_under_optimize(self):
+        # the invariant checks raise, so they hold with asserts stripped
+        proc = subprocess.run([sys.executable, "-O", "-m", "spherelam.cli", "selftest"],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert json.loads(proc.stdout)["failed"] == 0
 
 
 class TestJsonRoundTrips:
