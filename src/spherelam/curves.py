@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass, field
 
 from .errors import ClosedCurveHasNoArc, InternalError, MalformedInput
-from .lattice import Slope, farey_distance
+from .lattice import Slope, UnimodularMap, farey_distance
 
 
 @dataclass(frozen=True, order=True)
@@ -112,8 +112,29 @@ def _check_ends(slope: Slope, p: Puncture, q: Puncture) -> None:
         )
 
 
+class _ArcOrCurve:
+    """What tagged arcs and allowable curves share: a slope and, unless the
+    curve is closed, two endpoints each with a tag or a spiral direction."""
+
+    slope: Slope
+    ends: tuple | None
+
+    @property
+    def height(self) -> int:
+        return self.slope.height
+
+    def image(self, m: UnimodularMap):
+        """The image under a lattice map: the slope moves by the linear
+        part, each puncture by the map mod 2; tags and spiral directions
+        stay.  Closed curves stay closed."""
+        ends = None if self.ends is None else tuple(
+            (Puncture(*m.apply_parity((p.i, p.j))), d) for p, d in self.ends
+        )
+        return type(self)(m.apply_slope(self.slope), ends)  # type: ignore[call-arg]
+
+
 @dataclass(frozen=True)
-class TaggedArc:
+class TaggedArc(_ArcOrCurve):
     """A tagged arc: slope plus an unordered pair of tagged endpoints.
 
     ``ends`` is stored sorted by puncture, so equal arcs compare equal.
@@ -131,10 +152,6 @@ class TaggedArc:
 
     punctures: frozenset[Puncture] = field(init=False, compare=False)
     underlying: tuple = field(init=False, compare=False)
-
-    @property
-    def height(self) -> int:
-        return self.slope.height
 
     def tag_at(self, p: Puncture) -> Tagging:
         for q, tag in self.ends:
@@ -168,7 +185,7 @@ class TaggedArc:
 
 
 @dataclass(frozen=True)
-class AllowableCurve:
+class AllowableCurve(_ArcOrCurve):
     """An allowable curve: closed (``ends is None``) or spiraling into two
     punctures with independent spiral directions."""
 
@@ -193,9 +210,14 @@ class AllowableCurve:
     def is_closed(self) -> bool:
         return self.ends is None
 
-    @property
-    def height(self) -> int:
-        return self.slope.height
+    def sort_key(self) -> tuple:
+        """The order of curves in tangles, laminations and maximal
+        collections: by slope vector, the closed curve first, then by
+        endpoints and spirals."""
+        if self.ends is None:
+            return (self.slope.a, self.slope.b, 0, ())
+        enc = tuple((p.i, p.j, d.value) for p, d in self.ends)
+        return (self.slope.a, self.slope.b, 1, enc)
 
     def spiral_at(self, p: Puncture) -> SpiralDir:
         if self.ends is None:
@@ -238,10 +260,6 @@ class AllowableCurve:
         return AllowableCurve(slope, ends)  # type: ignore[arg-type]
 
 
-def closed_curve(s: Slope) -> AllowableCurve:
-    return AllowableCurve(s)
-
-
 _TAG_TO_SPIRAL = {Tagging.PLAIN: SpiralDir.CW, Tagging.NOTCHED: SpiralDir.CCW}
 _SPIRAL_TO_TAG = {v: k for k, v in _TAG_TO_SPIRAL.items()}
 
@@ -275,8 +293,11 @@ def _coinciding_ok(x_ends, y_ends) -> bool:
     return agreements == 1
 
 
-def arcs_compatible(x: TaggedArc, y: TaggedArc) -> bool:
-    """Tagged-arc compatibility.
+def arcs_compatible(
+    x: TaggedArc | AllowableCurve, y: TaggedArc | AllowableCurve
+) -> bool:
+    """Tagged-arc compatibility, and that of two spiraling curves, which
+    follow the same rule with spiral directions in place of tags.
 
     Equal arcs are compatible by convention.  Arcs with the same underlying
     taggable arc are compatible iff their tags agree at exactly one
@@ -295,21 +316,14 @@ def arcs_compatible(x: TaggedArc, y: TaggedArc) -> bool:
 
 
 def curves_compatible(x: AllowableCurve, y: AllowableCurve) -> bool:
-    """Allowable-curve compatibility (mirrors :func:`arcs_compatible` on
-    spiraling curves; closed curves are compatible only with themselves and
-    with spiraling curves of the same slope)."""
-    if x == y:
-        return True
+    """Allowable-curve compatibility: closed curves are compatible only
+    with themselves and with spiraling curves of the same slope; two
+    spiraling curves follow :func:`arcs_compatible`."""
     if x.is_closed and y.is_closed:
-        return False
+        return x == y
     if x.is_closed or y.is_closed:
         return x.slope == y.slope
-    if x.underlying == y.underlying:
-        return _coinciding_ok(x.ends, y.ends)
-    shared = x.punctures & y.punctures
-    if farey_distance(x.slope, y.slope) != len(shared):
-        return False
-    return _decorations_agree(x.ends, y.ends, shared)
+    return arcs_compatible(x, y)
 
 
 def enumerate_arcs(max_height: int) -> list[TaggedArc]:

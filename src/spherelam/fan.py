@@ -36,10 +36,11 @@ from .shear import (
     PERM_X,
     PERM_Z,
     PERM_Z2,
+    RHO,
+    RHO2,
     compose,
     QuasiLamination,
     ShearVector,
-    _curve_sort_key,
     _item1,
     _item2,
     _item4,
@@ -64,7 +65,7 @@ class MaximalCollection:
     kind: str
 
     def __post_init__(self) -> None:
-        curves = tuple(sorted(set(self.curves), key=_curve_sort_key))
+        curves = tuple(sorted(set(self.curves), key=AllowableCurve.sort_key))
         object.__setattr__(self, "curves", curves)
         closed = [c for c in curves if c.is_closed]
         expected = 5 if closed else 6
@@ -352,18 +353,15 @@ def g_vectors(max_height: int) -> list[ShearVector]:
     rotation represents curves of a different slope, so rotated orbit
     elements are kept only when the slope they stand for is itself within
     the height bound."""
-    from .lattice import standard_form
-
     out = set()
     for s in _slopes_in_range(max_height, low_open=True, include_inf=True):
-        a, b = s.vector
         rotated = (
             (PERM_ID, s),
-            (PERM_Z, standard_form(b, -a - b)),
-            (PERM_Z2, standard_form(a + b, -a)),
+            (PERM_Z, RHO.apply_slope(s)),
+            (PERM_Z2, RHO2.apply_slope(s)),
         )
         for item in THM12_ITEMS[:3]:
-            base = item(a, b)
+            base = item(s.a, s.b)
             for zpow, image_slope in rotated:
                 if image_slope.height > max_height:
                     continue

@@ -214,12 +214,11 @@ Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 
 @dataclass(frozen=True)
 class UnimodularMap:
-    """An integer-linear relabeling of the lattice plane, with a mod-2
-    offset for puncture relabeling.  |det| = 1 always; the maps produced by
+    """An integer-linear relabeling of the lattice plane; punctures move by
+    its reduction mod 2.  |det| = 1 always; the maps produced by
     :func:`triple_to_basis` have det = +1 (orientation preserving)."""
 
     linear: Matrix2
-    offset: tuple[int, int] = (0, 0)
 
     def __post_init__(self) -> None:
         if abs(self.det) != 1:
@@ -234,12 +233,8 @@ class UnimodularMap:
         (p, q), (r, s) = self.linear
         return (p * v[0] + q * v[1], r * v[0] + s * v[1])
 
-    def apply_point(self, pt: tuple[int, int]) -> tuple[int, int]:
-        x, y = self.apply_vector(pt)
-        return (x + self.offset[0], y + self.offset[1])
-
     def apply_parity(self, par: tuple[int, int]) -> tuple[int, int]:
-        x, y = self.apply_point(par)
+        x, y = self.apply_vector(par)
         return (x % 2, y % 2)
 
     def apply_slope(self, s: Slope) -> Slope:
@@ -247,7 +242,7 @@ class UnimodularMap:
 
     @property
     def is_identity(self) -> bool:
-        return self.linear == ((1, 0), (0, 1)) and self.offset == (0, 0)
+        return self.linear == ((1, 0), (0, 1))
 
 
 def _chirality(u1: tuple[int, int], u2: tuple[int, int], u3: tuple[int, int]) -> int:

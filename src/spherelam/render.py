@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import AllowableCurve, SpiralDir
+from .lattice import _egcd
 from .shear import BASE_TRI, TypeITri
 
 Window = tuple[int, int, int, int]  # xmin, ymin, xmax, ymax
@@ -85,8 +86,6 @@ def grid_lines(tri: TypeITri, window: Window):
         segs = []
         for c in _line_offsets(s, window):
             # anchor point on the line
-            if a == 0 and b == 0:
-                continue
             if b != 0:
                 g, u, v = _egcd(b, -a)
                 p0 = (Fraction(u * c, g), Fraction(v * c, g))
@@ -97,13 +96,6 @@ def grid_lines(tri: TypeITri, window: Window):
                 segs.append(seg)
         families.append(segs)
     return families
-
-
-def _egcd(x: int, y: int):
-    if y == 0:
-        return x, 1, 0
-    g, u, v = _egcd(y, x % y)
-    return g, v, u - (x // y) * v
 
 
 def curve_polyline(curve: AllowableCurve, window: Window):

@@ -5,7 +5,8 @@ Three mutually checking computation paths are provided:
 
 - :func:`shear_closed_form` -- closed formulas for the base spiral/slope
   configurations, extended to every curve by the coordinate permutations
-  induced by lattice translations and by the order-3 slope rotation;
+  induced by lattice translations and by the order-3 slope rotation
+  :data:`RHO`, [a, b] -> [b, -a-b], which induces :data:`PERM_Z`;
 - :func:`shear_via_word` -- the crossing word of a base-case curve and
   letter/double-letter counting;
 - :func:`shear_oracle` -- fully geometric crossing enumeration in the
@@ -39,10 +40,10 @@ from .lattice import (
     MINUS_ONE,
     ZERO,
     Slope,
+    UnimodularMap,
     enumerate_slopes,
     is_farey1_triple,
     separating_neighbors,
-    standard_form,
     triple_to_basis,
 )
 
@@ -101,6 +102,12 @@ GROUP_X = frozenset({PERM_ID, PERM_X})
 GROUP_Y = frozenset({PERM_ID, PERM_14_36, PERM_25_36, PERM_14_25})
 GROUP_Z = frozenset({PERM_ID, PERM_Z, PERM_Z2})
 GAMMA24 = _generate_group((PERM_14, PERM_25, PERM_36, PERM_Z))
+
+#: The order-3 slope rotation [a, b] -> [b, -a-b] and its square
+#: [a, b] -> [-a-b, a]: shear(c.image(RHO)) == apply_perm(PERM_Z, shear(c)),
+#: and likewise RHO2 with PERM_Z2, for every curve c.
+RHO = UnimodularMap(((0, 1), (-1, -1)))
+RHO2 = UnimodularMap(((-1, -1), (1, 0)))
 
 #: permutation induced by translating the lifted plane by the given parity
 TRANSLATION_PERMS: dict[tuple[int, int], CoordPerm] = {
@@ -267,31 +274,16 @@ BASE_ITEMS = {
     (SpiralDir.CW, SpiralDir.CW): _item4,
 }
 
-# Inverses (as parity maps) of the two slope rotations used to reduce
-# negative slopes, with the coordinate permutation each rotation induces.
-# rot1: [a,b] -> [b,-a-b] (perm Z); rot2: [a,b] -> [a+b,-a] (perm Z^2).
+# Undoing a rotation: shear(c) == apply_perm(_UNROTATE[R], shear(c.image(R))),
+# as c is the RHO image of c.image(RHO2) and the RHO2 image of c.image(RHO).
+_UNROTATE = {RHO: PERM_Z2, RHO2: PERM_Z}
 
 
-def _rot1_preimage(curve: AllowableCurve) -> AllowableCurve:
-    a, b = curve.slope.vector
-    slope = standard_form(-a - b, a)
-    if curve.is_closed:
-        return AllowableCurve(slope)
-    ends = tuple(
-        (Puncture((p.i + p.j) % 2, p.i), d) for p, d in curve.ends  # type: ignore[union-attr]
-    )
-    return AllowableCurve(slope, ends)  # type: ignore[arg-type]
-
-
-def _rot2_preimage(curve: AllowableCurve) -> AllowableCurve:
-    a, b = curve.slope.vector
-    slope = standard_form(-b, a + b)
-    if curve.is_closed:
-        return AllowableCurve(slope)
-    ends = tuple(
-        (Puncture(p.j, (p.i + p.j) % 2), d) for p, d in curve.ends  # type: ignore[union-attr]
-    )
-    return AllowableCurve(slope, ends)  # type: ignore[arg-type]
+def _rotation_to_nonnegative(s: Slope) -> UnimodularMap:
+    """The rotation carrying a negative slope into [0, inf): RHO2 for
+    slopes <= -1, RHO for slopes in (-1, 0)."""
+    a, b = s.vector
+    return RHO2 if -b >= a else RHO
 
 
 _CLOSED_FORM_CACHE: dict[AllowableCurve, ShearVector] = {}
@@ -310,24 +302,23 @@ def shear_closed_form(curve: AllowableCurve) -> ShearVector:
 
 def _closed_form(curve: AllowableCurve) -> ShearVector:
     a, b = curve.slope.vector
-    if curve.is_closed:
-        if b >= 0:
-            return _item5(a, b)
-    elif b >= 1 or b == 0:
-        spirals = {d for _, d in curve.ends}  # type: ignore[union-attr]
-        if spirals == {SpiralDir.CCW} and b == 0:
-            # the both-counterclockwise formula starts at slope > 0;
-            # slope 0 is the rot2 image of the infinite slope
-            return apply_perm(PERM_Z2, _closed_form(_rot2_preimage(curve)))
-        if spirals == {SpiralDir.CW} and a == 0:
-            # the both-clockwise formula stops before the infinite slope,
-            # which is the rot1 image of slope 0
-            return apply_perm(PERM_Z, _closed_form(_rot1_preimage(curve)))
+    spirals = {d for _, d in curve.ends or ()}
+    if b < 0:
+        # negative slope: land in the nonnegative range and permute back
+        rot = _rotation_to_nonnegative(curve.slope)
+    elif spirals == {SpiralDir.CCW} and b == 0:
+        # the both-counterclockwise formula starts at slope > 0;
+        # slope 0 is the RHO2 image of the infinite slope
+        rot = RHO
+    elif spirals == {SpiralDir.CW} and a == 0:
+        # the both-clockwise formula stops before the infinite slope,
+        # which is the RHO image of slope 0
+        rot = RHO2
+    elif curve.is_closed:
+        return _item5(a, b)
+    else:
         return _base_open(curve)
-    # negative slope: land in the nonnegative range and permute back
-    if -b >= a:  # slope <= -1
-        return apply_perm(PERM_Z, _closed_form(_rot1_preimage(curve)))
-    return apply_perm(PERM_Z2, _closed_form(_rot2_preimage(curve)))
+    return apply_perm(_UNROTATE[rot], _closed_form(curve.image(rot)))
 
 
 def _base_open(curve: AllowableCurve) -> ShearVector:
@@ -460,6 +451,13 @@ BASE_TRIPLE: tuple[Slope, Slope, Slope] = (ZERO, INF, MINUS_ONE)
 _FAMILY_OF_SLOPE = {ZERO: 0, INF: 1, MINUS_ONE: 2}
 
 
+def _basis_change(tri: TypeITri) -> tuple[UnimodularMap, tuple[int, ...]]:
+    """The map carrying the triple of ``tri`` onto the base triple, and for
+    each slot i the base family (0, 1 or 2) that ``triple[i]`` lands on."""
+    m = triple_to_basis(tri.triple)
+    return m, tuple(_FAMILY_OF_SLOPE[m.apply_slope(q)] for q in tri.triple)
+
+
 def shear_wrt(curve: AllowableCurve, tri: TypeITri) -> ShearVector:
     """Shear coordinates of a curve with respect to a type-I triangulation.
 
@@ -472,31 +470,24 @@ def shear_wrt(curve: AllowableCurve, tri: TypeITri) -> ShearVector:
     for p, tag in tri.taggings:
         if tag is Tagging.NOTCHED:
             curve = curve.reverse_spiral(p)
-    m = triple_to_basis(tri.triple)
-    if curve.is_closed:
-        image = AllowableCurve(m.apply_slope(curve.slope))
-    else:
-        ends = tuple(
-            (Puncture(*m.apply_parity((p.i, p.j))), d) for p, d in curve.ends  # type: ignore[union-attr]
-        )
-        image = AllowableCurve(m.apply_slope(curve.slope), ends)  # type: ignore[arg-type]
-    v = shear_closed_form(image)
-    out = [0] * 6
-    for i, q in enumerate(tri.triple):
-        fam = _FAMILY_OF_SLOPE[m.apply_slope(q)]
-        out[i] = v[fam]
-        out[i + 3] = v[fam + 3]
-    return tuple(out)  # type: ignore[return-value]
+    m, families = _basis_change(tri)
+    v = shear_closed_form(curve.image(m))
+    return tuple(v[f] for f in families) + tuple(v[f + 3] for f in families)  # type: ignore
 
 
 BASE_TRI = TypeITri(BASE_TRIPLE)
 
 
-def _curve_sort_key(c: AllowableCurve):
-    if c.ends is None:
-        return (c.slope.a, c.slope.b, 0, ())
-    enc = tuple((p.i, p.j, d.value) for p, d in c.ends)
-    return (c.slope.a, c.slope.b, 1, enc)
+Weights = tuple[tuple[AllowableCurve, int], ...]
+
+
+def _merged(weights: Weights) -> Weights:
+    """Weights of equal curves summed, in :meth:`AllowableCurve.sort_key`
+    order."""
+    merged: dict[AllowableCurve, int] = {}
+    for c, w in weights:
+        merged[c] = merged.get(c, 0) + w
+    return tuple(sorted(merged.items(), key=lambda cw: cw[0].sort_key()))
 
 
 @dataclass(frozen=True)
@@ -505,14 +496,10 @@ class Tangle:
     compatibility or positivity requirement.  Duplicate curves merge by
     summing weights."""
 
-    weights: tuple[tuple[AllowableCurve, int], ...]
+    weights: Weights
 
     def __post_init__(self) -> None:
-        merged: dict[AllowableCurve, int] = {}
-        for c, w in self.weights:
-            merged[c] = merged.get(c, 0) + w
-        items = tuple(sorted(merged.items(), key=lambda cw: _curve_sort_key(cw[0])))
-        object.__setattr__(self, "weights", items)
+        object.__setattr__(self, "weights", _merged(self.weights))
 
     @property
     def support(self) -> tuple[AllowableCurve, ...]:
@@ -527,13 +514,10 @@ class Tangle:
 class QuasiLamination:
     """Pairwise compatible allowable curves with positive integer weights."""
 
-    weights: tuple[tuple[AllowableCurve, int], ...]
+    weights: Weights
 
     def __post_init__(self) -> None:
-        merged: dict[AllowableCurve, int] = {}
-        for c, w in self.weights:
-            merged[c] = merged.get(c, 0) + w
-        items = tuple(sorted(merged.items(), key=lambda cw: _curve_sort_key(cw[0])))
+        items = _merged(self.weights)
         if any(w <= 0 for _, w in items):
             raise ValueError("quasi-lamination weights must be positive")
         curves = [c for c, _ in items]
@@ -547,7 +531,7 @@ class QuasiLamination:
         return tuple(c for c, _ in self.weights)
 
 
-def tangle_shear(tangle: Tangle, tri: TypeITri = BASE_TRI) -> ShearVector:
+def tangle_shear(tangle: Tangle | QuasiLamination, tri: TypeITri = BASE_TRI) -> ShearVector:
     vec = [0] * 6
     for c, w in tangle.weights:
         s = shear_wrt(c, tri)
@@ -557,15 +541,12 @@ def tangle_shear(tangle: Tangle, tri: TypeITri = BASE_TRI) -> ShearVector:
 
 
 def shear_lamination(lam: QuasiLamination, tri: TypeITri = BASE_TRI) -> ShearVector:
-    return tangle_shear(Tangle(lam.weights), tri)
+    return tangle_shear(lam, tri)
 
 
 # ---------------------------------------------------------------------------
 # Once-punctured torus and the sphere-to-torus projection
 # ---------------------------------------------------------------------------
-
-PERM3_Z: tuple[int, ...] = (1, 2, 0)
-PERM3_Z2: tuple[int, ...] = (2, 0, 1)
 
 
 def _torus_base(a: int, b: int) -> tuple[int, int, int]:
@@ -594,13 +575,8 @@ def torus_shear(s: Slope) -> tuple[int, int, int]:
     a, b = s.vector
     if b >= 0:
         return _torus_base(a, b)
-    if -b >= a:
-        pre = standard_form(-a - b, a)
-        v = torus_shear(pre)
-        return tuple(apply_perm(PERM3_Z, v))  # type: ignore[return-value]
-    pre = standard_form(-b, a + b)
-    v = torus_shear(pre)
-    return tuple(apply_perm(PERM3_Z2, v))  # type: ignore[return-value]
+    rot = _rotation_to_nonnegative(s)
+    return apply_perm(_UNROTATE[rot][:3], torus_shear(rot.apply_slope(s)))  # type: ignore
 
 
 def sphere_torus_check(s: Slope, tri: TypeITri) -> bool:
@@ -608,13 +584,9 @@ def sphere_torus_check(s: Slope, tri: TypeITri) -> bool:
     pair (i, i+3) collapses to the torus coordinate of the corresponding
     torus arc."""
     sphere = shear_wrt(AllowableCurve(s), tri)
-    m = triple_to_basis(tri.triple)
+    m, families = _basis_change(tri)
     torus = torus_shear(m.apply_slope(s))
-    for i, q in enumerate(tri.triple):
-        fam = _FAMILY_OF_SLOPE[m.apply_slope(q)]
-        if not (sphere[i] == sphere[i + 3] == torus[fam]):
-            return False
-    return True
+    return all(sphere[i] == sphere[i + 3] == torus[f] for i, f in enumerate(families))
 
 
 # ---------------------------------------------------------------------------

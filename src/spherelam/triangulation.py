@@ -47,7 +47,6 @@ from .errors import (
 )
 from .lattice import (
     Slope,
-    UnimodularMap,
     det2,
     enumerate_slopes,
     farey_distance,
@@ -594,13 +593,6 @@ def _canonical_pair(slopes: set[Slope]) -> tuple[Slope, Slope]:
     )
 
 
-def _map_arc(m: UnimodularMap, arc: TaggedArc) -> TaggedArc:
-    """The image of an arc under a linear lattice map; punctures move by
-    the map's reduction mod 2, tags stay."""
-    ends = tuple((Puncture(*m.apply_parity((p.i, p.j))), t) for p, t in arc.ends)
-    return TaggedArc(m.apply_slope(arc.slope), ends)  # type: ignore[arg-type]
-
-
 def signed_adjacency(tri: TaggedTriangulation) -> ExchangeMatrix:
     """The signed adjacency matrix of an all-plain triangulation.
 
@@ -616,7 +608,7 @@ def signed_adjacency(tri: TaggedTriangulation) -> ExchangeMatrix:
     if not tri.all_plain:
         raise NotAllPlain("signed adjacency needs all arcs tagged plain")
     m = pair_to_basis(*_canonical_pair({arc.slope for arc in tri.arcs}))
-    image = [_map_arc(m, arc) for arc in tri.arcs]
+    image = [arc.image(m) for arc in tri.arcs]
     order = sorted(
         range(6), key=lambda i: (image[i].slope.vector, min(image[i].punctures))
     )

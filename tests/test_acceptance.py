@@ -15,13 +15,14 @@ import pytest
 
 from spherelam import fan
 from spherelam.curves import (
-    V00, V01, V10, V11,
+    V00, V01,
     AllowableCurve,
     SpiralDir,
     endpoint_sets,
     enumerate_curves,
 )
 from spherelam.errors import UnsupportedBaseCase
+from spherelam.selftest import SHEAR_FIXTURES
 from spherelam.lattice import (
     Slope,
     enumerate_slopes,
@@ -72,15 +73,8 @@ def _report(n: int, text: str) -> None:
 
 
 def test_criterion_01_paper_shear_fixtures():
-    fixtures = [
-        (_curve(2, 3, V00, CCW, V01, CCW), (-1, 2, 0, -1, 1, 0)),
-        (AllowableCurve(Slope(2, 3)), (-3, 2, 1, -3, 2, 1)),
-        (_curve(3, 2, V00, CW, V10, CW), (-2, 1, 0, -1, 1, 0)),
-        (_curve(5, -2, V00, CCW, V10, CCW), (2, 0, -1, 1, 0, -1)),
-        (_curve(2, 3, V10, CCW, V11, CCW), (-1, 1, 0, -1, 2, 0)),
-    ]
     start = time.time()
-    for c, expected in fixtures:
+    for c, expected in SHEAR_FIXTURES:
         assert shear_closed_form(c) == expected, c
         assert shear_oracle(c) == expected, c
         try:

@@ -21,7 +21,7 @@ from spherelam.curves import (
     kappa_inv,
 )
 from spherelam.errors import ClosedCurveHasNoArc
-from spherelam.lattice import Slope, farey_distance
+from spherelam.lattice import Slope, UnimodularMap, farey_distance
 
 PLAIN, NOTCHED = Tagging.PLAIN, Tagging.NOTCHED
 CW, CCW = SpiralDir.CW, SpiralDir.CCW
@@ -186,3 +186,44 @@ class TestJson:
     def test_curve_round_trip(self):
         for c in enumerate_curves(3):
             assert AllowableCurve.from_json(c.to_json()) == c
+
+
+class TestLatticeImage:
+    """The one rule for moving arcs and curves by a lattice map: the slope
+    moves by the linear part, punctures by the map mod 2, decorations stay."""
+
+    def test_identity(self):
+        ident = UnimodularMap(((1, 0), (0, 1)))
+        for x in enumerate_arcs(2) + enumerate_curves(2):
+            assert x.image(ident) == x
+            assert type(x.image(ident)) is type(x)
+
+    def test_rotation_has_order_three(self):
+        from spherelam.shear import RHO, RHO2
+
+        for x in enumerate_arcs(4) + enumerate_curves(4):
+            once = x.image(RHO)
+            assert once.image(RHO) == x.image(RHO2)
+            assert once.image(RHO).image(RHO) == x
+            assert type(once) is type(x) and (once.ends is None) == (x.ends is None)
+
+    def test_type_one_triangulations_map_to_base(self):
+        from spherelam.lattice import triple_to_basis
+        from spherelam.triangulation import (
+            base_triangulation,
+            classify,
+            enumerate_triangulations,
+        )
+
+        base = base_triangulation().arc_set
+        seen = 0
+        for tri in enumerate_triangulations(2):
+            if classify(tri).tag != "I":
+                continue
+            seen += 1
+            m = triple_to_basis(tuple(sorted({a.slope for a in tri.arcs})))
+            image = {a.image(m) for a in tri.arcs}
+            assert {a.underlying for a in image} == {a.underlying for a in base}
+            if tri.all_plain:
+                assert image == base
+        assert seen > 6

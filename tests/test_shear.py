@@ -11,6 +11,7 @@ from spherelam.curves import (
 )
 from spherelam.errors import BoundExhausted, UnsupportedBaseCase
 from spherelam.lattice import INF, MINUS_ONE, ZERO, Slope, enumerate_slopes
+from spherelam.selftest import LAMBDA, LAMBDA_C, LAMBDA_PP, SHEAR_FIXTURES
 from spherelam.shear import (
     BASE_TRI,
     GAMMA24,
@@ -20,6 +21,8 @@ from spherelam.shear import (
     PERM_X,
     PERM_Z,
     PERM_Z2,
+    RHO,
+    RHO2,
     QuasiLamination,
     Tangle,
     TypeITri,
@@ -46,13 +49,6 @@ CW, CCW = SpiralDir.CW, SpiralDir.CCW
 
 def curve(a, b, e0, d0, e1, d1):
     return AllowableCurve(Slope(a, b), ((e0, d0), (e1, d1)))
-
-
-LAMBDA = curve(2, 3, V00, CCW, V01, CCW)
-LAMBDA_C = AllowableCurve(Slope(2, 3))
-LAMBDA_P = curve(3, 2, V00, CW, V10, CW)
-LAMBDA_PP = curve(5, -2, V00, CCW, V10, CCW)
-LAMBDA_PPP = curve(2, 3, V10, CCW, V11, CCW)
 
 
 class TestWords:
@@ -109,21 +105,12 @@ class TestWords:
         assert parse_word(format_word(w)) == w
 
 
-PAPER_FIXTURES = [
-    (LAMBDA, (-1, 2, 0, -1, 1, 0)),
-    (LAMBDA_C, (-3, 2, 1, -3, 2, 1)),
-    (LAMBDA_P, (-2, 1, 0, -1, 1, 0)),
-    (LAMBDA_PP, (2, 0, -1, 1, 0, -1)),
-    (LAMBDA_PPP, (-1, 1, 0, -1, 2, 0)),
-]
-
-
 class TestShearFixtures:
-    @pytest.mark.parametrize("c,expected", PAPER_FIXTURES)
+    @pytest.mark.parametrize("c,expected", SHEAR_FIXTURES)
     def test_closed_form(self, c, expected):
         assert shear_closed_form(c) == expected
 
-    @pytest.mark.parametrize("c,expected", PAPER_FIXTURES)
+    @pytest.mark.parametrize("c,expected", SHEAR_FIXTURES)
     def test_oracle(self, c, expected):
         assert shear_oracle(c) == expected
 
@@ -197,6 +184,14 @@ class TestAgreement:
                     for d1 in (CW, CCW):
                         c = AllowableCurve(s, ((pair[0], d0), (pair[1], d1)))
                         assert shear_oracle(c) == shear_closed_form(c), c
+
+    def test_rotation_permutes_oracle_coordinates(self):
+        # the rotation table of the closed forms, against the geometric
+        # path, which knows nothing of rotations or permutations
+        for c in enumerate_curves(4):
+            v = shear_oracle(c)
+            assert shear_oracle(c.image(RHO)) == apply_perm(PERM_Z, v), c
+            assert shear_oracle(c.image(RHO2)) == apply_perm(PERM_Z2, v), c
 
     def test_diagonal_bound(self):
         # base-case words: |x3 - x6| <= 1
@@ -302,6 +297,14 @@ class TestLaminationsAndTangles:
         )
         assert lhs == rhs
 
+    def test_merge_order(self):
+        # equal curves merge; order by slope vector, closed curve first
+        other = curve(1, 1, V00, CW, V11, CW)
+        t = Tangle(((LAMBDA, 1), (other, 1), (LAMBDA_C, 1), (LAMBDA, 2)))
+        assert t.weights == ((other, 1), (LAMBDA_C, 1), (LAMBDA, 3))
+        lam = QuasiLamination(((LAMBDA, 1), (LAMBDA_C, 2)))
+        assert lam.weights == ((LAMBDA_C, 2), (LAMBDA, 1))
+
     def test_merge_to_zero(self):
         t = Tangle(((LAMBDA, 1), (LAMBDA, -1)))
         assert t.is_trivial
@@ -334,21 +337,10 @@ class TestTorus:
                 assert torus_shear(s) == (-b, a, b - a)
 
     def test_negative_slopes_are_rotations(self):
-        # negative slopes carry the vector of their nonnegative-slope
-        # rotation representative, cyclically permuted
-        from spherelam.lattice import standard_form
-
+        # the slope rotation RHO permutes the torus coordinates by the
+        # first three slots of PERM_Z, at every slope
         for s in enumerate_slopes(8):
-            if s.b >= 0:
-                continue
-            a, b = s.vector
-            if -b >= a:
-                rep = standard_form(-a - b, a)
-            else:
-                rep = standard_form(-b, a + b)
-            base = torus_shear(rep)
-            cyc = {base, (base[2], base[0], base[1]), (base[1], base[2], base[0])}
-            assert torus_shear(s) in cyc
+            assert torus_shear(RHO.apply_slope(s)) == apply_perm(PERM_Z[:3], torus_shear(s)), s
 
     def test_projection(self):
         tri = TypeITri((Slope(1, 2), Slope(1, 1), INF))
