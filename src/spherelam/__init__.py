@@ -39,7 +39,7 @@ _EXPORTS = {
         "word_of_curve", "shear_via_word", "shear_closed_form", "shear_oracle",
         "shear_wrt", "shear_lamination", "tangle_shear", "torus_shear",
         "sphere_torus_check", "find_witness", "apply_perm",
-        "PERM_X", "PERM_Z", "GROUP_X", "GROUP_Y", "GROUP_Z", "GAMMA24",
+        "PERM_X", "PERM_Z", "GROUP_Y", "GROUP_Z", "GAMMA24",
     ),
     "fan": (
         "MaximalCollection", "Cone", "maximal_collections", "cone_of",

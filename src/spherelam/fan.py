@@ -14,13 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import exactla
 from .curves import (
     AllowableCurve,
     Puncture,
     SpiralDir,
+    TaggedArc,
     curves_compatible,
     endpoint_sets,
     kappa,
@@ -50,6 +51,9 @@ from .shear import (
     shear_closed_form,
 )
 
+if TYPE_CHECKING:
+    from .triangulation import TaggedTriangulation
+
 # ---------------------------------------------------------------------------
 # Maximal collections
 # ---------------------------------------------------------------------------
@@ -74,6 +78,33 @@ class MaximalCollection:
         for x, y in itertools.combinations(curves, 2):
             if not curves_compatible(x, y):
                 raise ValueError(f"incompatible curves {x}, {y}")
+
+    @classmethod
+    def of_triangulation(
+        cls,
+        tri: TaggedTriangulation,
+        kind: str,
+        memo: dict[TaggedArc, AllowableCurve] | None = None,
+    ) -> MaximalCollection:
+        """The kappa image of a triangulation, with its type tag.
+
+        The pairwise check of the constructor is skipped: the
+        triangulation's constructor has run it on the arcs, and two
+        spiraling curves are compatible exactly when their arcs are
+        (:func:`arcs_compatible` with spiral directions in place of tags).
+        ``memo`` maps arcs to their curves across calls, so collections
+        that share an arc share its curve object."""
+        memo = {} if memo is None else memo
+        curves = []
+        for arc in tri.arcs:
+            curve = memo.get(arc)
+            if curve is None:
+                curve = memo[arc] = kappa(arc)
+            curves.append(curve)
+        coll = object.__new__(cls)
+        object.__setattr__(coll, "curves", tuple(sorted(curves, key=AllowableCurve.sort_key)))
+        object.__setattr__(coll, "kind", kind)
+        return coll
 
     @property
     def closed_curve(self) -> AllowableCurve | None:
@@ -111,11 +142,11 @@ def closed_collections(slope: Slope) -> list[MaximalCollection]:
 def maximal_collections(max_height: int) -> Iterator[MaximalCollection]:
     """Kappa images of all triangulations plus all type-VII collections,
     with slope parameters bounded by max_height."""
-    from .triangulation import classify, enumerate_triangulations
+    from .triangulation import _enumerate_typed
 
-    for tri in enumerate_triangulations(max_height):
-        kind = classify(tri).tag
-        yield MaximalCollection(tuple(kappa(a) for a in tri.arcs), kind)
+    memo: dict[TaggedArc, AllowableCurve] = {}
+    for spec, tri in _enumerate_typed(max_height):
+        yield MaximalCollection.of_triangulation(tri, spec.tag, memo)
     for slope in enumerate_slopes(max_height):
         yield from closed_collections(slope)
 
@@ -147,6 +178,12 @@ class Cone:
         # cone index does not pay for it
         return tuple(sorted(exactla.primitive(g) for g in self.generators))
 
+    @cached_property
+    def _functionals(self) -> tuple[list[tuple[int, ...]], int, tuple[int, ...] | None]:
+        # computed once per cone: by cone_of, which needs the invertible
+        # block as its rank check, or on first use for other cones
+        return _cone_functionals(self)
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Cone) and self._canonical == other._canonical
 
@@ -156,13 +193,18 @@ class Cone:
 
 def cone_of(coll: MaximalCollection) -> Cone:
     """The maximal cone of a collection; generators stay aligned with the
-    collection's curve order.  Rank 6 for kinds I-VI, 5 for kind VII."""
+    collection's curve order.  Rank 6 for kinds I-VI, 5 for kind VII.
+
+    The rank is checked by finding the cone's functionals, which the cone
+    stores: an invertible r x r block of generator coordinates exists
+    exactly when the r generators have rank r."""
     gens = tuple(shear_closed_form(c) for c in coll.curves)
     expected = 5 if coll.kind == "VII" else 6
-    r = exactla.rank(gens)
-    if r != expected or r != len(gens):
-        raise RankDeficient(f"kind {coll.kind} cone has rank {r}")
-    return Cone(gens, coll.kind, coll)
+    if len(gens) != expected:
+        raise RankDeficient(f"kind {coll.kind} cone has {len(gens)} generators")
+    cone = Cone(gens, coll.kind, coll)
+    cone._functionals  # raises RankDeficient when rank < r
+    return cone
 
 
 def membership(v: Sequence, cone: Cone):
@@ -218,7 +260,7 @@ class _ConeIndex:
 
     def __init__(self, max_height: int):
         self.cones = [cone_of(c) for c in maximal_collections(max_height)]
-        self._functionals = [_cone_functionals(c) for c in self.cones]
+        self._functionals = [c._functionals for c in self.cones]
 
     def containing(self, v) -> Iterator[tuple[Cone, tuple[Fraction, ...]]]:
         # integer signs decide membership; a cone is dropped on its first
@@ -389,8 +431,7 @@ def flip_adjacency(cone: Cone) -> list[Cone]:
         for k in range(6):
             flipped = flip(tri, k)
             kind = classify(flipped).tag
-            out.append(cone_of(MaximalCollection(
-                tuple(kappa(a) for a in flipped.arcs), kind)))
+            out.append(cone_of(MaximalCollection.of_triangulation(flipped, kind)))
         return out
     out = []
     for c in coll.curves:
@@ -407,7 +448,7 @@ def flip_adjacency(cone: Cone) -> list[Cone]:
 def _h_rep(cone: Cone) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """(inequalities, equalities) cutting out the cone: the coefficient
     functionals, and for a 5-dimensional cone the normal of its span."""
-    rows, _, normal = _cone_functionals(cone)
+    rows, _, normal = cone._functionals
     ineqs = [exactla.primitive(row) for row in rows]
     return ineqs, [] if normal is None else [exactla.primitive(normal)]
 

@@ -98,7 +98,6 @@ def _generate_group(generators: Iterable[CoordPerm]) -> frozenset[CoordPerm]:
 
 
 PERM_Z2: CoordPerm = compose(PERM_Z, PERM_Z)
-GROUP_X = frozenset({PERM_ID, PERM_X})
 GROUP_Y = frozenset({PERM_ID, PERM_14_36, PERM_25_36, PERM_14_25})
 GROUP_Z = frozenset({PERM_ID, PERM_Z, PERM_Z2})
 GAMMA24 = _generate_group((PERM_14, PERM_25, PERM_36, PERM_Z))

@@ -391,26 +391,37 @@ def _tag_choices(punctures: Sequence[Puncture]):
 def enumerate_triangulations(max_height: int) -> Iterator[TaggedTriangulation]:
     """All tagged triangulations whose arc slopes have height <= max_height,
     each exactly once, by sweeping the parameter space of each type."""
+    for _, tri in _enumerate_typed(max_height):
+        yield tri
+
+
+def _enumerate_typed(max_height: int) -> Iterator[tuple[TriType, TaggedTriangulation]]:
+    """The sweep of :func:`enumerate_triangulations`, each triangulation
+    with the type data it was built from, so callers need not
+    :func:`classify` it."""
     slopes = enumerate_slopes(max_height)
     triples = _farey1_triples(slopes)
     pairs = _farey2_pairs(slopes)
 
+    def built(spec: TriType) -> tuple[TriType, TaggedTriangulation]:
+        return spec, build_type(spec)
+
     for triple in triples:
         for tags in _tag_choices(PUNCTURES):
-            yield build_type(TriType("I", triple, taggings=tags))
+            yield built(TriType("I", triple, taggings=tags))
 
     for p, q in pairs:
         vs = [min(pair) for pair in endpoint_sets(p)]
         for v in vs:
             for tags in _tag_choices(PUNCTURES):
-                yield build_type(TriType("II", (p, q), v=v, taggings=tags))
+                yield built(TriType("II", (p, q), v=v, taggings=tags))
         companions = f2_companions(p, q)
         for v in vs:
             u = v.translate(p.parity)
             for c in companions:
                 v_prime = v.translate(c.parity)
                 for tags in _tag_choices((v, u)):
-                    yield build_type(
+                    yield built(
                         TriType("III", (p, q), v=v, v_prime=v_prime, taggings=tags)
                     )
         for v in PUNCTURES:
@@ -419,18 +430,18 @@ def enumerate_triangulations(max_height: int) -> Iterator[TaggedTriangulation]:
                 v_prime = v.translate(c.parity)
                 w = next(x for x in PUNCTURES if x not in (v, u, v_prime))
                 for tags in _tag_choices((v, u, w)):
-                    yield build_type(
+                    yield built(
                         TriType("IV", (p, q), v=v, v_prime=v_prime, taggings=tags)
                     )
         for v in PUNCTURES:
             u = v.translate(p.parity)
             for tags in _tag_choices((v, u)):
-                yield build_type(TriType("V", (p, q), v=v, taggings=tags))
+                yield built(TriType("V", (p, q), v=v, taggings=tags))
 
     for triple in triples:
         for v in PUNCTURES:
             for tags in _tag_choices((v,)):
-                yield build_type(TriType("VI", triple, v=v, taggings=tags))
+                yield built(TriType("VI", triple, v=v, taggings=tags))
 
 
 def _flip_slopes(rest: Sequence[TaggedArc]) -> set[Slope]:

@@ -3,19 +3,25 @@ from fractions import Fraction
 
 import pytest
 
-from spherelam import exactla, fan
+from spherelam import exactla, fan, triangulation
 from spherelam.curves import (
     V00, V01,
     AllowableCurve,
     SpiralDir,
+    arcs_compatible,
+    curves_compatible,
+    enumerate_arcs,
     enumerate_curves,
     kappa,
+    kappa_inv,
 )
-from spherelam.errors import BoundExhausted, InternalError, InternalNonUnique
+from spherelam.errors import BoundExhausted, InternalError, InternalNonUnique, \
+    RankDeficient
 from spherelam.lattice import INF, Slope, enumerate_slopes
 from spherelam.shear import GAMMA24, QuasiLamination, Tangle, apply_perm, \
     shear_closed_form, tangle_shear
-from spherelam.triangulation import base_triangulation
+from spherelam.triangulation import base_triangulation, classify, \
+    enumerate_triangulations
 
 CW, CCW = SpiralDir.CW, SpiralDir.CCW
 
@@ -24,6 +30,23 @@ def base_cone():
     t0 = base_triangulation()
     coll = fan.MaximalCollection(tuple(kappa(a) for a in t0.arcs), "I")
     return fan.cone_of(coll)
+
+
+def oracle_cones(max_height):
+    """The former build of the cone index, kept as an oracle: each type by
+    classify, each collection through the validating constructor, each
+    rank by its own elimination."""
+    colls = [fan.MaximalCollection(tuple(kappa(a) for a in tri.arcs), classify(tri).tag)
+             for tri in enumerate_triangulations(max_height)]
+    for slope in enumerate_slopes(max_height):
+        colls.extend(fan.closed_collections(slope))
+    cones = []
+    for coll in colls:
+        gens = tuple(shear_closed_form(c) for c in coll.curves)
+        if exactla.rank(gens) != len(gens) or len(gens) != (5 if coll.kind == "VII" else 6):
+            raise RankDeficient(coll.kind)
+        cones.append(fan.Cone(gens, coll.kind, coll))
+    return cones
 
 
 class TestCones:
@@ -48,7 +71,7 @@ class TestCones:
     def test_collections_compatible(self):
         for coll in fan.maximal_collections(1):
             n = 5 if coll.kind == "VII" else 6
-            assert len(coll.curves) == n  # validated pairwise in constructor
+            assert len(coll.curves) == n  # pairwise: test_collections_pass_validation
 
     def test_vii_structure(self):
         # closed curve of slope 2/3 plus one spiral-agreeing pair in each
@@ -348,3 +371,119 @@ class TestFanAxioms:
 
     def test_induced_torus(self):
         assert fan.induced_torus_check(1)
+
+
+class TestOnePassBuild:
+    """The cone index takes each type from the enumerator, builds each
+    curve once, skips the pairwise re-check of the kappa images and finds
+    one invertible block per cone; the former build is the oracle."""
+
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    def test_index_equals_oracle(self, h):
+        got = fan.cone_index(h).cones
+        want = oracle_cones(h)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.kind == w.kind
+            assert g.generators == w.generators
+            assert g.collection == w.collection
+            assert g.collection.curves == w.collection.curves
+
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    def test_collections_pass_validation(self, h):
+        for coll in fan.maximal_collections(h):
+            assert fan.MaximalCollection(coll.curves, coll.kind) == coll
+
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    def test_enumerator_type_is_classify(self, h):
+        typed = list(triangulation._enumerate_typed(h))
+        assert [tri for _, tri in typed] == list(enumerate_triangulations(h))
+        for spec, tri in typed:
+            assert classify(tri).tag == spec.tag
+
+    def test_curves_shared_between_collections(self):
+        colls = list(fan.maximal_collections(2))
+        by_curve = {}
+        for coll in colls:
+            if coll.kind != "VII":
+                for c in coll.curves:
+                    assert by_curve.setdefault(c, c) is c
+        assert len(by_curve) == len(enumerate_arcs(2))
+
+    def test_flip_neighbours_pass_validation(self):
+        rng = random.Random(4)
+        cones = [c for c in fan.cone_index(2).cones if c.kind != "VII"]
+        for cone in rng.sample(cones, 10):
+            for nbr in fan.flip_adjacency(cone):
+                coll = nbr.collection
+                assert fan.MaximalCollection(coll.curves, coll.kind) == coll
+                assert coll.kind == classify(triangulation.TaggedTriangulation(
+                    tuple(kappa_inv(c) for c in coll.curves))).tag
+
+    def test_stored_functionals(self):
+        for cone in fan.cone_index(2).cones:
+            fresh = fan.Cone(cone.generators, cone.kind)
+            assert cone._functionals == fan._cone_functionals(fresh)
+
+    def test_no_oracle_on_the_hot_path(self, monkeypatch):
+        calls = {"classify": 0, "rank": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(triangulation, "classify",
+                            counted("classify", triangulation.classify))
+        monkeypatch.setattr(exactla, "rank", counted("rank", exactla.rank))
+        monkeypatch.setattr(fan, "_INDEX_CACHE", {})
+        assert len(fan.cone_index(2).cones) == 912
+        assert calls == {"classify": 0, "rank": 0}
+
+    def test_h_rep_reuses_functionals(self, monkeypatch):
+        cones = fan.cone_index(1).cones
+        calls = []
+        adjugate = exactla.adjugate
+        monkeypatch.setattr(exactla, "adjugate",
+                            lambda m: calls.append(1) or adjugate(m))
+        assert fan.fan_check(cones, trials=20, seed=3).ok
+        assert calls == []
+        # one block per built cone, none for its H-representation
+        assert fan.induced_torus_check(1)
+        triples = triangulation._farey1_triples(enumerate_slopes(1))
+        assert len(calls) == len(triples)
+
+
+class TestCompatibilityCheckedOnce:
+    def test_arcs_compatible_is_curves_compatible(self):
+        arcs = enumerate_arcs(3)
+        curves = [kappa(a) for a in arcs]
+        for x, cx in zip(arcs, curves):
+            for y, cy in zip(arcs, curves):
+                assert arcs_compatible(x, y) == curves_compatible(cx, cy)
+
+    @staticmethod
+    def _dependent(monkeypatch, coll):
+        # the last curve's vector becomes the sum of the first two
+        gens = [shear_closed_form(c) for c in coll.curves]
+        gens[-1] = tuple(a + b for a, b in zip(gens[0], gens[1]))
+        table = dict(zip(coll.curves, gens))
+        monkeypatch.setattr(fan, "shear_closed_form", table.__getitem__)
+
+    def test_dependent_six_curves(self, monkeypatch):
+        coll = base_cone().collection
+        self._dependent(monkeypatch, coll)
+        with pytest.raises(RankDeficient):
+            fan.cone_of(coll)
+
+    def test_dependent_kind_vii(self, monkeypatch):
+        coll = fan.closed_collections(Slope(2, 3))[0]
+        self._dependent(monkeypatch, coll)
+        with pytest.raises(RankDeficient):
+            fan.cone_of(coll)
+
+    def test_generator_count_must_match_kind(self):
+        coll = base_cone().collection
+        with pytest.raises(RankDeficient):
+            fan.cone_of(fan.MaximalCollection(coll.curves, "VII"))
