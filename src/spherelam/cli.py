@@ -35,10 +35,13 @@ SCHEMA = "sphere-lam/1"
 
 # Work caps.  The word and oracle paths walk every crossing of the curve, so
 # their time grows linearly with the slope height; render draws one element
-# per lattice line and puncture that meets the window.  At each cap a
+# per lattice line and puncture that meets the window.  At these caps a
 # command takes under a second (2-core Xeon, Python 3.11).
 SHEAR_MAX_HEIGHT = {"word": 50_000, "oracle": 1_000}
 RENDER_MAX_ELEMENTS = 10_000
+# cones and locate build every maximal cone up to their --max-height: about
+# 2.6 s at the default 6, 7.9 s and 50 MB at this cap (same host)
+CONE_MAX_HEIGHT = 10
 
 
 def _doc(**fields) -> str:
@@ -252,7 +255,14 @@ def _cmd_mutate(args) -> str:
     return json.dumps([list(r) for r in triangulation.mutate(B, args.k)])
 
 
+def _check_cone_height(max_height: int) -> None:
+    if max_height > CONE_MAX_HEIGHT:
+        raise DomainError(f"cones and locate are capped at max height {CONE_MAX_HEIGHT}; "
+                          f"got {max_height}")
+
+
 def _cmd_cones(args) -> str:
+    _check_cone_height(args.max_height)
     from . import fan
 
     cones = fan.cone_index(args.max_height).cones
@@ -268,11 +278,10 @@ def _cmd_cones(args) -> str:
 
 def _cmd_locate(args) -> str:
     v = json.loads(args.vector)
-    if not isinstance(v, list) or len(v) != 6 or any(type(x) is not int for x in v):
-        raise DomainError("vector must be six integers")
+    _check_cone_height(args.max_height)
     from . import fan
 
-    lam = fan.locate(tuple(v), args.max_height)
+    lam = fan.locate(v, args.max_height)  # checks v before building the index
     return _doc(lamination=[
         {"curve": c.to_json(), "weight": w} for c, w in lam.weights
     ])

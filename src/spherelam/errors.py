@@ -35,7 +35,7 @@ class ClosedCurveHasNoArc(DomainError):
 
 
 class MalformedInput(DomainError):
-    """JSON input of the wrong shape (a wrong type, or a missing field)."""
+    """Input of the wrong shape (a wrong type, or a missing field)."""
 
 
 class InvalidParameters(DomainError):

@@ -27,7 +27,8 @@ from .curves import (
     kappa,
     kappa_inv,
 )
-from .errors import BoundExhausted, InternalError, InternalNonUnique, RankDeficient
+from .errors import BoundExhausted, InternalError, InternalNonUnique, MalformedInput, \
+    RankDeficient
 from .lattice import Slope, enumerate_slopes
 from .shear import (
     GAMMA24,
@@ -256,26 +257,52 @@ def _cone_functionals(
 
 
 class _ConeIndex:
-    """All maximal cones at a height, with per-cone integer functionals."""
+    """All maximal cones at a height, with per-cone integer functionals,
+    grouped in buckets by two sign masks of the generators: bit i of
+    ``nonneg`` (``nonpos``) is set when every generator has coordinate
+    i >= 0 (<= 0).
+
+    A nonnegative combination keeps those signs, so a bucket whose masks
+    clash with the signs of v holds no cone containing v and is skipped
+    whole.  ``containing`` yields in bucket order, not in ``cones`` order."""
 
     def __init__(self, max_height: int):
         self.cones = [cone_of(c) for c in maximal_collections(max_height)]
-        self._functionals = [c._functionals for c in self.cones]
+        buckets: dict[tuple[int, int], list] = {}
+        for cone in self.cones:
+            nonneg = nonpos = 0
+            for i, coords in enumerate(zip(*cone.generators)):
+                if min(coords) >= 0:
+                    nonneg |= 1 << i
+                if max(coords) <= 0:
+                    nonpos |= 1 << i
+            buckets.setdefault((nonneg, nonpos), []).append((cone, cone._functionals))
+        self.buckets = [(nonneg, nonpos, entries)
+                        for (nonneg, nonpos), entries in buckets.items()]
 
     def containing(self, v) -> Iterator[tuple[Cone, tuple[Fraction, ...]]]:
+        neg = pos = 0
+        for i, x in enumerate(v):
+            if x < 0:
+                neg |= 1 << i
+            elif x > 0:
+                pos |= 1 << i
         # integer signs decide membership; a cone is dropped on its first
         # negative coefficient, and Fractions are built only for a hit
-        for cone, (rows, det, normal) in zip(self.cones, self._functionals):
-            if normal is not None and sum(map(mul, normal, v)):
+        for nonneg, nonpos, entries in self.buckets:
+            if nonneg & neg or nonpos & pos:
                 continue
-            s = []
-            for row in rows:
-                x = sum(map(mul, row, v))
-                if x < 0:
-                    break
-                s.append(x)
-            else:
-                yield cone, tuple(Fraction(x, det) for x in s)
+            for cone, (rows, det, normal) in entries:
+                if normal is not None and sum(map(mul, normal, v)):
+                    continue
+                s = []
+                for row in rows:
+                    x = sum(map(mul, row, v))
+                    if x < 0:
+                        break
+                    s.append(x)
+                else:
+                    yield cone, tuple(Fraction(x, det) for x in s)
 
 
 _INDEX_CACHE: dict[int, _ConeIndex] = {}
@@ -289,38 +316,52 @@ def cone_index(max_height: int) -> _ConeIndex:
     return idx
 
 
+def _shear_vector(v) -> ShearVector:
+    """v as a tuple of six ints; any other input (a float or bool entry,
+    fewer or more entries, no sequence) raises MalformedInput."""
+    try:
+        out = tuple(v)
+    except TypeError:
+        raise MalformedInput(f"a shear vector is six integers, not {v!r}") from None
+    if len(out) != 6 or any(type(x) is not int for x in out):
+        raise MalformedInput(f"a shear vector is six integers, not {v!r}")
+    return out
+
+
 def locate(v: Sequence[int], max_height: int = 6) -> QuasiLamination:
     """The unique quasi-lamination with the given integer shear vector,
     searched over all maximal cones at the given height."""
+    v = _shear_vector(v)
     if not any(v):
         return QuasiLamination(())
     index = cone_index(max_height)
-    result: QuasiLamination | None = None
+    # the weights of every containing cone must agree; the lamination (and
+    # its pairwise compatibility check) is built once, for the answer
+    found: dict[AllowableCurve, int] | None = None
     for cone, coeffs in index.containing(v):
         if cone.collection is None:
             raise InternalError("indexed cone without its collection")
-        weights = []
+        weights = {}
         for curve, c in zip(cone.collection.curves, coeffs):
             if c == 0:
                 continue
             if c.denominator != 1:
                 raise InternalError(f"non-integer weight {c} for integer input")
-            weights.append((curve, int(c)))
-        lam = QuasiLamination(tuple(weights))
-        if result is None:
-            result = lam
-        elif result != lam:
+            weights[curve] = int(c)
+        if found is None:
+            found = weights
+        elif weights != found:
             raise InternalNonUnique("ambiguous location across containing cones")
-    if result is None:
+    if found is None:
         raise BoundExhausted(
-            f"no cone at height {max_height} contains {tuple(v)}; raise max_height"
+            f"no cone at height {max_height} contains {v}; raise max_height"
         )
-    return result
+    return QuasiLamination(tuple(found.items()))
 
 
 def count_containing_cones(v: Sequence[int], max_height: int = 6) -> int:
     """Number of distinct maximal cones whose span contains v."""
-    return sum(1 for _ in cone_index(max_height).containing(v))
+    return sum(1 for _ in cone_index(max_height).containing(_shear_vector(v)))
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,12 @@ class TestFanCommands:
     def test_locate_rejects_floats(self):
         fails(["locate", "--vector", "[0.5,0,0,0,0,0]"])
 
+    def test_locate_rejects_malformed_vectors(self):
+        for vector in ("[-1,0,0]", "[-1,0,0,0,0,0,5]", "[true,0,0,0,0,0]", "[0,0,0]",
+                       "5", '"abcdef"', "{}", "null"):
+            doc = json.loads(fails(["locate", "--vector", vector, "--max-height", "1"]))
+            assert doc["kind"] == "domain" and "six integers" in doc["error"], vector
+
     def test_universal_forms_identical(self):
         a = ok(["universal", "--form", "thm12", "--max-height", "1"])
         b = ok(["universal", "--form", "thm81", "--max-height", "1"])
@@ -279,6 +285,21 @@ class TestWorkCaps:
         tri = json.dumps({"triple": ["10000/1", "10001/1", "inf"],
                           "tags": {"00": "plain", "01": "plain", "10": "plain", "11": "plain"}})
         fails(["render", "--tri", tri, "--window", "0,1,0,1", "--out", str(out)])
+
+    def test_cone_height(self, monkeypatch):
+        vec = "[-3,2,1,-3,2,1]"
+        cap = cli.CONE_MAX_HEIGHT
+        assert cli.build_parser().parse_args(["cones"]).max_height <= cap
+        for argv in (["cones"], ["locate", "--vector", vec]):
+            for height in (cap + 1, 64):
+                doc = json.loads(fails(argv + ["--max-height", str(height)]))
+                assert doc["kind"] == "domain" and f"max height {cap};" in doc["error"]
+        monkeypatch.setattr(cli, "CONE_MAX_HEIGHT", 1)
+        assert ok(["cones", "--max-height", "1"])["count"] == 240
+        assert ok(["locate", "--vector", "[-1,0,0,0,0,0]", "--max-height", "1"])
+        for argv in (["cones"], ["locate", "--vector", vec]):
+            doc = json.loads(fails(argv + ["--max-height", "2"]))
+            assert "max height 1;" in doc["error"]
 
     def test_element_count_bounds_render(self):
         from spherelam.render import element_count

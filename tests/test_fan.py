@@ -1,7 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from operator import mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spherelam import exactla, fan, triangulation
 from spherelam.curves import (
@@ -16,7 +19,7 @@ from spherelam.curves import (
     kappa_inv,
 )
 from spherelam.errors import BoundExhausted, InternalError, InternalNonUnique, \
-    RankDeficient
+    MalformedInput, RankDeficient
 from spherelam.lattice import INF, Slope, enumerate_slopes
 from spherelam.shear import GAMMA24, QuasiLamination, Tangle, apply_perm, \
     shear_closed_form, tangle_shear
@@ -188,6 +191,22 @@ class TestLocateChecks:
         with pytest.raises(InternalError):
             fan.locate((-1, 0, 0, 0, 0, 0), 1)
 
+    @pytest.mark.parametrize("bad", [
+        (-1, 0, 0), (0, 0, 0), (-1, 0, 0, 0, 0, 0, 5), (), 0.5, None, "abcdef",
+        (0.5, 0, 0, 0, 0, 0), (-1.0, 0, 0, 0, 0, 0), (True, 0, 0, 0, 0, 0),
+        (False,) * 6, ("1", 0, 0, 0, 0, 0), ((1,), 0, 0, 0, 0, 0),
+    ])
+    def test_malformed_vectors(self, bad):
+        with pytest.raises(MalformedInput):
+            fan.locate(bad, 1)
+        with pytest.raises(MalformedInput):
+            fan.count_containing_cones(bad, 1)
+
+    def test_any_sequence_of_six_ints(self):
+        v = (-3, 2, 1, -3, 2, 1)
+        assert fan.locate(list(v), 3) == fan.locate(v, 3)
+        assert fan.count_containing_cones(iter(v), 3) == 16
+
     def test_no_asserts_in_checked_modules(self):
         # invariant checks must stay active under python -O, and a broken
         # invariant is an InternalError, not an AssertionError
@@ -246,6 +265,96 @@ class TestContainingAgreesWithMembership:
             want = {id(c): co for c in idx.cones
                     if (co := fan.membership(v, c)) is not None}
             assert got == want, v
+
+
+def oracle_containing(index, v):
+    """The former unfiltered scan of the cone index, kept as an oracle:
+    every cone's functionals, in ``cones`` order."""
+    for cone in index.cones:
+        rows, det, normal = cone._functionals
+        if normal is not None and sum(map(mul, normal, v)):
+            continue
+        s = []
+        for row in rows:
+            x = sum(map(mul, row, v))
+            if x < 0:
+                break
+            s.append(x)
+        else:
+            yield cone, tuple(Fraction(x, det) for x in s)
+
+
+def hit_set(hits):
+    return Counter((id(cone), coeffs) for cone, coeffs in hits)
+
+
+def cone_point(cone, weights):
+    return tuple(sum(w * g[i] for w, g in zip(weights, cone.generators)) for i in range(6))
+
+
+@st.composite
+def query_vectors(draw, height):
+    """Small vectors with about half their entries 0, or points on the
+    boundary of a random cone of the index (about half the weights 0)."""
+    some = st.one_of(st.just(0), st.integers(-4, 4))
+    if draw(st.booleans()):
+        return tuple(draw(st.lists(some, min_size=6, max_size=6)))
+    cones = fan.cone_index(height).cones
+    cone = cones[draw(st.integers(0, len(cones) - 1))]
+    n = len(cone.generators)
+    weights = draw(st.lists(st.one_of(st.just(0), st.integers(1, 3)), min_size=n, max_size=n))
+    return cone_point(cone, weights)
+
+
+class TestSignBuckets:
+    """The cone index skips buckets by the sign masks of their generators;
+    the cones it yields must be those of the unfiltered scan."""
+
+    @pytest.mark.parametrize("height", [1, 2, 3])
+    def test_masks_match_generators(self, height):
+        idx = fan.cone_index(height)
+        seen = []
+        for nonneg, nonpos, entries in idx.buckets:
+            for cone, functionals in entries:
+                seen.append(cone)
+                assert functionals == cone._functionals
+                for i in range(6):
+                    coords = [g[i] for g in cone.generators]
+                    assert bool(nonneg >> i & 1) == all(x >= 0 for x in coords)
+                    assert bool(nonpos >> i & 1) == all(x <= 0 for x in coords)
+        assert sorted(map(id, seen)) == sorted(map(id, idx.cones))
+        assert len({(a, b) for a, b, _ in idx.buckets}) == len(idx.buckets)
+
+    @pytest.mark.parametrize("height", [1, 2])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_filter_agrees_with_full_scan(self, height, data):
+        v = data.draw(query_vectors(height))
+        idx = fan.cone_index(height)
+        assert hit_set(idx.containing(v)) == hit_set(oracle_containing(idx, v))
+
+    def test_fixed_sample_at_height_3(self):
+        rng = random.Random(13)
+        idx = fan.cone_index(3)
+        vectors = [(0,) * 6, shear_closed_form(AllowableCurve(Slope(3, 2)))]
+        vii = next(c for c in idx.cones if c.kind == "VII")
+        inside = cone_point(vii, [1] * 5)
+        off = tuple(x + (i == 0) for i, x in enumerate(inside))
+        vectors += [inside, off]
+        for cone in rng.sample(idx.cones, 20):
+            n = len(cone.generators)
+            vectors.append(cone_point(cone, [rng.choice((0, 1, 2)) for _ in range(n)]))
+            vectors.append(cone_point(cone, [1] * n))
+        vectors += [tuple(rng.choice((0, rng.randint(-4, 4))) for _ in range(6))
+                    for _ in range(20)]
+        for v in vectors:
+            want = hit_set(oracle_containing(idx, v))
+            assert hit_set(idx.containing(v)) == want, v
+        # the kind-VII interior point is in its own cone only, and one step
+        # off the cone's span it is not in that cone
+        assert [c for c, _ in idx.containing(inside)] == [vii]
+        assert fan.membership(off, vii) is None
+        assert all(c is not vii for c, _ in idx.containing(off))
 
 
 class TestCounting:
