@@ -256,53 +256,96 @@ def _cone_functionals(
     return functionals, det, normal
 
 
+def _sign_key(v) -> int:
+    """The signs of a 6-vector as one int: bit i for v_i > 0, bit 6 + i
+    for v_i < 0."""
+    key = 0
+    for i, x in enumerate(v):
+        if x > 0:
+            key |= 1 << i
+        elif x < 0:
+            key |= 64 << i
+    return key
+
+
+def _face_patterns(face: int) -> list[int]:
+    """The sign keys a positive combination of generators can have, given
+    the OR of their sign keys: a coordinate where they have both signs may
+    take any sign, every other coordinate takes theirs."""
+    pos, neg = face & 63, face >> 6
+    both = pos & neg
+    out = [(pos ^ both) | (neg ^ both) << 6]
+    for i in range(6):
+        if both >> i & 1:
+            out += [s | 1 << i for s in out] + [s | 64 << i for s in out]
+    return out
+
+
 class _ConeIndex:
-    """All maximal cones at a height, with per-cone integer functionals,
-    grouped in buckets by two sign masks of the generators: bit i of
-    ``nonneg`` (``nonpos``) is set when every generator has coordinate
-    i >= 0 (<= 0).
+    """Maximal cones with their integer functionals, listed under the sign
+    keys their points can have.
 
-    A nonnegative combination keeps those signs, so a bucket whose masks
-    clash with the signs of v holds no cone containing v and is skipped
-    whole.  ``containing`` yields in bucket order, not in ``cones`` order."""
+    A point of a cone is a positive combination of the generators of one
+    face, so its sign key is one of that face's ``_face_patterns``.
+    ``patterns[key]`` lists, in ``cones`` order, the cones with a face that
+    allows the key, and ``containing(v)`` tests only the cones listed under
+    v's key.  ``stars[g]`` holds the positions in ``cones`` of the cones
+    with generator g; the build checks that each generator is the shear
+    vector of one curve."""
 
-    def __init__(self, max_height: int):
-        self.cones = [cone_of(c) for c in maximal_collections(max_height)]
-        buckets: dict[tuple[int, int], list] = {}
-        for cone in self.cones:
-            nonneg = nonpos = 0
-            for i, coords in enumerate(zip(*cone.generators)):
-                if min(coords) >= 0:
-                    nonneg |= 1 << i
-                if max(coords) <= 0:
-                    nonpos |= 1 << i
-            buckets.setdefault((nonneg, nonpos), []).append((cone, cone._functionals))
-        self.buckets = [(nonneg, nonpos, entries)
-                        for (nonneg, nonpos), entries in buckets.items()]
+    def __init__(self, cones: list[Cone]):
+        self.cones = cones
+        self.patterns: dict[int, list] = {}
+        self.stars: dict[ShearVector, set[int]] = {}
+        seen: dict[ShearVector, tuple[AllowableCurve, int]] = {}
+        face_patterns: dict[int, list[int]] = {}
+        for pos, cone in enumerate(cones):
+            faces = {0}   # the OR of the sign keys of each face's generators
+            for curve, g in zip(cone.collection.curves, cone.generators):
+                if g not in seen:
+                    seen[g] = (curve, _sign_key(g))
+                first, key = seen[g]
+                if first is not curve and first != curve:
+                    raise InternalError(f"{first} and {curve} have one shear vector {g}")
+                self.stars.setdefault(g, set()).add(pos)
+                faces |= {f | key for f in faces}
+            keys = set()
+            for f in faces:
+                if f not in face_patterns:
+                    face_patterns[f] = _face_patterns(f)
+                keys.update(face_patterns[f])
+            entry = (pos, cone, *cone._functionals)
+            for key in keys:
+                self.patterns.setdefault(key, []).append(entry)
 
-    def containing(self, v) -> Iterator[tuple[Cone, tuple[Fraction, ...]]]:
-        neg = pos = 0
-        for i, x in enumerate(v):
-            if x < 0:
-                neg |= 1 << i
-            elif x > 0:
-                pos |= 1 << i
+    def containing(self, v, distinct: bool = False
+                   ) -> Iterator[tuple[Cone, tuple[Fraction, ...]]]:
+        """The cones containing v, in ``cones`` order, with v's
+        coefficients over their generators.
+
+        With ``distinct``, a cone is left out when it has every generator
+        with a positive coefficient in a cone already yielded: its
+        generators are independent, so v has the same coefficients on
+        those generators, which are the same curves, and 0 on its others."""
+        known: set[int] = set()
         # integer signs decide membership; a cone is dropped on its first
         # negative coefficient, and Fractions are built only for a hit
-        for nonneg, nonpos, entries in self.buckets:
-            if nonneg & neg or nonpos & pos:
+        for pos, cone, rows, det, normal in self.patterns.get(_sign_key(v), ()):
+            if pos in known:
                 continue
-            for cone, (rows, det, normal) in entries:
-                if normal is not None and sum(map(mul, normal, v)):
-                    continue
-                s = []
-                for row in rows:
-                    x = sum(map(mul, row, v))
-                    if x < 0:
-                        break
-                    s.append(x)
-                else:
-                    yield cone, tuple(Fraction(x, det) for x in s)
+            if normal is not None and sum(map(mul, normal, v)):
+                continue
+            s = []
+            for row in rows:
+                x = sum(map(mul, row, v))
+                if x < 0:
+                    break
+                s.append(x)
+            else:
+                if distinct:
+                    stars = [self.stars[g] for g, x in zip(cone.generators, s) if x]
+                    known.update(set.intersection(*stars) if stars else range(len(self.cones)))
+                yield cone, tuple(Fraction(x, det) for x in s)
 
 
 _INDEX_CACHE: dict[int, _ConeIndex] = {}
@@ -311,7 +354,7 @@ _INDEX_CACHE: dict[int, _ConeIndex] = {}
 def cone_index(max_height: int) -> _ConeIndex:
     idx = _INDEX_CACHE.get(max_height)
     if idx is None:
-        idx = _ConeIndex(max_height)
+        idx = _ConeIndex([cone_of(c) for c in maximal_collections(max_height)])
         _INDEX_CACHE[max_height] = idx
     return idx
 
@@ -335,10 +378,11 @@ def locate(v: Sequence[int], max_height: int = 6) -> QuasiLamination:
     if not any(v):
         return QuasiLamination(())
     index = cone_index(max_height)
-    # the weights of every containing cone must agree; the lamination (and
-    # its pairwise compatibility check) is built once, for the answer
+    # the weights of every containing cone must agree: those the distinct
+    # scan leaves out do by construction, the others are compared here; the
+    # lamination (and its pairwise compatibility check) is built once
     found: dict[AllowableCurve, int] | None = None
-    for cone, coeffs in index.containing(v):
+    for cone, coeffs in index.containing(v, distinct=True):
         if cone.collection is None:
             raise InternalError("indexed cone without its collection")
         weights = {}

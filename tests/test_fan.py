@@ -1,5 +1,5 @@
+import itertools
 import random
-from collections import Counter
 from fractions import Fraction
 from operator import mul
 
@@ -170,7 +170,7 @@ class _StubIndex:
     def __init__(self, hits):
         self.hits = hits
 
-    def containing(self, v):
+    def containing(self, v, distinct=False):
         return iter(self.hits)
 
 
@@ -284,10 +284,6 @@ def oracle_containing(index, v):
             yield cone, tuple(Fraction(x, det) for x in s)
 
 
-def hit_set(hits):
-    return Counter((id(cone), coeffs) for cone, coeffs in hits)
-
-
 def cone_point(cone, weights):
     return tuple(sum(w * g[i] for w, g in zip(weights, cone.generators)) for i in range(6))
 
@@ -306,24 +302,95 @@ def query_vectors(draw, height):
     return cone_point(cone, weights)
 
 
-class TestSignBuckets:
-    """The cone index skips buckets by the sign masks of their generators;
-    the cones it yields must be those of the unfiltered scan."""
+def listed_keys(index):
+    """Position in ``cones`` -> the sign keys the cone is listed under."""
+    out = {}
+    for key, entries in index.patterns.items():
+        assert [e[0] for e in entries] == sorted({e[0] for e in entries})
+        for pos, cone, *functionals in entries:
+            assert cone is index.cones[pos]
+            assert tuple(functionals) == cone._functionals
+            out.setdefault(pos, set()).add(key)
+    return out
+
+
+def face_sign_keys(cone):
+    """The sign keys of the points of a cone, from each face's generator
+    signs: a coordinate where the face's generators have both signs may
+    take any sign, every other coordinate takes theirs."""
+    keys = {0}
+    n = len(cone.generators)
+    for r in range(1, n + 1):
+        for face in itertools.combinations(cone.generators, r):
+            choices = []
+            for i in range(6):
+                signs = {(g[i] > 0) - (g[i] < 0) for g in face} - {0}
+                choices.append((-1, 0, 1) if len(signs) == 2 else tuple(signs) or (0,))
+            keys.update(fan._sign_key(signs) for signs in itertools.product(*choices))
+    return keys
+
+
+def weights_of(cone, coeffs):
+    return {c: x for c, x in zip(cone.collection.curves, coeffs) if x}
+
+
+class TestSignPatterns:
+    """The cone index lists each cone under the sign keys of its faces'
+    points; the cones it yields must be those of the unfiltered scan."""
+
+    @pytest.mark.parametrize("height", [1, 2])
+    def test_listing_is_the_face_sign_keys(self, height):
+        idx = fan.cone_index(height)
+        listed = listed_keys(idx)
+        assert sorted(listed) == list(range(len(idx.cones)))
+        for pos, cone in enumerate(idx.cones):
+            assert listed[pos] == face_sign_keys(cone)
 
     @pytest.mark.parametrize("height", [1, 2, 3])
-    def test_masks_match_generators(self, height):
+    def test_every_face_point_is_listed(self, height):
+        # a positive combination of the generators of any face
+        rng = random.Random(14)
         idx = fan.cone_index(height)
-        seen = []
-        for nonneg, nonpos, entries in idx.buckets:
-            for cone, functionals in entries:
-                seen.append(cone)
-                assert functionals == cone._functionals
-                for i in range(6):
-                    coords = [g[i] for g in cone.generators]
-                    assert bool(nonneg >> i & 1) == all(x >= 0 for x in coords)
-                    assert bool(nonpos >> i & 1) == all(x <= 0 for x in coords)
-        assert sorted(map(id, seen)) == sorted(map(id, idx.cones))
-        assert len({(a, b) for a, b, _ in idx.buckets}) == len(idx.buckets)
+        listed = listed_keys(idx)
+        for pos, cone in enumerate(idx.cones):
+            n = len(cone.generators)
+            for r in range(1, n + 1):
+                face = rng.sample(range(n), r)
+                weights = [rng.randint(1, 5) if k in face else 0 for k in range(n)]
+                assert fan._sign_key(cone_point(cone, weights)) in listed[pos]
+
+    def test_mixed_coordinates_take_any_sign(self):
+        # a*g1 + b*g2 = (a - b, b, a + b): the first coordinate takes every
+        # sign on the face {g1, g2}, and (+, +, +) is on no smaller face
+        g1, g2 = (1, 0, 1, 0, 0, 0), (-1, 1, 1, 0, 0, 0)
+        assert sorted(fan._face_patterns(fan._sign_key(g1) | fan._sign_key(g2))) == sorted(
+            fan._sign_key((x, 1, 1, 0, 0, 0)) for x in (-1, 0, 1))
+        gens = (g1, g2, (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0),
+                (0, 0, 0, 0, 0, 1))
+        cone = fan.Cone(gens, "I", base_cone().collection)
+        v = cone_point(cone, [2, 1, 0, 0, 0, 0])
+        assert v == (1, 1, 3, 0, 0, 0)
+        assert hit_list(fan._ConeIndex([cone]).containing(v)) == [(id(cone), (2, 1, 0, 0, 0, 0))]
+
+    def test_sign_key(self):
+        assert fan._sign_key((0,) * 6) == 0
+        assert fan._sign_key((3, 0, -1, 0, 0, 7)) == 0b100001 | 0b000100 << 6
+
+    @pytest.mark.parametrize("height", [1, 2, 3])
+    def test_stars(self, height):
+        idx = fan.cone_index(height)
+        gens = {g for cone in idx.cones for g in cone.generators}
+        assert set(idx.stars) == gens
+        for g, positions in idx.stars.items():
+            assert positions == {pos for pos, cone in enumerate(idx.cones)
+                                 if g in cone.generators}
+
+    def test_one_curve_per_generator(self):
+        cone = base_cone()
+        g = cone.generators
+        other = fan.Cone(g[1:] + g[:1], cone.kind, cone.collection)
+        with pytest.raises(InternalError):
+            fan._ConeIndex([cone, other])
 
     @pytest.mark.parametrize("height", [1, 2])
     @settings(max_examples=150, deadline=None)
@@ -331,12 +398,15 @@ class TestSignBuckets:
     def test_filter_agrees_with_full_scan(self, height, data):
         v = data.draw(query_vectors(height))
         idx = fan.cone_index(height)
-        assert hit_set(idx.containing(v)) == hit_set(oracle_containing(idx, v))
+        every = list(idx.containing(v))
+        assert hit_list(every) == hit_list(oracle_containing(idx, v))
+        check_distinct(v, every, list(idx.containing(v, distinct=True)))
 
     def test_fixed_sample_at_height_3(self):
         rng = random.Random(13)
         idx = fan.cone_index(3)
-        vectors = [(0,) * 6, shear_closed_form(AllowableCurve(Slope(3, 2)))]
+        vectors = [(0,) * 6, shear_closed_form(AllowableCurve(Slope(3, 2))),
+                   (-2, 0, 0, 0, 0, 0), (-1, 0, 0, 0, 0, 1), (0, 1, 0, -1, 0, 0)]
         vii = next(c for c in idx.cones if c.kind == "VII")
         inside = cone_point(vii, [1] * 5)
         off = tuple(x + (i == 0) for i, x in enumerate(inside))
@@ -348,13 +418,52 @@ class TestSignBuckets:
         vectors += [tuple(rng.choice((0, rng.randint(-4, 4))) for _ in range(6))
                     for _ in range(20)]
         for v in vectors:
-            want = hit_set(oracle_containing(idx, v))
-            assert hit_set(idx.containing(v)) == want, v
+            every = list(idx.containing(v))
+            assert hit_list(every) == hit_list(oracle_containing(idx, v)), v
+            check_distinct(v, every, list(idx.containing(v, distinct=True)))
         # the kind-VII interior point is in its own cone only, and one step
         # off the cone's span it is not in that cone
         assert [c for c, _ in idx.containing(inside)] == [vii]
         assert fan.membership(off, vii) is None
         assert all(c is not vii for c, _ in idx.containing(off))
+        # a ray of the fan: in 268 cones, one of them enough for locate
+        assert fan.count_containing_cones((-2, 0, 0, 0, 0, 0), 3) == 268
+        assert len(list(idx.containing((-2, 0, 0, 0, 0, 0), distinct=True))) == 1
+
+    def test_distinct_keeps_a_disagreeing_cone(self, monkeypatch):
+        # the second cone has the first one's curves, but its generator
+        # for the first curve is g0 + g1: v = g0 + g1 is in both, with
+        # different weights, and only its generators decide the skip
+        cone = base_cone()
+        g = cone.generators
+        merged = tuple(a + b for a, b in zip(g[0], g[1]))
+        other = fan.Cone((merged,) + g[1:], cone.kind, cone.collection)
+        idx = fan._ConeIndex([cone, other])
+        v = merged
+        assert [c for c, _ in idx.containing(v, distinct=True)] == [cone, other]
+        monkeypatch.setattr(fan, "cone_index", lambda h: idx)
+        with pytest.raises(InternalNonUnique):
+            fan.locate(v, 1)
+
+
+def hit_list(hits):
+    return [(id(cone), coeffs) for cone, coeffs in hits]
+
+
+def check_distinct(v, every, some):
+    """``some`` is the distinct scan: a subsequence of ``every``, one cone
+    for a vector in the fan, and each cone left out has every generator
+    of a kept cone's support, with the same weights."""
+    kept = [id(c) for c, _ in some]
+    assert kept == [i for i, _ in hit_list(every) if i in kept]
+    assert len(some) == min(1, len(every))
+    for cone, coeffs in every:
+        if id(cone) in kept:
+            continue
+        weights = weights_of(cone, coeffs)
+        assert any(weights_of(c, co) == weights and all(
+            gen in cone.generators for gen, x in zip(c.generators, co) if x)
+            for c, co in some), v
 
 
 class TestCounting:
