@@ -10,7 +10,9 @@ spirals.  Closed curves carry a slope only.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .errors import ClosedCurveHasNoArc, InternalError, MalformedInput
 from .lattice import Slope, UnimodularMap, farey_distance
@@ -81,6 +83,13 @@ def _json_ends(obj, mark: str) -> list[tuple[Puncture, str]]:
 class Tagging(enum.Enum):
     PLAIN = "plain"
     NOTCHED = "notched"
+
+
+def tag_choices(punctures: Sequence[Puncture]) -> list[tuple[tuple[Puncture, Tagging], ...]]:
+    """Every way to tag each of ``punctures``, in :func:`itertools.product`
+    order: plain before notched, the last puncture changing fastest."""
+    return [tuple(zip(punctures, tags))
+            for tags in itertools.product(Tagging, repeat=len(punctures))]
 
 
 class SpiralDir(enum.Enum):
@@ -254,6 +263,8 @@ class AllowableCurve(_ArcOrCurve):
     @staticmethod
     def from_json(obj: dict) -> "AllowableCurve":
         if isinstance(obj, dict) and "closed" in obj:
+            if "slope" in obj or "ends" in obj:
+                raise MalformedInput("a closed curve has no 'slope' or 'ends' field")
             return AllowableCurve(Slope.parse(obj["closed"]))
         ends = tuple((p, SpiralDir(d)) for p, d in _json_ends(obj, "spiral"))
         slope = Slope.parse(json_field(obj, "slope", str))
@@ -330,14 +341,10 @@ def enumerate_arcs(max_height: int) -> list[TaggedArc]:
     """All tagged arcs of slope height <= max_height, deterministic order."""
     from .lattice import enumerate_slopes
 
-    tags = (Tagging.PLAIN, Tagging.NOTCHED)
-    out = []
-    for s in enumerate_slopes(max_height):
-        for pair in endpoint_sets(s):
-            for t0 in tags:
-                for t1 in tags:
-                    out.append(TaggedArc(s, ((pair[0], t0), (pair[1], t1))))
-    return out
+    return [TaggedArc(s, ends)
+            for s in enumerate_slopes(max_height)
+            for pair in endpoint_sets(s)
+            for ends in tag_choices(pair)]
 
 
 def enumerate_curves(max_height: int) -> list[AllowableCurve]:

@@ -19,9 +19,9 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 from . import exactla
 from .curves import (
     AllowableCurve,
-    Puncture,
     SpiralDir,
     TaggedArc,
+    Tagging,
     curves_compatible,
     endpoint_sets,
     kappa,
@@ -29,7 +29,7 @@ from .curves import (
 )
 from .errors import BoundExhausted, InternalError, InternalNonUnique, MalformedInput, \
     RankDeficient
-from .lattice import Slope, enumerate_slopes
+from .lattice import Slope, enumerate_slopes, farey1_triples
 from .shear import (
     GAMMA24,
     GROUP_Y,
@@ -107,36 +107,19 @@ class MaximalCollection:
         object.__setattr__(coll, "kind", kind)
         return coll
 
-    @property
-    def closed_curve(self) -> AllowableCurve | None:
-        for c in self.curves:
-            if c.is_closed:
-                return c
-        return None
-
-
-def _spiral_pair(slope: Slope, at: Puncture, direction: SpiralDir):
-    far = at.translate(slope.parity)
-    return (
-        AllowableCurve(slope, ((at, direction), (far, SpiralDir.CW))),
-        AllowableCurve(slope, ((at, direction), (far, SpiralDir.CCW))),
-    )
-
 
 def closed_collections(slope: Slope) -> list[MaximalCollection]:
     """The sixteen type-VII collections around the closed curve of a given
-    slope: one spiral-agreeing pair in each of the two endpoint pairs."""
+    slope: the kappa image of one coinciding pair of arcs in each of the
+    two endpoint pairs."""
+    from .triangulation import _coinciding_pair
+
     first, second = endpoint_sets(slope)
+    closed = AllowableCurve(slope)
     out = []
-    dirs = (SpiralDir.CW, SpiralDir.CCW)
-    for v in first:
-        for v2 in second:
-            for d1 in dirs:
-                for d2 in dirs:
-                    curves = (AllowableCurve(slope),) + _spiral_pair(
-                        slope, v, d1
-                    ) + _spiral_pair(slope, v2, d2)
-                    out.append(MaximalCollection(curves, "VII"))
+    for v, v2, t, t2 in itertools.product(first, second, Tagging, Tagging):
+        arcs = _coinciding_pair(slope, v, t) + _coinciding_pair(slope, v2, t2)
+        out.append(MaximalCollection((closed, *map(kappa, arcs)), "VII"))
     return out
 
 
@@ -599,10 +582,7 @@ def induced_torus_check(max_height: int) -> bool:
     """For each all-plain type-I triangulation, the slice of its cone by
     the subspace {x_i = x_{i+3}} projects onto the cone of the matching
     torus triangulation (generated by the per-slope sums of curve pairs)."""
-    from .triangulation import _farey1_triples
-
-    triples = _farey1_triples(enumerate_slopes(max_height))
-    for triple in triples:
+    for triple in farey1_triples(enumerate_slopes(max_height)):
         curves = []
         for s in triple:
             for pair in endpoint_sets(s):

@@ -8,10 +8,11 @@ The primitive lattice vector of the slope is ``(a, b)``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import (
     InternalError,
@@ -140,6 +141,25 @@ def is_farey1_triple(s: Slope, t: Slope, u: Slope) -> bool:
         and farey_distance(t, u) == 1
         and farey_distance(s, u) == 1
     )
+
+
+def farey1_triples(slopes: Sequence[Slope]) -> list[tuple[Slope, Slope, Slope]]:
+    """Every Farey-1 triple among ``slopes``, each ordered by position in
+    ``slopes``, in :func:`itertools.combinations` order.
+
+    The third slope w of a Farey-1 pair s, t is s + t or s - t: Cramer's
+    rule gives det(s, t) * w = det(w, t) * s + det(s, w) * t with all three
+    determinants +-1.  So one pass over the pairs finds every triple.
+    """
+    position = {s: i for i, s in enumerate(slopes)}
+    found = []
+    for (i, s), (j, t) in itertools.combinations(enumerate(slopes), 2):
+        if abs(s.a * t.b - s.b * t.a) == 1:
+            for sign in (1, -1):
+                k = position.get(standard_form(s.a + sign * t.a, s.b + sign * t.b), -1)
+                if k > j:
+                    found.append((i, j, k))
+    return [(slopes[i], slopes[j], slopes[k]) for i, j, k in sorted(found)]
 
 
 def mediant(s: Slope, t: Slope) -> Slope:

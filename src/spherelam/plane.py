@@ -63,6 +63,11 @@ _INCIDENT_DIRS: tuple[tuple[IPoint, int], ...] = (
 )
 
 
+# Turns of a spiral end kept by spiral_crossings: the outer one is scored,
+# the inner one gives its crossings their neighbors.
+_SPIRAL_WRAPS = 2
+
+
 def _dir_crossing(base: IPoint, u: IPoint, delta: Fraction) -> Crossing:
     point = (base[0] + delta * u[0], base[1] + delta * u[1])
     if u[1] == 0:
@@ -81,7 +86,6 @@ def spiral_crossings(
     at_end: bool,
     interior_side_left: bool,
     eps: Fraction,
-    wraps: int = 2,
 ) -> list[Crossing]:
     """Effective crossings of a spiral end with the arcs incident to its
     lattice point, in curve order.
@@ -108,7 +112,7 @@ def spiral_crossings(
                 off = Fraction(0) if include_first else Fraction(8)
             else:
                 off = Fraction(8)
-        for w in range(wraps):
+        for w in range(_SPIRAL_WRAPS):
             offsets.append((off + 8 * w, u))
     offsets.sort(key=lambda e: e[0])
     # offsets[i] is the i-th crossing counted from the outside in

@@ -15,6 +15,7 @@ Window = tuple[int, int, int, int]  # xmin, ymin, xmax, ymax
 
 _SCALE = 40
 _MARGIN = 20
+_GLYPH_STEPS = 24
 _FAMILY_STYLE = (
     'stroke="#b44" stroke-width="1"',
     'stroke="#47b" stroke-width="1"',
@@ -27,7 +28,6 @@ class RenderSpec:
     curves: tuple[AllowableCurve, ...] = ()
     triangulation: TypeITri = BASE_TRI
     window: Window = (0, 2, 0, 2)  # (xmin, xmax, ymin, ymax)
-    scale: int = _SCALE
 
     def __post_init__(self) -> None:
         xmin, xmax, ymin, ymax = self.window
@@ -110,16 +110,16 @@ def curve_polyline(curve: AllowableCurve, window: Window):
     return (start, (start[0] + a, start[1] + b))
 
 
-def _spiral_glyph(center, direction: SpiralDir, to_svg, steps: int = 24):
+def _spiral_glyph(center, direction: SpiralDir, to_svg):
     """A small spiral polyline marking a spiral endpoint."""
     import math
 
     cx, cy = float(center[0]), float(center[1])
     sign = 1.0 if direction is SpiralDir.CCW else -1.0
     pts = []
-    for i in range(steps + 1):
-        theta = sign * 4.2 * i / steps
-        r = 0.26 * (1 - i / (steps + 2))
+    for i in range(_GLYPH_STEPS + 1):
+        theta = sign * 4.2 * i / _GLYPH_STEPS
+        r = 0.26 * (1 - i / (_GLYPH_STEPS + 2))
         pts.append((cx + r * math.cos(theta), cy + r * math.sin(theta)))
     return " ".join("%.2f,%.2f" % to_svg(x, y) for x, y in pts)
 
@@ -127,14 +127,13 @@ def _spiral_glyph(center, direction: SpiralDir, to_svg, steps: int = 24):
 def render(spec: RenderSpec) -> str:
     """Render a spec to a standalone SVG document (byte-deterministic)."""
     xmin, xmax, ymin, ymax = spec.window
-    scale = spec.scale
-    width = (xmax - xmin) * scale + 2 * _MARGIN
-    height = (ymax - ymin) * scale + 2 * _MARGIN
+    width = (xmax - xmin) * _SCALE + 2 * _MARGIN
+    height = (ymax - ymin) * _SCALE + 2 * _MARGIN
 
     def to_svg(x, y):
         return (
-            _MARGIN + (float(x) - xmin) * scale,
-            _MARGIN + (ymax - float(y)) * scale,
+            _MARGIN + (float(x) - xmin) * _SCALE,
+            _MARGIN + (ymax - float(y)) * _SCALE,
         )
 
     out = [

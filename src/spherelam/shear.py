@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .curves import (
     V00,
@@ -33,8 +33,10 @@ from .curves import (
     curves_compatible,
     endpoint_sets,
     json_field,
+    tag_choices,
 )
-from .errors import BoundExhausted, InternalError, NotFareyTriple, UnsupportedBaseCase
+from .errors import BoundExhausted, InternalError, MalformedInput, NotFareyTriple, \
+    UnsupportedBaseCase
 from .lattice import (
     INF,
     MINUS_ONE,
@@ -42,6 +44,7 @@ from .lattice import (
     Slope,
     UnimodularMap,
     enumerate_slopes,
+    farey1_triples,
     is_farey1_triple,
     separating_neighbors,
     triple_to_basis,
@@ -419,16 +422,6 @@ class TypeITri:
             raise ValueError("taggings must cover each puncture exactly once")
         object.__setattr__(self, "taggings", tags)
 
-    def tag_at(self, p: Puncture) -> Tagging:
-        for q, tag in self.taggings:
-            if q == p:
-                return tag
-        raise KeyError(str(p))
-
-    @property
-    def all_plain(self) -> bool:
-        return all(t is Tagging.PLAIN for _, t in self.taggings)
-
     def to_json(self) -> dict:
         return {
             "triple": [str(s) for s in self.triple],
@@ -438,7 +431,15 @@ class TypeITri:
     @staticmethod
     def from_json(obj: dict) -> "TypeITri":
         triple = tuple(Slope.parse(s) for s in json_field(obj, "triple", list))
+        if len(triple) != 3:
+            raise MalformedInput(f"'triple' lists three slopes, got {len(triple)}")
+        if set(obj) - {"triple", "tags"}:
+            raise MalformedInput("a type-I triangulation has only the fields "
+                                 f"'triple' and 'tags', got {sorted(obj)}")
         tags = json_field(obj, "tags", dict) if "tags" in obj else {}
+        if set(tags) - {str(p) for p in PUNCTURES}:
+            raise MalformedInput("tags are keyed by the punctures 00, 01, 10, 11, "
+                                 f"got {sorted(tags)}")
         taggings = tuple(
             (p, Tagging(tags.get(str(p), "plain"))) for p in PUNCTURES
         )
@@ -593,13 +594,6 @@ def sphere_torus_check(s: Slope, tri: TypeITri) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _all_taggings() -> list[tuple[tuple[Puncture, Tagging], ...]]:
-    out = []
-    for combo in itertools.product((Tagging.PLAIN, Tagging.NOTCHED), repeat=4):
-        out.append(tuple(zip(PUNCTURES, combo)))
-    return out
-
-
 def find_witness(tangle: Tangle, max_height: int = 12) -> TypeITri | None:
     """A type-I triangulation on which the tangle has nonzero shear, or
     None for a trivial tangle.
@@ -608,40 +602,28 @@ def find_witness(tangle: Tangle, max_height: int = 12) -> TypeITri | None:
     in the support, the Farey-1 triple produced by Stern-Brocot descent
     around that slope, under every per-puncture tagging; the base
     triangulation's taggings are tried first.  If the support is nonzero
-    and no candidate works, remaining Farey-1 triples up to max_height are
-    swept before giving up.
+    and no candidate works, every Farey-1 triple up to max_height is
+    tried before giving up; a candidate met again fails again, since the
+    order of a triple only permutes the shear coordinates.
     """
     support = tangle.support
     if not support:
         return None
     slopes = sorted({c.slope for c in support})
-    triples: list[tuple[Slope, Slope, Slope]] = [BASE_TRIPLE]
-    for f in slopes:
-        lo, mid = separating_neighbors(slopes, f)
-        triples.append((mid, f, lo))
-    taggings = _all_taggings()
-    for triple in triples:
+
+    def triples() -> Iterator[tuple[Slope, Slope, Slope]]:
+        yield BASE_TRIPLE
+        for f in slopes:
+            lo, mid = separating_neighbors(slopes, f)
+            yield mid, f, lo
+        yield from farey1_triples(enumerate_slopes(max_height))
+
+    taggings = tag_choices(PUNCTURES)
+    for triple in triples():
         for tags in taggings:
             tri = TypeITri(triple, tags)
             if any(tangle_shear(tangle, tri)):
                 return tri
-    seen = {frozenset(t) for t in triples}
-    pool = enumerate_slopes(max_height)
-    for i, q1 in enumerate(pool):
-        for q2 in pool[i + 1:]:
-            if abs(q1.a * q2.b - q1.b * q2.a) != 1:
-                continue
-            for q3 in pool:
-                key = frozenset((q1, q2, q3))
-                if len(key) < 3 or key in seen:
-                    continue
-                if not is_farey1_triple(q1, q2, q3):
-                    continue
-                seen.add(key)
-                for tags in taggings:
-                    tri = TypeITri((q1, q2, q3), tags)
-                    if any(tangle_shear(tangle, tri)):
-                        return tri
     raise BoundExhausted(
         "nonzero-support tangle with no witness within the candidate set"
     )

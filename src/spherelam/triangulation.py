@@ -1,14 +1,21 @@
 """Tagged triangulations of the four-punctured sphere.
 
 Every tagged triangulation has six arcs and falls into one of six
-combinatorial types:
+combinatorial types.  :func:`build_type` assembles each type from three
+pieces: ``arc(s, x, y)``, the arc of slope s from x to y carrying the tags
+of its endpoints; ``both(s)``, the two such arcs of slope s; and
+``coinciding(s, x)`` (:func:`_coinciding_pair`), the two arcs of slope s
+at x that carry the tag of x there and differ at the far end.  With p, q
+a Farey-2 pair of slopes whose arcs join v to u, c and c2 its companion
+slopes, c leading from v to v', and w the fourth puncture, the types are,
+in arc order:
 
-- I    a Farey-1 triple of slopes, two parallel arcs per slope
-- II   a Farey-2 pair spanning two punctures plus four determined arcs
-- III  a Farey-2 pair plus two coinciding pairs on one companion slope
-- IV   a Farey-2 pair, one coinciding pair and two single arcs
-- V    a Farey-2 pair plus two coinciding pairs on both companion slopes
-- VI   three coinciding pairs through a single puncture
+- I    both(s) for each s of a Farey-1 triple
+- II   arc(p, v, u), arc(q, v, u), both(c), both(c2)
+- III  arc(p, v, u), arc(q, v, u), coinciding(c, v), coinciding(c, u)
+- IV   arc(p, v, u), arc(q, v, u), coinciding(c, v), arc(c2, v, w), arc(c, u, w)
+- V    arc(p, v, u), arc(q, v, u), coinciding(c, v), coinciding(c2, v)
+- VI   coinciding(s, v) for each s of a Farey-1 triple
 
 Types are parametrized exactly as enumerated by :func:`enumerate_triangulations`
 and recognized by :func:`classify`; :func:`build_type` inverts classify.
@@ -37,6 +44,7 @@ from .curves import (
     Tagging,
     arcs_compatible,
     endpoint_sets,
+    tag_choices,
 )
 from .errors import (
     InternalError,
@@ -49,6 +57,7 @@ from .lattice import (
     Slope,
     det2,
     enumerate_slopes,
+    farey1_triples,
     farey_distance,
     is_farey1_triple,
     pair_to_basis,
@@ -159,12 +168,6 @@ class TriType:
             self, "taggings", tuple(sorted(self.taggings, key=lambda e: e[0]))
         )
 
-    def tag_at(self, p: Puncture) -> Tagging:
-        for q, t in self.taggings:
-            if q == p:
-                return t
-        raise KeyError(str(p))
-
     def to_json(self) -> dict:
         out: dict = {"type": self.tag, "slopes": [str(s) for s in self.slopes]}
         if self.v is not None:
@@ -175,10 +178,6 @@ class TriType:
         return out
 
 
-def _plain_pair(slope: Slope, pair, tags) -> TaggedArc:
-    return TaggedArc(slope, ((pair[0], tags[0]), (pair[1], tags[1])))
-
-
 def _coinciding_pair(slope: Slope, agree_at: Puncture, tag: Tagging) -> list[TaggedArc]:
     far = agree_at.translate(slope.parity)
     return [
@@ -187,114 +186,73 @@ def _coinciding_pair(slope: Slope, agree_at: Puncture, tag: Tagging) -> list[Tag
     ]
 
 
-def _pair_endpoints(p: Slope, v: Puncture) -> Puncture:
-    return v.translate(p.parity)
-
-
 def build_type(spec: TriType) -> TaggedTriangulation:
-    """The unique tagged triangulation with the given type data."""
-    tag = spec.tag
-    tags = dict(spec.taggings)
+    """The unique tagged triangulation with the given type data, its arcs in
+    the order of the module docstring.
 
-    def vertex_tag(p: Puncture) -> Tagging:
-        if p not in tags:
-            raise InvalidParameters(f"missing tagging at v{p}")
-        return tags[p]
-
-    if tag in ("I", "VI"):
+    The spec must give exactly the parameters its type takes, and one tag
+    at each puncture whose tag the type leaves free: all four for I and II,
+    v and u for III and V, v, u and w for IV, v for VI.
+    """
+    kind, v, v_prime = spec.tag, spec.v, spec.v_prime
+    if kind not in ("I", "II", "III", "IV", "V", "VI"):
+        raise InvalidParameters(f"unknown type {kind!r}")
+    if kind in ("I", "VI"):
         if len(spec.slopes) != 3 or not is_farey1_triple(*spec.slopes):
             raise InvalidParameters("types I and VI need a Farey-1 triple")
+    elif len(spec.slopes) != 2 or farey_distance(*spec.slopes) != 2:
+        raise InvalidParameters("types II-V need a Farey-2 pair")
+    if (v is None) != (kind == "I"):
+        raise InvalidParameters(
+            "type I takes no vertex v" if v is not None else f"type {kind} needs a vertex v")
+    u = w = None
+    if kind not in ("I", "VI"):
+        p, q = spec.slopes
+        u = v.translate(p.parity)
+        c, c2 = f2_companions(p, q)
+        if kind in ("II", "III") and not v < u:
+            raise InvalidParameters(f"type {kind} requires v below its partner mod 2")
+    if kind in ("III", "IV"):
+        if v_prime is None or v_prime in (v, u):
+            raise InvalidParameters(f"type {kind} needs v' off the Farey-2 pair")
+        # p, c and c2 have the three nonzero parities, so v' and w are the
+        # translates of v by the two companions
+        if v.translate(c.parity) != v_prime:
+            c, c2 = c2, c
+        w = v.translate(c2.parity)
+    elif v_prime is not None:
+        raise InvalidParameters(f"type {kind} takes no v'")
+
+    free = {"I": PUNCTURES, "II": PUNCTURES, "III": (v, u), "IV": (v, u, w),
+            "V": (v, u), "VI": (v,)}[kind]
+    tags = dict(spec.taggings)
+    if len(tags) != len(spec.taggings):
+        raise InvalidParameters("a puncture is tagged twice")
+    if set(tags) != set(free):
+        raise InvalidParameters(
+            f"type {kind} takes tags at " + ", ".join(f"v{x}" for x in free))
+
+    def arc(s: Slope, x: Puncture, y: Puncture) -> TaggedArc:
+        return TaggedArc(s, ((x, tags[x]), (y, tags[y])))
+
+    def both(s: Slope) -> list[TaggedArc]:
+        return [arc(s, *pair) for pair in endpoint_sets(s)]
+
+    if kind == "I":
+        arcs = [a for s in spec.slopes for a in both(s)]
+    elif kind == "VI":
+        arcs = [a for s in spec.slopes for a in _coinciding_pair(s, v, tags[v])]
     else:
-        if len(spec.slopes) != 2 or farey_distance(*spec.slopes) != 2:
-            raise InvalidParameters("types II-V need a Farey-2 pair")
-
-    if tag == "I":
-        if set(tags) != set(PUNCTURES):
-            raise InvalidParameters("type I needs taggings at all punctures")
-        arcs = []
-        for slope in spec.slopes:
-            for pair in endpoint_sets(slope):
-                arcs.append(
-                    _plain_pair(slope, pair, (vertex_tag(pair[0]), vertex_tag(pair[1])))
-                )
-        return TaggedTriangulation(tuple(arcs))
-
-    if tag == "VI":
-        if spec.v is None or len(tags) != 1 or spec.v not in tags:
-            raise InvalidParameters("type VI needs v and a tagging at v")
-        arcs = []
-        for slope in spec.slopes:
-            arcs.extend(_coinciding_pair(slope, spec.v, vertex_tag(spec.v)))
-        return TaggedTriangulation(tuple(arcs))
-
-    p, q = spec.slopes
-    if spec.v is None:
-        raise InvalidParameters("types II-V need a vertex v")
-    v = spec.v
-    u = _pair_endpoints(p, v)
-    companions = f2_companions(p, q)
-
-    if tag == "II":
-        if not (v.i, v.j) < (u.i, u.j):
-            raise InvalidParameters("type II requires v below its partner mod 2")
-        if set(tags) != set(PUNCTURES):
-            raise InvalidParameters("type II needs taggings at all punctures")
-        arcs = [
-            _plain_pair(s, (v, u), (vertex_tag(v), vertex_tag(u))) for s in (p, q)
-        ]
-        for c in companions:
-            for pair in endpoint_sets(c):
-                arcs.append(
-                    _plain_pair(c, pair, (vertex_tag(pair[0]), vertex_tag(pair[1])))
-                )
-        return TaggedTriangulation(tuple(arcs))
-
-    if tag == "III":
-        if not (v.i, v.j) < (u.i, u.j):
-            raise InvalidParameters("type III requires v below its partner mod 2")
-        if spec.v_prime is None or spec.v_prime in (v, u):
-            raise InvalidParameters("type III needs v' off the Farey-2 pair")
-        if set(tags) != {v, u}:
-            raise InvalidParameters("type III taggings live at the pair endpoints")
-        c = next((c for c in companions if v.translate(c.parity) == spec.v_prime), None)
-        if c is None:
-            raise InvalidParameters("v' unreachable from v by a companion slope")
-        arcs = [
-            _plain_pair(s, (v, u), (vertex_tag(v), vertex_tag(u))) for s in (p, q)
-        ]
-        arcs.extend(_coinciding_pair(c, v, vertex_tag(v)))
-        arcs.extend(_coinciding_pair(c, u, vertex_tag(u)))
-        return TaggedTriangulation(tuple(arcs))
-
-    if tag == "IV":
-        if spec.v_prime is None or spec.v_prime in (v, u):
-            raise InvalidParameters("type IV needs v' off the Farey-2 pair")
-        w = next(x for x in PUNCTURES if x not in (v, u, spec.v_prime))
-        if set(tags) != {v, u, w}:
-            raise InvalidParameters("type IV taggings live off v'")
-        c = next((c for c in companions if v.translate(c.parity) == spec.v_prime), None)
-        if c is None:
-            raise InvalidParameters("v' unreachable from v by a companion slope")
-        c2 = companions[0] if c == companions[1] else companions[1]
-        arcs = [
-            _plain_pair(s, (v, u), (vertex_tag(v), vertex_tag(u))) for s in (p, q)
-        ]
-        arcs.extend(_coinciding_pair(c, v, vertex_tag(v)))
-        arcs.append(_plain_pair(c2, (v, w), (vertex_tag(v), vertex_tag(w))))
-        arcs.append(_plain_pair(c, (u, w), (vertex_tag(u), vertex_tag(w))))
-        return TaggedTriangulation(tuple(arcs))
-
-    if tag == "V":
-        if set(tags) != {v, u}:
-            raise InvalidParameters("type V taggings live at the pair endpoints")
-        arcs = [
-            _plain_pair(s, (v, u), (vertex_tag(v), vertex_tag(u))) for s in (p, q)
-        ]
-        for c in companions:
-            arcs.extend(_coinciding_pair(c, v, vertex_tag(v)))
-        return TaggedTriangulation(tuple(arcs))
-
-    raise InvalidParameters(f"unknown type {tag!r}")
+        arcs = [arc(p, v, u), arc(q, v, u)]
+        if kind == "II":
+            arcs += both(c) + both(c2)
+        elif kind == "III":
+            arcs += _coinciding_pair(c, v, tags[v]) + _coinciding_pair(c, u, tags[u])
+        elif kind == "IV":
+            arcs += _coinciding_pair(c, v, tags[v]) + [arc(c2, v, w), arc(c, u, w)]
+        else:
+            arcs += _coinciding_pair(c, v, tags[v]) + _coinciding_pair(c2, v, tags[v])
+    return TaggedTriangulation(tuple(arcs))
 
 
 def classify(tri: TaggedTriangulation) -> TriType:
@@ -366,12 +324,6 @@ def classify(tri: TaggedTriangulation) -> TriType:
     return TriType("VI", triple, v=v, taggings=((v, common_tag(v)),))
 
 
-def _farey1_triples(slopes: Sequence[Slope]) -> list[tuple[Slope, ...]]:
-    return [
-        t for t in itertools.combinations(slopes, 3) if is_farey1_triple(*t)
-    ]
-
-
 def _farey2_pairs(slopes: Sequence[Slope]) -> list[tuple[Slope, Slope]]:
     return [
         (p, q)
@@ -380,12 +332,7 @@ def _farey2_pairs(slopes: Sequence[Slope]) -> list[tuple[Slope, Slope]]:
     ]
 
 
-_TAGS = (Tagging.PLAIN, Tagging.NOTCHED)
-
-
-def _tag_choices(punctures: Sequence[Puncture]):
-    for combo in itertools.product(_TAGS, repeat=len(punctures)):
-        yield tuple(zip(punctures, combo))
+_TAGS = tuple(Tagging)
 
 
 def enumerate_triangulations(max_height: int) -> Iterator[TaggedTriangulation]:
@@ -400,48 +347,34 @@ def _enumerate_typed(max_height: int) -> Iterator[tuple[TriType, TaggedTriangula
     with the type data it was built from, so callers need not
     :func:`classify` it."""
     slopes = enumerate_slopes(max_height)
-    triples = _farey1_triples(slopes)
-    pairs = _farey2_pairs(slopes)
+    triples = farey1_triples(slopes)
 
-    def built(spec: TriType) -> tuple[TriType, TaggedTriangulation]:
-        return spec, build_type(spec)
+    def parameters():
+        """(type, slopes, v, v', punctures with a free tag) of every spec."""
+        for triple in triples:
+            yield "I", triple, None, None, PUNCTURES
+        for p, q in _farey2_pairs(slopes):
+            vs = [min(pair) for pair in endpoint_sets(p)]
+            companions = f2_companions(p, q)
+            for v in vs:
+                yield "II", (p, q), v, None, PUNCTURES
+            for v in vs:
+                for c in companions:
+                    yield "III", (p, q), v, v.translate(c.parity), (v, v.translate(p.parity))
+            for v in PUNCTURES:
+                for c, c2 in (companions, companions[::-1]):
+                    yield ("IV", (p, q), v, v.translate(c.parity),
+                           (v, v.translate(p.parity), v.translate(c2.parity)))
+            for v in PUNCTURES:
+                yield "V", (p, q), v, None, (v, v.translate(p.parity))
+        for triple in triples:
+            for v in PUNCTURES:
+                yield "VI", triple, v, None, (v,)
 
-    for triple in triples:
-        for tags in _tag_choices(PUNCTURES):
-            yield built(TriType("I", triple, taggings=tags))
-
-    for p, q in pairs:
-        vs = [min(pair) for pair in endpoint_sets(p)]
-        for v in vs:
-            for tags in _tag_choices(PUNCTURES):
-                yield built(TriType("II", (p, q), v=v, taggings=tags))
-        companions = f2_companions(p, q)
-        for v in vs:
-            u = v.translate(p.parity)
-            for c in companions:
-                v_prime = v.translate(c.parity)
-                for tags in _tag_choices((v, u)):
-                    yield built(
-                        TriType("III", (p, q), v=v, v_prime=v_prime, taggings=tags)
-                    )
-        for v in PUNCTURES:
-            u = v.translate(p.parity)
-            for c in companions:
-                v_prime = v.translate(c.parity)
-                w = next(x for x in PUNCTURES if x not in (v, u, v_prime))
-                for tags in _tag_choices((v, u, w)):
-                    yield built(
-                        TriType("IV", (p, q), v=v, v_prime=v_prime, taggings=tags)
-                    )
-        for v in PUNCTURES:
-            u = v.translate(p.parity)
-            for tags in _tag_choices((v, u)):
-                yield built(TriType("V", (p, q), v=v, taggings=tags))
-
-    for triple in triples:
-        for v in PUNCTURES:
-            for tags in _tag_choices((v,)):
-                yield built(TriType("VI", triple, v=v, taggings=tags))
+    for kind, spec_slopes, v, v_prime, free in parameters():
+        for tags in tag_choices(free):
+            spec = TriType(kind, spec_slopes, v=v, v_prime=v_prime, taggings=tags)
+            yield spec, build_type(spec)
 
 
 def _flip_slopes(rest: Sequence[TaggedArc]) -> set[Slope]:

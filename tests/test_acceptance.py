@@ -26,6 +26,7 @@ from spherelam.selftest import SHEAR_FIXTURES
 from spherelam.lattice import (
     Slope,
     enumerate_slopes,
+    farey1_triples,
     farey_distance,
     is_farey1_triple,
     separating_neighbors,
@@ -57,7 +58,6 @@ from spherelam.triangulation import (
     flip,
     mutate,
     signed_adjacency,
-    _farey1_triples,
     _farey2_pairs,
 )
 
@@ -144,7 +144,7 @@ FLIP_PROFILES = {
 
 def test_criterion_05_taxonomy_and_adjacency():
     slopes = enumerate_slopes(3)
-    f1 = len(_farey1_triples(slopes))
+    f1 = len(farey1_triples(slopes))
     f2 = len(_farey2_pairs(slopes))
     expected = {
         "I": f1 * 16,
@@ -236,7 +236,7 @@ def test_criterion_09_fan_axioms_and_locate():
 
 
 def test_criterion_10_torus_projection():
-    triples = _farey1_triples(enumerate_slopes(3))
+    triples = farey1_triples(enumerate_slopes(3))
     slopes = enumerate_slopes(10)
     for triple in triples:
         tri = TypeITri(triple)

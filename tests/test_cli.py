@@ -247,6 +247,37 @@ class TestErrorDocuments:
         self.domain_error(["shear", "--curve",
                            '{"slope":"1/1","ends":[{"v":"00","spiral":"cw"}]}'])
 
+    TRIPLE = ["--p", "0", "--q", "inf", "--r=-1"]
+    PAIR = ["--p", "1/1", "--q=-1/1", "--v", "00"]
+    PLAIN4 = [arg for v in ("00", "01", "10", "11") for arg in ("--tag", f"{v}=plain")]
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["I", *TRIPLE, *PLAIN4, "--tag", "00=notched"], id="tagged-twice"),
+        pytest.param(["I", *TRIPLE, "--v", "00", *PLAIN4], id="I-v"),
+        pytest.param(["II", *PAIR, "--v-prime", "01", *PLAIN4], id="II-v-prime"),
+        pytest.param(["V", *PAIR, "--v-prime", "01", "--tag", "00=plain", "--tag", "11=plain"],
+                     id="V-v-prime"),
+        pytest.param(["VI", *TRIPLE, "--v", "00", "--v-prime", "01", "--tag", "00=plain"],
+                     id="VI-v-prime"),
+    ])
+    def test_triangulate_conflicting_parameters(self, argv):
+        self.domain_error(["triangulate", "--type", *argv])
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["--tri", '{"triple":["0","inf","-1"],"tags":{"0":"notched"}}'],
+                     id="tag-key-not-a-puncture"),
+        pytest.param(["--tri", '{"triple":["0","inf","-1"],"tag":{"00":"notched"}}'],
+                     id="unknown-tri-field"),
+        pytest.param(["--tri", '{"triple":["0","inf"]}'], id="two-slope-triple"),
+        pytest.param(["--curve", '{"closed":"3/2","slope":"1/1"}'], id="closed-and-slope"),
+        pytest.param(["--curve", '{"closed":"3/2","ends":[{"v":"00","spiral":"cw"},'
+                                 '{"v":"11","spiral":"cw"}]}'], id="closed-and-ends"),
+    ])
+    def test_json_fields_that_would_be_ignored(self, argv):
+        if "--curve" not in argv:
+            argv = ["--curve", CURVE_PRIME, *argv]
+        self.domain_error(["shear", *argv])
+
     def test_internal_error(self, monkeypatch):
         def broken_flip(tri, k):
             raise InternalNonUnique("flip produced 0 completions instead of 1")
@@ -342,6 +373,12 @@ class TestColdStart:
             "mutate": (["mutate", "--matrix", B, "--k", "2"], {"plane", "shear", "fan"}),
             "flip": (["flip", "--tri", t0, "--k", "0"], {"plane", "shear", "fan"}),
             "gvectors": (["gvectors", "--max-height", "1"], {"triangulation", "plane"}),
+            "tangle-check": (["tangle-check", "--tangle",
+                              '[{"curve":{"closed":"1/1"},"weight":1}]'],
+                             {"fan", "triangulation", "exactla", "plane"}),
+            "triangulate": (["triangulate", "--type", "VI", "--p", "0", "--q", "inf",
+                             "--r=-1", "--v", "00", "--tag", "00=plain"],
+                            {"fan", "shear", "exactla", "plane"}),
         }
         for name, (argv, absent) in cases.items():
             loaded = _modules_loaded(argv)

@@ -13,6 +13,7 @@ from spherelam.curves import (
     SpiralDir,
     arcs_compatible,
     curves_compatible,
+    endpoint_sets,
     enumerate_arcs,
     enumerate_curves,
     kappa,
@@ -20,7 +21,7 @@ from spherelam.curves import (
 )
 from spherelam.errors import BoundExhausted, InternalError, InternalNonUnique, \
     MalformedInput, RankDeficient
-from spherelam.lattice import INF, Slope, enumerate_slopes
+from spherelam.lattice import INF, Slope, enumerate_slopes, farey1_triples
 from spherelam.shear import GAMMA24, QuasiLamination, Tangle, apply_perm, \
     shear_closed_form, tangle_shear
 from spherelam.triangulation import base_triangulation, classify, \
@@ -93,6 +94,22 @@ class TestCones:
             "VII",
         )
         assert target in fan.closed_collections(slope)
+
+    def test_vii_matches_the_spiral_pair_build(self):
+        # the former build from spiral-agreeing curve pairs, kept as the oracle
+        def spiral_pair(slope, at, direction):
+            far = at.translate(slope.parity)
+            return (AllowableCurve(slope, ((at, direction), (far, CW))),
+                    AllowableCurve(slope, ((at, direction), (far, CCW))))
+
+        for slope in enumerate_slopes(3):
+            first, second = endpoint_sets(slope)
+            oracle = [
+                fan.MaximalCollection((AllowableCurve(slope),) + spiral_pair(slope, v, d1)
+                                      + spiral_pair(slope, v2, d2), "VII")
+                for v in first for v2 in second for d1 in (CW, CCW) for d2 in (CW, CCW)
+            ]
+            assert fan.closed_collections(slope) == oracle
 
     def test_maximality_bounded(self):
         # no curve of bounded height extends a maximal collection
@@ -669,7 +686,7 @@ class TestOnePassBuild:
         assert calls == []
         # one block per built cone, none for its H-representation
         assert fan.induced_torus_check(1)
-        triples = triangulation._farey1_triples(enumerate_slopes(1))
+        triples = farey1_triples(enumerate_slopes(1))
         assert len(calls) == len(triples)
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
@@ -9,6 +11,7 @@ from spherelam.lattice import (
     ZERO,
     Slope,
     enumerate_slopes,
+    farey1_triples,
     farey_distance,
     is_farey1_triple,
     mediant,
@@ -78,6 +81,13 @@ class TestFarey:
         assert is_farey1_triple(ZERO, INF, MINUS_ONE)
         assert is_farey1_triple(ZERO, INF, Slope(1, 1))
         assert not is_farey1_triple(ZERO, INF, Slope(1, 2))
+
+    @pytest.mark.parametrize("h", range(1, 9))
+    def test_farey1_triples_match_the_combinations_filter(self, h):
+        for pool in (enumerate_slopes(h), enumerate_slopes(h)[::-1]):
+            # the former scan over all slope triples, kept as the oracle
+            oracle = [t for t in itertools.combinations(pool, 3) if is_farey1_triple(*t)]
+            assert farey1_triples(pool) == oracle
 
 
 class TestMediant:
@@ -168,12 +178,7 @@ class TestTripleToBasis:
         assert m.is_identity
 
     def test_unimodular(self):
-        import itertools
-
-        pool = enumerate_slopes(3)
-        triples = [
-            t for t in itertools.combinations(pool, 3) if is_farey1_triple(*t)
-        ]
+        triples = farey1_triples(enumerate_slopes(3))
         assert triples
         for t in triples:
             m = triple_to_basis(t)

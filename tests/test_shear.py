@@ -402,3 +402,59 @@ class TestWitness:
         assert t.support
         w = find_witness(t)
         assert w is not None and any(tangle_shear(t, w))
+
+    @pytest.mark.parametrize("max_height", range(1, 5))
+    def test_fallback_matches_the_former_sweep(self, monkeypatch, max_height):
+        from spherelam import shear
+        from spherelam.lattice import is_farey1_triple, separating_neighbors
+
+        def former_sweep(tangle, tried):
+            # the fallback before the shared enumerator, kept as the oracle
+            seen = set(tried)
+            pool = enumerate_slopes(max_height)
+            taggings = [tuple(zip((V00, V01, V10, V11), tags))
+                        for tags in itertools.product(Tagging, repeat=4)]
+            for i, q1 in enumerate(pool):
+                for q2 in pool[i + 1:]:
+                    if abs(q1.a * q2.b - q1.b * q2.a) != 1:
+                        continue
+                    for q3 in pool:
+                        key = frozenset((q1, q2, q3))
+                        if len(key) < 3 or key in seen or not is_farey1_triple(q1, q2, q3):
+                            continue
+                        seen.add(key)
+                        for tags in taggings:
+                            tri = TypeITri((q1, q2, q3), tags)
+                            if any(shear.tangle_shear(tangle, tri)):
+                                return tri
+            return None
+
+        pool = enumerate_curves(3)
+        tangles = [Tangle(((AllowableCurve(Slope(1, 1)), 1),)), Tangle(((LAMBDA, 2),)),
+                   Tangle(((AllowableCurve(INF), 1), (AllowableCurve(Slope(2, -1)), 1)))]
+        tangles += [Tangle(tuple((pool[(7 * k + 3 * j) % len(pool)], j - 1) for j in range(3)))
+                    for k in range(6)]
+        real = shear.tangle_shear
+        for tangle in tangles:
+            # every candidate triple reads zero shear, so the search goes on
+            # to its fallback over the Farey-1 triples up to max_height; so do
+            # some other triples and taggings, so that the first hit is not
+            # the first triple and tagging tried
+            slopes = sorted({c.slope for c in tangle.support})
+            blocked = {frozenset(shear.BASE_TRIPLE)} | {
+                frozenset((f, *separating_neighbors(slopes, f))) for f in slopes}
+
+            def hidden(tri):
+                return (frozenset(tri.triple) in blocked
+                        or sum(s.a + 2 * s.b for s in tri.triple) % 3
+                        or sum(t is Tagging.NOTCHED for _, t in tri.taggings) != 2)
+
+            monkeypatch.setattr(shear, "tangle_shear", lambda t, tri: (
+                (0,) * 6 if hidden(tri) else real(t, tri)))
+            expected = former_sweep(tangle, blocked)
+            if expected is None:
+                with pytest.raises(BoundExhausted):
+                    find_witness(tangle, max_height)
+            else:
+                assert find_witness(tangle, max_height) == expected
+

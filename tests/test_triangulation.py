@@ -15,8 +15,8 @@ from spherelam.curves import (
 )
 from spherelam.errors import InvalidParameters, NotAllPlain
 from spherelam.lattice import (
-    INF, MINUS_ONE, ZERO, Slope, enumerate_slopes, farey_distance, mediant,
-    standard_form,
+    INF, MINUS_ONE, ZERO, Slope, enumerate_slopes, farey1_triples, farey_distance,
+    mediant, standard_form,
 )
 from spherelam.triangulation import (
     FIG1_MATRIX,
@@ -33,7 +33,6 @@ from spherelam.triangulation import (
     _CANONICAL_ADJACENCY,
     _TAGS,
     _box_adjacency,
-    _farey1_triples,
     _farey2_pairs,
     _flip_slopes,
 )
@@ -156,18 +155,33 @@ class TestBuildClassify:
             assert build_type(tt) == tri
 
     def test_invalid_parameters(self):
-        with pytest.raises(InvalidParameters):
-            build_type(TriType("II", (ZERO, INF), v=V00, taggings=ALL_PLAIN))
-        with pytest.raises(InvalidParameters):
+        f1, f2 = (ZERO, INF, MINUS_ONE), (Slope(1, 1), Slope(1, -1))
+        vu = ((V00, PLAIN), (V11, PLAIN))
+        # one spec per rejection rule of build_type, in the order it checks them
+        specs = [
+            TriType("VII", f2, v=V00, taggings=vu),
+            TriType("I", (ZERO, INF, Slope(2, 1)), taggings=ALL_PLAIN),
+            TriType("II", (ZERO, INF), v=V00, taggings=ALL_PLAIN),
+            TriType("VI", f1, taggings=((V00, PLAIN),)),
+            TriType("V", f2, taggings=vu),
             # v must be the smaller endpoint mod 2
-            build_type(
-                TriType("II", (Slope(1, 1), Slope(1, -1)), v=V11, taggings=ALL_PLAIN)
-            )
-        with pytest.raises(InvalidParameters):
-            build_type(
-                TriType("III", (Slope(1, 1), Slope(1, -1)), v=V00, v_prime=V11,
-                        taggings=((V00, PLAIN), (V11, PLAIN)))
-            )
+            TriType("II", f2, v=V11, taggings=ALL_PLAIN),
+            TriType("III", f2, v=V11, v_prime=V01, taggings=vu),
+            TriType("III", f2, v=V00, taggings=vu),
+            TriType("III", f2, v=V00, v_prime=V11, taggings=vu),
+            TriType("IV", f2, v=V00, taggings=vu),
+            TriType("IV", f2, v=V00, v_prime=V11, taggings=vu),
+            # tags outside the free punctures of the type, or missing there
+            TriType("I", f1, taggings=ALL_PLAIN[:3]),
+            TriType("II", f2, v=V00, taggings=vu),
+            TriType("III", f2, v=V00, v_prime=V01, taggings=ALL_PLAIN),
+            TriType("IV", f2, v=V00, v_prime=V01, taggings=vu),
+            TriType("V", f2, v=V00, taggings=ALL_PLAIN),
+            TriType("VI", f1, v=V00, taggings=((V01, PLAIN),)),
+        ]
+        for spec in specs:
+            with pytest.raises(InvalidParameters):
+                build_type(spec)
 
     def test_companions(self):
         r, s = f2_companions(Slope(1, 1), Slope(1, -1))
@@ -179,7 +193,7 @@ class TestBuildClassify:
 class TestEnumeration:
     def test_counts_match_parameter_spaces(self):
         slopes = enumerate_slopes(2)
-        f1 = len(_farey1_triples(slopes))
+        f1 = len(farey1_triples(slopes))
         f2 = len(_farey2_pairs(slopes))
         expected = {
             "I": f1 * 16,
