@@ -17,9 +17,8 @@ import sys
 from typing import TYPE_CHECKING
 
 from .curves import AllowableCurve, TaggedArc, Puncture, Tagging, \
-    arcs_compatible, classify_pair, curves_compatible, json_field
+    arcs_compatible, classify_pair, curves_compatible, json_field, json_object
 from .errors import (
-    BoundExhausted,
     DomainError,
     InternalError,
     MalformedInput,
@@ -309,6 +308,7 @@ def _parse_tangle(text: str) -> Tangle:
         raise MalformedInput("a tangle is a JSON array of {curve, weight} objects")
     weights = []
     for e in entries:
+        e = json_object(e, "curve", "weight")
         curve = AllowableCurve.from_json(json_field(e, "curve", dict))
         if type(e.get("weight")) is not int:
             raise MalformedInput("a tangle weight is an integer")
@@ -411,8 +411,6 @@ def run(argv: list[str]) -> tuple[int, str]:
         out = _DISPATCH[args.command](args)
     except InternalError as e:
         return 3, _error_doc(f"{type(e).__name__}: {e}", "internal")
-    except (DomainError, BoundExhausted) as e:
-        return 1, _error_doc(str(e), "domain")
     except (ValueError, KeyError, json.JSONDecodeError, SphereLamError) as e:
         return 1, _error_doc(f"{type(e).__name__}: {e}", "domain")
     if args.plain:

@@ -60,22 +60,34 @@ PUNCTURES = (V00, V01, V10, V11)
 _JSON_TYPE_NAMES = {str: "string", list: "array", dict: "object"}
 
 
-def json_field(obj, key: str, kind: type):
-    """``obj[key]`` of a JSON object, checked to be a ``kind`` (str, list
-    or dict); anything else is :class:`MalformedInput`."""
-    if not isinstance(obj, dict):
-        raise MalformedInput(f"expected a JSON object, got {obj!r:.60}")
+def json_field(obj: dict, key: str, kind: type):
+    """``obj[key]`` of an object from :func:`json_object`; a value that is not
+    a ``kind`` (str, list or dict) is :class:`MalformedInput`."""
     value = obj.get(key)
     if not isinstance(value, kind):
         raise MalformedInput(f"field {key!r} must be a JSON {_JSON_TYPE_NAMES[kind]}")
     return value
 
 
+def json_object(obj, *fields: str) -> dict:
+    """A JSON object with no field but ``fields``; a field that would be
+    ignored is :class:`MalformedInput`."""
+    if not isinstance(obj, dict):
+        raise MalformedInput(f"expected a JSON object, got {obj!r:.60}")
+    extra = sorted(set(obj) - set(fields))
+    if extra:
+        raise MalformedInput(f"unknown field {extra[0]!r}; the fields are "
+                             + ", ".join(map(repr, fields)))
+    return obj
+
+
 def _json_ends(obj, mark: str) -> list[tuple[Puncture, str]]:
-    """The two endpoints of an arc or curve object: (puncture, obj[mark])."""
-    ends = json_field(obj, "ends", list)
+    """The two endpoints of an arc or curve object {slope, ends}, each end
+    {v, mark}: (puncture, end[mark])."""
+    ends = json_field(json_object(obj, "slope", "ends"), "ends", list)
     if len(ends) != 2:
         raise MalformedInput(f"'ends' must list two endpoints, got {len(ends)}")
+    ends = [json_object(e, "v", mark) for e in ends]
     return [(Puncture.parse(json_field(e, "v", str)), json_field(e, mark, str))
             for e in ends]
 
@@ -161,12 +173,6 @@ class TaggedArc(_ArcOrCurve):
 
     punctures: frozenset[Puncture] = field(init=False, compare=False)
     underlying: tuple = field(init=False, compare=False)
-
-    def tag_at(self, p: Puncture) -> Tagging:
-        for q, tag in self.ends:
-            if q == p:
-                return tag
-        raise KeyError(f"{p} is not an endpoint")
 
     def retag(self, p: Puncture, tag: Tagging) -> "TaggedArc":
         return TaggedArc(
@@ -263,9 +269,7 @@ class AllowableCurve(_ArcOrCurve):
     @staticmethod
     def from_json(obj: dict) -> "AllowableCurve":
         if isinstance(obj, dict) and "closed" in obj:
-            if "slope" in obj or "ends" in obj:
-                raise MalformedInput("a closed curve has no 'slope' or 'ends' field")
-            return AllowableCurve(Slope.parse(obj["closed"]))
+            return AllowableCurve(Slope.parse(json_object(obj, "closed")["closed"]))
         ends = tuple((p, SpiralDir(d)) for p, d in _json_ends(obj, "spiral"))
         slope = Slope.parse(json_field(obj, "slope", str))
         return AllowableCurve(slope, ends)  # type: ignore[arg-type]

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .curves import AllowableCurve, SpiralDir
 from .lattice import _egcd
-from .shear import BASE_TRI, TypeITri
+from .shear import BASE_TRI, TypeITri, _closed_lift_start
 
 Window = tuple[int, int, int, int]  # xmin, ymin, xmax, ymax
 
@@ -103,8 +103,7 @@ def curve_polyline(curve: AllowableCurve, window: Window):
     curves, the lattice segment for spiraling ones."""
     a, b = curve.slope.vector
     if curve.is_closed:
-        p0 = (Fraction(1, 2 * abs(b)), Fraction(0)) if b else (Fraction(0), Fraction(1, 2))
-        return _clip_line(p0, (a, b), window)
+        return _clip_line(_closed_lift_start(a, b), (a, b), window)
     (p, _), _ = curve.ends  # type: ignore[misc]
     start = (Fraction(p.i), Fraction(p.j))
     return (start, (start[0] + a, start[1] + b))

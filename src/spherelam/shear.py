@@ -18,6 +18,7 @@ sweeps this identity over all curves of bounded height.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +34,7 @@ from .curves import (
     curves_compatible,
     endpoint_sets,
     json_field,
+    json_object,
     tag_choices,
 )
 from .errors import BoundExhausted, InternalError, MalformedInput, NotFareyTriple, \
@@ -288,18 +290,10 @@ def _rotation_to_nonnegative(s: Slope) -> UnimodularMap:
     return RHO2 if -b >= a else RHO
 
 
-_CLOSED_FORM_CACHE: dict[AllowableCurve, ShearVector] = {}
-
-
 def shear_closed_form(curve: AllowableCurve) -> ShearVector:
     """Shear coordinates of any allowable curve with respect to the base
     triangulation, by closed formulas plus coordinate permutations."""
-    cached = _CLOSED_FORM_CACHE.get(curve)
-    if cached is not None:
-        return cached
-    vec = _closed_form(curve)
-    _CLOSED_FORM_CACHE[curve] = vec
-    return vec
+    return _cached_closed_form(curve)
 
 
 def _closed_form(curve: AllowableCurve) -> ShearVector:
@@ -323,6 +317,10 @@ def _closed_form(curve: AllowableCurve) -> ShearVector:
     return apply_perm(_UNROTATE[rot], _closed_form(curve.image(rot)))
 
 
+# above the 1656 curves of height <= 12 and the 1152 of the cone index's cap 10
+_cached_closed_form = functools.lru_cache(maxsize=4096)(_closed_form)
+
+
 def _base_open(curve: AllowableCurve) -> ShearVector:
     """Open curve of slope in [0, inf]: normalize the endpoint set to the
     one containing v00 by a translation, apply the matching base formula,
@@ -343,6 +341,11 @@ def _base_open(curve: AllowableCurve) -> ShearVector:
 # ---------------------------------------------------------------------------
 
 
+def _closed_lift_start(a: int, b: int) -> tuple[Fraction, Fraction]:
+    """The start, off the lattice lines, of the lift of the closed curve (a, b)."""
+    return (Fraction(1, 2 * abs(b)), Fraction(0)) if b else (Fraction(0), Fraction(1, 2))
+
+
 def shear_oracle(curve: AllowableCurve) -> ShearVector:
     """Shear coordinates by exact crossing geometry in the lifted plane.
 
@@ -357,7 +360,7 @@ def shear_oracle(curve: AllowableCurve) -> ShearVector:
 
     a, b = curve.slope.vector
     if curve.is_closed:
-        start = (Fraction(1, 2 * abs(b)), Fraction(0)) if b else (Fraction(0), Fraction(1, 2))
+        start = _closed_lift_start(a, b)
         period = (2 * a, 2 * b)
         xs = plane.segment_crossings(start, period, Fraction(0), Fraction(1), include_lo=True)
         n = len(xs)
@@ -430,12 +433,10 @@ class TypeITri:
 
     @staticmethod
     def from_json(obj: dict) -> "TypeITri":
+        obj = json_object(obj, "triple", "tags")
         triple = tuple(Slope.parse(s) for s in json_field(obj, "triple", list))
         if len(triple) != 3:
             raise MalformedInput(f"'triple' lists three slopes, got {len(triple)}")
-        if set(obj) - {"triple", "tags"}:
-            raise MalformedInput("a type-I triangulation has only the fields "
-                                 f"'triple' and 'tags', got {sorted(obj)}")
         tags = json_field(obj, "tags", dict) if "tags" in obj else {}
         if set(tags) - {str(p) for p in PUNCTURES}:
             raise MalformedInput("tags are keyed by the punctures 00, 01, 10, 11, "
@@ -555,7 +556,7 @@ def _torus_base(a: int, b: int) -> tuple[int, int, int]:
     computed from the cyclic crossing word of one period."""
     from . import plane
 
-    start = (Fraction(1, 2 * abs(b)), Fraction(0)) if b else (Fraction(0), Fraction(1, 2))
+    start = _closed_lift_start(a, b)
     xs = plane.segment_crossings(start, (a, b), Fraction(0), Fraction(1), include_lo=True)
     letters = [c.family for c in xs if c.family in ("h", "v")]
     x1 = -sum(1 for l in letters if l == "h")

@@ -19,6 +19,8 @@ in arc order:
 
 Types are parametrized exactly as enumerated by :func:`enumerate_triangulations`
 and recognized by :func:`classify`; :func:`build_type` inverts classify.
+All three read u, w, c, c2 and the punctures whose tag the type leaves free
+from :func:`_frame`, the one statement of them.
 
 Neither kernel depends on the height.  :func:`flip` tries at most 12
 candidate slopes: with s, t two distinct remaining slopes and
@@ -34,6 +36,7 @@ genuine cross-check.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -186,30 +189,26 @@ def _coinciding_pair(slope: Slope, agree_at: Puncture, tag: Tagging) -> list[Tag
     ]
 
 
-def build_type(spec: TriType) -> TaggedTriangulation:
-    """The unique tagged triangulation with the given type data, its arcs in
-    the order of the module docstring.
-
-    The spec must give exactly the parameters its type takes, and one tag
-    at each puncture whose tag the type leaves free: all four for I and II,
-    v and u for III and V, v, u and w for IV, v for VI.
-    """
-    kind, v, v_prime = spec.tag, spec.v, spec.v_prime
+def _frame(kind: str, slopes: tuple[Slope, ...], v: Puncture | None,
+           v_prime: Puncture | None):
+    """(u, w, c, c2, free) of a type with these slopes (in any order), v and v':
+    u ends the Farey-2 pair at v, w is IV's fourth puncture, companion c leads
+    from v to v' and c2 is the other (None where the type has none); free
+    lists the punctures whose tag the type leaves free.  Checks all but tags."""
     if kind not in ("I", "II", "III", "IV", "V", "VI"):
         raise InvalidParameters(f"unknown type {kind!r}")
     if kind in ("I", "VI"):
-        if len(spec.slopes) != 3 or not is_farey1_triple(*spec.slopes):
+        if len(slopes) != 3 or not is_farey1_triple(*slopes):
             raise InvalidParameters("types I and VI need a Farey-1 triple")
-    elif len(spec.slopes) != 2 or farey_distance(*spec.slopes) != 2:
+    elif len(slopes) != 2 or farey_distance(*slopes) != 2:
         raise InvalidParameters("types II-V need a Farey-2 pair")
     if (v is None) != (kind == "I"):
         raise InvalidParameters(
             "type I takes no vertex v" if v is not None else f"type {kind} needs a vertex v")
-    u = w = None
+    u = w = c = c2 = None
     if kind not in ("I", "VI"):
-        p, q = spec.slopes
-        u = v.translate(p.parity)
-        c, c2 = f2_companions(p, q)
+        u = v.translate(slopes[0].parity)
+        c, c2 = f2_companions(*slopes)
         if kind in ("II", "III") and not v < u:
             raise InvalidParameters(f"type {kind} requires v below its partner mod 2")
     if kind in ("III", "IV"):
@@ -222,15 +221,16 @@ def build_type(spec: TriType) -> TaggedTriangulation:
         w = v.translate(c2.parity)
     elif v_prime is not None:
         raise InvalidParameters(f"type {kind} takes no v'")
-
     free = {"I": PUNCTURES, "II": PUNCTURES, "III": (v, u), "IV": (v, u, w),
             "V": (v, u), "VI": (v,)}[kind]
-    tags = dict(spec.taggings)
-    if len(tags) != len(spec.taggings):
-        raise InvalidParameters("a puncture is tagged twice")
-    if set(tags) != set(free):
-        raise InvalidParameters(
-            f"type {kind} takes tags at " + ", ".join(f"v{x}" for x in free))
+    return u, w, c, c2, free
+
+
+def _assemble(kind: str, slopes: tuple[Slope, ...], v: Puncture | None, frame,
+              tags: dict[Puncture, Tagging]) -> TaggedTriangulation:
+    """The arcs of the module docstring's table, in its order, for ``slopes``
+    sorted as :class:`TriType` keeps them and a tag at each free puncture."""
+    u, w, c, c2, _ = frame
 
     def arc(s: Slope, x: Puncture, y: Puncture) -> TaggedArc:
         return TaggedArc(s, ((x, tags[x]), (y, tags[y])))
@@ -239,11 +239,11 @@ def build_type(spec: TriType) -> TaggedTriangulation:
         return [arc(s, *pair) for pair in endpoint_sets(s)]
 
     if kind == "I":
-        arcs = [a for s in spec.slopes for a in both(s)]
+        arcs = [a for s in slopes for a in both(s)]
     elif kind == "VI":
-        arcs = [a for s in spec.slopes for a in _coinciding_pair(s, v, tags[v])]
+        arcs = [a for s in slopes for a in _coinciding_pair(s, v, tags[v])]
     else:
-        arcs = [arc(p, v, u), arc(q, v, u)]
+        arcs = [arc(s, v, u) for s in slopes]
         if kind == "II":
             arcs += both(c) + both(c2)
         elif kind == "III":
@@ -255,73 +255,55 @@ def build_type(spec: TriType) -> TaggedTriangulation:
     return TaggedTriangulation(tuple(arcs))
 
 
+def build_type(spec: TriType) -> TaggedTriangulation:
+    """The unique tagged triangulation with the given type data, its arcs in
+    the order of the module docstring.
+
+    The spec must give exactly the parameters its type takes, and one tag
+    at each puncture whose tag the type leaves free (:func:`_frame`).
+    """
+    frame = _frame(spec.tag, spec.slopes, spec.v, spec.v_prime)
+    free = frame[-1]
+    tags = dict(spec.taggings)
+    if len(tags) != len(spec.taggings):
+        raise InvalidParameters("a puncture is tagged twice")
+    if set(tags) != set(free):
+        raise InvalidParameters(
+            f"type {spec.tag} takes tags at " + ", ".join(f"v{x}" for x in free))
+    return _assemble(spec.tag, spec.slopes, spec.v, frame, tags)
+
+
 def classify(tri: TaggedTriangulation) -> TriType:
     """Type and determining data of a triangulation (inverse of
-    :func:`build_type` up to arc order)."""
-    arcs = tri.arcs
-    deg = {p: 0 for p in PUNCTURES}
-    for arc in arcs:
-        for pt in arc.punctures:
-            deg[pt] += 1
-    groups: dict = {}
-    for arc in arcs:
-        groups.setdefault(arc.underlying, []).append(arc)
-    coinciding = {u: g for u, g in groups.items() if len(g) == 2}
-    f2 = [
-        (x, y)
-        for x, y in itertools.combinations(arcs, 2)
-        if x.slope != y.slope and farey_distance(x.slope, y.slope) == 2
-        and x.punctures == y.punctures
-    ]
-    degseq = tri.degree_sequence
+    :func:`build_type` up to arc order).
 
-    def common_tag(p: Puncture) -> Tagging:
-        seen = {arc.tag_at(p) for arc in arcs if p in arc.punctures}
+    The degrees, the Farey-2 pair (types II-V) and the coinciding pairs
+    give the type, its slopes, v and v'; the taggings are the common tag
+    of the arcs at each puncture :func:`_frame` leaves free.
+    """
+    arcs = tri.arcs
+    f2 = next(((x, y) for x, y in itertools.combinations(arcs, 2)
+               if x.punctures == y.punctures and x.slope != y.slope
+               and farey_distance(x.slope, y.slope) == 2), None)
+    pairs = [pts for (_, pts), n in
+             Counter(arc.underlying for arc in arcs).items() if n == 2]
+    kind = {(3, 3, 3, 3): "I", (2, 2, 4, 4): "III" if pairs else "II", (2, 2, 3, 5): "IV",
+            (2, 2, 2, 6): "V" if f2 else "VI"}[tri.degree_sequence]
+    slopes = (f2[0].slope, f2[1].slope) if f2 else tuple({arc.slope for arc in arcs})
+    v = v_prime = None
+    if kind in ("II", "III"):
+        v = min(f2[0].punctures)
+    elif kind != "I":
+        v = max(PUNCTURES, key=lambda p: sum(p in arc.punctures for arc in arcs))
+    if kind in ("III", "IV"):
+        v_prime = next(p for pts in pairs if v in pts for p in pts if p != v)
+    taggings = []
+    for p in _frame(kind, slopes, v, v_prime)[-1]:
+        seen = {t for arc in arcs for q, t in arc.ends if q == p}
         if len(seen) != 1:
             raise InternalError(f"mixed tags at v{p} outside a coinciding end")
-        return seen.pop()
-
-    if degseq == (3, 3, 3, 3):
-        triple = tuple(sorted({arc.slope for arc in arcs}))
-        taggings = tuple((p, common_tag(p)) for p in PUNCTURES)
-        return TriType("I", triple, taggings=taggings)
-
-    if degseq == (2, 2, 4, 4) and not coinciding:
-        x, y = f2[0]
-        v = min(x.punctures)
-        taggings = tuple((p, common_tag(p)) for p in PUNCTURES)
-        return TriType("II", (x.slope, y.slope), v=v, taggings=taggings)
-
-    if degseq == (2, 2, 4, 4):
-        x, y = f2[0]
-        v, u = sorted(x.punctures)
-        pair_group = next(g for (s, pts), g in coinciding.items() if v in pts)
-        v_prime = next(p for p in pair_group[0].punctures if p != v)
-        taggings = ((v, common_tag(v)), (u, common_tag(u)))
-        return TriType("III", (x.slope, y.slope), v=v, v_prime=v_prime,
-                       taggings=taggings)
-
-    if degseq == (2, 2, 3, 5):
-        v = next(p for p in PUNCTURES if deg[p] == 5)
-        x, y = f2[0]
-        u = next(p for p in x.punctures if p != v)
-        pair_group = next(iter(coinciding.values()))
-        v_prime = next(p for p in pair_group[0].punctures if p != v)
-        w = next(p for p in PUNCTURES if p not in (v, u, v_prime))
-        taggings = tuple((p, common_tag(p)) for p in (v, u, w))
-        return TriType("IV", (x.slope, y.slope), v=v, v_prime=v_prime,
-                       taggings=taggings)
-
-    if degseq == (2, 2, 2, 6) and f2:
-        v = next(p for p in PUNCTURES if deg[p] == 6)
-        x, y = f2[0]
-        u = next(p for p in x.punctures if p != v)
-        taggings = ((v, common_tag(v)), (u, common_tag(u)))
-        return TriType("V", (x.slope, y.slope), v=v, taggings=taggings)
-
-    v = next(p for p in PUNCTURES if deg[p] == 6)
-    triple = tuple(sorted({arc.slope for arc in arcs}))
-    return TriType("VI", triple, v=v, taggings=((v, common_tag(v)),))
+        taggings.append((p, seen.pop()))
+    return TriType(kind, slopes, v=v, v_prime=v_prime, taggings=tuple(taggings))
 
 
 def _farey2_pairs(slopes: Sequence[Slope]) -> list[tuple[Slope, Slope]]:
@@ -330,9 +312,6 @@ def _farey2_pairs(slopes: Sequence[Slope]) -> list[tuple[Slope, Slope]]:
         for p, q in itertools.combinations(slopes, 2)
         if farey_distance(p, q) == 2
     ]
-
-
-_TAGS = tuple(Tagging)
 
 
 def enumerate_triangulations(max_height: int) -> Iterator[TaggedTriangulation]:
@@ -350,31 +329,28 @@ def _enumerate_typed(max_height: int) -> Iterator[tuple[TriType, TaggedTriangula
     triples = farey1_triples(slopes)
 
     def parameters():
-        """(type, slopes, v, v', punctures with a free tag) of every spec."""
+        """(type, slopes, v, v') of every spec."""
         for triple in triples:
-            yield "I", triple, None, None, PUNCTURES
+            yield "I", triple, None, None
         for p, q in _farey2_pairs(slopes):
             vs = [min(pair) for pair in endpoint_sets(p)]
             companions = f2_companions(p, q)
             for v in vs:
-                yield "II", (p, q), v, None, PUNCTURES
-            for v in vs:
-                for c in companions:
-                    yield "III", (p, q), v, v.translate(c.parity), (v, v.translate(p.parity))
+                yield "II", (p, q), v, None
+            for kind, kind_vs in (("III", vs), ("IV", PUNCTURES)):
+                for v, c in itertools.product(kind_vs, companions):
+                    yield kind, (p, q), v, v.translate(c.parity)
             for v in PUNCTURES:
-                for c, c2 in (companions, companions[::-1]):
-                    yield ("IV", (p, q), v, v.translate(c.parity),
-                           (v, v.translate(p.parity), v.translate(c2.parity)))
-            for v in PUNCTURES:
-                yield "V", (p, q), v, None, (v, v.translate(p.parity))
+                yield "V", (p, q), v, None
         for triple in triples:
             for v in PUNCTURES:
-                yield "VI", triple, v, None, (v,)
+                yield "VI", triple, v, None
 
-    for kind, spec_slopes, v, v_prime, free in parameters():
-        for tags in tag_choices(free):
+    for kind, spec_slopes, v, v_prime in parameters():
+        frame = _frame(kind, spec_slopes, v, v_prime)
+        for tags in tag_choices(frame[-1]):
             spec = TriType(kind, spec_slopes, v=v, v_prime=v_prime, taggings=tags)
-            yield spec, build_type(spec)
+            yield spec, _assemble(kind, spec.slopes, v, frame, dict(tags))
 
 
 def _flip_slopes(rest: Sequence[TaggedArc]) -> set[Slope]:
@@ -415,22 +391,22 @@ def flip(tri: TaggedTriangulation, k: int) -> TaggedTriangulation:
     rest_slopes = [a.slope for a in rest]
 
     found = []
+    tag_pairs = tuple(itertools.product(Tagging, repeat=2))
     for slope in sorted(_flip_slopes(rest)):
         if any(farey_distance(slope, s) > 2 for s in rest_slopes):
             continue
         for pair in endpoint_sets(slope):
-            for t0 in _TAGS:
-                for t1 in _TAGS:
-                    cand = TaggedArc(slope, ((pair[0], t0), (pair[1], t1)))
-                    if cand == removed or cand in rest:
-                        continue
-                    if not all(arcs_compatible(cand, a) for a in rest):
-                        continue
-                    try:
-                        new = TaggedTriangulation(rest[:k] + (cand,) + rest[k:])
-                    except ValueError:
-                        continue
-                    found.append(new)
+            for t0, t1 in tag_pairs:
+                cand = TaggedArc(slope, ((pair[0], t0), (pair[1], t1)))
+                if cand == removed or cand in rest:
+                    continue
+                if not all(arcs_compatible(cand, a) for a in rest):
+                    continue
+                try:
+                    new = TaggedTriangulation(rest[:k] + (cand,) + rest[k:])
+                except ValueError:
+                    continue
+                found.append(new)
     if len(found) != 1:
         raise InternalNonUnique(
             f"flip produced {len(found)} completions instead of 1"

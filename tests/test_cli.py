@@ -278,6 +278,36 @@ class TestErrorDocuments:
             argv = ["--curve", CURVE_PRIME, *argv]
         self.domain_error(["shear", *argv])
 
+    ARC = '{"slope":"1/1","ends":[{"v":"00","tag":"plain"},{"v":"11","tag":"%s"%s}]%s}'
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["compat", "--a", ARC % ("plain", ',"spiral":"cw"', ',"weight":3'),
+                      "--b", ARC % ("notched", "", "")], id="arc-and-end-fields"),
+        pytest.param(["compat", "--a", ARC % ("plain", ',"spiral":"cw"', ""),
+                      "--b", ARC % ("notched", "", "")], id="arc-end-field"),
+        pytest.param(["compat", "--a", ARC % ("plain", "", ',"weight":3'),
+                      "--b", ARC % ("notched", "", "")], id="arc-field"),
+        pytest.param(["shear", "--curve", CURVE_PRIME[:-1] + ',"weight":3}'], id="curve-field"),
+        pytest.param(["shear", "--curve", CURVE_PRIME.replace('"cw"}', '"cw","tag":"plain"}', 1)],
+                     id="curve-end-field"),
+        pytest.param(["shear", "--curve", '{"closed":"3/2","weight":1}'], id="closed-field"),
+        pytest.param(["tangle-check", "--tangle",
+                      '[{"curve":{"closed":"1/1"},"weight":1,"w":2}]'], id="tangle-entry-field"),
+    ])
+    def test_unknown_json_fields(self, argv):
+        doc = json.loads(fails(argv))
+        assert doc["kind"] == "domain"
+        assert doc["error"].startswith("MalformedInput: unknown field"), doc
+
+    @pytest.mark.parametrize("argv, error_class", [
+        (["triangulate", "--type", "I", *TRIPLE, "--tag", "00=plain", "--tag", "00=notched"],
+         "InvalidParameters:"),
+        (["locate", "--vector", "[-3,2,1,-3,2,1]", "--max-height", "1"], "BoundExhausted:"),
+    ])
+    def test_error_names_its_class(self, argv, error_class):
+        doc = json.loads(fails(argv))
+        assert doc["kind"] == "domain" and doc["error"].startswith(error_class), doc
+
     def test_internal_error(self, monkeypatch):
         def broken_flip(tri, k):
             raise InternalNonUnique("flip produced 0 completions instead of 1")
@@ -376,6 +406,7 @@ class TestColdStart:
             "tangle-check": (["tangle-check", "--tangle",
                               '[{"curve":{"closed":"1/1"},"weight":1}]'],
                              {"fan", "triangulation", "exactla", "plane"}),
+            "classify": (["classify", "--tri", t0], {"fan", "shear", "exactla", "plane"}),
             "triangulate": (["triangulate", "--type", "VI", "--p", "0", "--q", "inf",
                              "--r=-1", "--v", "00", "--tag", "00=plain"],
                             {"fan", "shear", "exactla", "plane"}),

@@ -173,6 +173,17 @@ class TestAgreement:
             except UnsupportedBaseCase:
                 pass
 
+    def test_closed_form_cache_is_bounded(self):
+        from spherelam import shear
+
+        shear._cached_closed_form.cache_clear()
+        curves = enumerate_curves(22)
+        assert len(curves) > 4096
+        for c in curves:
+            assert shear_closed_form(c) == shear._closed_form(c), c
+        info = shear._cached_closed_form.cache_info()
+        assert info.currsize == info.maxsize == 4096
+
     def test_degenerate_slopes_exhaustive(self):
         # every curve on the three arc-parallel slopes, against the oracle
         from spherelam.curves import endpoint_sets

@@ -31,8 +31,8 @@ from spherelam.triangulation import (
     mutate,
     signed_adjacency,
     _CANONICAL_ADJACENCY,
-    _TAGS,
     _box_adjacency,
+    _enumerate_typed,
     _farey2_pairs,
     _flip_slopes,
 )
@@ -57,7 +57,7 @@ def sweep_flip(tri, k):
         if any(farey_distance(slope, a.slope) > 2 for a in rest):
             continue
         for pair in endpoint_sets(slope):
-            for t0, t1 in itertools.product(_TAGS, repeat=2):
+            for t0, t1 in itertools.product(Tagging, repeat=2):
                 cand = TaggedArc(slope, ((pair[0], t0), (pair[1], t1)))
                 if cand == removed or cand in rest:
                     continue
@@ -153,6 +153,12 @@ class TestBuildClassify:
         for tri in enumerate_triangulations(2):
             tt = classify(tri)
             assert build_type(tt) == tri
+
+    @pytest.mark.parametrize("height", [1, 2, 3])
+    def test_classify_recovers_enumerated_spec(self, height):
+        # the exact spec, so an equivalent but different v or v' fails
+        for spec, tri in _enumerate_typed(height):
+            assert classify(tri) == spec, spec
 
     def test_invalid_parameters(self):
         f1, f2 = (ZERO, INF, MINUS_ONE), (Slope(1, 1), Slope(1, -1))
