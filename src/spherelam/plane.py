@@ -6,19 +6,20 @@ vertices on the integer lattice.  This module enumerates transversal
 crossings of lifted curves with that arrangement, scores each crossing
 -1/0/+1 from the quadrilateral surrounding the crossed arc, and extracts
 triangular faces of more general lifted-segment arrangements (used for
-signed adjacency matrices).  Everything is Fraction-exact.
+signed adjacency matrices).  Everything is exact integer arithmetic: the
+points of one lift are integer numerators over one common denominator
+``den``, chosen by the caller so that every crossing point and every
+spiral offset of that lift is a multiple of ``1/den``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InternalError
 
-Point = tuple[Fraction, Fraction]
 IPoint = tuple[int, int]
 
 # (family, parity of k) -> coordinate slot in the 6-vector
@@ -33,8 +34,7 @@ FAMILY_INDEX = {
 class Crossing:
     family: str          # 'h' | 'v' | 'd'
     k: int               # line index within the family
-    point: Point
-    t: Fraction | None = None   # position along a straight parametrization
+    point: IPoint        # numerators over the lift's denominator
 
     @property
     def slot(self) -> int:
@@ -68,8 +68,8 @@ _INCIDENT_DIRS: tuple[tuple[IPoint, int], ...] = (
 _SPIRAL_WRAPS = 2
 
 
-def _dir_crossing(base: IPoint, u: IPoint, delta: Fraction) -> Crossing:
-    point = (base[0] + delta * u[0], base[1] + delta * u[1])
+def _dir_crossing(base: IPoint, u: IPoint, den: int, delta: int) -> Crossing:
+    point = (base[0] * den + delta * u[0], base[1] * den + delta * u[1])
     if u[1] == 0:
         family, k = "h", base[1]
     elif u[0] == 0:
@@ -85,11 +85,15 @@ def spiral_crossings(
     ccw: bool,
     at_end: bool,
     interior_side_left: bool,
-    eps: Fraction,
+    eps: int,
+    den: int,
 ) -> list[Crossing]:
     """Effective crossings of a spiral end with the arcs incident to its
     lattice point, in curve order.
 
+    The i-th crossing counted from the outside in lies at distance
+    ``eps / 2**i`` (numerators over ``den``) from the lattice point, so
+    ``eps`` must be divisible by ``2**(6*_SPIRAL_WRAPS - 1)``.
     A starting spiral emerges from its wraps and leaves along ``direction``;
     an ending spiral arrives along ``direction`` and winds in.  Deep-wrap
     crossings all score 0 (their neighboring crossings share the spiral
@@ -99,25 +103,23 @@ def spiral_crossings(
     that line the straight part of the curve runs (left of the travel
     direction iff the starting spiral winds counterclockwise).
     """
-    if at_end:
-        ref = pseudo_angle((-direction[0], -direction[1]))
-    else:
-        ref = pseudo_angle(direction)
-    offsets: list[tuple[Fraction, IPoint]] = []
+    ref = pseudo_angle((-direction[0], -direction[1]) if at_end else direction)
+    # offsets in units of 1/q of a pseudo-angle step, one turn being 8q
+    n, q = ref.numerator, ref.denominator
+    offsets: list[tuple[int, IPoint]] = []
     for u, ang in _INCIDENT_DIRS:
-        off = Fraction((ang - ref) % 8 if ccw else (ref - ang) % 8)
+        off = (ang * q - n) % (8 * q) if ccw else (n - ang * q) % (8 * q)
         if off == 0:
             if at_end:
                 include_first = interior_side_left if ccw else not interior_side_left
-                off = Fraction(0) if include_first else Fraction(8)
+                off = 0 if include_first else 8 * q
             else:
-                off = Fraction(8)
+                off = 8 * q
         for w in range(_SPIRAL_WRAPS):
-            offsets.append((off + 8 * w, u))
+            offsets.append((off + 8 * q * w, u))
     offsets.sort(key=lambda e: e[0])
-    # offsets[i] is the i-th crossing counted from the outside in
     crossings = [
-        _dir_crossing(base, u, eps / (2 ** rank))
+        _dir_crossing(base, u, den, eps >> rank)
         for rank, (_, u) in enumerate(offsets)
     ]
     if not at_end:
@@ -125,79 +127,74 @@ def spiral_crossings(
     return crossings
 
 
-def _line_hits(
-    c0: Fraction, rate: int, t_lo: Fraction, t_hi: Fraction, include_lo: bool,
-) -> Iterator[tuple[int, Fraction]]:
-    """Integer levels k reached by c0 + t*rate for t in (t_lo, t_hi),
-    or in [t_lo, t_hi) when include_lo."""
-    if rate == 0:
-        return
-    v_start = c0 + t_lo * rate
-    v_stop = c0 + t_hi * rate
-    lo, hi = (v_start, v_stop) if rate > 0 else (v_stop, v_start)
-    for k in range(math.floor(lo), math.floor(hi) + 2):
-        if lo < k < hi:
-            yield k, Fraction(k - c0, rate)
-        elif include_lo and k == v_start:
-            yield k, t_lo
-    return
+def _levels(c0: int, rate: int, den: int, include_lo: bool) -> range:
+    """The integers k with k*den strictly between c0 and c0 + rate*den,
+    and k*den == c0 as well when include_lo."""
+    fl, cl = c0 // den, -(-c0 // den)
+    if rate > 0:
+        return range(cl if include_lo else fl + 1, cl + rate)
+    if rate < 0:
+        return range(fl + rate + 1, fl + 1 if include_lo else cl)
+    return range(0)
 
 
 def segment_crossings(
-    start: Point,
+    start: IPoint,
     direction: IPoint,
-    t_lo: Fraction,
-    t_hi: Fraction,
+    den: int,
     include_lo: bool = False,
 ) -> list[Crossing]:
-    """Transversal crossings of p(t) = start + t*direction with the three
-    line families, t in the given window, sorted along the curve."""
+    """Transversal crossings of p(t) = start/den + t*direction with the
+    three line families for t in (0, 1), or [0, 1) when include_lo,
+    sorted along the curve.  ``den`` must make every crossing point exact
+    over it: a multiple of each nonzero one of |dx|, |dy| and |dx + dy|,
+    with start's numerators multiples of them as well."""
     x0, y0 = start
     dx, dy = direction
-    out: list[Crossing] = []
-    for family, c0, rate in (("h", y0, dy), ("v", x0, dx), ("d", x0 + y0, dx + dy)):
-        for k, t in _line_hits(Fraction(c0), rate, t_lo, t_hi, include_lo):
-            pt = (x0 + t * dx, y0 + t * dy)
-            out.append(Crossing(family, k, pt, t))
-    out.sort(key=lambda c: c.t)
+    out = [Crossing("h", k, (x0 + (k * den - y0) * dx // dy, k * den))
+           for k in _levels(y0, dy, den, include_lo)]
+    out += [Crossing("v", k, (k * den, y0 + (k * den - x0) * dy // dx))
+            for k in _levels(x0, dx, den, include_lo)]
+    s = dx + dy
+    for k in _levels(x0 + y0, s, den, include_lo):
+        x = x0 + (k * den - x0 - y0) * dx // s
+        out.append(Crossing("d", k, (x, k * den - x)))
+    # the projection on the direction grows with t
+    out.sort(key=lambda c: c.point[0] * dx + c.point[1] * dy)
     return out
 
 
-def _floor_frac(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
-def quad_cycle(c: Crossing) -> tuple[IPoint, IPoint, IPoint, IPoint]:
+def quad_cycle(c: Crossing, den: int) -> tuple[IPoint, IPoint, IPoint, IPoint]:
     """The quadrilateral around the arc segment crossed at c, as a vertex
-    cycle (U, A, V, B) with U, V the segment endpoints.  Sides (U,A) and
-    (B,U) are adjacent to U; sides (A,V) and (V,B) to V."""
+    cycle (U, A, V, B) of lattice points with U, V the segment endpoints.
+    Sides (U,A) and (B,U) are adjacent to U; sides (A,V) and (V,B) to V."""
     if c.family == "h":
-        j, k = _floor_frac(c.point[0]), c.k
+        j, k = c.point[0] // den, c.k
         return ((j, k), (j + 1, k - 1), (j + 1, k), (j, k + 1))
     if c.family == "v":
-        j, k = _floor_frac(c.point[1]), c.k
+        j, k = c.point[1] // den, c.k
         return ((k, j), (k + 1, j), (k, j + 1), (k - 1, j + 1))
-    j, k = _floor_frac(c.point[0]), c.k
+    j, k = c.point[0] // den, c.k
     # unit square [j, j+1] x [k-j-1, k-j] split by its diagonal
     return ((j, k - j), (j, k - j - 1), (j + 1, k - j - 1), (j + 1, k - j))
 
 
-def _on_segment(p: Point, a: IPoint, b: IPoint) -> bool:
+def _on_segment(p: IPoint, a: IPoint, b: IPoint) -> bool:
     ax, ay = a
-    bx, by = b
-    px, py = p
-    if (bx - ax) * (py - ay) != (by - ay) * (px - ax):
+    ex, ey = b[0] - ax, b[1] - ay
+    px, py = p[0] - ax, p[1] - ay
+    if ex * py != ey * px:
         return False
-    dot = (px - ax) * (bx - ax) + (py - ay) * (by - ay)
-    return 0 <= dot <= (bx - ax) ** 2 + (by - ay) ** 2
+    return 0 <= px * ex + py * ey <= ex * ex + ey * ey
 
 
-def score_crossing(c: Crossing, entry: Point | None, exit: Point | None) -> int:
+def score_crossing(c: Crossing, entry: IPoint | None, exit: IPoint | None, den: int) -> int:
     """-1, 0 or +1 contribution of one crossing, decided by the sides of
-    its quadrilateral through which the curve enters and leaves."""
+    its quadrilateral through which the curve enters and leaves.  All
+    points are numerators over ``den``."""
     if entry is None or exit is None:
         return 0
-    U, A, V, B = quad_cycle(c)
+    U, A, V, B = [(x * den, y * den) for x, y in quad_cycle(c, den)]
     sides = ((U, A, U), (A, V, V), (V, B, V), (B, U, U))  # (corner, corner, near endpoint)
     e_adj = x_adj = None
     for p, q, adj in sides:
@@ -209,22 +206,22 @@ def score_crossing(c: Crossing, entry: Point | None, exit: Point | None) -> int:
         raise InternalError(f"crossing neighbor off the quad boundary at {c}")
     if e_adj == x_adj:
         return 0
-    chord = (exit[0] - entry[0], exit[1] - entry[1])
-    w = (e_adj[0] - entry[0], e_adj[1] - entry[1])
-    cr = chord[0] * w[1] - chord[1] * w[0]
+    cr = ((exit[0] - entry[0]) * (e_adj[1] - entry[1])
+          - (exit[1] - entry[1]) * (e_adj[0] - entry[0]))
     if cr == 0:
         raise InternalError(f"degenerate sign test at {c}")
     # entry-adjacent endpoint to the right of the travel chord: +1
     return 1 if cr < 0 else -1
 
 
-def accumulate(crossings: Sequence[Crossing], neighbors) -> list[int]:
+def accumulate(crossings: Sequence[Crossing], neighbors, den: int) -> list[int]:
     """Sum crossing scores into a 6-vector; neighbors(i) returns the
-    (entry_point, exit_point) pair for crossing i (either may be None)."""
+    (entry_point, exit_point) pair for crossing i (either may be None),
+    as numerators over ``den``."""
     vec = [0] * 6
     for i, c in enumerate(crossings):
         entry, exit = neighbors(i)
-        vec[c.slot] += score_crossing(c, entry, exit)
+        vec[c.slot] += score_crossing(c, entry, exit, den)
     return vec
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .curves import AllowableCurve, SpiralDir
 from .lattice import _egcd
-from .shear import BASE_TRI, TypeITri, _closed_lift_start
+from .shear import BASE_TRI, TypeITri, _closed_lift, _nonzero_product
 
 Window = tuple[int, int, int, int]  # xmin, ymin, xmax, ymax
 
@@ -35,27 +35,30 @@ class RenderSpec:
             raise ValueError("window must be nonempty")
 
 
-def _clip_line(p0, d, window) -> tuple | None:
-    """Clip the line p0 + t*d to a rectangle; exact parametric clipping."""
-    xmin, xmax, ymin, ymax = (Fraction(w) for w in window)
-    t_lo, t_hi = Fraction(-10**9), Fraction(10**9)
-    for coord, lo, hi in ((0, xmin, xmax), (1, ymin, ymax)):
-        rate = d[coord]
-        start = p0[coord]
+def _clip_line(p0, q: int, d, window):
+    """Clip the line p0/q + t*d (integer numerators p0 over q > 0, integer
+    direction d) to the window with integer comparisons.  The endpoints
+    come back as numerator pairs over the returned denominator; None when
+    the line misses the window or only touches it."""
+    xmin, xmax, ymin, ymax = window
+    # t is counted in units of 1/(q*m), in which every bound is an integer
+    m = _nonzero_product(*d)
+    t_lo = t_hi = None
+    for start, rate, lo, hi in ((p0[0], d[0], xmin, xmax), (p0[1], d[1], ymin, ymax)):
         if rate == 0:
-            if not lo <= start <= hi:
+            if not lo * q <= start <= hi * q:
                 return None
             continue
-        t1 = (lo - start) / rate
-        t2 = (hi - start) / rate
+        t1 = (lo * q - start) * m // rate
+        t2 = (hi * q - start) * m // rate
         if t1 > t2:
             t1, t2 = t2, t1
-        t_lo, t_hi = max(t_lo, t1), min(t_hi, t2)
+        t_lo = t1 if t_lo is None else max(t_lo, t1)
+        t_hi = t2 if t_hi is None else min(t_hi, t2)
     if t_lo >= t_hi:
         return None
-    a = (p0[0] + t_lo * d[0], p0[1] + t_lo * d[1])
-    b = (p0[0] + t_hi * d[0], p0[1] + t_hi * d[1])
-    return a, b
+    x, y = p0[0] * m, p0[1] * m
+    return (x + t_lo * d[0], y + t_lo * d[1]), (x + t_hi * d[0], y + t_hi * d[1]), q * m
 
 
 def _line_offsets(s, window: Window) -> range:
@@ -79,19 +82,20 @@ def element_count(spec: RenderSpec) -> int:
 
 def grid_lines(tri: TypeITri, window: Window):
     """All lattice lines of the triple's three slopes meeting the window,
-    grouped by slope family, as clipped segments."""
+    grouped by slope family, as clipped segments (p1, p2, den): endpoint
+    numerators over den."""
     families = []
     for s in tri.triple:
         a, b = s.vector
         segs = []
         for c in _line_offsets(s, window):
-            # anchor point on the line
+            # an integer point on the line (gcd(a, b) = 1)
             if b != 0:
                 g, u, v = _egcd(b, -a)
-                p0 = (Fraction(u * c, g), Fraction(v * c, g))
+                p0 = (u * c // g, v * c // g)
             else:
-                p0 = (Fraction(0), Fraction(-c, a))
-            seg = _clip_line(p0, (a, b), window)
+                p0 = (0, -c // a)
+            seg = _clip_line(p0, 1, (a, b), window)
             if seg is not None:
                 segs.append(seg)
         families.append(segs)
@@ -103,10 +107,13 @@ def curve_polyline(curve: AllowableCurve, window: Window):
     curves, the lattice segment for spiraling ones."""
     a, b = curve.slope.vector
     if curve.is_closed:
-        return _clip_line(_closed_lift_start(a, b), (a, b), window)
+        seg = _clip_line(*_closed_lift(a, b, (a, b)), (a, b), window)
+        if seg is None:
+            return None
+        p1, p2, den = seg
+        return tuple((Fraction(x, den), Fraction(y, den)) for x, y in (p1, p2))
     (p, _), _ = curve.ends  # type: ignore[misc]
-    start = (Fraction(p.i), Fraction(p.j))
-    return (start, (start[0] + a, start[1] + b))
+    return ((p.i, p.j), (p.i + a, p.j + b))
 
 
 def _spiral_glyph(center, direction: SpiralDir, to_svg):
@@ -143,9 +150,9 @@ def render(spec: RenderSpec) -> str:
     ]
     for fam, segs in enumerate(grid_lines(spec.triangulation, spec.window)):
         out.append(f'<g class="fam{fam}" {_FAMILY_STYLE[fam]}>')
-        for (a, b) in segs:
-            x1, y1 = to_svg(*a)
-            x2, y2 = to_svg(*b)
+        for (p1, p2, den) in segs:
+            x1, y1 = to_svg(p1[0] / den, p1[1] / den)
+            x2, y2 = to_svg(p2[0] / den, p2[1] / den)
             out.append(
                 '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f"/>' % (x1, y1, x2, y2)
             )

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .curves import (
@@ -181,11 +181,12 @@ def word_prime(a: int, b: int) -> Word:
     parity of the line.  w'(1,1) is empty."""
     if a < 1 or b < 1:
         raise UnsupportedBaseCase("word' needs a finite positive slope")
-    events: list[tuple[Fraction, Letter]] = []
+    # x = k crossed at t = k/a, y = k at t = k/b: both keys scaled by a*b
+    events: list[tuple[int, Letter]] = []
     for k in range(1, a):
-        events.append((Fraction(k, a), ("r", 2 if k % 2 == 0 else 5)))
+        events.append((k * b, ("r", 2 if k % 2 == 0 else 5)))
     for k in range(1, b):
-        events.append((Fraction(k, b), ("t", 1 if k % 2 == 0 else 4)))
+        events.append((k * a, ("t", 1 if k % 2 == 0 else 4)))
     events.sort(key=lambda e: e[0])
     return tuple(letter for _, letter in events)
 
@@ -341,9 +342,18 @@ def _base_open(curve: AllowableCurve) -> ShearVector:
 # ---------------------------------------------------------------------------
 
 
-def _closed_lift_start(a: int, b: int) -> tuple[Fraction, Fraction]:
-    """The start, off the lattice lines, of the lift of the closed curve (a, b)."""
-    return (Fraction(1, 2 * abs(b)), Fraction(0)) if b else (Fraction(0), Fraction(1, 2))
+def _nonzero_product(*factors: int) -> int:
+    """|product| of the nonzero factors."""
+    return math.prod(abs(f) for f in factors if f)
+
+
+def _closed_lift(a: int, b: int, direction: tuple[int, int]):
+    """The start, off the lattice lines, of the lift of the closed curve
+    (a, b) along ``direction``: (1/(2|b|), 0), or (0, 1/2) when b = 0, as
+    numerators over a denominator that makes every crossing point of the
+    segment exact."""
+    m = _nonzero_product(direction[0], direction[1], direction[0] + direction[1])
+    return ((m, 0), 2 * abs(b) * m) if b else ((0, m), 2 * m)
 
 
 def shear_oracle(curve: AllowableCurve) -> ShearVector:
@@ -354,44 +364,48 @@ def shear_oracle(curve: AllowableCurve) -> ShearVector:
     representatives of their punctures; each spiral end contributes the
     crossings of its winding with the incident arcs.  Every crossing is
     scored -1/0/+1 from its quadrilateral; no closed formulas, words or
-    coordinate permutations are involved.
+    coordinate permutations are involved.  All points of one lift are
+    integer numerators over one denominator.
     """
     from . import plane
 
     a, b = curve.slope.vector
     if curve.is_closed:
-        start = _closed_lift_start(a, b)
         period = (2 * a, 2 * b)
-        xs = plane.segment_crossings(start, period, Fraction(0), Fraction(1), include_lo=True)
+        start, den = _closed_lift(a, b, period)
+        xs = plane.segment_crossings(start, period, den, include_lo=True)
         n = len(xs)
+        px, py = period[0] * den, period[1] * den
 
         def neighbors(i: int):
             if i > 0:
                 prev = xs[i - 1].point
             else:
-                prev = (xs[-1].point[0] - period[0], xs[-1].point[1] - period[1])
+                prev = (xs[-1].point[0] - px, xs[-1].point[1] - py)
             if i < n - 1:
                 nxt = xs[i + 1].point
             else:
-                nxt = (xs[0].point[0] + period[0], xs[0].point[1] + period[1])
+                nxt = (xs[0].point[0] + px, xs[0].point[1] + py)
             return prev, nxt
 
-        return tuple(plane.accumulate(xs, neighbors))  # type: ignore[return-value]
+        return tuple(plane.accumulate(xs, neighbors, den))  # type: ignore[return-value]
 
     (p_punc, p_dir), (q_punc, q_dir) = curve.ends  # type: ignore[misc]
     base = (p_punc.i, p_punc.j)
     tip = (base[0] + a, base[1] + b)
     if (tip[0] % 2, tip[1] % 2) != (q_punc.i, q_punc.j):
         raise InternalError(f"the lift of {curve.slope} from v{p_punc} ends off v{q_punc}")
-    eps = Fraction(1, 8 * (abs(a) + abs(b) + 2) ** 2)
+    # den makes the segment's crossings and the spiral offsets eps / 2**rank
+    # exact, with eps / den = 1/(8(h+2)^2), h = |a| + |b|
+    eps = 2 ** (6 * plane._SPIRAL_WRAPS - 1) * _nonzero_product(a, b, a + b)
+    den = 8 * (abs(a) + abs(b) + 2) ** 2 * eps
     side_left = p_dir is SpiralDir.CCW
     seq = (
-        plane.spiral_crossings(base, (a, b), p_dir is SpiralDir.CCW,
-                               at_end=False, interior_side_left=side_left, eps=eps)
-        + plane.segment_crossings((Fraction(base[0]), Fraction(base[1])), (a, b),
-                                  Fraction(0), Fraction(1))
-        + plane.spiral_crossings(tip, (a, b), q_dir is SpiralDir.CCW,
-                                 at_end=True, interior_side_left=side_left, eps=eps)
+        plane.spiral_crossings(base, (a, b), p_dir is SpiralDir.CCW, at_end=False,
+                               interior_side_left=side_left, eps=eps, den=den)
+        + plane.segment_crossings((base[0] * den, base[1] * den), (a, b), den)
+        + plane.spiral_crossings(tip, (a, b), q_dir is SpiralDir.CCW, at_end=True,
+                                 interior_side_left=side_left, eps=eps, den=den)
     )
 
     def neighbors(i: int):
@@ -399,7 +413,7 @@ def shear_oracle(curve: AllowableCurve) -> ShearVector:
         nxt = seq[i + 1].point if i < len(seq) - 1 else None
         return prev, nxt
 
-    return tuple(plane.accumulate(seq, neighbors))  # type: ignore[return-value]
+    return tuple(plane.accumulate(seq, neighbors, den))  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +570,8 @@ def _torus_base(a: int, b: int) -> tuple[int, int, int]:
     computed from the cyclic crossing word of one period."""
     from . import plane
 
-    start = _closed_lift_start(a, b)
-    xs = plane.segment_crossings(start, (a, b), Fraction(0), Fraction(1), include_lo=True)
+    start, den = _closed_lift(a, b, (a, b))
+    xs = plane.segment_crossings(start, (a, b), den, include_lo=True)
     letters = [c.family for c in xs if c.family in ("h", "v")]
     x1 = -sum(1 for l in letters if l == "h")
     x2 = sum(1 for l in letters if l == "v")

@@ -207,6 +207,50 @@ class TestRender:
         assert len(fams) == 3
         assert all(len(f) >= 3 for f in fams)
 
+    @staticmethod
+    def fraction_clip(p0, d, window):
+        """Parametric clipping of p0 + t*d in Fractions, as a reference."""
+        xmin, xmax, ymin, ymax = window
+        t_lo = t_hi = None
+        for start, rate, lo, hi in ((p0[0], d[0], xmin, xmax), (p0[1], d[1], ymin, ymax)):
+            if rate == 0:
+                if not lo <= start <= hi:
+                    return None
+                continue
+            t1, t2 = sorted(((lo - start) / rate, (hi - start) / rate))
+            t_lo = t1 if t_lo is None else max(t_lo, t1)
+            t_hi = t2 if t_hi is None else min(t_hi, t2)
+        if t_lo >= t_hi:
+            return None
+        return tuple((p0[0] + t * d[0], p0[1] + t * d[1]) for t in (t_lo, t_hi))
+
+    def test_grid_lines_match_fraction_clipping(self):
+        from spherelam.render import _line_offsets
+        from spherelam.shear import TypeITri
+
+        tris = (BASE_TRI, TypeITri((Slope(2, 1), Slope(3, 2), Slope(1, 1))),
+                TypeITri((Slope(1, -2), Slope(2, -3), Slope(1, -1))))
+        windows = ((0, 2, 0, 2), (-3, 2, -4, 1), (-7, -2, -5, -1), (5, 9, -9, -2),
+                   (10**12, 10**12 + 2, -3, 0))
+        for tri in tris:
+            for w in windows:
+                for s, segs in zip(tri.triple, grid_lines(tri, w)):
+                    a, b = s.vector
+                    # any point of the line b*x - a*y = c will do
+                    anchors = (((Fraction(c, b), Fraction(0)) if b else (Fraction(0), Fraction(-c, a)))
+                               for c in _line_offsets(s, w))
+                    want = [seg for seg in (self.fraction_clip(p0, (a, b), w) for p0 in anchors)
+                            if seg is not None]
+                    got = [tuple((Fraction(x, den), Fraction(y, den)) for x, y in (p1, p2))
+                           for p1, p2, den in segs]
+                    assert got == want, (tri, w, s)
+
+    def test_far_windows_keep_their_lines(self):
+        # anchors more than 10^9 parameter units from the window, which a
+        # clipping window of t in [-10^9, 10^9] would lose
+        fams = grid_lines(BASE_TRI, (10**12, 10**12 + 2, 0, 2))
+        assert [len(f) for f in fams] == [3, 3, 3]
+
     def test_nontrivial_triple_grid(self):
         from spherelam.shear import TypeITri
 

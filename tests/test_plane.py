@@ -1,0 +1,247 @@
+"""The integer lifted-plane kernel against a Fraction reference.
+
+The reference functions below are the Fraction-exact crossing code the
+integer kernel replaced: points as Fractions, crossings ordered by their
+parameter t.  The kernel's points are numerators over a denominator D,
+compared here as Fraction(X, D)."""
+
+import itertools
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from spherelam import plane
+from spherelam.errors import InternalError
+from spherelam.plane import Crossing
+
+# ---------------------------------------------------------------------------
+# Fraction reference
+# ---------------------------------------------------------------------------
+
+
+def ref_line_hits(c0, rate, t_lo, t_hi, include_lo):
+    if rate == 0:
+        return
+    v_start = c0 + t_lo * rate
+    v_stop = c0 + t_hi * rate
+    lo, hi = (v_start, v_stop) if rate > 0 else (v_stop, v_start)
+    for k in range(math.floor(lo), math.floor(hi) + 2):
+        if lo < k < hi:
+            yield k, Fraction(k - c0, rate)
+        elif include_lo and k == v_start:
+            yield k, t_lo
+
+
+def ref_segment_crossings(start, direction, include_lo=False):
+    """(family, k, point) in curve order, t in (0, 1) or [0, 1)."""
+    x0, y0 = start
+    dx, dy = direction
+    out = []
+    for family, c0, rate in (("h", y0, dy), ("v", x0, dx), ("d", x0 + y0, dx + dy)):
+        for k, t in ref_line_hits(Fraction(c0), rate, Fraction(0), Fraction(1), include_lo):
+            out.append((t, (family, k, (x0 + t * dx, y0 + t * dy))))
+    out.sort(key=lambda e: e[0])
+    return [c for _, c in out]
+
+
+def ref_spiral_crossings(base, direction, ccw, at_end, interior_side_left, eps):
+    if at_end:
+        ref = plane.pseudo_angle((-direction[0], -direction[1]))
+    else:
+        ref = plane.pseudo_angle(direction)
+    offsets = []
+    for u, ang in plane._INCIDENT_DIRS:
+        off = Fraction((ang - ref) % 8 if ccw else (ref - ang) % 8)
+        if off == 0:
+            if at_end:
+                include_first = interior_side_left if ccw else not interior_side_left
+                off = Fraction(0) if include_first else Fraction(8)
+            else:
+                off = Fraction(8)
+        for w in range(plane._SPIRAL_WRAPS):
+            offsets.append((off + 8 * w, u))
+    offsets.sort(key=lambda e: e[0])
+    out = []
+    for rank, (_, u) in enumerate(offsets):
+        delta = eps / 2 ** rank
+        point = (base[0] + delta * u[0], base[1] + delta * u[1])
+        if u[1] == 0:
+            family, k = "h", base[1]
+        elif u[0] == 0:
+            family, k = "v", base[0]
+        else:
+            family, k = "d", base[0] + base[1]
+        out.append((family, k, point))
+    if not at_end:
+        out.reverse()
+    return out
+
+
+def ref_quad_cycle(family, k, point):
+    fl = math.floor
+    if family == "h":
+        j = fl(point[0])
+        return ((j, k), (j + 1, k - 1), (j + 1, k), (j, k + 1))
+    if family == "v":
+        j = fl(point[1])
+        return ((k, j), (k + 1, j), (k, j + 1), (k - 1, j + 1))
+    j = fl(point[0])
+    return ((j, k - j), (j, k - j - 1), (j + 1, k - j - 1), (j + 1, k - j))
+
+
+def ref_on_segment(p, a, b):
+    (ax, ay), (bx, by), (px, py) = a, b, p
+    if (bx - ax) * (py - ay) != (by - ay) * (px - ax):
+        return False
+    dot = (px - ax) * (bx - ax) + (py - ay) * (by - ay)
+    return 0 <= dot <= (bx - ax) ** 2 + (by - ay) ** 2
+
+
+def ref_score_crossing(family, k, point, entry, exit):
+    if entry is None or exit is None:
+        return 0
+    U, A, V, B = ref_quad_cycle(family, k, point)
+    e_adj = x_adj = None
+    for p, q, adj in ((U, A, U), (A, V, V), (V, B, V), (B, U, U)):
+        if e_adj is None and ref_on_segment(entry, p, q):
+            e_adj = adj
+        if x_adj is None and ref_on_segment(exit, p, q):
+            x_adj = adj
+    if e_adj is None or x_adj is None:
+        raise InternalError("off the quad boundary")
+    if e_adj == x_adj:
+        return 0
+    cr = ((exit[0] - entry[0]) * (e_adj[1] - entry[1])
+          - (exit[1] - entry[1]) * (e_adj[0] - entry[0]))
+    if cr == 0:
+        raise InternalError("degenerate sign test")
+    return 1 if cr < 0 else -1
+
+
+# ---------------------------------------------------------------------------
+
+
+def as_fractions(c: Crossing, den: int):
+    return (c.family, c.k, (Fraction(c.point[0], den), Fraction(c.point[1], den)))
+
+
+def score_or_error(score, *args):
+    try:
+        return score(*args)
+    except InternalError:
+        return "InternalError"
+
+
+def lift_den(q, direction):
+    """A denominator that makes every crossing of a start with
+    denominator q and this direction exact."""
+    dx, dy = direction
+    return q * math.prod(abs(f) for f in (dx, dy, dx + dy) if f)
+
+
+coord = st.integers(-40, 40)
+direction = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(lambda d: d != (0, 0))
+
+
+class TestSegmentCrossings:
+    @settings(max_examples=300)
+    @given(coord, coord, st.integers(1, 12), direction, st.booleans())
+    def test_matches_fraction_reference(self, px, py, q, d, include_lo):
+        den = lift_den(q, d)
+        m = den // q
+        got = plane.segment_crossings((px * m, py * m), d, den, include_lo)
+        start = (Fraction(px, q), Fraction(py, q))
+        want = ref_segment_crossings(start, d, include_lo)
+        assert [as_fractions(c, den) for c in got] == want
+        # and each crossing scores the same between its neighbors
+        pts = [c.point for c in got]
+        for i, c in enumerate(got):
+            entry = pts[i - 1] if i else None
+            exit = pts[i + 1] if i + 1 < len(pts) else None
+            ref = want[i]
+            ref_entry = want[i - 1][2] if i else None
+            ref_exit = want[i + 1][2] if i + 1 < len(want) else None
+            assert score_or_error(plane.score_crossing, c, entry, exit, den) == \
+                score_or_error(ref_score_crossing, *ref, ref_entry, ref_exit)
+
+    def test_include_lo_takes_the_start_level(self):
+        # start on y = 0 and x + y = 0 at the origin, moving into the plane
+        got = plane.segment_crossings((0, 0), (2, 3), 30, include_lo=True)
+        assert [(c.family, c.k) for c in got[:3]] == [("h", 0), ("v", 0), ("d", 0)]
+        assert all(c.point == (0, 0) for c in got[:3])
+        assert all(c.point != (0, 0) for c in plane.segment_crossings((0, 0), (2, 3), 30))
+
+    def test_negative_directions(self):
+        den = lift_den(3, (-4, -1))
+        got = plane.segment_crossings((den // 3, 2 * den // 3), (-4, -1), den)
+        want = ref_segment_crossings((Fraction(1, 3), Fraction(2, 3)), (-4, -1))
+        assert [as_fractions(c, den) for c in got] == want
+        assert [c.k for c in got if c.family == "v"] == [0, -1, -2, -3]
+
+
+SIX_DIRECTIONS = [u for u, _ in plane._INCIDENT_DIRS]
+
+
+class TestSpiralCrossings:
+    @pytest.mark.parametrize("d", SIX_DIRECTIONS + [(2, 3), (-3, 5), (1, -4)])
+    def test_matches_fraction_reference(self, d):
+        eps = 2 ** (6 * plane._SPIRAL_WRAPS - 1) * 7
+        den = 8 * 9 * eps
+        for base in ((0, 0), (-3, 2)):
+            for ccw, at_end, side in itertools.product((False, True), repeat=3):
+                got = plane.spiral_crossings(base, d, ccw, at_end, side, eps, den)
+                want = ref_spiral_crossings(base, d, ccw, at_end, side, Fraction(eps, den))
+                assert [as_fractions(c, den) for c in got] == want, (base, ccw, at_end, side)
+
+    def test_offsets_shrink_by_halves_toward_the_puncture(self):
+        eps = 2 ** 11
+        got = plane.spiral_crossings((1, 1), (2, 1), True, True, True, eps, 2 ** 14)
+        dist = [max(abs(c.point[0] - 2 ** 14), abs(c.point[1] - 2 ** 14)) for c in got]
+        assert dist == [eps >> r for r in range(6 * plane._SPIRAL_WRAPS)]
+
+
+class TestQuadCycle:
+    @pytest.mark.parametrize("family,k,point", [
+        ("h", -1, (Fraction(-1, 3), Fraction(-1))),
+        ("h", 2, (Fraction(-7, 2), Fraction(2))),
+        ("v", -3, (Fraction(-3), Fraction(-5, 4))),
+        ("d", -2, (Fraction(-1, 3), Fraction(-5, 3))),
+        ("d", 1, (Fraction(-5, 2), Fraction(7, 2))),
+    ])
+    def test_floor_at_negative_coordinates(self, family, k, point):
+        den = 12
+        c = Crossing(family, k, (int(point[0] * den), int(point[1] * den)))
+        assert plane.quad_cycle(c, den) == ref_quad_cycle(family, k, point)
+        # truncation toward zero would give another cell
+        j = ref_quad_cycle(family, k, point)[0]
+        assert j != ref_quad_cycle(family, k, tuple(Fraction(int(x)) for x in point))[0]
+
+
+class TestScoreErrors:
+    # the horizontal arc from (0, 0) to (1, 0), crossed at (1/2, 0); its
+    # quad is U=(0,0), A=(1,-1), V=(1,0), B=(0,1)
+    DEN = 4
+    C = Crossing("h", 0, (2, 0))
+
+    def test_neighbor_off_the_quad(self):
+        with pytest.raises(InternalError, match="off the quad boundary"):
+            plane.score_crossing(self.C, (40, 40), (4, 2), self.DEN)
+        with pytest.raises(InternalError, match="off the quad boundary"):
+            plane.score_crossing(self.C, (0, 2), (-8, -8), self.DEN)
+
+    def test_degenerate_sign_test(self):
+        # entering at the corner U itself leaves no side to test against
+        with pytest.raises(InternalError, match="degenerate sign test"):
+            plane.score_crossing(self.C, (0, 0), (4, -2), self.DEN)
+
+    def test_scores(self):
+        # between sides (B, U) and (A, V) the score is +1 either way,
+        # between (U, A) and (V, B) it is -1
+        assert plane.score_crossing(self.C, (0, 2), (4, -2), self.DEN) == 1
+        assert plane.score_crossing(self.C, (4, -2), (0, 2), self.DEN) == 1
+        assert plane.score_crossing(self.C, (2, -2), (2, 2), self.DEN) == -1
+        # both neighbors on sides adjacent to U: 0
+        assert plane.score_crossing(self.C, (0, 2), (2, -2), self.DEN) == 0
+        assert plane.score_crossing(self.C, None, (2, -2), self.DEN) == 0

@@ -1,12 +1,18 @@
 import itertools
+import json
+import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from spherelam import cli
 from spherelam.curves import (
     V00, V01, V10, V11,
     AllowableCurve,
     SpiralDir,
     Tagging,
+    endpoint_sets,
     enumerate_curves,
 )
 from spherelam.errors import BoundExhausted, UnsupportedBaseCase
@@ -61,6 +67,16 @@ class TestWords:
     def test_word_prime_3_2(self):
         # crossing order of the segment (0,0)->(3,2): x=1, y=1, x=2
         assert format_word(word_prime(3, 2)) == "r5 t4 r2"
+
+    def test_word_prime_matches_fraction_order(self):
+        # events ordered by their crossing parameter as a Fraction, r first
+        # on ties, for coprime and non-coprime pairs alike
+        for a in range(1, 41):
+            for b in range(1, 41):
+                events = [(Fraction(k, a), ("r", 2 if k % 2 == 0 else 5)) for k in range(1, a)]
+                events += [(Fraction(k, b), ("t", 1 if k % 2 == 0 else 4)) for k in range(1, b)]
+                events.sort(key=lambda e: e[0])
+                assert word_prime(a, b) == tuple(letter for _, letter in events), (a, b)
 
     def test_open_word(self):
         assert format_word(word_of_curve(LAMBDA)) == "t1 r2 t4 r5 t1 r2"
@@ -203,6 +219,35 @@ class TestAgreement:
             v = shear_oracle(c)
             assert shear_oracle(c.image(RHO)) == apply_perm(PERM_Z, v), c
             assert shear_oracle(c.image(RHO2)) == apply_perm(PERM_Z2, v), c
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 400), st.integers(-400, 400))
+    def test_oracle_at_larger_heights(self, a, b):
+        # the closed curve and all four spiral pairs on each endpoint set
+        if a == 0:
+            b = 1
+        assume(math.gcd(a, b) == 1)
+        s = Slope(a, b)
+        curves = [AllowableCurve(s)] + [
+            AllowableCurve(s, ((p, d0), (q, d1)))
+            for p, q in endpoint_sets(s) for d0 in (CW, CCW) for d1 in (CW, CCW)
+        ]
+        for c in curves:
+            f = shear_closed_form(c)
+            assert shear_oracle(c) == f, c
+            try:
+                assert shear_via_word(c) == f, c
+            except UnsupportedBaseCase:
+                pass
+
+    def test_oracle_at_its_cli_cap(self):
+        h = cli.SHEAR_MAX_HEIGHT["oracle"]
+        doc = json.dumps({"slope": f"{h}/{h - 3}", "ends": [{"v": "00", "spiral": "ccw"},
+                                                            {"v": "10", "spiral": "cw"}]})
+        code, out = cli.run(["shear", "--curve", doc, "--method", "oracle"])
+        assert code == 0, out
+        c = AllowableCurve(Slope(h - 3, h), ((V00, CCW), (V10, CW)))
+        assert tuple(json.loads(out)) == shear_closed_form(c)
 
     def test_diagonal_bound(self):
         # base-case words: |x3 - x6| <= 1
@@ -352,6 +397,12 @@ class TestTorus:
         # first three slots of PERM_Z, at every slope
         for s in enumerate_slopes(8):
             assert torus_shear(RHO.apply_slope(s)) == apply_perm(PERM_Z[:3], torus_shear(s)), s
+
+    def test_matches_the_sphere_closed_form(self):
+        # each torus coordinate is the common value of the sphere pair (i, i+3)
+        for s in enumerate_slopes(20):
+            v = shear_closed_form(AllowableCurve(s))
+            assert torus_shear(s) == v[:3] == v[3:], s
 
     def test_projection(self):
         tri = TypeITri((Slope(1, 2), Slope(1, 1), INF))
