@@ -259,6 +259,8 @@ def _check_cone_height(max_height: int) -> None:
     if max_height > CONE_MAX_HEIGHT:
         raise DomainError(f"cones and locate are capped at max height {CONE_MAX_HEIGHT}; "
                           f"got {max_height}")
+    if max_height < 1:
+        raise DomainError(f"cones and locate need max height at least 1; got {max_height}")
 
 
 def _cmd_cones(args) -> str:

@@ -1,7 +1,7 @@
-"""Small exact linear algebra: rank, linear solves, adjugates and inverses
-of integer matrices by one fraction-free elimination kernel, and extreme
-rays of polyhedral cones by the double description method over the
-rationals.  No floating point anywhere."""
+"""Small exact linear algebra: rank, linear solves and adjugates of
+integer matrices by one fraction-free elimination kernel, and extreme rays
+of polyhedral cones by the double description method over the rationals.
+No floating point anywhere."""
 
 from __future__ import annotations
 
@@ -85,13 +85,6 @@ def adjugate(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int] | t
     if len(pivots) < n:
         return None, 0
     return [[sign * a for a in row[n:]] for row in m], sign * d
-
-
-def invert(matrix: Sequence[Sequence[int]]) -> list[list[Fraction]] | None:
-    adj, det = adjugate(matrix)
-    if adj is None:
-        return None
-    return [[Fraction(a, det) for a in row] for row in adj]
 
 
 def dot(a: Sequence, b: Sequence) -> Fraction:

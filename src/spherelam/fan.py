@@ -29,7 +29,7 @@ from .curves import (
 )
 from .errors import BoundExhausted, InternalError, InternalNonUnique, MalformedInput, \
     RankDeficient
-from .lattice import Slope, enumerate_slopes, farey1_triples
+from .lattice import Slope, check_height, enumerate_slopes, farey1_triples
 from .shear import (
     GAMMA24,
     GROUP_Y,
@@ -357,6 +357,7 @@ def _shear_vector(v) -> ShearVector:
 def locate(v: Sequence[int], max_height: int = 6) -> QuasiLamination:
     """The unique quasi-lamination with the given integer shear vector,
     searched over all maximal cones at the given height."""
+    check_height(max_height)
     v = _shear_vector(v)
     if not any(v):
         return QuasiLamination(())
@@ -388,6 +389,7 @@ def locate(v: Sequence[int], max_height: int = 6) -> QuasiLamination:
 
 def count_containing_cones(v: Sequence[int], max_height: int = 6) -> int:
     """Number of distinct maximal cones whose span contains v."""
+    check_height(max_height)
     return sum(1 for _ in cone_index(max_height).containing(_shear_vector(v)))
 
 

@@ -170,13 +170,19 @@ def mediant(s: Slope, t: Slope) -> Slope:
     return standard_form(s.a + t.a, s.b + t.b)
 
 
-def enumerate_slopes(max_height: int) -> list[Slope]:
-    """All standard-form slopes with a <= max_height, |b| <= max_height,
-    in (a, b)-lexicographic order.  Always includes inf = (0, 1)."""
+def check_height(max_height: int) -> None:
+    """Reject a height bound outside 1..MAX_HEIGHT with ValueError; every
+    search bounded by a height checks it before any early return."""
     if max_height < 1:
         raise ValueError("max_height must be positive")
     if max_height > MAX_HEIGHT:
         raise ValueError(f"max_height capped at {MAX_HEIGHT}")
+
+
+def enumerate_slopes(max_height: int) -> list[Slope]:
+    """All standard-form slopes with a <= max_height, |b| <= max_height,
+    in (a, b)-lexicographic order.  Always includes inf = (0, 1)."""
+    check_height(max_height)
     out = [INF]
     for a in range(1, max_height + 1):
         for b in range(-max_height, max_height + 1):

@@ -2,21 +2,20 @@
 
 The base triangulation lifts to the arrangement of all lines ``x = k``,
 ``y = k`` and ``x + y = k`` (k integer), triangulating the plane with
-vertices on the integer lattice.  This module enumerates transversal
-crossings of lifted curves with that arrangement, scores each crossing
--1/0/+1 from the quadrilateral surrounding the crossed arc, and extracts
-triangular faces of more general lifted-segment arrangements (used for
-signed adjacency matrices).  Everything is exact integer arithmetic: the
-points of one lift are integer numerators over one common denominator
-``den``, chosen by the caller so that every crossing point and every
-spiral offset of that lift is a multiple of ``1/den``.
+vertices on the integer lattice.  This module is the crossing kernel of
+the shear oracle: it enumerates transversal crossings of lifted curves
+with that arrangement and scores each crossing -1/0/+1 from the
+quadrilateral surrounding the crossed arc.  Everything is exact integer
+arithmetic: the points of one lift are integer numerators over one common
+denominator ``den``, chosen by the caller so that every crossing point and
+every spiral offset of that lift is a multiple of ``1/den``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InternalError
 
@@ -223,51 +222,3 @@ def accumulate(crossings: Sequence[Crossing], neighbors, den: int) -> list[int]:
         entry, exit = neighbors(i)
         vec[c.slot] += score_crossing(c, entry, exit, den)
     return vec
-
-
-# ---------------------------------------------------------------------------
-# Segment arrangements and triangular faces (for signed adjacency matrices)
-# ---------------------------------------------------------------------------
-
-
-def triangular_faces(
-    segments: Iterable[tuple[IPoint, IPoint]],
-) -> list[tuple[IPoint, IPoint, IPoint]]:
-    """Bounded triangular faces of a planar straight-line graph whose edges
-    are pairwise non-crossing lattice segments.
-
-    Standard face traversal: outgoing edges at each vertex are sorted by
-    angle, and the face left of each directed edge is walked by taking, at
-    the head, the next edge clockwise from the reversed edge.  Bounded
-    faces come out counterclockwise; only 3-cycles are kept.
-    """
-    adj: dict[IPoint, list[IPoint]] = {}
-    seen = set()
-    for p, q in segments:
-        if (p, q) in seen or (q, p) in seen:
-            continue
-        seen.add((p, q))
-        adj.setdefault(p, []).append(q)
-        adj.setdefault(q, []).append(p)
-    for v, nbrs in adj.items():
-        nbrs.sort(key=lambda w: pseudo_angle((w[0] - v[0], w[1] - v[1])))
-    visited: set[tuple[IPoint, IPoint]] = set()
-    faces = []
-    for v, nbrs in adj.items():
-        for w in nbrs:
-            if (v, w) in visited:
-                continue
-            face = []
-            edge = (v, w)
-            while edge not in visited:
-                visited.add(edge)
-                face.append(edge[0])
-                a, b = edge
-                nb = adj[b]
-                i = nb.index(a)
-                edge = (b, nb[(i - 1) % len(nb)])
-            if len(face) == 3 and edge == (v, w):
-                (x1, y1), (x2, y2), (x3, y3) = face
-                if (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1) > 0:
-                    faces.append((face[0], face[1], face[2]))
-    return faces

@@ -45,6 +45,7 @@ from .lattice import (
     ZERO,
     Slope,
     UnimodularMap,
+    check_height,
     enumerate_slopes,
     farey1_triples,
     is_farey1_triple,
@@ -621,6 +622,7 @@ def find_witness(tangle: Tangle, max_height: int = 12) -> TypeITri | None:
     tried before giving up; a candidate met again fails again, since the
     order of a triple only permutes the shear coordinates.
     """
+    check_height(max_height)
     support = tangle.support
     if not support:
         return None

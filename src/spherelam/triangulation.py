@@ -28,9 +28,9 @@ d = det(s, t), the new slope is an integral (i*s + j*t) / d with
 |i|, |j| <= 2, by Cramer's rule and the Farey-distance bound of
 compatibility.  :func:`signed_adjacency` maps an all-plain triangulation
 to a height-1 representative by an orientation-preserving lattice map and
-computes the matrix there, geometrically from the lifted segment
-arrangement and independently of flips, so the flip/mutation identity is a
-genuine cross-check.
+reads the matrix there from a memo of three arc sets, filled by mutating
+``FIG1_MATRIX`` along the six flips of the base triangulation.  The tests
+check it against a geometric oracle on the lifted segment arrangement.
 """
 
 from __future__ import annotations
@@ -421,80 +421,8 @@ def flip(tri: TaggedTriangulation, k: int) -> TaggedTriangulation:
 ExchangeMatrix = tuple[tuple[int, ...], ...]
 
 
-def _lift_segments(tri: TaggedTriangulation, box: int):
-    segments = []
-    arc_of_segment = {}
-    for idx, arc in enumerate(tri.arcs):
-        a, b = arc.slope.vector
-        pars = {(p.i, p.j) for p in arc.punctures}
-        for x in range(-box, box + 1):
-            for y in range(-box, box + 1):
-                if (x % 2, y % 2) not in pars:
-                    continue
-                q = (x + a, y + b)
-                if abs(q[0]) > box or abs(q[1]) > box:
-                    continue
-                seg = ((x, y), q)
-                segments.append(seg)
-                key = frozenset(seg)
-                arc_of_segment[key] = idx
-    return segments, arc_of_segment
-
-
-def _canonical_triangle(tri_pts) -> tuple:
-    best = None
-    for pts in (tri_pts, tuple((-x, -y) for x, y in tri_pts)):
-        m = min(pts)
-        shift = (-2 * (m[0] // 2), -2 * (m[1] // 2))
-        moved = tuple(sorted((x + shift[0], y + shift[1]) for x, y in pts))
-        if best is None or moved < best:
-            best = moved
-    return best
-
-
-def _box_adjacency(tri: TaggedTriangulation) -> ExchangeMatrix:
-    """The signed adjacency matrix of an all-plain triangulation, computed
-    from the triangular faces of the lifted segment arrangement in a box
-    of side 2(3h+6): each face, canonicalized under lattice half-turns and
-    even translations, adds +1 for every clockwise-consecutive pair of its
-    sides.  Its cost grows with the height h; :func:`signed_adjacency`
-    calls it on height-1 representatives only, and tests use it at the
-    original height as an independent oracle."""
-    from .plane import triangular_faces
-
-    h = tri.height
-    box = 3 * h + 6
-    inner = box - 2 * h - 2
-    segments, arc_of_segment = _lift_segments(tri, box)
-    faces = triangular_faces(segments)
-    reps: dict[tuple, tuple] = {}
-    for face in faces:
-        if any(abs(x) > inner or abs(y) > inner for x, y in face):
-            continue
-        reps.setdefault(_canonical_triangle(face), face)
-    if len(reps) != 4:
-        raise InternalNonUnique(f"expected 4 ideal triangles, found {len(reps)}")
-    n = 6
-    B = [[0] * n for _ in range(n)]
-    for face in reps.values():
-        (x1, y1), (x2, y2), (x3, y3) = face
-        area2 = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
-        pts = list(face) if area2 < 0 else [face[0], face[2], face[1]]
-        side_arcs = []
-        for i in range(3):
-            u, v = pts[i], pts[(i + 1) % 3]
-            side_arcs.append(arc_of_segment[frozenset((u, v))])
-        for i in range(3):
-            s, t = side_arcs[i], side_arcs[(i + 1) % 3]
-            B[s][t] += 1
-            B[t][s] -= 1
-    return tuple(tuple(row) for row in B)
-
-
-# Signed adjacency matrices of the canonical (height-1) arc sets, rows in
-# canonical arc order.  There are four such sets: type I on {0, inf, 1}
-# and on {0, inf, -1}, and type II on {1, -1} with two choices of v, so
-# the memo is bounded by construction.
+# Signed adjacency of the three canonical arc sets (see signed_adjacency),
+# rows in canonical arc order; filled on the first call.
 _CANONICAL_ADJACENCY: dict[tuple[TaggedArc, ...], ExchangeMatrix] = {}
 
 
@@ -513,6 +441,31 @@ def _canonical_pair(slopes: set[Slope]) -> tuple[Slope, Slope]:
     )
 
 
+def _canonical_form(tri: TaggedTriangulation) -> tuple[tuple[TaggedArc, ...], list[int]]:
+    """(canon, order): the images of the arcs of an all-plain ``tri`` under
+    the orientation-preserving lattice map sending its
+    :func:`_canonical_pair` to (1, 0) and (0, +-1), canon[r] that of arc
+    order[r], sorted."""
+    m = pair_to_basis(*_canonical_pair({arc.slope for arc in tri.arcs}))
+    image = [arc.image(m) for arc in tri.arcs]
+    order = sorted(range(6), key=lambda i: (image[i].slope.vector, min(image[i].punctures)))
+    return tuple(image[i] for i in order), order
+
+
+def _fill_canonical_adjacency() -> None:
+    """The memo from the base triangulation with ``FIG1_MATRIX`` and its
+    six flips with the six mutations of that matrix."""
+    base = base_triangulation()
+    table: dict[tuple[TaggedArc, ...], ExchangeMatrix] = {}
+    flips = [(flip(base, k), mutate(FIG1_MATRIX, k)) for k in range(6)]
+    for tri, B in [(base, FIG1_MATRIX), *flips]:
+        canon, order = _canonical_form(tri)
+        C = tuple(tuple(B[i][j] for j in order) for i in order)
+        if table.setdefault(canon, C) != C:
+            raise InternalError("two flips of the base give one arc set two matrices")
+    _CANONICAL_ADJACENCY.update(table)
+
+
 def signed_adjacency(tri: TaggedTriangulation) -> ExchangeMatrix:
     """The signed adjacency matrix of an all-plain triangulation.
 
@@ -521,23 +474,21 @@ def signed_adjacency(tri: TaggedTriangulation) -> ExchangeMatrix:
     (1, 0) and (0, +-1) carries every arc to height 1: the remaining slopes
     are +-s +- t.  The map keeps faces and their orientation, so the matrix
     of the image, with arcs in the same order, is the matrix of ``tri``.
-    It is computed by :func:`_box_adjacency` once per canonical arc set,
-    memoized, and permuted back to the caller's arc order: the cost does
-    not depend on the height.
+    The image is one of three arc sets: the base's type-I set on
+    {-1, 0, inf}, and type II on {1, -1} with v = 00 or v = 01, each one
+    flip from the base.  A flip mutates the matrix (Fomin-Shapiro-Thurston,
+    Acta Math. 2008), so the memo of the three is filled from
+    ``FIG1_MATRIX`` and its six mutations, and the matrix is permuted back
+    to the caller's arc order: the cost does not depend on the height.
     """
     if not tri.all_plain:
         raise NotAllPlain("signed adjacency needs all arcs tagged plain")
-    m = pair_to_basis(*_canonical_pair({arc.slope for arc in tri.arcs}))
-    image = [arc.image(m) for arc in tri.arcs]
-    order = sorted(
-        range(6), key=lambda i: (image[i].slope.vector, min(image[i].punctures))
-    )
-    canon = tuple(image[i] for i in order)
+    if not _CANONICAL_ADJACENCY:
+        _fill_canonical_adjacency()
+    canon, order = _canonical_form(tri)
     B = _CANONICAL_ADJACENCY.get(canon)
     if B is None:
-        if any(arc.height != 1 for arc in canon):
-            raise InternalError("canonical representative above height 1")
-        B = _CANONICAL_ADJACENCY[canon] = _box_adjacency(TaggedTriangulation(canon))
+        raise InternalError("canonical arc set missing from the adjacency memo")
     pos = {i: r for r, i in enumerate(order)}
     return tuple(tuple(B[pos[i]][pos[j]] for j in range(6)) for i in range(6))
 

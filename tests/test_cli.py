@@ -352,6 +352,20 @@ class TestErrorDocuments:
         doc = json.loads(fails(argv))
         assert doc["kind"] == "domain" and doc["error"].startswith(error_class), doc
 
+    @pytest.mark.parametrize("argv", [
+        ["locate", "--vector", "[0,0,0,0,0,0]", "--max-height", "0"],
+        ["locate", "--vector", "[0,0,0,0,0,0]", "--max-height", "-5"],
+        ["cones", "--max-height", "0"],
+        ["tangle-check", "--max-height", "-4", "--tangle", "[]"],
+        ["tangle-check", "--max-height", "1000",
+         "--tangle", '[{"curve":{"closed":"1/1"},"weight":1}]'],
+    ])
+    def test_height_checked_before_early_returns(self, argv):
+        # each input returns early (zero vector, empty tangle, witness found
+        # first) before any enumeration would check the height
+        doc = json.loads(fails(argv))
+        assert doc["kind"] == "domain" and "max" in doc["error"], doc
+
     def test_internal_error(self, monkeypatch):
         def broken_flip(tri, k):
             raise InternalNonUnique("flip produced 0 completions instead of 1")
@@ -445,6 +459,7 @@ class TestColdStart:
             "compat": (["compat", "--a", '{"closed":"3/2"}', "--b", '{"closed":"1/1"}'],
                        {"fan", "triangulation", "exactla", "shear", "plane"}),
             "mutate": (["mutate", "--matrix", B, "--k", "2"], {"plane", "shear", "fan"}),
+            "badj": (["badj", "--tri", t0], {"plane", "shear", "fan", "exactla"}),
             "flip": (["flip", "--tri", t0, "--k", "0"], {"plane", "shear", "fan"}),
             "gvectors": (["gvectors", "--max-height", "1"], {"triangulation", "plane"}),
             "tangle-check": (["tangle-check", "--tangle",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spherelam.exactla import adjugate, dd_rays, invert, primitive, rank, solve
+from spherelam.exactla import adjugate, dd_rays, primitive, rank, solve
 
 
 class TestRank:
@@ -39,11 +39,10 @@ class TestSolve:
 
 class TestInvertAdjugate:
     def test_inverse(self):
-        inv = invert([[2, 1], [1, 1]])
-        assert inv == [[1, -1], [-1, 2]]
+        # determinant 1: the adjugate is the inverse
+        assert adjugate([[2, 1], [1, 1]]) == ([[1, -1], [-1, 2]], 1)
 
     def test_singular(self):
-        assert invert([[1, 1], [1, 1]]) is None
         assert adjugate([[1, 1], [1, 1]]) == (None, 0)
 
     def test_adjugate_identity(self):
@@ -100,12 +99,13 @@ class TestDoubleDescription:
         assert nontrivial[0] in ((1, -1, 1), (-1, 1, -1))
 
     def test_simplicial_3d(self):
-        # cone over a triangle: inequalities from the inverse of the
-        # generator matrix recover the generators as extreme rays
+        # cone over a triangle: inequalities from the rows of the inverse
+        # of the generator matrix (the adjugate, signed by the determinant)
+        # recover the generators as extreme rays
         gens = [(1, 0, 0), (1, 2, 0), (1, 1, 3)]
         cols = [list(c) for c in zip(*gens)]
-        inv = invert(cols)
-        ineqs = [primitive(row) for row in inv]
+        adj, det = adjugate(cols)
+        ineqs = [primitive([det * x for x in row]) for row in adj]
         rays, lines = dd_rays(ineqs)
         assert not [l for l in lines if any(l)]
         assert set(rays) == {primitive(g) for g in gens}
@@ -203,11 +203,9 @@ class TestKernelProperties:
                              for i, row in enumerate(m)])
         if det == 0:
             assert pivots[:n] != list(range(n))
-            assert invert(m) is None
             assert adjugate(m) == (None, 0)
             return
         inverse = [row[n:] for row in red]
-        assert invert(m) == inverse
         adj, got_det = adjugate(m)
         assert got_det == det
         assert adj == [[det * x for x in row] for row in inverse]

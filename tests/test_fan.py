@@ -21,7 +21,7 @@ from spherelam.curves import (
 )
 from spherelam.errors import BoundExhausted, InternalError, InternalNonUnique, \
     MalformedInput, RankDeficient
-from spherelam.lattice import INF, Slope, enumerate_slopes, farey1_triples
+from spherelam.lattice import INF, MAX_HEIGHT, Slope, enumerate_slopes, farey1_triples
 from spherelam.shear import GAMMA24, QuasiLamination, Tangle, apply_perm, \
     shear_closed_form, tangle_shear
 from spherelam.triangulation import base_triangulation, classify, \
@@ -218,6 +218,13 @@ class TestLocateChecks:
             fan.locate(bad, 1)
         with pytest.raises(MalformedInput):
             fan.count_containing_cones(bad, 1)
+
+    @pytest.mark.parametrize("h", [0, -5, MAX_HEIGHT + 1])
+    def test_height_checked_before_zero_vector(self, h):
+        with pytest.raises(ValueError):
+            fan.locate((0,) * 6, h)
+        with pytest.raises(ValueError):
+            fan.count_containing_cones((0,) * 6, h)
 
     def test_any_sequence_of_six_ints(self):
         v = (-3, 2, 1, -3, 2, 1)

@@ -16,7 +16,7 @@ from spherelam.curves import (
     enumerate_curves,
 )
 from spherelam.errors import BoundExhausted, UnsupportedBaseCase
-from spherelam.lattice import INF, MINUS_ONE, ZERO, Slope, enumerate_slopes
+from spherelam.lattice import INF, MAX_HEIGHT, MINUS_ONE, ZERO, Slope, enumerate_slopes
 from spherelam.selftest import LAMBDA, LAMBDA_C, LAMBDA_PP, SHEAR_FIXTURES
 from spherelam.shear import (
     BASE_TRI,
@@ -420,6 +420,12 @@ class TestWitness:
 
     def test_empty_returns_none(self):
         assert find_witness(Tangle(())) is None
+
+    @pytest.mark.parametrize("h", [0, -4, MAX_HEIGHT + 1])
+    def test_height_checked_before_early_returns(self, h):
+        for t in (Tangle(()), Tangle(((AllowableCurve(Slope(1, 1)), 1),))):
+            with pytest.raises(ValueError):
+                find_witness(t, h)
 
     def test_cancelled_returns_none(self):
         assert find_witness(Tangle(((LAMBDA, 1), (LAMBDA, -1)))) is None

@@ -5,6 +5,8 @@ from collections import Counter
 
 import pytest
 
+from box_oracle import box_adjacency
+from spherelam import triangulation
 from spherelam.curves import (
     V00, V01, V10, V11,
     Puncture,
@@ -13,7 +15,7 @@ from spherelam.curves import (
     arcs_compatible,
     endpoint_sets,
 )
-from spherelam.errors import InvalidParameters, NotAllPlain
+from spherelam.errors import InternalError, InvalidParameters, NotAllPlain
 from spherelam.lattice import (
     INF, MINUS_ONE, ZERO, Slope, enumerate_slopes, farey1_triples, farey_distance,
     mediant, standard_form,
@@ -31,7 +33,7 @@ from spherelam.triangulation import (
     mutate,
     signed_adjacency,
     _CANONICAL_ADJACENCY,
-    _box_adjacency,
+    _canonical_form,
     _enumerate_typed,
     _farey2_pairs,
     _flip_slopes,
@@ -121,6 +123,7 @@ class TestBaseTriangulation:
 
     def test_fig1_matrix(self):
         assert signed_adjacency(base_triangulation()) == FIG1_MATRIX
+        assert box_adjacency(base_triangulation()) == FIG1_MATRIX
 
     def test_all_pairs_compatible(self):
         base_triangulation()  # the constructor verifies all 15 pairs
@@ -334,17 +337,18 @@ class TestMatrices:
 
 
 class TestCanonicalAdjacency:
-    """signed_adjacency computes on a height-1 representative; the box
-    computation at the original height is the oracle."""
+    """signed_adjacency reads a height-1 representative from a memo filled
+    by mutation from the base; the box computation at the original height
+    is the oracle."""
 
     def test_matches_box_up_to_height_three(self):
         rng = random.Random(2)
         tris = [t for t in enumerate_triangulations(3) if t.all_plain]
         assert {classify(t).tag for t in tris} == {"I", "II"}
         for t in tris:
-            assert signed_adjacency(t) == _box_adjacency(t)
+            assert signed_adjacency(t) == box_adjacency(t)
             shuffled = TaggedTriangulation(tuple(rng.sample(t.arcs, 6)))
-            assert signed_adjacency(shuffled) == _box_adjacency(shuffled)
+            assert signed_adjacency(shuffled) == box_adjacency(shuffled)
 
     def test_matches_box_along_plain_walks(self):
         rng = random.Random(3)
@@ -354,7 +358,7 @@ class TestCanonicalAdjacency:
                 if f.height > 10:
                     break
                 heights.append(f.height)
-                assert signed_adjacency(f) == _box_adjacency(f)
+                assert signed_adjacency(f) == box_adjacency(f)
         assert max(heights) >= 8
 
     def test_flip_matches_mutation_at_large_height(self):
@@ -374,8 +378,31 @@ class TestCanonicalAdjacency:
             t = type_i_start(rng, 1, 10**6, ALL_PLAIN)
             for _, _, f in plain_walk(t, 10, rng):
                 signed_adjacency(f)
-        assert 0 < len(_CANONICAL_ADJACENCY) <= 4
-        assert all(arc.height == 1 for key in _CANONICAL_ADJACENCY for arc in key)
+        type_ii = [build_type(TriType("II", (Slope(1, 1), MINUS_ONE), v=v, taggings=ALL_PLAIN))
+                   for v in (V00, V01)]
+        assert {frozenset(key) for key in _CANONICAL_ADJACENCY} == {
+            base_triangulation().arc_set, *(t.arc_set for t in type_ii)}
+
+    def test_fill_rejects_disagreeing_flip_matrix(self, monkeypatch):
+        def wrong_at_2(B, k):
+            M = mutate(B, k)
+            return tuple(tuple(-x for x in row) for row in M) if k == 2 else M
+
+        monkeypatch.setattr(triangulation, "mutate", wrong_at_2)
+        monkeypatch.setattr(triangulation, "_CANONICAL_ADJACENCY", {})
+        with pytest.raises(InternalError):
+            signed_adjacency(base_triangulation())
+        assert not triangulation._CANONICAL_ADJACENCY  # nothing half filled
+
+    def test_lookup_miss_is_internal(self, monkeypatch):
+        signed_adjacency(base_triangulation())
+        t = flip(base_triangulation(), 0)
+        canon, _ = _canonical_form(t)
+        rest = {k: B for k, B in _CANONICAL_ADJACENCY.items() if k != canon}
+        assert len(rest) == 2
+        monkeypatch.setattr(triangulation, "_CANONICAL_ADJACENCY", rest)
+        with pytest.raises(InternalError):
+            signed_adjacency(t)
 
 
 class TestJson:
