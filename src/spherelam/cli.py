@@ -40,7 +40,8 @@ SCHEMA = "sphere-lam/1"
 SHEAR_MAX_HEIGHT = {"word": 50_000, "oracle": 1_000}
 RENDER_MAX_ELEMENTS = 10_000
 # cones and locate build every maximal cone up to their --max-height: about
-# 2.6 s at the default 6, 7.9 s and 50 MB at this cap (same host)
+# 1.7 s at the default 6, 5.4 s and 58 MB at this cap (same host; a whole
+# `cones` command, JSON included, about 2.2 s and 6.6 s)
 CONE_MAX_HEIGHT = 10
 
 

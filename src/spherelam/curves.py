@@ -12,10 +12,10 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import ClosedCurveHasNoArc, InternalError, MalformedInput
-from .lattice import Slope, UnimodularMap, farey_distance
+from .lattice import Slope, UnimodularMap
 
 
 @dataclass(frozen=True, order=True)
@@ -36,9 +36,6 @@ class Puncture:
 
     def translate(self, parity: tuple[int, int]) -> "Puncture":
         return Puncture((self.i + parity[0]) % 2, (self.j + parity[1]) % 2)
-
-    def diff(self, other: "Puncture") -> tuple[int, int]:
-        return ((self.i + other.i) % 2, (self.j + other.j) % 2)
 
     def __str__(self) -> str:
         return f"{self.i}{self.j}"
@@ -124,21 +121,58 @@ def endpoint_sets(s: Slope) -> tuple[tuple[Puncture, Puncture], tuple[Puncture, 
     return (first, tuple(sorted(second)))  # type: ignore[return-value]
 
 
-def _check_ends(slope: Slope, p: Puncture, q: Puncture) -> None:
-    if p == q:
-        raise ValueError("endpoints must be distinct punctures (no loops)")
-    if p.diff(q) != slope.parity:
-        raise ValueError(
-            f"endpoints {p},{q} do not match the parity of slope {slope}"
-        )
+# The puncture set of each 4-bit mask, bit 2*i + j standing for v_ij.
+_MASK_PUNCTURES = tuple(
+    frozenset(p for n, p in enumerate(PUNCTURES) if mask >> n & 1) for mask in range(16)
+)
 
 
 class _ArcOrCurve:
     """What tagged arcs and allowable curves share: a slope and, unless the
-    curve is closed, two endpoints each with a tag or a spiral direction."""
+    curve is closed, two endpoints each with a tag or a spiral direction.
+
+    Equality and hashing go through what ``_freeze`` stores once: equal
+    integer keys (see :func:`arcs_compatible`) for equality within a class,
+    and the hash of ``(slope, ends)``.
+    """
 
     slope: Slope
     ends: tuple | None
+
+    def _freeze(self, marked) -> None:
+        """Sort the ends by puncture, check them against the slope, and set
+        ``punctures``, ``underlying``, ``_key`` (``marked`` is the tag or
+        spiral direction of a set bit) and ``_hash``."""
+        slope, ends = self.slope, self.ends
+        mask = marks = 0
+        if ends is not None:
+            (p, d), (q, e) = ends
+            i, j = 2 * p.i + p.j, 2 * q.i + q.j
+            if j < i:
+                p, d, i, q, e, j = q, e, j, p, d, i
+            ends = ((p, d), (q, e))
+            object.__setattr__(self, "ends", ends)
+            if i == j:
+                raise ValueError("endpoints must be distinct punctures (no loops)")
+            if i ^ j != 2 * (slope.a & 1) + (slope.b & 1):
+                raise ValueError(
+                    f"endpoints {p},{q} do not match the parity of slope {slope}"
+                )
+            mask = 1 << i | 1 << j
+            marks = (d is marked) << i | (e is marked) << j
+        punctures = _MASK_PUNCTURES[mask]
+        object.__setattr__(self, "punctures", punctures)
+        object.__setattr__(self, "underlying", (slope, punctures))
+        object.__setattr__(self, "_key", (slope.a, slope.b, mask, marks))
+        object.__setattr__(self, "_hash", hash((slope, ends)))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def height(self) -> int:
@@ -154,7 +188,7 @@ class _ArcOrCurve:
         return type(self)(m.apply_slope(self.slope), ends)  # type: ignore[call-arg]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TaggedArc(_ArcOrCurve):
     """A tagged arc: slope plus an unordered pair of tagged endpoints.
 
@@ -165,14 +199,12 @@ class TaggedArc(_ArcOrCurve):
     ends: tuple[tuple[Puncture, Tagging], tuple[Puncture, Tagging]]
 
     def __post_init__(self) -> None:
-        ends = tuple(sorted(self.ends, key=lambda e: e[0]))
-        object.__setattr__(self, "ends", ends)
-        _check_ends(self.slope, ends[0][0], ends[1][0])
-        object.__setattr__(self, "punctures", frozenset(e[0] for e in ends))
-        object.__setattr__(self, "underlying", (self.slope, self.punctures))
+        self._freeze(Tagging.NOTCHED)
 
-    punctures: frozenset[Puncture] = field(init=False, compare=False)
-    underlying: tuple = field(init=False, compare=False)
+    punctures: frozenset[Puncture] = field(init=False)
+    underlying: tuple = field(init=False)
+    _key: tuple[int, int, int, int] = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
 
     def retag(self, p: Puncture, tag: Tagging) -> "TaggedArc":
         return TaggedArc(
@@ -199,7 +231,7 @@ class TaggedArc(_ArcOrCurve):
         return TaggedArc(slope, ends)  # type: ignore[arg-type]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AllowableCurve(_ArcOrCurve):
     """An allowable curve: closed (``ends is None``) or spiraling into two
     punctures with independent spiral directions."""
@@ -208,18 +240,12 @@ class AllowableCurve(_ArcOrCurve):
     ends: tuple[tuple[Puncture, SpiralDir], tuple[Puncture, SpiralDir]] | None = None
 
     def __post_init__(self) -> None:
-        if self.ends is not None:
-            ends = tuple(sorted(self.ends, key=lambda e: e[0]))
-            object.__setattr__(self, "ends", ends)
-            _check_ends(self.slope, ends[0][0], ends[1][0])
-        object.__setattr__(
-            self, "punctures",
-            frozenset(e[0] for e in self.ends) if self.ends else frozenset(),
-        )
-        object.__setattr__(self, "underlying", (self.slope, self.punctures))
+        self._freeze(SpiralDir.CCW)
 
-    punctures: frozenset[Puncture] = field(init=False, compare=False)
-    underlying: tuple = field(init=False, compare=False)
+    punctures: frozenset[Puncture] = field(init=False)
+    underlying: tuple = field(init=False)
+    _key: tuple[int, int, int, int] = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
 
     @property
     def is_closed(self) -> bool:
@@ -294,18 +320,36 @@ def kappa_inv(curve: AllowableCurve) -> TaggedArc:
     )
 
 
-def _decorations_agree(x_ends, y_ends, shared: frozenset[Puncture]) -> bool:
-    xd = dict(x_ends)
-    yd = dict(y_ends)
-    return all(xd[p] == yd[p] for p in shared)
+def _keys_compatible(x: tuple[int, int, int, int], y: tuple[int, int, int, int]) -> bool:
+    """The compatibility kernel on two keys (see :func:`arcs_compatible`)."""
+    a, b, mask, marks = x
+    c, d, mask2, marks2 = y
+    differ = marks ^ marks2
+    if mask == mask2 and a == c and b == d:
+        return differ & (differ - 1) == 0
+    shared = mask & mask2
+    return abs(a * d - b * c) == shared.bit_count() and not differ & shared
 
 
-def _coinciding_ok(x_ends, y_ends) -> bool:
-    """For equal underlying arcs/curves: decorations agree at exactly one end."""
-    xd = dict(x_ends)
-    yd = dict(y_ends)
-    agreements = sum(1 for p in xd if xd[p] == yd[p])
-    return agreements == 1
+def _slope_keys(slope: Slope) -> Iterator[tuple[int, int, int, int]]:
+    """The keys of the 8 tagged arcs of ``slope``: its two endpoint masks,
+    ``1 | 1 << (2*(a % 2) + b % 2)`` (the pair at v00, as in
+    :func:`endpoint_sets`) and its complement, each with the 4 subsets of
+    its bits notched."""
+    a, b = slope.a, slope.b
+    first = 1 | 1 << (2 * (a & 1) + (b & 1))
+    for mask in (first, 0b1111 ^ first):
+        low = mask & -mask
+        for marks in (0, low, mask ^ low, mask):
+            yield a, b, mask, marks
+
+
+def _arc_of_key(slope: Slope, key: tuple[int, int, int, int]) -> TaggedArc:
+    """The tagged arc of ``slope`` with this key."""
+    _, _, mask, marks = key
+    return TaggedArc(slope, tuple(  # type: ignore[arg-type]
+        (p, Tagging.NOTCHED if marks >> n & 1 else Tagging.PLAIN)
+        for n, p in enumerate(PUNCTURES) if mask >> n & 1))
 
 
 def arcs_compatible(
@@ -319,26 +363,28 @@ def arcs_compatible(
     endpoint; otherwise compatibility requires the tags to agree at every
     shared endpoint and the Farey distance of the slopes to equal the
     number of shared endpoints.
+
+    Both arcs are read through their integer key ``(a, b, mask, marks)``,
+    set once by the constructor: (a, b) is the primitive vector of the
+    slope, bit ``2*i + j`` of ``mask`` is set iff v_ij is an endpoint, and
+    the same bit of ``marks`` iff the tag there is notched (the spiral
+    counterclockwise), so ``kappa`` keeps the key.  With equal
+    ``(a, b, mask)`` the marks may differ in at most one bit (none: equal
+    arcs); otherwise ``|a*b' - b*a'|`` must equal the number of bits of
+    ``mask & mask'`` and the marks must agree on those bits.
     """
-    if x == y:
-        return True
-    if x.underlying == y.underlying:
-        return _coinciding_ok(x.ends, y.ends)
-    shared = x.punctures & y.punctures
-    if farey_distance(x.slope, y.slope) != len(shared):
-        return False
-    return _decorations_agree(x.ends, y.ends, shared)
+    return _keys_compatible(x._key, y._key)
 
 
 def curves_compatible(x: AllowableCurve, y: AllowableCurve) -> bool:
     """Allowable-curve compatibility: closed curves are compatible only
     with themselves and with spiraling curves of the same slope; two
-    spiraling curves follow :func:`arcs_compatible`."""
-    if x.is_closed and y.is_closed:
-        return x == y
-    if x.is_closed or y.is_closed:
-        return x.slope == y.slope
-    return arcs_compatible(x, y)
+    spiraling curves follow :func:`arcs_compatible`.
+
+    A closed curve has key ``(a, b, 0, 0)``: it shares no endpoint, so the
+    kernel of :func:`arcs_compatible` asks for Farey distance 0, the same
+    slope."""
+    return _keys_compatible(x._key, y._key)
 
 
 def enumerate_arcs(max_height: int) -> list[TaggedArc]:

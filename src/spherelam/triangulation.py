@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .curves import (
@@ -45,6 +45,9 @@ from .curves import (
     Puncture,
     TaggedArc,
     Tagging,
+    _arc_of_key,
+    _keys_compatible,
+    _slope_keys,
     arcs_compatible,
     endpoint_sets,
     tag_choices,
@@ -75,9 +78,11 @@ class TaggedTriangulation:
     """Six distinct pairwise compatible tagged arcs, in a fixed order."""
 
     arcs: tuple[TaggedArc, ...]
+    arc_set: frozenset[TaggedArc] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.arcs) != 6 or len(set(self.arcs)) != 6:
+        object.__setattr__(self, "arc_set", frozenset(self.arcs))
+        if len(self.arcs) != 6 or len(self.arc_set) != 6:
             raise ValueError("a tagged triangulation has exactly 6 distinct arcs")
         for x, y in itertools.combinations(self.arcs, 2):
             if not arcs_compatible(x, y):
@@ -92,10 +97,6 @@ class TaggedTriangulation:
             for p in arc.punctures:
                 deg[p] += 1
         return tuple(sorted(deg.values()))  # type: ignore[return-value]
-
-    @property
-    def arc_set(self) -> frozenset[TaggedArc]:
-        return frozenset(self.arcs)
 
     @property
     def height(self) -> int:
@@ -353,6 +354,10 @@ def _enumerate_typed(max_height: int) -> Iterator[tuple[TriType, TaggedTriangula
             yield spec, _assemble(kind, spec.slopes, v, frame, dict(tags))
 
 
+# The (i, j) with |i|, |j| <= 2 above (0, 0), one of each pair +-(i, j).
+_UPPER_PAIRS = [(i, j) for i, j in itertools.product(range(-2, 3), repeat=2) if (i, j) > (0, 0)]
+
+
 def _flip_slopes(rest: Sequence[TaggedArc]) -> set[Slope]:
     """Every slope the arc completing ``rest`` to a triangulation can have.
 
@@ -362,16 +367,17 @@ def _flip_slopes(rest: Sequence[TaggedArc]) -> set[Slope]:
     2, so d = det(s, t) is +-1 or +-2, and the new slope w has
     |det(w, s)|, |det(w, t)| <= 2.  Cramer's rule gives
     d * w = det(w, t) * s + det(s, w) * t, so w is one of the integral
-    vectors (i*s + j*t) / d with |i|, |j| <= 2: at most 12 slopes at any
-    height.
+    vectors (i*s + j*t) / d with |i|, |j| <= 2.  (i, j) and (-i, -j) give
+    one slope, so the 12 pairs above (0, 0) in lexicographic order give
+    them all: at most 12 slopes at any height.
     """
     s = rest[0].slope
     t = next(a.slope for a in rest if a.slope != s)
     d = det2(s, t)
     out = set()
-    for i, j in itertools.product(range(-2, 3), repeat=2):
+    for i, j in _UPPER_PAIRS:
         x, y = i * s.a + j * t.a, i * s.b + j * t.b
-        if (i, j) != (0, 0) and x % d == 0 and y % d == 0:
+        if x % d == 0 and y % d == 0:
             out.add(standard_form(x // d, y // d))
     return out
 
@@ -381,32 +387,29 @@ def flip(tri: TaggedTriangulation, k: int) -> TaggedTriangulation:
 
     The new slope is one of the at most 12 candidates of
     :func:`_flip_slopes`, a set whose size does not depend on the height.
-    Candidate slopes at Farey distance above 2 from a remaining arc are
-    dropped; for the others every endpoint pair and tagging is tried, and
-    an arc is kept when it is compatible with the remaining five and
+    Each candidate slope (a, b) gives 8 candidate keys ``(a, b, mask,
+    marks)`` in the encoding of :func:`arcs_compatible`: its two endpoint
+    masks, ``1 | 1 << (2*(a % 2) + b % 2)`` and the complement of that in
+    ``0b1111``, each with the 4 subsets of its bits as notched ends.  A key
+    is dropped if it is the removed arc or a remaining one, or if it fails
+    the compatibility kernel against the five remaining keys; a
+    :class:`TaggedArc` is built only for a survivor, and kept when it
     completes a valid triangulation.  Exactly one must be kept.
     """
-    removed = tri.arcs[k]
-    rest = tuple(a for i, a in enumerate(tri.arcs) if i != k)
-    rest_slopes = [a.slope for a in rest]
+    rest = tri.arcs[:k] + tri.arcs[k + 1:]
+    taken = {arc._key for arc in tri.arcs}
+    rest_keys = [arc._key for arc in rest]
 
     found = []
-    tag_pairs = tuple(itertools.product(Tagging, repeat=2))
-    for slope in sorted(_flip_slopes(rest)):
-        if any(farey_distance(slope, s) > 2 for s in rest_slopes):
-            continue
-        for pair in endpoint_sets(slope):
-            for t0, t1 in tag_pairs:
-                cand = TaggedArc(slope, ((pair[0], t0), (pair[1], t1)))
-                if cand == removed or cand in rest:
-                    continue
-                if not all(arcs_compatible(cand, a) for a in rest):
-                    continue
-                try:
-                    new = TaggedTriangulation(rest[:k] + (cand,) + rest[k:])
-                except ValueError:
-                    continue
-                found.append(new)
+    for slope in _flip_slopes(rest):
+        for key in _slope_keys(slope):
+            if key in taken or not all(_keys_compatible(key, r) for r in rest_keys):
+                continue
+            try:
+                new = TaggedTriangulation(rest[:k] + (_arc_of_key(slope, key),) + rest[k:])
+            except ValueError:
+                continue
+            found.append(new)
     if len(found) != 1:
         raise InternalNonUnique(
             f"flip produced {len(found)} completions instead of 1"

@@ -10,7 +10,7 @@ import spherelam
 from spherelam import cli
 from spherelam.cli import run
 from spherelam.errors import InternalNonUnique
-from spherelam.curves import AllowableCurve, TaggedArc
+from spherelam.curves import AllowableCurve, TaggedArc, Tagging
 from spherelam.render import RenderSpec, curve_polyline, grid_lines, render
 from spherelam.lattice import Slope
 from spherelam.shear import BASE_TRI
@@ -496,6 +496,21 @@ class TestColdStart:
                               env={**os.environ, "PYTHONPATH": SRC})
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert json.loads(proc.stdout)["failed"] == 0
+
+    def test_flip_under_optimize(self):
+        # the compatibility checks of a triangulation raise, not assert
+        arcs = list(base_triangulation().arcs)
+        arcs[0] = arcs[0].retag(min(arcs[0].punctures), Tagging.NOTCHED)
+        valid = json.dumps(base_triangulation().to_json())
+        incompatible = json.dumps([a.to_json() for a in arcs])
+        for tri, code in ((valid, 0), (incompatible, 1)):
+            argv = ["-m", "spherelam.cli", "flip", "--tri", tri, "--k", "1"]
+            procs = [subprocess.run([sys.executable, *flags, *argv], capture_output=True,
+                                    text=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC})
+                     for flags in ((), ("-O",))]
+            assert [p.returncode for p in procs] == [code, code], procs[1].stderr
+            assert procs[0].stdout == procs[1].stdout
+            assert ("error" in json.loads(procs[1].stdout)) == (code == 1)
 
 
 class TestJsonRoundTrips:

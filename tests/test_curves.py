@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+import compat_oracle
 from spherelam.curves import (
     V00, V01, V10, V11,
     AllowableCurve,
@@ -19,6 +20,8 @@ from spherelam.curves import (
     enumerate_curves,
     kappa,
     kappa_inv,
+    _arc_of_key,
+    _slope_keys,
 )
 from spherelam.errors import ClosedCurveHasNoArc
 from spherelam.lattice import Slope, UnimodularMap, farey_distance
@@ -59,7 +62,7 @@ class TestEndpointSets:
 
         for s in enumerate_slopes(5):
             for pair in endpoint_sets(s):
-                assert pair[0].diff(pair[1]) == s.parity
+                assert pair[0].translate(s.parity) == pair[1]
 
 
 class TestConstructors:
@@ -168,6 +171,53 @@ class TestCurveCompatibility:
         arcs = enumerate_arcs(4)
         for a, b in itertools.combinations(arcs, 2):
             assert arcs_compatible(a, b) == curves_compatible(kappa(a), kappa(b))
+
+
+class TestKernelAgainstOracle:
+    """The integer kernel against the tuple rule of ``compat_oracle`` on
+    every ordered pair up to height 3: all endpoint pairs and taggings,
+    spiral directions, and closed curves."""
+
+    def test_arcs(self):
+        arcs = enumerate_arcs(3)
+        assert len(arcs) == 128
+        for a, b in itertools.product(arcs, repeat=2):
+            assert arcs_compatible(a, b) == compat_oracle.arcs_compatible(a, b), (a, b)
+
+    def test_curves(self):
+        curves = enumerate_curves(3)
+        spiraling = [c for c in curves if not c.is_closed]
+        assert len(spiraling) == 128 and len(curves) == 144
+        for a, b in itertools.product(spiraling, repeat=2):
+            assert arcs_compatible(a, b) == compat_oracle.arcs_compatible(a, b), (a, b)
+        for a, b in itertools.product(curves, repeat=2):
+            assert curves_compatible(a, b) == compat_oracle.curves_compatible(a, b), (a, b)
+
+    def test_kappa_keeps_the_key(self):
+        for a in enumerate_arcs(3):
+            assert kappa(a)._key == a._key
+            assert kappa_inv(kappa(a))._key == a._key
+
+    def test_slope_keys_are_the_arcs_of_the_slope(self):
+        from spherelam.lattice import enumerate_slopes
+
+        arcs = enumerate_arcs(3)
+        for s in enumerate_slopes(3):
+            keys = list(_slope_keys(s))
+            assert sorted(keys) == sorted(a._key for a in arcs if a.slope == s)
+            assert [_arc_of_key(s, key)._key for key in keys] == keys
+
+    def test_key_encoding(self):
+        a = arc(2, 3, V01, NOTCHED, V00, PLAIN)
+        assert a._key == (2, 3, 0b0011, 0b0010)
+        c = curve(1, -1, V11, CCW, V00, CCW)
+        assert c._key == (1, -1, 0b1001, 0b1001)
+        assert AllowableCurve(Slope(1, 1))._key == (1, 1, 0, 0)
+
+    def test_hash_is_the_dataclass_hash(self):
+        # computed once, with the value of hash((slope, ends)) as before
+        for x in enumerate_arcs(2) + enumerate_curves(2):
+            assert hash(x) == hash((x.slope, x.ends))
 
 
 @given(st.integers(0, 3), st.integers(0, 3))

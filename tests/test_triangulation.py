@@ -4,7 +4,9 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import compat_oracle
 from box_oracle import box_adjacency
 from spherelam import triangulation
 from spherelam.curves import (
@@ -12,13 +14,12 @@ from spherelam.curves import (
     Puncture,
     TaggedArc,
     Tagging,
-    arcs_compatible,
     endpoint_sets,
 )
 from spherelam.errors import InternalError, InvalidParameters, NotAllPlain
 from spherelam.lattice import (
     INF, MINUS_ONE, ZERO, Slope, enumerate_slopes, farey1_triples, farey_distance,
-    mediant, standard_form,
+    mediant, pair_to_basis, standard_form,
 )
 from spherelam.triangulation import (
     FIG1_MATRIX,
@@ -46,7 +47,8 @@ ALL_PLAIN = tuple((p, PLAIN) for p in (V00, V01, V10, V11))
 def sweep_flip(tri, k):
     """The former height-capped flip, kept as an oracle: the candidate
     slopes are the present ones, the mediants of their Farey-1 pairs and
-    every slope up to height min(2h + 2, 64)."""
+    every slope up to height min(2h + 2, 64), each candidate arc is checked
+    by the tuple rule of :mod:`compat_oracle`, not by the integer kernel."""
     removed = tri.arcs[k]
     rest = tuple(a for i, a in enumerate(tri.arcs) if i != k)
     slopes = {arc.slope for arc in tri.arcs}
@@ -63,7 +65,7 @@ def sweep_flip(tri, k):
                 cand = TaggedArc(slope, ((pair[0], t0), (pair[1], t1)))
                 if cand == removed or cand in rest:
                     continue
-                if not all(arcs_compatible(cand, a) for a in rest):
+                if not all(compat_oracle.arcs_compatible(cand, a) for a in rest):
                     continue
                 try:
                     found.append(TaggedTriangulation(rest[:k] + (cand,) + rest[k:]))
@@ -71,6 +73,19 @@ def sweep_flip(tri, k):
                     continue
     assert len(found) == 1, found
     return found[0]
+
+
+def sweep_flip_at_height_two(tri, k):
+    """(flip(tri, k) by :func:`sweep_flip`, m): the sweep runs on the image
+    of tri under the lattice map m sending a Farey-1 pair of its slopes to
+    0 and inf, where every slope has height <= 2 (compatible slopes are at
+    Farey distance <= 2), so it is exact at any height of tri."""
+    s, t = next((s, t) for s, t in itertools.combinations({a.slope for a in tri.arcs}, 2)
+                if farey_distance(s, t) == 1)
+    m = pair_to_basis(s, t)
+    image = TaggedTriangulation(tuple(a.image(m) for a in tri.arcs))
+    assert image.height <= 2
+    return sweep_flip(image, k), m
 
 
 def type_i_start(rng, lo, hi, tags=None):
@@ -284,6 +299,22 @@ class TestFlip:
                 kinds[classify(f).tag] += 1
                 t = f
         assert set(kinds) == {"I", "II", "III", "IV", "V", "VI"}
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(3, 5), st.integers(0, 2**32),
+           st.lists(st.integers(0, 5), min_size=1, max_size=20))
+    def test_reach_at_large_heights(self, exponent, seed, ks):
+        # tagged type-I starts of height 10^3 to 10^6; the sweep oracle is
+        # exact only below height 32, so it runs on the height-2 image
+        t = type_i_start(random.Random(seed), 10**exponent, 10**(exponent + 1))
+        assert 10**3 <= t.height <= 10**6
+        for k in ks:
+            f = flip(t, k)
+            assert flip(f, k) == t
+            assert build_type(classify(t)) == t
+            swept, m = sweep_flip_at_height_two(t, k)
+            assert tuple(a.image(m) for a in f.arcs) == swept.arcs
+            t = f
 
     def test_type_v_neighbors(self):
         spec = TriType("V", (Slope(1, 1), Slope(1, -1)), v=V00,
