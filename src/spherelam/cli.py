@@ -40,8 +40,8 @@ SCHEMA = "sphere-lam/1"
 SHEAR_MAX_HEIGHT = {"word": 50_000, "oracle": 1_000}
 RENDER_MAX_ELEMENTS = 10_000
 # cones and locate build every maximal cone up to their --max-height: about
-# 1.7 s at the default 6, 5.4 s and 58 MB at this cap (same host; a whole
-# `cones` command, JSON included, about 2.2 s and 6.6 s)
+# 1.2 s at the default 6, 3.3 s and 59 MB at this cap (same host; a whole
+# `cones` command, JSON included, about 1.4 s and 4.2 s)
 CONE_MAX_HEIGHT = 10
 
 

@@ -127,6 +127,15 @@ _MASK_PUNCTURES = tuple(
 )
 
 
+def _arc_key(slope: Slope, p: Puncture, d, q: Puncture, e,
+             marked=Tagging.NOTCHED) -> tuple[int, int, int, int]:
+    """The integer key (see :func:`arcs_compatible`) of the arc or curve of
+    ``slope`` with ends (p, d) and (q, e): the slope vector, the endpoint
+    mask (bit 2*i + j for v_ij) and the mask of the ends marked ``marked``."""
+    i, j = 2 * p.i + p.j, 2 * q.i + q.j
+    return slope.a, slope.b, 1 << i | 1 << j, (d is marked) << i | (e is marked) << j
+
+
 class _ArcOrCurve:
     """What tagged arcs and allowable curves share: a slope and, unless the
     curve is closed, two endpoints each with a tag or a spiral direction.
@@ -144,7 +153,6 @@ class _ArcOrCurve:
         ``punctures``, ``underlying``, ``_key`` (``marked`` is the tag or
         spiral direction of a set bit) and ``_hash``."""
         slope, ends = self.slope, self.ends
-        mask = marks = 0
         if ends is not None:
             (p, d), (q, e) = ends
             i, j = 2 * p.i + p.j, 2 * q.i + q.j
@@ -158,12 +166,13 @@ class _ArcOrCurve:
                 raise ValueError(
                     f"endpoints {p},{q} do not match the parity of slope {slope}"
                 )
-            mask = 1 << i | 1 << j
-            marks = (d is marked) << i | (e is marked) << j
-        punctures = _MASK_PUNCTURES[mask]
+            key = _arc_key(slope, p, d, q, e, marked)
+        else:
+            key = (slope.a, slope.b, 0, 0)
+        punctures = _MASK_PUNCTURES[key[2]]
         object.__setattr__(self, "punctures", punctures)
         object.__setattr__(self, "underlying", (slope, punctures))
-        object.__setattr__(self, "_key", (slope.a, slope.b, mask, marks))
+        object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash((slope, ends)))
 
     def __eq__(self, other) -> bool:
@@ -331,12 +340,12 @@ def _keys_compatible(x: tuple[int, int, int, int], y: tuple[int, int, int, int])
     return abs(a * d - b * c) == shared.bit_count() and not differ & shared
 
 
-def _slope_keys(slope: Slope) -> Iterator[tuple[int, int, int, int]]:
-    """The keys of the 8 tagged arcs of ``slope``: its two endpoint masks,
+def _slope_keys(a: int, b: int) -> Iterator[tuple[int, int, int, int]]:
+    """The keys of the 8 tagged arcs of the slope with primitive vector
+    (a, b) in standard form: its two endpoint masks,
     ``1 | 1 << (2*(a % 2) + b % 2)`` (the pair at v00, as in
     :func:`endpoint_sets`) and its complement, each with the 4 subsets of
     its bits notched."""
-    a, b = slope.a, slope.b
     first = 1 | 1 << (2 * (a & 1) + (b & 1))
     for mask in (first, 0b1111 ^ first):
         low = mask & -mask

@@ -5,6 +5,12 @@ Maximal collections are the kappa images of tagged triangulations (types
 I-VI, six curves) together with the collections built around one closed
 curve (type VII, five curves).  Their nonnegative spans are the maximal
 cones of the fan; cones are exact integer/rational objects throughout.
+
+:func:`cone_index` builds every maximal cone up to a height with its
+membership functionals.  A six-dimensional cone whose generators are a
+``GAMMA24`` coordinate permutation of those of a cone built earlier in the
+same build takes its functionals from that cone, permuted; the others,
+and every kind-VII cone, find theirs by one exact elimination.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import itemgetter, mul
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import exactla
@@ -31,6 +37,7 @@ from .errors import BoundExhausted, InternalError, InternalNonUnique, MalformedI
     RankDeficient
 from .lattice import Slope, check_height, enumerate_slopes, farey1_triples
 from .shear import (
+    CoordPerm,
     GAMMA24,
     GROUP_Y,
     GROUP_Z,
@@ -85,7 +92,7 @@ class MaximalCollection:
         cls,
         tri: TaggedTriangulation,
         kind: str,
-        memo: dict[TaggedArc, AllowableCurve] | None = None,
+        memo: dict[TaggedArc, tuple[tuple, AllowableCurve]] | None = None,
     ) -> MaximalCollection:
         """The kappa image of a triangulation, with its type tag.
 
@@ -93,17 +100,20 @@ class MaximalCollection:
         triangulation's constructor has run it on the arcs, and two
         spiraling curves are compatible exactly when their arcs are
         (:func:`arcs_compatible` with spiral directions in place of tags).
-        ``memo`` maps arcs to their curves across calls, so collections
-        that share an arc share its curve object."""
+        ``memo`` maps arcs to their curves and the curves' sort keys
+        across calls, so collections that share an arc share its curve
+        object and the key is computed once."""
         memo = {} if memo is None else memo
-        curves = []
+        entries = []
         for arc in tri.arcs:
-            curve = memo.get(arc)
-            if curve is None:
-                curve = memo[arc] = kappa(arc)
-            curves.append(curve)
+            entry = memo.get(arc)
+            if entry is None:
+                curve = kappa(arc)
+                entry = memo[arc] = (curve.sort_key(), curve)
+            entries.append(entry)
+        entries.sort(key=itemgetter(0))
         coll = object.__new__(cls)
-        object.__setattr__(coll, "curves", tuple(sorted(curves, key=AllowableCurve.sort_key)))
+        object.__setattr__(coll, "curves", tuple(curve for _, curve in entries))
         object.__setattr__(coll, "kind", kind)
         return coll
 
@@ -128,7 +138,7 @@ def maximal_collections(max_height: int) -> Iterator[MaximalCollection]:
     with slope parameters bounded by max_height."""
     from .triangulation import _enumerate_typed
 
-    memo: dict[TaggedArc, AllowableCurve] = {}
+    memo: dict[TaggedArc, tuple[tuple, AllowableCurve]] = {}
     for spec, tri in _enumerate_typed(max_height):
         yield MaximalCollection.of_triangulation(tri, spec.tag, memo)
     for slope in enumerate_slopes(max_height):
@@ -165,7 +175,9 @@ class Cone:
     @cached_property
     def _functionals(self) -> tuple[list[tuple[int, ...]], int, tuple[int, ...] | None]:
         # computed once per cone: by cone_of, which needs the invertible
-        # block as its rank check, or on first use for other cones
+        # block as its rank check, or on first use for other cones; a cone
+        # index build sets it instead for a GAMMA24 image of a cone it has
+        # computed (_functionals_by_image)
         return _cone_functionals(self)
 
     def __eq__(self, other) -> bool:
@@ -175,20 +187,90 @@ class Cone:
         return hash(self._canonical)
 
 
-def cone_of(coll: MaximalCollection) -> Cone:
+def cone_of(coll: MaximalCollection, images: _Images | None = None) -> Cone:
     """The maximal cone of a collection; generators stay aligned with the
     collection's curve order.  Rank 6 for kinds I-VI, 5 for kind VII.
 
     The rank is checked by finding the cone's functionals, which the cone
     stores: an invertible r x r block of generator coordinates exists
-    exactly when the r generators have rank r."""
+    exactly when the r generators have rank r.  With ``images`` (one per
+    :func:`cone_index` build), a six-dimensional cone first looks for
+    itself among the ``GAMMA24`` images of the cones built before it
+    (:func:`_functionals_by_image`)."""
     gens = tuple(shear_closed_form(c) for c in coll.curves)
     expected = 5 if coll.kind == "VII" else 6
     if len(gens) != expected:
         raise RankDeficient(f"kind {coll.kind} cone has {len(gens)} generators")
     cone = Cone(gens, coll.kind, coll)
-    cone._functionals  # raises RankDeficient when rank < r
+    if images is None or expected == 5:
+        cone._functionals  # raises RankDeficient when rank < r
+    elif not _functionals_by_image(cone, images):
+        cone._functionals  # as above; the cone's images then join the memo
+        total = sum(map(sum, gens))
+        for perm in _GAMMA24_PERMS:
+            images.setdefault(_image_key(map(perm.image, gens), total), cone)
     return cone
+
+
+class _Perm:
+    """A coordinate permutation of GAMMA24 as ``apply_perm`` applies it,
+    ``image(v)``, and its inverse, ``preimage(v)``, each one C call."""
+
+    def __init__(self, p: CoordPerm):
+        self.image = itemgetter(*sorted(range(6), key=p.__getitem__))
+        self.preimage = itemgetter(*p)
+
+
+_GAMMA24_PERMS = [_Perm(p) for p in sorted(GAMMA24)]
+
+# For one cone_index build: the key of each GAMMA24 image of the
+# generators of a six-dimensional cone, mapped to the cone.
+_Images = dict[int, Cone]
+
+
+def _image_key(gens, total: int) -> int:
+    """The key of a generator set in an ``_Images`` memo: a hash of the
+    sorted generators and of their coordinate total, which no coordinate
+    permutation changes.  Two sets may share a key (as ints, -1 and -2
+    hash alike, and the total tells one such swap apart, not every one),
+    so :func:`_functionals_by_image` compares the generators themselves."""
+    return hash((tuple(sorted(gens)), total))
+
+
+def _functionals_by_image(cone: Cone, images: _Images) -> bool:
+    """Set the functionals of a six-dimensional cone from a cone of the
+    memo whose image it is, and return whether one was found.
+
+    If a coordinate permutation P maps the memo's cone R onto ``cone``,
+    generator c of ``cone`` is P applied to generator P^-1 c of R, and the
+    functionals of R, a positive multiple of the inverse of its generator
+    matrix, give those of ``cone`` by P: (P f) . (P g) = f . g, and the
+    determinant's absolute value is unchanged.  The rows of
+    :func:`_cone_functionals` are exactly these, as the rows of
+    |det| M^-1 for the generator matrix M are unique.  The memo keeps R
+    only, and P is the first permutation of ``GAMMA24`` whose inverse maps
+    the generators one to one onto those of R; R has rank 6, so the cone
+    has too.  A key shared by another cone's image, where no P does so, is
+    no hit.  Each hit is checked, with InternalError: row k must give det
+    on generator k."""
+    gens = cone.generators
+    rep = images.get(_image_key(gens, sum(map(sum, gens))))
+    if rep is None:
+        return False
+    rows, det, _ = rep._functionals
+    position = {g: k for k, g in enumerate(rep.generators)}
+    for perm in _GAMMA24_PERMS:
+        if perm.preimage(gens[0]) in position:
+            picked = [position.get(perm.preimage(c)) for c in gens]
+            if None not in picked and len(set(picked)) == len(picked):
+                break
+    else:
+        return False
+    functionals = [perm.image(rows[k]) for k in picked]
+    if any(sum(map(mul, f, c)) != det for f, c in zip(functionals, gens)):
+        raise InternalError(f"permuted functionals do not invert the generators {gens}")
+    cone.__dict__["_functionals"] = (functionals, det, None)
+    return True
 
 
 def membership(v: Sequence, cone: Cone):
@@ -335,11 +417,19 @@ _INDEX_CACHE: dict[int, _ConeIndex] = {}
 
 
 def cone_index(max_height: int) -> _ConeIndex:
+    """The index of every maximal cone at the given height, built once per
+    height.  The ``GAMMA24`` images memo of :func:`cone_of` lives for one
+    build and is dropped before the sign patterns are listed."""
     idx = _INDEX_CACHE.get(max_height)
     if idx is None:
-        idx = _ConeIndex([cone_of(c) for c in maximal_collections(max_height)])
+        idx = _ConeIndex(_maximal_cones(max_height))
         _INDEX_CACHE[max_height] = idx
     return idx
+
+
+def _maximal_cones(max_height: int) -> list[Cone]:
+    images: _Images = {}
+    return [cone_of(c, images) for c in maximal_collections(max_height)]
 
 
 def _shear_vector(v) -> ShearVector:
@@ -363,8 +453,10 @@ def locate(v: Sequence[int], max_height: int = 6) -> QuasiLamination:
         return QuasiLamination(())
     index = cone_index(max_height)
     # the weights of every containing cone must agree: those the distinct
-    # scan leaves out do by construction, the others are compared here; the
-    # lamination (and its pairwise compatibility check) is built once
+    # scan leaves out do by construction, the others are compared here.  The
+    # curves come from one indexed collection, whose pairwise compatibility
+    # was checked when its triangulation (or kind-VII collection) was built,
+    # so the lamination skips that check
     found: dict[AllowableCurve, int] | None = None
     for cone, coeffs in index.containing(v, distinct=True):
         if cone.collection is None:
@@ -384,7 +476,7 @@ def locate(v: Sequence[int], max_height: int = 6) -> QuasiLamination:
         raise BoundExhausted(
             f"no cone at height {max_height} contains {v}; raise max_height"
         )
-    return QuasiLamination(tuple(found.items()))
+    return QuasiLamination._of_compatible(tuple(found.items()))
 
 
 def count_containing_cones(v: Sequence[int], max_height: int = 6) -> int:

@@ -110,16 +110,22 @@ ZERO = Slope(1, 0)
 MINUS_ONE = Slope(1, -1)
 
 
-def standard_form(p: int, q: int) -> Slope:
-    """Standard form of the slope q/p of the lattice vector (p, q)."""
+def standard_vector(p: int, q: int) -> tuple[int, int]:
+    """The primitive vector in standard form (a > 0, or (0, 1)) of the
+    slope q/p of the lattice vector (p, q)."""
     if p == 0 and q == 0:
         raise ZeroVector("(0, 0) has no slope")
     if p == 0:
-        return INF
+        return 0, 1
     if p < 0:
         p, q = -p, -q
     g = math.gcd(p, abs(q))
-    return Slope(p // g, q // g)
+    return p // g, q // g
+
+
+def standard_form(p: int, q: int) -> Slope:
+    """Standard form of the slope q/p of the lattice vector (p, q)."""
+    return Slope(*standard_vector(p, q))
 
 
 def det2(s: Slope | tuple[int, int], t: Slope | tuple[int, int]) -> int:

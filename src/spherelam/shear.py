@@ -506,6 +506,14 @@ def _merged(weights: Weights) -> Weights:
     return tuple(sorted(merged.items(), key=lambda cw: cw[0].sort_key()))
 
 
+def _positive_merged(weights: Weights) -> Weights:
+    """:func:`_merged`, each weight checked positive."""
+    items = _merged(weights)
+    if any(w <= 0 for _, w in items):
+        raise ValueError("quasi-lamination weights must be positive")
+    return items
+
+
 @dataclass(frozen=True)
 class Tangle:
     """A finite integer-weighted collection of allowable curves; no
@@ -533,14 +541,21 @@ class QuasiLamination:
     weights: Weights
 
     def __post_init__(self) -> None:
-        items = _merged(self.weights)
-        if any(w <= 0 for _, w in items):
-            raise ValueError("quasi-lamination weights must be positive")
+        items = _positive_merged(self.weights)
         curves = [c for c, _ in items]
         for x, y in itertools.combinations(curves, 2):
             if not curves_compatible(x, y):
                 raise ValueError(f"incompatible curves {x}, {y}")
         object.__setattr__(self, "weights", items)
+
+    @classmethod
+    def _of_compatible(cls, weights: Weights) -> "QuasiLamination":
+        """A quasi-lamination on curves known to be pairwise compatible,
+        such as curves of one maximal collection: the weights are merged
+        and checked positive, the pairwise check is not run again."""
+        lam = object.__new__(cls)
+        object.__setattr__(lam, "weights", _positive_merged(weights))
+        return lam
 
     @property
     def support(self) -> tuple[AllowableCurve, ...]:

@@ -45,6 +45,7 @@ from .curves import (
     Puncture,
     TaggedArc,
     Tagging,
+    _arc_key,
     _arc_of_key,
     _keys_compatible,
     _slope_keys,
@@ -68,6 +69,7 @@ from .lattice import (
     is_farey1_triple,
     pair_to_basis,
     standard_form,
+    standard_vector,
 )
 
 _ADMISSIBLE_DEGREES = {(2, 2, 2, 6), (2, 2, 3, 5), (2, 2, 4, 4), (3, 3, 3, 3)}
@@ -182,12 +184,26 @@ class TriType:
         return out
 
 
-def _coinciding_pair(slope: Slope, agree_at: Puncture, tag: Tagging) -> list[TaggedArc]:
+def _tagged_arc(slope: Slope, x: Puncture, t: Tagging, y: Puncture, t2: Tagging,
+                memo: dict[tuple[int, int, int, int], TaggedArc] | None = None
+                ) -> TaggedArc:
+    """The arc of ``slope`` from x tagged t to y tagged t2; with a ``memo``
+    (integer key to arc, see :func:`arcs_compatible`), the one object of
+    that arc across calls."""
+    if memo is None:
+        return TaggedArc(slope, ((x, t), (y, t2)))
+    key = _arc_key(slope, x, t, y, t2)
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = TaggedArc(slope, ((x, t), (y, t2)))
+    return found
+
+
+def _coinciding_pair(slope: Slope, agree_at: Puncture, tag: Tagging,
+                     memo: dict[tuple[int, int, int, int], TaggedArc] | None = None
+                     ) -> list[TaggedArc]:
     far = agree_at.translate(slope.parity)
-    return [
-        TaggedArc(slope, ((agree_at, tag), (far, Tagging.PLAIN))),
-        TaggedArc(slope, ((agree_at, tag), (far, Tagging.NOTCHED))),
-    ]
+    return [_tagged_arc(slope, agree_at, tag, far, t, memo) for t in Tagging]
 
 
 def _frame(kind: str, slopes: tuple[Slope, ...], v: Puncture | None,
@@ -228,31 +244,38 @@ def _frame(kind: str, slopes: tuple[Slope, ...], v: Puncture | None,
 
 
 def _assemble(kind: str, slopes: tuple[Slope, ...], v: Puncture | None, frame,
-              tags: dict[Puncture, Tagging]) -> TaggedTriangulation:
+              tags: dict[Puncture, Tagging],
+              memo: dict[tuple[int, int, int, int], TaggedArc] | None = None
+              ) -> TaggedTriangulation:
     """The arcs of the module docstring's table, in its order, for ``slopes``
-    sorted as :class:`TriType` keeps them and a tag at each free puncture."""
+    sorted as :class:`TriType` keeps them and a tag at each free puncture.
+    A ``memo`` (see :func:`_tagged_arc`) shared by the calls of one sweep
+    gives their triangulations one object per arc."""
     u, w, c, c2, _ = frame
 
     def arc(s: Slope, x: Puncture, y: Puncture) -> TaggedArc:
-        return TaggedArc(s, ((x, tags[x]), (y, tags[y])))
+        return _tagged_arc(s, x, tags[x], y, tags[y], memo)
 
     def both(s: Slope) -> list[TaggedArc]:
         return [arc(s, *pair) for pair in endpoint_sets(s)]
 
+    def coinciding(s: Slope, x: Puncture) -> list[TaggedArc]:
+        return _coinciding_pair(s, x, tags[x], memo)
+
     if kind == "I":
         arcs = [a for s in slopes for a in both(s)]
     elif kind == "VI":
-        arcs = [a for s in slopes for a in _coinciding_pair(s, v, tags[v])]
+        arcs = [a for s in slopes for a in coinciding(s, v)]
     else:
         arcs = [arc(s, v, u) for s in slopes]
         if kind == "II":
             arcs += both(c) + both(c2)
         elif kind == "III":
-            arcs += _coinciding_pair(c, v, tags[v]) + _coinciding_pair(c, u, tags[u])
+            arcs += coinciding(c, v) + coinciding(c, u)
         elif kind == "IV":
-            arcs += _coinciding_pair(c, v, tags[v]) + [arc(c2, v, w), arc(c, u, w)]
+            arcs += coinciding(c, v) + [arc(c2, v, w), arc(c, u, w)]
         else:
-            arcs += _coinciding_pair(c, v, tags[v]) + _coinciding_pair(c2, v, tags[v])
+            arcs += coinciding(c, v) + coinciding(c2, v)
     return TaggedTriangulation(tuple(arcs))
 
 
@@ -347,19 +370,22 @@ def _enumerate_typed(max_height: int) -> Iterator[tuple[TriType, TaggedTriangula
             for v in PUNCTURES:
                 yield "VI", triple, v, None
 
+    memo: dict[tuple[int, int, int, int], TaggedArc] = {}
     for kind, spec_slopes, v, v_prime in parameters():
         frame = _frame(kind, spec_slopes, v, v_prime)
         for tags in tag_choices(frame[-1]):
             spec = TriType(kind, spec_slopes, v=v, v_prime=v_prime, taggings=tags)
-            yield spec, _assemble(kind, spec.slopes, v, frame, dict(tags))
+            yield spec, _assemble(kind, spec.slopes, v, frame, dict(tags), memo)
 
 
 # The (i, j) with |i|, |j| <= 2 above (0, 0), one of each pair +-(i, j).
 _UPPER_PAIRS = [(i, j) for i, j in itertools.product(range(-2, 3), repeat=2) if (i, j) > (0, 0)]
 
 
-def _flip_slopes(rest: Sequence[TaggedArc]) -> set[Slope]:
-    """Every slope the arc completing ``rest`` to a triangulation can have.
+def _flip_slopes(rest: Sequence[TaggedArc]) -> set[tuple[int, int]]:
+    """The primitive vector (a, b) of every slope the arc completing
+    ``rest`` to a triangulation can have, in standard form: a > 0, or
+    (0, 1).
 
     Take two distinct slopes s, t of the remaining arcs; they exist because
     one slope carries at most four arcs (two underlying arcs, each in at
@@ -378,7 +404,7 @@ def _flip_slopes(rest: Sequence[TaggedArc]) -> set[Slope]:
     for i, j in _UPPER_PAIRS:
         x, y = i * s.a + j * t.a, i * s.b + j * t.b
         if x % d == 0 and y % d == 0:
-            out.add(standard_form(x // d, y // d))
+            out.add(standard_vector(x // d, y // d))
     return out
 
 
@@ -401,12 +427,13 @@ def flip(tri: TaggedTriangulation, k: int) -> TaggedTriangulation:
     rest_keys = [arc._key for arc in rest]
 
     found = []
-    for slope in _flip_slopes(rest):
-        for key in _slope_keys(slope):
+    for a, b in _flip_slopes(rest):
+        for key in _slope_keys(a, b):
             if key in taken or not all(_keys_compatible(key, r) for r in rest_keys):
                 continue
+            arc = _arc_of_key(Slope(a, b), key)
             try:
-                new = TaggedTriangulation(rest[:k] + (_arc_of_key(slope, key),) + rest[k:])
+                new = TaggedTriangulation(rest[:k] + (arc,) + rest[k:])
             except ValueError:
                 continue
             found.append(new)

@@ -512,6 +512,17 @@ class TestColdStart:
             assert procs[0].stdout == procs[1].stdout
             assert ("error" in json.loads(procs[1].stdout)) == (code == 1)
 
+    def test_cones_under_optimize(self):
+        # the cone index's checks, the memo's hit check among them, raise
+        # rather than assert: the same bytes with asserts stripped
+        argv = ["-m", "spherelam.cli", "cones", "--max-height", "2"]
+        procs = [subprocess.run([sys.executable, *flags, *argv], capture_output=True,
+                                timeout=120, env={**os.environ, "PYTHONPATH": SRC})
+                 for flags in ((), ("-O",))]
+        assert [p.returncode for p in procs] == [0, 0], procs[1].stderr
+        assert procs[0].stdout == procs[1].stdout
+        assert len(json.loads(procs[0].stdout)["cones"]) == 912
+
 
 class TestJsonRoundTrips:
     def test_triangulation_doc(self):

@@ -203,7 +203,7 @@ class TestKernelAgainstOracle:
 
         arcs = enumerate_arcs(3)
         for s in enumerate_slopes(3):
-            keys = list(_slope_keys(s))
+            keys = list(_slope_keys(s.a, s.b))
             assert sorted(keys) == sorted(a._key for a in arcs if a.slope == s)
             assert [_arc_of_key(s, key)._key for key in keys] == keys
 

@@ -182,6 +182,26 @@ class TestLocate:
             vec = tangle_shear(Tangle(lam.weights))
             assert fan.locate(vec, 2) == lam
 
+    def test_answer_skips_the_pairwise_check(self, monkeypatch):
+        from spherelam import shear
+
+        coll = fan.cone_index(2).cones[100].collection
+        lam = QuasiLamination(tuple((c, i + 1) for i, c in enumerate(reversed(coll.curves))))
+        vec = tangle_shear(Tangle(lam.weights))
+        calls = []
+        compatible = shear.curves_compatible
+        monkeypatch.setattr(shear, "curves_compatible",
+                            lambda x, y: calls.append(1) or compatible(x, y))
+        got = fan.locate(vec, 2)
+        assert calls == []
+        assert got == lam and hash(got) == hash(lam)
+        # the weights are still merged, sorted and checked positive
+        assert QuasiLamination._of_compatible(((coll.curves[1], 1), (coll.curves[0], 2),
+                                               (coll.curves[1], 1))).weights == \
+            ((coll.curves[0], 2), (coll.curves[1], 2))
+        with pytest.raises(ValueError):
+            QuasiLamination._of_compatible(((coll.curves[0], 0),))
+
 
 class _StubIndex:
     def __init__(self, hits):
@@ -643,6 +663,13 @@ class TestOnePassBuild:
         for spec, tri in typed:
             assert classify(tri).tag == spec.tag
 
+    def test_one_arc_object_per_arc(self):
+        by_key = {}
+        for _, tri in triangulation._enumerate_typed(3):
+            for a in tri.arcs:
+                assert by_key.setdefault(a._key, a) is a
+        assert len(by_key) == len(enumerate_arcs(3))
+
     def test_curves_shared_between_collections(self):
         colls = list(fan.maximal_collections(2))
         by_curve = {}
@@ -663,9 +690,82 @@ class TestOnePassBuild:
                     tuple(kappa_inv(c) for c in coll.curves))).tag
 
     def test_stored_functionals(self):
-        for cone in fan.cone_index(2).cones:
-            fresh = fan.Cone(cone.generators, cone.kind)
-            assert cone._functionals == fan._cone_functionals(fresh)
+        for h in (2, 3):
+            cones = fan.cone_index(h).cones
+            assert {c.kind for c in cones} == {"I", "II", "III", "IV", "V", "VI", "VII"}
+            for cone in cones:
+                fresh = fan.Cone(cone.generators, cone.kind)
+                assert cone._functionals == fan._cone_functionals(fresh)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_functionals_commute_with_gamma24(self, data):
+        # the identity the memo rests on: the functionals of P . cone, with
+        # its generators in any order, are those of the cone permuted by P
+        cones = [c for c in fan.cone_index(2).cones if c.kind != "VII"]
+        cone = data.draw(st.sampled_from(cones))
+        p = data.draw(st.sampled_from(sorted(GAMMA24)))
+        order = data.draw(st.permutations(range(6)))
+        rows, det, normal = fan._cone_functionals(cone)
+        image = fan.Cone(tuple(apply_perm(p, cone.generators[i]) for i in order), cone.kind)
+        assert fan._cone_functionals(image) == ([apply_perm(p, rows[i]) for i in order],
+                                                det, None)
+
+    def test_one_elimination_per_orbit(self, monkeypatch):
+        sizes = []
+        adjugate = exactla.adjugate
+        monkeypatch.setattr(exactla, "adjugate", lambda m: sizes.append(len(m)) or adjugate(m))
+        monkeypatch.setattr(fan, "_INDEX_CACHE", {})
+        cones = fan.cone_index(3).cones
+        assert len(cones) == 2256
+        orbits = {min(tuple(sorted(apply_perm(p, g) for g in c.generators)) for p in GAMMA24)
+                  for c in cones if c.kind != "VII"}
+        assert len(orbits) == 264
+        # one 6 x 6 elimination per GAMMA24 orbit, one 5 x 5 block try per
+        # kind-VII cone (2272 eliminations without the memo)
+        assert sizes.count(6) == len(orbits)
+        assert sizes.count(5) == 272
+        assert len(sizes) <= 536
+
+    @pytest.mark.parametrize("key", [lambda gens, total: 0, lambda gens, total: total],
+                             ids=["one-key", "total-only"])
+    def test_shared_image_keys(self, monkeypatch, key):
+        # generator sets that share a key are told apart by their
+        # generators: a lookup that finds another cone's image computes
+        want = fan.cone_index(2)
+        monkeypatch.setattr(fan, "_INDEX_CACHE", {})
+        monkeypatch.setattr(fan, "_image_key", key)
+        got = fan.cone_index(2)
+        assert got is not want and len(got.cones) == len(want.cones)
+        for g, w in zip(got.cones, want.cones):
+            assert (g.kind, g.generators, g.collection) == (w.kind, w.generators, w.collection)
+            assert g._functionals == w._functionals
+        assert {k: [e[0] for e in v] for k, v in got.patterns.items()} == \
+            {k: [e[0] for e in v] for k, v in want.patterns.items()}
+
+    def test_repeated_generator_is_no_hit(self, monkeypatch):
+        # a set with one generator twice is no image of a rank-6 cone,
+        # even when its key is the memo's only key
+        coll = base_cone().collection
+        images = {}
+        monkeypatch.setattr(fan, "_image_key", lambda gens, total: 0)
+        fan.cone_of(coll, images)
+        gens = [shear_closed_form(c) for c in coll.curves]
+        table = dict(zip(coll.curves, gens[:5] + gens[:1]))
+        monkeypatch.setattr(fan, "shear_closed_form", table.__getitem__)
+        with pytest.raises(RankDeficient):
+            fan.cone_of(coll, images)
+
+    def test_hit_is_checked(self):
+        coll = base_cone().collection
+        images = {}
+        rep = fan.cone_of(coll, images)
+        assert {id(c) for c in images.values()} == {id(rep)}
+        rows, det, normal = rep._functionals
+        assert fan.cone_of(coll, images)._functionals == (rows, det, normal)
+        rep.__dict__["_functionals"] = (rows, det + 1, normal)
+        with pytest.raises(InternalError):
+            fan.cone_of(coll, images)
 
     def test_no_oracle_on_the_hot_path(self, monkeypatch):
         calls = {"classify": 0, "rank": 0}

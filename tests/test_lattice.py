@@ -17,6 +17,7 @@ from spherelam.lattice import (
     mediant,
     separating_neighbors,
     standard_form,
+    standard_vector,
     triple_to_basis,
 )
 
@@ -47,6 +48,12 @@ class TestStandardForm:
         if p == 0 and q == 0:
             return
         assert standard_form(p * k, q * k) == standard_form(p, q)
+
+    def test_vector(self):
+        assert standard_vector(-4, 6) == (2, -3)
+        assert standard_vector(0, -7) == (0, 1)
+        with pytest.raises(ZeroVector):
+            standard_vector(0, 0)
 
     def test_invalid_slope_rejected(self):
         with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ from spherelam.curves import (
 )
 from spherelam.errors import InternalError, InvalidParameters, NotAllPlain
 from spherelam.lattice import (
-    INF, MINUS_ONE, ZERO, Slope, enumerate_slopes, farey1_triples, farey_distance,
+    INF, MINUS_ONE, ZERO, Slope, det2, enumerate_slopes, farey1_triples, farey_distance,
     mediant, pair_to_basis, standard_form,
 )
 from spherelam.triangulation import (
@@ -274,6 +274,27 @@ class TestFlip:
                 rest = t.arcs[:k] + t.arcs[k + 1:]
                 assert len(_flip_slopes(rest)) <= 12
                 assert flip(t, k).arcs == sweep_flip(t, k).arcs
+
+    def test_candidate_vectors_are_the_slopes(self):
+        # the former candidate set, one standard_form Slope per integral
+        # (i*s + j*t) / d, against the integer vectors kept now
+        def slope_candidates(rest):
+            s = rest[0].slope
+            t = next(a.slope for a in rest if a.slope != s)
+            d = det2(s, t)
+            out = set()
+            for i, j in triangulation._UPPER_PAIRS:
+                x, y = i * s.a + j * t.a, i * s.b + j * t.b
+                if x % d == 0 and y % d == 0:
+                    out.add(standard_form(x // d, y // d))
+            return out
+
+        for t in enumerate_triangulations(3):
+            for k in range(6):
+                rest = t.arcs[:k] + t.arcs[k + 1:]
+                got = _flip_slopes(rest)
+                assert got == {w.vector for w in slope_candidates(rest)}
+                assert all(standard_form(a, b).vector == (a, b) for a, b in got)
 
     def test_large_height_type_i(self):
         rng = random.Random(7)
