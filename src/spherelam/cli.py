@@ -49,26 +49,41 @@ def _doc(**fields) -> str:
     return json.dumps({"schema": SCHEMA, **fields}, indent=None, sort_keys=False)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise MalformedInput(f"repeated JSON key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def _loads(text: str):
+    """JSON input; json.loads alone would keep the last value of a repeated
+    key without a word, so a repeated key is MalformedInput."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
 def _parse_curve(text: str) -> AllowableCurve:
-    return AllowableCurve.from_json(json.loads(text))
+    return AllowableCurve.from_json(_loads(text))
 
 
 def _parse_tri(text: str | None) -> TypeITri:
     """A type-I triangulation; the base one when no text is given."""
     from .shear import BASE_TRI, TypeITri
 
-    return TypeITri.from_json(json.loads(text)) if text else BASE_TRI
+    return TypeITri.from_json(_loads(text)) if text else BASE_TRI
 
 
 def _parse_tagged_triangulation(text: str) -> TaggedTriangulation:
     from .triangulation import TaggedTriangulation
 
-    return TaggedTriangulation.from_json(json.loads(text))
+    return TaggedTriangulation.from_json(_loads(text))
 
 
 def _parse_object(text: str):
     """An arc or a curve, depending on the JSON fields."""
-    obj = json.loads(text)
+    obj = _loads(text)
     if not isinstance(obj, dict):
         raise MalformedInput("an arc or a curve is a JSON object")
     ends = obj.get("ends")
@@ -79,7 +94,7 @@ def _parse_object(text: str):
 
 
 def _parse_matrix(text: str) -> ExchangeMatrix:
-    B = json.loads(text)
+    B = _loads(text)
     if not (isinstance(B, list) and len(B) == 6 and all(
         isinstance(row, list) and len(row) == 6
         and all(type(x) is int for x in row) for row in B
@@ -280,7 +295,7 @@ def _cmd_cones(args) -> str:
 
 
 def _cmd_locate(args) -> str:
-    v = json.loads(args.vector)
+    v = _loads(args.vector)
     _check_cone_height(args.max_height)
     from . import fan
 
@@ -307,7 +322,7 @@ def _cmd_universal(args) -> str:
 def _parse_tangle(text: str) -> Tangle:
     from .shear import Tangle
 
-    entries = json.loads(text)
+    entries = _loads(text)
     if not isinstance(entries, list):
         raise MalformedInput("a tangle is a JSON array of {curve, weight} objects")
     weights = []

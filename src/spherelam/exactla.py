@@ -1,16 +1,14 @@
-"""Small exact linear algebra: rank, linear solves and adjugates of
-integer matrices by one fraction-free elimination kernel, and extreme rays
-of polyhedral cones by the double description method over the rationals.
-No floating point anywhere."""
+"""Small exact linear algebra on integers: rank, linear solves and
+adjugates of integer matrices by one fraction-free elimination kernel, and
+extreme rays of polyhedral cones by a fraction-free double description.
+Only a solve's answer is a Fraction; no floating point anywhere."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import index
+from operator import index, mul
 from typing import Sequence
-
-Vec = tuple[Fraction, ...]
 
 
 def _int_rows(rows) -> list[list[int]]:
@@ -62,7 +60,7 @@ def rank(rows: Sequence[Sequence[int]]) -> int:
     return len(_bareiss(m, len(m[0]) if m else 0)[0])
 
 
-def solve(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> Vec | None:
+def solve(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[Fraction, ...] | None:
     """Unique exact solution of an integer (m x n) system with full column
     rank, or None when inconsistent.  Raises on rank-deficient columns."""
     ncols = len(matrix[0])
@@ -87,17 +85,24 @@ def adjugate(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int] | t
     return [[sign * a for a in row[n:]] for row in m], sign * d
 
 
-def dot(a: Sequence, b: Sequence) -> Fraction:
-    return sum(Fraction(x) * Fraction(y) for x, y in zip(a, b))
+def dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(mul, map(index, a), map(index, b)))
 
 
-def primitive(v: Sequence) -> tuple[int, ...]:
-    """Scale a rational vector to coprime integers, preserving direction."""
-    fr = [Fraction(x) for x in v]
-    den = math.lcm(*[f.denominator for f in fr]) if fr else 1
-    ints = [int(f * den) for f in fr]
-    g = math.gcd(*[abs(x) for x in ints]) if any(ints) else 1
-    return tuple(x // (g or 1) for x in ints)
+def primitive(v: Sequence[int]) -> tuple[int, ...]:
+    """Divide an integer vector by the gcd of its entries, preserving
+    direction; the zero vector stays zero.  math.gcd refuses Fraction and
+    float."""
+    g = math.gcd(*v) or 1
+    return tuple(x // g for x in v)
+
+
+def _step(p: int, x: Sequence[int], q: int, y: Sequence[int]) -> tuple[int, ...]:
+    """primitive(p*x - q*y), the one update of :func:`dd_rays`.  With
+    p > 0 it points along x - (q/p)*y, the vector a rational double
+    description would hold, so each step keeps the rays' and lines'
+    directions and all entries stay coprime integers."""
+    return primitive([p * a - q * b for a, b in zip(x, y)])
 
 
 def dd_rays(
@@ -105,78 +110,48 @@ def dd_rays(
     eqs: Sequence[Sequence[int]] = (),
     dim: int | None = None,
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Extreme rays and lineality basis of {x : A x >= 0, B x = 0} by the
-    double description method (equalities handled as inequality pairs)."""
-    rows = [tuple(r) for r in ineqs]
-    for e in eqs:
-        rows.append(tuple(e))
-        rows.append(tuple(-x for x in e))
+    """Extreme rays and lineality basis of {x : A x >= 0, B x = 0} of
+    integer A and B by the double description method (Fukuda-Prodon,
+    1996), equalities handled as inequality pairs.
+
+    Rows are added one at a time to the cone spanned by the rays and by
+    both directions of the lines, the identity basis to start with.  A row
+    that is nonzero on some line takes the first such line l0, signed so
+    a.l0 > 0, as a new ray, and moves every other line and every ray by
+    :func:`_step` so that the row vanishes on them.  A row zero on every
+    line keeps its positive and zero rays, drops its negative ones, and
+    adds the step of each adjacent pair: a positive and a negative ray
+    such that no third ray is tight at every row where both are.  Rays are
+    returned in that order with duplicates dropped; lines stay nonzero
+    because they stay independent."""
+    rows = _int_rows(ineqs)
+    for e in _int_rows(eqs):
+        rows += [e, [-x for x in e]]
     if dim is None:
         dim = len(rows[0]) if rows else 0
-    lines: list[Vec] = [
-        tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)
-    ]
-    rays: list[tuple[Vec, frozenset[int]]] = []
+    lines = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays: list[tuple[tuple[int, ...], frozenset[int]]] = []
     for idx, a in enumerate(rows):
         lvals = [dot(a, l) for l in lines]
-        pivot = next((i for i, v in enumerate(lvals) if v != 0), None)
+        pivot = next((i for i, v in enumerate(lvals) if v), None)
         if pivot is not None:
-            l0 = lines[pivot]
-            v0 = lvals[pivot]
+            l0, v0 = lines.pop(pivot), lvals.pop(pivot)
             if v0 < 0:
-                l0 = tuple(-x for x in l0)
-                v0 = -v0
-            new_lines = []
-            for i, l in enumerate(lines):
-                if i == pivot:
-                    continue
-                c = lvals[i] / v0
-                new_lines.append(tuple(x - c * y for x, y in zip(l, l0)))
-            new_rays = []
-            for r, tight in rays:
-                c = dot(a, r) / v0
-                new_rays.append(
-                    (tuple(x - c * y for x, y in zip(r, l0)), tight | {idx})
-                )
-            lines = new_lines
-            rays = new_rays + [(l0, frozenset(range(idx)))]
+                l0, v0 = tuple(-x for x in l0), -v0
+            lines = [_step(v0, l, v, l0) for l, v in zip(lines, lvals)]
+            rays = [(_step(v0, r, dot(a, r), l0), t | {idx}) for r, t in rays]
+            rays.append((l0, frozenset(range(idx))))
             continue
-        pos, zero, neg = [], [], []
-        for r, tight in rays:
-            v = dot(a, r)
-            if v > 0:
-                pos.append((r, tight, v))
-            elif v == 0:
-                zero.append((r, tight | {idx}))
-            else:
-                neg.append((r, tight, v))
-        if not neg:
-            rays = [(r, t) for r, t, _ in pos] + zero
-            continue
-        all_rays = [(r, t) for r, t, _ in pos] + zero + [(r, t) for r, t, _ in neg]
-        combos = []
-        for rp, tp, vp in pos:
+        signed = [(r, t, dot(a, r)) for r, t in rays]
+        rays = [(r, t) for r, t, v in signed if v > 0]
+        rays += [(r, t | {idx}) for r, t, v in signed if v == 0]
+        neg = [x for x in signed if x[2] < 0]
+        for rp, tp, vp in signed:
+            if vp <= 0:
+                continue
             for rn, tn, vn in neg:
                 common = tp & tn
-                adjacent = True
-                for r2, t2 in all_rays:
-                    if r2 is rp or r2 is rn:
-                        continue
-                    if common <= t2:
-                        adjacent = False
-                        break
-                if not adjacent:
-                    continue
-                w = tuple(vp * x - vn * y for y, x in zip(rp, rn))
-                # w = vp*rn - vn*rp (positive combination since vn < 0)
-                combos.append((w, common | {idx}))
-        rays = [(r, t) for r, t, _ in pos] + zero + combos
-    ray_vecs = []
-    seen = set()
-    for r, _ in rays:
-        p = primitive(r)
-        if any(p) and p not in seen:
-            seen.add(p)
-            ray_vecs.append(p)
-    line_vecs = [primitive(l) for l in lines]
-    return ray_vecs, line_vecs
+                if not any(common <= t and r is not rp and r is not rn
+                           for r, t, _ in signed):
+                    rays.append((_step(vp, rn, vn, rp), common | {idx}))
+    return list(dict.fromkeys(r for r, _ in rays if any(r))), lines

@@ -620,10 +620,14 @@ def cone_rays(cone: Cone) -> set[tuple[int, ...]]:
 
 
 def intersection_rays(c1: Cone, c2: Cone) -> tuple[set, list]:
+    """(extreme rays, lineality basis) of the intersection of two cones, as
+    primitive integer vectors, by the integer double description of their
+    stacked H-representations.  The cones are pointed, so a nonempty
+    basis means the check failed."""
     i1, e1 = _h_rep(c1)
     i2, e2 = _h_rep(c2)
     rays, lines = exactla.dd_rays(i1 + i2, eqs=e1 + e2, dim=6)
-    return set(rays), [l for l in lines if any(l)]
+    return set(rays), lines
 
 
 @dataclass
@@ -638,7 +642,9 @@ class FanReport:
 
 def fan_check(cones: Sequence[Cone], trials: int, seed: int = 0) -> FanReport:
     """Sample cone pairs and verify each intersection is the common face
-    spanned by the shared generators (exact double-description check)."""
+    spanned by the shared generators: :func:`intersection_rays` must find
+    no line and exactly the shared primitive generators as rays.  Every
+    step is integer arithmetic, on the cones' integer functionals."""
     import random
 
     rng = random.Random(seed)

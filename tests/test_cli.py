@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spherelam
 from spherelam import cli
@@ -343,6 +344,31 @@ class TestErrorDocuments:
         assert doc["kind"] == "domain"
         assert doc["error"].startswith("MalformedInput: unknown field"), doc
 
+    TRI_REPEATED = '{"triple":["0","inf","-1"],"tags":{"00":"plain","00":"notched"}}'
+    ROW = "[0,0,0,0,0,0]"
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["shear", "--curve", '{"closed":"1/1","closed":"3/2"}'], id="curve"),
+        pytest.param(["shear", "--curve", CURVE_PRIME, "--tri", TRI_REPEATED], id="tri"),
+        pytest.param(["classify", "--tri", json.dumps(base_triangulation().to_json())
+                      .replace('{"slope": ', '{"slope": "inf", "slope": ', 1)],
+                     id="tagged-triangulation"),
+        pytest.param(["compat", "--a", '{"closed":"1/1"}', "--b",
+                      '{"slope":"1/1","ends":[{"v":"00","tag":"plain","v":"01"},'
+                      '{"v":"11","tag":"plain"}]}'], id="object"),
+        pytest.param(["mutate", "--matrix", "[" + ",".join([ROW] * 5) + ',{"r":1,"r":2}]',
+                      "--k", "0"], id="matrix"),
+        pytest.param(["tangle-check", "--tangle",
+                      '[{"curve":{"closed":"1/1"},"weight":1,"weight":2}]'], id="tangle"),
+        pytest.param(["locate", "--vector", '{"v":[1,0,0,0,0,0],"v":[0,1,0,0,0,0]}'],
+                     id="vector"),
+    ])
+    def test_repeated_json_keys(self, argv):
+        # json.loads would keep the last value and compute on it
+        doc = json.loads(fails(argv))
+        assert doc["kind"] == "domain"
+        assert doc["error"].startswith("MalformedInput: repeated JSON key"), doc
+
     @pytest.mark.parametrize("argv, error_class", [
         (["triangulate", "--type", "I", *TRIPLE, "--tag", "00=plain", "--tag", "00=notched"],
          "InvalidParameters:"),
@@ -534,3 +560,135 @@ class TestJsonRoundTrips:
         doc = json.loads(out)
         assert "error" in doc and doc["schema"] == "sphere-lam/1"
         assert doc["kind"] == "domain"
+
+
+# ---------------------------------------------------------------------------
+# Fuzz of cli.run over the light commands with mutated JSON
+# ---------------------------------------------------------------------------
+
+# A JSON tree for the fuzz: ("obj", [(key, tree), ...]), ("arr", [tree, ...])
+# or ("val", scalar).  An object is a list of pairs so that a key can repeat.
+
+
+def _tree(value):
+    if isinstance(value, dict):
+        return ("obj", [(k, _tree(v)) for k, v in value.items()])
+    if isinstance(value, list):
+        return ("arr", [_tree(v) for v in value])
+    return ("val", value)
+
+
+def _text(tree) -> str:
+    kind, body = tree
+    if kind == "obj":
+        return "{" + ",".join(f"{json.dumps(k)}:{_text(v)}" for k, v in body) + "}"
+    if kind == "arr":
+        return "[" + ",".join(map(_text, body)) + "]"
+    return json.dumps(body)
+
+
+def _nodes(tree, path=()):
+    """(path, node) for every node, the path being its member positions;
+    the root, at (), first."""
+    yield path, tree
+    kind, body = tree
+    if kind != "val":
+        for i, member in enumerate(body):
+            yield from _nodes(member[1] if kind == "obj" else member, path + (i,))
+
+
+def _splice(tree, path, nodes):
+    """tree with the node at path replaced by the list nodes: none drops it,
+    two repeat it (an object member keeps its key); the root becomes
+    nodes[0], or null."""
+    if not path:
+        return nodes[0] if nodes else ("val", None)
+    kind, body = tree
+    body = list(body)
+    i = path[0]
+    if len(path) == 1:
+        body[i:i + 1] = [(body[i][0], n) for n in nodes] if kind == "obj" else nodes
+    elif kind == "obj":
+        body[i] = (body[i][0], _splice(body[i][1], path[1:], nodes))
+    else:
+        body[i] = _splice(body[i], path[1:], nodes)
+    return (kind, body)
+
+
+_RETYPES = [("val", v) for v in (None, True, 0, -1, 7, 1.5, "", "x", "3/2", "inf", "00")]
+_RETYPES += [("arr", []), ("obj", [])]
+
+
+@st.composite
+def _mutated(draw, doc):
+    """The JSON text of doc after one to three mutations: a value or field
+    dropped, repeated (a key twice) or retyped, or nested one level deeper
+    or shallower."""
+    tree = _tree(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        path, node = draw(st.sampled_from(list(_nodes(tree))))
+        op = draw(st.sampled_from(("drop", "repeat", "retype", "nest", "unnest")))
+        if op == "drop":
+            nodes = []
+        elif op == "repeat":
+            nodes = [node, draw(st.sampled_from([node] + _RETYPES))]
+        elif op == "retype":
+            nodes = [draw(st.sampled_from(_RETYPES))]
+        elif op == "nest":
+            nodes = [draw(st.sampled_from([("arr", [node]), ("obj", [("x", node)])]))]
+        else:
+            kind, body = node
+            inner = body[0][1] if kind == "obj" and body else \
+                body[0] if kind == "arr" and body else node
+            nodes = [inner]
+        tree = _splice(tree, path, nodes)
+    return _text(tree)
+
+
+_CURVES = [json.loads(CURVE_PRIME), {"closed": "3/2"}]
+_TRIS = [base_triangulation().to_json(),
+         json.loads(json.dumps(base_triangulation().to_json()).replace("plain", "notched"))]
+_TYPE_I = {"triple": ["0/1", "inf", "-1/1"], "tags": {"00": "notched", "11": "plain"}}
+_MATRIX = [list(r) for r in signed_adjacency(base_triangulation())]
+_TANGLE = [{"curve": {"closed": "1/1"}, "weight": 1},
+           {"curve": json.loads(CURVE_PRIME), "weight": -2}]
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """argv of a light command whose JSON arguments are each either valid
+    or mutated; an arc index may be out of range or not a number."""
+    def arg(doc):
+        return draw(st.one_of(st.just(json.dumps(doc)), _mutated(doc)))
+
+    k = draw(st.sampled_from(("-1", "0", "3", "5", "6", "x")))
+    name = draw(st.sampled_from(("shear", "compat", "classify", "flip", "badj",
+                                 "mutate", "tangle-check")))
+    if name == "shear":
+        argv = ["shear", "--curve", arg(draw(st.sampled_from(_CURVES))),
+                "--method", draw(st.sampled_from(("formula", "word", "oracle")))]
+        if draw(st.booleans()):
+            argv += ["--tri", arg(_TYPE_I)]
+        return argv
+    if name == "compat":
+        pool = draw(st.sampled_from((_CURVES, _TRIS[0], _TRIS[1])))
+        return ["compat", "--a", arg(draw(st.sampled_from(pool))),
+                "--b", arg(draw(st.sampled_from(pool)))]
+    if name in ("classify", "badj"):
+        return [name, "--tri", arg(draw(st.sampled_from(_TRIS)))]
+    if name == "flip":
+        return ["flip", "--tri", arg(draw(st.sampled_from(_TRIS))), "--k", k]
+    if name == "mutate":
+        return ["mutate", "--matrix", arg(_MATRIX), "--k", k]
+    return ["tangle-check", "--tangle", arg(_TANGLE), "--max-height", "1"]
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(_fuzz_argv())
+    def test_light_commands(self, argv):
+        # bad input is an error document or a usage error, never a bug
+        code, out = run(argv)
+        assert code in (0, 1, 2), (argv, out)
+        if code in (0, 1):
+            json.loads(out)  # exactly one document: trailing text raises

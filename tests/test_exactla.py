@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spherelam.exactla import adjugate, dd_rays, primitive, rank, solve
+import dd_oracle
+from spherelam.exactla import adjugate, dd_rays, dot, primitive, rank, solve
 
 
 class TestRank:
@@ -61,7 +62,13 @@ class TestPrimitive:
         assert primitive((2, 4, -6)) == (1, 2, -3)
 
     def test_fractions(self):
-        assert primitive((Fraction(1, 2), Fraction(1, 3))) == (3, 2)
+        # every caller passes integers; a rational must not be scaled silently
+        with pytest.raises(TypeError):
+            primitive((Fraction(1, 2), Fraction(1, 3)))
+
+    def test_zero(self):
+        assert primitive((0, 0, 0)) == (0, 0, 0)
+        assert primitive(()) == ()
 
     def test_sign_preserved(self):
         assert primitive((-2, 0, 4)) == (-1, 0, 2)
@@ -220,3 +227,55 @@ class TestKernelProperties:
             rank([[Fraction(1, 2), 1]])
         with pytest.raises(TypeError):
             adjugate([[1.0, 0], [0, 1]])
+        # nor into the double description and its helpers
+        with pytest.raises(TypeError):
+            dd_rays([[1, Fraction(1, 2)]])
+        with pytest.raises(TypeError):
+            dd_rays([], eqs=[[0.5, 1]])
+        with pytest.raises(TypeError):
+            dot((1, 2), (Fraction(1, 2), 1))
+        with pytest.raises(TypeError):
+            dot((1.0, 2), (1, 1))
+        with pytest.raises(TypeError):
+            primitive((2.0, 4))
+
+
+# ---------------------------------------------------------------------------
+# The integer double description against the Fraction one it replaced
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def int_systems(draw):
+    """(ineqs, eqs, dim) of dimension 2 to 5 with entries in [-3, 3]: often
+    fewer rows than the dimension, so lines remain; rows are often copies
+    or negations of earlier ones, and either part may be empty."""
+    dim = draw(st.integers(2, 5))
+    row = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    ineqs = draw(st.lists(row, max_size=7))
+    for i in range(1, len(ineqs)):
+        how = draw(st.sampled_from(("keep", "keep", "copy", "negate")))
+        j = draw(st.integers(0, i - 1))
+        if how == "copy":
+            ineqs[i] = list(ineqs[j])
+        elif how == "negate":
+            ineqs[i] = [-x for x in ineqs[j]]
+    eqs = draw(st.lists(row, max_size=2))
+    given_dim = draw(st.sampled_from((dim, None))) if ineqs or eqs else dim
+    return ineqs, eqs, given_dim
+
+
+class TestDoubleDescriptionOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(int_systems())
+    def test_matches_fraction_dd(self, system):
+        ineqs, eqs, dim = system
+        rays, lines = dd_rays(ineqs, eqs=eqs, dim=dim)
+        assert (rays, lines) == dd_oracle.dd_rays(ineqs, eqs=eqs, dim=dim)
+        # lines need no zero filter: they stay independent
+        assert not lines or rank(lines) == len(lines)
+
+    def test_empty_input(self):
+        assert dd_rays([], dim=3) == dd_oracle.dd_rays([], dim=3) == (
+            [], [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        assert dd_rays([]) == dd_oracle.dd_rays([]) == ([], [])

@@ -6,6 +6,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dd_oracle
 from spherelam import exactla, fan, triangulation
 from spherelam.curves import (
     V00, V01,
@@ -635,6 +636,41 @@ class TestFanAxioms:
         assert fan.induced_torus_check(1)
 
 
+def _dd_both(c1, c2):
+    """The integer double description of two cones' stacked H-representations
+    and the Fraction reference's."""
+    i1, e1 = fan._h_rep(c1)
+    i2, e2 = fan._h_rep(c2)
+    return (exactla.dd_rays(i1 + i2, eqs=e1 + e2, dim=6),
+            dd_oracle.dd_rays(i1 + i2, eqs=e1 + e2, dim=6))
+
+
+class TestDoubleDescriptionOracle:
+    """dd_rays returns exactly what the Fraction double description of
+    tests/dd_oracle.py returns, rays in order and lines, on the systems
+    fan_check builds."""
+
+    def test_flip_pairs(self):
+        # every flip-adjacent pair from a cone of height <= 2, kind VII included
+        pairs = {}
+        for cone in fan.cone_index(2).cones:
+            for nbr in fan.flip_adjacency(cone):
+                pairs.setdefault(frozenset((cone, nbr)), (cone, nbr))
+        assert sum(c.kind == "VII" for c, _ in pairs.values()) > 0
+        for c1, c2 in pairs.values():
+            got, want = _dd_both(c1, c2)
+            assert got == want, (c1.generators, c2.generators)
+
+    def test_criterion_09_pairs(self):
+        # the 500 pairs fan_check samples in acceptance criterion 09
+        cones = fan.cone_index(3).cones
+        rng = random.Random(20240)
+        for _ in range(500):
+            c1, c2 = rng.sample(cones, 2)
+            got, want = _dd_both(c1, c2)
+            assert got == want, (c1.generators, c2.generators)
+
+
 class TestOnePassBuild:
     """The cone index takes each type from the enumerator, builds each
     curve once, skips the pairwise re-check of the kappa images and finds
@@ -795,6 +831,16 @@ class TestOnePassBuild:
         assert fan.induced_torus_check(1)
         triples = farey1_triples(enumerate_slopes(1))
         assert len(calls) == len(triples)
+
+    def test_fan_check_builds_no_fraction(self, monkeypatch):
+        # the fan check and the torus check run on integers only
+        def no_fraction(*args):
+            raise AssertionError(f"Fraction{args} on the fan-check path")
+
+        monkeypatch.setattr(exactla, "Fraction", no_fraction)
+        monkeypatch.setattr(fan, "Fraction", no_fraction)
+        assert fan.fan_check(fan.cone_index(1).cones, trials=20, seed=3).ok
+        assert fan.induced_torus_check(1)
 
 
 class TestCompatibilityCheckedOnce:
