@@ -5,8 +5,15 @@ vector results, schema-tagged objects otherwise).  Exit codes: 0 success,
 1 bad input (an error document with ``"kind": "domain"``), 2 usage error,
 3 internal error, a bug (an error document with ``"kind": "internal"``).
 
-Each call is a fresh interpreter, so a command imports the modules beyond
-``curves`` and ``lattice`` inside the functions that use them.
+Each call is a fresh interpreter that compiles every module it imports, so
+a call pays only for what its command uses.  At import this module loads
+``curves``, ``lattice``, ``errors`` and ``_frozen`` of the package and no
+more; each command imports the further modules it runs inside its handler,
+and :func:`run` builds the parser of the named command alone.  No module
+of the package imports :mod:`dataclasses`, and :mod:`fractions` comes in
+only with ``plane``, ``render``, ``exactla`` or ``fan``: a ``shear`` by
+formula or word, ``compat``, ``triangulate``, ``classify``, ``flip``,
+``badj``, ``mutate`` or ``tangle-check`` never loads it.
 """
 
 from __future__ import annotations
@@ -109,81 +116,6 @@ def _parse_tags(items: list[str]):
         v, _, t = item.partition("=")
         out.append((Puncture.parse(v.strip()), Tagging(t.strip())))
     return tuple(out)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="spherelam",
-        description="Exact curves, triangulations and shear coordinates "
-        "on the four-punctured sphere.",
-    )
-    p.add_argument("--plain", action="store_true",
-                   help="line-oriented text output instead of JSON")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    s = sub.add_parser("shear", help="shear coordinates of a curve")
-    s.add_argument("--curve", required=True, help="curve JSON")
-    s.add_argument("--tri", help="type-I triangulation JSON (default: base)")
-    s.add_argument("--method", choices=("formula", "word", "oracle"),
-                   default="formula")
-
-    s = sub.add_parser("compat", help="compatibility of two arcs or curves")
-    s.add_argument("--a", required=True)
-    s.add_argument("--b", required=True)
-
-    s = sub.add_parser("triangulate", help="build a triangulation from type data")
-    s.add_argument("--type", required=True, dest="tri_type",
-                   choices=("I", "II", "III", "IV", "V", "VI"))
-    s.add_argument("--p", help="first slope")
-    s.add_argument("--q", help="second slope")
-    s.add_argument("--r", help="third slope (types I, VI)")
-    s.add_argument("--v", help="distinguished puncture, e.g. 00")
-    s.add_argument("--v-prime", help="secondary puncture (types III, IV)")
-    s.add_argument("--tag", action="append", default=[],
-                   help="puncture tagging, e.g. 00=plain (repeatable)")
-
-    s = sub.add_parser("classify", help="type data of a triangulation")
-    s.add_argument("--tri", required=True, help="triangulation JSON (6 arcs)")
-
-    s = sub.add_parser("flip", help="flip one arc of a triangulation")
-    s.add_argument("--tri", required=True)
-    s.add_argument("--k", type=int, required=True)
-
-    s = sub.add_parser("badj", help="signed adjacency matrix (all-plain)")
-    s.add_argument("--tri", required=True)
-
-    s = sub.add_parser("mutate", help="matrix mutation")
-    s.add_argument("--matrix", required=True, help="6x6 matrix JSON")
-    s.add_argument("--k", type=int, required=True)
-
-    s = sub.add_parser("cones", help="maximal cones at bounded height")
-    s.add_argument("--max-height", type=int, default=6)
-
-    s = sub.add_parser("locate", help="quasi-lamination of an integer vector")
-    s.add_argument("--vector", required=True, help='JSON array, e.g. "[-3,2,1,-3,2,1]"')
-    s.add_argument("--max-height", type=int, default=6)
-
-    s = sub.add_parser("gvectors", help="g-vector list at bounded height")
-    s.add_argument("--max-height", type=int, default=6)
-
-    s = sub.add_parser("universal", help="universal coefficient list")
-    s.add_argument("--form", choices=("thm12", "thm81"), default="thm81")
-    s.add_argument("--max-height", type=int, default=6)
-
-    s = sub.add_parser("tangle-check", help="null-tangle witness search")
-    s.add_argument("--tangle", required=True,
-                   help='JSON: [{"curve": {...}, "weight": n}, ...]')
-    s.add_argument("--max-height", type=int, default=6)
-
-    s = sub.add_parser("render", help="render lifted curves to SVG")
-    s.add_argument("--curve", action="append", default=[])
-    s.add_argument("--tri", help="type-I triangulation for the grid")
-    s.add_argument("--window", default="0,2,0,2",
-                   help="xmin,xmax,ymin,ymax")
-    s.add_argument("--out", required=True, help="output SVG path")
-
-    sub.add_parser("selftest", help="re-run the published fixtures")
-    return p
 
 
 def _cmd_shear(args) -> str:
@@ -380,22 +312,102 @@ def _cmd_selftest(_args) -> str:
     return doc
 
 
-_DISPATCH = {
-    "shear": _cmd_shear,
-    "compat": _cmd_compat,
-    "triangulate": _cmd_triangulate,
-    "classify": _cmd_classify,
-    "flip": _cmd_flip,
-    "badj": _cmd_badj,
-    "mutate": _cmd_mutate,
-    "cones": _cmd_cones,
-    "locate": _cmd_locate,
-    "gvectors": _cmd_gvectors,
-    "universal": _cmd_universal,
-    "tangle-check": _cmd_tangle_check,
-    "render": _cmd_render,
-    "selftest": _cmd_selftest,
+_HEIGHT = ("--max-height", dict(type=int, default=6))
+
+# name -> (handler, help, options), each option (flag, add_argument keywords)
+_COMMANDS = {
+    "shear": (_cmd_shear, "shear coordinates of a curve", (
+        ("--curve", dict(required=True, help="curve JSON")),
+        ("--tri", dict(help="type-I triangulation JSON (default: base)")),
+        ("--method", dict(choices=("formula", "word", "oracle"), default="formula")),
+    )),
+    "compat": (_cmd_compat, "compatibility of two arcs or curves", (
+        ("--a", dict(required=True)),
+        ("--b", dict(required=True)),
+    )),
+    "triangulate": (_cmd_triangulate, "build a triangulation from type data", (
+        ("--type", dict(required=True, dest="tri_type",
+                        choices=("I", "II", "III", "IV", "V", "VI"))),
+        ("--p", dict(help="first slope")),
+        ("--q", dict(help="second slope")),
+        ("--r", dict(help="third slope (types I, VI)")),
+        ("--v", dict(help="distinguished puncture, e.g. 00")),
+        ("--v-prime", dict(help="secondary puncture (types III, IV)")),
+        ("--tag", dict(action="append", default=[],
+                       help="puncture tagging, e.g. 00=plain (repeatable)")),
+    )),
+    "classify": (_cmd_classify, "type data of a triangulation", (
+        ("--tri", dict(required=True, help="triangulation JSON (6 arcs)")),
+    )),
+    "flip": (_cmd_flip, "flip one arc of a triangulation", (
+        ("--tri", dict(required=True)),
+        ("--k", dict(type=int, required=True)),
+    )),
+    "badj": (_cmd_badj, "signed adjacency matrix (all-plain)", (
+        ("--tri", dict(required=True)),
+    )),
+    "mutate": (_cmd_mutate, "matrix mutation", (
+        ("--matrix", dict(required=True, help="6x6 matrix JSON")),
+        ("--k", dict(type=int, required=True)),
+    )),
+    "cones": (_cmd_cones, "maximal cones at bounded height", (_HEIGHT,)),
+    "locate": (_cmd_locate, "quasi-lamination of an integer vector", (
+        ("--vector", dict(required=True, help='JSON array, e.g. "[-3,2,1,-3,2,1]"')),
+        _HEIGHT,
+    )),
+    "gvectors": (_cmd_gvectors, "g-vector list at bounded height", (_HEIGHT,)),
+    "universal": (_cmd_universal, "universal coefficient list", (
+        ("--form", dict(choices=("thm12", "thm81"), default="thm81")),
+        _HEIGHT,
+    )),
+    "tangle-check": (_cmd_tangle_check, "null-tangle witness search", (
+        ("--tangle", dict(required=True,
+                          help='JSON: [{"curve": {...}, "weight": n}, ...]')),
+        _HEIGHT,
+    )),
+    "render": (_cmd_render, "render lifted curves to SVG", (
+        ("--curve", dict(action="append", default=[])),
+        ("--tri", dict(help="type-I triangulation for the grid")),
+        ("--window", dict(default="0,2,0,2", help="xmin,xmax,ymin,ymax")),
+        ("--out", dict(required=True, help="output SVG path")),
+    )),
+    "selftest": (_cmd_selftest, "re-run the published fixtures", ()),
 }
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command or, given a ``command``, of that one
+    alone under the same usage line."""
+    p = argparse.ArgumentParser(
+        prog="spherelam",
+        description="Exact curves, triangulations and shear coordinates "
+        "on the four-punctured sphere.",
+    )
+    p.add_argument("--plain", action="store_true",
+                   help="line-oriented text output instead of JSON")
+    if command is None:
+        sub = p.add_subparsers(dest="command", required=True)
+    else:
+        # the usage line lists every command; a metavar would also rename
+        # the argument in the "invalid choice" and "required" errors, which
+        # a named command never meets
+        sub = p.add_subparsers(dest="command", required=True,
+                               metavar="{" + ",".join(_COMMANDS) + "}")
+    for name, (_, help_, options) in _COMMANDS.items():
+        if command in (None, name):
+            s = sub.add_parser(name, help=help_)
+            for flag, keywords in options:
+                s.add_argument(flag, **keywords)
+    return p
+
+
+def _named_command(argv: list[str]) -> str | None:
+    """The command that argv names when only ``--plain`` comes before it;
+    None for anything else (help, no command, an unknown one)."""
+    for token in argv:
+        if token != "--plain":
+            return token if token in _COMMANDS else None
+    return None
 
 
 def _plain_text(out: str) -> str:
@@ -421,13 +433,15 @@ def _error_doc(message: str, kind: str) -> str:
 
 def run(argv: list[str]) -> tuple[int, str]:
     """Dispatch a command line; returns (exit code, stdout text)."""
-    parser = build_parser()
+    # a command builds its own parser only: building all of them would cost
+    # more than a light command's mathematics
+    parser = build_parser(_named_command(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return (int(e.code or 0) and 2, "")
     try:
-        out = _DISPATCH[args.command](args)
+        out = _COMMANDS[args.command][0](args)
     except InternalError as e:
         return 3, _error_doc(f"{type(e).__name__}: {e}", "internal")
     except (ValueError, KeyError, json.JSONDecodeError, SphereLamError) as e:

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
+from ._frozen import Frozen
 from .errors import ClosedCurveHasNoArc, InternalError, MalformedInput
 from .lattice import Slope, UnimodularMap
 
 
-@dataclass(frozen=True, order=True)
-class Puncture:
+class Puncture(Frozen):
     """One of the four punctures v_ij, indexed by an element of (Z/2)^2.
 
     ``i`` is the horizontal parity and ``j`` the vertical parity of its
@@ -27,12 +26,38 @@ class Puncture:
     v00 < v01 < v10 < v11.
     """
 
+    __slots__ = ("i", "j", "_hash")
+    _fields = ("i", "j")
     i: int
     j: int
 
-    def __post_init__(self) -> None:
-        if self.i not in (0, 1) or self.j not in (0, 1):
+    def __init__(self, i: int, j: int) -> None:
+        if i not in (0, 1) or j not in (0, 1):
             raise ValueError("puncture indices are bits")
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        # punctures are hashed far more often than built (85k hashes of
+        # 7346 punctures in one cone_index(3))
+        object.__setattr__(self, "_hash", hash((i, j)))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is Puncture:
+            return self.i == other.i and self.j == other.j
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    # p > q and p >= q fall back on the reflected q < p and q <= p
+    def __lt__(self, other: "Puncture") -> bool:
+        if other.__class__ is Puncture:
+            return (self.i, self.j) < (other.i, other.j)
+        return NotImplemented
+
+    def __le__(self, other: "Puncture") -> bool:
+        if other.__class__ is Puncture:
+            return (self.i, self.j) <= (other.i, other.j)
+        return NotImplemented
 
     def translate(self, parity: tuple[int, int]) -> "Puncture":
         return Puncture((self.i + parity[0]) % 2, (self.j + parity[1]) % 2)
@@ -136,7 +161,7 @@ def _arc_key(slope: Slope, p: Puncture, d, q: Puncture, e,
     return slope.a, slope.b, 1 << i | 1 << j, (d is marked) << i | (e is marked) << j
 
 
-class _ArcOrCurve:
+class _ArcOrCurve(Frozen):
     """What tagged arcs and allowable curves share: a slope and, unless the
     curve is closed, two endpoints each with a tag or a spiral direction.
 
@@ -145,21 +170,26 @@ class _ArcOrCurve:
     and the hash of ``(slope, ends)``.
     """
 
+    __slots__ = ("slope", "ends", "punctures", "underlying", "_key", "_hash")
+    _fields = ("slope", "ends", "punctures", "underlying")
     slope: Slope
     ends: tuple | None
+    punctures: frozenset[Puncture]
+    underlying: tuple
+    _key: tuple[int, int, int, int]
+    _hash: int
 
-    def _freeze(self, marked) -> None:
+    def _freeze(self, slope: Slope, ends: tuple | None, marked) -> None:
         """Sort the ends by puncture, check them against the slope, and set
-        ``punctures``, ``underlying``, ``_key`` (``marked`` is the tag or
-        spiral direction of a set bit) and ``_hash``."""
-        slope, ends = self.slope, self.ends
+        ``slope``, ``ends``, ``punctures``, ``underlying``, ``_key``
+        (``marked`` is the tag or spiral direction of a set bit) and
+        ``_hash``."""
         if ends is not None:
             (p, d), (q, e) = ends
             i, j = 2 * p.i + p.j, 2 * q.i + q.j
             if j < i:
                 p, d, i, q, e, j = q, e, j, p, d, i
             ends = ((p, d), (q, e))
-            object.__setattr__(self, "ends", ends)
             if i == j:
                 raise ValueError("endpoints must be distinct punctures (no loops)")
             if i ^ j != 2 * (slope.a & 1) + (slope.b & 1):
@@ -170,6 +200,8 @@ class _ArcOrCurve:
         else:
             key = (slope.a, slope.b, 0, 0)
         punctures = _MASK_PUNCTURES[key[2]]
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "ends", ends)
         object.__setattr__(self, "punctures", punctures)
         object.__setattr__(self, "underlying", (slope, punctures))
         object.__setattr__(self, "_key", key)
@@ -197,23 +229,18 @@ class _ArcOrCurve:
         return type(self)(m.apply_slope(self.slope), ends)  # type: ignore[call-arg]
 
 
-@dataclass(frozen=True, eq=False)
 class TaggedArc(_ArcOrCurve):
     """A tagged arc: slope plus an unordered pair of tagged endpoints.
 
     ``ends`` is stored sorted by puncture, so equal arcs compare equal.
     """
 
-    slope: Slope
+    __slots__ = ()
     ends: tuple[tuple[Puncture, Tagging], tuple[Puncture, Tagging]]
 
-    def __post_init__(self) -> None:
-        self._freeze(Tagging.NOTCHED)
-
-    punctures: frozenset[Puncture] = field(init=False)
-    underlying: tuple = field(init=False)
-    _key: tuple[int, int, int, int] = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
+    def __init__(self, slope: Slope,
+                 ends: tuple[tuple[Puncture, Tagging], tuple[Puncture, Tagging]]) -> None:
+        self._freeze(slope, ends, Tagging.NOTCHED)
 
     def retag(self, p: Puncture, tag: Tagging) -> "TaggedArc":
         return TaggedArc(
@@ -240,21 +267,17 @@ class TaggedArc(_ArcOrCurve):
         return TaggedArc(slope, ends)  # type: ignore[arg-type]
 
 
-@dataclass(frozen=True, eq=False)
 class AllowableCurve(_ArcOrCurve):
     """An allowable curve: closed (``ends is None``) or spiraling into two
     punctures with independent spiral directions."""
 
-    slope: Slope
-    ends: tuple[tuple[Puncture, SpiralDir], tuple[Puncture, SpiralDir]] | None = None
+    __slots__ = ()
+    ends: tuple[tuple[Puncture, SpiralDir], tuple[Puncture, SpiralDir]] | None
 
-    def __post_init__(self) -> None:
-        self._freeze(SpiralDir.CCW)
-
-    punctures: frozenset[Puncture] = field(init=False)
-    underlying: tuple = field(init=False)
-    _key: tuple[int, int, int, int] = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
+    def __init__(self, slope: Slope,
+                 ends: tuple[tuple[Puncture, SpiralDir], tuple[Puncture, SpiralDir]]
+                 | None = None) -> None:
+        self._freeze(slope, ends, SpiralDir.CCW)
 
     @property
     def is_closed(self) -> bool:

@@ -16,13 +16,13 @@ and every kind-VII cone, find theirs by one exact elimination.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter, mul
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import exactla
+from ._frozen import Frozen
 from .curves import (
     AllowableCurve,
     SpiralDir,
@@ -67,18 +67,19 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MaximalCollection:
+class MaximalCollection(Frozen):
     """A maximal set of pairwise compatible allowable curves: six curves
     (kind I-VI, the kappa image of a triangulation) or five with one
     closed curve (kind VII)."""
 
+    __slots__ = _fields = ("curves", "kind")
     curves: tuple[AllowableCurve, ...]
     kind: str
 
-    def __post_init__(self) -> None:
-        curves = tuple(sorted(set(self.curves), key=AllowableCurve.sort_key))
+    def __init__(self, curves: tuple[AllowableCurve, ...], kind: str) -> None:
+        curves = tuple(sorted(set(curves), key=AllowableCurve.sort_key))
         object.__setattr__(self, "curves", curves)
+        object.__setattr__(self, "kind", kind)
         closed = [c for c in curves if c.is_closed]
         expected = 5 if closed else 6
         if len(closed) > 1 or len(curves) != expected:
@@ -150,14 +151,23 @@ def maximal_collections(max_height: int) -> Iterator[MaximalCollection]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Frozen):
     """Nonnegative span of the shear vectors of a maximal collection (or a
-    sub-collection); simplicial by construction."""
+    sub-collection); simplicial by construction.  Equal to any cone with
+    the same primitive generators."""
 
+    # the __dict__ holds the cached properties
+    __slots__ = ("generators", "kind", "collection", "__dict__")
+    _fields = ("generators", "kind", "collection")
     generators: tuple[ShearVector, ...]
     kind: str
-    collection: MaximalCollection | None = None
+    collection: MaximalCollection | None
+
+    def __init__(self, generators: tuple[ShearVector, ...], kind: str,
+                 collection: MaximalCollection | None = None) -> None:
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "collection", collection)
 
     @property
     def dim(self) -> int:
@@ -413,17 +423,23 @@ class _ConeIndex:
                 yield cone, tuple(Fraction(x, det) for x in s)
 
 
+# The indexes of the last _INDEX_CACHE_SIZE heights used, least recently
+# used first (one index at height 10 holds about 50 MB).
 _INDEX_CACHE: dict[int, _ConeIndex] = {}
+_INDEX_CACHE_SIZE = 4
 
 
 def cone_index(max_height: int) -> _ConeIndex:
-    """The index of every maximal cone at the given height, built once per
-    height.  The ``GAMMA24`` images memo of :func:`cone_of` lives for one
-    build and is dropped before the sign patterns are listed."""
-    idx = _INDEX_CACHE.get(max_height)
+    """The index of every maximal cone at the given height, kept for the
+    last four heights used.  The ``GAMMA24`` images memo of :func:`cone_of`
+    lives for one build and is dropped before the sign patterns are
+    listed."""
+    idx = _INDEX_CACHE.pop(max_height, None)
     if idx is None:
         idx = _ConeIndex(_maximal_cones(max_height))
-        _INDEX_CACHE[max_height] = idx
+    _INDEX_CACHE[max_height] = idx
+    while len(_INDEX_CACHE) > _INDEX_CACHE_SIZE:
+        del _INDEX_CACHE[next(iter(_INDEX_CACHE))]
     return idx
 
 
@@ -630,10 +646,22 @@ def intersection_rays(c1: Cone, c2: Cone) -> tuple[set, list]:
     return set(rays), lines
 
 
-@dataclass
 class FanReport:
-    pairs_checked: int
-    failures: int
+    """What :func:`fan_check` found; a mutable record, unhashable."""
+
+    __slots__ = ("pairs_checked", "failures")
+
+    def __init__(self, pairs_checked: int, failures: int) -> None:
+        self.pairs_checked = pairs_checked
+        self.failures = failures
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is FanReport:
+            return (self.pairs_checked, self.failures) == (other.pairs_checked, other.failures)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"FanReport(pairs_checked={self.pairs_checked!r}, failures={self.failures!r})"
 
     @property
     def ok(self) -> bool:

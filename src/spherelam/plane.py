@@ -13,10 +13,10 @@ every spiral offset of that lift is a multiple of ``1/den``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._frozen import Frozen
 from .errors import InternalError
 
 IPoint = tuple[int, int]
@@ -29,11 +29,16 @@ FAMILY_INDEX = {
 }
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(Frozen):
+    __slots__ = _fields = ("family", "k", "point")
     family: str          # 'h' | 'v' | 'd'
     k: int               # line index within the family
     point: IPoint        # numerators over the lift's denominator
+
+    def __init__(self, family: str, k: int, point: IPoint) -> None:
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "point", point)
 
     @property
     def slot(self) -> int:

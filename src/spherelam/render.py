@@ -4,9 +4,9 @@ spiral glyphs at their endpoints."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._frozen import Frozen
 from .curves import AllowableCurve, SpiralDir
 from .lattice import _egcd
 from .shear import BASE_TRI, TypeITri, _closed_lift, _nonzero_product
@@ -23,16 +23,21 @@ _FAMILY_STYLE = (
 )
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    curves: tuple[AllowableCurve, ...] = ()
-    triangulation: TypeITri = BASE_TRI
-    window: Window = (0, 2, 0, 2)  # (xmin, xmax, ymin, ymax)
+class RenderSpec(Frozen):
+    __slots__ = _fields = ("curves", "triangulation", "window")
+    curves: tuple[AllowableCurve, ...]
+    triangulation: TypeITri
+    window: Window  # (xmin, xmax, ymin, ymax)
 
-    def __post_init__(self) -> None:
-        xmin, xmax, ymin, ymax = self.window
+    def __init__(self, curves: tuple[AllowableCurve, ...] = (),
+                 triangulation: TypeITri = BASE_TRI,
+                 window: Window = (0, 2, 0, 2)) -> None:
+        xmin, xmax, ymin, ymax = window
         if xmin >= xmax or ymin >= ymax:
             raise ValueError("window must be nonempty")
+        object.__setattr__(self, "curves", curves)
+        object.__setattr__(self, "triangulation", triangulation)
+        object.__setattr__(self, "window", window)
 
 
 def _clip_line(p0, q: int, d, window):

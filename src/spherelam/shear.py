@@ -21,9 +21,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from ._frozen import Frozen
 from .curves import (
     V00,
     PUNCTURES,
@@ -422,22 +422,25 @@ def shear_oracle(curve: AllowableCurve) -> ShearVector:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TypeITri:
+_ALL_PLAIN = tuple((p, Tagging.PLAIN) for p in PUNCTURES)
+
+
+class TypeITri(Frozen):
     """A type-I tagged triangulation: a Farey-1 triple of slopes (two
     parallel arcs per slope) with one tagging per puncture."""
 
+    __slots__ = _fields = ("triple", "taggings")
     triple: tuple[Slope, Slope, Slope]
-    taggings: tuple[tuple[Puncture, Tagging], ...] = tuple(
-        (p, Tagging.PLAIN) for p in PUNCTURES
-    )
+    taggings: tuple[tuple[Puncture, Tagging], ...]
 
-    def __post_init__(self) -> None:
-        if not is_farey1_triple(*self.triple):
-            raise NotFareyTriple(f"{self.triple} is not a Farey-1 triple")
-        tags = tuple(sorted(self.taggings, key=lambda e: e[0]))
+    def __init__(self, triple: tuple[Slope, Slope, Slope],
+                 taggings: tuple[tuple[Puncture, Tagging], ...] = _ALL_PLAIN) -> None:
+        if not is_farey1_triple(*triple):
+            raise NotFareyTriple(f"{triple} is not a Farey-1 triple")
+        tags = tuple(sorted(taggings, key=lambda e: e[0]))
         if tuple(p for p, _ in tags) != PUNCTURES:
             raise ValueError("taggings must cover each puncture exactly once")
+        object.__setattr__(self, "triple", triple)
         object.__setattr__(self, "taggings", tags)
 
     def to_json(self) -> dict:
@@ -514,16 +517,16 @@ def _positive_merged(weights: Weights) -> Weights:
     return items
 
 
-@dataclass(frozen=True)
-class Tangle:
+class Tangle(Frozen):
     """A finite integer-weighted collection of allowable curves; no
     compatibility or positivity requirement.  Duplicate curves merge by
     summing weights."""
 
+    __slots__ = _fields = ("weights",)
     weights: Weights
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", _merged(self.weights))
+    def __init__(self, weights: Weights) -> None:
+        object.__setattr__(self, "weights", _merged(weights))
 
     @property
     def support(self) -> tuple[AllowableCurve, ...]:
@@ -534,14 +537,14 @@ class Tangle:
         return not self.support
 
 
-@dataclass(frozen=True)
-class QuasiLamination:
+class QuasiLamination(Frozen):
     """Pairwise compatible allowable curves with positive integer weights."""
 
+    __slots__ = _fields = ("weights",)
     weights: Weights
 
-    def __post_init__(self) -> None:
-        items = _positive_merged(self.weights)
+    def __init__(self, weights: Weights) -> None:
+        items = _positive_merged(weights)
         curves = [c for c, _ in items]
         for x, y in itertools.combinations(curves, 2):
             if not curves_compatible(x, y):

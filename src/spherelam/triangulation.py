@@ -37,9 +37,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
+from ._frozen import Frozen
 from .curves import (
     PUNCTURES,
     Puncture,
@@ -75,15 +75,18 @@ from .lattice import (
 _ADMISSIBLE_DEGREES = {(2, 2, 2, 6), (2, 2, 3, 5), (2, 2, 4, 4), (3, 3, 3, 3)}
 
 
-@dataclass(frozen=True)
-class TaggedTriangulation:
-    """Six distinct pairwise compatible tagged arcs, in a fixed order."""
+class TaggedTriangulation(Frozen):
+    """Six distinct pairwise compatible tagged arcs, in a fixed order;
+    equal to any triangulation with the same set of arcs."""
 
+    __slots__ = ("arcs", "arc_set")
+    _fields = ("arcs",)
     arcs: tuple[TaggedArc, ...]
-    arc_set: frozenset[TaggedArc] = field(init=False, repr=False, compare=False)
+    arc_set: frozenset[TaggedArc]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "arc_set", frozenset(self.arcs))
+    def __init__(self, arcs: tuple[TaggedArc, ...]) -> None:
+        object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "arc_set", frozenset(arcs))
         if len(self.arcs) != 6 or len(self.arc_set) != 6:
             raise ValueError("a tagged triangulation has exactly 6 distinct arcs")
         for x, y in itertools.combinations(self.arcs, 2):
@@ -153,8 +156,7 @@ def f2_companions(p: Slope, q: Slope) -> tuple[Slope, Slope]:
     return (r, s) if r <= s else (s, r)
 
 
-@dataclass(frozen=True)
-class TriType:
+class TriType(Frozen):
     """Combinatorial type and determining data of a tagged triangulation.
 
     ``slopes`` is the Farey-1 triple (types I, VI) or the Farey-2 pair
@@ -162,17 +164,21 @@ class TriType:
     per-puncture tags of the type.
     """
 
+    __slots__ = _fields = ("tag", "slopes", "v", "v_prime", "taggings")
     tag: str
     slopes: tuple[Slope, ...]
-    v: Puncture | None = None
-    v_prime: Puncture | None = None
-    taggings: tuple[tuple[Puncture, Tagging], ...] = ()
+    v: Puncture | None
+    v_prime: Puncture | None
+    taggings: tuple[tuple[Puncture, Tagging], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "slopes", tuple(sorted(self.slopes)))
-        object.__setattr__(
-            self, "taggings", tuple(sorted(self.taggings, key=lambda e: e[0]))
-        )
+    def __init__(self, tag: str, slopes: tuple[Slope, ...], v: Puncture | None = None,
+                 v_prime: Puncture | None = None,
+                 taggings: tuple[tuple[Puncture, Tagging], ...] = ()) -> None:
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "slopes", tuple(sorted(slopes)))
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "v_prime", v_prime)
+        object.__setattr__(self, "taggings", tuple(sorted(taggings, key=lambda e: e[0])))
 
     def to_json(self) -> dict:
         out: dict = {"type": self.tag, "slopes": [str(s) for s in self.slopes]}

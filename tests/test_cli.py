@@ -15,7 +15,8 @@ from spherelam.curves import AllowableCurve, TaggedArc, Tagging
 from spherelam.render import RenderSpec, curve_polyline, grid_lines, render
 from spherelam.lattice import Slope
 from spherelam.shear import BASE_TRI
-from spherelam.triangulation import TaggedTriangulation, base_triangulation, signed_adjacency
+from spherelam.triangulation import TaggedTriangulation, base_triangulation, classify, \
+    enumerate_triangulations, signed_adjacency
 
 
 def ok(argv):
@@ -461,9 +462,11 @@ SRC = os.path.dirname(os.path.dirname(spherelam.__file__))
 
 
 def _modules_loaded(argv):
-    """The spherelam modules a fresh interpreter holds after one command."""
-    code = ("import sys; from spherelam.cli import run; code, _ = run(sys.argv[1:]); "
-            "print(code, *sorted(m for m in sys.modules if m.startswith('spherelam.')))")
+    """The modules a fresh interpreter loads for one command, spherelam's
+    without their package prefix."""
+    code = ("import sys; before = set(sys.modules); from spherelam.cli import run; "
+            "code, _ = run(sys.argv[1:]); "
+            "print(code, *sorted(m for m in sys.modules if m not in before))")
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                           text=True, check=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": SRC})
@@ -473,7 +476,21 @@ def _modules_loaded(argv):
 
 
 class TestColdStart:
-    """Each command imports only the modules it runs."""
+    """Each command imports only the modules it runs; none imports
+    dataclasses (with inspect), and the light ones not fractions."""
+
+    def test_no_module_imports_dataclasses(self):
+        import ast
+        import pathlib
+
+        for path in pathlib.Path(spherelam.__file__).parent.glob("*.py"):
+            imported = set()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom):
+                    imported.add(node.module)
+            assert "dataclasses" not in imported, path.name
 
     def test_command_import_sets(self):
         t0 = json.dumps(base_triangulation().to_json())
@@ -496,9 +513,15 @@ class TestColdStart:
                              "--r=-1", "--v", "00", "--tag", "00=plain"],
                             {"fan", "shear", "exactla", "plane"}),
         }
+        light = {"shear", "compat", "classify", "flip", "badj", "mutate", "tangle-check",
+                 "triangulate"}
         for name, (argv, absent) in cases.items():
             loaded = _modules_loaded(argv)
+            assert "curves" in loaded, (name, sorted(loaded))
             assert not loaded & (absent | never), (name, sorted(loaded))
+            assert not loaded & {"dataclasses", "inspect"}, (name, sorted(loaded))
+            if name in light:
+                assert not loaded & {"fractions", "decimal"}, (name, sorted(loaded))
 
     def test_exports_resolve(self):
         import importlib
@@ -548,6 +571,33 @@ class TestColdStart:
         assert [p.returncode for p in procs] == [0, 0], procs[1].stderr
         assert procs[0].stdout == procs[1].stdout
         assert len(json.loads(procs[0].stdout)["cones"]) == 912
+
+
+class TestParserParity:
+    """run builds the parser of the named command alone; every argv gets
+    the exit code, stdout and stderr that the parser of all commands gives."""
+
+    @pytest.mark.parametrize("argv, named", [
+        ([], None),
+        (["--help"], None),
+        (["-h", "shear"], None),
+        (["--plain"], None),
+        (["bogus"], None),
+        (["shear"], "shear"),
+        (["shear", "--bogus", "x"], "shear"),
+        (["shear", "-h"], "shear"),
+        (["shear", "--curve", CURVE_PRIME, "--plain"], "shear"),
+        (["--plain", "shear", "--curve", CURVE_PRIME], "shear"),
+        (["--plain", "--plain", "locate", "--vector", "[1,0,0,0,0,0]", "--max-height", "x"],
+         "locate"),
+        (["compat", "--a", "flip", "--b", '{"closed":"1/1"}'], "compat"),
+        (["selftest", "--k", "1"], "selftest"),
+    ])
+    def test_same_as_full_parser(self, argv, named, capsys, monkeypatch):
+        assert cli._named_command(argv) == named
+        got = run(argv), capsys.readouterr()
+        monkeypatch.setattr(cli, "_named_command", lambda argv: None)
+        assert (run(argv), capsys.readouterr()) == got
 
 
 class TestJsonRoundTrips:
@@ -683,6 +733,76 @@ def _fuzz_argv(draw):
     return ["tangle-check", "--tangle", arg(_TANGLE), "--max-height", "1"]
 
 
+_SLOPE_TEXTS = ("0", "inf", "-1", "1/1", "1/2", "3/2", "1/0", "2/4", "x", "")
+_PUNCTURE_TEXTS = ("00", "01", "10", "11", "0", "12", "")
+_VECTORS = [[-1, 1, 0, -1, 1, 0], [1, 0, 0, 0, 0, 0], [-3, 2, 1, -3, 2, 1]]
+
+
+def _triangulate_options(spec):
+    """The triangulate options that build the triangulation of a TriType."""
+    doc = spec.to_json()
+    opts = [f"--type={doc['type']}"]
+    opts += [f"--{flag}={s}" for flag, s in zip("pqr", doc["slopes"])]
+    opts += [f"--{flag.replace('_', '-')}={doc[flag]}" for flag in ("v", "v_prime") if flag in doc]
+    return opts + [f"--tag={v}={t}" for v, t in doc["tags"].items()]
+
+
+# one valid option list per type, from the height-1 triangulations
+_TRIANGULATE = list({spec.tag: _triangulate_options(spec)
+                     for spec in map(classify, enumerate_triangulations(1))}.values())
+_TRIANGULATE_POOL = ([f"--{f}={s}" for f in "pqr" for s in _SLOPE_TEXTS]
+                     + [f"--{f}={v}" for f in ("v", "v-prime") for v in _PUNCTURE_TEXTS]
+                     + [f"--tag={v}={t}" for v in _PUNCTURE_TEXTS[:5]
+                        for t in ("plain", "notched", "x")]
+                     + ["--type=VII", "--type=I", "--type=IV"])
+
+
+@st.composite
+def _fuzz_heavy_argv(draw):
+    """argv of triangulate, of a fan command at height 1 or of render, with
+    parameters drawn valid or not and JSON arguments valid or mutated;
+    render writes to the path OUT."""
+    def arg(doc):
+        return draw(st.one_of(st.just(json.dumps(doc)), _mutated(doc)))
+
+    def height(*bad):
+        return draw(st.sampled_from(("1", "1", "0", "x") + bad))
+
+    name = draw(st.sampled_from(("triangulate", "gvectors", "universal", "locate", "cones",
+                                 "render")))
+    if name == "triangulate":
+        # a valid option list with up to three options dropped, replaced
+        # or added
+        opts = list(draw(st.sampled_from(_TRIANGULATE)))
+        for _ in range(draw(st.integers(0, 3))):
+            i = draw(st.integers(0, len(opts)))
+            new = [draw(st.sampled_from(_TRIANGULATE_POOL))]
+            opts[i:i + draw(st.integers(0, 1))] = draw(st.sampled_from(([], new)))
+        return ["triangulate", *opts]
+    if name == "gvectors":
+        return ["gvectors", "--max-height", height("-1", "65")]
+    if name == "universal":
+        return ["universal", "--max-height", height("65"),
+                "--form", draw(st.sampled_from(("thm12", "thm81", "thm0")))]
+    if name == "locate":
+        return ["locate", "--vector", arg(draw(st.sampled_from(_VECTORS))),
+                "--max-height", height("11")]
+    if name == "cones":
+        return ["cones", "--max-height", height("-1", "11")]
+    argv = ["render", "--out", "OUT"]
+    for _ in range(draw(st.integers(0, 2))):
+        argv.append("--curve=" + arg(draw(st.sampled_from(_CURVES))))
+    if draw(st.booleans()):
+        argv.append("--tri=" + arg(_TYPE_I))
+    if draw(st.integers(0, 4)):
+        x, y = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        w, h = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        window = f"{x},{x + w},{y},{y + h}"
+    else:
+        window = draw(st.sampled_from(("0,1,0", "0,1,0,1,2", "a,0,1,1", "", "1,0,0,1")))
+    return argv + [f"--window={window}"]
+
+
 class TestFuzz:
     @settings(max_examples=200, deadline=None)
     @given(_fuzz_argv())
@@ -692,3 +812,13 @@ class TestFuzz:
         assert code in (0, 1, 2), (argv, out)
         if code in (0, 1):
             json.loads(out)  # exactly one document: trailing text raises
+
+    @settings(max_examples=150, deadline=None)
+    @given(_fuzz_heavy_argv())
+    def test_heavy_commands(self, tmp_path_factory, argv):
+        out_path = str(tmp_path_factory.getbasetemp() / "fuzz.svg")
+        argv = [out_path if a == "OUT" else a for a in argv]
+        code, out = run(argv)
+        assert code in (0, 1, 2), (argv, out)
+        if code in (0, 1):
+            json.loads(out)

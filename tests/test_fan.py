@@ -832,6 +832,18 @@ class TestOnePassBuild:
         triples = farey1_triples(enumerate_slopes(1))
         assert len(calls) == len(triples)
 
+    def test_index_cache_keeps_the_last_four_heights(self, monkeypatch):
+        monkeypatch.setattr(fan, "_INDEX_CACHE", {})
+        first = fan.cone_index(1)
+        for h in range(2, 7):
+            fan.cone_index(h)
+        assert list(fan._INDEX_CACHE) == [3, 4, 5, 6]
+        assert fan.cone_index(4) is fan._INDEX_CACHE[4]  # a hit is the most recent
+        again = fan.cone_index(1)  # evicted: built again, evicting 3
+        assert again is not first and list(fan._INDEX_CACHE) == [5, 6, 4, 1]
+        assert [(c.kind, c.generators, c.collection) for c in again.cones] == \
+            [(c.kind, c.generators, c.collection) for c in first.cones]
+
     def test_fan_check_builds_no_fraction(self, monkeypatch):
         # the fan check and the torus check run on integers only
         def no_fraction(*args):
