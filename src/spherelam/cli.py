@@ -11,9 +11,9 @@ a call pays only for what its command uses.  At import this module loads
 more; each command imports the further modules it runs inside its handler,
 and :func:`run` builds the parser of the named command alone.  No module
 of the package imports :mod:`dataclasses`, and :mod:`fractions` comes in
-only with ``plane``, ``render``, ``exactla`` or ``fan``: a ``shear`` by
-formula or word, ``compat``, ``triangulate``, ``classify``, ``flip``,
-``badj``, ``mutate`` or ``tangle-check`` never loads it.
+only with ``exactla`` or ``fan``: a ``shear`` by any method, ``render``,
+``compat``, ``triangulate``, ``classify``, ``flip``, ``badj``, ``mutate``
+or ``tangle-check`` never loads it.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ SCHEMA = "sphere-lam/1"
 # their time grows linearly with the slope height; render draws one element
 # per lattice line and puncture that meets the window.  At these caps a
 # command takes under half a second: the oracle on the closed curve 1000/997
-# about 0.1 s, the word on 50000/49999 about 0.3 s (2-core Xeon, Python 3.11).
+# about 0.13 s for the whole call (0.03 s of it in the oracle), the word on
+# 50000/49999 about 0.3 s (2-core Xeon, Python 3.11).
 SHEAR_MAX_HEIGHT = {"word": 50_000, "oracle": 1_000}
 RENDER_MAX_ELEMENTS = 10_000
 # cones and locate build every maximal cone up to their --max-height: about

@@ -5,15 +5,17 @@ The base triangulation lifts to the arrangement of all lines ``x = k``,
 vertices on the integer lattice.  This module is the crossing kernel of
 the shear oracle: it enumerates transversal crossings of lifted curves
 with that arrangement and scores each crossing -1/0/+1 from the
-quadrilateral surrounding the crossed arc.  Everything is exact integer
-arithmetic: the points of one lift are integer numerators over one common
-denominator ``den``, chosen by the caller so that every crossing point and
-every spiral offset of that lift is a multiple of ``1/den``.
+quadrilateral surrounding the crossed arc, in one pass that finds the side
+holding a neighboring crossing by the level of the lattice line it lies on.
+Everything is exact integer arithmetic: the points of one lift are integer
+numerators over one common denominator ``den``, chosen by the caller so
+that every crossing point and every spiral offset of that lift is a
+multiple of ``1/den``, and spiral ends are ordered by an integer
+pseudo-angle (a numerator and a denominator).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from ._frozen import Frozen
@@ -45,19 +47,20 @@ class Crossing(Frozen):
         return FAMILY_INDEX[(self.family, self.k % 2)]
 
 
-def pseudo_angle(v: IPoint) -> Fraction:
+def pseudo_angle(v: IPoint) -> tuple[int, int]:
     """Order-preserving angle surrogate in [0, 8), with the eight compass
-    directions at integer values (E=0, N=2, NW=3, W=4, S=6, SE=7)."""
+    directions at integer values (E=0, N=2, NW=3, W=4, S=6, SE=7), as an
+    unreduced numerator and a positive denominator."""
     x, y = v
     if x == 0 and y == 0:
         raise ValueError("zero vector")
     if x > 0 and y >= 0:
-        return Fraction(2 * y, x + y)
-    if y > 0:  # x <= 0
-        return 2 + Fraction(2 * -x, y - x)
-    if x < 0:  # y <= 0
-        return 4 + Fraction(2 * -y, -x - y)
-    return 6 + Fraction(2 * x, x - y)  # x >= 0, y < 0
+        return 2 * y, x + y
+    if y > 0:  # x <= 0: 2 + 2(-x)/(y - x)
+        return 2 * y - 4 * x, y - x
+    if x < 0:  # y <= 0: 4 + 2(-y)/(-x - y)
+        return -4 * x - 6 * y, -x - y
+    return 8 * x - 6 * y, x - y  # x >= 0, y < 0: 6 + 2x/(x - y)
 
 
 # The six lattice directions incident to every lattice point.
@@ -107,9 +110,9 @@ def spiral_crossings(
     that line the straight part of the curve runs (left of the travel
     direction iff the starting spiral winds counterclockwise).
     """
-    ref = pseudo_angle((-direction[0], -direction[1]) if at_end else direction)
-    # offsets in units of 1/q of a pseudo-angle step, one turn being 8q
-    n, q = ref.numerator, ref.denominator
+    # offsets in units of 1/q of a pseudo-angle step, one turn being 8q;
+    # scaling n and q by one factor keeps their order
+    n, q = pseudo_angle((-direction[0], -direction[1]) if at_end else direction)
     offsets: list[tuple[int, IPoint]] = []
     for u, ang in _INCIDENT_DIRS:
         off = (ang * q - n) % (8 * q) if ccw else (n - ang * q) % (8 * q)
@@ -168,62 +171,68 @@ def segment_crossings(
     return out
 
 
-def quad_cycle(c: Crossing, den: int) -> tuple[IPoint, IPoint, IPoint, IPoint]:
-    """The quadrilateral around the arc segment crossed at c, as a vertex
-    cycle (U, A, V, B) of lattice points with U, V the segment endpoints.
-    Sides (U,A) and (B,U) are adjacent to U; sides (A,V) and (V,B) to V."""
-    if c.family == "h":
-        j, k = c.point[0] // den, c.k
-        return ((j, k), (j + 1, k - 1), (j + 1, k), (j, k + 1))
-    if c.family == "v":
-        j, k = c.point[1] // den, c.k
-        return ((k, j), (k + 1, j), (k, j + 1), (k - 1, j + 1))
-    j, k = c.point[0] // den, c.k
-    # unit square [j, j+1] x [k-j-1, k-j] split by its diagonal
-    return ((j, k - j), (j, k - j - 1), (j + 1, k - j - 1), (j + 1, k - j))
+# The quadrilateral (U, A, V, B) around the arc UV crossed by a line of each
+# family, relative to U and in lattice units: V - U, and the sides (U,A),
+# (A,V), (V,B), (B,U), each as the line it lies on (coordinate 0: x, 1: y,
+# 2: x + y, and its level) and the span of x it covers (of y on a line x =
+# level), starting at lo.
+_QUADS = {
+    "h": ((1, 0), ((2, 0, 0), (0, 1, -1), (2, 1, 0), (0, 0, 0))),
+    "v": ((0, 1), ((1, 0, 0), (2, 1, 0), (1, 1, -1), (2, 0, -1))),
+    "d": ((1, -1), ((0, 0, -1), (1, -1, 0), (0, 1, -1), (1, 0, 0))),
+}
 
 
-def _on_segment(p: IPoint, a: IPoint, b: IPoint) -> bool:
-    ax, ay = a
-    ex, ey = b[0] - ax, b[1] - ay
-    px, py = p[0] - ax, p[1] - ay
-    if ex * py != ey * px:
-        return False
-    return 0 <= px * ex + py * ey <= ex * ex + ey * ey
+def accumulate(crossings: Sequence[Crossing], den: int,
+               period: IPoint | None = None) -> list[int]:
+    """Sum the -1/0/+1 scores of a curve's crossings into a 6-vector.
 
-
-def score_crossing(c: Crossing, entry: IPoint | None, exit: IPoint | None, den: int) -> int:
-    """-1, 0 or +1 contribution of one crossing, decided by the sides of
-    its quadrilateral through which the curve enters and leaves.  All
-    points are numerators over ``den``."""
-    if entry is None or exit is None:
-        return 0
-    U, A, V, B = [(x * den, y * den) for x, y in quad_cycle(c, den)]
-    sides = ((U, A, U), (A, V, V), (V, B, V), (B, U, U))  # (corner, corner, near endpoint)
-    e_adj = x_adj = None
-    for p, q, adj in sides:
-        if e_adj is None and _on_segment(entry, p, q):
-            e_adj = adj
-        if x_adj is None and _on_segment(exit, p, q):
-            x_adj = adj
-    if e_adj is None or x_adj is None:
-        raise InternalError(f"crossing neighbor off the quad boundary at {c}")
-    if e_adj == x_adj:
-        return 0
-    cr = ((exit[0] - entry[0]) * (e_adj[1] - entry[1])
-          - (exit[1] - entry[1]) * (e_adj[0] - entry[0]))
-    if cr == 0:
-        raise InternalError(f"degenerate sign test at {c}")
-    # entry-adjacent endpoint to the right of the travel chord: +1
-    return 1 if cr < 0 else -1
-
-
-def accumulate(crossings: Sequence[Crossing], neighbors, den: int) -> list[int]:
-    """Sum crossing scores into a 6-vector; neighbors(i) returns the
-    (entry_point, exit_point) pair for crossing i (either may be None),
-    as numerators over ``den``."""
+    A crossing is scored from the sides of its quadrilateral through which
+    the curve enters and leaves it, the sides holding the previous and the
+    next crossing point: a point is on a side when its coordinate equals the
+    side's level and the other coordinate lies in the side's span, and it
+    takes the first such side in the order (U,A), (A,V), (V,B), (B,U).
+    With ``period`` (a lattice vector) the crossings are one period of a
+    closed curve and the first and last take their outer neighbor shifted
+    by it; otherwise the two end crossings score 0.  All points are
+    numerators over ``den``.
+    """
+    pts = [c.point for c in crossings]
+    if period is None:
+        crossings = crossings[1:-1]
+    elif pts:
+        px, py = period[0] * den, period[1] * den
+        pts = [(pts[-1][0] - px, pts[-1][1] - py), *pts, (pts[0][0] + px, pts[0][1] + py)]
+    quads = {family: ((vx * den, vy * den),
+                      [(axis, level * den, lo * den, lo * den + den, i in (1, 2))
+                       for i, (axis, level, lo) in enumerate(sides)])
+             for family, ((vx, vy), sides) in _QUADS.items()}
     vec = [0] * 6
-    for i, c in enumerate(crossings):
-        entry, exit = neighbors(i)
-        vec[c.slot] += score_crossing(c, entry, exit, den)
+    for c, entry, exit in zip(crossings, pts, pts[2:]):
+        k = c.k * den
+        if c.family == "v":
+            ux, uy = k, c.point[1] // den * den
+        else:
+            ux = c.point[0] // den * den
+            uy = k if c.family == "h" else k - ux
+        V, sides = quads[c.family]
+        ex, ey = entry[0] - ux, entry[1] - uy
+        xx, xy = exit[0] - ux, exit[1] - uy
+        at_v = []
+        for p in ((ex, ey, ex + ey), (xx, xy, xx + xy)):
+            for axis, level, lo, hi, side_at_v in sides:
+                if p[axis] == level and lo <= p[axis == 0] <= hi:
+                    at_v.append(side_at_v)
+                    break
+            else:
+                raise InternalError(f"crossing neighbor off the quad boundary at {c}")
+        if at_v[0] == at_v[1]:
+            continue
+        # the endpoint of UV next to the entry side, relative to U
+        nx, ny = V if at_v[0] else (0, 0)
+        cr = (xx - ex) * (ny - ey) - (xy - ey) * (nx - ex)
+        if cr == 0:
+            raise InternalError(f"degenerate sign test at {c}")
+        # entry-adjacent endpoint to the right of the travel chord: +1
+        vec[c.slot] += 1 if cr < 0 else -1
     return vec

@@ -4,8 +4,6 @@ spiral glyphs at their endpoints."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ._frozen import Frozen
 from .curves import AllowableCurve, SpiralDir
 from .lattice import _egcd
@@ -108,17 +106,14 @@ def grid_lines(tri: TypeITri, window: Window):
 
 
 def curve_polyline(curve: AllowableCurve, window: Window):
-    """The drawn portion of a curve's lift: a clipped full line for closed
-    curves, the lattice segment for spiraling ones."""
+    """The drawn portion of a curve's lift as (p1, p2, den), endpoint
+    numerators over den: a clipped full line for closed curves (None when
+    it misses the window), the lattice segment for spiraling ones."""
     a, b = curve.slope.vector
     if curve.is_closed:
-        seg = _clip_line(*_closed_lift(a, b, (a, b)), (a, b), window)
-        if seg is None:
-            return None
-        p1, p2, den = seg
-        return tuple((Fraction(x, den), Fraction(y, den)) for x, y in (p1, p2))
+        return _clip_line(*_closed_lift(a, b, (a, b)), (a, b), window)
     (p, _), _ = curve.ends  # type: ignore[misc]
-    return ((p.i, p.j), (p.i + a, p.j + b))
+    return (p.i, p.j), (p.i + a, p.j + b), 1
 
 
 def _spiral_glyph(center, direction: SpiralDir, to_svg):
@@ -172,14 +167,15 @@ def render(spec: RenderSpec) -> str:
         seg = curve_polyline(curve, spec.window)
         if seg is None:
             continue
-        (x1, y1), (x2, y2) = seg
-        p1, p2 = to_svg(x1, y1), to_svg(x2, y2)
+        (x1, y1), (x2, y2), den = seg
+        ends = ((x1 / den, y1 / den), (x2 / den, y2 / den))
+        p1, p2 = to_svg(*ends[0]), to_svg(*ends[1])
         out.append(f'<g class="curve{i}" stroke="#909" stroke-width="2" fill="none">')
         out.append(
             '<polyline points="%.2f,%.2f %.2f,%.2f"/>' % (p1[0], p1[1], p2[0], p2[1])
         )
         if curve.ends is not None:
-            for anchor, (_, d) in zip(((x1, y1), (x2, y2)), curve.ends):
+            for anchor, (_, d) in zip(ends, curve.ends):
                 out.append(
                     '<polyline points="%s"/>' % _spiral_glyph(anchor, d, to_svg)
                 )

@@ -375,21 +375,7 @@ def shear_oracle(curve: AllowableCurve) -> ShearVector:
         period = (2 * a, 2 * b)
         start, den = _closed_lift(a, b, period)
         xs = plane.segment_crossings(start, period, den, include_lo=True)
-        n = len(xs)
-        px, py = period[0] * den, period[1] * den
-
-        def neighbors(i: int):
-            if i > 0:
-                prev = xs[i - 1].point
-            else:
-                prev = (xs[-1].point[0] - px, xs[-1].point[1] - py)
-            if i < n - 1:
-                nxt = xs[i + 1].point
-            else:
-                nxt = (xs[0].point[0] + px, xs[0].point[1] + py)
-            return prev, nxt
-
-        return tuple(plane.accumulate(xs, neighbors, den))  # type: ignore[return-value]
+        return tuple(plane.accumulate(xs, den, period))  # type: ignore[return-value]
 
     (p_punc, p_dir), (q_punc, q_dir) = curve.ends  # type: ignore[misc]
     base = (p_punc.i, p_punc.j)
@@ -408,13 +394,7 @@ def shear_oracle(curve: AllowableCurve) -> ShearVector:
         + plane.spiral_crossings(tip, (a, b), q_dir is SpiralDir.CCW, at_end=True,
                                  interior_side_left=side_left, eps=eps, den=den)
     )
-
-    def neighbors(i: int):
-        prev = seq[i - 1].point if i > 0 else None
-        nxt = seq[i + 1].point if i < len(seq) - 1 else None
-        return prev, nxt
-
-    return tuple(plane.accumulate(seq, neighbors, den))  # type: ignore[return-value]
+    return tuple(plane.accumulate(seq, den))  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,30 @@ with the height.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable
 
 from spherelam.errors import InternalNonUnique
-from spherelam.plane import IPoint, pseudo_angle
+from spherelam.plane import IPoint
 from spherelam.triangulation import ExchangeMatrix, TaggedTriangulation
+
+
+def pseudo_angle(v: IPoint) -> Fraction:
+    """Order-preserving angle surrogate in [0, 8), with the eight compass
+    directions at integer values (E=0, N=2, NW=3, W=4, S=6, SE=7).
+
+    The Fraction reference of the integer pair ``plane.pseudo_angle``, kept
+    here so that the oracles in tests/ do not call the kernel they check."""
+    x, y = v
+    if x == 0 and y == 0:
+        raise ValueError("zero vector")
+    if x > 0 and y >= 0:
+        return Fraction(2 * y, x + y)
+    if y > 0:  # x <= 0
+        return 2 + Fraction(2 * -x, y - x)
+    if x < 0:  # y <= 0
+        return 4 + Fraction(2 * -y, -x - y)
+    return 6 + Fraction(2 * x, x - y)  # x >= 0, y < 0
 
 
 def triangular_faces(

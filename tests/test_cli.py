@@ -182,7 +182,8 @@ class TestRender:
         curve = AllowableCurve(Slope(2, 3))
         seg = curve_polyline(curve, window)
         assert seg is not None
-        (x1, y1), (x2, y2) = seg
+        p1, p2, den = seg
+        (x1, y1), (x2, y2) = [(Fraction(x, den), Fraction(y, den)) for x, y in (p1, p2)]
         assert (x1, y1) == (Fraction(1, 6), 0)
         assert (x2, y2) == (2, Fraction(11, 4))
         crossed = 0
@@ -475,30 +476,48 @@ def _modules_loaded(argv):
     return {m.removeprefix("spherelam.") for m in mods}
 
 
+def _imported_modules(path) -> set:
+    """The modules a source file names in its import statements."""
+    import ast
+
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    return imported
+
+
 class TestColdStart:
     """Each command imports only the modules it runs; none imports
     dataclasses (with inspect), and the light ones not fractions."""
 
     def test_no_module_imports_dataclasses(self):
-        import ast
         import pathlib
 
         for path in pathlib.Path(spherelam.__file__).parent.glob("*.py"):
-            imported = set()
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Import):
-                    imported.update(alias.name for alias in node.names)
-                elif isinstance(node, ast.ImportFrom):
-                    imported.add(node.module)
-            assert "dataclasses" not in imported, path.name
+            assert "dataclasses" not in _imported_modules(path), path.name
 
-    def test_command_import_sets(self):
+    def test_plane_and_render_do_not_import_fractions(self):
+        import pathlib
+
+        package = pathlib.Path(spherelam.__file__).parent
+        for name in ("plane.py", "render.py"):
+            assert "fractions" not in _imported_modules(package / name), name
+
+    def test_command_import_sets(self, tmp_path):
         t0 = json.dumps(base_triangulation().to_json())
         B = json.dumps([list(r) for r in signed_adjacency(base_triangulation())])
         never = {"render", "selftest"}
         cases = {
             "shear": (["shear", "--curve", CURVE_PRIME],
                       {"fan", "triangulation", "exactla", "plane"}),
+            "shear-oracle": (["shear", "--curve", CURVE_PRIME, "--method", "oracle"],
+                             {"fan", "triangulation", "exactla"}),
+            "render": (["render", "--curve", '{"closed":"3/2"}', "--window", "0,2,0,2",
+                        "--out", str(tmp_path / "curve.svg")],
+                       {"fan", "triangulation", "exactla", "plane"}),
             "compat": (["compat", "--a", '{"closed":"3/2"}', "--b", '{"closed":"1/1"}'],
                        {"fan", "triangulation", "exactla", "shear", "plane"}),
             "mutate": (["mutate", "--matrix", B, "--k", "2"], {"plane", "shear", "fan"}),
@@ -513,12 +532,12 @@ class TestColdStart:
                              "--r=-1", "--v", "00", "--tag", "00=plain"],
                             {"fan", "shear", "exactla", "plane"}),
         }
-        light = {"shear", "compat", "classify", "flip", "badj", "mutate", "tangle-check",
-                 "triangulate"}
+        light = {"shear", "shear-oracle", "render", "compat", "classify", "flip", "badj",
+                 "mutate", "tangle-check", "triangulate"}
         for name, (argv, absent) in cases.items():
             loaded = _modules_loaded(argv)
             assert "curves" in loaded, (name, sorted(loaded))
-            assert not loaded & (absent | never), (name, sorted(loaded))
+            assert not loaded & (absent | (never - {name})), (name, sorted(loaded))
             assert not loaded & {"dataclasses", "inspect"}, (name, sorted(loaded))
             if name in light:
                 assert not loaded & {"fractions", "decimal"}, (name, sorted(loaded))

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from box_oracle import pseudo_angle as ref_pseudo_angle
 from spherelam import plane
 from spherelam.errors import InternalError
 from spherelam.plane import Crossing
@@ -48,9 +49,9 @@ def ref_segment_crossings(start, direction, include_lo=False):
 
 def ref_spiral_crossings(base, direction, ccw, at_end, interior_side_left, eps):
     if at_end:
-        ref = plane.pseudo_angle((-direction[0], -direction[1]))
+        ref = ref_pseudo_angle((-direction[0], -direction[1]))
     else:
-        ref = plane.pseudo_angle(direction)
+        ref = ref_pseudo_angle(direction)
     offsets = []
     for u, ang in plane._INCIDENT_DIRS:
         off = Fraction((ang - ref) % 8 if ccw else (ref - ang) % 8)
@@ -134,6 +135,26 @@ def score_or_error(score, *args):
         return "InternalError"
 
 
+def kernel_score(c: Crossing, entry, exit, den: int) -> int:
+    """The score ``accumulate`` gives c on the open path entry, c, exit
+    (a None neighbor leaves c at an end of the path)."""
+    before, after = [None if p is None else Crossing("h", 0, p) for p in (entry, exit)]
+    vec = plane.accumulate([x for x in (before, c, after) if x is not None], den)
+    assert all(v == 0 for i, v in enumerate(vec) if i != c.slot), vec
+    return vec[c.slot]
+
+
+def ref_total(crossings, scores):
+    """Reference scores of Fraction crossings summed by slot, or
+    "InternalError" if any of them raised."""
+    if "InternalError" in scores:
+        return "InternalError"
+    vec = [0] * 6
+    for (family, k, _), score in zip(crossings, scores):
+        vec[plane.FAMILY_INDEX[family, k % 2]] += score
+    return vec
+
+
 def lift_den(q, direction):
     """A denominator that makes every crossing of a start with
     denominator q and this direction exact."""
@@ -157,14 +178,25 @@ class TestSegmentCrossings:
         assert [as_fractions(c, den) for c in got] == want
         # and each crossing scores the same between its neighbors
         pts = [c.point for c in got]
-        for i, c in enumerate(got):
-            entry = pts[i - 1] if i else None
-            exit = pts[i + 1] if i + 1 < len(pts) else None
-            ref = want[i]
-            ref_entry = want[i - 1][2] if i else None
-            ref_exit = want[i + 1][2] if i + 1 < len(want) else None
-            assert score_or_error(plane.score_crossing, c, entry, exit, den) == \
-                score_or_error(ref_score_crossing, *ref, ref_entry, ref_exit)
+        ref_pts = [point for _, _, point in want]
+        scores = [score_or_error(ref_score_crossing, *ref, entry, exit)
+                  for ref, entry, exit in zip(want, [None] + ref_pts[:-1], ref_pts[1:] + [None])]
+        for c, entry, exit, score in zip(got, [None] + pts[:-1], pts[1:] + [None], scores):
+            assert score_or_error(kernel_score, c, entry, exit, den) == score
+        # [0, 1) is one period of the line under the shift by d: on the
+        # cyclic path the end crossings take neighbors shifted by it
+        if include_lo and got:
+            sx, sy = d[0] * den, d[1] * den
+            entries = [(pts[-1][0] - sx, pts[-1][1] - sy)] + pts[:-1]
+            exits = pts[1:] + [(pts[0][0] + sx, pts[0][1] + sy)]
+            ref_entries = [(ref_pts[-1][0] - d[0], ref_pts[-1][1] - d[1])] + ref_pts[:-1]
+            ref_exits = ref_pts[1:] + [(ref_pts[0][0] + d[0], ref_pts[0][1] + d[1])]
+            for i in {0, len(got) - 1}:
+                scores[i] = score_or_error(ref_score_crossing, *want[i],
+                                           ref_entries[i], ref_exits[i])
+                assert score_or_error(kernel_score, got[i], entries[i], exits[i], den) \
+                    == scores[i]
+            assert score_or_error(plane.accumulate, got, den, d) == ref_total(want, scores)
 
     def test_include_lo_takes_the_start_level(self):
         # start on y = 0 and x + y = 0 at the origin, moving into the plane
@@ -195,6 +227,39 @@ class TestSpiralCrossings:
                 want = ref_spiral_crossings(base, d, ccw, at_end, side, Fraction(eps, den))
                 assert [as_fractions(c, den) for c in got] == want, (base, ccw, at_end, side)
 
+    def test_integer_pseudo_angle(self):
+        for v in itertools.product(range(-9, 10), repeat=2):
+            if v != (0, 0):
+                n, q = plane.pseudo_angle(v)
+                assert q > 0 and Fraction(n, q) == ref_pseudo_angle(v), v
+        for u, ang in plane._INCIDENT_DIRS:
+            n, q = plane.pseudo_angle(u)
+            assert Fraction(n, q) == ang
+        with pytest.raises(ValueError):
+            plane.pseudo_angle((0, 0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.tuples(st.integers(-40, 40), st.integers(-40, 40)).filter(
+               lambda d: math.gcd(*d) == 1),
+           st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)]), st.booleans(), st.booleans())
+    def test_spiraling_lift_matches_fraction_reference(self, d, base, ccw0, ccw1):
+        # spiral, segment and spiral, built as the shear oracle builds them
+        a, b = d
+        eps = 2 ** (6 * plane._SPIRAL_WRAPS - 1) * math.prod(abs(f) for f in (a, b, a + b) if f)
+        den = 8 * (abs(a) + abs(b) + 2) ** 2 * eps
+        tip = (base[0] + a, base[1] + b)
+        got = (plane.spiral_crossings(base, d, ccw0, False, ccw0, eps, den)
+               + plane.segment_crossings((base[0] * den, base[1] * den), d, den)
+               + plane.spiral_crossings(tip, d, ccw1, True, ccw0, eps, den))
+        want = (ref_spiral_crossings(base, d, ccw0, False, ccw0, Fraction(eps, den))
+                + ref_segment_crossings(base, d)
+                + ref_spiral_crossings(tip, d, ccw1, True, ccw0, Fraction(eps, den)))
+        assert [as_fractions(c, den) for c in got] == want
+        pts = [point for _, _, point in want]
+        scores = [ref_score_crossing(*ref, entry, exit)
+                  for ref, entry, exit in zip(want[1:-1], pts, pts[2:])]
+        assert plane.accumulate(got, den) == ref_total(want[1:-1], scores)
+
     def test_offsets_shrink_by_halves_toward_the_puncture(self):
         eps = 2 ** 11
         got = plane.spiral_crossings((1, 1), (2, 1), True, True, True, eps, 2 ** 14)
@@ -213,7 +278,14 @@ class TestQuadCycle:
     def test_floor_at_negative_coordinates(self, family, k, point):
         den = 12
         c = Crossing(family, k, (int(point[0] * den), int(point[1] * den)))
-        assert plane.quad_cycle(c, den) == ref_quad_cycle(family, k, point)
+        # enter through the middle of side (B,U) and leave through the
+        # middle of (A,V) of the reference quad: off any other cell
+        U, A, V, B = ref_quad_cycle(family, k, point)
+        entry, exit = [(Fraction(p[0] + q[0], 2), Fraction(p[1] + q[1], 2))
+                       for p, q in ((B, U), (A, V))]
+        score = kernel_score(c, tuple(int(x * den) for x in entry),
+                             tuple(int(x * den) for x in exit), den)
+        assert score == ref_score_crossing(family, k, point, entry, exit) != 0
         # truncation toward zero would give another cell
         j = ref_quad_cycle(family, k, point)[0]
         assert j != ref_quad_cycle(family, k, tuple(Fraction(int(x)) for x in point))[0]
@@ -227,21 +299,34 @@ class TestScoreErrors:
 
     def test_neighbor_off_the_quad(self):
         with pytest.raises(InternalError, match="off the quad boundary"):
-            plane.score_crossing(self.C, (40, 40), (4, 2), self.DEN)
+            kernel_score(self.C, (40, 40), (4, 2), self.DEN)
         with pytest.raises(InternalError, match="off the quad boundary"):
-            plane.score_crossing(self.C, (0, 2), (-8, -8), self.DEN)
+            kernel_score(self.C, (0, 2), (-8, -8), self.DEN)
+        # on the line x = 1 of side (A,V), but above its span
+        with pytest.raises(InternalError, match="off the quad boundary"):
+            kernel_score(self.C, (4, 2), (0, 2), self.DEN)
 
     def test_degenerate_sign_test(self):
         # entering at the corner U itself leaves no side to test against
         with pytest.raises(InternalError, match="degenerate sign test"):
-            plane.score_crossing(self.C, (0, 0), (4, -2), self.DEN)
+            kernel_score(self.C, (0, 0), (4, -2), self.DEN)
 
     def test_scores(self):
         # between sides (B, U) and (A, V) the score is +1 either way,
         # between (U, A) and (V, B) it is -1
-        assert plane.score_crossing(self.C, (0, 2), (4, -2), self.DEN) == 1
-        assert plane.score_crossing(self.C, (4, -2), (0, 2), self.DEN) == 1
-        assert plane.score_crossing(self.C, (2, -2), (2, 2), self.DEN) == -1
+        assert kernel_score(self.C, (0, 2), (4, -2), self.DEN) == 1
+        assert kernel_score(self.C, (4, -2), (0, 2), self.DEN) == 1
+        assert kernel_score(self.C, (2, -2), (2, 2), self.DEN) == -1
         # both neighbors on sides adjacent to U: 0
-        assert plane.score_crossing(self.C, (0, 2), (2, -2), self.DEN) == 0
-        assert plane.score_crossing(self.C, None, (2, -2), self.DEN) == 0
+        assert kernel_score(self.C, (0, 2), (2, -2), self.DEN) == 0
+        assert kernel_score(self.C, None, (2, -2), self.DEN) == 0
+
+    @pytest.mark.parametrize("entry,exit", [
+        ((4, -4), (4, -2)),  # A is on (U,A) before (A,V): next to U
+        ((0, 4), (0, 2)),    # B is on (V,B) before (B,U): next to V
+    ])
+    def test_corners_take_the_first_side(self, entry, exit):
+        ref = ref_score_crossing("h", 0, (Fraction(1, 2), 0),
+                                 *[(Fraction(x, self.DEN), Fraction(y, self.DEN))
+                                   for x, y in (entry, exit)])
+        assert kernel_score(self.C, entry, exit, self.DEN) == ref == -1

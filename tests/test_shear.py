@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -239,6 +240,23 @@ class TestAgreement:
                 assert shear_via_word(c) == f, c
             except UnsupportedBaseCase:
                 pass
+
+    def test_oracle_at_heights_100_to_1000(self):
+        # a fixed seeded set of six slopes: the closed curve and all four
+        # spiral pairs on one endpoint set of each, the two sets in turn
+        rng = random.Random(2016)
+        slopes = []
+        while len(slopes) < 6:
+            h = rng.randint(100, 1000)
+            a = rng.randint(0, h)
+            b = rng.choice((1, -1)) * (h - a)
+            if a and math.gcd(a, b) == 1:
+                slopes.append(Slope(a, b))
+        for i, s in enumerate(slopes):
+            p, q = endpoint_sets(s)[i % 2]
+            for c in [AllowableCurve(s)] + [AllowableCurve(s, ((p, d0), (q, d1)))
+                                            for d0 in (CW, CCW) for d1 in (CW, CCW)]:
+                assert shear_oracle(c) == shear_closed_form(c), c
 
     def test_oracle_at_its_cli_cap(self):
         h = cli.SHEAR_MAX_HEIGHT["oracle"]
