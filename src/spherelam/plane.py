@@ -9,8 +9,8 @@ quadrilateral surrounding the crossed arc, in one pass that finds the side
 holding a neighboring crossing by the level of the lattice line it lies on.
 Everything is exact integer arithmetic: the points of one lift are integer
 numerators over one common denominator ``den``, chosen by the caller so
-that every crossing point and every spiral offset of that lift is a
-multiple of ``1/den``, and spiral ends are ordered by an integer
+that every crossing point of that lift is a multiple of ``1/den``.  A
+spiral end is its two outermost crossings, ordered by an integer
 pseudo-angle (a numerator and a denominator).
 """
 
@@ -70,11 +70,6 @@ _INCIDENT_DIRS: tuple[tuple[IPoint, int], ...] = (
 )
 
 
-# Turns of a spiral end kept by spiral_crossings: the outer one is scored,
-# the inner one gives its crossings their neighbors.
-_SPIRAL_WRAPS = 2
-
-
 def _dir_crossing(base: IPoint, u: IPoint, den: int, delta: int) -> Crossing:
     point = (base[0] * den + delta * u[0], base[1] * den + delta * u[1])
     if u[1] == 0:
@@ -95,20 +90,25 @@ def spiral_crossings(
     eps: int,
     den: int,
 ) -> list[Crossing]:
-    """Effective crossings of a spiral end with the arcs incident to its
-    lattice point, in curve order.
+    """The two outermost crossings of a spiral end with the arcs incident
+    to its lattice point U, in curve order; crossing i counted from the
+    outside lies at distance ``eps >> i`` (numerators over ``den``) from
+    U, so ``eps`` must be even.
 
-    The i-th crossing counted from the outside in lies at distance
-    ``eps / 2**i`` (numerators over ``den``) from the lattice point, so
-    ``eps`` must be divisible by ``2**(6*_SPIRAL_WRAPS - 1)``.
-    A starting spiral emerges from its wraps and leaves along ``direction``;
-    an ending spiral arrives along ``direction`` and winds in.  Deep-wrap
-    crossings all score 0 (their neighboring crossings share the spiral
-    vertex); they are kept so that the outermost, scorable crossings have
-    well-defined neighbors.  When ``direction`` is parallel to an incident
+    A starting spiral leaves along ``direction``; an ending spiral arrives
+    along it and winds in.  When ``direction`` is parallel to an incident
     arc, ``interior_side_left`` breaks the tie: it tells on which side of
     that line the straight part of the curve runs (left of the travel
     direction iff the starting spiral winds counterclockwise).
+
+    Deeper crossings score 0.  In the whole spiral, a crossing of rank
+    r >= 1 on the arc UV has its two neighbors on the incident arcs just
+    before and after UV around U: the sides (U,A) and (B,U) of its
+    quadrilateral, both adjacent to U, so ``accumulate`` scores it 0.
+    Rank 0's neighbors are rank 1 and the last crossing of the straight
+    part, however deep the spiral goes, so it scores as in any longer
+    spiral; rank 1 is there only as that neighbor and, as an end of the
+    open path, scores 0.  The argument is local: it holds at every height.
     """
     # offsets in units of 1/q of a pseudo-angle step, one turn being 8q;
     # scaling n and q by one factor keeps their order
@@ -122,15 +122,12 @@ def spiral_crossings(
                 off = 0 if include_first else 8 * q
             else:
                 off = 8 * q
-        for w in range(_SPIRAL_WRAPS):
-            offsets.append((off + 8 * q * w, u))
+        offsets.append((off, u))
     offsets.sort(key=lambda e: e[0])
-    crossings = [
-        _dir_crossing(base, u, den, eps >> rank)
-        for rank, (_, u) in enumerate(offsets)
-    ]
+    crossings = [_dir_crossing(base, u, den, eps >> rank)
+                 for rank, (_, u) in enumerate(offsets[:2])]
     if not at_end:
-        crossings.reverse()  # curve order: deep wraps first, then outward
+        crossings.reverse()  # curve order: rank 1, then rank 0
     return crossings
 
 

@@ -362,8 +362,9 @@ def shear_oracle(curve: AllowableCurve) -> ShearVector:
 
     Closed curves are lifted to a lattice-avoiding line and scored over one
     period.  Spiraling curves are lifted to the segment between lattice
-    representatives of their punctures; each spiral end contributes the
-    crossings of its winding with the incident arcs.  Every crossing is
+    representatives of their punctures; each spiral end contributes its
+    two outermost crossings with the incident arcs, since the deeper ones
+    score 0 (see :func:`plane.spiral_crossings`).  Every crossing is
     scored -1/0/+1 from its quadrilateral; no closed formulas, words or
     coordinate permutations are involved.  All points of one lift are
     integer numerators over one denominator.
@@ -382,9 +383,9 @@ def shear_oracle(curve: AllowableCurve) -> ShearVector:
     tip = (base[0] + a, base[1] + b)
     if (tip[0] % 2, tip[1] % 2) != (q_punc.i, q_punc.j):
         raise InternalError(f"the lift of {curve.slope} from v{p_punc} ends off v{q_punc}")
-    # den makes the segment's crossings and the spiral offsets eps / 2**rank
+    # den makes the segment's crossings and the spiral offsets eps and eps/2
     # exact, with eps / den = 1/(8(h+2)^2), h = |a| + |b|
-    eps = 2 ** (6 * plane._SPIRAL_WRAPS - 1) * _nonzero_product(a, b, a + b)
+    eps = 2 * _nonzero_product(a, b, a + b)
     den = 8 * (abs(a) + abs(b) + 2) ** 2 * eps
     side_left = p_dir is SpiralDir.CCW
     seq = (

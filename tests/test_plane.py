@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from box_oracle import pseudo_angle as ref_pseudo_angle
-from spherelam import plane
+from spherelam import curves, plane
+from spherelam.curves import SpiralDir
 from spherelam.errors import InternalError
 from spherelam.plane import Crossing
 
@@ -47,7 +48,13 @@ def ref_segment_crossings(start, direction, include_lo=False):
     return [c for _, c in out]
 
 
+# Turns of a reference spiral end: the inner one gives every crossing of
+# the outer one both of its neighbors.
+REF_SPIRAL_WRAPS = 2
+
+
 def ref_spiral_crossings(base, direction, ccw, at_end, interior_side_left, eps):
+    """(family, k, point) of REF_SPIRAL_WRAPS whole turns, in curve order."""
     if at_end:
         ref = ref_pseudo_angle((-direction[0], -direction[1]))
     else:
@@ -61,7 +68,7 @@ def ref_spiral_crossings(base, direction, ccw, at_end, interior_side_left, eps):
                 off = Fraction(0) if include_first else Fraction(8)
             else:
                 off = Fraction(8)
-        for w in range(plane._SPIRAL_WRAPS):
+        for w in range(REF_SPIRAL_WRAPS):
             offsets.append((off + 8 * w, u))
     offsets.sort(key=lambda e: e[0])
     out = []
@@ -216,16 +223,49 @@ class TestSegmentCrossings:
 SIX_DIRECTIONS = [u for u, _ in plane._INCIDENT_DIRS]
 
 
+def outermost_two(ref, at_end):
+    """The two outermost crossings of a reference spiral end, in curve
+    order: a starting spiral runs from the inside out."""
+    return ref[:2] if at_end else ref[-2:]
+
+
+def check_spiraling_lift(d, base, ccw0, ccw1):
+    """The kernel's lift of the spiraling curve along d from base, spiral,
+    segment and spiral built as the shear oracle builds them, against the
+    Fraction reference lift with two whole turns at each end."""
+    a, b = d
+    eps = 2 * math.prod(abs(f) for f in (a, b, a + b) if f)
+    den = 8 * (abs(a) + abs(b) + 2) ** 2 * eps
+    tip = (base[0] + a, base[1] + b)
+    got = (plane.spiral_crossings(base, d, ccw0, False, ccw0, eps, den)
+           + plane.segment_crossings((base[0] * den, base[1] * den), d, den)
+           + plane.spiral_crossings(tip, d, ccw1, True, ccw0, eps, den))
+    first = ref_spiral_crossings(base, d, ccw0, False, ccw0, Fraction(eps, den))
+    segment = ref_segment_crossings(base, d)
+    last = ref_spiral_crossings(tip, d, ccw1, True, ccw0, Fraction(eps, den))
+    assert [as_fractions(c, den) for c in got] == \
+        outermost_two(first, False) + segment + outermost_two(last, True)
+    want = first + segment + last
+    pts = [point for _, _, point in want]
+    scores = [ref_score_crossing(*ref, entry, exit)
+              for ref, entry, exit in zip(want, [None] + pts[:-1], pts[1:] + [None])]
+    # every reference crossing of rank >= 1 scores 0 on its own
+    deep = scores[:len(first) - 1] + scores[len(want) - len(last) + 1:]
+    assert deep == [0] * len(deep)
+    assert plane.accumulate(got, den) == ref_total(want, scores)
+
+
 class TestSpiralCrossings:
     @pytest.mark.parametrize("d", SIX_DIRECTIONS + [(2, 3), (-3, 5), (1, -4)])
     def test_matches_fraction_reference(self, d):
-        eps = 2 ** (6 * plane._SPIRAL_WRAPS - 1) * 7
+        eps = 2 * 7
         den = 8 * 9 * eps
         for base in ((0, 0), (-3, 2)):
             for ccw, at_end, side in itertools.product((False, True), repeat=3):
                 got = plane.spiral_crossings(base, d, ccw, at_end, side, eps, den)
                 want = ref_spiral_crossings(base, d, ccw, at_end, side, Fraction(eps, den))
-                assert [as_fractions(c, den) for c in got] == want, (base, ccw, at_end, side)
+                assert [as_fractions(c, den) for c in got] == outermost_two(want, at_end), \
+                    (base, ccw, at_end, side)
 
     def test_integer_pseudo_angle(self):
         for v in itertools.product(range(-9, 10), repeat=2):
@@ -238,33 +278,26 @@ class TestSpiralCrossings:
         with pytest.raises(ValueError):
             plane.pseudo_angle((0, 0))
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.tuples(st.integers(-40, 40), st.integers(-40, 40)).filter(
-               lambda d: math.gcd(*d) == 1),
+    def test_spiraling_lifts_up_to_height_six(self):
+        spiraling = [c for c in curves.enumerate_curves(6) if not c.is_closed]
+        for c in spiraling:
+            (p, p_dir), (_, q_dir) = c.ends
+            check_spiraling_lift(c.slope.vector, (p.i, p.j),
+                                 p_dir is SpiralDir.CCW, q_dir is SpiralDir.CCW)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.one_of(st.sampled_from(SIX_DIRECTIONS),
+                     st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)).filter(
+                         lambda d: math.gcd(*d) == 1)),
            st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)]), st.booleans(), st.booleans())
     def test_spiraling_lift_matches_fraction_reference(self, d, base, ccw0, ccw1):
-        # spiral, segment and spiral, built as the shear oracle builds them
-        a, b = d
-        eps = 2 ** (6 * plane._SPIRAL_WRAPS - 1) * math.prod(abs(f) for f in (a, b, a + b) if f)
-        den = 8 * (abs(a) + abs(b) + 2) ** 2 * eps
-        tip = (base[0] + a, base[1] + b)
-        got = (plane.spiral_crossings(base, d, ccw0, False, ccw0, eps, den)
-               + plane.segment_crossings((base[0] * den, base[1] * den), d, den)
-               + plane.spiral_crossings(tip, d, ccw1, True, ccw0, eps, den))
-        want = (ref_spiral_crossings(base, d, ccw0, False, ccw0, Fraction(eps, den))
-                + ref_segment_crossings(base, d)
-                + ref_spiral_crossings(tip, d, ccw1, True, ccw0, Fraction(eps, den)))
-        assert [as_fractions(c, den) for c in got] == want
-        pts = [point for _, _, point in want]
-        scores = [ref_score_crossing(*ref, entry, exit)
-                  for ref, entry, exit in zip(want[1:-1], pts, pts[2:])]
-        assert plane.accumulate(got, den) == ref_total(want[1:-1], scores)
+        check_spiraling_lift(d, base, ccw0, ccw1)
 
     def test_offsets_shrink_by_halves_toward_the_puncture(self):
         eps = 2 ** 11
         got = plane.spiral_crossings((1, 1), (2, 1), True, True, True, eps, 2 ** 14)
         dist = [max(abs(c.point[0] - 2 ** 14), abs(c.point[1] - 2 ** 14)) for c in got]
-        assert dist == [eps >> r for r in range(6 * plane._SPIRAL_WRAPS)]
+        assert dist == [eps, eps >> 1]
 
 
 class TestQuadCycle:
