@@ -1,7 +1,8 @@
 """Exact combinatorics of curves, triangulations and shear coordinates
 on the four-punctured sphere.
 
-Everything is integer/rational arithmetic; no floating point anywhere.
+Everything is integer arithmetic (a rational slope is a pair of integers);
+no floating point anywhere.
 The main entry points are:
 
 - :mod:`spherelam.lattice` -- rational slopes, Farey relations, basis changes
@@ -43,8 +44,8 @@ _EXPORTS = {
     ),
     "fan": (
         "MaximalCollection", "Cone", "maximal_collections", "cone_of",
-        "membership", "locate", "count_containing_cones", "g_vectors",
-        "universal_coeffs", "flip_adjacency", "fan_check", "induced_torus_check",
+        "locate", "count_containing_cones", "g_vectors", "universal_coeffs",
+        "flip_adjacency", "fan_check", "induced_torus_check",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -10,10 +10,7 @@ a call pays only for what its command uses.  At import this module loads
 ``curves``, ``lattice``, ``errors`` and ``_frozen`` of the package and no
 more; each command imports the further modules it runs inside its handler,
 and :func:`run` builds the parser of the named command alone.  No module
-of the package imports :mod:`dataclasses`, and :mod:`fractions` comes in
-only with ``exactla`` or ``fan``: a ``shear`` by any method, ``render``,
-``compat``, ``triangulate``, ``classify``, ``flip``, ``badj``, ``mutate``
-or ``tangle-check`` never loads it.
+of the package imports :mod:`dataclasses` or :mod:`fractions`.
 """
 
 from __future__ import annotations
@@ -68,8 +65,12 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 def _loads(text: str):
     """JSON input; json.loads alone would keep the last value of a repeated
-    key without a word, so a repeated key is MalformedInput."""
-    return json.loads(text, object_pairs_hook=_unique_keys)
+    key without a word, so a repeated key is MalformedInput, and it raises
+    RecursionError on deep nesting, which is MalformedInput too."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise MalformedInput("JSON input nested too deeply") from None
 
 
 def _parse_curve(text: str) -> AllowableCurve:
@@ -293,8 +294,11 @@ def _cmd_render(args) -> str:
         raise DomainError(f"render draws at most {RENDER_MAX_ELEMENTS} lattice "
                           f"lines and punctures; this window needs {elements}")
     doc = render.render(spec)
-    with open(args.out, "w") as fh:
-        fh.write(doc)
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(doc)
+    except OSError as e:
+        raise DomainError(f"cannot write {args.out}: {e.strerror or e}") from None
     return _doc(written=args.out, bytes=len(doc))
 
 

@@ -1,12 +1,11 @@
-"""Small exact linear algebra on integers: rank, linear solves and
-adjugates of integer matrices by one fraction-free elimination kernel, and
-extreme rays of polyhedral cones by a fraction-free double description.
-Only a solve's answer is a Fraction; no floating point anywhere."""
+"""Small exact linear algebra on integers: rank and adjugates of integer
+matrices by one fraction-free elimination kernel, and extreme rays of
+polyhedral cones by a fraction-free double description.  Every answer is
+an integer; no floating point anywhere."""
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import index, mul
 from typing import Sequence
 
@@ -58,19 +57,6 @@ def _bareiss(m: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
 def rank(rows: Sequence[Sequence[int]]) -> int:
     m = _int_rows(rows)
     return len(_bareiss(m, len(m[0]) if m else 0)[0])
-
-
-def solve(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[Fraction, ...] | None:
-    """Unique exact solution of an integer (m x n) system with full column
-    rank, or None when inconsistent.  Raises on rank-deficient columns."""
-    ncols = len(matrix[0])
-    m = _int_rows(list(row) + [rhs[i]] for i, row in enumerate(matrix))
-    pivots, d, _ = _bareiss(m, ncols)
-    if len(pivots) < ncols:
-        raise ValueError("column-rank-deficient system")
-    if any(row[ncols] for row in m[ncols:]):
-        return None
-    return tuple(Fraction(row[ncols], d) for row in m[:ncols])
 
 
 def adjugate(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int] | tuple[None, int]:

@@ -4,7 +4,7 @@ quasi-lamination fan.
 Maximal collections are the kappa images of tagged triangulations (types
 I-VI, six curves) together with the collections built around one closed
 curve (type VII, five curves).  Their nonnegative spans are the maximal
-cones of the fan; cones are exact integer/rational objects throughout.
+cones of the fan; cones, their functionals and every answer are integers.
 
 :func:`cone_index` builds every maximal cone up to a height with its
 membership functionals.  A six-dimensional cone whose generators are a
@@ -16,7 +16,6 @@ and every kind-VII cone, find theirs by one exact elimination.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter, mul
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -283,16 +282,6 @@ def _functionals_by_image(cone: Cone, images: _Images) -> bool:
     return True
 
 
-def membership(v: Sequence, cone: Cone):
-    """Nonnegative rational coefficients of v over the cone's generators,
-    or None.  The generators are independent, so coefficients are unique."""
-    cols = list(zip(*cone.generators))  # 6 x r matrix with generator columns
-    coeffs = exactla.solve(cols, list(v))
-    if coeffs is None or any(c < 0 for c in coeffs):
-        return None
-    return coeffs
-
-
 def _cone_functionals(
     cone: Cone,
 ) -> tuple[list[tuple[int, ...]], int, tuple[int, ...] | None]:
@@ -394,9 +383,9 @@ class _ConeIndex:
                 self.patterns.setdefault(key, []).append(entry)
 
     def containing(self, v, distinct: bool = False
-                   ) -> Iterator[tuple[Cone, tuple[Fraction, ...]]]:
-        """The cones containing v, in ``cones`` order, with v's
-        coefficients over their generators.
+                   ) -> Iterator[tuple[Cone, tuple[int, ...], int]]:
+        """The cones containing v, in ``cones`` order, each as (cone, nums,
+        det): v's coefficient on generator k is nums[k] / det.
 
         With ``distinct``, a cone is left out when it has every generator
         with a positive coefficient in a cone already yielded: its
@@ -404,7 +393,7 @@ class _ConeIndex:
         those generators, which are the same curves, and 0 on its others."""
         known: set[int] = set()
         # integer signs decide membership; a cone is dropped on its first
-        # negative coefficient, and Fractions are built only for a hit
+        # negative coefficient
         for pos, cone, rows, det, normal in self.patterns.get(_sign_key(v), ()):
             if pos in known:
                 continue
@@ -420,7 +409,7 @@ class _ConeIndex:
                 if distinct:
                     stars = [self.stars[g] for g, x in zip(cone.generators, s) if x]
                     known.update(set.intersection(*stars) if stars else range(len(self.cones)))
-                yield cone, tuple(Fraction(x, det) for x in s)
+                yield cone, tuple(s), det
 
 
 # The indexes of the last _INDEX_CACHE_SIZE heights used, least recently
@@ -474,16 +463,16 @@ def locate(v: Sequence[int], max_height: int = 6) -> QuasiLamination:
     # was checked when its triangulation (or kind-VII collection) was built,
     # so the lamination skips that check
     found: dict[AllowableCurve, int] | None = None
-    for cone, coeffs in index.containing(v, distinct=True):
+    for cone, nums, det in index.containing(v, distinct=True):
         if cone.collection is None:
             raise InternalError("indexed cone without its collection")
         weights = {}
-        for curve, c in zip(cone.collection.curves, coeffs):
-            if c == 0:
+        for curve, x in zip(cone.collection.curves, nums):
+            if x == 0:
                 continue
-            if c.denominator != 1:
-                raise InternalError(f"non-integer weight {c} for integer input")
-            weights[curve] = int(c)
+            if x % det:
+                raise InternalError(f"non-integer weight {x}/{det} for integer input")
+            weights[curve] = x // det
         if found is None:
             found = weights
         elif weights != found:
@@ -518,8 +507,8 @@ def _slopes_in_range(max_height: int, low_open: bool, include_inf: bool):
 
 
 def _thm12_item2(a: int, b: int) -> ShearVector:
-    return (-(a // 2) - 1, (b - 1) // 2, (a - b + 1) // 2,
-            -((a + 1) // 2), b // 2, (a - b) // 2 + 1)
+    # Thm 1.2 item 2 is the closed form's item 4 with a and b swapped
+    return _item4(b, a)
 
 
 THM12_ITEMS = (_item1, _thm12_item2, _item2, _item5)
@@ -688,22 +677,11 @@ def fan_check(cones: Sequence[Cone], trials: int, seed: int = 0) -> FanReport:
     return FanReport(checked, failures)
 
 
-PLANE_P_EQS: tuple[tuple[int, ...], ...] = (
-    (1, 1, 1, 0, 0, 0),
-    (1, 0, 0, -1, 0, 0),
-    (0, 1, 0, 0, -1, 0),
-    (0, 0, 1, 0, 0, -1),
-)
-
 SUBSPACE_U_EQS: tuple[tuple[int, ...], ...] = (
     (1, 0, 0, -1, 0, 0),
     (0, 1, 0, 0, -1, 0),
     (0, 0, 1, 0, 0, -1),
 )
-
-
-def in_plane_p(v: Sequence[int]) -> bool:
-    return all(exactla.dot(eq, v) == 0 for eq in PLANE_P_EQS)
 
 
 def induced_torus_check(max_height: int) -> bool:

@@ -236,15 +236,20 @@ def separating_neighbors(M: Iterable[Slope], f: Slope) -> tuple[Slope, Slope]:
     b/a < d/c < f, and no slope of M in the interval [b/a, f).
 
     Found by Stern-Brocot descent toward f from below; always succeeds.
+    The descent from a left Farey neighbor x of f passes the mediants
+    x + k*f, which increase toward f; past the largest slope q of M below
+    f means det2(q, x + k*f) > 0, so one division gives the first such k.
     """
-    slopes = set(M)
-    below = [q for q in slopes if q < f]
+    below = [q for q in set(M) if q < f]
     x = _left_farey_neighbor(f)
-    while any(x <= q for q in below):
-        x = mediant(x, f)
+    q = max(below, default=None)
+    if q is not None:
+        k = max(0, det2(x, q) // det2(q, f) + 1)
+        x = Slope(x.a + k * f.a, x.b + k * f.b)
     y = mediant(x, f)
-    if not (is_farey1_triple(x, y, f) and x < y < f):
-        raise InternalError(f"({x}, {y}, {f}) is not an increasing Farey-1 triple")
+    if not (is_farey1_triple(x, y, f) and x < y < f and (q is None or q < x)):
+        raise InternalError(f"({x}, {y}, {f}) is not an increasing Farey-1 triple "
+                            "above every slope of M below f")
     return x, y
 
 

@@ -203,7 +203,7 @@ def run_selftest() -> list[tuple[str, bool]]:
     ray = shear_closed_form(AllowableCurve(Slope(1, 1)))
     hits = list(fan.cone_index(2).containing(ray))
     check("closed ray lies in exactly sixteen type-VII cones",
-          len(hits) == 16 and all(c.kind == "VII" for c, _ in hits))
+          len(hits) == 16 and all(c.kind == "VII" for c, _, _ in hits))
     return checks
 
 

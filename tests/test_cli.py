@@ -371,6 +371,26 @@ class TestErrorDocuments:
         assert doc["kind"] == "domain"
         assert doc["error"].startswith("MalformedInput: repeated JSON key"), doc
 
+    DEEP = "[" * 100_000
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["shear", "--curve", DEEP], id="curve"),
+        pytest.param(["locate", "--vector", DEEP], id="vector"),
+        pytest.param(["tangle-check", "--tangle", "[" * 5000 + "]" * 5000], id="closed"),
+    ])
+    def test_deeply_nested_json(self, argv):
+        # json.loads raises RecursionError past the interpreter's depth limit
+        doc = json.loads(fails(argv))
+        assert doc["kind"] == "domain"
+        assert doc["error"] == "MalformedInput: JSON input nested too deeply", doc
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_render_output(self, tmp_path, where):
+        out = tmp_path / "missing" / "curve.svg" if where == "missing-directory" else tmp_path
+        doc = json.loads(fails(["render", "--curve", '{"closed":"3/2"}', "--out", str(out)]))
+        assert doc["kind"] == "domain"
+        assert doc["error"].startswith(f"DomainError: cannot write {out}: "), doc
+
     @pytest.mark.parametrize("argv, error_class", [
         (["triangulate", "--type", "I", *TRIPLE, "--tag", "00=plain", "--tag", "00=notched"],
          "InvalidParameters:"),
@@ -491,7 +511,7 @@ def _imported_modules(path) -> set:
 
 class TestColdStart:
     """Each command imports only the modules it runs; none imports
-    dataclasses (with inspect), and the light ones not fractions."""
+    dataclasses (with inspect), fractions or decimal."""
 
     def test_no_module_imports_dataclasses(self):
         import pathlib
@@ -499,12 +519,15 @@ class TestColdStart:
         for path in pathlib.Path(spherelam.__file__).parent.glob("*.py"):
             assert "dataclasses" not in _imported_modules(path), path.name
 
-    def test_plane_and_render_do_not_import_fractions(self):
+    def test_no_module_imports_fractions(self):
+        # every answer of the package is an integer: no module, the cone
+        # index and the fan check included, can build a Fraction
         import pathlib
 
-        package = pathlib.Path(spherelam.__file__).parent
-        for name in ("plane.py", "render.py"):
-            assert "fractions" not in _imported_modules(package / name), name
+        paths = sorted(pathlib.Path(spherelam.__file__).parent.glob("*.py"))
+        assert len(paths) >= 12
+        for path in paths:
+            assert "fractions" not in _imported_modules(path), path.name
 
     def test_command_import_sets(self, tmp_path):
         t0 = json.dumps(base_triangulation().to_json())
@@ -524,6 +547,13 @@ class TestColdStart:
             "badj": (["badj", "--tri", t0], {"plane", "shear", "fan", "exactla"}),
             "flip": (["flip", "--tri", t0, "--k", "0"], {"plane", "shear", "fan"}),
             "gvectors": (["gvectors", "--max-height", "1"], {"triangulation", "plane"}),
+            "universal": (["universal", "--max-height", "1"], {"triangulation", "plane"}),
+            "universal-thm12": (["universal", "--form", "thm12", "--max-height", "1"],
+                                {"triangulation", "plane"}),
+            "locate": (["locate", "--vector", "[-1,1,0,-1,1,0]", "--max-height", "1"],
+                       {"plane"}),
+            "cones": (["cones", "--max-height", "1"], {"plane"}),
+            "selftest": (["selftest"], set()),
             "tangle-check": (["tangle-check", "--tangle",
                               '[{"curve":{"closed":"1/1"},"weight":1}]'],
                              {"fan", "triangulation", "exactla", "plane"}),
@@ -532,15 +562,12 @@ class TestColdStart:
                              "--r=-1", "--v", "00", "--tag", "00=plain"],
                             {"fan", "shear", "exactla", "plane"}),
         }
-        light = {"shear", "shear-oracle", "render", "compat", "classify", "flip", "badj",
-                 "mutate", "tangle-check", "triangulate"}
         for name, (argv, absent) in cases.items():
             loaded = _modules_loaded(argv)
             assert "curves" in loaded, (name, sorted(loaded))
             assert not loaded & (absent | (never - {name})), (name, sorted(loaded))
             assert not loaded & {"dataclasses", "inspect"}, (name, sorted(loaded))
-            if name in light:
-                assert not loaded & {"fractions", "decimal"}, (name, sorted(loaded))
+            assert not loaded & {"fractions", "decimal"}, (name, sorted(loaded))
 
     def test_exports_resolve(self):
         import importlib

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dd_oracle
-from spherelam.exactla import adjugate, dd_rays, dot, primitive, rank, solve
+from rref_oracle import rref
+from spherelam.exactla import adjugate, dd_rays, dot, primitive, rank
 
 
 class TestRank:
@@ -20,22 +21,6 @@ class TestRank:
     def test_rectangular(self):
         assert rank([[1, 0, 0], [0, 1, 0]]) == 2
         assert rank([[1, 1], [2, 2], [3, 3]]) == 1
-
-
-class TestSolve:
-    def test_square(self):
-        assert solve([[2, 0], [0, 4]], [6, 8]) == (3, 2)
-
-    def test_overdetermined_consistent(self):
-        # 3 equations, 2 unknowns, consistent
-        assert solve([[1, 0], [0, 1], [1, 1]], [2, 3, 5]) == (2, 3)
-
-    def test_overdetermined_inconsistent(self):
-        assert solve([[1, 0], [0, 1], [1, 1]], [2, 3, 6]) is None
-
-    def test_fractions(self):
-        x = solve([[2, 1], [1, 3]], [1, 1])
-        assert x == (Fraction(2, 5), Fraction(1, 5))
 
 
 class TestInvertAdjugate:
@@ -120,26 +105,8 @@ class TestDoubleDescription:
 
 # ---------------------------------------------------------------------------
 # Property tests of the Bareiss kernel against plain Fraction elimination
+# (tests/rref_oracle.py)
 # ---------------------------------------------------------------------------
-
-
-def _rref(rows):
-    """Oracle: reduced row echelon form over Fraction, with pivot columns."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    for col in range(len(m[0]) if m else 0):
-        r = len(pivots)
-        p = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        m[r] = [a / m[r][col] for a in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-    return m, pivots
 
 
 def _leibniz_det(m):
@@ -184,30 +151,15 @@ class TestKernelProperties:
     @settings(max_examples=300, deadline=None)
     @given(int_matrices())
     def test_rank(self, m):
-        assert rank(m) == len(_rref(m)[1])
-
-    @settings(max_examples=300, deadline=None)
-    @given(int_matrices(), st.lists(st.integers(-9, 9), min_size=6, max_size=6))
-    def test_solve(self, m, b):
-        ncols = len(m[0])
-        rhs = b[:len(m)]
-        if len(_rref(m)[1]) < ncols:
-            with pytest.raises(ValueError):
-                solve(m, rhs)
-            return
-        red, pivots = _rref([row + [x] for row, x in zip(m, rhs)])
-        if ncols in pivots:
-            assert solve(m, rhs) is None
-        else:
-            assert solve(m, rhs) == tuple(red[i][ncols] for i in range(ncols))
+        assert rank(m) == len(rref(m)[1])
 
     @settings(max_examples=300, deadline=None)
     @given(int_matrices(square=True))
     def test_invert_and_adjugate(self, m):
         n = len(m)
         det = _leibniz_det(m)
-        red, pivots = _rref([row + [int(i == j) for j in range(n)]
-                             for i, row in enumerate(m)])
+        red, pivots = rref([row + [int(i == j) for j in range(n)]
+                            for i, row in enumerate(m)])
         if det == 0:
             assert pivots[:n] != list(range(n))
             assert adjugate(m) == (None, 0)

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dd_oracle
+from rref_oracle import membership
+from test_acceptance import in_plane_p
 from spherelam import exactla, fan, triangulation
 from spherelam.curves import (
     V00, V01,
@@ -136,22 +138,27 @@ class TestCones:
 
 
 class TestMembership:
+    """``containing`` on an index of one cone: nums over det > 0."""
+
     def test_generator_combination(self):
         cone = base_cone()
         g1, g2 = cone.generators[0], cone.generators[1]
         v = tuple(a + 2 * b for a, b in zip(g1, g2))
-        coeffs = fan.membership(v, cone)
-        assert coeffs is not None
-        assert sorted(coeffs, reverse=True) == [2, 1, 0, 0, 0, 0]
+        [(got, nums, det)] = fan._ConeIndex([cone]).containing(v)
+        assert got is cone and det > 0
+        assert nums == (det, 2 * det, 0, 0, 0, 0)
+        assert membership(v, cone) == coefficients(nums, det)
 
     def test_negative_combination_rejected(self):
         cone = base_cone()
         v = tuple(-x for x in cone.generators[0])
-        assert fan.membership(v, cone) is None
+        assert list(fan._ConeIndex([cone]).containing(v)) == []
+        assert membership(v, cone) is None
 
     def test_zero_everywhere(self):
         cone = base_cone()
-        assert fan.membership((0,) * 6, cone) == (0,) * 6
+        [(got, nums, det)] = fan._ConeIndex([cone]).containing((0,) * 6)
+        assert got is cone and nums == (0,) * 6 and det > 0
 
 
 class TestLocate:
@@ -216,16 +223,15 @@ class TestLocateChecks:
     def test_disagreeing_cones_are_internal_non_unique(self, monkeypatch):
         cone = base_cone()
         one, two = (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)
-        stub = _StubIndex([(cone, tuple(map(Fraction, one))),
-                           (cone, tuple(map(Fraction, two)))])
+        stub = _StubIndex([(cone, one, 1), (cone, two, 1)])
         monkeypatch.setattr(fan, "cone_index", lambda h: stub)
         with pytest.raises(InternalNonUnique):
             fan.locate((-1, 0, 0, 0, 0, 0), 1)
 
     def test_non_integer_weight_is_internal_error(self, monkeypatch):
         cone = base_cone()
-        half = (Fraction(1, 2),) + (Fraction(0),) * 5
-        monkeypatch.setattr(fan, "cone_index", lambda h: _StubIndex([(cone, half)]))
+        half = (1, 0, 0, 0, 0, 0)  # over det 2
+        monkeypatch.setattr(fan, "cone_index", lambda h: _StubIndex([(cone, half, 2)]))
         with pytest.raises(InternalError):
             fan.locate((-1, 0, 0, 0, 0, 0), 1)
 
@@ -268,8 +274,8 @@ class TestLocateChecks:
 
 
 class TestContainingAgreesWithMembership:
-    """The integer sign scan of the cone index against the Fraction
-    solve path of membership."""
+    """The integer sign scan of the cone index against membership by the
+    Fraction row reduction of tests/rref_oracle.py."""
 
     def test_coverage(self):
         # both branches the integer scan adds are exercised below: cones
@@ -290,9 +296,9 @@ class TestContainingAgreesWithMembership:
             v = tuple(sum(w * g[i] for w, g in zip(weights, cone.generators))
                       for i in range(6))
             hits = list(idx.containing(v))
-            for c, coeffs in hits:
-                assert fan.membership(v, c) == coeffs
-            assert [co for c, co in hits if c is cone] == [tuple(weights)]
+            for c, nums, det in hits:
+                assert membership(v, c) == coefficients(nums, det)
+            assert [coefficients(n, d) for c, n, d in hits if c is cone] == [tuple(weights)]
 
     def test_full_scan_agrees(self):
         rng = random.Random(12)
@@ -306,9 +312,9 @@ class TestContainingAgreesWithMembership:
         inside = tuple(map(sum, zip(*vii.generators)))
         vectors += [inside, tuple(x + (i == 0) for i, x in enumerate(inside))]
         for v in vectors:
-            got = {id(c): co for c, co in idx.containing(v)}
+            got = dict(hit_list(idx.containing(v)))
             want = {id(c): co for c in idx.cones
-                    if (co := fan.membership(v, c)) is not None}
+                    if (co := membership(v, c)) is not None}
             assert got == want, v
 
 
@@ -326,7 +332,7 @@ def oracle_containing(index, v):
                 break
             s.append(x)
         else:
-            yield cone, tuple(Fraction(x, det) for x in s)
+            yield cone, tuple(s), det
 
 
 def cone_point(cone, weights):
@@ -377,6 +383,10 @@ def face_sign_keys(cone):
 
 def weights_of(cone, coeffs):
     return {c: x for c, x in zip(cone.collection.curves, coeffs) if x}
+
+
+def coefficients(nums, det):
+    return tuple(Fraction(x, det) for x in nums)
 
 
 class TestSignPatterns:
@@ -468,9 +478,9 @@ class TestSignPatterns:
             check_distinct(v, every, list(idx.containing(v, distinct=True)))
         # the kind-VII interior point is in its own cone only, and one step
         # off the cone's span it is not in that cone
-        assert [c for c, _ in idx.containing(inside)] == [vii]
-        assert fan.membership(off, vii) is None
-        assert all(c is not vii for c, _ in idx.containing(off))
+        assert [c for c, _, _ in idx.containing(inside)] == [vii]
+        assert membership(off, vii) is None
+        assert all(c is not vii for c, _, _ in idx.containing(off))
         # a ray of the fan: in 268 cones, one of them enough for locate
         assert fan.count_containing_cones((-2, 0, 0, 0, 0, 0), 3) == 268
         assert len(list(idx.containing((-2, 0, 0, 0, 0, 0), distinct=True))) == 1
@@ -485,30 +495,31 @@ class TestSignPatterns:
         other = fan.Cone((merged,) + g[1:], cone.kind, cone.collection)
         idx = fan._ConeIndex([cone, other])
         v = merged
-        assert [c for c, _ in idx.containing(v, distinct=True)] == [cone, other]
+        assert [c for c, _, _ in idx.containing(v, distinct=True)] == [cone, other]
         monkeypatch.setattr(fan, "cone_index", lambda h: idx)
         with pytest.raises(InternalNonUnique):
             fan.locate(v, 1)
 
 
 def hit_list(hits):
-    return [(id(cone), coeffs) for cone, coeffs in hits]
+    """(cone, nums, det) triples as (id of the cone, coefficients)."""
+    return [(id(cone), coefficients(nums, det)) for cone, nums, det in hits]
 
 
 def check_distinct(v, every, some):
     """``some`` is the distinct scan: a subsequence of ``every``, one cone
     for a vector in the fan, and each cone left out has every generator
     of a kept cone's support, with the same weights."""
-    kept = [id(c) for c, _ in some]
+    kept = [id(c) for c, _, _ in some]
     assert kept == [i for i, _ in hit_list(every) if i in kept]
     assert len(some) == min(1, len(every))
-    for cone, coeffs in every:
+    for cone, nums, det in every:
         if id(cone) in kept:
             continue
-        weights = weights_of(cone, coeffs)
-        assert any(weights_of(c, co) == weights and all(
-            gen in cone.generators for gen, x in zip(c.generators, co) if x)
-            for c, co in some), v
+        weights = weights_of(cone, coefficients(nums, det))
+        assert any(weights_of(c, coefficients(n, d)) == weights and all(
+            gen in cone.generators for gen, x in zip(c.generators, n) if x)
+            for c, n, d in some), v
 
 
 class TestCounting:
@@ -517,7 +528,7 @@ class TestCounting:
         idx = fan.cone_index(2)
         hits = list(idx.containing(v))
         assert len(hits) == 16
-        assert all(c.kind == "VII" for c, _ in hits)
+        assert all(c.kind == "VII" for c, _, _ in hits)
 
     def test_interior_point_in_one_cone(self):
         cone = base_cone()
@@ -615,7 +626,7 @@ class TestAdjacency:
         idx = fan.cone_index(1)
         for cone in rng.sample(idx.cones, 12):
             v = tuple(sum(g[i] for g in cone.generators) for i in range(6))
-            hits = [c for c, _ in idx.containing(v)]
+            hits = [c for c, _, _ in idx.containing(v)]
             assert hits == [cone]
 
 
@@ -627,10 +638,10 @@ class TestFanAxioms:
 
     def test_plane_p(self):
         for s in enumerate_slopes(4):
-            assert fan.in_plane_p(shear_closed_form(AllowableCurve(s)))
+            assert in_plane_p(shear_closed_form(AllowableCurve(s)))
         for c in enumerate_curves(3):
             if not c.is_closed:
-                assert not fan.in_plane_p(shear_closed_form(c))
+                assert not in_plane_p(shear_closed_form(c))
 
     def test_induced_torus(self):
         assert fan.induced_torus_check(1)
@@ -843,16 +854,6 @@ class TestOnePassBuild:
         assert again is not first and list(fan._INDEX_CACHE) == [5, 6, 4, 1]
         assert [(c.kind, c.generators, c.collection) for c in again.cones] == \
             [(c.kind, c.generators, c.collection) for c in first.cones]
-
-    def test_fan_check_builds_no_fraction(self, monkeypatch):
-        # the fan check and the torus check run on integers only
-        def no_fraction(*args):
-            raise AssertionError(f"Fraction{args} on the fan-check path")
-
-        monkeypatch.setattr(exactla, "Fraction", no_fraction)
-        monkeypatch.setattr(fan, "Fraction", no_fraction)
-        assert fan.fan_check(fan.cone_index(1).cones, trials=20, seed=3).ok
-        assert fan.induced_torus_check(1)
 
 
 class TestCompatibilityCheckedOnce:

@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 from fractions import Fraction
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from spherelam import lattice
 from spherelam.errors import NotFareyNeighbors, NotFareyTriple, ZeroVector
 from spherelam.lattice import (
     INF,
@@ -157,6 +158,23 @@ def brute_force_separating_ok(M, f, pair):
     return not any(lo <= q < f for q in M)
 
 
+def loop_separating_neighbors(M, f):
+    """The former descent, kept as a reference: one mediant step per pass,
+    each pass scanning the slopes of M below f."""
+    below = [q for q in set(M) if q < f]
+    x = lattice._left_farey_neighbor(f)
+    while any(x <= q for q in below):
+        x = mediant(x, f)
+    return x, mediant(x, f)
+
+
+@st.composite
+def slopes_up_to(draw, height):
+    a = draw(st.integers(0, height))
+    b = draw(st.integers(-height, height).filter(lambda b: a or b))
+    return standard_form(a, b)
+
+
 class TestSeparatingNeighbors:
     def test_example(self):
         M = {ZERO, Slope(1, 1)}
@@ -177,6 +195,25 @@ class TestSeparatingNeighbors:
             f = rng.choice(sorted(M))
             pair = separating_neighbors(M, f)
             assert brute_force_separating_ok(M, f, pair)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(slopes_up_to(5), slopes_up_to(1000)), min_size=1, max_size=8),
+           st.data())
+    def test_matches_the_loop(self, M, data):
+        # f = inf has left neighbors x - k*f for every k, so a step count
+        # below 0 would still give a slope there
+        f = data.draw(st.one_of(st.sampled_from(M), st.just(INF), slopes_up_to(1000)))
+        pair = separating_neighbors(M, f)
+        assert pair == loop_separating_neighbors(M, f)
+        assert brute_force_separating_ok(M, f, pair)
+
+    def test_one_division_at_height_a_billion(self):
+        # the loop would take n mediant steps past (n-1)/n toward 1/1
+        n = 10**9
+        M = {Slope(n, n - 1), Slope(1, 1)}
+        pair = separating_neighbors(M, Slope(1, 1))
+        assert pair == (Slope(n + 1, n), Slope(n + 2, n + 1))
+        assert brute_force_separating_ok(M, Slope(1, 1), pair)
 
 
 class TestTripleToBasis:
