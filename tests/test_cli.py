@@ -519,6 +519,13 @@ class TestColdStart:
         for path in pathlib.Path(spherelam.__file__).parent.glob("*.py"):
             assert "dataclasses" not in _imported_modules(path), path.name
 
+    def test_plane_and_render_do_not_import_fractions(self):
+        import pathlib
+
+        package = pathlib.Path(spherelam.__file__).parent
+        for name in ("plane.py", "render.py"):
+            assert "fractions" not in _imported_modules(package / name), name
+
     def test_no_module_imports_fractions(self):
         # every answer of the package is an integer: no module, the cone
         # index and the fan check included, can build a Fraction

@@ -855,6 +855,17 @@ class TestOnePassBuild:
         assert [(c.kind, c.generators, c.collection) for c in again.cones] == \
             [(c.kind, c.generators, c.collection) for c in first.cones]
 
+    def test_fan_check_builds_no_fraction(self, monkeypatch):
+        # the fan check and the torus check run on integers only: building
+        # any Fraction on their path, whoever imported the class, fails
+        def no_fraction(cls, *args, **kwargs):
+            raise AssertionError(f"Fraction{args} on the fan-check path")
+
+        monkeypatch.setattr(Fraction, "__new__", no_fraction)
+        assert not hasattr(exactla, "Fraction") and not hasattr(fan, "Fraction")
+        assert fan.fan_check(fan.cone_index(1).cones, trials=20, seed=3).ok
+        assert fan.induced_torus_check(1)
+
 
 class TestCompatibilityCheckedOnce:
     def test_arcs_compatible_is_curves_compatible(self):
