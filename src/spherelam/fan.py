@@ -126,9 +126,10 @@ def closed_collections(slope: Slope) -> list[MaximalCollection]:
 
     first, second = endpoint_sets(slope)
     closed = AllowableCurve(slope)
+    memo: dict = {}
     out = []
     for v, v2, t, t2 in itertools.product(first, second, Tagging, Tagging):
-        arcs = _coinciding_pair(slope, v, t) + _coinciding_pair(slope, v2, t2)
+        arcs = _coinciding_pair(slope, v, t, memo) + _coinciding_pair(slope, v2, t2, memo)
         out.append(MaximalCollection((closed, *map(kappa, arcs)), "VII"))
     return out
 

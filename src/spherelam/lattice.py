@@ -83,17 +83,12 @@ class Slope(Frozen):
         rhs = other.b * self.a
         return (lhs > rhs) - (lhs < rhs)
 
+    # s > t and s >= t fall back on the reflected t < s and t <= s
     def __lt__(self, other: "Slope") -> bool:
         return self._cmp(other) < 0
 
     def __le__(self, other: "Slope") -> bool:
         return self._cmp(other) <= 0
-
-    def __gt__(self, other: "Slope") -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other: "Slope") -> bool:
-        return self._cmp(other) >= 0
 
     def __str__(self) -> str:
         return "inf" if self.is_infinite else f"{self.b}/{self.a}"
@@ -205,30 +200,17 @@ def enumerate_slopes(max_height: int) -> list[Slope]:
 
 
 def _left_farey_neighbor(f: Slope) -> Slope:
-    """Some slope x < f with farey_distance(x, f) = 1."""
+    """The slope d/c < f with c*b0 - d*a0 = 1 for f = b0/a0 and c in
+    [1, a0], where c is the inverse of b0 mod a0 (a0 itself when a0 = 1),
+    so farey_distance(d/c, f) = 1."""
     if f.is_infinite:
         return ZERO
     a0, b0 = f.vector
-    # Solve c*b0 - d*a0 = 1 (then d/c < b0/a0); shift by (a0, b0) until c >= 1.
-    g, u, v = _egcd(b0, -a0)
-    if g not in (1, -1):
-        raise InternalError(f"slope {f} is not in lowest terms")
-    c, d = u * g, v * g  # c*b0 - d*a0 = 1
-    if c < 1:
-        t = -((c - 1) // a0)
-        c, d = c + t * a0, d + t * b0
-    x = Slope(c, d)
+    c = pow(b0, -1, a0) or a0
+    x = Slope(c, (c * b0 - 1) // a0)
     if not (det2(x, f) == 1 and x < f):
         raise InternalError(f"{x} is not a left Farey neighbor of {f}")
     return x
-
-
-def _egcd(x: int, y: int) -> tuple[int, int, int]:
-    """(g, u, v) with u*x + v*y = g = +-gcd(x, y)."""
-    if y == 0:
-        return x, 1, 0
-    g, u, v = _egcd(y, x % y)
-    return g, v, u - (x // y) * v
 
 
 def separating_neighbors(M: Iterable[Slope], f: Slope) -> tuple[Slope, Slope]:

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from ._frozen import Frozen
 from .curves import AllowableCurve, SpiralDir
-from .lattice import _egcd
 from .shear import BASE_TRI, TypeITri, _closed_lift, _nonzero_product
 
 Window = tuple[int, int, int, int]  # xmin, ymin, xmax, ymax
@@ -92,12 +91,13 @@ def grid_lines(tri: TypeITri, window: Window):
         a, b = s.vector
         segs = []
         for c in _line_offsets(s, window):
-            # an integer point on the line (gcd(a, b) = 1)
-            if b != 0:
-                g, u, v = _egcd(b, -a)
-                p0 = (u * c // g, v * c // g)
+            # an integer point on the line: with u the inverse of b mod a
+            # (gcd(a, b) = 1), b*u - a*v = 1 for integral v
+            if a:
+                u = pow(b, -1, a)
+                p0 = (u * c, (b * u - 1) // a * c)
             else:
-                p0 = (0, -c // a)
+                p0 = (c, 0)
             seg = _clip_line(p0, 1, (a, b), window)
             if seg is not None:
                 segs.append(seg)

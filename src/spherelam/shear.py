@@ -32,7 +32,6 @@ from .curves import (
     SpiralDir,
     Tagging,
     curves_compatible,
-    endpoint_sets,
     json_field,
     json_object,
     tag_choices,
@@ -324,18 +323,17 @@ _cached_closed_form = functools.lru_cache(maxsize=4096)(_closed_form)
 
 
 def _base_open(curve: AllowableCurve) -> ShearVector:
-    """Open curve of slope in [0, inf]: normalize the endpoint set to the
-    one containing v00 by a translation, apply the matching base formula,
-    and undo the translation by its coordinate permutation."""
+    """Open curve of slope in [0, inf]: translating by the parity of its
+    lower endpoint p carries the endpoint pair at v00 onto the curve's, v00
+    to p.  Apply the base formula of the spiral directions at p and at its
+    far end, p plus the slope's parity, and undo the translation by its
+    coordinate permutation."""
     a, b = curve.slope.vector
-    near, far = endpoint_sets(curve.slope)[0]
-    for t in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        if {near.translate(t), far.translate(t)} == curve.punctures:
-            s0 = curve.spiral_at(near.translate(t))
-            s1 = curve.spiral_at(far.translate(t))
-            item = BASE_ITEMS[(s0, s1)](a, b)
-            return apply_perm(TRANSLATION_PERMS[t], item)
-    raise InternalError("no parity translation matches the curve's endpoints")
+    p = min(curve.punctures)
+    s0 = curve.spiral_at(p)
+    s1 = curve.spiral_at(p.translate(curve.slope.parity))
+    item = BASE_ITEMS[(s0, s1)](a, b)
+    return apply_perm(TRANSLATION_PERMS[(p.i, p.j)], item)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,13 @@ Neither kernel depends on the height.  :func:`flip` tries at most 12
 candidate slopes: with s, t two distinct remaining slopes and
 d = det(s, t), the new slope is an integral (i*s + j*t) / d with
 |i|, |j| <= 2, by Cramer's rule and the Farey-distance bound of
-compatibility.  :func:`signed_adjacency` maps an all-plain triangulation
-to a height-1 representative by an orientation-preserving lattice map and
+compatibility.  Of the keys of those slopes, the one surviving key is the
+flip: a key compatible with the five remaining arcs completes six distinct
+pairwise compatible arcs, which are a maximal compatible set and so a
+triangulation (Fomin-Shapiro-Thurston, Acta Math. 2008), and the flip of
+an arc is unique.  :func:`signed_adjacency` maps an all-plain
+triangulation to a height-1 representative by an orientation-preserving
+lattice map, fixed by its two least slopes that carry two arcs each, and
 reads the matrix there from a memo of three arc sets, filled by mutating
 ``FIG1_MATRIX`` along the six flips of the base triangulation.  The tests
 check it against a geometric oracle on the lifted segment arrangement.
@@ -61,6 +66,9 @@ from .errors import (
     NotAllPlain,
 )
 from .lattice import (
+    INF,
+    MINUS_ONE,
+    ZERO,
     Slope,
     det2,
     enumerate_slopes,
@@ -133,17 +141,9 @@ def base_triangulation() -> TaggedTriangulation:
     """The base triangulation: arcs 1,4 of slope 0, arcs 2,5 of slope inf,
     arcs 3,6 of slope -1, all plain, indexed so that arcs 1,2,3 pass
     through v00."""
-    z = Slope(1, 0)
-    inf = Slope(0, 1)
-    mone = Slope(1, -1)
-    order = [(z, 0), (inf, 0), (mone, 0), (z, 1), (inf, 1), (mone, 1)]
-    arcs = []
-    for slope, which in order:
-        pair = endpoint_sets(slope)[which]
-        arcs.append(
-            TaggedArc(slope, ((pair[0], Tagging.PLAIN), (pair[1], Tagging.PLAIN)))
-        )
-    return TaggedTriangulation(tuple(arcs))
+    return TaggedTriangulation(tuple(
+        TaggedArc(s, tuple((p, Tagging.PLAIN) for p in endpoint_sets(s)[which]))
+        for which in (0, 1) for s in (ZERO, INF, MINUS_ONE)))
 
 
 def f2_companions(p: Slope, q: Slope) -> tuple[Slope, Slope]:
@@ -191,13 +191,10 @@ class TriType(Frozen):
 
 
 def _tagged_arc(slope: Slope, x: Puncture, t: Tagging, y: Puncture, t2: Tagging,
-                memo: dict[tuple[int, int, int, int], TaggedArc] | None = None
-                ) -> TaggedArc:
-    """The arc of ``slope`` from x tagged t to y tagged t2; with a ``memo``
-    (integer key to arc, see :func:`arcs_compatible`), the one object of
-    that arc across calls."""
-    if memo is None:
-        return TaggedArc(slope, ((x, t), (y, t2)))
+                memo: dict[tuple[int, int, int, int], TaggedArc]) -> TaggedArc:
+    """The arc of ``slope`` from x tagged t to y tagged t2: the one object
+    of that arc across the calls sharing ``memo`` (integer key to arc, see
+    :func:`arcs_compatible`)."""
     key = _arc_key(slope, x, t, y, t2)
     found = memo.get(key)
     if found is None:
@@ -206,8 +203,7 @@ def _tagged_arc(slope: Slope, x: Puncture, t: Tagging, y: Puncture, t2: Tagging,
 
 
 def _coinciding_pair(slope: Slope, agree_at: Puncture, tag: Tagging,
-                     memo: dict[tuple[int, int, int, int], TaggedArc] | None = None
-                     ) -> list[TaggedArc]:
+                     memo: dict[tuple[int, int, int, int], TaggedArc]) -> list[TaggedArc]:
     far = agree_at.translate(slope.parity)
     return [_tagged_arc(slope, agree_at, tag, far, t, memo) for t in Tagging]
 
@@ -251,8 +247,7 @@ def _frame(kind: str, slopes: tuple[Slope, ...], v: Puncture | None,
 
 def _assemble(kind: str, slopes: tuple[Slope, ...], v: Puncture | None, frame,
               tags: dict[Puncture, Tagging],
-              memo: dict[tuple[int, int, int, int], TaggedArc] | None = None
-              ) -> TaggedTriangulation:
+              memo: dict[tuple[int, int, int, int], TaggedArc]) -> TaggedTriangulation:
     """The arcs of the module docstring's table, in its order, for ``slopes``
     sorted as :class:`TriType` keeps them and a tag at each free puncture.
     A ``memo`` (see :func:`_tagged_arc`) shared by the calls of one sweep
@@ -300,7 +295,7 @@ def build_type(spec: TriType) -> TaggedTriangulation:
     if set(tags) != set(free):
         raise InvalidParameters(
             f"type {spec.tag} takes tags at " + ", ".join(f"v{x}" for x in free))
-    return _assemble(spec.tag, spec.slopes, spec.v, frame, tags)
+    return _assemble(spec.tag, spec.slopes, spec.v, frame, tags, {})
 
 
 def classify(tri: TaggedTriangulation) -> TriType:
@@ -423,31 +418,24 @@ def flip(tri: TaggedTriangulation, k: int) -> TaggedTriangulation:
     marks)`` in the encoding of :func:`arcs_compatible`: its two endpoint
     masks, ``1 | 1 << (2*(a % 2) + b % 2)`` and the complement of that in
     ``0b1111``, each with the 4 subsets of its bits as notched ends.  A key
-    is dropped if it is the removed arc or a remaining one, or if it fails
-    the compatibility kernel against the five remaining keys; a
-    :class:`TaggedArc` is built only for a survivor, and kept when it
-    completes a valid triangulation.  Exactly one must be kept.
+    survives if it is neither the removed arc nor a remaining one and
+    passes the compatibility kernel against the five remaining keys.  Six
+    distinct pairwise compatible arcs are a maximal compatible set, that
+    is a triangulation, so each survivor is a flip, and the flip is unique:
+    exactly one key survives, and only its arc is built.
     """
     rest = tri.arcs[:k] + tri.arcs[k + 1:]
     taken = {arc._key for arc in tri.arcs}
     rest_keys = [arc._key for arc in rest]
-
-    found = []
-    for a, b in _flip_slopes(rest):
-        for key in _slope_keys(a, b):
-            if key in taken or not all(_keys_compatible(key, r) for r in rest_keys):
-                continue
-            arc = _arc_of_key(Slope(a, b), key)
-            try:
-                new = TaggedTriangulation(rest[:k] + (arc,) + rest[k:])
-            except ValueError:
-                continue
-            found.append(new)
+    found = [key for a, b in _flip_slopes(rest) for key in _slope_keys(a, b)
+             if key not in taken and all(_keys_compatible(key, r) for r in rest_keys)]
     if len(found) != 1:
         raise InternalNonUnique(
             f"flip produced {len(found)} completions instead of 1"
         )
-    return found[0]
+    a, b, _, _ = found[0]
+    arc = _arc_of_key(Slope(a, b), found[0])
+    return TaggedTriangulation(rest[:k] + (arc,) + rest[k:])
 
 
 # ---------------------------------------------------------------------------
@@ -462,19 +450,17 @@ ExchangeMatrix = tuple[tuple[int, ...], ...]
 _CANONICAL_ADJACENCY: dict[tuple[TaggedArc, ...], ExchangeMatrix] = {}
 
 
-def _canonical_pair(slopes: set[Slope]) -> tuple[Slope, Slope]:
-    """A Farey-1 pair (s, t) of the slopes of an all-plain triangulation
-    with every other slope at Farey distance <= 1 from both: any two of the
-    triple for type I, the two companion slopes for type II."""
-    for s, t in itertools.combinations(sorted(slopes), 2):
-        if farey_distance(s, t) == 1 and all(
-            farey_distance(r, s) <= 1 and farey_distance(r, t) <= 1
-            for r in slopes
-        ):
-            return s, t
-    raise InternalError(
-        "no Farey-1 pair spans the slopes " + ", ".join(map(str, sorted(slopes)))
-    )
+def _canonical_pair(slopes: Sequence[Slope]) -> tuple[Slope, Slope]:
+    """The two least slopes that carry two arcs each, among the six arc
+    slopes of an all-plain triangulation: the two least of the triple for
+    type I, the two companion slopes for type II.  Either way they are a
+    Farey-1 pair with every other slope at Farey distance 1 from both."""
+    doubled = sorted(s for s, n in Counter(slopes).items() if n == 2)
+    if len(doubled) < 2 or farey_distance(doubled[0], doubled[1]) != 1:
+        raise InternalError(
+            "no Farey-1 pair of two-arc slopes among "
+            + ", ".join(map(str, sorted(set(slopes)))))
+    return doubled[0], doubled[1]
 
 
 def _canonical_form(tri: TaggedTriangulation) -> tuple[tuple[TaggedArc, ...], list[int]]:
@@ -482,7 +468,7 @@ def _canonical_form(tri: TaggedTriangulation) -> tuple[tuple[TaggedArc, ...], li
     the orientation-preserving lattice map sending its
     :func:`_canonical_pair` to (1, 0) and (0, +-1), canon[r] that of arc
     order[r], sorted."""
-    m = pair_to_basis(*_canonical_pair({arc.slope for arc in tri.arcs}))
+    m = pair_to_basis(*_canonical_pair([arc.slope for arc in tri.arcs]))
     image = [arc.image(m) for arc in tri.arcs]
     order = sorted(range(6), key=lambda i: (image[i].slope.vector, min(image[i].punctures)))
     return tuple(image[i] for i in order), order
@@ -506,9 +492,9 @@ def signed_adjacency(tri: TaggedTriangulation) -> ExchangeMatrix:
     """The signed adjacency matrix of an all-plain triangulation.
 
     An all-plain triangulation has type I or II, and the orientation-
-    preserving lattice map sending its :func:`_canonical_pair` (s, t) to
-    (1, 0) and (0, +-1) carries every arc to height 1: the remaining slopes
-    are +-s +- t.  The map keeps faces and their orientation, so the matrix
+    preserving lattice map sending its two least slopes that carry two arcs
+    each, (s, t) of :func:`_canonical_pair`, to (1, 0) and (0, +-1) carries
+    every arc to height 1: the remaining slopes are +-s +- t.  The map keeps faces and their orientation, so the matrix
     of the image, with arcs in the same order, is the matrix of ``tri``.
     The image is one of three arc sets: the base's type-I set on
     {-1, 0, inf}, and type II on {1, -1} with v = 00 or v = 01, each one

@@ -509,9 +509,46 @@ def _imported_modules(path) -> set:
     return imported
 
 
+def _unused_imports(path) -> list:
+    """The names a source file imports and never uses; a name used only in
+    a string annotation counts as used."""
+    import ast
+
+    tree = ast.parse(path.read_text())
+    imported = {}
+    used = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.update(n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
 class TestColdStart:
     """Each command imports only the modules it runs; none imports
-    dataclasses (with inspect), fractions or decimal."""
+    dataclasses (with inspect), fractions or decimal, or a name it never
+    uses."""
+
+    def test_no_module_imports_an_unused_name(self):
+        import pathlib
+
+        paths = sorted(pathlib.Path(spherelam.__file__).parent.glob("*.py"))
+        assert len(paths) >= 12
+        for path in paths:
+            assert _unused_imports(path) == [], path.name
 
     def test_no_module_imports_dataclasses(self):
         import pathlib

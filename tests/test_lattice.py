@@ -132,6 +132,18 @@ class TestSlopeOrder:
         by_value = sorted(finite, key=lambda s: Fraction(s.b, s.a))
         assert sorted(finite) == by_value
 
+    def test_comparisons_match_value_order(self):
+        # > and >= fall back on the reflected < and <=
+        def value(s):
+            return (1, 0) if s.is_infinite else (0, Fraction(s.b, s.a))
+
+        slopes = enumerate_slopes(4)
+        for s, t in itertools.product(slopes, repeat=2):
+            x, y = value(s), value(t)
+            assert (s < t, s <= t, s > t, s >= t) == (x < y, x <= y, x > y, x >= y)
+            assert min(s, t) == (s if x <= y else t)
+            assert max(s, t) == (t if x <= y else s)
+
 
 class TestEnumerate:
     def test_height_one(self):

@@ -14,9 +14,11 @@ from spherelam.curves import (
     Puncture,
     TaggedArc,
     Tagging,
+    _keys_compatible,
+    _slope_keys,
     endpoint_sets,
 )
-from spherelam.errors import InternalError, InvalidParameters, NotAllPlain
+from spherelam.errors import InternalError, InternalNonUnique, InvalidParameters, NotAllPlain
 from spherelam.lattice import (
     INF, MINUS_ONE, ZERO, Slope, det2, enumerate_slopes, farey1_triples, farey_distance,
     mediant, pair_to_basis, standard_form,
@@ -35,6 +37,7 @@ from spherelam.triangulation import (
     signed_adjacency,
     _CANONICAL_ADJACENCY,
     _canonical_form,
+    _canonical_pair,
     _enumerate_typed,
     _farey2_pairs,
     _flip_slopes,
@@ -337,6 +340,31 @@ class TestFlip:
             assert tuple(a.image(m) for a in f.arcs) == swept.arcs
             t = f
 
+    def test_exactly_one_key_survives(self):
+        # six distinct pairwise compatible arcs are a triangulation, so the
+        # filter alone leaves one key, and flip builds the arc of that key
+        cases = 0
+        for t in enumerate_triangulations(3):
+            taken = {arc._key for arc in t.arcs}
+            for k in range(6):
+                rest = t.arcs[:k] + t.arcs[k + 1:]
+                survivors = [key for a, b in _flip_slopes(rest) for key in _slope_keys(a, b)
+                             if key not in taken
+                             and all(_keys_compatible(key, r._key) for r in rest)]
+                assert len(survivors) == 1
+                assert flip(t, k).arcs[k]._key == survivors[0]
+                cases += 1
+        assert cases == 12_000
+
+    @pytest.mark.parametrize("slopes", [
+        lambda rest: [],
+        lambda rest: 2 * list(_flip_slopes(rest)),
+    ], ids=["no key", "two keys"])
+    def test_filter_not_leaving_one_key_is_internal(self, monkeypatch, slopes):
+        monkeypatch.setattr(triangulation, "_flip_slopes", slopes)
+        with pytest.raises(InternalNonUnique):
+            flip(base_triangulation(), 0)
+
     def test_type_v_neighbors(self):
         spec = TriType("V", (Slope(1, 1), Slope(1, -1)), v=V00,
                        taggings=((V00, PLAIN), (V11, PLAIN)))
@@ -445,6 +473,14 @@ class TestCanonicalAdjacency:
         with pytest.raises(InternalError):
             signed_adjacency(base_triangulation())
         assert not triangulation._CANONICAL_ADJACENCY  # nothing half filled
+
+    @pytest.mark.parametrize("slopes", [
+        [ZERO, ZERO, INF, Slope(1, 1), MINUS_ONE, Slope(1, 2)],
+        [ZERO, ZERO, Slope(1, 2), Slope(1, 2), INF, Slope(1, 1)],
+    ], ids=["one two-arc slope", "two-arc slopes at distance 2"])
+    def test_canonical_pair_rejects_a_bad_slope_count(self, slopes):
+        with pytest.raises(InternalError):
+            _canonical_pair(slopes)
 
     def test_lookup_miss_is_internal(self, monkeypatch):
         signed_adjacency(base_triangulation())
