@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 
 from ._frozen import Frozen
 from .errors import ClosedCurveHasNoArc, InternalError, MalformedInput
-from .lattice import Slope, UnimodularMap
+from .lattice import Slope, UnimodularMap, standard_vector
 
 
 class Puncture(Frozen):
@@ -363,17 +363,38 @@ def _keys_compatible(x: tuple[int, int, int, int], y: tuple[int, int, int, int])
     return abs(a * d - b * c) == shared.bit_count() and not differ & shared
 
 
-def _slope_keys(a: int, b: int) -> Iterator[tuple[int, int, int, int]]:
-    """The keys of the 8 tagged arcs of the slope with primitive vector
-    (a, b) in standard form: its two endpoint masks,
-    ``1 | 1 << (2*(a % 2) + b % 2)`` (the pair at v00, as in
-    :func:`endpoint_sets`) and its complement, each with the 4 subsets of
-    its bits notched."""
+def _slope_keys(a: int, b: int, rest: Sequence[tuple[int, int, int, int]] = ()
+                ) -> Iterator[tuple[int, int, int, int]]:
+    """The keys of the tagged arcs of the slope with primitive vector
+    (a, b) in standard form that the kernel does not reject outright
+    against any key of ``rest``; all 8 when ``rest`` is empty.
+
+    The endpoint masks are ``1 | 1 << (2*(a % 2) + b % 2)`` (the pair at
+    v00, as in :func:`endpoint_sets`) and its complement.  A mask is kept
+    when it shares ``|det|`` endpoints with every key of ``rest`` but one
+    of the same underlying arc, so none is when some ``|det|`` with a
+    slope of ``rest`` exceeds 2.  Its notched ends are those notched in a
+    key of ``rest`` that shares them (the kernel rejects keys of ``rest``
+    that disagree there), plus any subset of the ends no key shares."""
+    dets = [abs(a * d - b * c) for c, d, _, _ in rest]
     first = 1 | 1 << (2 * (a & 1) + (b & 1))
     for mask in (first, 0b1111 ^ first):
-        low = mask & -mask
-        for marks in (0, low, mask ^ low, mask):
-            yield a, b, mask, marks
+        fixed = marks = 0
+        for (_, _, mask2, marks2), det in zip(rest, dets):
+            shared = mask & mask2
+            if mask2 == mask and not det:
+                continue  # the same underlying arc: the tags differ at one end
+            if shared.bit_count() != det:
+                break
+            fixed |= shared
+            marks |= marks2 & shared
+        else:
+            free = sub = mask ^ fixed
+            while True:
+                yield a, b, mask, marks | sub
+                if not sub:
+                    break
+                sub = (sub - 1) & free
 
 
 def _arc_of_key(slope: Slope, key: tuple[int, int, int, int]) -> TaggedArc:
@@ -382,6 +403,20 @@ def _arc_of_key(slope: Slope, key: tuple[int, int, int, int]) -> TaggedArc:
     return TaggedArc(slope, tuple(  # type: ignore[arg-type]
         (p, Tagging.NOTCHED if marks >> n & 1 else Tagging.PLAIN)
         for n, p in enumerate(PUNCTURES) if mask >> n & 1))
+
+
+def _key_images(keys: Sequence[tuple[int, int, int, int]], m: UnimodularMap
+                ) -> list[tuple[int, int, int, int]]:
+    """The keys of the images under ``m`` (see :meth:`_ArcOrCurve.image`)
+    of the arcs with these keys: the slope vector goes through the linear
+    part, then :func:`standard_vector`; the bits of the endpoint and notch
+    masks are permuted as the map mod 2 permutes the four punctures."""
+    move = [0]  # move[bits]: the image of a 4-bit puncture mask
+    for n in range(4):
+        x, y = m.apply_parity((n >> 1, n & 1))
+        move += [bits | 1 << (2 * x + y) for bits in move]
+    return [(*standard_vector(*m.apply_vector((a, b))), move[mask], move[marks])
+            for a, b, mask, marks in keys]
 
 
 def arcs_compatible(

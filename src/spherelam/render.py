@@ -8,7 +8,7 @@ from ._frozen import Frozen
 from .curves import AllowableCurve, SpiralDir
 from .shear import BASE_TRI, TypeITri, _closed_lift, _nonzero_product
 
-Window = tuple[int, int, int, int]  # xmin, ymin, xmax, ymax
+Window = tuple[int, int, int, int]  # xmin, xmax, ymin, ymax
 
 _SCALE = 40
 _MARGIN = 20

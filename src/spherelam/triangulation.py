@@ -26,22 +26,25 @@ Neither kernel depends on the height.  :func:`flip` tries at most 12
 candidate slopes: with s, t two distinct remaining slopes and
 d = det(s, t), the new slope is an integral (i*s + j*t) / d with
 |i|, |j| <= 2, by Cramer's rule and the Farey-distance bound of
-compatibility.  Of the keys of those slopes, the one surviving key is the
-flip: a key compatible with the five remaining arcs completes six distinct
+compatibility.  Of the keys of those slopes that the kernel's own slope,
+endpoint and tag conditions allow, the one surviving key is the flip: a
+key compatible with the five remaining arcs completes six distinct
 pairwise compatible arcs, which are a maximal compatible set and so a
 triangulation (Fomin-Shapiro-Thurston, Acta Math. 2008), and the flip of
-an arc is unique.  :func:`signed_adjacency` maps an all-plain
-triangulation to a height-1 representative by an orientation-preserving
-lattice map, fixed by its two least slopes that carry two arcs each, and
-reads the matrix there from a memo of three arc sets, filled by mutating
-``FIG1_MATRIX`` along the six flips of the base triangulation.  The tests
-check it against a geometric oracle on the lifted segment arrangement.
+an arc is unique.  :func:`signed_adjacency` maps the six integer arc keys
+of an all-plain triangulation to a height-1 representative by an
+orientation-preserving lattice map, fixed by its two least slopes that
+carry two arcs each, and reads the matrix there from a memo of three arc
+sets, filled by mutating ``FIG1_MATRIX`` along the six flips of the base
+triangulation.  The tests check it against a geometric oracle on the
+lifted segment arrangement.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from ._frozen import Frozen
@@ -52,6 +55,7 @@ from .curves import (
     Tagging,
     _arc_key,
     _arc_of_key,
+    _key_images,
     _keys_compatible,
     _slope_keys,
     arcs_compatible,
@@ -59,6 +63,7 @@ from .curves import (
     tag_choices,
 )
 from .errors import (
+    DomainError,
     InternalError,
     InternalNonUnique,
     InvalidParameters,
@@ -410,24 +415,29 @@ def _flip_slopes(rest: Sequence[TaggedArc]) -> set[tuple[int, int]]:
 
 
 def flip(tri: TaggedTriangulation, k: int) -> TaggedTriangulation:
-    """Replace arc k by the unique other arc completing a triangulation.
+    """Replace arc k, an int in 0..5, by the unique other arc completing a
+    triangulation.
 
     The new slope is one of the at most 12 candidates of
     :func:`_flip_slopes`, a set whose size does not depend on the height.
-    Each candidate slope (a, b) gives 8 candidate keys ``(a, b, mask,
-    marks)`` in the encoding of :func:`arcs_compatible`: its two endpoint
-    masks, ``1 | 1 << (2*(a % 2) + b % 2)`` and the complement of that in
-    ``0b1111``, each with the 4 subsets of its bits as notched ends.  A key
-    survives if it is neither the removed arc nor a remaining one and
-    passes the compatibility kernel against the five remaining keys.  Six
-    distinct pairwise compatible arcs are a maximal compatible set, that
-    is a triangulation, so each survivor is a flip, and the flip is unique:
-    exactly one key survives, and only its arc is built.
+    Of the 8 keys ``(a, b, mask, marks)`` (see :func:`arcs_compatible`) of
+    a candidate slope, :func:`_slope_keys` keeps only those the kernel's
+    own conditions allow against the five remaining keys: an endpoint mask
+    sharing ``|det|`` endpoints with each remaining arc but one of the same
+    underlying arc (so no ``|det|`` above 2), and the tags of the remaining
+    arcs at shared ends.  A kept key survives if it is neither
+    the removed arc nor a remaining one and passes the compatibility kernel
+    against the five remaining keys.  Six distinct pairwise compatible arcs
+    are a maximal compatible set, that is a triangulation, so each survivor
+    is a flip, and the flip is unique: exactly one key survives, and only
+    its arc is built.
     """
+    if type(k) is not int or not 0 <= k < 6:
+        raise DomainError("arc index must be in 0..5")
     rest = tri.arcs[:k] + tri.arcs[k + 1:]
     taken = {arc._key for arc in tri.arcs}
     rest_keys = [arc._key for arc in rest]
-    found = [key for a, b in _flip_slopes(rest) for key in _slope_keys(a, b)
+    found = [key for a, b in _flip_slopes(rest) for key in _slope_keys(a, b, rest_keys)
              if key not in taken and all(_keys_compatible(key, r) for r in rest_keys)]
     if len(found) != 1:
         raise InternalNonUnique(
@@ -446,8 +456,8 @@ ExchangeMatrix = tuple[tuple[int, ...], ...]
 
 
 # Signed adjacency of the three canonical arc sets (see signed_adjacency),
-# rows in canonical arc order; filled on the first call.
-_CANONICAL_ADJACENCY: dict[tuple[TaggedArc, ...], ExchangeMatrix] = {}
+# keyed by their sorted arc keys, rows in that order; filled on the first call.
+_CANONICAL_ADJACENCY: dict[tuple[tuple[int, int, int, int], ...], ExchangeMatrix] = {}
 
 
 def _canonical_pair(slopes: Sequence[Slope]) -> tuple[Slope, Slope]:
@@ -463,14 +473,15 @@ def _canonical_pair(slopes: Sequence[Slope]) -> tuple[Slope, Slope]:
     return doubled[0], doubled[1]
 
 
-def _canonical_form(tri: TaggedTriangulation) -> tuple[tuple[TaggedArc, ...], list[int]]:
-    """(canon, order): the images of the arcs of an all-plain ``tri`` under
-    the orientation-preserving lattice map sending its
-    :func:`_canonical_pair` to (1, 0) and (0, +-1), canon[r] that of arc
-    order[r], sorted."""
+def _canonical_form(tri: TaggedTriangulation
+                    ) -> tuple[tuple[tuple[int, int, int, int], ...], list[int]]:
+    """(canon, order): the keys of the images of the arcs of an all-plain
+    ``tri`` under the orientation-preserving lattice map sending its
+    :func:`_canonical_pair` to (1, 0) and (0, +-1), mapped key by key
+    (:func:`_key_images`), canon[r] that of arc order[r], sorted."""
     m = pair_to_basis(*_canonical_pair([arc.slope for arc in tri.arcs]))
-    image = [arc.image(m) for arc in tri.arcs]
-    order = sorted(range(6), key=lambda i: (image[i].slope.vector, min(image[i].punctures)))
+    image = _key_images([arc._key for arc in tri.arcs], m)
+    order = sorted(range(6), key=image.__getitem__)
     return tuple(image[i] for i in order), order
 
 
@@ -478,7 +489,7 @@ def _fill_canonical_adjacency() -> None:
     """The memo from the base triangulation with ``FIG1_MATRIX`` and its
     six flips with the six mutations of that matrix."""
     base = base_triangulation()
-    table: dict[tuple[TaggedArc, ...], ExchangeMatrix] = {}
+    table: dict[tuple[tuple[int, int, int, int], ...], ExchangeMatrix] = {}
     flips = [(flip(base, k), mutate(FIG1_MATRIX, k)) for k in range(6)]
     for tri, B in [(base, FIG1_MATRIX), *flips]:
         canon, order = _canonical_form(tri)
@@ -499,9 +510,11 @@ def signed_adjacency(tri: TaggedTriangulation) -> ExchangeMatrix:
     The image is one of three arc sets: the base's type-I set on
     {-1, 0, inf}, and type II on {1, -1} with v = 00 or v = 01, each one
     flip from the base.  A flip mutates the matrix (Fomin-Shapiro-Thurston,
-    Acta Math. 2008), so the memo of the three is filled from
-    ``FIG1_MATRIX`` and its six mutations, and the matrix is permuted back
-    to the caller's arc order: the cost does not depend on the height.
+    Acta Math. 2008), so the memo of the three, keyed by the sorted keys
+    of their arcs, is filled from ``FIG1_MATRIX`` and its six mutations.
+    The six arc keys of ``tri`` are mapped as integers
+    (:func:`_canonical_form`), and the matrix is permuted back to the
+    caller's arc order: the cost does not depend on the height.
     """
     if not tri.all_plain:
         raise NotAllPlain("signed adjacency needs all arcs tagged plain")
@@ -511,13 +524,16 @@ def signed_adjacency(tri: TaggedTriangulation) -> ExchangeMatrix:
     B = _CANONICAL_ADJACENCY.get(canon)
     if B is None:
         raise InternalError("canonical arc set missing from the adjacency memo")
-    pos = {i: r for r, i in enumerate(order)}
-    return tuple(tuple(B[pos[i]][pos[j]] for j in range(6)) for i in range(6))
+    pos = sorted(range(6), key=order.__getitem__)  # arc i is canonical row pos[i]
+    row = itemgetter(*pos)
+    return tuple(row(B[r]) for r in pos)
 
 
 def mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
-    """Matrix mutation at index k: negate row/column k, and add
-    sgn(b_ik) * max(b_ik * b_kj, 0) elsewhere.  An involution."""
+    """Matrix mutation at index k, an int in 0..5: negate row/column k, and
+    add sgn(b_ik) * max(b_ik * b_kj, 0) elsewhere.  An involution."""
+    if type(k) is not int or not 0 <= k < 6:
+        raise DomainError("mutation index must be in 0..5")
     n = len(B)
     out = []
     for i in range(n):

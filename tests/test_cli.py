@@ -101,6 +101,17 @@ class TestTriangulationCommands:
     def test_mutate_validates(self):
         fails(["mutate", "--matrix", "[[0,1],[-1,0]]", "--k", "0"])
 
+    @pytest.mark.parametrize("k", ["-1", "6"])
+    def test_index_out_of_range(self, k):
+        # the library's DomainError reaches the user as the command's own error
+        t0 = json.dumps(base_triangulation().to_json())
+        B = json.dumps(_MATRIX)
+        for argv, what in ((["flip", "--tri", t0, "--k", k], "arc"),
+                           (["mutate", "--matrix", B, "--k", k], "mutation")):
+            assert json.loads(fails(argv)) == {
+                "schema": cli.SCHEMA, "kind": "domain",
+                "error": f"DomainError: {what} index must be in 0..5"}
+
 
 class TestFanCommands:
     def test_locate(self):

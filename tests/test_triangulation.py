@@ -18,7 +18,9 @@ from spherelam.curves import (
     _slope_keys,
     endpoint_sets,
 )
-from spherelam.errors import InternalError, InternalNonUnique, InvalidParameters, NotAllPlain
+from spherelam.errors import (
+    DomainError, InternalError, InternalNonUnique, InvalidParameters, NotAllPlain,
+)
 from spherelam.lattice import (
     INF, MINUS_ONE, ZERO, Slope, det2, enumerate_slopes, farey1_triples, farey_distance,
     mediant, pair_to_basis, standard_form,
@@ -107,6 +109,16 @@ def type_i_start(rng, lo, hi, tags=None):
     if tags is None:
         tags = tuple((p, rng.choice((PLAIN, NOTCHED))) for p in (V00, V01, V10, V11))
     return build_type(TriType("I", triple, taggings=tags))
+
+
+def arc_canonical_form(tri):
+    """:func:`_canonical_form` on arc objects, the oracle of its key
+    version: the ``TaggedArc.image`` of each arc under the same lattice
+    map, sorted by slope vector and least puncture, and the arc order."""
+    m = pair_to_basis(*_canonical_pair([arc.slope for arc in tri.arcs]))
+    image = [arc.image(m) for arc in tri.arcs]
+    order = sorted(range(6), key=lambda i: (image[i].slope.vector, min(image[i].punctures)))
+    return tuple(image[i] for i in order), order
 
 
 def plain_walk(start, steps, rng):
@@ -365,6 +377,30 @@ class TestFlip:
         with pytest.raises(InternalNonUnique):
             flip(base_triangulation(), 0)
 
+    def test_filter_bounds_kernel_calls(self, monkeypatch):
+        # all 8 keys of each candidate slope through the kernel take 70.1
+        # calls a flip on these 12,000 cases; the filter leaves a few keys
+        calls = 0
+
+        def counting(x, y):
+            nonlocal calls
+            calls += 1
+            return _keys_compatible(x, y)
+
+        monkeypatch.setattr(triangulation, "_keys_compatible", counting)
+        flips = 0
+        for t in enumerate_triangulations(3):
+            for k in range(6):
+                flip(t, k)
+                flips += 1
+        assert flips == 12_000
+        assert calls <= 10 * flips
+
+    @pytest.mark.parametrize("k", [6, -1, -6, True, False, 1.0, "0", None])
+    def test_index_must_be_an_int_in_range(self, k):
+        with pytest.raises(DomainError, match=r"arc index must be in 0\.\.5"):
+            flip(base_triangulation(), k)
+
     def test_type_v_neighbors(self):
         spec = TriType("V", (Slope(1, 1), Slope(1, -1)), v=V00,
                        taggings=((V00, PLAIN), (V11, PLAIN)))
@@ -384,6 +420,11 @@ class TestMatrices:
         M = mutate(B, 0)
         assert M[0] == tuple(-x for x in B[0])
         assert tuple(r[0] for r in M) == tuple(-r[0] for r in B)
+
+    @pytest.mark.parametrize("k", [6, -1, -6, True, False, 1.0, "0", None])
+    def test_index_must_be_an_int_in_range(self, k):
+        with pytest.raises(DomainError, match=r"mutation index must be in 0\.\.5"):
+            mutate(FIG1_MATRIX, k)
 
     def test_skew_preserved(self):
         B = FIG1_MATRIX
@@ -460,8 +501,24 @@ class TestCanonicalAdjacency:
                 signed_adjacency(f)
         type_ii = [build_type(TriType("II", (Slope(1, 1), MINUS_ONE), v=v, taggings=ALL_PLAIN))
                    for v in (V00, V01)]
-        assert {frozenset(key) for key in _CANONICAL_ADJACENCY} == {
-            base_triangulation().arc_set, *(t.arc_set for t in type_ii)}
+        assert set(_CANONICAL_ADJACENCY) == {
+            tuple(sorted(arc._key for arc in t.arcs)) for t in (base_triangulation(), *type_ii)}
+
+    def test_key_form_matches_arc_images(self):
+        # every all-plain triangulation of height <= 3, then seeded plain
+        # walks from heights up to 10^6
+        rng = random.Random(13)
+        tris = [t for t in enumerate_triangulations(3) if t.all_plain]
+        for hi in (10, 10**3, 10**6):
+            for _ in range(10):
+                t = type_i_start(rng, 1, hi, ALL_PLAIN)
+                tris += [t, *(f for _, _, f in plain_walk(t, 10, rng))]
+        assert max(t.height for t in tris) >= 10**5
+        for t in tris:
+            canon, order = _canonical_form(t)
+            images, image_order = arc_canonical_form(t)
+            assert dict(zip(order, canon)) == {i: a._key for i, a in zip(image_order, images)}
+            assert list(canon) == sorted(canon)
 
     def test_fill_rejects_disagreeing_flip_matrix(self, monkeypatch):
         def wrong_at_2(B, k):
