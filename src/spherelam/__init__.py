@@ -6,8 +6,9 @@ no floating point anywhere.
 The main entry points are:
 
 - :mod:`spherelam.lattice` -- rational slopes, Farey relations, basis changes
-- :mod:`spherelam.curves` -- tagged arcs, allowable curves, compatibility
-- :mod:`spherelam.triangulation` -- tagged triangulations, flips, exchange matrices
+- :mod:`spherelam.curves` -- tagged arcs, allowable curves, compatibility,
+  the tagged triangulation class and its JSON forms
+- :mod:`spherelam.triangulation` -- triangulation types, flips, exchange matrices
 - :mod:`spherelam.shear` -- shear coordinates (three independent computation paths)
 - :mod:`spherelam.fan` -- maximal cones of the rational quasi-lamination fan
 - :mod:`spherelam.cli` -- command line front end
@@ -29,14 +30,14 @@ _EXPORTS = {
         "Puncture", "Tagging", "SpiralDir", "TaggedArc", "AllowableCurve",
         "PairClass", "endpoint_sets", "kappa", "kappa_inv", "arcs_compatible",
         "curves_compatible", "classify_pair", "enumerate_arcs", "enumerate_curves",
+        "TaggedTriangulation", "type_i_triangulation", "base_triangulation",
     ),
     "triangulation": (
-        "TaggedTriangulation", "TriType", "base_triangulation", "classify",
-        "build_type", "enumerate_triangulations", "flip", "signed_adjacency",
-        "mutate",
+        "TriType", "classify", "build_type", "enumerate_triangulations", "flip",
+        "signed_adjacency", "mutate",
     ),
     "shear": (
-        "Word", "TypeITri", "Tangle", "QuasiLamination", "word_prime",
+        "Word", "Tangle", "QuasiLamination", "word_prime",
         "word_of_curve", "shear_via_word", "shear_closed_form", "shear_oracle",
         "shear_wrt", "shear_lamination", "tangle_shear", "torus_shear",
         "sphere_torus_check", "find_witness", "apply_perm",

@@ -1,10 +1,14 @@
-"""Punctures, tagged arcs, allowable curves and their compatibility.
+"""Punctures, tagged arcs, allowable curves, their compatibility, and
+tagged triangulations.
 
 Arcs and curves are parametrized exactly: a standard-form slope plus an
 unordered pair of endpoint punctures, each endpoint carrying a plain/notched
 tag (arcs) or a spiral direction (curves).  The bijection ``kappa`` matches
 plain tags with clockwise spirals and notched tags with counterclockwise
 spirals.  Closed curves carry a slope only.
+
+:class:`TaggedTriangulation` lives here so that ``shear --tri`` and
+``render --tri`` need not load :mod:`spherelam.triangulation`.
 """
 
 from __future__ import annotations
@@ -14,8 +18,9 @@ import itertools
 from typing import Iterator, Sequence
 
 from ._frozen import Frozen
-from .errors import ClosedCurveHasNoArc, InternalError, MalformedInput
-from .lattice import Slope, UnimodularMap, standard_vector
+from .errors import ClosedCurveHasNoArc, InternalError, MalformedInput, NotFareyTriple
+from .lattice import INF, MINUS_ONE, ZERO, Slope, UnimodularMap, is_farey1_triple, \
+    standard_vector
 
 
 class Puncture(Frozen):
@@ -495,3 +500,100 @@ def classify_pair(x: TaggedArc, y: TaggedArc) -> PairClass:
         return PairClass.COINCIDING
     shared = len(x.punctures & y.punctures)
     return (PairClass.FAREY0, PairClass.FAREY1, PairClass.FAREY2)[shared]
+
+
+_ADMISSIBLE_DEGREES = {(2, 2, 2, 6), (2, 2, 3, 5), (2, 2, 4, 4), (3, 3, 3, 3)}
+
+
+class TaggedTriangulation(Frozen):
+    """Six distinct pairwise compatible tagged arcs, in a fixed order;
+    equal to any triangulation with the same set of arcs."""
+
+    __slots__ = ("arcs", "arc_set")
+    _fields = ("arcs",)
+    arcs: tuple[TaggedArc, ...]
+    arc_set: frozenset[TaggedArc]
+
+    def __init__(self, arcs: tuple[TaggedArc, ...]) -> None:
+        object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "arc_set", frozenset(arcs))
+        if len(self.arcs) != 6 or len(self.arc_set) != 6:
+            raise ValueError("a tagged triangulation has exactly 6 distinct arcs")
+        for x, y in itertools.combinations(self.arcs, 2):
+            if not arcs_compatible(x, y):
+                raise ValueError(f"incompatible arcs {x}, {y}")
+        if self.degree_sequence not in _ADMISSIBLE_DEGREES:
+            raise ValueError(f"impossible degree sequence {self.degree_sequence}")
+
+    @property
+    def degree_sequence(self) -> tuple[int, int, int, int]:
+        deg = {p: 0 for p in PUNCTURES}
+        for arc in self.arcs:
+            for p in arc.punctures:
+                deg[p] += 1
+        return tuple(sorted(deg.values()))  # type: ignore[return-value]
+
+    @property
+    def height(self) -> int:
+        return max(arc.height for arc in self.arcs)
+
+    @property
+    def all_plain(self) -> bool:
+        return all(t is Tagging.PLAIN for arc in self.arcs for _, t in arc.ends)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TaggedTriangulation) and self.arc_set == other.arc_set
+
+    def __hash__(self) -> int:
+        return hash(self.arc_set)
+
+    def to_json(self) -> list:
+        return [arc.to_json() for arc in self.arcs]
+
+    @staticmethod
+    def from_json(obj) -> "TaggedTriangulation":
+        """The array of six arcs of :meth:`to_json`, or the compact type-I
+        object ``{"triple": [three slopes], "tags": {puncture: tag}}`` of
+        :func:`type_i_triangulation`, a puncture without a tag plain."""
+        if isinstance(obj, list):
+            return TaggedTriangulation(tuple(TaggedArc.from_json(a) for a in obj))
+        if not isinstance(obj, dict):
+            raise MalformedInput("a triangulation is a JSON array of arcs or a type-I "
+                                 "{triple, tags} object")
+        obj = json_object(obj, "triple", "tags")
+        triple = tuple(Slope.parse(s) for s in json_field(obj, "triple", list))
+        if len(triple) != 3:
+            raise MalformedInput(f"'triple' lists three slopes, got {len(triple)}")
+        tags = json_field(obj, "tags", dict) if "tags" in obj else {}
+        if set(tags) - {str(p) for p in PUNCTURES}:
+            raise MalformedInput("tags are keyed by the punctures 00, 01, 10, 11, "
+                                 f"got {sorted(tags)}")
+        return type_i_triangulation(triple, tuple(  # type: ignore[arg-type]
+            (p, Tagging(tags.get(str(p), "plain"))) for p in PUNCTURES))
+
+
+_ALL_PLAIN = tuple((p, Tagging.PLAIN) for p in PUNCTURES)
+
+
+def type_i_triangulation(triple: tuple[Slope, Slope, Slope],
+                         taggings: tuple[tuple[Puncture, Tagging], ...] = _ALL_PLAIN
+                         ) -> TaggedTriangulation:
+    """The type-I triangulation of a Farey-1 triple with one tag at each
+    puncture: arcs i and i + 3 have slope ``triple[i]``, and arc i passes
+    through v00 (:func:`endpoint_sets`).  The arcs keep the order of the
+    triple, which :func:`triangulation.build_type` would sort."""
+    if not is_farey1_triple(*triple):
+        raise NotFareyTriple(f"({', '.join(map(str, triple))}) is not a Farey-1 triple")
+    tags = dict(taggings)
+    if len(tags) != len(taggings) or set(tags) != set(PUNCTURES):
+        raise ValueError("taggings must cover each puncture exactly once")
+    return TaggedTriangulation(tuple(
+        TaggedArc(s, tuple((p, tags[p]) for p in endpoint_sets(s)[which]))  # type: ignore[arg-type]
+        for which in (0, 1) for s in triple))
+
+
+def base_triangulation() -> TaggedTriangulation:
+    """The base triangulation: arcs 1,4 of slope 0, arcs 2,5 of slope inf,
+    arcs 3,6 of slope -1, all plain, indexed so that arcs 1,2,3 pass
+    through v00."""
+    return type_i_triangulation((ZERO, INF, MINUS_ONE))

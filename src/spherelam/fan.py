@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from operator import itemgetter, mul
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import exactla
 from ._frozen import Frozen
@@ -26,6 +26,7 @@ from .curves import (
     AllowableCurve,
     SpiralDir,
     TaggedArc,
+    TaggedTriangulation,
     Tagging,
     curves_compatible,
     endpoint_sets,
@@ -57,9 +58,6 @@ from .shear import (
     perm_product,
     shear_closed_form,
 )
-
-if TYPE_CHECKING:
-    from .triangulation import TaggedTriangulation
 
 # ---------------------------------------------------------------------------
 # Maximal collections
@@ -592,7 +590,7 @@ def flip_adjacency(cone: Cone) -> list[Cone]:
     if coll is None:
         raise InternalError("flip adjacency needs the cone's collection")
     if cone.kind != "VII":
-        from .triangulation import TaggedTriangulation, classify, flip
+        from .triangulation import classify, flip
 
         tri = TaggedTriangulation(tuple(kappa_inv(c) for c in coll.curves))
         out = []

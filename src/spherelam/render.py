@@ -5,8 +5,8 @@ spiral glyphs at their endpoints."""
 from __future__ import annotations
 
 from ._frozen import Frozen
-from .curves import AllowableCurve, SpiralDir
-from .shear import BASE_TRI, TypeITri, _closed_lift, _nonzero_product
+from .curves import AllowableCurve, SpiralDir, TaggedTriangulation
+from .shear import _BASE, _closed_lift, _nonzero_product, _type_i_triple
 
 Window = tuple[int, int, int, int]  # xmin, xmax, ymin, ymax
 
@@ -21,17 +21,20 @@ _FAMILY_STYLE = (
 
 
 class RenderSpec(Frozen):
+    """Lifted curves over the grid of a type-I triangulation, in a window."""
+
     __slots__ = _fields = ("curves", "triangulation", "window")
     curves: tuple[AllowableCurve, ...]
-    triangulation: TypeITri
+    triangulation: TaggedTriangulation
     window: Window  # (xmin, xmax, ymin, ymax)
 
     def __init__(self, curves: tuple[AllowableCurve, ...] = (),
-                 triangulation: TypeITri = BASE_TRI,
+                 triangulation: TaggedTriangulation = _BASE,
                  window: Window = (0, 2, 0, 2)) -> None:
         xmin, xmax, ymin, ymax = window
         if xmin >= xmax or ymin >= ymax:
             raise ValueError("window must be nonempty")
+        _type_i_triple(triangulation)
         object.__setattr__(self, "curves", curves)
         object.__setattr__(self, "triangulation", triangulation)
         object.__setattr__(self, "window", window)
@@ -77,17 +80,17 @@ def element_count(spec: RenderSpec) -> int:
     draws, computed without drawing them."""
     xmin, xmax, ymin, ymax = spec.window
     # range.stop - range.start, not len(), which overflows past sys.maxsize
-    lines = sum(r.stop - r.start for r in (_line_offsets(s, spec.window)
-                                           for s in spec.triangulation.triple))
+    offsets = (_line_offsets(s, spec.window) for s in _type_i_triple(spec.triangulation))
+    lines = sum(r.stop - r.start for r in offsets)
     return lines + (xmax - xmin + 1) * (ymax - ymin + 1)
 
 
-def grid_lines(tri: TypeITri, window: Window):
-    """All lattice lines of the triple's three slopes meeting the window,
-    grouped by slope family, as clipped segments (p1, p2, den): endpoint
-    numerators over den."""
+def grid_lines(tri: TaggedTriangulation, window: Window):
+    """All lattice lines of the three slopes of a type-I triangulation
+    meeting the window, grouped by slope in the order of the arcs through
+    v00, as clipped segments (p1, p2, den): endpoint numerators over den."""
     families = []
-    for s in tri.triple:
+    for s in _type_i_triple(tri):
         a, b = s.vector
         segs = []
         for c in _line_offsets(s, window):

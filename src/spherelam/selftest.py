@@ -6,6 +6,7 @@ from __future__ import annotations
 from . import fan, shear, triangulation
 from .curves import (
     V00, V01, V10, V11,
+    PUNCTURES,
     AllowableCurve,
     SpiralDir,
     TaggedArc,
@@ -13,13 +14,13 @@ from .curves import (
     endpoint_sets,
     kappa,
     curves_compatible,
+    type_i_triangulation,
 )
 from .lattice import INF, MINUS_ONE, ZERO, Slope, is_farey1_triple, standard_form
 from .shear import (
-    BASE_TRI,
+    BASE_TRIPLE,
     PERM_25,
     PERM_Z2,
-    TypeITri,
     apply_perm,
     parse_word,
     shear_closed_form,
@@ -128,9 +129,7 @@ def run_selftest() -> list[tuple[str, bool]]:
         triangulation.signed_adjacency(flipped) == triangulation.mutate(B, 0),
     )
 
-    notched = TypeITri(
-        BASE_TRI.triple, tuple((p, Tagging.NOTCHED) for p, _ in BASE_TRI.taggings)
-    )
+    notched = type_i_triangulation(BASE_TRIPLE, tuple((p, Tagging.NOTCHED) for p in PUNCTURES))
     check(
         "all-notched triangulation reverses spirals",
         shear_wrt(LAMBDA, notched) == (-2, 0, 1, -2, 1, 1),
@@ -144,7 +143,7 @@ def run_selftest() -> list[tuple[str, bool]]:
     check("torus shear of slope 0", torus_shear(Slope(1, 0)) == (0, 1, -1))
     check(
         "sphere-to-torus projection",
-        shear.sphere_torus_check(Slope(2, 3), BASE_TRI),
+        shear.sphere_torus_check(Slope(2, 3), t0),
     )
 
     base_coll = fan.MaximalCollection(

@@ -1,5 +1,6 @@
 """Shear coordinates of allowable curves with respect to the base
-triangulation and to arbitrary type-I triangulations.
+triangulation and to any type-I tagged triangulation, coordinate i at
+``tri.arcs[i]`` as in :func:`triangulation.signed_adjacency`.
 
 Three mutually checking computation paths are provided:
 
@@ -28,16 +29,16 @@ from .curves import (
     V00,
     PUNCTURES,
     AllowableCurve,
-    Puncture,
     SpiralDir,
+    TaggedTriangulation,
     Tagging,
+    _key_images,
+    base_triangulation,
     curves_compatible,
-    json_field,
-    json_object,
     tag_choices,
+    type_i_triangulation,
 )
-from .errors import BoundExhausted, InternalError, MalformedInput, NotFareyTriple, \
-    UnsupportedBaseCase
+from .errors import BoundExhausted, DomainError, InternalError, UnsupportedBaseCase
 from .lattice import (
     INF,
     MINUS_ONE,
@@ -47,7 +48,6 @@ from .lattice import (
     check_height,
     enumerate_slopes,
     farey1_triples,
-    is_farey1_triple,
     separating_neighbors,
     triple_to_basis,
 )
@@ -401,79 +401,46 @@ def shear_oracle(curve: AllowableCurve) -> ShearVector:
 # ---------------------------------------------------------------------------
 
 
-_ALL_PLAIN = tuple((p, Tagging.PLAIN) for p in PUNCTURES)
-
-
-class TypeITri(Frozen):
-    """A type-I tagged triangulation: a Farey-1 triple of slopes (two
-    parallel arcs per slope) with one tagging per puncture."""
-
-    __slots__ = _fields = ("triple", "taggings")
-    triple: tuple[Slope, Slope, Slope]
-    taggings: tuple[tuple[Puncture, Tagging], ...]
-
-    def __init__(self, triple: tuple[Slope, Slope, Slope],
-                 taggings: tuple[tuple[Puncture, Tagging], ...] = _ALL_PLAIN) -> None:
-        if not is_farey1_triple(*triple):
-            raise NotFareyTriple(f"{triple} is not a Farey-1 triple")
-        tags = tuple(sorted(taggings, key=lambda e: e[0]))
-        if tuple(p for p, _ in tags) != PUNCTURES:
-            raise ValueError("taggings must cover each puncture exactly once")
-        object.__setattr__(self, "triple", triple)
-        object.__setattr__(self, "taggings", tags)
-
-    def to_json(self) -> dict:
-        return {
-            "triple": [str(s) for s in self.triple],
-            "tags": {str(p): t.value for p, t in self.taggings},
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "TypeITri":
-        obj = json_object(obj, "triple", "tags")
-        triple = tuple(Slope.parse(s) for s in json_field(obj, "triple", list))
-        if len(triple) != 3:
-            raise MalformedInput(f"'triple' lists three slopes, got {len(triple)}")
-        tags = json_field(obj, "tags", dict) if "tags" in obj else {}
-        if set(tags) - {str(p) for p in PUNCTURES}:
-            raise MalformedInput("tags are keyed by the punctures 00, 01, 10, 11, "
-                                 f"got {sorted(tags)}")
-        taggings = tuple(
-            (p, Tagging(tags.get(str(p), "plain"))) for p in PUNCTURES
-        )
-        return TypeITri(triple, taggings)  # type: ignore[arg-type]
-
-
 BASE_TRIPLE: tuple[Slope, Slope, Slope] = (ZERO, INF, MINUS_ONE)
 
-_FAMILY_OF_SLOPE = {ZERO: 0, INF: 1, MINUS_ONE: 2}
+_BASE = base_triangulation()
+# the index of each base arc by its slope vector and endpoint mask
+_BASE_SLOT = {arc._key[:3]: i for i, arc in enumerate(_BASE.arcs)}
 
 
-def _basis_change(tri: TypeITri) -> tuple[UnimodularMap, tuple[int, ...]]:
-    """The map carrying the triple of ``tri`` onto the base triple, and for
-    each slot i the base family (0, 1 or 2) that ``triple[i]`` lands on."""
-    m = triple_to_basis(tri.triple)
-    return m, tuple(_FAMILY_OF_SLOPE[m.apply_slope(q)] for q in tri.triple)
+def _type_i_triple(tri: TaggedTriangulation) -> tuple[Slope, ...]:
+    """The slopes of the arcs of ``tri`` through v00, in arc order; a
+    triangulation not of type I, the one type with all degrees 3, is a
+    DomainError."""
+    if tri.degree_sequence != (3, 3, 3, 3):
+        raise DomainError("the triangulation is not type I: its puncture degrees are "
+                          f"{tri.degree_sequence}, not (3, 3, 3, 3)")
+    return tuple(arc.slope for arc in tri.arcs if V00 in arc.punctures)
 
 
-def shear_wrt(curve: AllowableCurve, tri: TypeITri) -> ShearVector:
-    """Shear coordinates of a curve with respect to a type-I triangulation.
+def _base_slots(tri: TaggedTriangulation) -> tuple[UnimodularMap, tuple[int, ...]]:
+    """The orientation-preserving lattice map carrying a type-I ``tri``
+    onto the base triangulation, and for each arc of ``tri`` the index of
+    its image among the base arcs.  The map fixes v00, so arcs through v00
+    land on base arcs 0-2 and the others on 3-5."""
+    m = triple_to_basis(_type_i_triple(tri))  # type: ignore[arg-type]
+    images = _key_images([arc._key for arc in tri.arcs], m)
+    return m, tuple(_BASE_SLOT[key[:3]] for key in images)
+
+
+def shear_wrt(curve: AllowableCurve, tri: TaggedTriangulation) -> ShearVector:
+    """Shear coordinates of a curve with respect to a type-I triangulation,
+    coordinate i at ``tri.arcs[i]``.
 
     Notched punctures reverse the spiral directions of incident curves;
-    the triangulation is then carried onto the base one by the unimodular
-    map of its triple, and coordinates are read back through the induced
-    arc correspondence (slot i and i+3 hold the two arcs of slope
-    ``triple[i]``).
+    a lattice map m then carries the triangulation onto the base one, and
+    coordinate i is the base coordinate of m(curve) at the image of arc i.
     """
-    for p, tag in tri.taggings:
-        if tag is Tagging.NOTCHED:
-            curve = curve.reverse_spiral(p)
-    m, families = _basis_change(tri)
+    m, slots = _base_slots(tri)
+    for p in {p for arc in tri.arcs for p, t in arc.ends if t is Tagging.NOTCHED}:
+        curve = curve.reverse_spiral(p)
     v = shear_closed_form(curve.image(m))
-    return tuple(v[f] for f in families) + tuple(v[f + 3] for f in families)  # type: ignore
-
-
-BASE_TRI = TypeITri(BASE_TRIPLE)
+    return tuple(v[i] for i in slots)  # type: ignore[return-value]
 
 
 Weights = tuple[tuple[AllowableCurve, int], ...]
@@ -544,7 +511,8 @@ class QuasiLamination(Frozen):
         return tuple(c for c, _ in self.weights)
 
 
-def tangle_shear(tangle: Tangle | QuasiLamination, tri: TypeITri = BASE_TRI) -> ShearVector:
+def tangle_shear(tangle: Tangle | QuasiLamination,
+                 tri: TaggedTriangulation = _BASE) -> ShearVector:
     vec = [0] * 6
     for c, w in tangle.weights:
         s = shear_wrt(c, tri)
@@ -553,7 +521,7 @@ def tangle_shear(tangle: Tangle | QuasiLamination, tri: TypeITri = BASE_TRI) -> 
     return tuple(vec)  # type: ignore[return-value]
 
 
-def shear_lamination(lam: QuasiLamination, tri: TypeITri = BASE_TRI) -> ShearVector:
+def shear_lamination(lam: QuasiLamination, tri: TaggedTriangulation = _BASE) -> ShearVector:
     return tangle_shear(lam, tri)
 
 
@@ -592,14 +560,14 @@ def torus_shear(s: Slope) -> tuple[int, int, int]:
     return apply_perm(_UNROTATE[rot][:3], torus_shear(rot.apply_slope(s)))  # type: ignore
 
 
-def sphere_torus_check(s: Slope, tri: TypeITri) -> bool:
-    """Projection identity: for a closed curve, each sphere coordinate
-    pair (i, i+3) collapses to the torus coordinate of the corresponding
-    torus arc."""
+def sphere_torus_check(s: Slope, tri: TaggedTriangulation) -> bool:
+    """Projection identity: for a closed curve, the sphere coordinates at
+    the two arcs of each slope of a type-I triangulation collapse to the
+    torus coordinate of the corresponding torus arc."""
     sphere = shear_wrt(AllowableCurve(s), tri)
-    m, families = _basis_change(tri)
+    m, slots = _base_slots(tri)
     torus = torus_shear(m.apply_slope(s))
-    return all(sphere[i] == sphere[i + 3] == torus[f] for i, f in enumerate(families))
+    return all(x == torus[i % 3] for x, i in zip(sphere, slots))
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +575,7 @@ def sphere_torus_check(s: Slope, tri: TypeITri) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def find_witness(tangle: Tangle, max_height: int = 12) -> TypeITri | None:
+def find_witness(tangle: Tangle, max_height: int = 12) -> TaggedTriangulation | None:
     """A type-I triangulation on which the tangle has nonzero shear, or
     None for a trivial tangle.
 
@@ -635,7 +603,7 @@ def find_witness(tangle: Tangle, max_height: int = 12) -> TypeITri | None:
     taggings = tag_choices(PUNCTURES)
     for triple in triples():
         for tags in taggings:
-            tri = TypeITri(triple, tags)
+            tri = type_i_triangulation(triple, tags)
             if any(tangle_shear(tangle, tri)):
                 return tri
     raise BoundExhausted(

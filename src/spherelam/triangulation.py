@@ -1,6 +1,8 @@
-"""Tagged triangulations of the four-punctured sphere.
+"""Tagged triangulations of the four-punctured sphere: types, flips and
+exchange matrices.
 
-Every tagged triangulation has six arcs and falls into one of six
+The class :class:`~spherelam.curves.TaggedTriangulation` and its builders
+live in :mod:`spherelam.curves`.  Every tagged triangulation has six arcs and falls into one of six
 combinatorial types.  :func:`build_type` assembles each type from three
 pieces: ``arc(s, x, y)``, the arc of slope s from x to y carrying the tags
 of its endpoints; ``both(s)``, the two such arcs of slope s; and
@@ -52,13 +54,14 @@ from .curves import (
     PUNCTURES,
     Puncture,
     TaggedArc,
+    TaggedTriangulation,
     Tagging,
     _arc_key,
     _arc_of_key,
     _key_images,
     _keys_compatible,
     _slope_keys,
-    arcs_compatible,
+    base_triangulation,
     endpoint_sets,
     tag_choices,
 )
@@ -67,13 +70,9 @@ from .errors import (
     InternalError,
     InternalNonUnique,
     InvalidParameters,
-    MalformedInput,
     NotAllPlain,
 )
 from .lattice import (
-    INF,
-    MINUS_ONE,
-    ZERO,
     Slope,
     det2,
     enumerate_slopes,
@@ -84,71 +83,6 @@ from .lattice import (
     standard_form,
     standard_vector,
 )
-
-_ADMISSIBLE_DEGREES = {(2, 2, 2, 6), (2, 2, 3, 5), (2, 2, 4, 4), (3, 3, 3, 3)}
-
-
-class TaggedTriangulation(Frozen):
-    """Six distinct pairwise compatible tagged arcs, in a fixed order;
-    equal to any triangulation with the same set of arcs."""
-
-    __slots__ = ("arcs", "arc_set")
-    _fields = ("arcs",)
-    arcs: tuple[TaggedArc, ...]
-    arc_set: frozenset[TaggedArc]
-
-    def __init__(self, arcs: tuple[TaggedArc, ...]) -> None:
-        object.__setattr__(self, "arcs", arcs)
-        object.__setattr__(self, "arc_set", frozenset(arcs))
-        if len(self.arcs) != 6 or len(self.arc_set) != 6:
-            raise ValueError("a tagged triangulation has exactly 6 distinct arcs")
-        for x, y in itertools.combinations(self.arcs, 2):
-            if not arcs_compatible(x, y):
-                raise ValueError(f"incompatible arcs {x}, {y}")
-        if self.degree_sequence not in _ADMISSIBLE_DEGREES:
-            raise ValueError(f"impossible degree sequence {self.degree_sequence}")
-
-    @property
-    def degree_sequence(self) -> tuple[int, int, int, int]:
-        deg = {p: 0 for p in PUNCTURES}
-        for arc in self.arcs:
-            for p in arc.punctures:
-                deg[p] += 1
-        return tuple(sorted(deg.values()))  # type: ignore[return-value]
-
-    @property
-    def height(self) -> int:
-        return max(arc.height for arc in self.arcs)
-
-    @property
-    def all_plain(self) -> bool:
-        return all(
-            t is Tagging.PLAIN for arc in self.arcs for _, t in arc.ends
-        )
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TaggedTriangulation) and self.arc_set == other.arc_set
-
-    def __hash__(self) -> int:
-        return hash(self.arc_set)
-
-    def to_json(self) -> list:
-        return [arc.to_json() for arc in self.arcs]
-
-    @staticmethod
-    def from_json(obj: list) -> "TaggedTriangulation":
-        if not isinstance(obj, list):
-            raise MalformedInput("a triangulation is a JSON array of arcs")
-        return TaggedTriangulation(tuple(TaggedArc.from_json(a) for a in obj))
-
-
-def base_triangulation() -> TaggedTriangulation:
-    """The base triangulation: arcs 1,4 of slope 0, arcs 2,5 of slope inf,
-    arcs 3,6 of slope -1, all plain, indexed so that arcs 1,2,3 pass
-    through v00."""
-    return TaggedTriangulation(tuple(
-        TaggedArc(s, tuple((p, Tagging.PLAIN) for p in endpoint_sets(s)[which]))
-        for which in (0, 1) for s in (ZERO, INF, MINUS_ONE)))
 
 
 def f2_companions(p: Slope, q: Slope) -> tuple[Slope, Slope]:

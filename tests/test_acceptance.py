@@ -22,6 +22,7 @@ from spherelam.curves import (
     SpiralDir,
     endpoint_sets,
     enumerate_curves,
+    type_i_triangulation,
 )
 from spherelam.errors import UnsupportedBaseCase
 from spherelam.selftest import SHEAR_FIXTURES
@@ -35,11 +36,9 @@ from spherelam.lattice import (
     standard_form,
 )
 from spherelam.shear import (
-    BASE_TRI,
     GAMMA24,
     QuasiLamination,
     Tangle,
-    TypeITri,
     apply_perm,
     find_witness,
     format_word,
@@ -260,7 +259,7 @@ def test_criterion_10_torus_projection():
     triples = farey1_triples(enumerate_slopes(3))
     slopes = enumerate_slopes(10)
     for triple in triples:
-        tri = TypeITri(triple)
+        tri = type_i_triangulation(triple)
         for s in slopes:
             assert sphere_torus_check(s, tri), (s, triple)
     # nonnegative slopes realize [-b, a, b-a] literally; negative slopes

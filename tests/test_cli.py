@@ -10,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 import spherelam
 from spherelam import cli
 from spherelam.cli import run
-from spherelam.errors import InternalNonUnique
-from spherelam.curves import AllowableCurve, TaggedArc, Tagging
+from spherelam.errors import DomainError, InternalNonUnique
+from spherelam.curves import V01, PUNCTURES, AllowableCurve, TaggedArc, TaggedTriangulation, \
+    Tagging, base_triangulation, type_i_triangulation
 from spherelam.render import RenderSpec, curve_polyline, grid_lines, render
-from spherelam.lattice import Slope
-from spherelam.shear import BASE_TRI
-from spherelam.triangulation import TaggedTriangulation, base_triangulation, classify, \
-    enumerate_triangulations, signed_adjacency
+from spherelam.lattice import INF, MINUS_ONE, ZERO, Slope
+from spherelam.shear import shear_wrt
+from spherelam.triangulation import classify, enumerate_triangulations, flip, signed_adjacency
 
 
 def ok(argv):
@@ -52,6 +52,52 @@ class TestShearCommand:
         curve = '{"slope":"3/2","ends":[{"v":"00","spiral":"ccw"},{"v":"01","spiral":"ccw"}]}'
         assert ok(["shear", "--curve", curve, "--tri", tri]) == [-2, 0, 1, -2, 1, 1]
 
+    def test_both_forms_of_tri(self):
+        # the compact type-I object and its six-arc array are one triangulation,
+        # and the coordinates follow its arcs
+        compact = {"triple": ["2/1", "1/1", "inf"], "tags": {"01": "notched"}}
+        tri = TaggedTriangulation.from_json(compact)
+        assert tri.arcs == type_i_triangulation(
+            (Slope(1, 2), Slope(1, 1), INF),
+            tuple((p, Tagging.NOTCHED if p == V01 else Tagging.PLAIN) for p in PUNCTURES)).arcs
+        for c in (CURVE_PRIME, '{"closed":"3/2"}'):
+            want = list(shear_wrt(AllowableCurve.from_json(json.loads(c)), tri))
+            for form in (compact, tri.to_json()):
+                assert ok(["shear", "--curve", c, "--tri", json.dumps(form)]) == want
+
+    def test_tri_not_of_type_one(self):
+        # a type-II arc array: one domain error document for every method
+        type_ii = json.dumps(flip(base_triangulation(), 0).to_json())
+        for method in ("formula", "word", "oracle"):
+            doc = json.loads(fails(["shear", "--curve", '{"closed":"3/2"}', "--tri", type_ii,
+                                    "--method", method]))
+            assert doc["kind"] == "domain", doc
+        doc = json.loads(fails(["shear", "--curve", CURVE_PRIME, "--tri", type_ii]))
+        assert doc["error"] == ("DomainError: the triangulation is not type I: its puncture "
+                                "degrees are (2, 2, 4, 4), not (3, 3, 3, 3)")
+
+    def test_word_and_oracle_need_the_base_arcs_in_order(self):
+        # equal arc sets are not enough: the base slopes in another order
+        # would print the coordinates in that order
+        closed = '{"closed":"3/2"}'
+        base = base_triangulation().to_json()
+        in_order = [{"triple": ["0", "inf", "-1"]}, base]
+        reordered = [{"triple": ["inf", "0", "-1"]}, base[::-1], base[3:] + base[:3]]
+        for method in ("word", "oracle"):
+            for tri in in_order:
+                assert ok(["shear", "--curve", closed, "--method", method,
+                           "--tri", json.dumps(tri)]) == [-3, 2, 1, -3, 2, 1]
+            for tri in reordered:
+                doc = json.loads(fails(["shear", "--curve", closed, "--method", method,
+                                        "--tri", json.dumps(tri)]))
+                assert doc["kind"] == "domain"
+                assert doc["error"].endswith("computes against the base triangulation"), doc
+
+    def test_not_a_farey_triple_names_its_slopes(self):
+        doc = json.loads(fails(["shear", "--curve", CURVE_PRIME,
+                                "--tri", '{"triple":["0","inf","inf"]}']))
+        assert doc["error"] == "NotFareyTriple: (0/1, inf, inf) is not a Farey-1 triple"
+
     def test_bad_curve_is_domain_error(self):
         fails(["shear", "--curve", '{"slope":"3/2","ends":[{"v":"00","spiral":"cw"},{"v":"10","spiral":"cw"}]}'])
 
@@ -84,6 +130,13 @@ class TestTriangulationCommands:
         assert doc["type"]["type"] == "II"
         back = ok(["classify", "--tri", json.dumps(doc["triangulation"])])
         assert back["type"] == doc["type"]
+
+    def test_classify_compact_type_one(self):
+        # the compact form is type I with the triple's slopes, sorted, and its tags
+        compact = {"triple": ["inf", "2/1", "1/1"], "tags": {"10": "notched"}}
+        assert ok(["classify", "--tri", json.dumps(compact)])["type"] == {
+            "type": "I", "slopes": ["1/1", "2/1", "inf"],
+            "tags": {"00": "plain", "01": "plain", "10": "notched", "11": "plain"}}
 
     def test_flip(self):
         t0 = json.dumps(base_triangulation().to_json())
@@ -152,11 +205,39 @@ class TestFanCommands:
         empty = ok(["tangle-check", "--tangle", "[]"])
         assert empty["witness"] is None
 
+    def test_tangle_check_witness_round_trip(self):
+        # the witness is a six-arc array; shear --tri reads it back and
+        # reproduces the document's shear.  The two closed curves cancel on
+        # the base triangulation, so the witness is another one.
+        entries = [{"curve": {"closed": "inf"}, "weight": 1},
+                   {"curve": {"closed": "-1/2"}, "weight": 1},
+                   {"curve": json.loads(CURVE_PRIME), "weight": 0}]
+        doc = ok(["tangle-check", "--tangle", json.dumps(entries)])
+        assert len(doc["witness"]) == 6
+        assert TaggedTriangulation.from_json(doc["witness"]) != base_triangulation()
+        total = [0] * 6
+        for e in entries:
+            v = ok(["shear", "--curve", json.dumps(e["curve"]),
+                    "--tri", json.dumps(doc["witness"])])
+            total = [t + e["weight"] * x for t, x in zip(total, v)]
+        assert total == doc["shear"] and any(total)
+
 
 class TestSelftest:
     def test_selftest_passes(self):
         doc = ok(["selftest"])
         assert doc["failed"] == 0 and doc["passed"] > 30
+
+    def test_failed_check_is_a_bug(self, monkeypatch):
+        # a published fixture that fails is an internal error, not bad input
+        import spherelam.selftest
+
+        monkeypatch.setattr(spherelam.selftest, "run_selftest", lambda: [
+            ("fixture a", True), ("fixture b", False), ("fixture c", False)])
+        doc = json.loads(fails(["selftest"], code=3))
+        assert doc == {"schema": cli.SCHEMA, "kind": "internal",
+                       "error": "InternalError: 2 of 3 selftest checks failed: "
+                                "fixture b; fixture c"}
 
 
 class TestPlainOutput:
@@ -217,7 +298,7 @@ class TestRender:
             RenderSpec(window=(2, 0, 0, 2))
 
     def test_grid_lines_cover_window(self):
-        fams = grid_lines(BASE_TRI, (0, 2, 0, 2))
+        fams = grid_lines(base_triangulation(), (0, 2, 0, 2))
         assert len(fams) == 3
         assert all(len(f) >= 3 for f in fams)
 
@@ -240,15 +321,15 @@ class TestRender:
 
     def test_grid_lines_match_fraction_clipping(self):
         from spherelam.render import _line_offsets
-        from spherelam.shear import TypeITri
 
-        tris = (BASE_TRI, TypeITri((Slope(2, 1), Slope(3, 2), Slope(1, 1))),
-                TypeITri((Slope(1, -2), Slope(2, -3), Slope(1, -1))))
+        triples = ((ZERO, INF, MINUS_ONE), (Slope(2, 1), Slope(3, 2), Slope(1, 1)),
+                   (Slope(1, -2), Slope(2, -3), Slope(1, -1)))
         windows = ((0, 2, 0, 2), (-3, 2, -4, 1), (-7, -2, -5, -1), (5, 9, -9, -2),
                    (10**12, 10**12 + 2, -3, 0))
-        for tri in tris:
+        for triple in triples:
+            tri = type_i_triangulation(triple)
             for w in windows:
-                for s, segs in zip(tri.triple, grid_lines(tri, w)):
+                for s, segs in zip(triple, grid_lines(tri, w)):
                     a, b = s.vector
                     # any point of the line b*x - a*y = c will do
                     anchors = (((Fraction(c, b), Fraction(0)) if b else (Fraction(0), Fraction(-c, a)))
@@ -262,13 +343,11 @@ class TestRender:
     def test_far_windows_keep_their_lines(self):
         # anchors more than 10^9 parameter units from the window, which a
         # clipping window of t in [-10^9, 10^9] would lose
-        fams = grid_lines(BASE_TRI, (10**12, 10**12 + 2, 0, 2))
+        fams = grid_lines(base_triangulation(), (10**12, 10**12 + 2, 0, 2))
         assert [len(f) for f in fams] == [3, 3, 3]
 
     def test_nontrivial_triple_grid(self):
-        from spherelam.shear import TypeITri
-
-        tri = TypeITri((Slope(2, 1), Slope(3, 2), Slope(1, 1)))
+        tri = type_i_triangulation((Slope(2, 1), Slope(3, 2), Slope(1, 1)))
         fams = grid_lines(tri, (0, 3, 0, 3))
         assert len(fams) == 3 and all(fams)
         doc = render(RenderSpec(triangulation=tri, window=(0, 3, 0, 3)))
@@ -395,6 +474,28 @@ class TestErrorDocuments:
         assert doc["kind"] == "domain"
         assert doc["error"] == "MalformedInput: JSON input nested too deeply", doc
 
+    def test_render_tri_not_of_type_one(self, tmp_path):
+        # a type-II arc array has four grid slopes and three family styles
+        out = tmp_path / "grid.svg"
+        type_ii = flip(base_triangulation(), 0)
+        doc = json.loads(fails(["render", "--tri", json.dumps(type_ii.to_json()),
+                                "--out", str(out)]))
+        assert doc["kind"] == "domain"
+        assert doc["error"].startswith("DomainError: the triangulation is not type I"), doc
+        assert not out.exists()
+        with pytest.raises(DomainError):
+            RenderSpec(triangulation=type_ii)
+
+    def test_render_tri_forms(self, tmp_path):
+        # both JSON forms draw the grid of one triangulation
+        tri = TaggedTriangulation.from_json(_TYPE_I)
+        want = render(RenderSpec((AllowableCurve(Slope(2, 3)),), tri, (0, 2, 0, 2)))
+        for i, form in enumerate((_TYPE_I, tri.to_json())):
+            out = tmp_path / f"{i}.svg"
+            ok(["render", "--curve", '{"closed":"3/2"}', "--tri", json.dumps(form),
+                "--out", str(out)])
+            assert out.read_text() == want
+
     @pytest.mark.parametrize("where", ["missing-directory", "directory"])
     def test_unwritable_render_output(self, tmp_path, where):
         out = tmp_path / "missing" / "curve.svg" if where == "missing-directory" else tmp_path
@@ -481,9 +582,9 @@ class TestWorkCaps:
 
     def test_element_count_bounds_render(self):
         from spherelam.render import element_count
-        from spherelam.shear import TypeITri
 
-        for tri in (BASE_TRI, TypeITri((Slope(2, 1), Slope(3, 2), Slope(1, 1)))):
+        for tri in (base_triangulation(), type_i_triangulation((Slope(2, 1), Slope(3, 2),
+                                                                Slope(1, 1)))):
             for window in ((0, 2, 0, 2), (-3, 1, 2, 7), (0, 1, 0, 9)):
                 spec = RenderSpec(triangulation=tri, window=window)
                 svg = render(spec)
@@ -587,6 +688,7 @@ class TestColdStart:
     def test_command_import_sets(self, tmp_path):
         t0 = json.dumps(base_triangulation().to_json())
         B = json.dumps([list(r) for r in signed_adjacency(base_triangulation())])
+        compact = json.dumps(_TYPE_I)
         never = {"render", "selftest"}
         cases = {
             "shear": (["shear", "--curve", CURVE_PRIME],
@@ -613,6 +715,15 @@ class TestColdStart:
                               '[{"curve":{"closed":"1/1"},"weight":1}]'],
                              {"fan", "triangulation", "exactla", "plane"}),
             "classify": (["classify", "--tri", t0], {"fan", "shear", "exactla", "plane"}),
+            "shear-tri-compact": (["shear", "--curve", CURVE_PRIME, "--tri", compact],
+                                  {"fan", "triangulation", "exactla", "plane"}),
+            "shear-tri-arcs": (["shear", "--curve", CURVE_PRIME, "--tri", t0],
+                               {"fan", "triangulation", "exactla", "plane"}),
+            "render-tri": (["render", "--curve", '{"closed":"3/2"}', "--tri", compact,
+                            "--out", str(tmp_path / "grid.svg")],
+                           {"fan", "triangulation", "exactla", "plane"}),
+            "classify-compact": (["classify", "--tri", compact],
+                                 {"fan", "shear", "exactla", "plane"}),
             "triangulate": (["triangulate", "--type", "VI", "--p", "0", "--q", "inf",
                              "--r=-1", "--v", "00", "--tag", "00=plain"],
                             {"fan", "shear", "exactla", "plane"}),
@@ -620,7 +731,7 @@ class TestColdStart:
         for name, (argv, absent) in cases.items():
             loaded = _modules_loaded(argv)
             assert "curves" in loaded, (name, sorted(loaded))
-            assert not loaded & (absent | (never - {name})), (name, sorted(loaded))
+            assert not loaded & (absent | (never - {argv[0]})), (name, sorted(loaded))
             assert not loaded & {"dataclasses", "inspect"}, (name, sorted(loaded))
             assert not loaded & {"fractions", "decimal"}, (name, sorted(loaded))
 
@@ -819,16 +930,16 @@ def _fuzz_argv(draw):
         argv = ["shear", "--curve", arg(draw(st.sampled_from(_CURVES))),
                 "--method", draw(st.sampled_from(("formula", "word", "oracle")))]
         if draw(st.booleans()):
-            argv += ["--tri", arg(_TYPE_I)]
+            argv += ["--tri", arg(draw(st.sampled_from((_TYPE_I, *_TRIS))))]
         return argv
     if name == "compat":
         pool = draw(st.sampled_from((_CURVES, _TRIS[0], _TRIS[1])))
         return ["compat", "--a", arg(draw(st.sampled_from(pool))),
                 "--b", arg(draw(st.sampled_from(pool)))]
     if name in ("classify", "badj"):
-        return [name, "--tri", arg(draw(st.sampled_from(_TRIS)))]
+        return [name, "--tri", arg(draw(st.sampled_from((*_TRIS, _TYPE_I))))]
     if name == "flip":
-        return ["flip", "--tri", arg(draw(st.sampled_from(_TRIS))), "--k", k]
+        return ["flip", "--tri", arg(draw(st.sampled_from((*_TRIS, _TYPE_I)))), "--k", k]
     if name == "mutate":
         return ["mutate", "--matrix", arg(_MATRIX), "--k", k]
     return ["tangle-check", "--tangle", arg(_TANGLE), "--max-height", "1"]
@@ -894,7 +1005,7 @@ def _fuzz_heavy_argv(draw):
     for _ in range(draw(st.integers(0, 2))):
         argv.append("--curve=" + arg(draw(st.sampled_from(_CURVES))))
     if draw(st.booleans()):
-        argv.append("--tri=" + arg(_TYPE_I))
+        argv.append("--tri=" + arg(draw(st.sampled_from((_TYPE_I, *_TRIS)))))
     if draw(st.integers(0, 4)):
         x, y = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
         w, h = draw(st.integers(0, 3)), draw(st.integers(0, 3))

@@ -10,17 +10,24 @@ from hypothesis import assume, given, settings, strategies as st
 from spherelam import cli
 from spherelam.curves import (
     V00, V01, V10, V11,
+    PUNCTURES,
     AllowableCurve,
     SpiralDir,
+    TaggedTriangulation,
     Tagging,
+    base_triangulation,
     endpoint_sets,
     enumerate_curves,
+    kappa,
+    tag_choices,
+    type_i_triangulation,
 )
-from spherelam.errors import BoundExhausted, UnsupportedBaseCase
-from spherelam.lattice import INF, MAX_HEIGHT, MINUS_ONE, ZERO, Slope, enumerate_slopes
+from spherelam.errors import BoundExhausted, DomainError, UnsupportedBaseCase
+from spherelam.lattice import INF, MAX_HEIGHT, MINUS_ONE, ZERO, Slope, enumerate_slopes, \
+    farey1_triples, triple_to_basis
 from spherelam.selftest import LAMBDA, LAMBDA_C, LAMBDA_PP, SHEAR_FIXTURES
 from spherelam.shear import (
-    BASE_TRI,
+    BASE_TRIPLE,
     GAMMA24,
     GROUP_Y,
     GROUP_Z,
@@ -32,7 +39,6 @@ from spherelam.shear import (
     RHO2,
     QuasiLamination,
     Tangle,
-    TypeITri,
     apply_perm,
     compose,
     find_witness,
@@ -278,22 +284,67 @@ class TestAgreement:
                 assert abs(v[2] - v[5]) <= 1
 
 
+# The basis change of shear_wrt before its coordinates followed the arcs,
+# kept as the oracle: slots i and i + 3 hold the two arcs of triple[i], the
+# one through v00 first, read through the map of the ordered triple.
+_FAMILY_OF_SLOPE = {ZERO: 0, INF: 1, MINUS_ONE: 2}
+
+
+def slot_shear(c, triple, taggings):
+    for p, tag in taggings:
+        if tag is Tagging.NOTCHED:
+            c = c.reverse_spiral(p)
+    m = triple_to_basis(triple)
+    families = [_FAMILY_OF_SLOPE[m.apply_slope(q)] for q in triple]
+    v = shear_closed_form(c.image(m))
+    return tuple(v[f] for f in families) + tuple(v[f + 3] for f in families)
+
+
 class TestShearWrt:
     def test_identity_triangulation(self):
+        base = base_triangulation()
         for c in enumerate_curves(4):
-            assert shear_wrt(c, BASE_TRI) == shear_closed_form(c)
+            assert shear_wrt(c, base) == shear_closed_form(c)
+
+    def test_matches_the_slot_oracle(self):
+        # every Farey-1 triple of height <= 3 in every order, the 16
+        # taggings taken in turn, and all 16 on the base triple
+        taggings = tag_choices(PUNCTURES)
+        triples = farey1_triples(enumerate_slopes(3))
+        assert len(triples) == 14
+        cases = [(order, taggings[n % 16]) for n, order in enumerate(
+            order for triple in triples for order in itertools.permutations(triple))]
+        low, high = enumerate_curves(3), enumerate_curves(4)
+        for (triple, tags), curves in [(case, low) for case in cases] + \
+                [((BASE_TRIPLE, tags), high) for tags in taggings]:
+            tri = type_i_triangulation(triple, tags)
+            for c in curves:
+                assert shear_wrt(c, tri) == slot_shear(c, triple, tags), (c, triple, tags)
+
+    def test_coordinates_follow_the_arcs(self):
+        # reordering the arcs reorders the coordinates in step
+        tri = type_i_triangulation((Slope(1, 2), Slope(1, 1), INF),
+                                   tuple(zip(PUNCTURES, (Tagging.NOTCHED, *[Tagging.PLAIN] * 3))))
+        order = (4, 0, 5, 2, 1, 3)
+        moved = TaggedTriangulation(tuple(tri.arcs[i] for i in order))
+        for c in enumerate_curves(3):
+            v = shear_wrt(c, tri)
+            assert shear_wrt(c, moved) == tuple(v[i] for i in order)
+
+    def test_other_types_are_domain_errors(self):
+        from spherelam.triangulation import flip
+
+        for k in range(6):
+            with pytest.raises(DomainError, match="not type I"):
+                shear_wrt(LAMBDA, flip(base_triangulation(), k))
 
     def test_all_notched(self):
-        notched = TypeITri(
-            BASE_TRI.triple, tuple((p, Tagging.NOTCHED) for p, _ in BASE_TRI.taggings)
-        )
+        notched = type_i_triangulation(BASE_TRIPLE,
+                                       tuple((p, Tagging.NOTCHED) for p in PUNCTURES))
         assert shear_wrt(LAMBDA, notched) == (-2, 0, 1, -2, 1, 1)
 
     def test_closed_curves_ignore_tags(self):
-        tris = [
-            TypeITri(BASE_TRI.triple, tuple(zip([V00, V01, V10, V11], tags)))
-            for tags in itertools.product([Tagging.PLAIN, Tagging.NOTCHED], repeat=4)
-        ]
+        tris = [type_i_triangulation(BASE_TRIPLE, tags) for tags in tag_choices(PUNCTURES)]
         for s in enumerate_slopes(3):
             base = shear_wrt(AllowableCurve(s), tris[0])
             assert all(shear_wrt(AllowableCurve(s), t) == base for t in tris)
@@ -301,13 +352,13 @@ class TestShearWrt:
     def test_basis_change_round_trip(self):
         # shear with respect to a nontrivial triple, read back through the
         # inverse basis change, matches the base computation
-        tri = TypeITri((Slope(2, 1), Slope(3, 2), Slope(1, 1)))
+        tri = type_i_triangulation((Slope(2, 1), Slope(3, 2), Slope(1, 1)))
         for c in enumerate_curves(3):
             v = shear_wrt(c, tri)
             assert len(v) == 6
 
     def test_injectivity_wrt_other_triangulation(self):
-        tri = TypeITri((Slope(1, 2), Slope(1, 1), INF))
+        tri = type_i_triangulation((Slope(1, 2), Slope(1, 1), INF))
         seen = {}
         for c in enumerate_curves(4):
             v = shear_wrt(c, tri)
@@ -315,40 +366,23 @@ class TestShearWrt:
             seen[v] = c
 
     def test_own_arcs_give_negative_units(self):
-        # with respect to any all-plain type-I triangulation, the kappa
-        # image of its i-th arc has coordinates -e_i; slots i and i+3 hold
-        # the two arcs of the i-th slope of the triple
-        import itertools as it
-
-        from spherelam.curves import endpoint_sets, kappa, TaggedArc
-        from spherelam.lattice import enumerate_slopes, is_farey1_triple
-        from spherelam.shear import Tagging
-
+        # with respect to any type-I triangulation, the kappa image of its
+        # arc i has coordinates -e_i: the notched ends of the arc spiral
+        # counterclockwise, and the tags of the triangulation reverse them
         pool = enumerate_slopes(3)
-        triples = [
-            t for t in it.combinations(pool, 3) if is_farey1_triple(*t)
-        ][::3]
-        for triple in triples + [tuple(reversed(triples[0]))]:
-            tri = TypeITri(triple)
-            m_arcs = []
-            for i, s in enumerate(triple):
-                near, far = endpoint_sets(s)
-                m_arcs.append((i, s, near))
-                m_arcs.append((i + 3, s, far))
-            # identify which endpoint pair sits in slot i versus i+3 by
-            # reading off where the unit coordinate lands
-            for _, s, pair in m_arcs:
-                arc = TaggedArc(s, ((pair[0], Tagging.PLAIN), (pair[1], Tagging.PLAIN)))
-                v = shear_wrt(kappa(arc), tri)
-                assert sorted(v) == [-1, 0, 0, 0, 0, 0]
-                slot = v.index(-1)
-                assert triple[slot % 3] == s
+        triples = farey1_triples(pool)[::3]
+        taggings = tag_choices(PUNCTURES)
+        for n, triple in enumerate(triples + [tuple(reversed(triples[0]))]):
+            tri = type_i_triangulation(triple, taggings[5 * n % 16])
+            for i, arc in enumerate(tri.arcs):
+                assert arc.slope == triple[i % 3]
+                assert shear_wrt(kappa(arc), tri) == tuple(-(j == i) for j in range(6))
 
     def test_swapped_triple_order(self):
         # reordering the triple permutes the reported coordinates in step
-        swapped = TypeITri((INF, ZERO, MINUS_ONE))
+        swapped = type_i_triangulation((INF, ZERO, MINUS_ONE))
         for c in enumerate_curves(3):
-            base = shear_wrt(c, BASE_TRI)
+            base = shear_wrt(c, base_triangulation())
             v = shear_wrt(c, swapped)
             assert v == (base[1], base[0], base[2], base[4], base[3], base[5])
 
@@ -423,10 +457,10 @@ class TestTorus:
             assert torus_shear(s) == v[:3] == v[3:], s
 
     def test_projection(self):
-        tri = TypeITri((Slope(1, 2), Slope(1, 1), INF))
+        tri = type_i_triangulation((Slope(1, 2), Slope(1, 1), INF))
         for s in enumerate_slopes(5):
             assert sphere_torus_check(s, tri)
-            assert sphere_torus_check(s, BASE_TRI)
+            assert sphere_torus_check(s, base_triangulation())
 
 
 class TestWitness:
@@ -467,7 +501,7 @@ class TestWitness:
         b = AllowableCurve(Slope(2, -1))
         assert shear_closed_form(b) == tuple(-x for x in shear_closed_form(a))
         t = Tangle(((a, 1), (b, 1)))
-        assert not any(tangle_shear(t, BASE_TRI))
+        assert not any(tangle_shear(t, base_triangulation()))
         w = find_witness(t)
         assert w is not None and any(tangle_shear(t, w))
 
@@ -484,7 +518,7 @@ class TestWitness:
                     pool.append(AllowableCurve(s, ((pair[0], d0), (pair[1], d1))))
         weights = (-2, -2, 0, 0, -2, 2, 2, 2, 2)
         t = Tangle(tuple((c, w) for c, w in zip(pool, weights) if w))
-        assert not any(tangle_shear(t, BASE_TRI))
+        assert not any(tangle_shear(t, base_triangulation()))
         assert t.support
         w = find_witness(t)
         assert w is not None and any(tangle_shear(t, w))
@@ -510,7 +544,7 @@ class TestWitness:
                             continue
                         seen.add(key)
                         for tags in taggings:
-                            tri = TypeITri((q1, q2, q3), tags)
+                            tri = type_i_triangulation((q1, q2, q3), tags)
                             if any(shear.tangle_shear(tangle, tri)):
                                 return tri
             return None
@@ -531,9 +565,10 @@ class TestWitness:
                 frozenset((f, *separating_neighbors(slopes, f))) for f in slopes}
 
             def hidden(tri):
-                return (frozenset(tri.triple) in blocked
-                        or sum(s.a + 2 * s.b for s in tri.triple) % 3
-                        or sum(t is Tagging.NOTCHED for _, t in tri.taggings) != 2)
+                slopes = frozenset(arc.slope for arc in tri.arcs)
+                notched = {p for arc in tri.arcs for p, t in arc.ends if t is Tagging.NOTCHED}
+                return (slopes in blocked or sum(s.a + 2 * s.b for s in slopes) % 3
+                        or len(notched) != 2)
 
             monkeypatch.setattr(shear, "tangle_shear", lambda t, tri: (
                 (0,) * 6 if hidden(tri) else real(t, tri)))
@@ -542,5 +577,5 @@ class TestWitness:
                 with pytest.raises(BoundExhausted):
                     find_witness(tangle, max_height)
             else:
-                assert find_witness(tangle, max_height) == expected
+                assert find_witness(tangle, max_height).arcs == expected.arcs
 

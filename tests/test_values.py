@@ -6,13 +6,12 @@ import pytest
 
 from spherelam import fan
 from spherelam.curves import V00, V01, V10, V11, AllowableCurve, Puncture, SpiralDir, \
-    TaggedArc, Tagging, kappa
+    TaggedArc, TaggedTriangulation, Tagging, base_triangulation, kappa
 from spherelam.lattice import INF, MINUS_ONE, ZERO, Slope, UnimodularMap
 from spherelam.plane import Crossing
 from spherelam.render import RenderSpec
-from spherelam.shear import BASE_TRI, QuasiLamination, Tangle, TypeITri
-from spherelam.triangulation import TaggedTriangulation, TriType, base_triangulation, \
-    classify
+from spherelam.shear import QuasiLamination, Tangle
+from spherelam.triangulation import TriType, classify
 
 PLAIN_TAGS = ("((Puncture(i=0, j=0), <Tagging.PLAIN: 'plain'>), "
               "(Puncture(i=0, j=1), <Tagging.PLAIN: 'plain'>), "
@@ -36,16 +35,14 @@ VALUES = [
     (TriType("II", (Slope(1, 1), Slope(1, -1)), V00, None, ((V01, Tagging.NOTCHED),)),
      ("II", (Slope(1, -1), Slope(1, 1)), V00, None, ((V01, Tagging.NOTCHED),)),
      TriType("II", (Slope(1, -1), Slope(1, 1)), v=V00, taggings=((V01, Tagging.NOTCHED),))),
-    (BASE_TRI, ((ZERO, INF, MINUS_ONE), tuple((p, Tagging.PLAIN) for p in (V00, V01, V10, V11))),
-     TypeITri((ZERO, INF, MINUS_ONE))),
     (Tangle(((CURVE, 1), (AllowableCurve(ZERO), 2), (CURVE, -3))),
      (((AllowableCurve(ZERO), 2), (CURVE, -2)),),
      Tangle(((AllowableCurve(ZERO), 2), (CURVE, -2)))),
     (QuasiLamination(((CURVE, 2),)), (((CURVE, 2),),), QuasiLamination(((CURVE, 1), (CURVE, 1)))),
     (base_cone().collection, (base_cone().collection.curves, "I"), base_cone().collection),
     (Crossing("d", -4, (3, 5)), ("d", -4, (3, 5)), Crossing("d", -4, (3, 5))),
-    (RenderSpec(window=(0, 1, 0, 3)), ((), BASE_TRI, (0, 1, 0, 3)),
-     RenderSpec((), BASE_TRI, (0, 1, 0, 3))),
+    (RenderSpec(window=(0, 1, 0, 3)), ((), base_triangulation(), (0, 1, 0, 3)),
+     RenderSpec((), base_triangulation(), (0, 1, 0, 3))),
 ]
 IDS = [type(v[0]).__name__ for v in VALUES]
 
@@ -93,16 +90,13 @@ def test_reprs():
     assert repr(classify(base_triangulation())) == (
         "TriType(tag='I', slopes=(Slope(a=1, b=-1), Slope(a=1, b=0), Slope(a=0, b=1)), "
         f"v=None, v_prime=None, taggings={PLAIN_TAGS})")
-    assert repr(BASE_TRI) == (
-        "TypeITri(triple=(Slope(a=1, b=0), Slope(a=0, b=1), Slope(a=1, b=-1)), "
-        f"taggings={PLAIN_TAGS})")
     assert repr(Crossing("h", 3, (1, 2))) == "Crossing(family='h', k=3, point=(1, 2))"
     assert repr(Tangle(((AllowableCurve(ZERO), 2),))) == (
         "Tangle(weights=((AllowableCurve(slope=Slope(a=1, b=0), ends=None, "
         "punctures=frozenset(), underlying=(Slope(a=1, b=0), frozenset())), 2),))")
     assert repr(fan.FanReport(3, 0)) == "FanReport(pairs_checked=3, failures=0)"
     assert repr(RenderSpec(window=(0, 1, 0, 3))) == \
-        f"RenderSpec(curves=(), triangulation={BASE_TRI!r}, window=(0, 1, 0, 3))"
+        f"RenderSpec(curves=(), triangulation={base_triangulation()!r}, window=(0, 1, 0, 3))"
 
 
 def test_slope_has_no_value():
