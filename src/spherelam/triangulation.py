@@ -2,15 +2,15 @@
 exchange matrices.
 
 The class :class:`~spherelam.curves.TaggedTriangulation` and its builders
-live in :mod:`spherelam.curves`.  Every tagged triangulation has six arcs and falls into one of six
-combinatorial types.  :func:`build_type` assembles each type from three
-pieces: ``arc(s, x, y)``, the arc of slope s from x to y carrying the tags
-of its endpoints; ``both(s)``, the two such arcs of slope s; and
-``coinciding(s, x)`` (:func:`_coinciding_pair`), the two arcs of slope s
-at x that carry the tag of x there and differ at the far end.  With p, q
-a Farey-2 pair of slopes whose arcs join v to u, c and c2 its companion
-slopes, c leading from v to v', and w the fourth puncture, the types are,
-in arc order:
+live in :mod:`spherelam.curves`.  Every tagged triangulation has six arcs
+and falls into one of six combinatorial types.  :func:`build_type`
+assembles each type from three pieces: ``arc(s, x, y)``, the arc of slope
+s from x to y carrying the tags of its endpoints; ``both(s)``, the two
+such arcs of slope s; and ``coinciding(s, x)`` (:func:`_coinciding_pair`),
+the two arcs of slope s at x that carry the tag of x there and differ at
+the far end.  With p, q a Farey-2 pair of slopes whose arcs join v to u,
+c and c2 its companion slopes, c leading from v to v', and w the fourth
+puncture, the types are, in arc order:
 
 - I    both(s) for each s of a Farey-1 triple
 - II   arc(p, v, u), arc(q, v, u), both(c), both(c2)
