@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections import Counter
 from typing import Iterator, Sequence
 
 from ._frozen import Frozen
 from .errors import ClosedCurveHasNoArc, InternalError, MalformedInput, NotFareyTriple
-from .lattice import INF, MINUS_ONE, ZERO, Slope, UnimodularMap, is_farey1_triple, \
-    standard_vector
+from .lattice import INF, MINUS_ONE, ZERO, Slope, UnimodularMap, enumerate_slopes, \
+    farey_distance, is_farey1_triple, pair_to_basis, standard_vector
 
 
 class Puncture(Frozen):
@@ -424,6 +425,28 @@ def _key_images(keys: Sequence[tuple[int, int, int, int]], m: UnimodularMap
             for a, b, mask, marks in keys]
 
 
+def _lattice_frame(keys: Sequence[tuple[int, int, int, int]]
+                   ) -> tuple[UnimodularMap, list[tuple[int, int, int, int]]]:
+    """(m, images): the orientation-preserving lattice map m sending the
+    two least slopes s < t that carry two arcs each, among the arcs with
+    these six keys, to (1, 0) and (0, 1), and the keys of the images of
+    the arcs under m (:func:`_key_images`).
+
+    For a type-I triangulation s, t are the two least slopes of its
+    triple, and for an all-plain type II its two companion slopes.  Either
+    way they are a Farey-1 pair and every other slope is +-s +- t, so m
+    carries every arc to height 1, a type-I triangulation onto the arcs of
+    :func:`base_triangulation` (the third slope t - s goes to -1).  Six
+    keys without such a pair are an :class:`InternalError`."""
+    count = Counter(key[:2] for key in keys)
+    doubled = sorted(Slope(a, b) for (a, b), n in count.items() if n == 2)
+    if len(doubled) < 2 or farey_distance(doubled[0], doubled[1]) != 1:
+        raise InternalError("no Farey-1 pair of two-arc slopes among "
+                            + ", ".join(map(str, sorted(Slope(a, b) for a, b in count))))
+    m = pair_to_basis(doubled[0], doubled[1])
+    return m, _key_images(keys, m)
+
+
 def arcs_compatible(
     x: TaggedArc | AllowableCurve, y: TaggedArc | AllowableCurve
 ) -> bool:
@@ -461,8 +484,6 @@ def curves_compatible(x: AllowableCurve, y: AllowableCurve) -> bool:
 
 def enumerate_arcs(max_height: int) -> list[TaggedArc]:
     """All tagged arcs of slope height <= max_height, deterministic order."""
-    from .lattice import enumerate_slopes
-
     return [TaggedArc(s, ends)
             for s in enumerate_slopes(max_height)
             for pair in endpoint_sets(s)
@@ -472,8 +493,6 @@ def enumerate_arcs(max_height: int) -> list[TaggedArc]:
 def enumerate_curves(max_height: int) -> list[AllowableCurve]:
     """All allowable curves of slope height <= max_height: one closed
     curve per slope plus the kappa images of all tagged arcs."""
-    from .lattice import enumerate_slopes
-
     out = [AllowableCurve(s) for s in enumerate_slopes(max_height)]
     out.extend(kappa(arc) for arc in enumerate_arcs(max_height))
     return out

@@ -24,7 +24,6 @@ from . import exactla
 from ._frozen import Frozen
 from .curves import (
     AllowableCurve,
-    SpiralDir,
     TaggedArc,
     TaggedTriangulation,
     Tagging,
@@ -32,12 +31,14 @@ from .curves import (
     endpoint_sets,
     kappa,
     kappa_inv,
+    type_i_triangulation,
 )
 from .errors import BoundExhausted, InternalError, InternalNonUnique, MalformedInput, \
     RankDeficient
 from .lattice import Slope, check_height, enumerate_slopes, farey1_triples
 from .shear import (
     CoordPerm,
+    FLIPS,
     GAMMA24,
     GROUP_Y,
     GROUP_Z,
@@ -549,11 +550,6 @@ def universal_coeffs(max_height: int, form: str = "thm81") -> list[ShearVector]:
     return sorted(set(universal_raw(max_height, form)))
 
 
-_FLIP_GROUP = sorted(
-    {p for p in GAMMA24 if p[0] in (0, 3) and p[1] in (1, 4) and p[2] in (2, 5)}
-)  # the slope-preserving subgroup generated by (14), (25), (36)
-
-
 def g_vectors(max_height: int) -> list[ShearVector]:
     """Shear vectors of all non-closed allowable curves at bounded height.
 
@@ -573,7 +569,7 @@ def g_vectors(max_height: int) -> list[ShearVector]:
             for zpow, image_slope in rotated:
                 if image_slope.height > max_height:
                     continue
-                for tau in _FLIP_GROUP:
+                for tau in FLIPS:
                     out.add(apply_perm(compose(zpow, tau), base))
     return sorted(out)
 
@@ -688,12 +684,7 @@ def induced_torus_check(max_height: int) -> bool:
     the subspace {x_i = x_{i+3}} projects onto the cone of the matching
     torus triangulation (generated by the per-slope sums of curve pairs)."""
     for triple in farey1_triples(enumerate_slopes(max_height)):
-        curves = []
-        for s in triple:
-            for pair in endpoint_sets(s):
-                curves.append(AllowableCurve(
-                    s, ((pair[0], SpiralDir.CW), (pair[1], SpiralDir.CW))))
-        coll = MaximalCollection(tuple(curves), "I")
+        coll = MaximalCollection.of_triangulation(type_i_triangulation(triple), "I")
         cone = cone_of(coll)
         # same-slope generator pairs must be swapped by the half-turn
         # permutation; their sums generate the torus cone after projection

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from ._frozen import Frozen
 from .curves import AllowableCurve, SpiralDir, TaggedTriangulation
+from .lattice import _left_farey_neighbor
 from .shear import _BASE, _closed_lift, _nonzero_product, _type_i_triple
 
 Window = tuple[int, int, int, int]  # xmin, xmax, ymin, ymax
@@ -93,15 +94,11 @@ def grid_lines(tri: TaggedTriangulation, window: Window):
     for s in _type_i_triple(tri):
         a, b = s.vector
         segs = []
+        # (x, y) = the left Farey neighbour of s has b*x - a*y = 1, so
+        # c*(x, y) is an integer point of the line b*x - a*y = c
+        x, y = _left_farey_neighbor(s).vector
         for c in _line_offsets(s, window):
-            # an integer point on the line: with u the inverse of b mod a
-            # (gcd(a, b) = 1), b*u - a*v = 1 for integral v
-            if a:
-                u = pow(b, -1, a)
-                p0 = (u * c, (b * u - 1) // a * c)
-            else:
-                p0 = (c, 0)
-            seg = _clip_line(p0, 1, (a, b), window)
+            seg = _clip_line((c * x, c * y), 1, (a, b), window)
             if seg is not None:
                 segs.append(seg)
         families.append(segs)

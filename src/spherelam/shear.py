@@ -32,7 +32,7 @@ from .curves import (
     SpiralDir,
     TaggedTriangulation,
     Tagging,
-    _key_images,
+    _lattice_frame,
     base_triangulation,
     curves_compatible,
     tag_choices,
@@ -49,7 +49,6 @@ from .lattice import (
     enumerate_slopes,
     farey1_triples,
     separating_neighbors,
-    triple_to_basis,
 )
 
 ShearVector = tuple[int, int, int, int, int, int]
@@ -86,26 +85,26 @@ def compose(p: CoordPerm, q: CoordPerm) -> CoordPerm:
     return tuple(p[q[i]] for i in range(len(q)))
 
 
-def _generate_group(generators: Iterable[CoordPerm]) -> frozenset[CoordPerm]:
-    gens = list(generators)
-    group = {PERM_ID}
-    frontier = [PERM_ID]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                e = compose(h, g)
-                if e not in group:
-                    group.add(e)
-                    nxt.append(e)
-        frontier = nxt
-    return frozenset(group)
+def perm_product(left: Iterable[CoordPerm], right: Iterable[CoordPerm]) -> list[CoordPerm]:
+    """All compositions l*r (apply r first), without duplicates, in a
+    deterministic order."""
+    seen = []
+    for l in left:
+        for r in right:
+            e = compose(l, r)
+            if e not in seen:
+                seen.append(e)
+    return seen
 
 
 PERM_Z2: CoordPerm = compose(PERM_Z, PERM_Z)
 GROUP_Y = frozenset({PERM_ID, PERM_14_36, PERM_25_36, PERM_14_25})
 GROUP_Z = frozenset({PERM_ID, PERM_Z, PERM_Z2})
-GAMMA24 = _generate_group((PERM_14, PERM_25, PERM_36, PERM_Z))
+#: The eight slope-preserving flips: each slot pair {i, i+3} swapped or not.
+FLIPS = frozenset(perm_product(perm_product((PERM_ID, PERM_14), (PERM_ID, PERM_25)),
+                               (PERM_ID, PERM_36)))
+#: The coordinate group: a flip, then a rotation of the three slot pairs.
+GAMMA24 = frozenset(perm_product(GROUP_Z, FLIPS))
 
 #: The order-3 slope rotation [a, b] -> [b, -a-b] and its square
 #: [a, b] -> [-a-b, a]: shear(c.image(RHO)) == apply_perm(PERM_Z, shear(c)),
@@ -120,18 +119,6 @@ TRANSLATION_PERMS: dict[tuple[int, int], CoordPerm] = {
     (1, 0): PERM_25_36,
     (1, 1): PERM_14_25,
 }
-
-
-def perm_product(left: Iterable[CoordPerm], right: Iterable[CoordPerm]) -> list[CoordPerm]:
-    """All compositions l*r (apply r first), without duplicates, in a
-    deterministic order."""
-    seen = []
-    for l in left:
-        for r in right:
-            e = compose(l, r)
-            if e not in seen:
-                seen.append(e)
-    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -419,28 +406,27 @@ def _type_i_triple(tri: TaggedTriangulation) -> tuple[Slope, ...]:
 
 
 def _base_slots(tri: TaggedTriangulation) -> tuple[UnimodularMap, tuple[int, ...]]:
-    """The orientation-preserving lattice map carrying a type-I ``tri``
-    onto the base triangulation, and for each arc of ``tri`` the index of
-    its image among the base arcs.  The map fixes v00, so arcs through v00
-    land on base arcs 0-2 and the others on 3-5."""
-    m = triple_to_basis(_type_i_triple(tri))  # type: ignore[arg-type]
-    images = _key_images([arc._key for arc in tri.arcs], m)
+    """The lattice frame of a type-I ``tri`` (:func:`curves._lattice_frame`),
+    the orientation-preserving map that carries it onto the base
+    triangulation, and for each arc of ``tri`` the index of its image
+    among the base arcs.  The map fixes v00, so arcs through v00 land on
+    base arcs 0-2 and the others on 3-5."""
+    _type_i_triple(tri)
+    m, images = _lattice_frame([arc._key for arc in tri.arcs])
     return m, tuple(_BASE_SLOT[key[:3]] for key in images)
 
 
 def shear_wrt(curve: AllowableCurve, tri: TaggedTriangulation) -> ShearVector:
     """Shear coordinates of a curve with respect to a type-I triangulation,
-    coordinate i at ``tri.arcs[i]``.
+    coordinate i at ``tri.arcs[i]``: :func:`tangle_shear` of the curve
+    alone.
 
     Notched punctures reverse the spiral directions of incident curves;
-    a lattice map m then carries the triangulation onto the base one, and
-    coordinate i is the base coordinate of m(curve) at the image of arc i.
+    the lattice frame m of the triangulation (:func:`_base_slots`) then
+    carries it onto the base one, and coordinate i is the base coordinate
+    of m(curve) at the image of arc i.
     """
-    m, slots = _base_slots(tri)
-    for p in {p for arc in tri.arcs for p, t in arc.ends if t is Tagging.NOTCHED}:
-        curve = curve.reverse_spiral(p)
-    v = shear_closed_form(curve.image(m))
-    return tuple(v[i] for i in slots)  # type: ignore[return-value]
+    return tangle_shear(Tangle(((curve, 1),)), tri)
 
 
 Weights = tuple[tuple[AllowableCurve, int], ...]
@@ -513,11 +499,17 @@ class QuasiLamination(Frozen):
 
 def tangle_shear(tangle: Tangle | QuasiLamination,
                  tri: TaggedTriangulation = _BASE) -> ShearVector:
+    """The weighted sum of the :func:`shear_wrt` vectors of the curves,
+    the lattice frame of ``tri`` built once."""
+    m, slots = _base_slots(tri)
+    notched = {p for arc in tri.arcs for p, t in arc.ends if t is Tagging.NOTCHED}
     vec = [0] * 6
     for c, w in tangle.weights:
-        s = shear_wrt(c, tri)
-        for i in range(6):
-            vec[i] += w * s[i]
+        for p in notched:
+            c = c.reverse_spiral(p)
+        v = shear_closed_form(c.image(m))
+        for i, slot in enumerate(slots):
+            vec[i] += w * v[slot]
     return tuple(vec)  # type: ignore[return-value]
 
 

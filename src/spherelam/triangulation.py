@@ -34,10 +34,12 @@ key compatible with the five remaining arcs completes six distinct
 pairwise compatible arcs, which are a maximal compatible set and so a
 triangulation (Fomin-Shapiro-Thurston, Acta Math. 2008), and the flip of
 an arc is unique.  :func:`signed_adjacency` maps the six integer arc keys
-of an all-plain triangulation to a height-1 representative by an
-orientation-preserving lattice map, fixed by its two least slopes that
-carry two arcs each, and reads the matrix there from a memo of three arc
-sets, filled by mutating ``FIG1_MATRIX`` along the six flips of the base
+of an all-plain triangulation to a height-1 representative by their
+lattice frame (:func:`curves._lattice_frame`), the orientation-preserving
+lattice map fixed by the two least slopes that carry two arcs each, which
+also carries the type-I triangulations of :mod:`spherelam.shear` onto the
+base one.  It reads the matrix there from a memo of three arc sets,
+filled by mutating ``FIG1_MATRIX`` along the six flips of the base
 triangulation.  The tests check it against a geometric oracle on the
 lifted segment arrangement.
 """
@@ -58,8 +60,8 @@ from .curves import (
     Tagging,
     _arc_key,
     _arc_of_key,
-    _key_images,
     _keys_compatible,
+    _lattice_frame,
     _slope_keys,
     base_triangulation,
     endpoint_sets,
@@ -79,7 +81,6 @@ from .lattice import (
     farey1_triples,
     farey_distance,
     is_farey1_triple,
-    pair_to_basis,
     standard_form,
     standard_vector,
 )
@@ -394,27 +395,12 @@ ExchangeMatrix = tuple[tuple[int, ...], ...]
 _CANONICAL_ADJACENCY: dict[tuple[tuple[int, int, int, int], ...], ExchangeMatrix] = {}
 
 
-def _canonical_pair(slopes: Sequence[Slope]) -> tuple[Slope, Slope]:
-    """The two least slopes that carry two arcs each, among the six arc
-    slopes of an all-plain triangulation: the two least of the triple for
-    type I, the two companion slopes for type II.  Either way they are a
-    Farey-1 pair with every other slope at Farey distance 1 from both."""
-    doubled = sorted(s for s, n in Counter(slopes).items() if n == 2)
-    if len(doubled) < 2 or farey_distance(doubled[0], doubled[1]) != 1:
-        raise InternalError(
-            "no Farey-1 pair of two-arc slopes among "
-            + ", ".join(map(str, sorted(set(slopes)))))
-    return doubled[0], doubled[1]
-
-
 def _canonical_form(tri: TaggedTriangulation
                     ) -> tuple[tuple[tuple[int, int, int, int], ...], list[int]]:
     """(canon, order): the keys of the images of the arcs of an all-plain
-    ``tri`` under the orientation-preserving lattice map sending its
-    :func:`_canonical_pair` to (1, 0) and (0, +-1), mapped key by key
-    (:func:`_key_images`), canon[r] that of arc order[r], sorted."""
-    m = pair_to_basis(*_canonical_pair([arc.slope for arc in tri.arcs]))
-    image = _key_images([arc._key for arc in tri.arcs], m)
+    ``tri`` in its lattice frame (:func:`curves._lattice_frame`),
+    canon[r] that of arc order[r], sorted."""
+    _, image = _lattice_frame([arc._key for arc in tri.arcs])
     order = sorted(range(6), key=image.__getitem__)
     return tuple(image[i] for i in order), order
 
@@ -436,16 +422,17 @@ def _fill_canonical_adjacency() -> None:
 def signed_adjacency(tri: TaggedTriangulation) -> ExchangeMatrix:
     """The signed adjacency matrix of an all-plain triangulation.
 
-    An all-plain triangulation has type I or II, and the orientation-
-    preserving lattice map sending its two least slopes that carry two arcs
-    each, (s, t) of :func:`_canonical_pair`, to (1, 0) and (0, +-1) carries
-    every arc to height 1: the remaining slopes are +-s +- t.  The map keeps faces and their orientation, so the matrix
-    of the image, with arcs in the same order, is the matrix of ``tri``.
-    The image is one of three arc sets: the base's type-I set on
-    {-1, 0, inf}, and type II on {1, -1} with v = 00 or v = 01, each one
-    flip from the base.  A flip mutates the matrix (Fomin-Shapiro-Thurston,
-    Acta Math. 2008), so the memo of the three, keyed by the sorted keys
-    of their arcs, is filled from ``FIG1_MATRIX`` and its six mutations.
+    An all-plain triangulation has type I or II, and its lattice frame
+    (:func:`curves._lattice_frame`), the orientation-preserving map sending
+    its two least slopes that carry two arcs each to (1, 0) and (0, 1),
+    carries every arc to height 1.  The map keeps faces and their
+    orientation, so the matrix of the image, with arcs in the same order,
+    is the matrix of ``tri``.  The image is one of three arc sets: the
+    base's type-I set on {-1, 0, inf}, and type II on {1, -1} with v = 00
+    or v = 01, each one flip from the base.  A flip mutates the matrix
+    (Fomin-Shapiro-Thurston, Acta Math. 2008), so the memo of the three,
+    keyed by the sorted keys of their arcs, is filled from ``FIG1_MATRIX``
+    and its six mutations.
     The six arc keys of ``tri`` are mapped as integers
     (:func:`_canonical_form`), and the matrix is permuted back to the
     caller's arc order: the cost does not depend on the height.

@@ -649,10 +649,19 @@ def _unused_imports(path) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _called_names(path) -> set:
+    """The names a source file calls, as ``f(...)`` or ``module.f(...)``."""
+    import ast
+
+    return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
 class TestColdStart:
     """Each command imports only the modules it runs; none imports
     dataclasses (with inspect), fractions or decimal, or a name it never
-    uses."""
+    uses.  One module builds the lattice frame of a triangulation."""
 
     def test_no_module_imports_an_unused_name(self):
         import pathlib
@@ -661,6 +670,20 @@ class TestColdStart:
         assert len(paths) >= 12
         for path in paths:
             assert _unused_imports(path) == [], path.name
+
+    def test_lattice_frame_is_built_in_curves_only(self):
+        # the basis changes are called by lattice itself and by the frame
+        # kernel in curves; every other module reads curves._lattice_frame
+        import pathlib
+
+        paths = sorted(pathlib.Path(spherelam.__file__).parent.glob("*.py"))
+        assert len(paths) >= 12
+        for path in paths:
+            called = _called_names(path)
+            if path.name not in ("curves.py", "lattice.py"):
+                assert not called & {"pair_to_basis", "_key_images"}, path.name
+            if path.name != "lattice.py":
+                assert "triple_to_basis" not in called, path.name
 
     def test_no_module_imports_dataclasses(self):
         import pathlib

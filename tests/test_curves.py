@@ -21,10 +21,15 @@ from spherelam.curves import (
     kappa,
     kappa_inv,
     _arc_of_key,
+    _lattice_frame,
     _slope_keys,
+    base_triangulation,
+    tag_choices,
+    type_i_triangulation,
 )
 from spherelam.errors import ClosedCurveHasNoArc
-from spherelam.lattice import Slope, UnimodularMap, farey_distance
+from spherelam.lattice import Slope, UnimodularMap, enumerate_slopes, farey1_triples, \
+    farey_distance
 
 PLAIN, NOTCHED = Tagging.PLAIN, Tagging.NOTCHED
 CW, CCW = SpiralDir.CW, SpiralDir.CCW
@@ -277,3 +282,22 @@ class TestLatticeImage:
             if tri.all_plain:
                 assert image == base
         assert seen > 6
+
+    def test_lattice_frame_carries_type_one_onto_base(self):
+        # every Farey-1 triple of height <= 4 in every order, under taggings
+        # in turn: the frame sends the two least slopes to (1, 0) and (0, 1)
+        # with det 1, and the arc images, key by key, are the base arcs
+        base = {a._key[:3] for a in base_triangulation().arcs}
+        taggings = tag_choices((V00, V01, V10, V11))
+        n = 0
+        for triple in farey1_triples(enumerate_slopes(4)):
+            s, t = sorted(triple)[:2]
+            for order in itertools.permutations(triple):
+                tri = type_i_triangulation(order, taggings[n % 16])
+                n += 1
+                m, images = _lattice_frame([a._key for a in tri.arcs])
+                assert m.det == 1
+                assert (m.apply_vector(s.vector), m.apply_vector(t.vector)) == ((1, 0), (0, 1))
+                assert images == [a.image(m)._key for a in tri.arcs]
+                assert {key[:3] for key in images} == base
+        assert n == 6 * 22

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from operator import mul
 
@@ -26,11 +27,30 @@ from spherelam.errors import BoundExhausted, InternalError, InternalNonUnique, \
     MalformedInput, RankDeficient
 from spherelam.lattice import INF, MAX_HEIGHT, Slope, enumerate_slopes, farey1_triples
 from spherelam.shear import GAMMA24, QuasiLamination, Tangle, apply_perm, \
-    shear_closed_form, tangle_shear
+    shear_closed_form, shear_lamination, tangle_shear
 from spherelam.triangulation import base_triangulation, classify, \
     enumerate_triangulations
 
 CW, CCW = SpiralDir.CW, SpiralDir.CCW
+
+# The nonzero vectors of [-2, 2]^6 whose quasi-lamination has a curve above
+# the default locate height 6: 32 need height 7 and 8 need height 8.
+BOX_BEYOND_HEIGHT_6 = {
+    (-1, -2, 2, -1, -1, 2), (-1, -2, 2, 0, -2, 2), (-1, -2, 2, 0, -1, 2),
+    (-1, -1, 2, -1, -2, 2), (-1, -1, 2, 0, -2, 2), (0, -2, 1, 0, -2, 2),
+    (0, -2, 1, 1, -2, 2), (0, -2, 2, -1, -2, 2), (0, -2, 2, -1, -1, 2),
+    (0, -2, 2, 0, -2, 1), (0, -2, 2, 0, -1, 2), (0, -2, 2, 1, -2, 1),
+    (0, -2, 2, 1, -2, 2), (0, -1, 2, -1, -2, 2), (0, -1, 2, 0, -2, 2),
+    (1, -2, 1, 0, -2, 2), (1, -2, 1, 1, -2, 2), (1, -2, 2, 0, -2, 1),
+    (1, -2, 2, 0, -2, 2), (1, -2, 2, 1, -2, 1), (1, 0, -2, 2, 0, -2),
+    (1, 0, -2, 2, 1, -2), (1, 1, -2, 2, 0, -2), (1, 1, -2, 2, 1, -2),
+    (2, -1, -2, 2, -1, -1), (2, -1, -2, 2, 0, -2), (2, -1, -2, 2, 0, -1),
+    (2, -1, -1, 2, -1, -2), (2, -1, -1, 2, 0, -2), (2, 0, -2, 1, 0, -2),
+    (2, 0, -2, 1, 1, -2), (2, 0, -2, 2, -1, -2), (2, 0, -2, 2, -1, -1),
+    (2, 0, -2, 2, 0, -1), (2, 0, -2, 2, 1, -2), (2, 0, -1, 2, -1, -2),
+    (2, 0, -1, 2, 0, -2), (2, 1, -2, 1, 0, -2), (2, 1, -2, 1, 1, -2),
+    (2, 1, -2, 2, 0, -2),
+}
 
 
 def base_cone():
@@ -189,6 +209,33 @@ class TestLocate:
             lam = QuasiLamination(tuple((c, rng.randint(1, 3)) for c in chosen))
             vec = tangle_shear(Tangle(lam.weights))
             assert fan.locate(vec, 2) == lam
+
+    def test_positive_basis_on_the_box(self):
+        # every nonzero integer vector is the shear vector of one
+        # quasi-lamination, with integer weights: all 15,624 of [-2, 2]^6
+        # round-trip, except those whose lamination lies above the height
+        beyond = set()
+        for v in itertools.product(range(-2, 3), repeat=6):
+            if not any(v):
+                continue
+            try:
+                lam = fan.locate(v)
+            except BoundExhausted:
+                beyond.add(v)
+                continue
+            assert all(type(w) is int for _, w in lam.weights), v
+            assert shear_lamination(lam) == v
+        assert beyond == BOX_BEYOND_HEIGHT_6
+        heights = Counter()
+        for v in beyond:
+            lam = fan.locate(v, 8)
+            assert all(type(w) is int for _, w in lam.weights), v
+            assert shear_lamination(lam) == v
+            heights[max(c.height for c in lam.support)] += 1
+        assert heights == {7: 32, 8: 8}
+        for v, text in (((2, -1, -2, 2, 0, -2), "curve(-5/8,{v00:cw,v01:cw})"),
+                        ((1, 1, -2, 2, 0, -2), "curve(-3/7,{v01:ccw,v10:cw})")):
+            assert [(str(c), w) for c, w in fan.locate(v, 8).weights] == [(text, 1)]
 
     def test_answer_skips_the_pairwise_check(self, monkeypatch):
         from spherelam import shear

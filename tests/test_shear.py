@@ -28,10 +28,13 @@ from spherelam.lattice import INF, MAX_HEIGHT, MINUS_ONE, ZERO, Slope, enumerate
 from spherelam.selftest import LAMBDA, LAMBDA_C, LAMBDA_PP, SHEAR_FIXTURES
 from spherelam.shear import (
     BASE_TRIPLE,
+    FLIPS,
     GAMMA24,
     GROUP_Y,
     GROUP_Z,
+    PERM_14,
     PERM_25,
+    PERM_36,
     PERM_X,
     PERM_Z,
     PERM_Z2,
@@ -175,6 +178,17 @@ class TestPermutations:
         assert len(GAMMA24) == 24
         assert len(GROUP_Y) == 4
         assert len(GROUP_Z) == 3
+
+    def test_gamma24_is_the_group_of_its_generators(self):
+        assert {PERM_14, PERM_25, PERM_36, PERM_Z} <= GAMMA24
+        assert {compose(p, q) for p in GAMMA24 for q in GAMMA24} == GAMMA24
+        assert len(GAMMA24) == 24
+
+    def test_flips_keep_each_slot_pair(self):
+        keep = {p for p in GAMMA24
+                if all({p[i], p[i + 3]} == {i, i + 3} for i in range(3))}
+        assert FLIPS == keep
+        assert len(FLIPS) == 8
 
     def test_z_order_three(self):
         assert compose(PERM_Z, PERM_Z2) == (0, 1, 2, 3, 4, 5)
@@ -404,6 +418,34 @@ class TestLaminationsAndTangles:
             a + b for a, b in zip(shear_closed_form(LAMBDA_C), shear_closed_form(other))
         )
         assert lhs == rhs
+
+    def test_one_lattice_frame_per_call(self, monkeypatch):
+        # tangle_shear builds the frame of its triangulation once, whatever
+        # the number of curves; find_witness once per triangulation it tries
+        from spherelam import shear
+
+        frames, tried = [], []
+        real_frame, real_build = shear._lattice_frame, shear.type_i_triangulation
+        monkeypatch.setattr(shear, "_lattice_frame",
+                            lambda keys: frames.append(1) or real_frame(keys))
+        monkeypatch.setattr(shear, "type_i_triangulation",
+                            lambda *a: tried.append(1) or real_build(*a))
+        tri = type_i_triangulation((Slope(1, 2), Slope(1, 1), INF))
+        pool = enumerate_curves(3)
+        for n in (0, 1, 4, 30):
+            frames.clear()
+            tangle_shear(Tangle(tuple((c, 1) for c in pool[:n])), tri)
+            assert len(frames) == 1
+        # the antipodal closed pair reads zero on all 16 taggings of the base
+        antipodal = Tangle(((AllowableCurve(INF), 1), (AllowableCurve(Slope(2, -1)), 1)))
+        for tangle, least in ((Tangle(((LAMBDA, 1), (LAMBDA_C, -1))), 1), (antipodal, 17)):
+            frames.clear()
+            tried.clear()
+            assert find_witness(tangle, 3) is not None
+            assert len(frames) == len(tried) >= least
+        frames.clear()
+        shear_wrt(LAMBDA, tri)
+        assert len(frames) == 1
 
     def test_merge_order(self):
         # equal curves merge; order by slope vector, closed curve first

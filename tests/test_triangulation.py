@@ -15,6 +15,7 @@ from spherelam.curves import (
     TaggedArc,
     Tagging,
     _keys_compatible,
+    _lattice_frame,
     _slope_keys,
     endpoint_sets,
 )
@@ -39,7 +40,6 @@ from spherelam.triangulation import (
     signed_adjacency,
     _CANONICAL_ADJACENCY,
     _canonical_form,
-    _canonical_pair,
     _enumerate_typed,
     _farey2_pairs,
     _flip_slopes,
@@ -113,9 +113,11 @@ def type_i_start(rng, lo, hi, tags=None):
 
 def arc_canonical_form(tri):
     """:func:`_canonical_form` on arc objects, the oracle of its key
-    version: the ``TaggedArc.image`` of each arc under the same lattice
-    map, sorted by slope vector and least puncture, and the arc order."""
-    m = pair_to_basis(*_canonical_pair([arc.slope for arc in tri.arcs]))
+    version: the ``TaggedArc.image`` of each arc under the map sending the
+    two least slopes that carry two arcs each to 0 and inf, sorted by
+    slope vector and least puncture, and the arc order."""
+    s, t = sorted(s for s, n in Counter(arc.slope for arc in tri.arcs).items() if n == 2)[:2]
+    m = pair_to_basis(s, t)
     image = [arc.image(m) for arc in tri.arcs]
     order = sorted(range(6), key=lambda i: (image[i].slope.vector, min(image[i].punctures)))
     return tuple(image[i] for i in order), order
@@ -536,8 +538,9 @@ class TestCanonicalAdjacency:
         [ZERO, ZERO, Slope(1, 2), Slope(1, 2), INF, Slope(1, 1)],
     ], ids=["one two-arc slope", "two-arc slopes at distance 2"])
     def test_canonical_pair_rejects_a_bad_slope_count(self, slopes):
-        with pytest.raises(InternalError):
-            _canonical_pair(slopes)
+        # the lattice frame needs a Farey-1 pair of two-arc slopes
+        with pytest.raises(InternalError, match="no Farey-1 pair"):
+            _lattice_frame([(s.a, s.b, 0, 0) for s in slopes])
 
     def test_lookup_miss_is_internal(self, monkeypatch):
         signed_adjacency(base_triangulation())
