@@ -14,14 +14,14 @@ spirals.  Closed curves carry a slope only.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
-from collections import Counter
 from typing import Iterator, Sequence
 
 from ._frozen import Frozen
 from .errors import ClosedCurveHasNoArc, InternalError, MalformedInput, NotFareyTriple
-from .lattice import INF, MINUS_ONE, ZERO, Slope, UnimodularMap, enumerate_slopes, \
-    farey_distance, is_farey1_triple, pair_to_basis, standard_vector
+from .lattice import INF, MINUS_ONE, ZERO, Slope, UnimodularMap, det2, enumerate_slopes, \
+    is_farey1_triple, pair_to_basis, standard_vector
 
 
 class Puncture(Frozen):
@@ -66,7 +66,7 @@ class Puncture(Frozen):
         return NotImplemented
 
     def translate(self, parity: tuple[int, int]) -> "Puncture":
-        return Puncture((self.i + parity[0]) % 2, (self.j + parity[1]) % 2)
+        return PUNCTURES[2 * ((self.i + parity[0]) % 2) + (self.j + parity[1]) % 2]
 
     def __str__(self) -> str:
         return f"{self.i}{self.j}"
@@ -145,11 +145,12 @@ def endpoint_sets(s: Slope) -> tuple[tuple[Puncture, Puncture], tuple[Puncture, 
     """The two possible endpoint pairs of an arc of slope s; within each
     pair the punctures differ by (a, b) mod 2.  The pair containing v00
     comes first."""
-    par = s.parity
-    first = (V00, V00.translate(par))
-    rest = [p for p in PUNCTURES if p not in first]
-    second = (rest[0], rest[0].translate(par))
-    return (first, tuple(sorted(second)))  # type: ignore[return-value]
+    return _ENDPOINT_SETS[s.a & 1, s.b & 1]
+
+
+_ENDPOINT_SETS = {par: ((V00, V00.translate(par)),
+                        tuple(p for p in PUNCTURES if p not in (V00, V00.translate(par))))
+                  for par in ((0, 1), (1, 0), (1, 1))}
 
 
 # The puncture set of each 4-bit mask, bit 2*i + j standing for v_ij.
@@ -379,10 +380,16 @@ def _slope_keys(a: int, b: int, rest: Sequence[tuple[int, int, int, int]] = ()
     v00, as in :func:`endpoint_sets`) and its complement.  A mask is kept
     when it shares ``|det|`` endpoints with every key of ``rest`` but one
     of the same underlying arc, so none is when some ``|det|`` with a
-    slope of ``rest`` exceeds 2.  Its notched ends are those notched in a
+    slope of ``rest`` exceeds 2: the slope is dropped at the first such
+    key, before any mask is tried.  Its notched ends are those notched in a
     key of ``rest`` that shares them (the kernel rejects keys of ``rest``
     that disagree there), plus any subset of the ends no key shares."""
-    dets = [abs(a * d - b * c) for c, d, _, _ in rest]
+    dets = []
+    for c, d, _, _ in rest:
+        det = abs(a * d - b * c)
+        if det > 2:
+            return  # no mask can share more than two endpoints
+        dets.append(det)
     first = 1 | 1 << (2 * (a & 1) + (b & 1))
     for mask in (first, 0b1111 ^ first):
         fixed = marks = 0
@@ -417,12 +424,16 @@ def _key_images(keys: Sequence[tuple[int, int, int, int]], m: UnimodularMap
     of the arcs with these keys: the slope vector goes through the linear
     part, then :func:`standard_vector`; the bits of the endpoint and notch
     masks are permuted as the map mod 2 permutes the four punctures."""
+    (p, q), (r, s) = m.linear
     move = [0]  # move[bits]: the image of a 4-bit puncture mask
-    for n in range(4):
-        x, y = m.apply_parity((n >> 1, n & 1))
-        move += [bits | 1 << (2 * x + y) for bits in move]
-    return [(*standard_vector(*m.apply_vector((a, b))), move[mask], move[marks])
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        move += [bits | 1 << (2 * (p * i + q * j & 1) + (r * i + s * j & 1)) for bits in move]
+    return [(*standard_vector(p * a + q * b, r * a + s * b), move[mask], move[marks])
             for a, b, mask, marks in keys]
+
+
+# The slope order on vectors in standard form: u < v iff det(u, v) > 0.
+_BY_SLOPE = functools.cmp_to_key(lambda u, v: u[1] * v[0] - u[0] * v[1])
 
 
 def _lattice_frame(keys: Sequence[tuple[int, int, int, int]]
@@ -437,12 +448,13 @@ def _lattice_frame(keys: Sequence[tuple[int, int, int, int]]
     way they are a Farey-1 pair and every other slope is +-s +- t, so m
     carries every arc to height 1, a type-I triangulation onto the arcs of
     :func:`base_triangulation` (the third slope t - s goes to -1).  Six
-    keys without such a pair are an :class:`InternalError`."""
-    count = Counter(key[:2] for key in keys)
-    doubled = sorted(Slope(a, b) for (a, b), n in count.items() if n == 2)
-    if len(doubled) < 2 or farey_distance(doubled[0], doubled[1]) != 1:
+    keys without such a pair are an :class:`InternalError`.  The slopes
+    are compared on their vectors (:data:`_BY_SLOPE`), not as Slopes."""
+    vectors = [key[:2] for key in keys]
+    doubled = sorted({u for u in vectors if vectors.count(u) == 2}, key=_BY_SLOPE)
+    if len(doubled) < 2 or det2(doubled[0], doubled[1]) != 1:
         raise InternalError("no Farey-1 pair of two-arc slopes among "
-                            + ", ".join(map(str, sorted(Slope(a, b) for a, b in count))))
+                            + ", ".join(map(str, sorted({Slope(a, b) for a, b in vectors}))))
     m = pair_to_basis(doubled[0], doubled[1])
     return m, _key_images(keys, m)
 
@@ -523,42 +535,70 @@ def classify_pair(x: TaggedArc, y: TaggedArc) -> PairClass:
 
 _ADMISSIBLE_DEGREES = {(2, 2, 2, 6), (2, 2, 3, 5), (2, 2, 4, 4), (3, 3, 3, 3)}
 
+# Bit n of a mask as 1 in the 4-bit field n: a sum packs the degrees.
+_SPREAD = tuple(sum(1 << 4 * n for n in range(4) if mask >> n & 1) for mask in range(16))
+_PAIRS = tuple(itertools.combinations(range(6), 2))
+
+
+def _degrees(keys: Sequence[tuple[int, int, int, int]]) -> list[int]:
+    """The degree of each of :data:`PUNCTURES` among arcs with these keys."""
+    total = sum([_SPREAD[key[2]] for key in keys])
+    return [total >> 4 * n & 15 for n in range(4)]
+
 
 class TaggedTriangulation(Frozen):
     """Six distinct pairwise compatible tagged arcs, in a fixed order;
-    equal to any triangulation with the same set of arcs."""
+    equal to any triangulation with the same set of arcs.
 
-    __slots__ = ("arcs", "arc_set")
+    The constructor checks six distinct arcs, the compatibility kernel on
+    all 15 pairs of their integer keys ``_keys`` (see
+    :func:`arcs_compatible`) and an admissible degree sequence.
+    :meth:`_of_flip`, for :func:`triangulation.flip` only, skips the pairs."""
+
+    __slots__ = ("arcs", "arc_set", "_keys", "degree_sequence")
     _fields = ("arcs",)
     arcs: tuple[TaggedArc, ...]
     arc_set: frozenset[TaggedArc]
+    _keys: tuple[tuple[int, int, int, int], ...]
+    degree_sequence: tuple[int, int, int, int]
 
     def __init__(self, arcs: tuple[TaggedArc, ...]) -> None:
+        self._freeze(arcs, check_pairs=True)
+
+    @classmethod
+    def _of_flip(cls, arcs: tuple[TaggedArc, ...]) -> "TaggedTriangulation":
+        """The triangulation :func:`triangulation.flip` found, checked for
+        six distinct arcs and admissible degrees but not pairwise: the 10
+        pairs of kept arcs passed when the immutable input was built, the 5
+        pairs with the new arc are the kernel calls by which flip accepted
+        its key, and ``key not in taken`` made that arc new."""
+        tri = object.__new__(cls)
+        tri._freeze(arcs, check_pairs=False)
+        return tri
+
+    def _freeze(self, arcs: tuple[TaggedArc, ...], check_pairs: bool) -> None:
         object.__setattr__(self, "arcs", arcs)
         object.__setattr__(self, "arc_set", frozenset(arcs))
-        if len(self.arcs) != 6 or len(self.arc_set) != 6:
+        if len(arcs) != 6 or len(self.arc_set) != 6:
             raise ValueError("a tagged triangulation has exactly 6 distinct arcs")
-        for x, y in itertools.combinations(self.arcs, 2):
-            if not arcs_compatible(x, y):
-                raise ValueError(f"incompatible arcs {x}, {y}")
-        if self.degree_sequence not in _ADMISSIBLE_DEGREES:
-            raise ValueError(f"impossible degree sequence {self.degree_sequence}")
-
-    @property
-    def degree_sequence(self) -> tuple[int, int, int, int]:
-        deg = {p: 0 for p in PUNCTURES}
-        for arc in self.arcs:
-            for p in arc.punctures:
-                deg[p] += 1
-        return tuple(sorted(deg.values()))  # type: ignore[return-value]
+        keys = tuple([arc._key for arc in arcs])
+        if check_pairs:
+            for i, j in _PAIRS:
+                if not _keys_compatible(keys[i], keys[j]):
+                    raise ValueError(f"incompatible arcs {arcs[i]}, {arcs[j]}")
+        degrees = tuple(sorted(_degrees(keys)))
+        if degrees not in _ADMISSIBLE_DEGREES:
+            raise ValueError(f"impossible degree sequence {degrees}")
+        object.__setattr__(self, "_keys", keys)
+        object.__setattr__(self, "degree_sequence", degrees)
 
     @property
     def height(self) -> int:
-        return max(arc.height for arc in self.arcs)
+        return max(max(a, abs(b)) for a, b, _, _ in self._keys)
 
     @property
     def all_plain(self) -> bool:
-        return all(t is Tagging.PLAIN for arc in self.arcs for _, t in arc.ends)
+        return not any(marks for _, _, _, marks in self._keys)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TaggedTriangulation) and self.arc_set == other.arc_set

@@ -501,7 +501,14 @@ def tangle_shear(tangle: Tangle | QuasiLamination,
                  tri: TaggedTriangulation = _BASE) -> ShearVector:
     """The weighted sum of the :func:`shear_wrt` vectors of the curves,
     the lattice frame of ``tri`` built once."""
-    m, slots = _base_slots(tri)
+    return _shear_in_frame(tangle, tri, _base_slots(tri))
+
+
+def _shear_in_frame(tangle: Tangle | QuasiLamination, tri: TaggedTriangulation,
+                    frame: tuple[UnimodularMap, tuple[int, ...]]) -> ShearVector:
+    """:func:`tangle_shear` with ``frame`` the :func:`_base_slots` of
+    ``tri``, which depends on its slopes and endpoints only."""
+    m, slots = frame
     notched = {p for arc in tri.arcs for p, t in arc.ends if t is Tagging.NOTCHED}
     vec = [0] * 6
     for c, w in tangle.weights:
@@ -556,8 +563,8 @@ def sphere_torus_check(s: Slope, tri: TaggedTriangulation) -> bool:
     """Projection identity: for a closed curve, the sphere coordinates at
     the two arcs of each slope of a type-I triangulation collapse to the
     torus coordinate of the corresponding torus arc."""
-    sphere = shear_wrt(AllowableCurve(s), tri)
-    m, slots = _base_slots(tri)
+    m, slots = frame = _base_slots(tri)
+    sphere = _shear_in_frame(Tangle(((AllowableCurve(s), 1),)), tri, frame)
     torus = torus_shear(m.apply_slope(s))
     return all(x == torus[i % 3] for x, i in zip(sphere, slots))
 
@@ -577,7 +584,9 @@ def find_witness(tangle: Tangle, max_height: int = 12) -> TaggedTriangulation | 
     triangulation's taggings are tried first.  If the support is nonzero
     and no candidate works, every Farey-1 triple up to max_height is
     tried before giving up; a candidate met again fails again, since the
-    order of a triple only permutes the shear coordinates.
+    order of a triple only permutes the shear coordinates.  The 16
+    taggings of a triple share its slopes and endpoints, hence its lattice
+    frame, which is built once per triple.
     """
     check_height(max_height)
     support = tangle.support
@@ -594,9 +603,11 @@ def find_witness(tangle: Tangle, max_height: int = 12) -> TaggedTriangulation | 
 
     taggings = tag_choices(PUNCTURES)
     for triple in triples():
+        frame = None
         for tags in taggings:
             tri = type_i_triangulation(triple, tags)
-            if any(tangle_shear(tangle, tri)):
+            frame = frame or _base_slots(tri)
+            if any(_shear_in_frame(tangle, tri, frame)):
                 return tri
     raise BoundExhausted(
         "nonzero-support tangle with no witness within the candidate set"

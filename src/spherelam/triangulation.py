@@ -24,7 +24,7 @@ and recognized by :func:`classify`; :func:`build_type` inverts classify.
 All three read u, w, c, c2 and the punctures whose tag the type leaves free
 from :func:`_frame`, the one statement of them.
 
-Neither kernel depends on the height.  :func:`flip` tries at most 12
+Neither kernel depends on the height.  :func:`flip` tries at most 8
 candidate slopes: with s, t two distinct remaining slopes and
 d = det(s, t), the new slope is an integral (i*s + j*t) / d with
 |i|, |j| <= 2, by Cramer's rule and the Farey-distance bound of
@@ -33,21 +33,23 @@ endpoint and tag conditions allow, the one surviving key is the flip: a
 key compatible with the five remaining arcs completes six distinct
 pairwise compatible arcs, which are a maximal compatible set and so a
 triangulation (Fomin-Shapiro-Thurston, Acta Math. 2008), and the flip of
-an arc is unique.  :func:`signed_adjacency` maps the six integer arc keys
-of an all-plain triangulation to a height-1 representative by their
-lattice frame (:func:`curves._lattice_frame`), the orientation-preserving
-lattice map fixed by the two least slopes that carry two arcs each, which
-also carries the type-I triangulations of :mod:`spherelam.shear` onto the
-base one.  It reads the matrix there from a memo of three arc sets,
-filled by mutating ``FIG1_MATRIX`` along the six flips of the base
-triangulation.  The tests check it against a geometric oracle on the
-lifted segment arrangement.
+an arc is unique.  Every path validates through the constructor of
+:class:`~spherelam.curves.TaggedTriangulation` but :func:`flip`, whose
+kept arcs passed it when the input was built and whose new arc has just
+passed the kernel against each of them.  :func:`signed_adjacency` maps
+the six integer arc keys of an all-plain triangulation to a height-1
+representative by their lattice frame (:func:`curves._lattice_frame`),
+the orientation-preserving lattice map fixed by the two least slopes that
+carry two arcs each, which also carries the type-I triangulations of
+:mod:`spherelam.shear` onto the base one.  It reads the matrix there
+from a memo of three arc sets, filled by mutating ``FIG1_MATRIX`` along
+the six flips of the base triangulation.  The tests check it against a
+geometric oracle on the lifted segment arrangement.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -58,8 +60,10 @@ from .curves import (
     TaggedArc,
     TaggedTriangulation,
     Tagging,
+    _PAIRS,
     _arc_key,
     _arc_of_key,
+    _degrees,
     _keys_compatible,
     _lattice_frame,
     _slope_keys,
@@ -244,30 +248,39 @@ def classify(tri: TaggedTriangulation) -> TriType:
 
     The degrees, the Farey-2 pair (types II-V) and the coinciding pairs
     give the type, its slopes, v and v'; the taggings are the common tag
-    of the arcs at each puncture :func:`_frame` leaves free.
+    of the arcs at each puncture :func:`_frame` leaves free.  All are read
+    off the arc keys: a Farey-2 pair has one endpoint mask and ``|det|`` 2,
+    a coinciding pair differs in the notch mask only.
     """
-    arcs = tri.arcs
-    f2 = next(((x, y) for x, y in itertools.combinations(arcs, 2)
-               if x.punctures == y.punctures and x.slope != y.slope
-               and farey_distance(x.slope, y.slope) == 2), None)
-    pairs = [pts for (_, pts), n in
-             Counter(arc.underlying for arc in arcs).items() if n == 2]
+    keys = tri._keys
+    f2 = next(((i, j) for i, j in _PAIRS if keys[i][2] == keys[j][2]
+               and abs(keys[i][0] * keys[j][1] - keys[i][1] * keys[j][0]) == 2), None)
+    heads = [key[:3] for key in keys]
+    pairs = [head[2] for head in set(heads) if heads.count(head) == 2]
     kind = {(3, 3, 3, 3): "I", (2, 2, 4, 4): "III" if pairs else "II", (2, 2, 3, 5): "IV",
             (2, 2, 2, 6): "V" if f2 else "VI"}[tri.degree_sequence]
-    slopes = (f2[0].slope, f2[1].slope) if f2 else tuple({arc.slope for arc in arcs})
+    slopes = (tri.arcs[f2[0]].slope, tri.arcs[f2[1]].slope) if f2 else \
+        tuple({arc.slope for arc in tri.arcs})
     v = v_prime = None
     if kind in ("II", "III"):
-        v = min(f2[0].punctures)
+        mask = keys[f2[0]][2]
+        v = PUNCTURES[(mask & -mask).bit_length() - 1]  # the lower endpoint
     elif kind != "I":
-        v = max(PUNCTURES, key=lambda p: sum(p in arc.punctures for arc in arcs))
+        degrees = _degrees(keys)
+        v = PUNCTURES[degrees.index(max(degrees))]
     if kind in ("III", "IV"):
-        v_prime = next(p for pts in pairs if v in pts for p in pts if p != v)
+        bit = 1 << 2 * v.i + v.j
+        v_prime = PUNCTURES[next(mask ^ bit for mask in pairs if mask & bit).bit_length() - 1]
+    notched = plain = 0
+    for _, _, mask, marks in keys:
+        notched |= marks
+        plain |= mask ^ marks
     taggings = []
     for p in _frame(kind, slopes, v, v_prime)[-1]:
-        seen = {t for arc in arcs for q, t in arc.ends if q == p}
-        if len(seen) != 1:
+        bit = 1 << 2 * p.i + p.j
+        if notched & plain & bit:
             raise InternalError(f"mixed tags at v{p} outside a coinciding end")
-        taggings.append((p, seen.pop()))
+        taggings.append((p, Tagging.NOTCHED if notched & bit else Tagging.PLAIN))
     return TriType(kind, slopes, v=v, v_prime=v_prime, taggings=tuple(taggings))
 
 
@@ -319,8 +332,10 @@ def _enumerate_typed(max_height: int) -> Iterator[tuple[TriType, TaggedTriangula
             yield spec, _assemble(kind, spec.slopes, v, frame, dict(tags), memo)
 
 
-# The (i, j) with |i|, |j| <= 2 above (0, 0), one of each pair +-(i, j).
-_UPPER_PAIRS = [(i, j) for i, j in itertools.product(range(-2, 3), repeat=2) if (i, j) > (0, 0)]
+# For |d| = 1 and |d| = 2, the (i, j) of one integral (i*s + j*t) / |d|
+# per slope (see _flip_slopes).
+_CANDIDATE_PAIRS = {1: ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (2, -1), (1, 2), (1, -2)),
+                    2: ((2, 0), (0, 2), (1, 1), (1, -1))}
 
 
 def _flip_slopes(rest: Sequence[TaggedArc]) -> set[tuple[int, int]]:
@@ -334,26 +349,24 @@ def _flip_slopes(rest: Sequence[TaggedArc]) -> set[tuple[int, int]]:
     2, so d = det(s, t) is +-1 or +-2, and the new slope w has
     |det(w, s)|, |det(w, t)| <= 2.  Cramer's rule gives
     d * w = det(w, t) * s + det(s, w) * t, so w is one of the integral
-    vectors (i*s + j*t) / d with |i|, |j| <= 2.  (i, j) and (-i, -j) give
-    one slope, so the 12 pairs above (0, 0) in lexicographic order give
-    them all: at most 12 slopes at any height.
+    vectors (i*s + j*t) / d with |i|, |j| <= 2; (i, j) gives the slope of
+    (-i, -j), and of (2i, 2j) when both are integral.  For |d| = 1 the 8
+    pairs with gcd(i, j) = 1 give every slope.  For |d| = 2, s = t mod 2
+    (primitive, even det), so (i*s + j*t) / 2 is integral iff i + j is
+    even: the slopes of s, t, (s + t) / 2 and (s - t) / 2.
     """
     s = rest[0].slope
     t = next(a.slope for a in rest if a.slope != s)
-    d = det2(s, t)
-    out = set()
-    for i, j in _UPPER_PAIRS:
-        x, y = i * s.a + j * t.a, i * s.b + j * t.b
-        if x % d == 0 and y % d == 0:
-            out.add(standard_vector(x // d, y // d))
-    return out
+    d = abs(det2(s, t))
+    return {standard_vector((i * s.a + j * t.a) // d, (i * s.b + j * t.b) // d)
+            for i, j in _CANDIDATE_PAIRS[d]}
 
 
 def flip(tri: TaggedTriangulation, k: int) -> TaggedTriangulation:
     """Replace arc k, an int in 0..5, by the unique other arc completing a
     triangulation.
 
-    The new slope is one of the at most 12 candidates of
+    The new slope is one of the at most 8 candidates of
     :func:`_flip_slopes`, a set whose size does not depend on the height.
     Of the 8 keys ``(a, b, mask, marks)`` (see :func:`arcs_compatible`) of
     a candidate slope, :func:`_slope_keys` keeps only those the kernel's
@@ -365,13 +378,13 @@ def flip(tri: TaggedTriangulation, k: int) -> TaggedTriangulation:
     against the five remaining keys.  Six distinct pairwise compatible arcs
     are a maximal compatible set, that is a triangulation, so each survivor
     is a flip, and the flip is unique: exactly one key survives, and only
-    its arc is built.
+    its arc is built, by :meth:`TaggedTriangulation._of_flip`.
     """
     if type(k) is not int or not 0 <= k < 6:
         raise DomainError("arc index must be in 0..5")
     rest = tri.arcs[:k] + tri.arcs[k + 1:]
-    taken = {arc._key for arc in tri.arcs}
-    rest_keys = [arc._key for arc in rest]
+    taken = tri._keys
+    rest_keys = taken[:k] + taken[k + 1:]
     found = [key for a, b in _flip_slopes(rest) for key in _slope_keys(a, b, rest_keys)
              if key not in taken and all(_keys_compatible(key, r) for r in rest_keys)]
     if len(found) != 1:
@@ -380,7 +393,7 @@ def flip(tri: TaggedTriangulation, k: int) -> TaggedTriangulation:
         )
     a, b, _, _ = found[0]
     arc = _arc_of_key(Slope(a, b), found[0])
-    return TaggedTriangulation(rest[:k] + (arc,) + rest[k:])
+    return TaggedTriangulation._of_flip(rest[:k] + (arc,) + rest[k:])
 
 
 # ---------------------------------------------------------------------------
@@ -451,22 +464,26 @@ def signed_adjacency(tri: TaggedTriangulation) -> ExchangeMatrix:
 
 
 def mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
-    """Matrix mutation at index k, an int in 0..5: negate row/column k, and
-    add sgn(b_ik) * max(b_ik * b_kj, 0) elsewhere.  An involution."""
-    if type(k) is not int or not 0 <= k < 6:
-        raise DomainError("mutation index must be in 0..5")
+    """Matrix mutation at index k, an int indexing a row of the square
+    matrix B: negate row/column k, and add sgn(b_ik) * max(b_ik * b_kj, 0)
+    elsewhere.  An involution."""
     n = len(B)
+    if type(k) is not int or not 0 <= k < n:
+        raise DomainError(f"mutation index must be in 0..{n - 1}")
+    row_k = B[k]
     out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == k or j == k:
-                row.append(-B[i][j])
-            else:
-                prod = B[i][k] * B[k][j]
-                sign = 1 if B[i][k] > 0 else (-1 if B[i][k] < 0 else 0)
-                row.append(B[i][j] + sign * max(prod, 0))
-        out.append(tuple(row))
+    for i, row in enumerate(B):
+        b = row[k]
+        if i == k:
+            new = [-x for x in row]
+        elif b > 0:
+            new = [x + b * y if y > 0 else x for x, y in zip(row, row_k)]
+        elif b < 0:
+            new = [x - b * y if y < 0 else x for x, y in zip(row, row_k)]
+        else:
+            new = list(row)
+        new[k] = -b
+        out.append(tuple(new))
     return tuple(out)
 
 

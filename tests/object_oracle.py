@@ -1,0 +1,71 @@
+"""The triangulation readers on arc and slope objects, as they were before
+they read integer arc keys; kept as oracles of the key versions.
+
+- :func:`classify`: the Farey-2 pair by ``farey_distance`` of the arcs'
+  slopes, the coinciding pairs by a ``Counter`` of ``underlying``, the
+  degrees and the tags by scanning puncture sets and ends;
+- :func:`lattice_frame`: the two-arc slopes ordered as :class:`Slope`
+  objects;
+- :func:`degree_sequence`, :func:`all_plain` and :func:`height` on the
+  arcs' punctures, tags and slopes.
+"""
+
+import itertools
+from collections import Counter
+
+from spherelam.curves import PUNCTURES, Tagging, _key_images
+from spherelam.errors import InternalError
+from spherelam.lattice import Slope, farey_distance, pair_to_basis
+from spherelam.triangulation import TriType, _frame
+
+
+def degree_sequence(tri):
+    deg = {p: 0 for p in PUNCTURES}
+    for arc in tri.arcs:
+        for p in arc.punctures:
+            deg[p] += 1
+    return tuple(sorted(deg.values()))
+
+
+def all_plain(tri):
+    return all(t is Tagging.PLAIN for arc in tri.arcs for _, t in arc.ends)
+
+
+def height(tri):
+    return max(arc.slope.height for arc in tri.arcs)
+
+
+def classify(tri):
+    arcs = tri.arcs
+    f2 = next(((x, y) for x, y in itertools.combinations(arcs, 2)
+               if x.punctures == y.punctures and x.slope != y.slope
+               and farey_distance(x.slope, y.slope) == 2), None)
+    pairs = [pts for (_, pts), n in
+             Counter(arc.underlying for arc in arcs).items() if n == 2]
+    kind = {(3, 3, 3, 3): "I", (2, 2, 4, 4): "III" if pairs else "II", (2, 2, 3, 5): "IV",
+            (2, 2, 2, 6): "V" if f2 else "VI"}[degree_sequence(tri)]
+    slopes = (f2[0].slope, f2[1].slope) if f2 else tuple({arc.slope for arc in arcs})
+    v = v_prime = None
+    if kind in ("II", "III"):
+        v = min(f2[0].punctures)
+    elif kind != "I":
+        v = max(PUNCTURES, key=lambda p: sum(p in arc.punctures for arc in arcs))
+    if kind in ("III", "IV"):
+        v_prime = next(p for pts in pairs if v in pts for p in pts if p != v)
+    taggings = []
+    for p in _frame(kind, slopes, v, v_prime)[-1]:
+        seen = {t for arc in arcs for q, t in arc.ends if q == p}
+        if len(seen) != 1:
+            raise InternalError(f"mixed tags at v{p} outside a coinciding end")
+        taggings.append((p, seen.pop()))
+    return TriType(kind, slopes, v=v, v_prime=v_prime, taggings=tuple(taggings))
+
+
+def lattice_frame(keys):
+    count = Counter(key[:2] for key in keys)
+    doubled = sorted(Slope(a, b) for (a, b), n in count.items() if n == 2)
+    if len(doubled) < 2 or farey_distance(doubled[0], doubled[1]) != 1:
+        raise InternalError("no Farey-1 pair of two-arc slopes among "
+                            + ", ".join(map(str, sorted(Slope(a, b) for a, b in count))))
+    m = pair_to_basis(doubled[0], doubled[1])
+    return m, _key_images(keys, m)

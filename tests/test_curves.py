@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 import compat_oracle
+import object_oracle
 from spherelam.curves import (
     V00, V01, V10, V11,
     AllowableCurve,
@@ -27,7 +29,7 @@ from spherelam.curves import (
     tag_choices,
     type_i_triangulation,
 )
-from spherelam.errors import ClosedCurveHasNoArc
+from spherelam.errors import ClosedCurveHasNoArc, InternalError
 from spherelam.lattice import Slope, UnimodularMap, enumerate_slopes, farey1_triples, \
     farey_distance
 
@@ -301,3 +303,52 @@ class TestLatticeImage:
                 assert images == [a.image(m)._key for a in tri.arcs]
                 assert {key[:3] for key in images} == base
         assert n == 6 * 22
+
+    def test_lattice_frame_matches_slope_oracle(self):
+        # every all-plain triangulation of height <= 3, in arc order and
+        # shuffled: integer cross products pick the pair the Slope order
+        # picked, and six keys without one fail with the oracle's message
+        from spherelam.triangulation import enumerate_triangulations
+
+        rng = random.Random(31)
+        tris = [t for t in enumerate_triangulations(3) if t.all_plain]
+        assert len(tris) == 40
+        for t in tris:
+            keys = [a._key for a in t.arcs]
+            for order in (keys, rng.sample(keys, 6)):
+                assert _lattice_frame(order) == object_oracle.lattice_frame(order)
+        for slopes in ([(1, 0), (1, 0), (0, 1), (1, 1), (1, -1), (2, 1)],
+                       [(1, 0), (1, 0), (1, 2), (1, 2), (0, 1), (1, 1)],
+                       [(1, 0), (1, 0), (0, 1), (0, 1), (1, 0), (1, 1)]):
+            keys = [(a, b, 0, 0) for a, b in slopes]
+            with pytest.raises(InternalError) as got:
+                _lattice_frame(keys)
+            with pytest.raises(InternalError) as expected:
+                object_oracle.lattice_frame(keys)
+            assert str(got.value) == str(expected.value)
+
+    def test_lattice_frame_builds_no_slope(self, monkeypatch):
+        # a valid input is read on integer vectors only; a Slope is built
+        # on the error path alone
+        from spherelam.triangulation import TriType, build_type
+
+        plain = tuple((p, PLAIN) for p in (V00, V01, V10, V11))
+        tris = [base_triangulation(),
+                type_i_triangulation((Slope(5, 3), Slope(2, 1), Slope(3, 2))),
+                build_type(TriType("II", (Slope(1, 1), Slope(1, -1)), v=V00, taggings=plain))]
+        inputs = [[a._key for a in t.arcs] for t in tris]
+        calls = 0
+        real = Slope.__init__
+
+        def counting(self, a, b):
+            nonlocal calls
+            calls += 1
+            real(self, a, b)
+
+        monkeypatch.setattr(Slope, "__init__", counting)
+        for keys in inputs:
+            _lattice_frame(keys)
+        assert calls == 0
+        with pytest.raises(InternalError):
+            _lattice_frame([(1, 0, 0, 0)] * 6)
+        assert calls > 0

@@ -421,15 +421,20 @@ class TestLaminationsAndTangles:
 
     def test_one_lattice_frame_per_call(self, monkeypatch):
         # tangle_shear builds the frame of its triangulation once, whatever
-        # the number of curves; find_witness once per triangulation it tries
-        from spherelam import shear
+        # the number of curves; find_witness once per triple it tries, for
+        # the 16 taggings of the triple, each of which it still builds
+        # through the validating constructor
+        from spherelam import curves, shear
 
-        frames, tried = [], []
+        frames, tried, built = [], [], []
         real_frame, real_build = shear._lattice_frame, shear.type_i_triangulation
+        real_init = curves.TaggedTriangulation.__init__
         monkeypatch.setattr(shear, "_lattice_frame",
                             lambda keys: frames.append(1) or real_frame(keys))
         monkeypatch.setattr(shear, "type_i_triangulation",
                             lambda *a: tried.append(1) or real_build(*a))
+        monkeypatch.setattr(curves.TaggedTriangulation, "__init__",
+                            lambda self, arcs: built.append(1) or real_init(self, arcs))
         tri = type_i_triangulation((Slope(1, 2), Slope(1, 1), INF))
         pool = enumerate_curves(3)
         for n in (0, 1, 4, 30):
@@ -441,8 +446,10 @@ class TestLaminationsAndTangles:
         for tangle, least in ((Tangle(((LAMBDA, 1), (LAMBDA_C, -1))), 1), (antipodal, 17)):
             frames.clear()
             tried.clear()
+            built.clear()
             assert find_witness(tangle, 3) is not None
-            assert len(frames) == len(tried) >= least
+            assert len(built) == len(tried) >= least
+            assert len(frames) == -(-len(tried) // 16)  # the triples tried
         frames.clear()
         shear_wrt(LAMBDA, tri)
         assert len(frames) == 1
@@ -503,6 +510,22 @@ class TestTorus:
         for s in enumerate_slopes(5):
             assert sphere_torus_check(s, tri)
             assert sphere_torus_check(s, base_triangulation())
+
+    def test_projection_builds_one_frame(self, monkeypatch):
+        # the sphere vector is read off the frame the check builds itself;
+        # the notched tags do not matter to a closed curve
+        from spherelam import shear
+
+        frames = []
+        real = shear._lattice_frame
+        monkeypatch.setattr(shear, "_lattice_frame", lambda keys: frames.append(1) or real(keys))
+        notched = type_i_triangulation((Slope(1, 2), Slope(1, 1), INF),
+                                       tuple((p, Tagging.NOTCHED) for p in PUNCTURES))
+        for tri in (base_triangulation(), notched):
+            for s in enumerate_slopes(3):
+                frames.clear()
+                assert sphere_torus_check(s, tri)
+                assert len(frames) == 1
 
 
 class TestWitness:
@@ -596,7 +619,7 @@ class TestWitness:
                    Tangle(((AllowableCurve(INF), 1), (AllowableCurve(Slope(2, -1)), 1)))]
         tangles += [Tangle(tuple((pool[(7 * k + 3 * j) % len(pool)], j - 1) for j in range(3)))
                     for k in range(6)]
-        real = shear.tangle_shear
+        real = shear._shear_in_frame
         for tangle in tangles:
             # every candidate triple reads zero shear, so the search goes on
             # to its fallback over the Farey-1 triples up to max_height; so do
@@ -612,8 +635,8 @@ class TestWitness:
                 return (slopes in blocked or sum(s.a + 2 * s.b for s in slopes) % 3
                         or len(notched) != 2)
 
-            monkeypatch.setattr(shear, "tangle_shear", lambda t, tri: (
-                (0,) * 6 if hidden(tri) else real(t, tri)))
+            monkeypatch.setattr(shear, "_shear_in_frame", lambda t, tri, frame: (
+                (0,) * 6 if hidden(tri) else real(t, tri, frame)))
             expected = former_sweep(tangle, blocked)
             if expected is None:
                 with pytest.raises(BoundExhausted):

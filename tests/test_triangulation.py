@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import compat_oracle
+import object_oracle
 from box_oracle import box_adjacency
-from spherelam import triangulation
+from spherelam import curves, triangulation
 from spherelam.curves import (
     V00, V01, V10, V11,
     Puncture,
@@ -135,6 +137,26 @@ def plain_walk(start, steps, rng):
                 yield t, k, f
                 t = f
                 break
+
+
+@functools.lru_cache(maxsize=None)
+def height_three():
+    """Every triangulation of height <= 3, built once for the tests that
+    sweep all of them."""
+    return list(enumerate_triangulations(3))
+
+
+def deep_tagged_walks(seed, steps=40):
+    """(T, k, flip(T, k)) along seeded random flip walks from tagged type-I
+    starts of heights 10^3 to 10^6, one walk per decade."""
+    rng = random.Random(seed)
+    for exponent in (3, 4, 5):
+        t = type_i_start(rng, 10**exponent, 10**(exponent + 1))
+        for _ in range(steps):
+            k = rng.randrange(6)
+            f = flip(t, k)
+            yield t, k, f
+            t = f
 
 
 class TestBaseTriangulation:
@@ -294,13 +316,16 @@ class TestFlip:
 
     def test_candidate_vectors_are_the_slopes(self):
         # the former candidate set, one standard_form Slope per integral
-        # (i*s + j*t) / d, against the integer vectors kept now
+        # (i*s + j*t) / d over the 12 (i, j) above (0, 0) with |i|, |j| <= 2,
+        # against the integer vectors kept now
         def slope_candidates(rest):
             s = rest[0].slope
             t = next(a.slope for a in rest if a.slope != s)
             d = det2(s, t)
             out = set()
-            for i, j in triangulation._UPPER_PAIRS:
+            for i, j in itertools.product(range(-2, 3), repeat=2):
+                if (i, j) <= (0, 0):
+                    continue  # one of each pair +-(i, j), and not (0, 0)
                 x, y = i * s.a + j * t.a, i * s.b + j * t.b
                 if x % d == 0 and y % d == 0:
                     out.add(standard_form(x // d, y // d))
@@ -382,6 +407,10 @@ class TestFlip:
     def test_filter_bounds_kernel_calls(self, monkeypatch):
         # all 8 keys of each candidate slope through the kernel take 70.1
         # calls a flip on these 12,000 cases; the filter leaves a few keys
+        # (8.06 a flip).  The kernel is counted under both module names, so
+        # that construction counts too: none for the result of a flip,
+        # which the search has just checked, and 15 pair checks for every
+        # other construction
         calls = 0
 
         def counting(x, y):
@@ -389,14 +418,16 @@ class TestFlip:
             calls += 1
             return _keys_compatible(x, y)
 
+        monkeypatch.setattr(curves, "_keys_compatible", counting)
         monkeypatch.setattr(triangulation, "_keys_compatible", counting)
-        flips = 0
-        for t in enumerate_triangulations(3):
-            for k in range(6):
-                flip(t, k)
-                flips += 1
-        assert flips == 12_000
-        assert calls <= 10 * flips
+        tris = height_three()
+        calls = 0
+        flips = [flip(t, k) for t in tris for k in range(6)]
+        assert len(flips) == 12_000
+        assert calls <= 10 * len(flips)
+        calls = 0
+        TaggedTriangulation(flips[0].arcs)
+        assert calls == 15
 
     @pytest.mark.parametrize("k", [6, -1, -6, True, False, 1.0, "0", None])
     def test_index_must_be_an_int_in_range(self, k):
@@ -409,6 +440,63 @@ class TestFlip:
         t = build_type(spec)
         kinds = Counter(classify(flip(t, k)).tag for k in range(6))
         assert dict(kinds) == {"IV": 4, "VI": 2}
+
+
+class TestKeyReaders:
+    """The constructor, flip, classify and the triangulation properties
+    read integer arc keys; the object-based readers of
+    :mod:`object_oracle` are their oracles."""
+
+    def test_classify_matches_object_oracle_to_height_three(self):
+        rng = random.Random(17)
+        for t in height_three():
+            assert classify(t) == object_oracle.classify(t)
+            shuffled = TaggedTriangulation(tuple(rng.sample(t.arcs, 6)))
+            assert classify(shuffled) == object_oracle.classify(shuffled)
+
+    def test_classify_matches_object_oracle_on_deep_walks(self):
+        kinds = Counter()
+        for _, _, f in deep_tagged_walks(19):
+            kinds[classify(f).tag] += 1
+            assert classify(f) == object_oracle.classify(f)
+        assert set(kinds) == {"I", "II", "III", "IV", "V", "VI"}
+
+    def test_mixed_tags_at_a_free_puncture_are_internal(self):
+        # a type-II arc set with one tag changed: its degrees and pairs
+        # still read type II, whose four punctures are all free
+        t = build_type(TriType("II", (Slope(1, 1), MINUS_ONE), v=V00, taggings=ALL_PLAIN))
+        arcs = (t.arcs[0].retag(V00, NOTCHED),) + t.arcs[1:]
+        bad = TaggedTriangulation._of_flip(arcs)  # skips the pair checks
+        for reader in (classify, object_oracle.classify):
+            with pytest.raises(InternalError, match="mixed tags at v00"):
+                reader(bad)
+
+    def test_properties_match_object_references(self):
+        tris = height_three() + [f for _, _, f in deep_tagged_walks(23)]
+        assert max(t.height for t in tris) >= 10**5
+        assert {t.all_plain for t in tris} == {True, False}
+        for t in tris:
+            assert t.degree_sequence == object_oracle.degree_sequence(t)
+            assert t.all_plain == object_oracle.all_plain(t)
+            assert t.height == object_oracle.height(t)
+
+    def test_flip_passes_the_validating_constructor(self):
+        # flip skips the 15 pair checks; the full constructor accepts every
+        # flip it builds: all 12,000 (T, k) of height 3, then deep walks
+        cases = [(t, k, flip(t, k)) for t in height_three() for k in range(6)]
+        assert len(cases) == 12_000
+        for t, k, f in cases + list(deep_tagged_walks(29)):
+            checked = TaggedTriangulation(f.arcs)
+            assert checked == f and checked.arcs == f.arcs
+            assert checked.degree_sequence == f.degree_sequence
+
+    def test_flip_constructor_checks_distinct_arcs_and_degrees(self):
+        arcs = base_triangulation().arcs
+        with pytest.raises(ValueError, match="exactly 6 distinct arcs"):
+            TaggedTriangulation._of_flip(arcs[:5] + arcs[:1])
+        notched = TaggedArc(INF, ((V00, NOTCHED), (V01, PLAIN)))  # degrees 2, 3, 3, 4
+        with pytest.raises(ValueError, match=r"impossible degree sequence \(2, 3, 3, 4\)"):
+            TaggedTriangulation._of_flip((notched,) + arcs[1:])
 
 
 class TestMatrices:
@@ -427,6 +515,18 @@ class TestMatrices:
     def test_index_must_be_an_int_in_range(self, k):
         with pytest.raises(DomainError, match=r"mutation index must be in 0\.\.5"):
             mutate(FIG1_MATRIX, k)
+
+    @pytest.mark.parametrize("k", [2, 3, -1])
+    def test_index_must_index_the_matrix(self, k):
+        # an index in 0..5 outside a smaller matrix is a DomainError too
+        with pytest.raises(DomainError, match=r"mutation index must be in 0\.\.1"):
+            mutate(((0, 1), (-1, 0)), k)
+
+    def test_smaller_matrix(self):
+        assert mutate(((0, 1), (-1, 0)), 1) == ((0, -1), (1, 0))
+        B = ((0, 2, -1), (-2, 0, 3), (1, -3, 0))
+        assert mutate(B, 1) == ((0, -2, 5), (2, 0, -3), (-5, 3, 0))
+        assert all(mutate(mutate(B, k), k) == B for k in range(3))
 
     def test_skew_preserved(self):
         B = FIG1_MATRIX
