@@ -8,7 +8,11 @@ plain tags with clockwise spirals and notched tags with counterclockwise
 spirals.  Closed curves carry a slope only.
 
 :class:`TaggedTriangulation` lives here so that ``shear --tri`` and
-``render --tri`` need not load :mod:`spherelam.triangulation`.
+``render --tri`` need not load :mod:`spherelam.triangulation`, with the
+type-I builder :func:`type_i_triangulation`, its reader
+:func:`_type_i_triple`, and :data:`_DEGREE_TYPES`, the admissible degree
+sequences with the types each allows, which the constructor, the reader
+and :func:`triangulation.classify` read.
 """
 
 from __future__ import annotations
@@ -19,8 +23,9 @@ import itertools
 from typing import Iterator, Sequence
 
 from ._frozen import Frozen
-from .errors import ClosedCurveHasNoArc, InternalError, MalformedInput, NotFareyTriple
-from .lattice import INF, MINUS_ONE, ZERO, Slope, UnimodularMap, det2, enumerate_slopes, \
+from .errors import ClosedCurveHasNoArc, DomainError, InternalError, MalformedInput, \
+    NotFareyTriple
+from .lattice import BASE_TRIPLE, Slope, UnimodularMap, _slope_cmp, det2, enumerate_slopes, \
     is_farey1_triple, pair_to_basis, standard_vector
 
 
@@ -432,8 +437,8 @@ def _key_images(keys: Sequence[tuple[int, int, int, int]], m: UnimodularMap
             for a, b, mask, marks in keys]
 
 
-# The slope order on vectors in standard form: u < v iff det(u, v) > 0.
-_BY_SLOPE = functools.cmp_to_key(lambda u, v: u[1] * v[0] - u[0] * v[1])
+# The slope order on vectors in standard form, as Slopes are ordered.
+_BY_SLOPE = functools.cmp_to_key(_slope_cmp)
 
 
 def _lattice_frame(keys: Sequence[tuple[int, int, int, int]]
@@ -533,7 +538,11 @@ def classify_pair(x: TaggedArc, y: TaggedArc) -> PairClass:
     return (PairClass.FAREY0, PairClass.FAREY1, PairClass.FAREY2)[shared]
 
 
-_ADMISSIBLE_DEGREES = {(2, 2, 2, 6), (2, 2, 3, 5), (2, 2, 4, 4), (3, 3, 3, 3)}
+_TYPE_I_DEGREES = (3, 3, 3, 3)
+# The admissible degree sequences, each with its types by their number of
+# coinciding pairs (two arcs that differ in one tag only).
+_DEGREE_TYPES = {_TYPE_I_DEGREES: {0: "I"}, (2, 2, 4, 4): {0: "II", 2: "III"},
+                (2, 2, 3, 5): {1: "IV"}, (2, 2, 2, 6): {2: "V", 3: "VI"}}
 
 # Bit n of a mask as 1 in the 4-bit field n: a sum packs the degrees.
 _SPREAD = tuple(sum(1 << 4 * n for n in range(4) if mask >> n & 1) for mask in range(16))
@@ -587,7 +596,7 @@ class TaggedTriangulation(Frozen):
                 if not _keys_compatible(keys[i], keys[j]):
                     raise ValueError(f"incompatible arcs {arcs[i]}, {arcs[j]}")
         degrees = tuple(sorted(_degrees(keys)))
-        if degrees not in _ADMISSIBLE_DEGREES:
+        if degrees not in _DEGREE_TYPES:
             raise ValueError(f"impossible degree sequence {degrees}")
         object.__setattr__(self, "_keys", keys)
         object.__setattr__(self, "degree_sequence", degrees)
@@ -651,8 +660,18 @@ def type_i_triangulation(triple: tuple[Slope, Slope, Slope],
         for which in (0, 1) for s in triple))
 
 
+def _type_i_triple(tri: TaggedTriangulation) -> tuple[Slope, ...]:
+    """The slopes of the arcs through v00 of a type-I ``tri``, the one type
+    with all degrees 3, in arc order (see :func:`type_i_triangulation`);
+    any other triangulation is a DomainError."""
+    if tri.degree_sequence != _TYPE_I_DEGREES:
+        raise DomainError("the triangulation is not type I: its puncture degrees are "
+                          f"{tri.degree_sequence}, not {_TYPE_I_DEGREES}")
+    return tuple(arc.slope for arc in tri.arcs if V00 in arc.punctures)
+
+
 def base_triangulation() -> TaggedTriangulation:
     """The base triangulation: arcs 1,4 of slope 0, arcs 2,5 of slope inf,
-    arcs 3,6 of slope -1, all plain, indexed so that arcs 1,2,3 pass
-    through v00."""
-    return type_i_triangulation((ZERO, INF, MINUS_ONE))
+    arcs 3,6 of slope -1 (:data:`lattice.BASE_TRIPLE`), all plain, indexed
+    so that arcs 1,2,3 pass through v00."""
+    return type_i_triangulation(BASE_TRIPLE)

@@ -71,24 +71,13 @@ class Slope(Frozen):
     def parity(self) -> tuple[int, int]:
         return (self.a % 2, self.b % 2)
 
-    # Total order: compare by value, with inf as the maximum element.
-    def _cmp(self, other: "Slope") -> int:
-        if self == other:
-            return 0
-        if self.is_infinite:
-            return 1
-        if other.is_infinite:
-            return -1
-        lhs = self.b * other.a
-        rhs = other.b * self.a
-        return (lhs > rhs) - (lhs < rhs)
-
-    # s > t and s >= t fall back on the reflected t < s and t <= s
+    # Total order by value, inf the maximum (:func:`_slope_cmp`); s > t and
+    # s >= t fall back on the reflected t < s and t <= s
     def __lt__(self, other: "Slope") -> bool:
-        return self._cmp(other) < 0
+        return _slope_cmp((self.a, self.b), (other.a, other.b)) < 0
 
     def __le__(self, other: "Slope") -> bool:
-        return self._cmp(other) <= 0
+        return _slope_cmp((self.a, self.b), (other.a, other.b)) <= 0
 
     def __str__(self) -> str:
         return "inf" if self.is_infinite else f"{self.b}/{self.a}"
@@ -107,9 +96,19 @@ class Slope(Frozen):
         return standard_form(1, int(text))
 
 
+def _slope_cmp(u: tuple[int, int], v: tuple[int, int]) -> int:
+    """The slope order on primitive vectors in standard form: negative, 0
+    or positive as the slope of u is less than, equal to or greater than
+    that of v.  With both first entries >= 0, ``b*a' - a*b'`` alone puts
+    inf = (0, 1) last."""
+    return u[1] * v[0] - u[0] * v[1]
+
+
 INF = Slope(0, 1)
 ZERO = Slope(1, 0)
 MINUS_ONE = Slope(1, -1)
+#: The Farey-1 triple of the base triangulation.
+BASE_TRIPLE: tuple[Slope, Slope, Slope] = (ZERO, INF, MINUS_ONE)
 
 
 def standard_vector(p: int, q: int) -> tuple[int, int]:
@@ -292,8 +291,9 @@ def pair_to_basis(
 
 def triple_to_basis(triple: tuple[Slope, Slope, Slope]) -> UnimodularMap:
     """Orientation-preserving lattice map carrying the slope set of a
-    Farey-1 triple onto {0, inf, -1}, hence the lifted type-I triangulation
-    of the triple onto the lift of the base triangulation.
+    Farey-1 triple onto {0, inf, -1} (:data:`BASE_TRIPLE`), hence the
+    lifted type-I triangulation of the triple onto the lift of the base
+    triangulation.
 
     The first two slopes are sent to the 0/inf directions when the ordered
     triple allows a det = +1 map; otherwise their roles swap (the slope
@@ -306,6 +306,6 @@ def triple_to_basis(triple: tuple[Slope, Slope, Slope]) -> UnimodularMap:
     if _chirality(u1, u2, u3) == -1:
         u1, u2 = u2, u1
     m = pair_to_basis(u1, u2)
-    if tuple(m.apply_slope(standard_form(*u)) for u in (u1, u2, u3)) != (ZERO, INF, MINUS_ONE):
+    if tuple(m.apply_slope(standard_form(*u)) for u in (u1, u2, u3)) != BASE_TRIPLE:
         raise InternalError(f"the basis change of {triple} misses (0, inf, -1)")
     return m

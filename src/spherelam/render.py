@@ -5,9 +5,10 @@ spiral glyphs at their endpoints."""
 from __future__ import annotations
 
 from ._frozen import Frozen
-from .curves import AllowableCurve, SpiralDir, TaggedTriangulation
+from .curves import AllowableCurve, SpiralDir, TaggedTriangulation, _type_i_triple, \
+    base_triangulation
 from .lattice import _left_farey_neighbor
-from .shear import _BASE, _closed_lift, _nonzero_product, _type_i_triple
+from .shear import _closed_lift, _nonzero_product
 
 Window = tuple[int, int, int, int]  # xmin, xmax, ymin, ymax
 
@@ -30,7 +31,7 @@ class RenderSpec(Frozen):
     window: Window  # (xmin, xmax, ymin, ymax)
 
     def __init__(self, curves: tuple[AllowableCurve, ...] = (),
-                 triangulation: TaggedTriangulation = _BASE,
+                 triangulation: TaggedTriangulation = base_triangulation(),
                  window: Window = (0, 2, 0, 2)) -> None:
         xmin, xmax, ymin, ymax = window
         if xmin >= xmax or ymin >= ymax:

@@ -16,9 +16,9 @@ from .curves import (
     curves_compatible,
     type_i_triangulation,
 )
-from .lattice import INF, MINUS_ONE, ZERO, Slope, is_farey1_triple, standard_form
+from .lattice import BASE_TRIPLE, INF, Slope, is_farey1_triple, standard_form
 from .shear import (
-    BASE_TRIPLE,
+    GAMMA24,
     PERM_25,
     PERM_Z2,
     apply_perm,
@@ -62,7 +62,7 @@ def run_selftest() -> list[tuple[str, bool]]:
 
     check("standard form (0,-7) -> inf", standard_form(0, -7) == INF)
     check("standard form (5,-2) fixed", standard_form(5, -2) == Slope(5, -2))
-    check("(0, inf, -1) is a Farey-1 triple", is_farey1_triple(ZERO, INF, MINUS_ONE))
+    check("(0, inf, -1) is a Farey-1 triple", is_farey1_triple(*BASE_TRIPLE))
     check(
         "endpoint pairs of slope 3/2",
         endpoint_sets(Slope(2, 3)) == ((V00, V01), (V10, V11)),
@@ -108,7 +108,7 @@ def run_selftest() -> list[tuple[str, bool]]:
     check("base triangulation type I", triangulation.classify(t0).tag == "I")
     check(
         "base triangulation triple",
-        triangulation.classify(t0).slopes == tuple(sorted((ZERO, INF, MINUS_ONE))),
+        triangulation.classify(t0).slopes == tuple(sorted(BASE_TRIPLE)),
     )
     B = triangulation.signed_adjacency(t0)
     check("signed adjacency of the base triangulation", B == triangulation.FIG1_MATRIX)
@@ -164,11 +164,13 @@ def run_selftest() -> list[tuple[str, bool]]:
     raw = fan.universal_raw(2, "thm81")
     check("irredundant universal listing", len(raw) == len(set(raw)))
 
-    check("orbit sizes 6/6/12/3 per slope", _orbit_sizes_ok())
+    check("orbit sizes 6/6/12/3 per slope", all(
+        [len({apply_perm(p, item(a, b)) for p in GAMMA24}) for item in fan.THM12_ITEMS]
+        == [6, 6, 12, 3] for a, b in ((1, 1), (2, 3), (0, 1))))
 
     vi = triangulation.build_type(
         triangulation.TriType(
-            "VI", (ZERO, INF, MINUS_ONE), v=V00, taggings=((V00, Tagging.PLAIN),)
+            "VI", BASE_TRIPLE, v=V00, taggings=((V00, Tagging.PLAIN),)
         )
     )
     check("three coinciding pairs classify as type VI",
@@ -204,17 +206,3 @@ def run_selftest() -> list[tuple[str, bool]]:
     check("closed ray lies in exactly sixteen type-VII cones",
           len(hits) == 16 and all(c.kind == "VII" for c, _, _ in hits))
     return checks
-
-
-def _orbit_sizes_ok() -> bool:
-    from .fan import _thm12_item2
-    from .shear import GAMMA24, _item1, _item2, _item5
-
-    for a, b in ((1, 1), (2, 3), (0, 1)):
-        sizes = [
-            len({apply_perm(p, item(a, b)) for p in GAMMA24})
-            for item in (_item1, _thm12_item2, _item2, _item5)
-        ]
-        if sizes != [6, 6, 12, 3]:
-            return False
-    return True

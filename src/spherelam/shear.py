@@ -33,16 +33,15 @@ from .curves import (
     TaggedTriangulation,
     Tagging,
     _lattice_frame,
+    _type_i_triple,
     base_triangulation,
     curves_compatible,
     tag_choices,
     type_i_triangulation,
 )
-from .errors import BoundExhausted, DomainError, InternalError, UnsupportedBaseCase
+from .errors import BoundExhausted, InternalError, UnsupportedBaseCase
 from .lattice import (
-    INF,
-    MINUS_ONE,
-    ZERO,
+    BASE_TRIPLE,
     Slope,
     UnimodularMap,
     check_height,
@@ -98,7 +97,15 @@ def perm_product(left: Iterable[CoordPerm], right: Iterable[CoordPerm]) -> list[
 
 
 PERM_Z2: CoordPerm = compose(PERM_Z, PERM_Z)
-GROUP_Y = frozenset({PERM_ID, PERM_14_36, PERM_25_36, PERM_14_25})
+
+#: permutation induced by translating the lifted plane by the given parity
+TRANSLATION_PERMS: dict[tuple[int, int], CoordPerm] = {
+    (0, 0): PERM_ID,
+    (0, 1): PERM_14_36,
+    (1, 0): PERM_25_36,
+    (1, 1): PERM_14_25,
+}
+GROUP_Y = frozenset(TRANSLATION_PERMS.values())
 GROUP_Z = frozenset({PERM_ID, PERM_Z, PERM_Z2})
 #: The eight slope-preserving flips: each slot pair {i, i+3} swapped or not.
 FLIPS = frozenset(perm_product(perm_product((PERM_ID, PERM_14), (PERM_ID, PERM_25)),
@@ -111,14 +118,6 @@ GAMMA24 = frozenset(perm_product(GROUP_Z, FLIPS))
 #: and likewise RHO2 with PERM_Z2, for every curve c.
 RHO = UnimodularMap(((0, 1), (-1, -1)))
 RHO2 = UnimodularMap(((-1, -1), (1, 0)))
-
-#: permutation induced by translating the lifted plane by the given parity
-TRANSLATION_PERMS: dict[tuple[int, int], CoordPerm] = {
-    (0, 0): PERM_ID,
-    (0, 1): PERM_14_36,
-    (1, 0): PERM_25_36,
-    (1, 1): PERM_14_25,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -388,21 +387,9 @@ def shear_oracle(curve: AllowableCurve) -> ShearVector:
 # ---------------------------------------------------------------------------
 
 
-BASE_TRIPLE: tuple[Slope, Slope, Slope] = (ZERO, INF, MINUS_ONE)
-
 _BASE = base_triangulation()
 # the index of each base arc by its slope vector and endpoint mask
 _BASE_SLOT = {arc._key[:3]: i for i, arc in enumerate(_BASE.arcs)}
-
-
-def _type_i_triple(tri: TaggedTriangulation) -> tuple[Slope, ...]:
-    """The slopes of the arcs of ``tri`` through v00, in arc order; a
-    triangulation not of type I, the one type with all degrees 3, is a
-    DomainError."""
-    if tri.degree_sequence != (3, 3, 3, 3):
-        raise DomainError("the triangulation is not type I: its puncture degrees are "
-                          f"{tri.degree_sequence}, not (3, 3, 3, 3)")
-    return tuple(arc.slope for arc in tri.arcs if V00 in arc.punctures)
 
 
 def _base_slots(tri: TaggedTriangulation) -> tuple[UnimodularMap, tuple[int, ...]]:

@@ -21,30 +21,16 @@ puncture, the types are, in arc order:
 
 Types are parametrized exactly as enumerated by :func:`enumerate_triangulations`
 and recognized by :func:`classify`; :func:`build_type` inverts classify.
-All three read u, w, c, c2 and the punctures whose tag the type leaves free
-from :func:`_frame`, the one statement of them.
+The first two read u, w, c, c2 and the punctures whose tag the type leaves
+free from :func:`_frame`, which checks a spec; :func:`classify` reads them
+off the arc keys of a valid triangulation and checks nothing again.
 
 Neither kernel depends on the height.  :func:`flip` tries at most 8
-candidate slopes: with s, t two distinct remaining slopes and
-d = det(s, t), the new slope is an integral (i*s + j*t) / d with
-|i|, |j| <= 2, by Cramer's rule and the Farey-distance bound of
-compatibility.  Of the keys of those slopes that the kernel's own slope,
-endpoint and tag conditions allow, the one surviving key is the flip: a
-key compatible with the five remaining arcs completes six distinct
-pairwise compatible arcs, which are a maximal compatible set and so a
-triangulation (Fomin-Shapiro-Thurston, Acta Math. 2008), and the flip of
-an arc is unique.  Every path validates through the constructor of
-:class:`~spherelam.curves.TaggedTriangulation` but :func:`flip`, whose
-kept arcs passed it when the input was built and whose new arc has just
-passed the kernel against each of them.  :func:`signed_adjacency` maps
-the six integer arc keys of an all-plain triangulation to a height-1
-representative by their lattice frame (:func:`curves._lattice_frame`),
-the orientation-preserving lattice map fixed by the two least slopes that
-carry two arcs each, which also carries the type-I triangulations of
-:mod:`spherelam.shear` onto the base one.  It reads the matrix there
-from a memo of three arc sets, filled by mutating ``FIG1_MATRIX`` along
-the six flips of the base triangulation.  The tests check it against a
-geometric oracle on the lifted segment arrangement.
+candidate slopes (:func:`_flip_slopes`) and keeps the one key that the
+compatibility kernel accepts against the five remaining arcs, the flip
+being unique (Fomin-Shapiro-Thurston, Acta Math. 2008);
+:func:`signed_adjacency` reads the matrix of an all-plain triangulation at
+its height-1 image under its lattice frame (:func:`curves._lattice_frame`).
 """
 
 from __future__ import annotations
@@ -60,6 +46,7 @@ from .curves import (
     TaggedArc,
     TaggedTriangulation,
     Tagging,
+    _DEGREE_TYPES,
     _PAIRS,
     _arc_key,
     _arc_of_key,
@@ -157,7 +144,9 @@ def _frame(kind: str, slopes: tuple[Slope, ...], v: Puncture | None,
     """(u, w, c, c2, free) of a type with these slopes (in any order), v and v':
     u ends the Farey-2 pair at v, w is IV's fourth puncture, companion c leads
     from v to v' and c2 is the other (None where the type has none); free
-    lists the punctures whose tag the type leaves free.  Checks all but tags."""
+    lists the punctures whose tag the type leaves free.  Checks all but tags,
+    for the specs of :func:`build_type`, :func:`_enumerate_typed` and the
+    tests' object oracle; :func:`classify` reads keys instead."""
     if kind not in ("I", "II", "III", "IV", "V", "VI"):
         raise InvalidParameters(f"unknown type {kind!r}")
     if kind in ("I", "VI"):
@@ -246,19 +235,27 @@ def classify(tri: TaggedTriangulation) -> TriType:
     """Type and determining data of a triangulation (inverse of
     :func:`build_type` up to arc order).
 
-    The degrees, the Farey-2 pair (types II-V) and the coinciding pairs
-    give the type, its slopes, v and v'; the taggings are the common tag
-    of the arcs at each puncture :func:`_frame` leaves free.  All are read
-    off the arc keys: a Farey-2 pair has one endpoint mask and ``|det|`` 2,
-    a coinciding pair differs in the notch mask only.
+    All is read off the arc keys of the valid ``tri`` and checked no
+    more: a coinciding pair is two keys that differ in the notch mask only,
+    a Farey-2 pair two with one endpoint mask and ``|det|`` 2.  The degrees
+    and the number of coinciding pairs give the type
+    (:data:`curves._DEGREE_TYPES`).  A puncture is free unless it is the far
+    end of a coinciding pair, where its two notch masks differ.
     """
     keys = tri._keys
     f2 = next(((i, j) for i, j in _PAIRS if keys[i][2] == keys[j][2]
                and abs(keys[i][0] * keys[j][1] - keys[i][1] * keys[j][0]) == 2), None)
-    heads = [key[:3] for key in keys]
-    pairs = [head[2] for head in set(heads) if heads.count(head) == 2]
-    kind = {(3, 3, 3, 3): "I", (2, 2, 4, 4): "III" if pairs else "II", (2, 2, 3, 5): "IV",
-            (2, 2, 2, 6): "V" if f2 else "VI"}[tri.degree_sequence]
+    first: dict[tuple[int, int, int], int] = {}
+    pairs = []  # the endpoint mask of each coinciding pair
+    notched = plain = far = 0
+    for a, b, mask, marks in keys:
+        notched |= marks
+        plain |= mask ^ marks
+        other = first.setdefault((a, b, mask), marks)
+        if other != marks:
+            pairs.append(mask)
+            far |= other ^ marks
+    kind = _DEGREE_TYPES[tri.degree_sequence][len(pairs)]
     slopes = (tri.arcs[f2[0]].slope, tri.arcs[f2[1]].slope) if f2 else \
         tuple({arc.slope for arc in tri.arcs})
     v = v_prime = None
@@ -271,17 +268,13 @@ def classify(tri: TaggedTriangulation) -> TriType:
     if kind in ("III", "IV"):
         bit = 1 << 2 * v.i + v.j
         v_prime = PUNCTURES[next(mask ^ bit for mask in pairs if mask & bit).bit_length() - 1]
-    notched = plain = 0
-    for _, _, mask, marks in keys:
-        notched |= marks
-        plain |= mask ^ marks
-    taggings = []
-    for p in _frame(kind, slopes, v, v_prime)[-1]:
-        bit = 1 << 2 * p.i + p.j
-        if notched & plain & bit:
-            raise InternalError(f"mixed tags at v{p} outside a coinciding end")
-        taggings.append((p, Tagging.NOTCHED if notched & bit else Tagging.PLAIN))
-    return TriType(kind, slopes, v=v, v_prime=v_prime, taggings=tuple(taggings))
+    mixed = notched & plain & ~far
+    if mixed:
+        p = PUNCTURES[(mixed & -mixed).bit_length() - 1]
+        raise InternalError(f"mixed tags at v{p} outside a coinciding end")
+    taggings = tuple((p, Tagging.NOTCHED if notched >> n & 1 else Tagging.PLAIN)
+                     for n, p in enumerate(PUNCTURES) if not far >> n & 1)
+    return TriType(kind, slopes, v=v, v_prime=v_prime, taggings=taggings)
 
 
 def _farey2_pairs(slopes: Sequence[Slope]) -> list[tuple[Slope, Slope]]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -12,11 +13,13 @@ from spherelam import cli
 from spherelam.cli import run
 from spherelam.errors import DomainError, InternalNonUnique
 from spherelam.curves import V01, PUNCTURES, AllowableCurve, TaggedArc, TaggedTriangulation, \
-    Tagging, base_triangulation, type_i_triangulation
+    Tagging, base_triangulation, tag_choices, type_i_triangulation
 from spherelam.render import RenderSpec, curve_polyline, grid_lines, render
 from spherelam.lattice import INF, MINUS_ONE, ZERO, Slope
 from spherelam.shear import shear_wrt
-from spherelam.triangulation import classify, enumerate_triangulations, flip, signed_adjacency
+from spherelam.triangulation import _enumerate_typed, classify, enumerate_triangulations, flip, \
+    signed_adjacency
+from test_triangulation import INVALID_SPECS
 
 
 def ok(argv):
@@ -685,6 +688,28 @@ class TestColdStart:
             if path.name != "lattice.py":
                 assert "triple_to_basis" not in called, path.name
 
+    def test_each_type_fact_has_one_home(self):
+        # the admissible degree sequences are written in curves, the base
+        # triple in lattice; selftest reads public names only.  selftest's
+        # published fixtures keep their literal expected values.
+        import ast
+        import pathlib
+
+        degrees = {(2, 2, 2, 6), (2, 2, 3, 5), (2, 2, 4, 4), (3, 3, 3, 3)}
+        homes = {}
+        for path in sorted(pathlib.Path(spherelam.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Tuple):
+                    values = tuple(getattr(e, "value", getattr(e, "id", None))
+                                   for e in node.elts)
+                    if values in degrees and path.name != "selftest.py":
+                        homes.setdefault("degrees", set()).add(path.name)
+                    if values == ("ZERO", "INF", "MINUS_ONE"):
+                        homes.setdefault("base triple", set()).add(path.name)
+                if isinstance(node, ast.ImportFrom) and path.name == "selftest.py":
+                    assert not [a.name for a in node.names if a.name.startswith("_")]
+        assert homes == {"degrees": {"curves.py"}, "base triple": {"lattice.py"}}
+
     def test_no_module_imports_dataclasses(self):
         import pathlib
 
@@ -845,6 +870,52 @@ class TestJsonRoundTrips:
         doc = json.loads(out)
         assert "error" in doc and doc["schema"] == "sphere-lam/1"
         assert doc["kind"] == "domain"
+
+
+_GOLDEN_CURVES = (CURVE_PRIME, '{"closed":"3/2"}',
+                  '{"slope":"-1","ends":[{"v":"00","spiral":"ccw"},{"v":"11","spiral":"cw"}]}')
+
+
+def _golden_argvs() -> list:
+    """The fixed command set of :class:`TestGoldenOutput`; render writes
+    to the path OUT."""
+    argvs = []
+    for spec, tri in _enumerate_typed(2):
+        argvs.append(["triangulate", *_triangulate_options(spec)])
+        argvs.append(["classify", "--tri", json.dumps(tri.to_json())])
+    argvs.append(["cones", "--max-height", "2"])
+    argvs += [["universal", "--form", form, "--max-height", "3"] for form in ("thm12", "thm81")]
+    argvs.append(["gvectors", "--max-height", "3"])
+    for triple in (["0", "inf", "-1"], ["2/1", "1", "inf"], ["2/3", "1/2", "1"]):
+        for tags in tag_choices(PUNCTURES):
+            tri = json.dumps({"triple": triple, "tags": {str(p): t.value for p, t in tags}})
+            argvs += [["shear", "--curve", c, "--tri", tri] for c in _GOLDEN_CURVES[:2]]
+    argvs.append(["render", *(f"--curve={c}" for c in _GOLDEN_CURVES), "--out", "OUT"])
+    argvs.append(["selftest"])
+    argvs += [["triangulate", *_triangulate_options(spec)] for spec in INVALID_SPECS]
+    type_ii = json.dumps(flip(base_triangulation(), 0).to_json())
+    argvs.append(["shear", "--curve", CURVE_PRIME, "--tri", type_ii])
+    return argvs
+
+
+class TestGoldenOutput:
+    """The exit codes and stdout of a fixed command set, digested: every
+    output of the set stays byte-identical.  The digest was taken at the
+    commit that first read triangulations by their integer arc keys."""
+
+    DIGEST = "1763625fb12b4eeda82e0ea5dbbd0bb44d7e40f090729ca2c068121d62c277db"
+
+    def test_outputs_unchanged(self, tmp_path):
+        svg = tmp_path / "golden.svg"
+        digest = hashlib.sha256()
+        argvs = _golden_argvs()
+        assert len(argvs) == 1688
+        for argv in argvs:
+            code, out = run([str(svg) if a == "OUT" else a for a in argv])
+            if argv[0] == "render":
+                out = out.replace(str(svg), "OUT") + svg.read_text()
+            digest.update(f"{code}\n{out}\n".encode())
+        assert digest.hexdigest() == self.DIGEST
 
 
 # ---------------------------------------------------------------------------

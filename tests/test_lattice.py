@@ -5,6 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from spherelam import lattice
+from spherelam.curves import _BY_SLOPE
 from spherelam.errors import NotFareyNeighbors, NotFareyTriple, ZeroVector
 from spherelam.lattice import (
     INF,
@@ -133,16 +134,22 @@ class TestSlopeOrder:
         assert sorted(finite) == by_value
 
     def test_comparisons_match_value_order(self):
-        # > and >= fall back on the reflected < and <=
+        # > and >= fall back on the reflected < and <=; Slope's order and
+        # curves' vector order are both _slope_cmp, with inf last
         def value(s):
             return (1, 0) if s.is_infinite else (0, Fraction(s.b, s.a))
 
-        slopes = enumerate_slopes(4)
+        slopes = enumerate_slopes(12)
         for s, t in itertools.product(slopes, repeat=2):
             x, y = value(s), value(t)
             assert (s < t, s <= t, s > t, s >= t) == (x < y, x <= y, x > y, x >= y)
+            assert (_BY_SLOPE(s.vector) < _BY_SLOPE(t.vector)) == (x < y)
             assert min(s, t) == (s if x <= y else t)
             assert max(s, t) == (t if x <= y else s)
+        by_value = sorted(slopes, key=value)
+        assert by_value[-1] == INF
+        assert sorted(slopes) == by_value
+        assert sorted((s.vector for s in slopes), key=_BY_SLOPE) == [s.vector for s in by_value]
 
 
 class TestEnumerate:

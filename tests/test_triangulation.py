@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import compat_oracle
 import object_oracle
 from box_oracle import box_adjacency
-from spherelam import curves, triangulation
+from spherelam import curves, lattice, triangulation
 from spherelam.curves import (
     V00, V01, V10, V11,
     Puncture,
@@ -49,6 +49,31 @@ from spherelam.triangulation import (
 
 PLAIN, NOTCHED = Tagging.PLAIN, Tagging.NOTCHED
 ALL_PLAIN = tuple((p, PLAIN) for p in (V00, V01, V10, V11))
+
+_F1, _F2 = (ZERO, INF, MINUS_ONE), (Slope(1, 1), Slope(1, -1))
+_VU = ((V00, PLAIN), (V11, PLAIN))
+# one spec per rejection rule of build_type, in the order it checks them
+INVALID_SPECS = [
+    TriType("VII", _F2, v=V00, taggings=_VU),
+    TriType("I", (ZERO, INF, Slope(2, 1)), taggings=ALL_PLAIN),
+    TriType("II", (ZERO, INF), v=V00, taggings=ALL_PLAIN),
+    TriType("VI", _F1, taggings=((V00, PLAIN),)),
+    TriType("V", _F2, taggings=_VU),
+    # v must be the smaller endpoint mod 2
+    TriType("II", _F2, v=V11, taggings=ALL_PLAIN),
+    TriType("III", _F2, v=V11, v_prime=V01, taggings=_VU),
+    TriType("III", _F2, v=V00, taggings=_VU),
+    TriType("III", _F2, v=V00, v_prime=V11, taggings=_VU),
+    TriType("IV", _F2, v=V00, taggings=_VU),
+    TriType("IV", _F2, v=V00, v_prime=V11, taggings=_VU),
+    # tags outside the free punctures of the type, or missing there
+    TriType("I", _F1, taggings=ALL_PLAIN[:3]),
+    TriType("II", _F2, v=V00, taggings=_VU),
+    TriType("III", _F2, v=V00, v_prime=V01, taggings=ALL_PLAIN),
+    TriType("IV", _F2, v=V00, v_prime=V01, taggings=_VU),
+    TriType("V", _F2, v=V00, taggings=ALL_PLAIN),
+    TriType("VI", _F1, v=V00, taggings=((V01, PLAIN),)),
+]
 
 
 def sweep_flip(tri, k):
@@ -218,31 +243,7 @@ class TestBuildClassify:
             assert classify(tri) == spec, spec
 
     def test_invalid_parameters(self):
-        f1, f2 = (ZERO, INF, MINUS_ONE), (Slope(1, 1), Slope(1, -1))
-        vu = ((V00, PLAIN), (V11, PLAIN))
-        # one spec per rejection rule of build_type, in the order it checks them
-        specs = [
-            TriType("VII", f2, v=V00, taggings=vu),
-            TriType("I", (ZERO, INF, Slope(2, 1)), taggings=ALL_PLAIN),
-            TriType("II", (ZERO, INF), v=V00, taggings=ALL_PLAIN),
-            TriType("VI", f1, taggings=((V00, PLAIN),)),
-            TriType("V", f2, taggings=vu),
-            # v must be the smaller endpoint mod 2
-            TriType("II", f2, v=V11, taggings=ALL_PLAIN),
-            TriType("III", f2, v=V11, v_prime=V01, taggings=vu),
-            TriType("III", f2, v=V00, taggings=vu),
-            TriType("III", f2, v=V00, v_prime=V11, taggings=vu),
-            TriType("IV", f2, v=V00, taggings=vu),
-            TriType("IV", f2, v=V00, v_prime=V11, taggings=vu),
-            # tags outside the free punctures of the type, or missing there
-            TriType("I", f1, taggings=ALL_PLAIN[:3]),
-            TriType("II", f2, v=V00, taggings=vu),
-            TriType("III", f2, v=V00, v_prime=V01, taggings=ALL_PLAIN),
-            TriType("IV", f2, v=V00, v_prime=V01, taggings=vu),
-            TriType("V", f2, v=V00, taggings=ALL_PLAIN),
-            TriType("VI", f1, v=V00, taggings=((V01, PLAIN),)),
-        ]
-        for spec in specs:
+        for spec in INVALID_SPECS:
             with pytest.raises(InvalidParameters):
                 build_type(spec)
 
@@ -460,6 +461,28 @@ class TestKeyReaders:
             kinds[classify(f).tag] += 1
             assert classify(f) == object_oracle.classify(f)
         assert set(kinds) == {"I", "II", "III", "IV", "V", "VI"}
+
+    def test_classify_checks_nothing_again(self, monkeypatch):
+        # classify reads a valid triangulation's keys: it calls none of the
+        # spec checks and builds no Slope, at height <= 3 and on deep walks
+        tris = height_three() + [f for _, _, f in deep_tagged_walks(31)]
+        calls = Counter()
+
+        def count(owner, name):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args: calls.update([name]) or real(*args))
+
+        for name in ("_frame", "f2_companions", "farey_distance", "is_farey1_triple"):
+            count(triangulation, name)
+        for name in ("farey_distance", "is_farey1_triple"):
+            count(lattice, name)
+        count(Slope, "__init__")
+        kinds = Counter(classify(t).tag for t in tris)
+        assert set(kinds) == {"I", "II", "III", "IV", "V", "VI"}
+        assert max(t.height for t in tris) >= 10**5
+        assert calls == Counter()
+        build_type(classify(flip(tris[0], 0)))  # the counters see a spec's checks
+        assert calls["_frame"] == 1 and calls["__init__"] > 0
 
     def test_mixed_tags_at_a_free_puncture_are_internal(self):
         # a type-II arc set with one tag changed: its degrees and pairs
