@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from . import exactla
@@ -276,8 +276,9 @@ def _functionals_by_image(cone: Cone, images: _Images) -> bool:
     else:
         return False
     functionals = [perm.image(rows[k]) for k in picked]
-    if any(sum(map(mul, f, c)) != det for f, c in zip(functionals, gens)):
-        raise InternalError(f"permuted functionals do not invert the generators {gens}")
+    for (a, b, c, d, e, f), (g0, g1, g2, g3, g4, g5) in zip(functionals, gens):
+        if a * g0 + b * g1 + c * g2 + d * g3 + e * g4 + f * g5 != det:
+            raise InternalError(f"permuted functionals do not invert the generators {gens}")
     cone.__dict__["_functionals"] = (functionals, det, None)
     return True
 
@@ -387,21 +388,30 @@ class _ConeIndex:
         """The cones containing v, in ``cones`` order, each as (cone, nums,
         det): v's coefficient on generator k is nums[k] / det.
 
+        v is a tuple of six ints.  A listed cone contains v when its normal,
+        if it has one (kind VII), gives n . v == 0 and every functional row
+        gives f_k . v >= 0; nums[k] is f_k . v.  Each dot product is
+        written out over v's six coordinates, unpacked once, with each row
+        unpacked in the loop header, because a scan tests about 300 rows a
+        query at h = 3 and ``sum(map(mul, row, v))`` would build an
+        iterator for each.  A cone is dropped on its first negative row.
+
         With ``distinct``, a cone is left out when it has every generator
         with a positive coefficient in a cone already yielded: its
         generators are independent, so v has the same coefficients on
         those generators, which are the same curves, and 0 on its others."""
         known: set[int] = set()
-        # integer signs decide membership; a cone is dropped on its first
-        # negative coefficient
+        v0, v1, v2, v3, v4, v5 = v
         for pos, cone, rows, det, normal in self.patterns.get(_sign_key(v), ()):
             if pos in known:
                 continue
-            if normal is not None and sum(map(mul, normal, v)):
-                continue
+            if normal is not None:
+                a, b, c, d, e, f = normal
+                if a * v0 + b * v1 + c * v2 + d * v3 + e * v4 + f * v5:
+                    continue
             s = []
-            for row in rows:
-                x = sum(map(mul, row, v))
+            for a, b, c, d, e, f in rows:
+                x = a * v0 + b * v1 + c * v2 + d * v3 + e * v4 + f * v5
                 if x < 0:
                     break
                 s.append(x)

@@ -82,6 +82,11 @@ def f2_companions(p: Slope, q: Slope) -> tuple[Slope, Slope]:
     the half-sum and half-difference of the primitive vectors."""
     if farey_distance(p, q) != 2:
         raise InvalidParameters(f"{p}, {q} is not a Farey-2 pair")
+    return _companions(p, q)
+
+
+def _companions(p: Slope, q: Slope) -> tuple[Slope, Slope]:
+    """:func:`f2_companions` of a pair known to be Farey-2, unchecked."""
     r = standard_form((p.a + q.a) // 2, (p.b + q.b) // 2)
     s = standard_form((p.a - q.a) // 2, (p.b - q.b) // 2)
     return (r, s) if r <= s else (s, r)
@@ -160,7 +165,7 @@ def _frame(kind: str, slopes: tuple[Slope, ...], v: Puncture | None,
     u = w = c = c2 = None
     if kind not in ("I", "VI"):
         u = v.translate(slopes[0].parity)
-        c, c2 = f2_companions(*slopes)
+        c, c2 = _companions(*slopes)
         if kind in ("II", "III") and not v < u:
             raise InvalidParameters(f"type {kind} requires v below its partner mod 2")
     if kind in ("III", "IV"):
@@ -305,7 +310,7 @@ def _enumerate_typed(max_height: int) -> Iterator[tuple[TriType, TaggedTriangula
             yield "I", triple, None, None
         for p, q in _farey2_pairs(slopes):
             vs = [min(pair) for pair in endpoint_sets(p)]
-            companions = f2_companions(p, q)
+            companions = _companions(p, q)
             for v in vs:
                 yield "II", (p, q), v, None
             for kind, kind_vs in (("III", vs), ("IV", PUNCTURES)):

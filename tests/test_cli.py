@@ -529,6 +529,12 @@ class TestErrorDocuments:
         doc = json.loads(fails(argv))
         assert doc["kind"] == "domain" and "max" in doc["error"], doc
 
+    def test_pair_that_is_not_farey_2(self):
+        tags = [a for p in ("00", "01", "10", "11") for a in ("--tag", f"{p}=plain")]
+        assert fails(["triangulate", "--type", "II", "--p", "0", "--q", "inf", "--v", "00",
+                      *tags]) == ('{"schema": "sphere-lam/1", "error": "InvalidParameters: '
+                                  'types II-V need a Farey-2 pair", "kind": "domain"}')
+
     def test_internal_error(self, monkeypatch):
         def broken_flip(tri, k):
             raise InternalNonUnique("flip produced 0 completions instead of 1")

@@ -548,6 +548,55 @@ class TestSignPatterns:
             fan.locate(v, 1)
 
 
+class TestMembershipKernel:
+    """The dot products ``containing`` writes out over v's six coordinates
+    against the ``sum(map(mul, ...))`` rows of :func:`oracle_containing`:
+    the same cones in the same order, with the same nums and det, on
+    entries beyond one 30-bit digit of a Python int."""
+
+    BIG = 10**12
+
+    def agrees(self, idx, height, v):
+        got = raw_hits(idx.containing(v))
+        assert got == raw_hits(oracle_containing(idx, v)), v
+        assert fan.count_containing_cones(v, height) == len(got)
+        return got
+
+    @pytest.mark.parametrize("height", [2, 3])
+    def test_large_entries(self, height):
+        rng = random.Random(40 + height)
+        idx = fan.cone_index(height)
+        vectors = [tuple(rng.randint(-self.BIG, self.BIG) for _ in range(6))
+                   for _ in range(30)]
+        for cone in rng.sample(idx.cones, 30):
+            vectors.append(cone_point(cone, [rng.choice((0, rng.randint(1, self.BIG)))
+                                             for _ in cone.generators]))
+        found = [self.agrees(idx, height, v) for v in vectors]
+        assert sum(map(bool, found)) >= 30
+        assert max(x for hits in found for _, nums, _ in hits for x in nums) > 2**40
+
+    @pytest.mark.parametrize("height", [2, 3])
+    def test_kind_vii_points_and_one_unit_off(self, height):
+        # a point of a kind-VII cone is in it; one unit along a coordinate
+        # where the normal is nonzero, it is off the span and not in it
+        rng = random.Random(50 + height)
+        idx = fan.cone_index(height)
+        vii = [c for c in idx.cones if c.kind == "VII"]
+        for cone in rng.sample(vii, 40):
+            normal = cone._functionals[2]
+            inside = cone_point(cone, [rng.choice((0, rng.randint(1, self.BIG)))
+                                       for _ in cone.generators])
+            i = rng.choice([i for i, n in enumerate(normal) if n])
+            off = tuple(x + (j == i) for j, x in enumerate(inside))
+            assert id(cone) in [k for k, _, _ in self.agrees(idx, height, inside)]
+            assert id(cone) not in [k for k, _, _ in self.agrees(idx, height, off)]
+
+
+def raw_hits(hits):
+    """(cone, nums, det) triples as (id of the cone, nums, det)."""
+    return [(id(cone), nums, det) for cone, nums, det in hits]
+
+
 def hit_list(hits):
     """(cone, nums, det) triples as (id of the cone, coefficients)."""
     return [(id(cone), coefficients(nums, det)) for cone, nums, det in hits]

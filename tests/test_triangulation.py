@@ -252,6 +252,23 @@ class TestBuildClassify:
         assert {r, s} == {ZERO, INF}
         r, s = f2_companions(Slope(1, 3), Slope(1, 1))
         assert {r, s} == {Slope(1, 2), INF}
+        with pytest.raises(InvalidParameters, match="^0/1, inf is not a Farey-2 pair$"):
+            f2_companions(ZERO, INF)
+
+    def test_farey2_pair_checked_once(self, monkeypatch):
+        # _frame checks the pair, then finds the companions unchecked
+        calls = 0
+        real = lattice.farey_distance
+
+        def counting(s, t):
+            nonlocal calls
+            calls += 1
+            return real(s, t)
+
+        monkeypatch.setattr(lattice, "farey_distance", counting)
+        monkeypatch.setattr(triangulation, "farey_distance", counting)
+        build_type(TriType("II", (Slope(1, 1), Slope(1, -1)), v=V00, taggings=ALL_PLAIN))
+        assert calls == 1
 
 
 class TestEnumeration:
