@@ -24,7 +24,7 @@ _EXPORTS = {
     "lattice": (
         "Slope", "UnimodularMap", "standard_form", "farey_distance",
         "is_farey1_triple", "mediant", "enumerate_slopes",
-        "separating_neighbors", "triple_to_basis",
+        "separating_neighbors",
     ),
     "curves": (
         "Puncture", "Tagging", "SpiralDir", "TaggedArc", "AllowableCurve",

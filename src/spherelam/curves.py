@@ -7,6 +7,14 @@ tag (arcs) or a spiral direction (curves).  The bijection ``kappa`` matches
 plain tags with clockwise spirals and notched tags with counterclockwise
 spirals.  Closed curves carry a slope only.
 
+Each arc and curve also carries the integer key ``(a, b, mask, marks)`` of
+:func:`arcs_compatible`, which ``kappa`` keeps.  :meth:`_ArcOrCurve._of_key`
+is the one constructor from a key: ``image`` builds from the key that
+:func:`_key_images` moves, ``retag``, ``reverse_spiral``, ``kappa`` and
+``kappa_inv`` from the key with one ``marks`` bit set, cleared or toggled,
+or none.  Reversing the spirals at several punctures, such as the notched
+punctures of a triangulation, is one XOR against their mask.
+
 :class:`TaggedTriangulation` lives here so that ``shear --tri`` and
 ``render --tri`` need not load :mod:`spherelam.triangulation`, with the
 type-I builder :func:`type_i_triangulation`, its reader
@@ -147,21 +155,25 @@ class SpiralDir(enum.Enum):
 
 
 def endpoint_sets(s: Slope) -> tuple[tuple[Puncture, Puncture], tuple[Puncture, Puncture]]:
-    """The two possible endpoint pairs of an arc of slope s; within each
-    pair the punctures differ by (a, b) mod 2.  The pair containing v00
-    comes first."""
-    return _ENDPOINT_SETS[s.a & 1, s.b & 1]
+    """The two possible endpoint pairs of an arc of slope s
+    (:data:`_SLOPE_MASKS`); within each pair the punctures differ by
+    (a, b) mod 2.  The pair containing v00 comes first."""
+    first, second = _SLOPE_MASKS[2 * (s.a & 1) + (s.b & 1)]
+    return _MASK_ENDS[first], _MASK_ENDS[second]
 
 
-_ENDPOINT_SETS = {par: ((V00, V00.translate(par)),
-                        tuple(p for p in PUNCTURES if p not in (V00, V00.translate(par))))
-                  for par in ((0, 1), (1, 0), (1, 1))}
+# The two endpoint masks of the arcs of a slope (bit 2*i + j standing for
+# v_ij), by the slope's parity 2*(a % 2) + b % 2: the pair at v00, whose
+# other end is v00 translated by the parity, then the other two punctures.
+_SLOPE_MASKS = {par: (1 | 1 << par, 14 ^ 1 << par) for par in (1, 2, 3)}
 
-
-# The puncture set of each 4-bit mask, bit 2*i + j standing for v_ij.
+# The puncture set of each 4-bit mask.
 _MASK_PUNCTURES = tuple(
     frozenset(p for n, p in enumerate(PUNCTURES) if mask >> n & 1) for mask in range(16)
 )
+# The bit numbers (i, j), i < j, and the punctures of each two-bit mask.
+_MASK_BITS = {1 << i | 1 << j: (i, j) for i, j in itertools.combinations(range(4), 2)}
+_MASK_ENDS = {mask: (PUNCTURES[i], PUNCTURES[j]) for mask, (i, j) in _MASK_BITS.items()}
 
 
 def _arc_key(slope: Slope, p: Puncture, d, q: Puncture, e,
@@ -177,9 +189,12 @@ class _ArcOrCurve(Frozen):
     """What tagged arcs and allowable curves share: a slope and, unless the
     curve is closed, two endpoints each with a tag or a spiral direction.
 
-    Equality and hashing go through what ``_freeze`` stores once: equal
+    Equality and hashing go through what :meth:`_set` stores once: equal
     integer keys (see :func:`arcs_compatible`) for equality within a class,
-    and the hash of ``(slope, ends)``.
+    and the hash of ``(slope, ends)``.  The constructors check their ends;
+    an arc or curve derived from another one (its image under a lattice
+    map, a retagging, a spiral reversal, a ``kappa`` image) is built from
+    its key by :meth:`_of_key`, the one place that reads ends off key bits.
     """
 
     __slots__ = ("slope", "ends", "punctures", "underlying", "_key", "_hash")
@@ -190,12 +205,12 @@ class _ArcOrCurve(Frozen):
     underlying: tuple
     _key: tuple[int, int, int, int]
     _hash: int
+    #: The tag or spiral direction of an end whose ``marks`` bit is 0 and 1.
+    _MARKS: tuple
 
-    def _freeze(self, slope: Slope, ends: tuple | None, marked) -> None:
-        """Sort the ends by puncture, check them against the slope, and set
-        ``slope``, ``ends``, ``punctures``, ``underlying``, ``_key``
-        (``marked`` is the tag or spiral direction of a set bit) and
-        ``_hash``."""
+    def _freeze(self, slope: Slope, ends: tuple | None) -> None:
+        """Sort the ends by puncture, check them against the slope
+        (:data:`_SLOPE_MASKS`), and :meth:`_set` the fields."""
         if ends is not None:
             (p, d), (q, e) = ends
             i, j = 2 * p.i + p.j, 2 * q.i + q.j
@@ -204,13 +219,16 @@ class _ArcOrCurve(Frozen):
             ends = ((p, d), (q, e))
             if i == j:
                 raise ValueError("endpoints must be distinct punctures (no loops)")
-            if i ^ j != 2 * (slope.a & 1) + (slope.b & 1):
+            if 1 << i | 1 << j not in _SLOPE_MASKS[2 * (slope.a & 1) + (slope.b & 1)]:
                 raise ValueError(
                     f"endpoints {p},{q} do not match the parity of slope {slope}"
                 )
-            key = _arc_key(slope, p, d, q, e, marked)
+            key = _arc_key(slope, p, d, q, e, self._MARKS[1])
         else:
             key = (slope.a, slope.b, 0, 0)
+        self._set(slope, ends, key)
+
+    def _set(self, slope: Slope, ends: tuple | None, key: tuple[int, int, int, int]) -> None:
         punctures = _MASK_PUNCTURES[key[2]]
         object.__setattr__(self, "slope", slope)
         object.__setattr__(self, "ends", ends)
@@ -218,6 +236,21 @@ class _ArcOrCurve(Frozen):
         object.__setattr__(self, "underlying", (slope, punctures))
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash((slope, ends)))
+
+    @classmethod
+    def _of_key(cls, key: tuple[int, int, int, int], slope: Slope | None = None):
+        """The arc or curve of this class with the valid key ``key``,
+        unchecked; ``slope`` is the :class:`Slope` of (a, b) when the caller
+        holds it.  Endpoint mask 0 is a closed curve."""
+        a, b, mask, marks = key
+        ends = None
+        if mask:
+            i, j = _MASK_BITS[mask]
+            ends = ((PUNCTURES[i], cls._MARKS[marks >> i & 1]),
+                    (PUNCTURES[j], cls._MARKS[marks >> j & 1]))
+        x = object.__new__(cls)
+        x._set(Slope(a, b) if slope is None else slope, ends, key)
+        return x
 
     def __eq__(self, other) -> bool:
         if other.__class__ is self.__class__:
@@ -234,11 +267,9 @@ class _ArcOrCurve(Frozen):
     def image(self, m: UnimodularMap):
         """The image under a lattice map: the slope moves by the linear
         part, each puncture by the map mod 2; tags and spiral directions
-        stay.  Closed curves stay closed."""
-        ends = None if self.ends is None else tuple(
-            (Puncture(*m.apply_parity((p.i, p.j))), d) for p, d in self.ends
-        )
-        return type(self)(m.apply_slope(self.slope), ends)  # type: ignore[call-arg]
+        stay.  Closed curves stay closed.  Built from the moved key
+        (:func:`_key_images`)."""
+        return self._of_key(_key_images((self._key,), m)[0])
 
 
 class TaggedArc(_ArcOrCurve):
@@ -249,16 +280,19 @@ class TaggedArc(_ArcOrCurve):
 
     __slots__ = ()
     ends: tuple[tuple[Puncture, Tagging], tuple[Puncture, Tagging]]
+    _MARKS = (Tagging.PLAIN, Tagging.NOTCHED)
 
     def __init__(self, slope: Slope,
                  ends: tuple[tuple[Puncture, Tagging], tuple[Puncture, Tagging]]) -> None:
-        self._freeze(slope, ends, Tagging.NOTCHED)
+        self._freeze(slope, ends)
 
     def retag(self, p: Puncture, tag: Tagging) -> "TaggedArc":
-        return TaggedArc(
-            self.slope,
-            tuple((q, tag if q == p else t) for q, t in self.ends),  # type: ignore[arg-type]
-        )
+        """The arc tagged ``tag`` at p: its marks bit at p set or cleared
+        (an equal arc when p is not an endpoint)."""
+        a, b, mask, marks = self._key
+        bit = mask & 1 << 2 * p.i + p.j
+        marks = marks | bit if tag is Tagging.NOTCHED else marks & ~bit
+        return TaggedArc._of_key((a, b, mask, marks), self.slope)
 
     def __str__(self) -> str:
         marks = ",".join(
@@ -285,11 +319,12 @@ class AllowableCurve(_ArcOrCurve):
 
     __slots__ = ()
     ends: tuple[tuple[Puncture, SpiralDir], tuple[Puncture, SpiralDir]] | None
+    _MARKS = (SpiralDir.CW, SpiralDir.CCW)
 
     def __init__(self, slope: Slope,
                  ends: tuple[tuple[Puncture, SpiralDir], tuple[Puncture, SpiralDir]]
                  | None = None) -> None:
-        self._freeze(slope, ends, SpiralDir.CCW)
+        self._freeze(slope, ends)
 
     @property
     def is_closed(self) -> bool:
@@ -315,12 +350,17 @@ class AllowableCurve(_ArcOrCurve):
     def reverse_spiral(self, p: Puncture) -> "AllowableCurve":
         """Reverse the spiral direction at p (no-op for closed curves or
         when p is not a spiral point)."""
-        if self.ends is None or p not in self.punctures:
+        return self._reversed_at(1 << 2 * p.i + p.j)
+
+    def _reversed_at(self, bits: int) -> "AllowableCurve":
+        """The spiral directions reversed at the spiral points in the
+        puncture mask ``bits``: one XOR on the marks, the curve itself when
+        there are none."""
+        a, b, mask, marks = self._key
+        bits &= mask
+        if not bits:
             return self
-        return AllowableCurve(
-            self.slope,
-            tuple((q, d.reversed if q == p else d) for q, d in self.ends),  # type: ignore[arg-type]
-        )
+        return AllowableCurve._of_key((a, b, mask, marks ^ bits), self.slope)
 
     def __str__(self) -> str:
         if self.ends is None:
@@ -345,23 +385,16 @@ class AllowableCurve(_ArcOrCurve):
         return AllowableCurve(slope, ends)  # type: ignore[arg-type]
 
 
-_TAG_TO_SPIRAL = {Tagging.PLAIN: SpiralDir.CW, Tagging.NOTCHED: SpiralDir.CCW}
-_SPIRAL_TO_TAG = {v: k for k, v in _TAG_TO_SPIRAL.items()}
-
-
 def kappa(arc: TaggedArc) -> AllowableCurve:
-    """Plain tags become clockwise spirals, notched tags counterclockwise."""
-    return AllowableCurve(
-        arc.slope, tuple((p, _TAG_TO_SPIRAL[t]) for p, t in arc.ends)  # type: ignore[arg-type]
-    )
+    """Plain tags become clockwise spirals, notched tags counterclockwise:
+    the curve with the arc's key (:attr:`_ArcOrCurve._MARKS`)."""
+    return AllowableCurve._of_key(arc._key, arc.slope)
 
 
 def kappa_inv(curve: AllowableCurve) -> TaggedArc:
     if curve.ends is None:
         raise ClosedCurveHasNoArc(f"{curve} is closed")
-    return TaggedArc(
-        curve.slope, tuple((p, _SPIRAL_TO_TAG[d]) for p, d in curve.ends)  # type: ignore[arg-type]
-    )
+    return TaggedArc._of_key(curve._key, curve.slope)
 
 
 def _keys_compatible(x: tuple[int, int, int, int], y: tuple[int, int, int, int]) -> bool:
@@ -381,8 +414,7 @@ def _slope_keys(a: int, b: int, rest: Sequence[tuple[int, int, int, int]] = ()
     (a, b) in standard form that the kernel does not reject outright
     against any key of ``rest``; all 8 when ``rest`` is empty.
 
-    The endpoint masks are ``1 | 1 << (2*(a % 2) + b % 2)`` (the pair at
-    v00, as in :func:`endpoint_sets`) and its complement.  A mask is kept
+    The endpoint masks are the two of :data:`_SLOPE_MASKS`.  A mask is kept
     when it shares ``|det|`` endpoints with every key of ``rest`` but one
     of the same underlying arc, so none is when some ``|det|`` with a
     slope of ``rest`` exceeds 2: the slope is dropped at the first such
@@ -395,8 +427,7 @@ def _slope_keys(a: int, b: int, rest: Sequence[tuple[int, int, int, int]] = ()
         if det > 2:
             return  # no mask can share more than two endpoints
         dets.append(det)
-    first = 1 | 1 << (2 * (a & 1) + (b & 1))
-    for mask in (first, 0b1111 ^ first):
+    for mask in _SLOPE_MASKS[2 * (a & 1) + (b & 1)]:
         fixed = marks = 0
         for (_, _, mask2, marks2), det in zip(rest, dets):
             shared = mask & mask2
@@ -415,12 +446,12 @@ def _slope_keys(a: int, b: int, rest: Sequence[tuple[int, int, int, int]] = ()
                 sub = (sub - 1) & free
 
 
-def _arc_of_key(slope: Slope, key: tuple[int, int, int, int]) -> TaggedArc:
-    """The tagged arc of ``slope`` with this key."""
-    _, _, mask, marks = key
-    return TaggedArc(slope, tuple(  # type: ignore[arg-type]
-        (p, Tagging.NOTCHED if marks >> n & 1 else Tagging.PLAIN)
-        for n, p in enumerate(PUNCTURES) if mask >> n & 1))
+# The image of each 4-bit puncture mask under the lattice maps whose matrix
+# is ((p, q), (r, s)) mod 2, which send v_ij to v_(pi+qj, ri+sj): six tables,
+# one for each invertible matrix mod 2, keyed by (p, q, r, s).
+_MASK_MOVES = {(p, q, r, s): tuple([sum(1 << 2 * (p * x.i + q * x.j & 1) + (r * x.i + s * x.j & 1)
+                                        for x in _MASK_PUNCTURES[mask]) for mask in range(16)])
+               for p, q, r, s in itertools.product((0, 1), repeat=4) if p * s != q * r}
 
 
 def _key_images(keys: Sequence[tuple[int, int, int, int]], m: UnimodularMap
@@ -428,11 +459,10 @@ def _key_images(keys: Sequence[tuple[int, int, int, int]], m: UnimodularMap
     """The keys of the images under ``m`` (see :meth:`_ArcOrCurve.image`)
     of the arcs with these keys: the slope vector goes through the linear
     part, then :func:`standard_vector`; the bits of the endpoint and notch
-    masks are permuted as the map mod 2 permutes the four punctures."""
+    masks are permuted as the map mod 2 permutes the four punctures
+    (:data:`_MASK_MOVES`)."""
     (p, q), (r, s) = m.linear
-    move = [0]  # move[bits]: the image of a 4-bit puncture mask
-    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        move += [bits | 1 << (2 * (p * i + q * j & 1) + (r * i + s * j & 1)) for bits in move]
+    move = _MASK_MOVES[p & 1, q & 1, r & 1, s & 1]
     return [(*standard_vector(p * a + q * b, r * a + s * b), move[mask], move[marks])
             for a, b, mask, marks in keys]
 

@@ -471,7 +471,8 @@ def locate(v: Sequence[int], max_height: int = 6) -> QuasiLamination:
     # scan leaves out do by construction, the others are compared here.  The
     # curves come from one indexed collection, whose pairwise compatibility
     # was checked when its triangulation (or kind-VII collection) was built,
-    # so the lamination skips that check
+    # and which lists them in sort_key order, so the lamination skips that
+    # check and the merge and sort
     found: dict[AllowableCurve, int] | None = None
     for cone, nums, det in index.containing(v, distinct=True):
         if cone.collection is None:
@@ -609,11 +610,8 @@ def flip_adjacency(cone: Cone) -> list[Cone]:
     for c in coll.curves:
         if c.is_closed:
             continue
-        reversed_curve = c
-        for p in c.punctures:
-            reversed_curve = reversed_curve.reverse_spiral(p)
         rest = tuple(x for x in coll.curves if x != c)
-        out.append(cone_of(MaximalCollection(rest + (reversed_curve,), "VII")))
+        out.append(cone_of(MaximalCollection(rest + (c._reversed_at(c._key[2]),), "VII")))
     return out
 
 

@@ -17,7 +17,6 @@ from .errors import (
     InternalError,
     MalformedInput,
     NotFareyNeighbors,
-    NotFareyTriple,
     ZeroVector,
 )
 
@@ -240,7 +239,7 @@ Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 class UnimodularMap(Frozen):
     """An integer-linear relabeling of the lattice plane; punctures move by
     its reduction mod 2.  |det| = 1 always; the maps produced by
-    :func:`triple_to_basis` have det = +1 (orientation preserving)."""
+    :func:`pair_to_basis` have det = +1 (orientation preserving)."""
 
     __slots__ = _fields = ("linear",)
     linear: Matrix2
@@ -259,20 +258,12 @@ class UnimodularMap(Frozen):
         (p, q), (r, s) = self.linear
         return (p * v[0] + q * v[1], r * v[0] + s * v[1])
 
-    def apply_parity(self, par: tuple[int, int]) -> tuple[int, int]:
-        x, y = self.apply_vector(par)
-        return (x % 2, y % 2)
-
     def apply_slope(self, s: Slope) -> Slope:
         return standard_form(*self.apply_vector(s.vector))
 
     @property
     def is_identity(self) -> bool:
         return self.linear == ((1, 0), (0, 1))
-
-
-def _chirality(u1: tuple[int, int], u2: tuple[int, int], u3: tuple[int, int]) -> int:
-    return det2(u1, u2) * det2(u3, u1) * det2(u3, u2)
 
 
 def pair_to_basis(
@@ -287,25 +278,3 @@ def pair_to_basis(
     a1, b1 = s.vector if isinstance(s, Slope) else s
     a2, b2 = t.vector if isinstance(t, Slope) else t
     return UnimodularMap(((delta * b2, -delta * a2), (-b1, a1)))
-
-
-def triple_to_basis(triple: tuple[Slope, Slope, Slope]) -> UnimodularMap:
-    """Orientation-preserving lattice map carrying the slope set of a
-    Farey-1 triple onto {0, inf, -1} (:data:`BASE_TRIPLE`), hence the
-    lifted type-I triangulation of the triple onto the lift of the base
-    triangulation.
-
-    The first two slopes are sent to the 0/inf directions when the ordered
-    triple allows a det = +1 map; otherwise their roles swap (the slope
-    *set* always lands on {0, inf, -1}).
-    """
-    q1, q2, q3 = triple
-    if not is_farey1_triple(q1, q2, q3):
-        raise NotFareyTriple(f"({q1}, {q2}, {q3}) is not a Farey-1 triple")
-    u1, u2, u3 = q1.vector, q2.vector, q3.vector
-    if _chirality(u1, u2, u3) == -1:
-        u1, u2 = u2, u1
-    m = pair_to_basis(u1, u2)
-    if tuple(m.apply_slope(standard_form(*u)) for u in (u1, u2, u3)) != BASE_TRIPLE:
-        raise InternalError(f"the basis change of {triple} misses (0, inf, -1)")
-    return m

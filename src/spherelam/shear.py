@@ -31,7 +31,6 @@ from .curves import (
     AllowableCurve,
     SpiralDir,
     TaggedTriangulation,
-    Tagging,
     _lattice_frame,
     _type_i_triple,
     base_triangulation,
@@ -428,12 +427,11 @@ def _merged(weights: Weights) -> Weights:
     return tuple(sorted(merged.items(), key=lambda cw: cw[0].sort_key()))
 
 
-def _positive_merged(weights: Weights) -> Weights:
-    """:func:`_merged`, each weight checked positive."""
-    items = _merged(weights)
-    if any(w <= 0 for _, w in items):
+def _positive(weights: Weights) -> Weights:
+    """``weights``, each checked positive."""
+    if any(w <= 0 for _, w in weights):
         raise ValueError("quasi-lamination weights must be positive")
-    return items
+    return weights
 
 
 class Tangle(Frozen):
@@ -463,7 +461,7 @@ class QuasiLamination(Frozen):
     weights: Weights
 
     def __init__(self, weights: Weights) -> None:
-        items = _positive_merged(weights)
+        items = _positive(_merged(weights))
         curves = [c for c, _ in items]
         for x, y in itertools.combinations(curves, 2):
             if not curves_compatible(x, y):
@@ -472,11 +470,12 @@ class QuasiLamination(Frozen):
 
     @classmethod
     def _of_compatible(cls, weights: Weights) -> "QuasiLamination":
-        """A quasi-lamination on curves known to be pairwise compatible,
-        such as curves of one maximal collection: the weights are merged
-        and checked positive, the pairwise check is not run again."""
+        """A quasi-lamination on distinct curves known to be pairwise
+        compatible and given in :meth:`AllowableCurve.sort_key` order, such
+        as curves of one maximal collection: the weights are checked
+        positive, and neither merged, sorted nor checked pairwise again."""
         lam = object.__new__(cls)
-        object.__setattr__(lam, "weights", _positive_merged(weights))
+        object.__setattr__(lam, "weights", _positive(tuple(weights)))
         return lam
 
     @property
@@ -496,12 +495,12 @@ def _shear_in_frame(tangle: Tangle | QuasiLamination, tri: TaggedTriangulation,
     """:func:`tangle_shear` with ``frame`` the :func:`_base_slots` of
     ``tri``, which depends on its slopes and endpoints only."""
     m, slots = frame
-    notched = {p for arc in tri.arcs for p, t in arc.ends if t is Tagging.NOTCHED}
+    notched = 0  # the notched punctures of tri, as a mask
+    for key in tri._keys:
+        notched |= key[3]
     vec = [0] * 6
     for c, w in tangle.weights:
-        for p in notched:
-            c = c.reverse_spiral(p)
-        v = shear_closed_form(c.image(m))
+        v = shear_closed_form(c._reversed_at(notched).image(m))
         for i, slot in enumerate(slots):
             vec[i] += w * v[slot]
     return tuple(vec)  # type: ignore[return-value]

@@ -49,7 +49,6 @@ from .curves import (
     _DEGREE_TYPES,
     _PAIRS,
     _arc_key,
-    _arc_of_key,
     _degrees,
     _keys_compatible,
     _lattice_frame,
@@ -389,8 +388,7 @@ def flip(tri: TaggedTriangulation, k: int) -> TaggedTriangulation:
         raise InternalNonUnique(
             f"flip produced {len(found)} completions instead of 1"
         )
-    a, b, _, _ = found[0]
-    arc = _arc_of_key(Slope(a, b), found[0])
+    arc = TaggedArc._of_key(found[0])
     return TaggedTriangulation._of_flip(rest[:k] + (arc,) + rest[k:])
 
 

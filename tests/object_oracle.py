@@ -7,15 +7,21 @@ they read integer arc keys; kept as oracles of the key versions.
 - :func:`lattice_frame`: the two-arc slopes ordered as :class:`Slope`
   objects;
 - :func:`degree_sequence`, :func:`all_plain` and :func:`height` on the
-  arcs' punctures, tags and slopes.
+  arcs' punctures, tags and slopes;
+- :func:`image`, an arc or curve moved by a lattice map through its slope
+  and its ends, as :meth:`_ArcOrCurve.image` did before it moved keys;
+- :func:`triple_to_basis`, the orientation-preserving map carrying the
+  slope set of a Farey-1 triple onto the base triple, the basis change of
+  type-I triangulations before the lattice frame.
 """
 
 import itertools
 from collections import Counter
 
-from spherelam.curves import PUNCTURES, Tagging, _key_images
-from spherelam.errors import InternalError
-from spherelam.lattice import Slope, farey_distance, pair_to_basis
+from spherelam.curves import PUNCTURES, Puncture, Tagging, _key_images
+from spherelam.errors import InternalError, NotFareyTriple
+from spherelam.lattice import BASE_TRIPLE, Slope, det2, farey_distance, is_farey1_triple, \
+    pair_to_basis, standard_form
 from spherelam.triangulation import TriType, _frame
 
 
@@ -69,3 +75,28 @@ def lattice_frame(keys):
                             + ", ".join(map(str, sorted(Slope(a, b) for a, b in count))))
     m = pair_to_basis(doubled[0], doubled[1])
     return m, _key_images(keys, m)
+
+
+def image(x, m):
+    ends = None if x.ends is None else tuple(
+        (Puncture(*(c % 2 for c in m.apply_vector((p.i, p.j)))), d) for p, d in x.ends)
+    return type(x)(m.apply_slope(x.slope), ends)
+
+
+def _chirality(u1, u2, u3):
+    return det2(u1, u2) * det2(u3, u1) * det2(u3, u2)
+
+
+def triple_to_basis(triple):
+    """The first two slopes go to the 0/inf directions when the ordered
+    triple allows a det = +1 map; otherwise their roles swap."""
+    q1, q2, q3 = triple
+    if not is_farey1_triple(q1, q2, q3):
+        raise NotFareyTriple(f"({q1}, {q2}, {q3}) is not a Farey-1 triple")
+    u1, u2, u3 = q1.vector, q2.vector, q3.vector
+    if _chirality(u1, u2, u3) == -1:
+        u1, u2 = u2, u1
+    m = pair_to_basis(u1, u2)
+    if tuple(m.apply_slope(standard_form(*u)) for u in (u1, u2, u3)) != BASE_TRIPLE:
+        raise InternalError(f"the basis change of {triple} misses (0, inf, -1)")
+    return m

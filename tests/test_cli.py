@@ -681,18 +681,15 @@ class TestColdStart:
             assert _unused_imports(path) == [], path.name
 
     def test_lattice_frame_is_built_in_curves_only(self):
-        # the basis changes are called by lattice itself and by the frame
-        # kernel in curves; every other module reads curves._lattice_frame
+        # the basis change and the key images are called by the frame
+        # kernel in curves only; every other module reads curves._lattice_frame
         import pathlib
 
         paths = sorted(pathlib.Path(spherelam.__file__).parent.glob("*.py"))
         assert len(paths) >= 12
         for path in paths:
-            called = _called_names(path)
-            if path.name not in ("curves.py", "lattice.py"):
-                assert not called & {"pair_to_basis", "_key_images"}, path.name
-            if path.name != "lattice.py":
-                assert "triple_to_basis" not in called, path.name
+            if path.name != "curves.py":
+                assert not _called_names(path) & {"pair_to_basis", "_key_images"}, path.name
 
     def test_each_type_fact_has_one_home(self):
         # the admissible degree sequences are written in curves, the base

@@ -1,8 +1,9 @@
 import itertools
+import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import compat_oracle
 import object_oracle
@@ -22,7 +23,6 @@ from spherelam.curves import (
     enumerate_curves,
     kappa,
     kappa_inv,
-    _arc_of_key,
     _lattice_frame,
     _slope_keys,
     base_triangulation,
@@ -201,9 +201,13 @@ class TestKernelAgainstOracle:
             assert curves_compatible(a, b) == compat_oracle.curves_compatible(a, b), (a, b)
 
     def test_kappa_keeps_the_key(self):
-        for a in enumerate_arcs(3):
-            assert kappa(a)._key == a._key
-            assert kappa_inv(kappa(a))._key == a._key
+        spiral = {PLAIN: CW, NOTCHED: CCW}
+        for a in enumerate_arcs(4):
+            c = kappa(a)
+            assert c._key == a._key and c.slope is a.slope
+            assert c.ends == tuple((p, spiral[t]) for p, t in a.ends)
+            back = kappa_inv(c)
+            assert back._key == a._key and back.ends == a.ends and hash(back) == hash(a)
 
     def test_slope_keys_are_the_arcs_of_the_slope(self):
         from spherelam.lattice import enumerate_slopes
@@ -212,7 +216,7 @@ class TestKernelAgainstOracle:
         for s in enumerate_slopes(3):
             keys = list(_slope_keys(s.a, s.b))
             assert sorted(keys) == sorted(a._key for a in arcs if a.slope == s)
-            assert [_arc_of_key(s, key)._key for key in keys] == keys
+            assert [TaggedArc._of_key(key)._key for key in keys] == keys
 
     def test_key_encoding(self):
         a = arc(2, 3, V01, NOTCHED, V00, PLAIN)
@@ -265,7 +269,7 @@ class TestLatticeImage:
             assert type(once) is type(x) and (once.ends is None) == (x.ends is None)
 
     def test_type_one_triangulations_map_to_base(self):
-        from spherelam.lattice import triple_to_basis
+        from object_oracle import triple_to_basis
         from spherelam.triangulation import (
             base_triangulation,
             classify,
@@ -352,3 +356,110 @@ class TestLatticeImage:
         with pytest.raises(InternalError):
             _lattice_frame([(1, 0, 0, 0)] * 6)
         assert calls > 0
+
+
+def _bezout(p, q):
+    """(x, y) with x*p + y*q = gcd(p, q), |x| <= |q| and |y| <= |p|."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while q:
+        k, r = divmod(p, q)
+        p, q = q, r
+        x0, y0, x1, y1 = x1, y1, x0 - k * x1, y0 - k * y1
+    return (x0, y0) if p > 0 else (-x0, -y0)
+
+
+@st.composite
+def lattice_maps(draw):
+    """A lattice map with entries up to 10^6 and det +-1: a primitive first
+    row, the second from its Bezout coefficients, negated for det -1."""
+    bound = 10**6
+    p, q = draw(st.integers(-bound, bound)), draw(st.integers(-bound, bound))
+    assume(math.gcd(p, q) == 1)
+    x, y = _bezout(p, q)  # p*x - q*(-y) = 1
+    sign = draw(st.sampled_from((1, -1)))
+    m = UnimodularMap(((p, q), (-y * sign, x * sign)))
+    assert m.det == sign
+    return m
+
+
+_LOW = enumerate_arcs(4) + enumerate_curves(4)
+
+
+class TestOfKey:
+    """``_ArcOrCurve._of_key`` is the one constructor from an integer key:
+    images, retaggings, spiral reversals and ``kappa`` go through it and
+    agree with the arcs and curves the constructors build from objects."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(lattice_maps())
+    def test_image_matches_the_object_oracle(self, m):
+        for x in _LOW:
+            got, expected = x.image(m), object_oracle.image(x, m)
+            assert type(got) is type(expected)
+            assert (got.slope, got.ends, got._key) == (expected.slope, expected.ends,
+                                                       expected._key), (x, m)
+            assert hash(got) == hash(expected)
+
+    def test_of_key_round_trips(self):
+        assert len(_LOW) == 192 + 216
+        for x in _LOW:
+            y = type(x)._of_key(x._key)
+            assert y == x and (y.slope, y.ends, y.punctures, y.underlying) == \
+                (x.slope, x.ends, x.punctures, x.underlying)
+            assert hash(y) == hash(x)
+            assert type(x)._of_key(x._key, x.slope).slope is x.slope
+
+    def test_reverse_and_retag_change_one_marks_bit(self):
+        for x in _LOW:
+            a, b, mask, marks = x._key
+            for n, p in enumerate((V00, V01, V10, V11)):
+                bit = 1 << n
+                if isinstance(x, TaggedArc):
+                    for tag in (PLAIN, NOTCHED):
+                        y = x.retag(p, tag)
+                        assert y._key[:3] == (a, b, mask)
+                        assert (y._key[3] ^ marks) & ~bit == 0
+                        assert y == TaggedArc(x.slope, tuple(
+                            (q, tag if q == p else t) for q, t in x.ends))
+                    continue
+                y = x.reverse_spiral(p)
+                if mask & bit:
+                    assert y._key == (a, b, mask, marks ^ bit)
+                    assert y == AllowableCurve(x.slope, tuple(
+                        (q, d.reversed if q == p else d) for q, d in x.ends))
+                else:
+                    assert y is x
+
+    def test_only_curves_builds_from_key_bits(self):
+        # every other module builds an arc or curve from objects, or asks
+        # curves for it (_of_key, image, retag, reverse_spiral, kappa): no
+        # constructor call outside curves reads key bits or sets a key
+        import ast
+        import pathlib
+
+        import spherelam
+
+        gone = {"apply_parity", "_arc_of_key", "_TAG_TO_SPIRAL", "_SPIRAL_TO_TAG",
+                "triple_to_basis", "_chirality"}
+        paths = sorted(pathlib.Path(spherelam.__file__).parent.glob("*.py"))
+        assert len(paths) >= 12
+        for path in paths:
+            tree = ast.parse(path.read_text())
+            names = {getattr(n, "id", getattr(n, "attr", getattr(n, "name", None)))
+                     for n in ast.walk(tree)}
+            assert not names & gone, path.name
+            if path.name == "curves.py":
+                continue
+            assert "_of_key" not in {n.name for n in ast.walk(tree)
+                                     if isinstance(n, ast.FunctionDef)}, path.name
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                inner = [n for arg in node.args + [k.value for k in node.keywords]
+                         for n in ast.walk(arg)]
+                if called in ("TaggedArc", "AllowableCurve"):
+                    assert not [n for n in inner if isinstance(n, ast.BinOp)
+                                and isinstance(n.op, (ast.RShift, ast.BitAnd))], path.name
+                if called == "__setattr__":
+                    assert "_key" not in [getattr(n, "value", None) for n in inner], path.name

@@ -250,12 +250,40 @@ class TestLocate:
         got = fan.locate(vec, 2)
         assert calls == []
         assert got == lam and hash(got) == hash(lam)
-        # the weights are still merged, sorted and checked positive
-        assert QuasiLamination._of_compatible(((coll.curves[1], 1), (coll.curves[0], 2),
-                                               (coll.curves[1], 1))).weights == \
-            ((coll.curves[0], 2), (coll.curves[1], 2))
+        # the weights are checked positive and kept as given, neither merged
+        # nor sorted again: locate passes the distinct curves of one
+        # collection, in its sort_key order
+        weights = ((coll.curves[0], 2), (coll.curves[1], 1))
+        assert QuasiLamination._of_compatible(weights).weights == weights
+        assert QuasiLamination._of_compatible(weights) == QuasiLamination(weights[::-1])
         with pytest.raises(ValueError):
             QuasiLamination._of_compatible(((coll.curves[0], 0),))
+
+    def test_unchecked_lamination_of_every_collection(self):
+        # every maximal collection of height <= 2 lists its curves in
+        # sort_key order, so positive weights in that order are the
+        # validating lamination's
+        colls = list(fan.maximal_collections(2))
+        assert len(colls) == 784 + 16 * len(enumerate_slopes(2))
+        for coll in colls:
+            assert list(coll.curves) == sorted(coll.curves, key=AllowableCurve.sort_key)
+            weights = tuple((c, i + 1) for i, c in enumerate(coll.curves))
+            lam = QuasiLamination._of_compatible(weights)
+            assert lam.weights == QuasiLamination(weights).weights
+            assert lam == QuasiLamination(weights[::-1])
+
+    def test_answers_equal_the_validating_lamination(self):
+        # interior and face queries at height 3, drawn as in the benchmark's
+        # fan-locate workload: the answer is the lamination the query was
+        # made from, weights and order as the validating constructor gives
+        rng = random.Random(41)
+        colls = [c.collection for c in fan.cone_index(3).cones]
+        for n in range(300):
+            coll = rng.choice(colls)
+            chosen = coll.curves if n % 2 else rng.sample(coll.curves, rng.randint(1, 4))
+            lam = QuasiLamination(tuple((c, rng.randint(1, 3)) for c in chosen))
+            got = fan.locate(shear_lamination(lam), 3)
+            assert got.weights == lam.weights == QuasiLamination(got.weights).weights
 
 
 class _StubIndex:

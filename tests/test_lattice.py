@@ -4,6 +4,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
+from object_oracle import triple_to_basis
 from spherelam import lattice
 from spherelam.curves import _BY_SLOPE
 from spherelam.errors import NotFareyNeighbors, NotFareyTriple, ZeroVector
@@ -20,7 +21,6 @@ from spherelam.lattice import (
     separating_neighbors,
     standard_form,
     standard_vector,
-    triple_to_basis,
 )
 
 
@@ -236,6 +236,9 @@ class TestSeparatingNeighbors:
 
 
 class TestTripleToBasis:
+    """The basis change of type-I triangulations before the lattice frame,
+    kept in ``object_oracle`` as the oracle of the shear and image tests."""
+
     def test_identity(self):
         m = triple_to_basis((ZERO, INF, MINUS_ONE))
         assert m.is_identity

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from object_oracle import triple_to_basis
 from spherelam import cli
 from spherelam.curves import (
     V00, V01, V10, V11,
@@ -24,7 +25,7 @@ from spherelam.curves import (
 )
 from spherelam.errors import BoundExhausted, DomainError, UnsupportedBaseCase
 from spherelam.lattice import INF, MAX_HEIGHT, MINUS_ONE, ZERO, Slope, enumerate_slopes, \
-    farey1_triples, triple_to_basis
+    farey1_triples
 from spherelam.selftest import LAMBDA, LAMBDA_C, LAMBDA_PP, SHEAR_FIXTURES
 from spherelam.shear import (
     BASE_TRIPLE,
