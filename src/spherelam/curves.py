@@ -149,10 +149,6 @@ class SpiralDir(enum.Enum):
     CW = "cw"
     CCW = "ccw"
 
-    @property
-    def reversed(self) -> "SpiralDir":
-        return SpiralDir.CCW if self is SpiralDir.CW else SpiralDir.CW
-
 
 def endpoint_sets(s: Slope) -> tuple[tuple[Puncture, Puncture], tuple[Puncture, Puncture]]:
     """The two possible endpoint pairs of an arc of slope s
@@ -338,14 +334,6 @@ class AllowableCurve(_ArcOrCurve):
             return (self.slope.a, self.slope.b, 0, ())
         enc = tuple((p.i, p.j, d.value) for p, d in self.ends)
         return (self.slope.a, self.slope.b, 1, enc)
-
-    def spiral_at(self, p: Puncture) -> SpiralDir:
-        if self.ends is None:
-            raise InternalError(f"the closed curve of slope {self.slope} has no spiral points")
-        for q, d in self.ends:
-            if q == p:
-                return d
-        raise KeyError(f"{p} is not a spiral point")
 
     def reverse_spiral(self, p: Puncture) -> "AllowableCurve":
         """Reverse the spiral direction at p (no-op for closed curves or

@@ -261,10 +261,6 @@ class UnimodularMap(Frozen):
     def apply_slope(self, s: Slope) -> Slope:
         return standard_form(*self.apply_vector(s.vector))
 
-    @property
-    def is_identity(self) -> bool:
-        return self.linear == ((1, 0), (0, 1))
-
 
 def pair_to_basis(
     s: Slope | tuple[int, int], t: Slope | tuple[int, int]

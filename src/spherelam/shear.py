@@ -14,7 +14,9 @@ Three mutually checking computation paths are provided:
   lifted plane with quadrilateral scoring.
 
 All three agree exactly on their common domains; the acceptance suite
-sweeps this identity over all curves of bounded height.
+sweeps this identity over all curves of bounded height.  The closed form
+and the word read a curve's ends off its integer key.  Every type-I
+triangulation is reached by one frame carry, :func:`_shear_in_frame`.
 """
 
 from __future__ import annotations
@@ -22,15 +24,16 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from typing import Iterable, Iterator
 
 from ._frozen import Frozen
 from .curves import (
-    V00,
     PUNCTURES,
     AllowableCurve,
     SpiralDir,
     TaggedTriangulation,
+    Tagging,
     _lattice_frame,
     _type_i_triple,
     base_triangulation,
@@ -184,20 +187,18 @@ def _suffix_letters(a: int, b: int) -> tuple[Letter, Letter]:
 
 def word_of_curve(curve: AllowableCurve) -> Word:
     """The crossing word of a base-case curve: finite positive slope,
-    closed or spiraling counterclockwise into v00."""
-    a, b = curve.slope.vector
+    closed or spiraling counterclockwise into v00 (``marks`` bit 0 of its
+    key).  The last letter follows the spiral at the far end."""
+    a, b, mask, marks = curve._key
     if a < 1 or b < 1:
         raise UnsupportedBaseCase(f"slope {curve.slope} is not finite positive")
     wp = word_prime(a, b)
     rk, tl = _suffix_letters(a, b)
-    if curve.is_closed:
+    if not mask:
         return (T1,) + wp + (rk, tl) + tuple(reversed(wp)) + (R2, T1)
-    if V00 not in curve.punctures or curve.spiral_at(V00) is not SpiralDir.CCW:
+    if not marks & 1:
         raise UnsupportedBaseCase("open base case needs a CCW spiral at v00")
-    other = V00.translate(curve.slope.parity)
-    if curve.spiral_at(other) is SpiralDir.CCW:
-        return (T1, R2) + wp + (rk,)
-    return (T1, R2) + wp + (tl,)
+    return (T1, R2) + wp + (rk if marks == mask else tl,)
 
 
 def shear_via_word(curve: AllowableCurve) -> ShearVector:
@@ -257,12 +258,9 @@ def _item5(a: int, b: int) -> ShearVector:
     return (-b, a, b - a, -b, a, b - a)
 
 
-BASE_ITEMS = {
-    (SpiralDir.CCW, SpiralDir.CCW): _item1,
-    (SpiralDir.CCW, SpiralDir.CW): _item2,
-    (SpiralDir.CW, SpiralDir.CCW): _item3,
-    (SpiralDir.CW, SpiralDir.CW): _item4,
-}
+#: The base formula of an open curve of slope in [0, inf] from v00, by the
+#: ``marks`` bits (1 for counterclockwise) of its ends at v00 and at the far end.
+BASE_ITEMS = {(1, 1): _item1, (1, 0): _item2, (0, 1): _item3, (0, 0): _item4}
 
 # Undoing a rotation: shear(c) == apply_perm(_UNROTATE[R], shear(c.image(R))),
 # as c is the RHO image of c.image(RHO2) and the RHO2 image of c.image(RHO).
@@ -283,42 +281,32 @@ def shear_closed_form(curve: AllowableCurve) -> ShearVector:
 
 
 def _closed_form(curve: AllowableCurve) -> ShearVector:
-    a, b = curve.slope.vector
-    spirals = {d for _, d in curve.ends or ()}
+    a, b, mask, marks = curve._key
     if b < 0:
         # negative slope: land in the nonnegative range and permute back
         rot = _rotation_to_nonnegative(curve.slope)
-    elif spirals == {SpiralDir.CCW} and b == 0:
+    elif mask and marks == mask and b == 0:
         # the both-counterclockwise formula starts at slope > 0;
         # slope 0 is the RHO2 image of the infinite slope
         rot = RHO
-    elif spirals == {SpiralDir.CW} and a == 0:
+    elif mask and not marks and a == 0:
         # the both-clockwise formula stops before the infinite slope,
         # which is the RHO image of slope 0
         rot = RHO2
-    elif curve.is_closed:
+    elif not mask:
         return _item5(a, b)
     else:
-        return _base_open(curve)
+        # translating by the lower endpoint v_ij, bit n = 2*i + j, carries the
+        # endpoints at v00 onto the curve's: the base formula of the spirals
+        # there and at the far end, bit f, permuted back by the translation
+        n, f = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
+        item = BASE_ITEMS[marks >> n & 1, marks >> f & 1](a, b)
+        return apply_perm(TRANSLATION_PERMS[divmod(n, 2)], item)
     return apply_perm(_UNROTATE[rot], _closed_form(curve.image(rot)))
 
 
 # above the 1656 curves of height <= 12 and the 1152 of the cone index's cap 10
 _cached_closed_form = functools.lru_cache(maxsize=4096)(_closed_form)
-
-
-def _base_open(curve: AllowableCurve) -> ShearVector:
-    """Open curve of slope in [0, inf]: translating by the parity of its
-    lower endpoint p carries the endpoint pair at v00 onto the curve's, v00
-    to p.  Apply the base formula of the spiral directions at p and at its
-    far end, p plus the slope's parity, and undo the translation by its
-    coordinate permutation."""
-    a, b = curve.slope.vector
-    p = min(curve.punctures)
-    s0 = curve.spiral_at(p)
-    s1 = curve.spiral_at(p.translate(curve.slope.parity))
-    item = BASE_ITEMS[(s0, s1)](a, b)
-    return apply_perm(TRANSLATION_PERMS[(p.i, p.j)], item)
 
 
 # ---------------------------------------------------------------------------
@@ -396,23 +384,23 @@ def _base_slots(tri: TaggedTriangulation) -> tuple[UnimodularMap, tuple[int, ...
     the orientation-preserving map that carries it onto the base
     triangulation, and for each arc of ``tri`` the index of its image
     among the base arcs.  The map fixes v00, so arcs through v00 land on
-    base arcs 0-2 and the others on 3-5."""
+    base arcs 0-2 and the others on 3-5.  The frame reads the slopes and
+    endpoints only, so the 16 taggings of a triple share it."""
     _type_i_triple(tri)
     m, images = _lattice_frame([arc._key for arc in tri.arcs])
     return m, tuple(_BASE_SLOT[key[:3]] for key in images)
 
 
+def _notched(tri: TaggedTriangulation) -> int:
+    """The notched punctures of ``tri``, as a puncture mask."""
+    return functools.reduce(operator.or_, [key[3] for key in tri._keys])
+
+
 def shear_wrt(curve: AllowableCurve, tri: TaggedTriangulation) -> ShearVector:
     """Shear coordinates of a curve with respect to a type-I triangulation,
-    coordinate i at ``tri.arcs[i]``: :func:`tangle_shear` of the curve
-    alone.
-
-    Notched punctures reverse the spiral directions of incident curves;
-    the lattice frame m of the triangulation (:func:`_base_slots`) then
-    carries it onto the base one, and coordinate i is the base coordinate
-    of m(curve) at the image of arc i.
-    """
-    return tangle_shear(Tangle(((curve, 1),)), tri)
+    coordinate i at ``tri.arcs[i]``: :func:`_shear_in_frame` of the curve
+    alone, in the frame of ``tri``."""
+    return _shear_in_frame(((curve, 1),), _base_slots(tri), _notched(tri))
 
 
 Weights = tuple[tuple[AllowableCurve, int], ...]
@@ -487,19 +475,20 @@ def tangle_shear(tangle: Tangle | QuasiLamination,
                  tri: TaggedTriangulation = _BASE) -> ShearVector:
     """The weighted sum of the :func:`shear_wrt` vectors of the curves,
     the lattice frame of ``tri`` built once."""
-    return _shear_in_frame(tangle, tri, _base_slots(tri))
+    return _shear_in_frame(tangle.weights, _base_slots(tri), _notched(tri))
 
 
-def _shear_in_frame(tangle: Tangle | QuasiLamination, tri: TaggedTriangulation,
-                    frame: tuple[UnimodularMap, tuple[int, ...]]) -> ShearVector:
-    """:func:`tangle_shear` with ``frame`` the :func:`_base_slots` of
-    ``tri``, which depends on its slopes and endpoints only."""
+def _shear_in_frame(weights: Weights, frame: tuple[UnimodularMap, tuple[int, ...]],
+                    notched: int) -> ShearVector:
+    """The one type-I frame carry: the weighted shear of the curves with
+    respect to the type-I triangulation of lattice frame ``frame``
+    (:func:`_base_slots`) and notched puncture mask ``notched``.  Notched
+    punctures reverse the spiral directions of incident curves (one XOR);
+    the frame's map m then carries the triangulation onto the base one, and
+    coordinate i is the base coordinate of m(curve) at the image of arc i."""
     m, slots = frame
-    notched = 0  # the notched punctures of tri, as a mask
-    for key in tri._keys:
-        notched |= key[3]
     vec = [0] * 6
-    for c, w in tangle.weights:
+    for c, w in weights:
         v = shear_closed_form(c._reversed_at(notched).image(m))
         for i, slot in enumerate(slots):
             vec[i] += w * v[slot]
@@ -550,7 +539,8 @@ def sphere_torus_check(s: Slope, tri: TaggedTriangulation) -> bool:
     the two arcs of each slope of a type-I triangulation collapse to the
     torus coordinate of the corresponding torus arc."""
     m, slots = frame = _base_slots(tri)
-    sphere = _shear_in_frame(Tangle(((AllowableCurve(s), 1),)), tri, frame)
+    # a closed curve has no spiral for a notched puncture to reverse
+    sphere = _shear_in_frame(((AllowableCurve(s), 1),), frame, 0)
     torus = torus_shear(m.apply_slope(s))
     return all(x == torus[i % 3] for x, i in zip(sphere, slots))
 
@@ -572,7 +562,9 @@ def find_witness(tangle: Tangle, max_height: int = 12) -> TaggedTriangulation | 
     tried before giving up; a candidate met again fails again, since the
     order of a triple only permutes the shear coordinates.  The 16
     taggings of a triple share its slopes and endpoints, hence its lattice
-    frame, which is built once per triple.
+    frame, which is read once per triple off its plain triangulation; each
+    tagging is then only a mask of notched punctures, and the one
+    triangulation built with tags is the witness returned.
     """
     check_height(max_height)
     support = tangle.support
@@ -587,14 +579,13 @@ def find_witness(tangle: Tangle, max_height: int = 12) -> TaggedTriangulation | 
             yield mid, f, lo
         yield from farey1_triples(enumerate_slopes(max_height))
 
-    taggings = tag_choices(PUNCTURES)
+    taggings = [(tags, sum(1 << 2 * p.i + p.j for p, t in tags if t is Tagging.NOTCHED))
+                for tags in tag_choices(PUNCTURES)]
     for triple in triples():
-        frame = None
-        for tags in taggings:
-            tri = type_i_triangulation(triple, tags)
-            frame = frame or _base_slots(tri)
-            if any(_shear_in_frame(tangle, tri, frame)):
-                return tri
+        frame = _base_slots(type_i_triangulation(triple))
+        for tags, notched in taggings:
+            if any(_shear_in_frame(tangle.weights, frame, notched)):
+                return type_i_triangulation(triple, tags)
     raise BoundExhausted(
         "nonzero-support tangle with no witness within the candidate set"
     )

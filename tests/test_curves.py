@@ -426,7 +426,7 @@ class TestOfKey:
                 if mask & bit:
                     assert y._key == (a, b, mask, marks ^ bit)
                     assert y == AllowableCurve(x.slope, tuple(
-                        (q, d.reversed if q == p else d) for q, d in x.ends))
+                        (q, (CCW if d is CW else CW) if q == p else d) for q, d in x.ends))
                 else:
                     assert y is x
 
@@ -440,7 +440,7 @@ class TestOfKey:
         import spherelam
 
         gone = {"apply_parity", "_arc_of_key", "_TAG_TO_SPIRAL", "_SPIRAL_TO_TAG",
-                "triple_to_basis", "_chirality"}
+                "triple_to_basis", "_chirality", "spiral_at", "_base_open", "is_identity"}
         paths = sorted(pathlib.Path(spherelam.__file__).parent.glob("*.py"))
         assert len(paths) >= 12
         for path in paths:

@@ -241,7 +241,7 @@ class TestTripleToBasis:
 
     def test_identity(self):
         m = triple_to_basis((ZERO, INF, MINUS_ONE))
-        assert m.is_identity
+        assert m.linear == ((1, 0), (0, 1))
 
     def test_unimodular(self):
         triples = farey1_triples(enumerate_slopes(3))

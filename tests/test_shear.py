@@ -422,9 +422,10 @@ class TestLaminationsAndTangles:
 
     def test_one_lattice_frame_per_call(self, monkeypatch):
         # tangle_shear builds the frame of its triangulation once, whatever
-        # the number of curves; find_witness once per triple it tries, for
-        # the 16 taggings of the triple, each of which it still builds
-        # through the validating constructor
+        # the number of curves; find_witness builds one plain triangulation
+        # and its frame per triple it tries, reads the 16 taggings of the
+        # triple as notched masks, and builds one more triangulation, the
+        # witness it returns
         from spherelam import curves, shear
 
         frames, tried, built = [], [], []
@@ -444,13 +445,13 @@ class TestLaminationsAndTangles:
             assert len(frames) == 1
         # the antipodal closed pair reads zero on all 16 taggings of the base
         antipodal = Tangle(((AllowableCurve(INF), 1), (AllowableCurve(Slope(2, -1)), 1)))
-        for tangle, least in ((Tangle(((LAMBDA, 1), (LAMBDA_C, -1))), 1), (antipodal, 17)):
+        for tangle, least in ((Tangle(((LAMBDA, 1), (LAMBDA_C, -1))), 1), (antipodal, 2)):
             frames.clear()
             tried.clear()
             built.clear()
             assert find_witness(tangle, 3) is not None
-            assert len(built) == len(tried) >= least
-            assert len(frames) == -(-len(tried) // 16)  # the triples tried
+            assert len(frames) >= least  # the triples tried
+            assert len(built) == len(tried) == len(frames) + 1
         frames.clear()
         shear_wrt(LAMBDA, tri)
         assert len(frames) == 1
@@ -589,6 +590,22 @@ class TestWitness:
         w = find_witness(t)
         assert w is not None and any(tangle_shear(t, w))
 
+    def test_each_tagging_is_read_as_its_own_notched_mask(self, monkeypatch):
+        # hide every notched mask but that of one tagged base triangulation,
+        # read off its arcs: the witness is that triangulation.  A closed
+        # curve reads the same nonzero shear on all 16 taggings.
+        from spherelam import shear
+
+        real = shear._shear_in_frame
+        tris = [type_i_triangulation(BASE_TRIPLE, tags) for tags in tag_choices(PUNCTURES)]
+        assert all(any(shear_wrt(LAMBDA_C, tri)) for tri in tris)
+        for tri in tris:
+            shown = sum(1 << 2 * p.i + p.j for p in PUNCTURES
+                        if any((p, Tagging.NOTCHED) in arc.ends for arc in tri.arcs))
+            monkeypatch.setattr(shear, "_shear_in_frame", lambda weights, frame, notched: (
+                real(weights, frame, notched) if notched == shown else (0,) * 6))
+            assert find_witness(Tangle(((LAMBDA_C, 1),)), 1).arcs == tri.arcs
+
     @pytest.mark.parametrize("max_height", range(1, 5))
     def test_fallback_matches_the_former_sweep(self, monkeypatch, max_height):
         from spherelam import shear
@@ -620,7 +637,14 @@ class TestWitness:
                    Tangle(((AllowableCurve(INF), 1), (AllowableCurve(Slope(2, -1)), 1)))]
         tangles += [Tangle(tuple((pool[(7 * k + 3 * j) % len(pool)], j - 1) for j in range(3)))
                     for k in range(6)]
-        real = shear._shear_in_frame
+        real, real_slots = shear._shear_in_frame, shear._base_slots
+        current = []  # the slopes of the triangulation whose frame was built last
+
+        def slots(tri):
+            current[:] = [frozenset(arc.slope for arc in tri.arcs)]
+            return real_slots(tri)
+
+        monkeypatch.setattr(shear, "_base_slots", slots)
         for tangle in tangles:
             # every candidate triple reads zero shear, so the search goes on
             # to its fallback over the Farey-1 triples up to max_height; so do
@@ -630,14 +654,13 @@ class TestWitness:
             blocked = {frozenset(shear.BASE_TRIPLE)} | {
                 frozenset((f, *separating_neighbors(slopes, f))) for f in slopes}
 
-            def hidden(tri):
-                slopes = frozenset(arc.slope for arc in tri.arcs)
-                notched = {p for arc in tri.arcs for p, t in arc.ends if t is Tagging.NOTCHED}
+            def hidden(notched):
+                slopes, = current
                 return (slopes in blocked or sum(s.a + 2 * s.b for s in slopes) % 3
-                        or len(notched) != 2)
+                        or notched.bit_count() != 2)
 
-            monkeypatch.setattr(shear, "_shear_in_frame", lambda t, tri, frame: (
-                (0,) * 6 if hidden(tri) else real(t, tri, frame)))
+            monkeypatch.setattr(shear, "_shear_in_frame", lambda weights, frame, notched: (
+                (0,) * 6 if hidden(notched) else real(weights, frame, notched)))
             expected = former_sweep(tangle, blocked)
             if expected is None:
                 with pytest.raises(BoundExhausted):
