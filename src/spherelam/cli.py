@@ -431,9 +431,9 @@ def run(argv: list[str]) -> tuple[int, str]:
         return (int(e.code or 0) and 2, "")
     try:
         out = _COMMANDS[args.command][0](args)
-    except InternalError as e:
+    except (InternalError, KeyError) as e:
         return 3, _error_doc(f"{type(e).__name__}: {e}", "internal")
-    except (ValueError, KeyError, json.JSONDecodeError, SphereLamError) as e:
+    except (ValueError, json.JSONDecodeError, SphereLamError) as e:
         return 1, _error_doc(f"{type(e).__name__}: {e}", "domain")
     if args.plain:
         return 0, _plain_text(out)

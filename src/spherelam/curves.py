@@ -482,6 +482,27 @@ def _lattice_frame(keys: Sequence[tuple[int, int, int, int]]
     return m, _key_images(keys, m)
 
 
+# The base slot of every height-1 arc a lattice frame yields, by (a, b, mask): the
+# six arcs of base_triangulation and the slope-1 arcs its flips at slots 2, 5 put there.
+_FRAME_SLOT = {(1, 0, 5): 0, (0, 1, 3): 1, (1, -1, 9): 2, (1, 0, 10): 3, (0, 1, 12): 4,
+               (1, -1, 6): 5, (1, 1, 6): 2, (1, 1, 9): 5}
+
+
+def _frame_slots(keys: Sequence[tuple[int, int, int, int]]
+                 ) -> tuple[UnimodularMap, tuple[int, ...], int | None]:
+    """(m, slots, flipped): the lattice frame m of the six arcs with these keys
+    (:func:`_lattice_frame`), the base slot of each image (:data:`_FRAME_SLOT`),
+    and the slot of the one image that is not a base arc (None for type I).
+    An image outside the table is an :class:`InternalError`."""
+    m, images = _lattice_frame(keys)
+    try:
+        slots = tuple([_FRAME_SLOT[key[:3]] for key in images])
+    except KeyError as e:
+        raise InternalError(f"lattice frame image {e.args[0]} not in the frame table") from None
+    flipped = next((slot for key, slot in zip(images, slots) if key[:2] == (1, 1)), None)
+    return m, slots, flipped
+
+
 def arcs_compatible(
     x: TaggedArc | AllowableCurve, y: TaggedArc | AllowableCurve
 ) -> bool:

@@ -11,6 +11,7 @@ from .curves import (
     SpiralDir,
     TaggedArc,
     Tagging,
+    base_triangulation,
     endpoint_sets,
     kappa,
     curves_compatible,
@@ -104,7 +105,7 @@ def run_selftest() -> list[tuple[str, bool]]:
         apply_perm(PERM_Z2, (-1, 2, 0, -1, 1, 0)) == (2, 0, -1, 1, 0, -1),
     )
 
-    t0 = triangulation.base_triangulation()
+    t0 = base_triangulation()
     check("base triangulation type I", triangulation.classify(t0).tag == "I")
     check(
         "base triangulation triple",

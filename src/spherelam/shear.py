@@ -34,7 +34,7 @@ from .curves import (
     SpiralDir,
     TaggedTriangulation,
     Tagging,
-    _lattice_frame,
+    _frame_slots,
     _type_i_triple,
     base_triangulation,
     curves_compatible,
@@ -375,20 +375,17 @@ def shear_oracle(curve: AllowableCurve) -> ShearVector:
 
 
 _BASE = base_triangulation()
-# the index of each base arc by its slope vector and endpoint mask
-_BASE_SLOT = {arc._key[:3]: i for i, arc in enumerate(_BASE.arcs)}
 
 
 def _base_slots(tri: TaggedTriangulation) -> tuple[UnimodularMap, tuple[int, ...]]:
-    """The lattice frame of a type-I ``tri`` (:func:`curves._lattice_frame`),
+    """The lattice frame of a type-I ``tri`` (:func:`curves._frame_slots`),
     the orientation-preserving map that carries it onto the base
     triangulation, and for each arc of ``tri`` the index of its image
     among the base arcs.  The map fixes v00, so arcs through v00 land on
     base arcs 0-2 and the others on 3-5.  The frame reads the slopes and
     endpoints only, so the 16 taggings of a triple share it."""
     _type_i_triple(tri)
-    m, images = _lattice_frame([arc._key for arc in tri.arcs])
-    return m, tuple(_BASE_SLOT[key[:3]] for key in images)
+    return _frame_slots(tri._keys)[:2]
 
 
 def _notched(tri: TaggedTriangulation) -> int:

@@ -29,8 +29,10 @@ Neither kernel depends on the height.  :func:`flip` tries at most 8
 candidate slopes (:func:`_flip_slopes`) and keeps the one key that the
 compatibility kernel accepts against the five remaining arcs, the flip
 being unique (Fomin-Shapiro-Thurston, Acta Math. 2008);
-:func:`signed_adjacency` reads the matrix of an all-plain triangulation at
-its height-1 image under its lattice frame (:func:`curves._lattice_frame`).
+:func:`signed_adjacency` reads the matrix of an all-plain triangulation off
+the base slots of its height-1 image under its lattice frame
+(:func:`curves._frame_slots`): ``FIG1_MATRIX``, mutated at the one slot
+where the image is the base flipped, if any.
 """
 
 from __future__ import annotations
@@ -50,10 +52,9 @@ from .curves import (
     _PAIRS,
     _arc_key,
     _degrees,
+    _frame_slots,
     _keys_compatible,
-    _lattice_frame,
     _slope_keys,
-    base_triangulation,
     endpoint_sets,
     tag_choices,
 )
@@ -399,64 +400,24 @@ def flip(tri: TaggedTriangulation, k: int) -> TaggedTriangulation:
 ExchangeMatrix = tuple[tuple[int, ...], ...]
 
 
-# Signed adjacency of the three canonical arc sets (see signed_adjacency),
-# keyed by their sorted arc keys, rows in that order; filled on the first call.
-_CANONICAL_ADJACENCY: dict[tuple[tuple[int, int, int, int], ...], ExchangeMatrix] = {}
-
-
-def _canonical_form(tri: TaggedTriangulation
-                    ) -> tuple[tuple[tuple[int, int, int, int], ...], list[int]]:
-    """(canon, order): the keys of the images of the arcs of an all-plain
-    ``tri`` in its lattice frame (:func:`curves._lattice_frame`),
-    canon[r] that of arc order[r], sorted."""
-    _, image = _lattice_frame([arc._key for arc in tri.arcs])
-    order = sorted(range(6), key=image.__getitem__)
-    return tuple(image[i] for i in order), order
-
-
-def _fill_canonical_adjacency() -> None:
-    """The memo from the base triangulation with ``FIG1_MATRIX`` and its
-    six flips with the six mutations of that matrix."""
-    base = base_triangulation()
-    table: dict[tuple[tuple[int, int, int, int], ...], ExchangeMatrix] = {}
-    flips = [(flip(base, k), mutate(FIG1_MATRIX, k)) for k in range(6)]
-    for tri, B in [(base, FIG1_MATRIX), *flips]:
-        canon, order = _canonical_form(tri)
-        C = tuple(tuple(B[i][j] for j in order) for i in order)
-        if table.setdefault(canon, C) != C:
-            raise InternalError("two flips of the base give one arc set two matrices")
-    _CANONICAL_ADJACENCY.update(table)
-
-
 def signed_adjacency(tri: TaggedTriangulation) -> ExchangeMatrix:
     """The signed adjacency matrix of an all-plain triangulation.
 
-    An all-plain triangulation has type I or II, and its lattice frame
-    (:func:`curves._lattice_frame`), the orientation-preserving map sending
-    its two least slopes that carry two arcs each to (1, 0) and (0, 1),
-    carries every arc to height 1.  The map keeps faces and their
-    orientation, so the matrix of the image, with arcs in the same order,
-    is the matrix of ``tri``.  The image is one of three arc sets: the
-    base's type-I set on {-1, 0, inf}, and type II on {1, -1} with v = 00
-    or v = 01, each one flip from the base.  A flip mutates the matrix
-    (Fomin-Shapiro-Thurston, Acta Math. 2008), so the memo of the three,
-    keyed by the sorted keys of their arcs, is filled from ``FIG1_MATRIX``
-    and its six mutations.
-    The six arc keys of ``tri`` are mapped as integers
-    (:func:`_canonical_form`), and the matrix is permuted back to the
-    caller's arc order: the cost does not depend on the height.
+    An all-plain triangulation has type I or II.  Its lattice frame
+    (:func:`curves._frame_slots`) is an orientation-preserving lattice map
+    that carries it to height 1: onto the base triangulation, or onto the
+    base flipped at slot 2 or 5.  The map keeps faces and their
+    orientation, so entry (i, j) is the entry of the image's matrix at the
+    base slots of the images of arcs i and j.  A flip mutates the matrix
+    (Fomin-Shapiro-Thurston, Acta Math. 2008), so that matrix is
+    ``FIG1_MATRIX`` mutated at the flipped slot, if any
+    (:data:`_FRAME_ADJACENCY`).  The cost does not depend on the height.
     """
     if not tri.all_plain:
         raise NotAllPlain("signed adjacency needs all arcs tagged plain")
-    if not _CANONICAL_ADJACENCY:
-        _fill_canonical_adjacency()
-    canon, order = _canonical_form(tri)
-    B = _CANONICAL_ADJACENCY.get(canon)
-    if B is None:
-        raise InternalError("canonical arc set missing from the adjacency memo")
-    pos = sorted(range(6), key=order.__getitem__)  # arc i is canonical row pos[i]
-    row = itemgetter(*pos)
-    return tuple(row(B[r]) for r in pos)
+    _, slots, flipped = _frame_slots(tri._keys)
+    B, row = _FRAME_ADJACENCY[flipped], itemgetter(*slots)
+    return tuple(row(B[slot]) for slot in slots)
 
 
 def mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
@@ -491,3 +452,7 @@ FIG1_MATRIX: ExchangeMatrix = (
     (-1, 0, 1, -1, 0, 1),
     (1, -1, 0, 1, -1, 0),
 )
+
+# The signed adjacency of each image a lattice frame yields (see
+# signed_adjacency), rows by base slot, keyed by the flipped slot.
+_FRAME_ADJACENCY = {None: FIG1_MATRIX, 2: mutate(FIG1_MATRIX, 2), 5: mutate(FIG1_MATRIX, 5)}

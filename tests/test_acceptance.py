@@ -20,6 +20,7 @@ from spherelam.curves import (
     V00, V01,
     AllowableCurve,
     SpiralDir,
+    base_triangulation,
     endpoint_sets,
     enumerate_curves,
     type_i_triangulation,
@@ -53,7 +54,6 @@ from spherelam.shear import (
 )
 from spherelam.triangulation import (
     FIG1_MATRIX,
-    base_triangulation,
     classify,
     enumerate_triangulations,
     flip,

@@ -545,6 +545,16 @@ class TestErrorDocuments:
         assert doc["kind"] == "internal"
         assert doc["error"].startswith("InternalNonUnique:")
 
+    def test_key_error_is_internal(self, monkeypatch):
+        # no input path raises KeyError, so one from a handler is a bug
+        def broken_badj(args):
+            raise KeyError((1, 1, 6))
+
+        monkeypatch.setitem(cli._COMMANDS, "badj", (broken_badj, *cli._COMMANDS["badj"][1:]))
+        t0 = json.dumps(base_triangulation().to_json())
+        doc = json.loads(fails(["badj", "--tri", t0], code=3))
+        assert doc == {"schema": cli.SCHEMA, "error": "KeyError: (1, 1, 6)", "kind": "internal"}
+
 
 class TestWorkCaps:
     """Inputs whose work grows without bound are rejected with one error

@@ -270,11 +270,7 @@ class TestLatticeImage:
 
     def test_type_one_triangulations_map_to_base(self):
         from object_oracle import triple_to_basis
-        from spherelam.triangulation import (
-            base_triangulation,
-            classify,
-            enumerate_triangulations,
-        )
+        from spherelam.triangulation import classify, enumerate_triangulations
 
         base = base_triangulation().arc_set
         seen = 0

@@ -16,6 +16,7 @@ from spherelam.curves import (
     AllowableCurve,
     SpiralDir,
     arcs_compatible,
+    base_triangulation,
     curves_compatible,
     endpoint_sets,
     enumerate_arcs,
@@ -28,8 +29,7 @@ from spherelam.errors import BoundExhausted, InternalError, InternalNonUnique, \
 from spherelam.lattice import INF, MAX_HEIGHT, Slope, enumerate_slopes, farey1_triples
 from spherelam.shear import GAMMA24, QuasiLamination, Tangle, apply_perm, \
     shear_closed_form, shear_lamination, tangle_shear
-from spherelam.triangulation import base_triangulation, classify, \
-    enumerate_triangulations
+from spherelam.triangulation import classify, enumerate_triangulations
 
 CW, CCW = SpiralDir.CW, SpiralDir.CCW
 

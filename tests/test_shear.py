@@ -157,7 +157,6 @@ class TestShearFixtures:
     def test_base_arcs_give_negative_units(self):
         # the kappa image of each base-triangulation arc has shear -e_i
         from spherelam.curves import kappa
-        from spherelam.triangulation import base_triangulation
 
         for i, arc in enumerate(base_triangulation().arcs):
             expected = tuple(-1 if j == i else 0 for j in range(6))
@@ -429,9 +428,9 @@ class TestLaminationsAndTangles:
         from spherelam import curves, shear
 
         frames, tried, built = [], [], []
-        real_frame, real_build = shear._lattice_frame, shear.type_i_triangulation
+        real_frame, real_build = shear._frame_slots, shear.type_i_triangulation
         real_init = curves.TaggedTriangulation.__init__
-        monkeypatch.setattr(shear, "_lattice_frame",
+        monkeypatch.setattr(shear, "_frame_slots",
                             lambda keys: frames.append(1) or real_frame(keys))
         monkeypatch.setattr(shear, "type_i_triangulation",
                             lambda *a: tried.append(1) or real_build(*a))
@@ -519,8 +518,8 @@ class TestTorus:
         from spherelam import shear
 
         frames = []
-        real = shear._lattice_frame
-        monkeypatch.setattr(shear, "_lattice_frame", lambda keys: frames.append(1) or real(keys))
+        real = shear._frame_slots
+        monkeypatch.setattr(shear, "_frame_slots", lambda keys: frames.append(1) or real(keys))
         notched = type_i_triangulation((Slope(1, 2), Slope(1, 1), INF),
                                        tuple((p, Tagging.NOTCHED) for p in PUNCTURES))
         for tri in (base_triangulation(), notched):

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -10,15 +11,18 @@ from hypothesis import given, settings, strategies as st
 import compat_oracle
 import object_oracle
 from box_oracle import box_adjacency
-from spherelam import curves, lattice, triangulation
+from spherelam import cli, curves, lattice, triangulation
 from spherelam.curves import (
     V00, V01, V10, V11,
     Puncture,
     TaggedArc,
     Tagging,
+    _FRAME_SLOT,
+    _frame_slots,
     _keys_compatible,
     _lattice_frame,
     _slope_keys,
+    base_triangulation,
     endpoint_sets,
 )
 from spherelam.errors import (
@@ -32,7 +36,6 @@ from spherelam.triangulation import (
     FIG1_MATRIX,
     TaggedTriangulation,
     TriType,
-    base_triangulation,
     build_type,
     classify,
     enumerate_triangulations,
@@ -40,8 +43,6 @@ from spherelam.triangulation import (
     flip,
     mutate,
     signed_adjacency,
-    _CANONICAL_ADJACENCY,
-    _canonical_form,
     _enumerate_typed,
     _farey2_pairs,
     _flip_slopes,
@@ -136,18 +137,6 @@ def type_i_start(rng, lo, hi, tags=None):
     if tags is None:
         tags = tuple((p, rng.choice((PLAIN, NOTCHED))) for p in (V00, V01, V10, V11))
     return build_type(TriType("I", triple, taggings=tags))
-
-
-def arc_canonical_form(tri):
-    """:func:`_canonical_form` on arc objects, the oracle of its key
-    version: the ``TaggedArc.image`` of each arc under the map sending the
-    two least slopes that carry two arcs each to 0 and inf, sorted by
-    slope vector and least puncture, and the arc order."""
-    s, t = sorted(s for s, n in Counter(arc.slope for arc in tri.arcs).items() if n == 2)[:2]
-    m = pair_to_basis(s, t)
-    image = [arc.image(m) for arc in tri.arcs]
-    order = sorted(range(6), key=lambda i: (image[i].slope.vector, min(image[i].punctures)))
-    return tuple(image[i] for i in order), order
 
 
 def plain_walk(start, steps, rng):
@@ -600,9 +589,10 @@ class TestMatrices:
 
 
 class TestCanonicalAdjacency:
-    """signed_adjacency reads a height-1 representative from a memo filled
-    by mutation from the base; the box computation at the original height
-    is the oracle."""
+    """signed_adjacency reads the base slots of a height-1 image off the
+    frame table (curves._frame_slots) and FIG1_MATRIX mutated at the
+    flipped slot; the box computation at the original height is the
+    oracle."""
 
     def test_matches_box_up_to_height_three(self):
         rng = random.Random(2)
@@ -636,42 +626,71 @@ class TestCanonicalAdjacency:
                 B = B_new
 
     def test_memo_is_bounded(self):
+        # the height-1 images are a fixed set: seeded plain walks from type-I
+        # starts up to height 10^6 frame every triangulation, under
+        # TaggedArc.image, onto the base or one of the two type-II
+        # triangulations of height 1
         rng = random.Random(9)
+        seen = set()
         for _ in range(40):
             t = type_i_start(rng, 1, 10**6, ALL_PLAIN)
             for _, _, f in plain_walk(t, 10, rng):
-                signed_adjacency(f)
+                m, _, _ = _frame_slots(f._keys)
+                seen.add(frozenset(a.image(m) for a in f.arcs))
         type_ii = [build_type(TriType("II", (Slope(1, 1), MINUS_ONE), v=v, taggings=ALL_PLAIN))
                    for v in (V00, V01)]
-        assert set(_CANONICAL_ADJACENCY) == {
-            tuple(sorted(arc._key for arc in t.arcs)) for t in (base_triangulation(), *type_ii)}
+        assert seen == {t.arc_set for t in (base_triangulation(), *type_ii)}
 
     def test_key_form_matches_arc_images(self):
         # every all-plain triangulation of height <= 3, then seeded plain
-        # walks from heights up to 10^6
+        # walks from heights up to 10^6: the TaggedArc.image of arc i under
+        # the frame is the arc at slots[i] of the base or of its flip at
+        # slot 2 or 5, and the walks reach all three images
         rng = random.Random(13)
-        tris = [t for t in enumerate_triangulations(3) if t.all_plain]
+        tris = [t for t in height_three() if t.all_plain]
         for hi in (10, 10**3, 10**6):
             for _ in range(10):
                 t = type_i_start(rng, 1, hi, ALL_PLAIN)
                 tris += [t, *(f for _, _, f in plain_walk(t, 10, rng))]
         assert max(t.height for t in tris) >= 10**5
+        base = base_triangulation()
+        images = {None: base, 2: flip(base, 2), 5: flip(base, 5)}
+        seen = set()
         for t in tris:
-            canon, order = _canonical_form(t)
-            images, image_order = arc_canonical_form(t)
-            assert dict(zip(order, canon)) == {i: a._key for i, a in zip(image_order, images)}
-            assert list(canon) == sorted(canon)
+            m, slots, flipped = _frame_slots(t._keys)
+            assert [a.image(m) for a in t.arcs] == [images[flipped].arcs[s] for s in slots]
+            seen.add(flipped)
+        assert seen == {None, 2, 5}
 
-    def test_fill_rejects_disagreeing_flip_matrix(self, monkeypatch):
-        def wrong_at_2(B, k):
-            M = mutate(B, k)
-            return tuple(tuple(-x for x in row) for row in M) if k == 2 else M
+    def test_base_flips_match_mutation(self):
+        # each flip of the base is framed onto its flip at slot 2 or 5, and
+        # its matrix is FIG1_MATRIX mutated at the flipped arc
+        base = base_triangulation()
+        assert _frame_slots(base._keys)[2] is None
+        assert signed_adjacency(base) == FIG1_MATRIX
+        for k in range(6):
+            f = flip(base, k)
+            assert _frame_slots(f._keys)[2] in (2, 5)
+            assert signed_adjacency(f) == mutate(FIG1_MATRIX, k)
 
-        monkeypatch.setattr(triangulation, "mutate", wrong_at_2)
-        monkeypatch.setattr(triangulation, "_CANONICAL_ADJACENCY", {})
-        with pytest.raises(InternalError):
-            signed_adjacency(base_triangulation())
-        assert not triangulation._CANONICAL_ADJACENCY  # nothing half filled
+    def test_frame_table_is_the_base_and_its_flips(self):
+        # the base arcs at their slots, and each height-1 arc a flip of the
+        # base puts at slot k; the flips at 0, 1, 3, 4 reach height 2
+        base = base_triangulation()
+        flipped = [(k, flip(base, k).arcs[k]) for k in range(6)]
+        table = {a._key[:3]: k for k, a in enumerate(base.arcs)}
+        table.update((a._key[:3], k) for k, a in flipped if a.height == 1)
+        assert _FRAME_SLOT == table
+        assert [k for k, a in flipped if a.height == 1] == [2, 5]
+
+    def test_every_frame_image_is_in_the_table(self):
+        # every all-plain or type-I triangulation of height <= 3, in any
+        # tagging: the table is read on slope and endpoints only
+        tris = [t for t in height_three() if t.all_plain or classify(t).tag == "I"]
+        assert len({t.arc_set for t in tris}) > 40
+        for t in tris:
+            _, images = _lattice_frame(t._keys)
+            assert all(key[:3] in _FRAME_SLOT for key in images)
 
     @pytest.mark.parametrize("slopes", [
         [ZERO, ZERO, INF, Slope(1, 1), MINUS_ONE, Slope(1, 2)],
@@ -683,14 +702,19 @@ class TestCanonicalAdjacency:
             _lattice_frame([(s.a, s.b, 0, 0) for s in slopes])
 
     def test_lookup_miss_is_internal(self, monkeypatch):
-        signed_adjacency(base_triangulation())
+        # a frame image missing from the table is a bug: InternalError, and
+        # badj exits 3 with an internal error document
         t = flip(base_triangulation(), 0)
-        canon, _ = _canonical_form(t)
-        rest = {k: B for k, B in _CANONICAL_ADJACENCY.items() if k != canon}
-        assert len(rest) == 2
-        monkeypatch.setattr(triangulation, "_CANONICAL_ADJACENCY", rest)
-        with pytest.raises(InternalError):
+        _, images = _lattice_frame(t._keys)
+        flipped = next(key[:3] for key in images if key[:2] == (1, 1))
+        rest = {k: slot for k, slot in _FRAME_SLOT.items() if k != flipped}
+        assert len(rest) == 7
+        monkeypatch.setattr(curves, "_FRAME_SLOT", rest)
+        with pytest.raises(InternalError, match="frame table"):
             signed_adjacency(t)
+        code, out = cli.run(["badj", "--tri", json.dumps(t.to_json())])
+        assert code == 3 and json.loads(out)["kind"] == "internal", out
+        assert signed_adjacency(base_triangulation()) == FIG1_MATRIX  # no base arc missing
 
 
 class TestJson:
