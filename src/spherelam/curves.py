@@ -7,13 +7,15 @@ tag (arcs) or a spiral direction (curves).  The bijection ``kappa`` matches
 plain tags with clockwise spirals and notched tags with counterclockwise
 spirals.  Closed curves carry a slope only.
 
-Each arc and curve also carries the integer key ``(a, b, mask, marks)`` of
-:func:`arcs_compatible`, which ``kappa`` keeps.  :meth:`_ArcOrCurve._of_key`
-is the one constructor from a key: ``image`` builds from the key that
-:func:`_key_images` moves, ``retag``, ``reverse_spiral``, ``kappa`` and
-``kappa_inv`` from the key with one ``marks`` bit set, cleared or toggled,
-or none.  Reversing the spirals at several punctures, such as the notched
-punctures of a triangulation, is one XOR against their mask.
+Each arc and curve is stored as its slope and the integer key
+``(a, b, mask, marks)`` of :func:`arcs_compatible`, which ``kappa`` keeps;
+its ends, punctures, underlying arc, hash and curve order are read off the
+key.  :meth:`_ArcOrCurve._of_key` is the one constructor from a key:
+``image`` builds from the key that :func:`_key_images` moves, ``retag``,
+``reverse_spiral``, ``kappa`` and ``kappa_inv`` from the key with one
+``marks`` bit set, cleared or toggled, or none.  Reversing the spirals at
+several punctures, such as the notched punctures of a triangulation, is
+one XOR against their mask.
 
 :class:`TaggedTriangulation` lives here so that ``shear --tri`` and
 ``render --tri`` need not load :mod:`spherelam.triangulation`, with the
@@ -185,68 +187,69 @@ class _ArcOrCurve(Frozen):
     """What tagged arcs and allowable curves share: a slope and, unless the
     curve is closed, two endpoints each with a tag or a spiral direction.
 
-    Equality and hashing go through what :meth:`_set` stores once: equal
-    integer keys (see :func:`arcs_compatible`) for equality within a class,
-    and the hash of ``(slope, ends)``.  The constructors check their ends;
-    an arc or curve derived from another one (its image under a lattice
-    map, a retagging, a spiral reversal, a ``kappa`` image) is built from
-    its key by :meth:`_of_key`, the one place that reads ends off key bits.
+    An arc or curve stores its :class:`Slope` and its integer key (see
+    :func:`arcs_compatible`) and nothing else: ``ends``, ``punctures`` and
+    ``underlying`` are read off the key.  Equal keys within a class are
+    equal values, and the hash is the hash of the key.  The constructors
+    check their ends; an arc or curve derived from another one (its image
+    under a lattice map, a retagging, a spiral reversal, a ``kappa`` image)
+    is built from its key by :meth:`_of_key`.
     """
 
-    __slots__ = ("slope", "ends", "punctures", "underlying", "_key", "_hash")
+    __slots__ = ("slope", "_key")
     _fields = ("slope", "ends", "punctures", "underlying")
     slope: Slope
-    ends: tuple | None
-    punctures: frozenset[Puncture]
-    underlying: tuple
     _key: tuple[int, int, int, int]
-    _hash: int
     #: The tag or spiral direction of an end whose ``marks`` bit is 0 and 1.
     _MARKS: tuple
 
     def _freeze(self, slope: Slope, ends: tuple | None) -> None:
-        """Sort the ends by puncture, check them against the slope
-        (:data:`_SLOPE_MASKS`), and :meth:`_set` the fields."""
-        if ends is not None:
-            (p, d), (q, e) = ends
-            i, j = 2 * p.i + p.j, 2 * q.i + q.j
-            if j < i:
-                p, d, i, q, e, j = q, e, j, p, d, i
-            ends = ((p, d), (q, e))
-            if i == j:
-                raise ValueError("endpoints must be distinct punctures (no loops)")
-            if 1 << i | 1 << j not in _SLOPE_MASKS[2 * (slope.a & 1) + (slope.b & 1)]:
-                raise ValueError(
-                    f"endpoints {p},{q} do not match the parity of slope {slope}"
-                )
-            key = _arc_key(slope, p, d, q, e, self._MARKS[1])
-        else:
+        """Check each end is a :class:`Puncture` with one of :attr:`_MARKS`,
+        and the ends against the slope (:data:`_SLOPE_MASKS`); store the key."""
+        if ends is None:
             key = (slope.a, slope.b, 0, 0)
-        self._set(slope, ends, key)
-
-    def _set(self, slope: Slope, ends: tuple | None, key: tuple[int, int, int, int]) -> None:
-        punctures = _MASK_PUNCTURES[key[2]]
+        else:
+            (p, d), (q, e) = ends
+            marks = self._MARKS
+            if not (p.__class__ is q.__class__ is Puncture and d in marks and e in marks):
+                raise ValueError(f"the ends of a {self.__class__.__name__} are (Puncture, "
+                                 f"{' or '.join(map(str, marks))}) pairs, got {ends!r}")
+            if p == q:
+                raise ValueError("endpoints must be distinct punctures (no loops)")
+            key = _arc_key(slope, p, d, q, e, marks[1])
+            if key[2] not in _SLOPE_MASKS[2 * (slope.a & 1) + (slope.b & 1)]:
+                raise ValueError(f"endpoints {min(p, q)},{max(p, q)} do not match "
+                                 f"the parity of slope {slope}")
         object.__setattr__(self, "slope", slope)
-        object.__setattr__(self, "ends", ends)
-        object.__setattr__(self, "punctures", punctures)
-        object.__setattr__(self, "underlying", (slope, punctures))
         object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash((slope, ends)))
 
     @classmethod
     def _of_key(cls, key: tuple[int, int, int, int], slope: Slope | None = None):
         """The arc or curve of this class with the valid key ``key``,
         unchecked; ``slope`` is the :class:`Slope` of (a, b) when the caller
         holds it.  Endpoint mask 0 is a closed curve."""
-        a, b, mask, marks = key
-        ends = None
-        if mask:
-            i, j = _MASK_BITS[mask]
-            ends = ((PUNCTURES[i], cls._MARKS[marks >> i & 1]),
-                    (PUNCTURES[j], cls._MARKS[marks >> j & 1]))
         x = object.__new__(cls)
-        x._set(Slope(a, b) if slope is None else slope, ends, key)
+        object.__setattr__(x, "slope", Slope(key[0], key[1]) if slope is None else slope)
+        object.__setattr__(x, "_key", key)
         return x
+
+    @property
+    def ends(self) -> tuple | None:
+        """The two (puncture, mark) ends by puncture; None if closed."""
+        _, _, mask, marks = self._key
+        if not mask:
+            return None
+        i, j = _MASK_BITS[mask]
+        return ((PUNCTURES[i], self._MARKS[marks >> i & 1]),
+                (PUNCTURES[j], self._MARKS[marks >> j & 1]))
+
+    @property
+    def punctures(self) -> frozenset[Puncture]:
+        return _MASK_PUNCTURES[self._key[2]]
+
+    @property
+    def underlying(self) -> tuple[Slope, frozenset[Puncture]]:
+        return self.slope, _MASK_PUNCTURES[self._key[2]]
 
     def __eq__(self, other) -> bool:
         if other.__class__ is self.__class__:
@@ -254,7 +257,7 @@ class _ArcOrCurve(Frozen):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._key)
 
     @property
     def height(self) -> int:
@@ -269,13 +272,9 @@ class _ArcOrCurve(Frozen):
 
 
 class TaggedArc(_ArcOrCurve):
-    """A tagged arc: slope plus an unordered pair of tagged endpoints.
-
-    ``ends`` is stored sorted by puncture, so equal arcs compare equal.
-    """
+    """A tagged arc: slope plus an unordered pair of tagged endpoints."""
 
     __slots__ = ()
-    ends: tuple[tuple[Puncture, Tagging], tuple[Puncture, Tagging]]
     _MARKS = (Tagging.PLAIN, Tagging.NOTCHED)
 
     def __init__(self, slope: Slope,
@@ -314,7 +313,6 @@ class AllowableCurve(_ArcOrCurve):
     punctures with independent spiral directions."""
 
     __slots__ = ()
-    ends: tuple[tuple[Puncture, SpiralDir], tuple[Puncture, SpiralDir]] | None
     _MARKS = (SpiralDir.CW, SpiralDir.CCW)
 
     def __init__(self, slope: Slope,
@@ -324,16 +322,17 @@ class AllowableCurve(_ArcOrCurve):
 
     @property
     def is_closed(self) -> bool:
-        return self.ends is None
+        return not self._key[2]
 
     def sort_key(self) -> tuple:
         """The order of curves in tangles, laminations and maximal
-        collections: by slope vector, the closed curve first, then by
-        endpoints and spirals."""
-        if self.ends is None:
-            return (self.slope.a, self.slope.b, 0, ())
-        enc = tuple((p.i, p.j, d.value) for p, d in self.ends)
-        return (self.slope.a, self.slope.b, 1, enc)
+        collections: by slope vector, the closed curve first, then by the
+        first endpoint, its spiral (counterclockwise first) and the other
+        end's spiral, read off the key: the lowest bit ``lo`` of the mask,
+        which fixes the other end, and the clockwise ends' bits."""
+        a, b, mask, marks = self._key
+        lo = mask & -mask
+        return a, b, lo, ~marks & lo, ~marks & (mask ^ lo)
 
     def reverse_spiral(self, p: Puncture) -> "AllowableCurve":
         """Reverse the spiral direction at p (no-op for closed curves or
@@ -351,13 +350,13 @@ class AllowableCurve(_ArcOrCurve):
         return AllowableCurve._of_key((a, b, mask, marks ^ bits), self.slope)
 
     def __str__(self) -> str:
-        if self.ends is None:
+        if self.is_closed:
             return f"curve({self.slope})"
         marks = ",".join(f"v{p}:{d.value}" for p, d in self.ends)
         return f"curve({self.slope},{{{marks}}})"
 
     def to_json(self) -> dict:
-        if self.ends is None:
+        if self.is_closed:
             return {"closed": str(self.slope)}
         return {
             "slope": str(self.slope),
@@ -380,7 +379,7 @@ def kappa(arc: TaggedArc) -> AllowableCurve:
 
 
 def kappa_inv(curve: AllowableCurve) -> TaggedArc:
-    if curve.ends is None:
+    if not curve._key[2]:
         raise ClosedCurveHasNoArc(f"{curve} is closed")
     return TaggedArc._of_key(curve._key, curve.slope)
 
@@ -571,9 +570,9 @@ def classify_pair(x: TaggedArc, y: TaggedArc) -> PairClass:
         return PairClass.EQUAL
     if not arcs_compatible(x, y):
         return PairClass.INCOMPATIBLE
-    if x.underlying == y.underlying:
+    if x._key[:3] == y._key[:3]:
         return PairClass.COINCIDING
-    shared = len(x.punctures & y.punctures)
+    shared = (x._key[2] & y._key[2]).bit_count()
     return (PairClass.FAREY0, PairClass.FAREY1, PairClass.FAREY2)[shared]
 
 
@@ -706,7 +705,7 @@ def _type_i_triple(tri: TaggedTriangulation) -> tuple[Slope, ...]:
     if tri.degree_sequence != _TYPE_I_DEGREES:
         raise DomainError("the triangulation is not type I: its puncture degrees are "
                           f"{tri.degree_sequence}, not {_TYPE_I_DEGREES}")
-    return tuple(arc.slope for arc in tri.arcs if V00 in arc.punctures)
+    return tuple(arc.slope for arc in tri.arcs if arc._key[2] & 1)
 
 
 def base_triangulation() -> TaggedTriangulation:

@@ -11,11 +11,13 @@ Everything is exact integer arithmetic: the points of one lift are integer
 numerators over one common denominator ``den``, chosen by the caller so
 that every crossing point of that lift is a multiple of ``1/den``.  A
 spiral end is its two outermost crossings, ordered by an integer
-pseudo-angle (a numerator and a denominator).
+pseudo-angle (a numerator and a denominator).  :mod:`render` reads
+:func:`_closed_lift`.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from ._frozen import Frozen
@@ -129,6 +131,20 @@ def spiral_crossings(
     if not at_end:
         crossings.reverse()  # curve order: rank 1, then rank 0
     return crossings
+
+
+def _nonzero_product(*factors: int) -> int:
+    """|product| of the nonzero factors."""
+    return math.prod(abs(f) for f in factors if f)
+
+
+def _closed_lift(a: int, b: int, direction: tuple[int, int]):
+    """The start, off the lattice lines, of the lift of the closed curve
+    (a, b) along ``direction``: (1/(2|b|), 0), or (0, 1/2) when b = 0, as
+    numerators over a denominator that makes every crossing point of the
+    segment exact."""
+    m = _nonzero_product(direction[0], direction[1], direction[0] + direction[1])
+    return ((m, 0), 2 * abs(b) * m) if b else ((0, m), 2 * m)
 
 
 def _levels(c0: int, rate: int, den: int, include_lo: bool) -> range:

@@ -8,7 +8,7 @@ from ._frozen import Frozen
 from .curves import AllowableCurve, SpiralDir, TaggedTriangulation, _type_i_triple, \
     base_triangulation
 from .lattice import _left_farey_neighbor
-from .shear import _closed_lift, _nonzero_product
+from .plane import _closed_lift, _nonzero_product
 
 Window = tuple[int, int, int, int]  # xmin, xmax, ymin, ymax
 

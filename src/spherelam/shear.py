@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from typing import Iterable, Iterator
 
@@ -314,20 +313,6 @@ _cached_closed_form = functools.lru_cache(maxsize=4096)(_closed_form)
 # ---------------------------------------------------------------------------
 
 
-def _nonzero_product(*factors: int) -> int:
-    """|product| of the nonzero factors."""
-    return math.prod(abs(f) for f in factors if f)
-
-
-def _closed_lift(a: int, b: int, direction: tuple[int, int]):
-    """The start, off the lattice lines, of the lift of the closed curve
-    (a, b) along ``direction``: (1/(2|b|), 0), or (0, 1/2) when b = 0, as
-    numerators over a denominator that makes every crossing point of the
-    segment exact."""
-    m = _nonzero_product(direction[0], direction[1], direction[0] + direction[1])
-    return ((m, 0), 2 * abs(b) * m) if b else ((0, m), 2 * m)
-
-
 def shear_oracle(curve: AllowableCurve) -> ShearVector:
     """Shear coordinates by exact crossing geometry in the lifted plane.
 
@@ -345,7 +330,7 @@ def shear_oracle(curve: AllowableCurve) -> ShearVector:
     a, b = curve.slope.vector
     if curve.is_closed:
         period = (2 * a, 2 * b)
-        start, den = _closed_lift(a, b, period)
+        start, den = plane._closed_lift(a, b, period)
         xs = plane.segment_crossings(start, period, den, include_lo=True)
         return tuple(plane.accumulate(xs, den, period))  # type: ignore[return-value]
 
@@ -356,7 +341,7 @@ def shear_oracle(curve: AllowableCurve) -> ShearVector:
         raise InternalError(f"the lift of {curve.slope} from v{p_punc} ends off v{q_punc}")
     # den makes the segment's crossings and the spiral offsets eps and eps/2
     # exact, with eps / den = 1/(8(h+2)^2), h = |a| + |b|
-    eps = 2 * _nonzero_product(a, b, a + b)
+    eps = 2 * plane._nonzero_product(a, b, a + b)
     den = 8 * (abs(a) + abs(b) + 2) ** 2 * eps
     side_left = p_dir is SpiralDir.CCW
     seq = (
@@ -507,7 +492,7 @@ def _torus_base(a: int, b: int) -> tuple[int, int, int]:
     computed from the cyclic crossing word of one period."""
     from . import plane
 
-    start, den = _closed_lift(a, b, (a, b))
+    start, den = plane._closed_lift(a, b, (a, b))
     xs = plane.segment_crossings(start, (a, b), den, include_lo=True)
     letters = [c.family for c in xs if c.family in ("h", "v")]
     x1 = -sum(1 for l in letters if l == "h")

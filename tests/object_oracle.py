@@ -12,7 +12,9 @@ they read integer arc keys; kept as oracles of the key versions.
   and its ends, as :meth:`_ArcOrCurve.image` did before it moved keys;
 - :func:`triple_to_basis`, the orientation-preserving map carrying the
   slope set of a Farey-1 triple onto the base triple, the basis change of
-  type-I triangulations before the lattice frame.
+  type-I triangulations before the lattice frame;
+- :func:`sort_key`, the curve order on a curve's slope and ends, as
+  :meth:`AllowableCurve.sort_key` was before it read the key.
 """
 
 import itertools
@@ -100,3 +102,10 @@ def triple_to_basis(triple):
     if tuple(m.apply_slope(standard_form(*u)) for u in (u1, u2, u3)) != BASE_TRIPLE:
         raise InternalError(f"the basis change of {triple} misses (0, inf, -1)")
     return m
+
+
+def sort_key(curve):
+    if curve.ends is None:
+        return (curve.slope.a, curve.slope.b, 0, ())
+    return (curve.slope.a, curve.slope.b, 1,
+            tuple((p.i, p.j, d.value) for p, d in curve.ends))

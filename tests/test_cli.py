@@ -692,7 +692,7 @@ class TestColdStart:
 
     def test_lattice_frame_is_built_in_curves_only(self):
         # the basis change and the key images are called by the frame
-        # kernel in curves only; every other module reads curves._lattice_frame
+        # kernel in curves only; every other module reads curves._frame_slots
         import pathlib
 
         paths = sorted(pathlib.Path(spherelam.__file__).parent.glob("*.py"))
@@ -758,7 +758,7 @@ class TestColdStart:
                              {"fan", "triangulation", "exactla"}),
             "render": (["render", "--curve", '{"closed":"3/2"}', "--window", "0,2,0,2",
                         "--out", str(tmp_path / "curve.svg")],
-                       {"fan", "triangulation", "exactla", "plane"}),
+                       {"fan", "triangulation", "exactla", "shear"}),
             "compat": (["compat", "--a", '{"closed":"3/2"}', "--b", '{"closed":"1/1"}'],
                        {"fan", "triangulation", "exactla", "shear", "plane"}),
             "mutate": (["mutate", "--matrix", B, "--k", "2"], {"plane", "shear", "fan"}),
@@ -782,7 +782,7 @@ class TestColdStart:
                                {"fan", "triangulation", "exactla", "plane"}),
             "render-tri": (["render", "--curve", '{"closed":"3/2"}', "--tri", compact,
                             "--out", str(tmp_path / "grid.svg")],
-                           {"fan", "triangulation", "exactla", "plane"}),
+                           {"fan", "triangulation", "exactla", "shear"}),
             "classify-compact": (["classify", "--tri", compact],
                                  {"fan", "shear", "exactla", "plane"}),
             "triangulate": (["triangulate", "--type", "VI", "--p", "0", "--q", "inf",

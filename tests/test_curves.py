@@ -86,6 +86,19 @@ class TestConstructors:
         b = arc(1, 0, V10, NOTCHED, V00, PLAIN)
         assert a == b and hash(a) == hash(b)
 
+    def test_ends_are_punctures_with_the_class_marks(self):
+        # a string mark, the other class's mark or an end that is not a
+        # Puncture would otherwise be read as the 0-bit mark of the key
+        bad = [(TaggedArc, (V00, "notched"), (V10, PLAIN)),
+               (TaggedArc, (V00, CCW), (V10, PLAIN)),
+               (TaggedArc, ((0, 0), PLAIN), (V10, PLAIN)),
+               (AllowableCurve, (V00, CW), (V10, "cw")),
+               (AllowableCurve, (V00, NOTCHED), (V10, CW)),
+               (AllowableCurve, (V00, CW), ("10", CW))]
+        for cls, e0, e1 in bad:
+            with pytest.raises(ValueError, match="Puncture"):
+                cls(Slope(1, 0), (e0, e1))
+
 
 class TestKappa:
     def test_notched_to_ccw(self):
@@ -225,10 +238,11 @@ class TestKernelAgainstOracle:
         assert c._key == (1, -1, 0b1001, 0b1001)
         assert AllowableCurve(Slope(1, 1))._key == (1, 1, 0, 0)
 
-    def test_hash_is_the_dataclass_hash(self):
-        # computed once, with the value of hash((slope, ends)) as before
+    def test_hash_is_the_key_hash(self):
+        # a tuple of ints: no enum name, so no PYTHONHASHSEED, in the hash
         for x in enumerate_arcs(2) + enumerate_curves(2):
-            assert hash(x) == hash((x.slope, x.ends))
+            assert hash(x) == hash(x._key)
+        assert hash(AllowableCurve(Slope(2, 3))) == hash((2, 3, 0, 0))
 
 
 @given(st.integers(0, 3), st.integers(0, 3))
@@ -459,3 +473,59 @@ class TestOfKey:
                                 and isinstance(n.op, (ast.RShift, ast.BitAnd))], path.name
                 if called == "__setattr__":
                     assert "_key" not in [getattr(n, "value", None) for n in inner], path.name
+
+
+class TestKeyIsTheStoredForm:
+    """An arc or curve stores its slope and its integer key only; its ends,
+    punctures, hash and curve order are read off the key."""
+
+    def test_slope_and_key_are_the_only_state(self):
+        from spherelam.curves import _ArcOrCurve
+
+        assert _ArcOrCurve.__slots__ == ("slope", "_key")
+        assert TaggedArc.__slots__ == AllowableCurve.__slots__ == ()
+        for x in (arc(1, 0, V00, PLAIN, V10, NOTCHED), curve(2, 3, V01, CCW, V00, CW),
+                  AllowableCurve(Slope(1, 1))):
+            assert not hasattr(x, "__dict__")
+
+    def test_set_order_does_not_follow_the_hash_seed(self):
+        import os
+        import subprocess
+        import sys
+
+        import spherelam
+
+        code = ("from spherelam.curves import enumerate_arcs, enumerate_curves; "
+                "print([str(x) for x in set(enumerate_arcs(3))], "
+                "[str(x) for x in set(enumerate_curves(3))])")
+        src = os.path.dirname(os.path.dirname(spherelam.__file__))
+        out = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+                              ).stdout for seed in ("0", "1")}
+        assert len(out) == 1
+
+    def test_sort_key_orders_as_the_object_oracle(self):
+        curves = enumerate_curves(6)
+        assert len(curves) == 432
+        assert sorted(curves, key=AllowableCurve.sort_key) == \
+            sorted(curves, key=object_oracle.sort_key)
+        # seeded pairs of images under maps with entries up to 10^6, half of
+        # them of one slope, where the ends and spirals decide the order
+        rng = random.Random(30)
+        maps = []
+        while len(maps) < 8:
+            p, q = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)
+            if math.gcd(p, q) == 1:
+                x, y = _bezout(p, q)
+                maps.append(UnimodularMap(((p, q), (-y, x))))
+        by_slope = {}
+        for m in maps:
+            for c in curves:
+                by_slope.setdefault(c.image(m)._key[:2], []).append(c.image(m))
+        groups = list(by_slope.values())
+        for n in range(20000):
+            x = rng.choice(rng.choice(groups))
+            y = rng.choice(by_slope[x._key[:2]] if n % 2 else rng.choice(groups))
+            assert (x.sort_key() < y.sort_key()) == \
+                (object_oracle.sort_key(x) < object_oracle.sort_key(y)), (x, y)
