@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -41,7 +42,7 @@ SCHEMA = "sphere-lam/1"
 # their time grows linearly with the slope height; render draws one element
 # per lattice line and puncture that meets the window.  At these caps a
 # command takes under half a second: the oracle on the closed curve 1000/997
-# about 0.13 s for the whole call (0.03 s of it in the oracle), the word on
+# about 0.11 s for the whole call (0.01 s of it in the oracle), the word on
 # 50000/49999 about 0.3 s (2-core Xeon, Python 3.11).
 SHEAR_MAX_HEIGHT = {"word": 50_000, "oracle": 1_000}
 RENDER_MAX_ELEMENTS = 10_000
@@ -443,7 +444,16 @@ def run(argv: list[str]) -> tuple[int, str]:
 def main(argv: list[str] | None = None) -> int:
     code, out = run(sys.argv[1:] if argv is None else argv)
     if out:
-        print(out)
+        try:
+            print(out)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed the pipe: what is left of the output, and the
+            # interpreter's last flush, go to devnull instead of a traceback
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 141  # 128 + SIGPIPE, as for a tool the closed pipe stops
     return code
 
 

@@ -47,8 +47,7 @@ class Puncture(Frozen):
     v00 < v01 < v10 < v11.
     """
 
-    __slots__ = ("i", "j", "_hash")
-    _fields = ("i", "j")
+    __slots__ = _fields = ("i", "j")
     i: int
     j: int
 
@@ -57,9 +56,6 @@ class Puncture(Frozen):
             raise ValueError("puncture indices are bits")
         object.__setattr__(self, "i", i)
         object.__setattr__(self, "j", j)
-        # punctures are hashed far more often than built (85k hashes of
-        # 7346 punctures in one cone_index(3))
-        object.__setattr__(self, "_hash", hash((i, j)))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is Puncture:
@@ -67,7 +63,7 @@ class Puncture(Frozen):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.i, self.j))
 
     # p > q and p >= q fall back on the reflected q < p and q <= p
     def __lt__(self, other: "Puncture") -> bool:

@@ -1,18 +1,19 @@
 """Exact geometry in the lifted plane.
 
-The base triangulation lifts to the arrangement of all lines ``x = k``,
-``y = k`` and ``x + y = k`` (k integer), triangulating the plane with
-vertices on the integer lattice.  This module is the crossing kernel of
-the shear oracle: it enumerates transversal crossings of lifted curves
-with that arrangement and scores each crossing -1/0/+1 from the
-quadrilateral surrounding the crossed arc, in one pass that finds the side
-holding a neighboring crossing by the level of the lattice line it lies on.
-Everything is exact integer arithmetic: the points of one lift are integer
-numerators over one common denominator ``den``, chosen by the caller so
-that every crossing point of that lift is a multiple of ``1/den``.  A
-spiral end is its two outermost crossings, ordered by an integer
-pseudo-angle (a numerator and a denominator).  :mod:`render` reads
-:func:`_closed_lift`.
+The base triangulation lifts to the arrangement of all lines ``y = k``,
+``x = k`` and ``x + y = k`` (k integer), the families 0, 1 and 2,
+triangulating the plane with vertices on the integer lattice.  This module
+is the crossing kernel of the shear oracle: it enumerates transversal
+crossings of lifted curves with that arrangement, as plain int tuples
+``(family, k, x, y)``, and scores each crossing -1/0/+1 from the
+quadrilateral surrounding the crossed arc, in one pass whose four side
+tests are written out per family.  A crossing of line k of a family adds
+to coordinate ``family + 3 * (k % 2)`` of the 6-vector.  Everything is
+exact integer arithmetic: the points of one lift are integer numerators
+over one common denominator ``den``, chosen by the caller so that every
+crossing point of that lift is a multiple of ``1/den``.  A spiral end is
+its two outermost crossings, ordered by an integer pseudo-angle (a
+numerator and a denominator).  :mod:`render` reads :func:`_closed_lift`.
 """
 
 from __future__ import annotations
@@ -20,33 +21,12 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from ._frozen import Frozen
 from .errors import InternalError
 
 IPoint = tuple[int, int]
-
-# (family, parity of k) -> coordinate slot in the 6-vector
-FAMILY_INDEX = {
-    ("h", 0): 0, ("h", 1): 3,   # horizontal lines y = k
-    ("v", 0): 1, ("v", 1): 4,   # vertical lines x = k
-    ("d", 0): 2, ("d", 1): 5,   # diagonal lines x + y = k
-}
-
-
-class Crossing(Frozen):
-    __slots__ = _fields = ("family", "k", "point")
-    family: str          # 'h' | 'v' | 'd'
-    k: int               # line index within the family
-    point: IPoint        # numerators over the lift's denominator
-
-    def __init__(self, family: str, k: int, point: IPoint) -> None:
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "point", point)
-
-    @property
-    def slot(self) -> int:
-        return FAMILY_INDEX[(self.family, self.k % 2)]
+# (family, k, x, y): line k of family 0 (y = k), 1 (x = k) or 2 (x + y = k),
+# crossed at (x, y), numerators over the lift's denominator
+ICrossing = tuple[int, int, int, int]
 
 
 def pseudo_angle(v: IPoint) -> tuple[int, int]:
@@ -72,15 +52,13 @@ _INCIDENT_DIRS: tuple[tuple[IPoint, int], ...] = (
 )
 
 
-def _dir_crossing(base: IPoint, u: IPoint, den: int, delta: int) -> Crossing:
-    point = (base[0] * den + delta * u[0], base[1] * den + delta * u[1])
+def _dir_crossing(base: IPoint, u: IPoint, den: int, delta: int) -> ICrossing:
+    x, y = base[0] * den + delta * u[0], base[1] * den + delta * u[1]
     if u[1] == 0:
-        family, k = "h", base[1]
-    elif u[0] == 0:
-        family, k = "v", base[0]
-    else:
-        family, k = "d", base[0] + base[1]
-    return Crossing(family, k, point)
+        return 0, base[1], x, y
+    if u[0] == 0:
+        return 1, base[0], x, y
+    return 2, base[0] + base[1], x, y
 
 
 def spiral_crossings(
@@ -91,7 +69,7 @@ def spiral_crossings(
     interior_side_left: bool,
     eps: int,
     den: int,
-) -> list[Crossing]:
+) -> list[ICrossing]:
     """The two outermost crossings of a spiral end with the arcs incident
     to its lattice point U, in curve order; crossing i counted from the
     outside lies at distance ``eps >> i`` (numerators over ``den``) from
@@ -125,7 +103,7 @@ def spiral_crossings(
             else:
                 off = 8 * q
         offsets.append((off, u))
-    offsets.sort(key=lambda e: e[0])
+    offsets.sort()  # the six offsets differ, so no two directions are compared
     crossings = [_dir_crossing(base, u, den, eps >> rank)
                  for rank, (_, u) in enumerate(offsets[:2])]
     if not at_end:
@@ -163,89 +141,103 @@ def segment_crossings(
     direction: IPoint,
     den: int,
     include_lo: bool = False,
-) -> list[Crossing]:
+) -> list[ICrossing]:
     """Transversal crossings of p(t) = start/den + t*direction with the
     three line families for t in (0, 1), or [0, 1) when include_lo,
-    sorted along the curve.  ``den`` must make every crossing point exact
-    over it: a multiple of each nonzero one of |dx|, |dy| and |dx + dy|,
-    with start's numerators multiples of them as well."""
+    sorted along the curve, and at one point in family order.  ``den``
+    must make every crossing point exact over it: a multiple of each
+    nonzero one of |dx|, |dy| and |dx + dy|, with start's numerators
+    multiples of them as well."""
     x0, y0 = start
     dx, dy = direction
-    out = [Crossing("h", k, (x0 + (k * den - y0) * dx // dy, k * den))
-           for k in _levels(y0, dy, den, include_lo)]
-    out += [Crossing("v", k, (k * den, y0 + (k * den - x0) * dy // dx))
-            for k in _levels(x0, dx, den, include_lo)]
     s = dx + dy
+    # (projection on the direction, family, k, x, y): the projection grows
+    # with t, so sorting orders the crossings along the curve and, at one
+    # point, by family
+    out: list[tuple[int, int, int, int, int]] = []
+    for k in _levels(y0, dy, den, include_lo):
+        y = k * den
+        x = x0 + (y - y0) * dx // dy
+        out.append((x * dx + y * dy, 0, k, x, y))
+    for k in _levels(x0, dx, den, include_lo):
+        x = k * den
+        y = y0 + (x - x0) * dy // dx
+        out.append((x * dx + y * dy, 1, k, x, y))
     for k in _levels(x0 + y0, s, den, include_lo):
         x = x0 + (k * den - x0 - y0) * dx // s
-        out.append(Crossing("d", k, (x, k * den - x)))
-    # the projection on the direction grows with t
-    out.sort(key=lambda c: c.point[0] * dx + c.point[1] * dy)
-    return out
+        y = k * den - x
+        out.append((x * dx + y * dy, 2, k, x, y))
+    out.sort()
+    return [(f, k, x, y) for _, f, k, x, y in out]
 
 
-# The quadrilateral (U, A, V, B) around the arc UV crossed by a line of each
-# family, relative to U and in lattice units: V - U, and the sides (U,A),
-# (A,V), (V,B), (B,U), each as the line it lies on (coordinate 0: x, 1: y,
-# 2: x + y, and its level) and the span of x it covers (of y on a line x =
-# level), starting at lo.
-_QUADS = {
-    "h": ((1, 0), ((2, 0, 0), (0, 1, -1), (2, 1, 0), (0, 0, 0))),
-    "v": ((0, 1), ((1, 0, 0), (2, 1, 0), (1, 1, -1), (2, 0, -1))),
-    "d": ((1, -1), ((0, 0, -1), (1, -1, 0), (0, 1, -1), (1, 0, 0))),
-}
-
-
-def accumulate(crossings: Sequence[Crossing], den: int,
+def accumulate(crossings: Sequence[ICrossing], den: int,
                period: IPoint | None = None) -> list[int]:
     """Sum the -1/0/+1 scores of a curve's crossings into a 6-vector.
 
-    A crossing is scored from the sides of its quadrilateral through which
-    the curve enters and leaves it, the sides holding the previous and the
-    next crossing point: a point is on a side when its coordinate equals the
-    side's level and the other coordinate lies in the side's span, and it
-    takes the first such side in the order (U,A), (A,V), (V,B), (B,U).
-    With ``period`` (a lattice vector) the crossings are one period of a
-    closed curve and the first and last take their outer neighbor shifted
-    by it; otherwise the two end crossings score 0.  All points are
-    numerators over ``den``.
+    A crossing is scored from the sides of its quadrilateral (U, A, V, B)
+    around the crossed arc UV through which the curve enters and leaves it,
+    the sides holding the previous and the next crossing point.  Each
+    family's four side tests are written out: a point is on a side when it
+    lies on the side's line and within its span, and it takes the first
+    such side in the order (U,A), (A,V), (V,B), (B,U).  The score is 0 when
+    both sides are next to the same end of UV, and otherwise the sign of
+    the end next to the entry side against the travel chord.  With
+    ``period`` (a lattice vector) the crossings are one period of a closed
+    curve and the first and last take their outer neighbor shifted by it;
+    otherwise the two end crossings score 0.  All points are numerators
+    over ``den``.
     """
-    pts = [c.point for c in crossings]
-    if period is None:
-        crossings = crossings[1:-1]
-    elif pts:
+    if period is not None and crossings:
         px, py = period[0] * den, period[1] * den
-        pts = [(pts[-1][0] - px, pts[-1][1] - py), *pts, (pts[0][0] + px, pts[0][1] + py)]
-    quads = {family: ((vx * den, vy * den),
-                      [(axis, level * den, lo * den, lo * den + den, i in (1, 2))
-                       for i, (axis, level, lo) in enumerate(sides)])
-             for family, ((vx, vy), sides) in _QUADS.items()}
+        (f0, k0, x0, y0), (f1, k1, x1, y1) = crossings[0], crossings[-1]
+        crossings = [(f1, k1, x1 - px, y1 - py), *crossings, (f0, k0, x0 + px, y0 + py)]
     vec = [0] * 6
-    for c, entry, exit in zip(crossings, pts, pts[2:]):
-        k = c.k * den
-        if c.family == "v":
-            ux, uy = k, c.point[1] // den * den
-        else:
-            ux = c.point[0] // den * den
-            uy = k if c.family == "h" else k - ux
-        V, sides = quads[c.family]
-        ex, ey = entry[0] - ux, entry[1] - uy
-        xx, xy = exit[0] - ux, exit[1] - uy
-        at_v = []
-        for p in ((ex, ey, ex + ey), (xx, xy, xx + xy)):
-            for axis, level, lo, hi, side_at_v in sides:
-                if p[axis] == level and lo <= p[axis == 0] <= hi:
-                    at_v.append(side_at_v)
-                    break
-            else:
-                raise InternalError(f"crossing neighbor off the quad boundary at {c}")
-        if at_v[0] == at_v[1]:
+    for (f, k, x, y), (_, _, ex, ey), (_, _, xx, xy) in zip(
+            crossings[1:-1], crossings, crossings[2:]):
+        # U, and V, the entry and the exit relative to U; e and o tell on
+        # which side the entry and the exit lie: 0 next to U, 1 next to V,
+        # -1 off the quad (sides and vertices below in lattice units)
+        if f == 0:  # y = k: A, V, B = U + (1, -1), (1, 0), (0, 1)
+            # sides on x + y = 0, x = 1, x + y = 1, x = 0
+            ux, uy, vx, vy = x // den * den, k * den, den, 0
+            ex, ey, xx, xy = ex - ux, ey - uy, xx - ux, xy - uy
+            e = (0 if ex + ey == 0 and 0 <= ex <= den else 1 if ex == den and -den <= ey <= 0
+                 else 1 if ex + ey == den and 0 <= ex <= den else 0 if ex == 0 and 0 <= ey <= den
+                 else -1)
+            o = (0 if xx + xy == 0 and 0 <= xx <= den else 1 if xx == den and -den <= xy <= 0
+                 else 1 if xx + xy == den and 0 <= xx <= den else 0 if xx == 0 and 0 <= xy <= den
+                 else -1)
+        elif f == 1:  # x = k: A, V, B = U + (1, 0), (0, 1), (-1, 1)
+            # sides on y = 0, x + y = 1, y = 1, x + y = 0
+            ux, uy, vx, vy = k * den, y // den * den, 0, den
+            ex, ey, xx, xy = ex - ux, ey - uy, xx - ux, xy - uy
+            e = (0 if ey == 0 and 0 <= ex <= den else 1 if ex + ey == den and 0 <= ex <= den
+                 else 1 if ey == den and -den <= ex <= 0 else 0 if ex + ey == 0 and -den <= ex <= 0
+                 else -1)
+            o = (0 if xy == 0 and 0 <= xx <= den else 1 if xx + xy == den and 0 <= xx <= den
+                 else 1 if xy == den and -den <= xx <= 0 else 0 if xx + xy == 0 and -den <= xx <= 0
+                 else -1)
+        else:  # x + y = k: A, V, B = U + (0, -1), (1, -1), (1, 0)
+            # sides on x = 0, y = -1, x = 1, y = 0
+            ux = x // den * den
+            uy, vx, vy = k * den - ux, den, -den
+            ex, ey, xx, xy = ex - ux, ey - uy, xx - ux, xy - uy
+            e = (0 if ex == 0 and -den <= ey <= 0 else 1 if ey == -den and 0 <= ex <= den
+                 else 1 if ex == den and -den <= ey <= 0 else 0 if ey == 0 and 0 <= ex <= den
+                 else -1)
+            o = (0 if xx == 0 and -den <= xy <= 0 else 1 if xy == -den and 0 <= xx <= den
+                 else 1 if xx == den and -den <= xy <= 0 else 0 if xy == 0 and 0 <= xx <= den
+                 else -1)
+        if e < 0 or o < 0:
+            raise InternalError(f"crossing neighbor off the quad boundary at {(f, k, x, y)}")
+        if e == o:
             continue
         # the endpoint of UV next to the entry side, relative to U
-        nx, ny = V if at_v[0] else (0, 0)
+        nx, ny = (vx, vy) if e else (0, 0)
         cr = (xx - ex) * (ny - ey) - (xy - ey) * (nx - ex)
         if cr == 0:
-            raise InternalError(f"degenerate sign test at {c}")
+            raise InternalError(f"degenerate sign test at {(f, k, x, y)}")
         # entry-adjacent endpoint to the right of the travel chord: +1
-        vec[c.slot] += 1 if cr < 0 else -1
+        vec[f + 3 * (k & 1)] += 1 if cr < 0 else -1
     return vec

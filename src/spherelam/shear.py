@@ -320,10 +320,12 @@ def shear_oracle(curve: AllowableCurve) -> ShearVector:
     period.  Spiraling curves are lifted to the segment between lattice
     representatives of their punctures; each spiral end contributes its
     two outermost crossings with the incident arcs, since the deeper ones
-    score 0 (see :func:`plane.spiral_crossings`).  Every crossing is
-    scored -1/0/+1 from its quadrilateral; no closed formulas, words or
-    coordinate permutations are involved.  All points of one lift are
-    integer numerators over one denominator.
+    score 0 (see :func:`plane.spiral_crossings`).  The crossings are plain
+    int tuples ``(family, k, x, y)``, and ``plane.accumulate`` scores each
+    -1/0/+1 from its quadrilateral by the four side tests written out for
+    its family; no closed formulas, words or coordinate permutations are
+    involved.  All points of one lift are integer numerators over one
+    denominator.
     """
     from . import plane
 
@@ -494,12 +496,13 @@ def _torus_base(a: int, b: int) -> tuple[int, int, int]:
 
     start, den = plane._closed_lift(a, b, (a, b))
     xs = plane.segment_crossings(start, (a, b), den, include_lo=True)
-    letters = [c.family for c in xs if c.family in ("h", "v")]
-    x1 = -sum(1 for l in letters if l == "h")
-    x2 = sum(1 for l in letters if l == "v")
-    n = len(letters)
-    tt = sum(1 for i in range(n) if letters[i] == "h" and letters[(i + 1) % n] == "h")
-    rr = sum(1 for i in range(n) if letters[i] == "v" and letters[(i + 1) % n] == "v")
+    # the crossed lines y = k (family 0) and x = k (family 1) in curve order
+    letters = [c[0] for c in xs if c[0] < 2]
+    x1 = -letters.count(0)
+    x2 = letters.count(1)
+    pairs = list(zip(letters, letters[1:] + letters[:1]))
+    tt = pairs.count((0, 0))
+    rr = pairs.count((1, 1))
     if tt and rr:
         raise InternalError("a torus word never contains both hh and vv pairs")
     return (x1, x2, tt - rr)

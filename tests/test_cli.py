@@ -254,6 +254,23 @@ class TestPlainOutput:
         assert code == 0 and out.startswith("lamination:")
 
 
+class TestClosedPipe:
+    def test_reader_closing_early_gets_no_traceback(self):
+        # 141 kB of cones, far more than a pipe buffers: the write is still
+        # running when the reader goes
+        proc = subprocess.Popen([sys.executable, "-m", "spherelam.cli", "cones",
+                                 "--max-height", "2"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env={**os.environ, "PYTHONPATH": SRC})
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert head == b'{"schema":'
+        assert err == b""
+
+
 class TestRender:
     def test_structure(self, tmp_path):
         out = tmp_path / "grid.svg"

@@ -16,7 +16,6 @@ from box_oracle import pseudo_angle as ref_pseudo_angle
 from spherelam import curves, plane
 from spherelam.curves import SpiralDir
 from spherelam.errors import InternalError
-from spherelam.plane import Crossing
 
 # ---------------------------------------------------------------------------
 # Fraction reference
@@ -130,35 +129,50 @@ def ref_score_crossing(family, k, point, entry, exit):
 
 # ---------------------------------------------------------------------------
 
+# the kernel's families 0, 1, 2 are the reference's "h", "v", "d"
+FAMILIES = "hvd"
 
-def as_fractions(c: Crossing, den: int):
-    return (c.family, c.k, (Fraction(c.point[0], den), Fraction(c.point[1], den)))
+
+def slot(family: str, k: int) -> int:
+    """The coordinate a crossing of line k of a family adds to."""
+    return FAMILIES.index(family) + 3 * (k % 2)
+
+
+def as_fractions(c, den: int):
+    """A kernel crossing (family, k, x, y) as a reference crossing."""
+    f, k, x, y = c
+    return (FAMILIES[f], k, (Fraction(x, den), Fraction(y, den)))
 
 
 def score_or_error(score, *args):
+    """score(*args), or the InternalError it raised, by its kind."""
     try:
         return score(*args)
-    except InternalError:
-        return "InternalError"
+    except InternalError as e:
+        kind = "degenerate sign test" if "degenerate sign test" in str(e) else \
+            "off the quad boundary"
+        return f"InternalError: {kind}"
 
 
-def kernel_score(c: Crossing, entry, exit, den: int) -> int:
+def kernel_score(c, entry, exit, den: int) -> int:
     """The score ``accumulate`` gives c on the open path entry, c, exit
     (a None neighbor leaves c at an end of the path)."""
-    before, after = [None if p is None else Crossing("h", 0, p) for p in (entry, exit)]
+    before, after = [None if p is None else (0, 0, *p) for p in (entry, exit)]
     vec = plane.accumulate([x for x in (before, c, after) if x is not None], den)
-    assert all(v == 0 for i, v in enumerate(vec) if i != c.slot), vec
-    return vec[c.slot]
+    i = slot(FAMILIES[c[0]], c[1])
+    assert all(v == 0 for j, v in enumerate(vec) if j != i), vec
+    return vec[i]
 
 
 def ref_total(crossings, scores):
-    """Reference scores of Fraction crossings summed by slot, or
-    "InternalError" if any of them raised."""
-    if "InternalError" in scores:
-        return "InternalError"
+    """Reference scores of Fraction crossings summed by slot, or the
+    first InternalError along the path if any of them raised."""
+    errors = [s for s in scores if isinstance(s, str)]
+    if errors:
+        return errors[0]
     vec = [0] * 6
     for (family, k, _), score in zip(crossings, scores):
-        vec[plane.FAMILY_INDEX[family, k % 2]] += score
+        vec[slot(family, k)] += score
     return vec
 
 
@@ -184,7 +198,7 @@ class TestSegmentCrossings:
         want = ref_segment_crossings(start, d, include_lo)
         assert [as_fractions(c, den) for c in got] == want
         # and each crossing scores the same between its neighbors
-        pts = [c.point for c in got]
+        pts = [c[2:] for c in got]
         ref_pts = [point for _, _, point in want]
         scores = [score_or_error(ref_score_crossing, *ref, entry, exit)
                   for ref, entry, exit in zip(want, [None] + ref_pts[:-1], ref_pts[1:] + [None])]
@@ -208,16 +222,15 @@ class TestSegmentCrossings:
     def test_include_lo_takes_the_start_level(self):
         # start on y = 0 and x + y = 0 at the origin, moving into the plane
         got = plane.segment_crossings((0, 0), (2, 3), 30, include_lo=True)
-        assert [(c.family, c.k) for c in got[:3]] == [("h", 0), ("v", 0), ("d", 0)]
-        assert all(c.point == (0, 0) for c in got[:3])
-        assert all(c.point != (0, 0) for c in plane.segment_crossings((0, 0), (2, 3), 30))
+        assert got[:3] == [(0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0)]
+        assert all(c[2:] != (0, 0) for c in plane.segment_crossings((0, 0), (2, 3), 30))
 
     def test_negative_directions(self):
         den = lift_den(3, (-4, -1))
         got = plane.segment_crossings((den // 3, 2 * den // 3), (-4, -1), den)
         want = ref_segment_crossings((Fraction(1, 3), Fraction(2, 3)), (-4, -1))
         assert [as_fractions(c, den) for c in got] == want
-        assert [c.k for c in got if c.family == "v"] == [0, -1, -2, -3]
+        assert [k for f, k, _, _ in got if f == 1] == [0, -1, -2, -3]
 
 
 SIX_DIRECTIONS = [u for u, _ in plane._INCIDENT_DIRS]
@@ -296,7 +309,7 @@ class TestSpiralCrossings:
     def test_offsets_shrink_by_halves_toward_the_puncture(self):
         eps = 2 ** 11
         got = plane.spiral_crossings((1, 1), (2, 1), True, True, True, eps, 2 ** 14)
-        dist = [max(abs(c.point[0] - 2 ** 14), abs(c.point[1] - 2 ** 14)) for c in got]
+        dist = [max(abs(x - 2 ** 14), abs(y - 2 ** 14)) for _, _, x, y in got]
         assert dist == [eps, eps >> 1]
 
 
@@ -310,7 +323,7 @@ class TestQuadCycle:
     ])
     def test_floor_at_negative_coordinates(self, family, k, point):
         den = 12
-        c = Crossing(family, k, (int(point[0] * den), int(point[1] * den)))
+        c = (FAMILIES.index(family), k, int(point[0] * den), int(point[1] * den))
         # enter through the middle of side (B,U) and leave through the
         # middle of (A,V) of the reference quad: off any other cell
         U, A, V, B = ref_quad_cycle(family, k, point)
@@ -328,7 +341,7 @@ class TestScoreErrors:
     # the horizontal arc from (0, 0) to (1, 0), crossed at (1/2, 0); its
     # quad is U=(0,0), A=(1,-1), V=(1,0), B=(0,1)
     DEN = 4
-    C = Crossing("h", 0, (2, 0))
+    C = (0, 0, 2, 0)
 
     def test_neighbor_off_the_quad(self):
         with pytest.raises(InternalError, match="off the quad boundary"):
@@ -363,3 +376,117 @@ class TestScoreErrors:
                                  *[(Fraction(x, self.DEN), Fraction(y, self.DEN))
                                    for x, y in (entry, exit)])
         assert kernel_score(self.C, entry, exit, self.DEN) == ref == -1
+
+
+# ---------------------------------------------------------------------------
+# Whole paths: walks across the triangles of the arrangement
+# ---------------------------------------------------------------------------
+
+# V - U of an arc of each family
+ARC_STEP = ((1, 0), (0, 1), (1, -1))
+# where a walk puts its next point on the arc U -> V, at U + t(V - U):
+# on an end (so that a neighbor can sit on a corner of a quadrilateral) or
+# inside the arc; or off the quadrilateral, on the arc's line past an end
+ON_ARC = tuple(Fraction(n, 12) for n in (0, 3, 4, 6, 8, 9, 12))
+PAST_ENDS = (Fraction(-1, 2), Fraction(-1, 4), Fraction(5, 4), Fraction(3, 2))
+WALK_DEN = 12
+walk_steps = st.lists(st.tuples(st.integers(0, 3), st.sampled_from(ON_ARC * 6 + PAST_ENDS)),
+                      min_size=1, max_size=12)
+
+
+def arc_crossing(p, q, t):
+    """The reference crossing at U + t(V - U) of the lattice arc pq."""
+    d = (q[0] - p[0], q[1] - p[1])
+    U, f = (p, ARC_STEP.index(d)) if d in ARC_STEP else (q, ARC_STEP.index((-d[0], -d[1])))
+    k = (U[1], U[0], U[0] + U[1])[f]
+    return FAMILIES[f], k, (U[0] + t * ARC_STEP[f][0], U[1] + t * ARC_STEP[f][1])
+
+
+def walk(steps):
+    """Reference crossings from the middle of the arc (0, 0)-(1, 0): each
+    step (side, t) crosses that side of the last crossing's quadrilateral,
+    so the next crossing lies on that quadrilateral's boundary unless the
+    step puts it past the ends of the side."""
+    path = [arc_crossing((0, 0), (1, 0), Fraction(1, 2))]
+    for side, t in steps:
+        quad = ref_quad_cycle(*path[-1])
+        path.append(arc_crossing(quad[side], quad[(side + 1) % 4], t))
+    return path
+
+
+def closed_walk(steps):
+    """One period of a closed path: the walk up to its first later crossing
+    of a translate of its first arc, whose lattice vector is the period;
+    None if there is no such crossing.  The crossing before it takes the
+    first crossing, shifted by the period, as its next neighbor."""
+    path = walk(steps)
+    start = ref_quad_cycle(*path[0])[0]
+    for j in range(2, len(path)):
+        U = ref_quad_cycle(*path[j])[0]
+        period = (U[0] - start[0], U[1] - start[1])
+        if path[j][0] == path[0][0] and period != (0, 0):
+            return path[:j], period
+    return None
+
+
+def check_path(path, period=None):
+    """``accumulate`` on a whole path of reference crossings against the
+    reference, crossing by crossing and summed; returns the sum or the
+    first InternalError."""
+    def over_den(p):
+        return None if p is None else (int(p[0] * WALK_DEN), int(p[1] * WALK_DEN))
+
+    got = [(FAMILIES.index(f), k, *over_den(p)) for f, k, p in path]
+    pts = [p for _, _, p in path]
+    if period is None:
+        entries, exits = [None] + pts[:-1], pts[1:] + [None]
+    else:
+        (px, py), (x0, y0), (x1, y1) = period, pts[0], pts[-1]
+        entries, exits = [(x1 - px, y1 - py)] + pts[:-1], pts[1:] + [(x0 + px, y0 + py)]
+    scores = [score_or_error(ref_score_crossing, *c, entry, exit)
+              for c, entry, exit in zip(path, entries, exits)]
+    for c, entry, exit, score in zip(got, entries, exits, scores):
+        assert score_or_error(kernel_score, c, over_den(entry), over_den(exit), WALK_DEN) \
+            == score
+    total = score_or_error(plane.accumulate, got, WALK_DEN, period)
+    assert total == ref_total(path, scores)
+    return total
+
+
+class TestWholePaths:
+    @settings(max_examples=400, derandomize=True)
+    @given(walk_steps)
+    def test_open_walks_match_fraction_reference(self, steps):
+        check_path(walk(steps))
+
+    @settings(max_examples=400, derandomize=True)
+    @given(walk_steps)
+    def test_closed_walks_match_fraction_reference(self, steps):
+        closed = closed_walk(steps)
+        if closed is not None:
+            check_path(*closed)
+
+    @pytest.mark.parametrize("steps,closed,error", [
+        ([(0, Fraction(1, 2)), (0, Fraction(3, 2))], False, "off the quad boundary"),
+        ([(2, Fraction(1, 2)), (0, Fraction(0))], False, "degenerate sign test"),
+        ([(0, Fraction(1, 2)), (1, Fraction(3, 2))], True, "off the quad boundary"),
+        ([(2, Fraction(0)), (3, Fraction(1, 2))], True, "degenerate sign test"),
+    ])
+    def test_internal_errors_on_whole_paths(self, steps, closed, error):
+        path = closed_walk(steps) if closed else (walk(steps),)
+        assert check_path(*path) == f"InternalError: {error}"
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_neighbors_on_corners_take_the_first_side(self, family):
+        # a neighbor on corner A lies on (U,A) and (A,V), one on B on (V,B)
+        # and (B,U); the other neighbor is on a corner or a side's middle
+        f, (ux, uy) = FAMILIES.index(family), (2, -1)
+        c = arc_crossing((ux, uy), (ux + ARC_STEP[f][0], uy + ARC_STEP[f][1]), Fraction(1, 2))
+        quad = ref_quad_cycle(*c)
+        others = list(quad) + [(Fraction(p[0] + q[0], 2), Fraction(p[1] + q[1], 2))
+                               for p, q in zip(quad, quad[1:] + quad[:1])]
+        totals = [check_path([("h", 0, entry), c, ("h", 0, exit)])
+                  for corner in (quad[1], quad[3]) for other in others
+                  for entry, exit in ((corner, other), (other, corner))]
+        # a corner counts on (U,A) or (V,B), so no path scores +1 here
+        assert {t[f + 3 * (c[1] % 2)] for t in totals if not isinstance(t, str)} == {-1, 0}

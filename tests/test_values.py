@@ -8,7 +8,6 @@ from spherelam import fan
 from spherelam.curves import V00, V01, V10, V11, AllowableCurve, Puncture, SpiralDir, \
     TaggedArc, TaggedTriangulation, Tagging, base_triangulation, kappa
 from spherelam.lattice import INF, MINUS_ONE, ZERO, Slope, UnimodularMap
-from spherelam.plane import Crossing
 from spherelam.render import RenderSpec
 from spherelam.shear import QuasiLamination, Tangle
 from spherelam.triangulation import TriType, classify
@@ -40,7 +39,6 @@ VALUES = [
      Tangle(((AllowableCurve(ZERO), 2), (CURVE, -2)))),
     (QuasiLamination(((CURVE, 2),)), (((CURVE, 2),),), QuasiLamination(((CURVE, 1), (CURVE, 1)))),
     (base_cone().collection, (base_cone().collection.curves, "I"), base_cone().collection),
-    (Crossing("d", -4, (3, 5)), ("d", -4, (3, 5)), Crossing("d", -4, (3, 5))),
     (RenderSpec(window=(0, 1, 0, 3)), ((), base_triangulation(), (0, 1, 0, 3)),
      RenderSpec((), base_triangulation(), (0, 1, 0, 3))),
 ]
@@ -90,7 +88,6 @@ def test_reprs():
     assert repr(classify(base_triangulation())) == (
         "TriType(tag='I', slopes=(Slope(a=1, b=-1), Slope(a=1, b=0), Slope(a=0, b=1)), "
         f"v=None, v_prime=None, taggings={PLAIN_TAGS})")
-    assert repr(Crossing("h", 3, (1, 2))) == "Crossing(family='h', k=3, point=(1, 2))"
     assert repr(Tangle(((AllowableCurve(ZERO), 2),))) == (
         "Tangle(weights=((AllowableCurve(slope=Slope(a=1, b=0), ends=None, "
         "punctures=frozenset(), underlying=(Slope(a=1, b=0), frozenset())), 2),))")
