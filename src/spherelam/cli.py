@@ -333,7 +333,7 @@ _COMMANDS = {
         ("--tri", dict(required=True)),
         ("--k", dict(type=int, required=True)),
     )),
-    "badj": (_cmd_badj, "signed adjacency matrix (all-plain)", (
+    "badj": (_cmd_badj, "signed adjacency matrix (types I and II, any tags)", (
         ("--tri", dict(required=True)),
     )),
     "mutate": (_cmd_mutate, "matrix mutation", (

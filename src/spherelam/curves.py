@@ -454,29 +454,6 @@ def _key_images(keys: Sequence[tuple[int, int, int, int]], m: UnimodularMap
 _BY_SLOPE = functools.cmp_to_key(_slope_cmp)
 
 
-def _lattice_frame(keys: Sequence[tuple[int, int, int, int]]
-                   ) -> tuple[UnimodularMap, list[tuple[int, int, int, int]]]:
-    """(m, images): the orientation-preserving lattice map m sending the
-    two least slopes s < t that carry two arcs each, among the arcs with
-    these six keys, to (1, 0) and (0, 1), and the keys of the images of
-    the arcs under m (:func:`_key_images`).
-
-    For a type-I triangulation s, t are the two least slopes of its
-    triple, and for an all-plain type II its two companion slopes.  Either
-    way they are a Farey-1 pair and every other slope is +-s +- t, so m
-    carries every arc to height 1, a type-I triangulation onto the arcs of
-    :func:`base_triangulation` (the third slope t - s goes to -1).  Six
-    keys without such a pair are an :class:`InternalError`.  The slopes
-    are compared on their vectors (:data:`_BY_SLOPE`), not as Slopes."""
-    vectors = [key[:2] for key in keys]
-    doubled = sorted({u for u in vectors if vectors.count(u) == 2}, key=_BY_SLOPE)
-    if len(doubled) < 2 or det2(doubled[0], doubled[1]) != 1:
-        raise InternalError("no Farey-1 pair of two-arc slopes among "
-                            + ", ".join(map(str, sorted({Slope(a, b) for a, b in vectors}))))
-    m = pair_to_basis(doubled[0], doubled[1])
-    return m, _key_images(keys, m)
-
-
 # The base slot of every height-1 arc a lattice frame yields, by (a, b, mask): the
 # six arcs of base_triangulation and the slope-1 arcs its flips at slots 2, 5 put there.
 _FRAME_SLOT = {(1, 0, 5): 0, (0, 1, 3): 1, (1, -1, 9): 2, (1, 0, 10): 3, (0, 1, 12): 4,
@@ -485,11 +462,26 @@ _FRAME_SLOT = {(1, 0, 5): 0, (0, 1, 3): 1, (1, -1, 9): 2, (1, 0, 10): 3, (0, 1, 
 
 def _frame_slots(keys: Sequence[tuple[int, int, int, int]]
                  ) -> tuple[UnimodularMap, tuple[int, ...], int | None]:
-    """(m, slots, flipped): the lattice frame m of the six arcs with these keys
-    (:func:`_lattice_frame`), the base slot of each image (:data:`_FRAME_SLOT`),
-    and the slot of the one image that is not a base arc (None for type I).
-    An image outside the table is an :class:`InternalError`."""
-    m, images = _lattice_frame(keys)
+    """(m, slots, flipped): the lattice frame m of the six arcs with these
+    keys, the base slot of each image under m (:data:`_FRAME_SLOT`), and the
+    slot of the one image that is not a base arc (None for type I).
+
+    m is the orientation-preserving lattice map sending the two least
+    slopes s < t that carry two arcs each to (1, 0) and (0, 1): for type I
+    the two least slopes of its triple, for type II its companion slopes.
+    Either way they are a Farey-1 pair and every other slope is +-s +- t,
+    so m carries every arc to height 1 (:func:`_key_images`), type I onto
+    :func:`base_triangulation` (t - s goes to -1) and type II onto the base
+    flipped at slot 2 or 5, whatever the tags.  Six keys without such a
+    pair, or an image outside the table, are an :class:`InternalError`.
+    The slopes are compared on their vectors (:data:`_BY_SLOPE`)."""
+    vectors = [key[:2] for key in keys]
+    doubled = sorted({u for u in vectors if vectors.count(u) == 2}, key=_BY_SLOPE)
+    if len(doubled) < 2 or det2(doubled[0], doubled[1]) != 1:
+        raise InternalError("no Farey-1 pair of two-arc slopes among "
+                            + ", ".join(map(str, sorted({Slope(a, b) for a, b in vectors}))))
+    m = pair_to_basis(doubled[0], doubled[1])
+    images = _key_images(keys, m)
     try:
         slots = tuple([_FRAME_SLOT[key[:3]] for key in images])
     except KeyError as e:

@@ -42,10 +42,6 @@ class InvalidParameters(DomainError):
     """Triangulation-type parameters violate their row constraints."""
 
 
-class NotAllPlain(DomainError):
-    """Signed adjacency matrices are defined for all-plain triangulations only."""
-
-
 class UnsupportedBaseCase(DomainError):
     """The word construction covers positive finite slopes with a
     counterclockwise spiral at v00 (or closed curves) only."""

@@ -27,8 +27,7 @@ MAX_HEIGHT = 64
 class Slope(Frozen):
     """A rational slope b/a in standard form (``inf`` = 1/0 is (a=0, b=1))."""
 
-    __slots__ = ("a", "b", "_hash")
-    _fields = ("a", "b")
+    __slots__ = _fields = ("a", "b")
     a: int
     b: int
 
@@ -42,9 +41,6 @@ class Slope(Frozen):
             raise ValueError(f"({a}, {b}) is not in standard form")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        # slopes are hashed more often than built (2466 hashes of 651
-        # slopes in one cone_index(3))
-        object.__setattr__(self, "_hash", hash((a, b)))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is Slope:
@@ -52,7 +48,7 @@ class Slope(Frozen):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.a, self.b))
 
     @property
     def is_infinite(self) -> bool:

@@ -364,27 +364,23 @@ def shear_oracle(curve: AllowableCurve) -> ShearVector:
 _BASE = base_triangulation()
 
 
-def _base_slots(tri: TaggedTriangulation) -> tuple[UnimodularMap, tuple[int, ...]]:
-    """The lattice frame of a type-I ``tri`` (:func:`curves._frame_slots`),
-    the orientation-preserving map that carries it onto the base
-    triangulation, and for each arc of ``tri`` the index of its image
-    among the base arcs.  The map fixes v00, so arcs through v00 land on
-    base arcs 0-2 and the others on 3-5.  The frame reads the slopes and
-    endpoints only, so the 16 taggings of a triple share it."""
+def _type_i_frame(tri: TaggedTriangulation) -> tuple[UnimodularMap, tuple[int, ...], int]:
+    """(m, slots, notched) of a type-I ``tri``, any other type being the
+    DomainError of :func:`curves._type_i_triple`: the lattice frame
+    (:func:`curves._frame_slots`) m carrying ``tri`` onto the base, the
+    base index of the image of each arc (arcs through v00, which m fixes,
+    land on 0-2), and the mask of the notched punctures.  The 16 taggings
+    of a triple share m and the slots, which read slopes and endpoints."""
     _type_i_triple(tri)
-    return _frame_slots(tri._keys)[:2]
-
-
-def _notched(tri: TaggedTriangulation) -> int:
-    """The notched punctures of ``tri``, as a puncture mask."""
-    return functools.reduce(operator.or_, [key[3] for key in tri._keys])
+    m, slots, _ = _frame_slots(tri._keys)
+    return m, slots, functools.reduce(operator.or_, [key[3] for key in tri._keys])
 
 
 def shear_wrt(curve: AllowableCurve, tri: TaggedTriangulation) -> ShearVector:
     """Shear coordinates of a curve with respect to a type-I triangulation,
     coordinate i at ``tri.arcs[i]``: :func:`_shear_in_frame` of the curve
     alone, in the frame of ``tri``."""
-    return _shear_in_frame(((curve, 1),), _base_slots(tri), _notched(tri))
+    return _shear_in_frame(((curve, 1),), _type_i_frame(tri))
 
 
 Weights = tuple[tuple[AllowableCurve, int], ...]
@@ -459,18 +455,18 @@ def tangle_shear(tangle: Tangle | QuasiLamination,
                  tri: TaggedTriangulation = _BASE) -> ShearVector:
     """The weighted sum of the :func:`shear_wrt` vectors of the curves,
     the lattice frame of ``tri`` built once."""
-    return _shear_in_frame(tangle.weights, _base_slots(tri), _notched(tri))
+    return _shear_in_frame(tangle.weights, _type_i_frame(tri))
 
 
-def _shear_in_frame(weights: Weights, frame: tuple[UnimodularMap, tuple[int, ...]],
-                    notched: int) -> ShearVector:
+def _shear_in_frame(weights: Weights, frame: tuple[UnimodularMap, tuple[int, ...], int]
+                    ) -> ShearVector:
     """The one type-I frame carry: the weighted shear of the curves with
-    respect to the type-I triangulation of lattice frame ``frame``
-    (:func:`_base_slots`) and notched puncture mask ``notched``.  Notched
-    punctures reverse the spiral directions of incident curves (one XOR);
-    the frame's map m then carries the triangulation onto the base one, and
-    coordinate i is the base coordinate of m(curve) at the image of arc i."""
-    m, slots = frame
+    respect to the type-I triangulation of ``frame = (m, slots, notched)``
+    (:func:`_type_i_frame`).  The punctures of the mask ``notched`` reverse
+    the spiral directions of incident curves (one XOR); m then carries the
+    triangulation onto the base one, and coordinate i is the base
+    coordinate of m(curve) at ``slots[i]``, the image of arc i."""
+    m, slots, notched = frame
     vec = [0] * 6
     for c, w in weights:
         v = shear_closed_form(c._reversed_at(notched).image(m))
@@ -523,9 +519,9 @@ def sphere_torus_check(s: Slope, tri: TaggedTriangulation) -> bool:
     """Projection identity: for a closed curve, the sphere coordinates at
     the two arcs of each slope of a type-I triangulation collapse to the
     torus coordinate of the corresponding torus arc."""
-    m, slots = frame = _base_slots(tri)
+    m, slots, _ = _type_i_frame(tri)
     # a closed curve has no spiral for a notched puncture to reverse
-    sphere = _shear_in_frame(((AllowableCurve(s), 1),), frame, 0)
+    sphere = _shear_in_frame(((AllowableCurve(s), 1),), (m, slots, 0))
     torus = torus_shear(m.apply_slope(s))
     return all(x == torus[i % 3] for x, i in zip(sphere, slots))
 
@@ -567,9 +563,9 @@ def find_witness(tangle: Tangle, max_height: int = 12) -> TaggedTriangulation | 
     taggings = [(tags, sum(1 << 2 * p.i + p.j for p, t in tags if t is Tagging.NOTCHED))
                 for tags in tag_choices(PUNCTURES)]
     for triple in triples():
-        frame = _base_slots(type_i_triangulation(triple))
+        m, slots, _ = _type_i_frame(type_i_triangulation(triple))
         for tags, notched in taggings:
-            if any(_shear_in_frame(tangle.weights, frame, notched)):
+            if any(_shear_in_frame(tangle.weights, (m, slots, notched))):
                 return type_i_triangulation(triple, tags)
     raise BoundExhausted(
         "nonzero-support tangle with no witness within the candidate set"

@@ -29,10 +29,12 @@ Neither kernel depends on the height.  :func:`flip` tries at most 8
 candidate slopes (:func:`_flip_slopes`) and keeps the one key that the
 compatibility kernel accepts against the five remaining arcs, the flip
 being unique (Fomin-Shapiro-Thurston, Acta Math. 2008);
-:func:`signed_adjacency` reads the matrix of an all-plain triangulation off
-the base slots of its height-1 image under its lattice frame
-(:func:`curves._frame_slots`): ``FIG1_MATRIX``, mutated at the one slot
-where the image is the base flipped, if any.
+:func:`signed_adjacency` reads the matrix of a type-I or type-II
+triangulation off the base slots of its height-1 image under its lattice
+frame (:func:`curves._frame_slots`): ``FIG1_MATRIX``, mutated at the one
+slot where the image is the base flipped, if any.  Tags do not change it
+where no two arcs coincide (ibid., Sec. 9), so it serves types I and II in
+any tagging; types III-VI, which have a coinciding pair, are refused.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ from .errors import (
     InternalError,
     InternalNonUnique,
     InvalidParameters,
-    NotAllPlain,
 )
 from .lattice import (
     Slope,
@@ -77,16 +78,10 @@ from .lattice import (
 )
 
 
-def f2_companions(p: Slope, q: Slope) -> tuple[Slope, Slope]:
-    """The two slopes Farey-1 adjacent to both members of a Farey-2 pair:
-    the half-sum and half-difference of the primitive vectors."""
-    if farey_distance(p, q) != 2:
-        raise InvalidParameters(f"{p}, {q} is not a Farey-2 pair")
-    return _companions(p, q)
-
-
 def _companions(p: Slope, q: Slope) -> tuple[Slope, Slope]:
-    """:func:`f2_companions` of a pair known to be Farey-2, unchecked."""
+    """The two slopes Farey-1 adjacent to both members of a pair known to
+    be Farey-2 (unchecked; :func:`_frame` checks a spec's pair): the
+    half-sum and half-difference of the primitive vectors, sorted."""
     r = standard_form((p.a + q.a) // 2, (p.b + q.b) // 2)
     s = standard_form((p.a - q.a) // 2, (p.b - q.b) // 2)
     return (r, s) if r <= s else (s, r)
@@ -401,20 +396,24 @@ ExchangeMatrix = tuple[tuple[int, ...], ...]
 
 
 def signed_adjacency(tri: TaggedTriangulation) -> ExchangeMatrix:
-    """The signed adjacency matrix of an all-plain triangulation.
+    """The signed adjacency matrix of a triangulation of type I or II, in
+    any tagging.
 
-    An all-plain triangulation has type I or II.  Its lattice frame
-    (:func:`curves._frame_slots`) is an orientation-preserving lattice map
-    that carries it to height 1: onto the base triangulation, or onto the
-    base flipped at slot 2 or 5.  The map keeps faces and their
-    orientation, so entry (i, j) is the entry of the image's matrix at the
-    base slots of the images of arcs i and j.  A flip mutates the matrix
-    (Fomin-Shapiro-Thurston, Acta Math. 2008), so that matrix is
-    ``FIG1_MATRIX`` mutated at the flipped slot, if any
-    (:data:`_FRAME_ADJACENCY`).  The cost does not depend on the height.
+    Tags do not change the matrix at a puncture where no two arcs coincide
+    (Fomin-Shapiro-Thurston, Acta Math. 2008, Sec. 9).  Only types III-VI
+    have a coinciding pair (equal slope and endpoints): a DomainError, read
+    off the keys before any frame.  The lattice frame
+    (:func:`curves._frame_slots`) reads slopes and endpoints only and
+    carries the arcs to height 1, onto the base triangulation or the base
+    flipped at slot 2 or 5.  It keeps faces and their orientation, so entry
+    (i, j) is the image's entry at the base slots of arcs i and j: that of
+    ``FIG1_MATRIX`` mutated at the flipped slot, if any, as a flip mutates
+    the matrix (:data:`_FRAME_ADJACENCY`).  The cost does not depend on the
+    height.
     """
-    if not tri.all_plain:
-        raise NotAllPlain("signed adjacency needs all arcs tagged plain")
+    if len({key[:3] for key in tri._keys}) < 6:
+        raise DomainError("signed adjacency covers types I and II: this triangulation "
+                          "has a coinciding pair of arcs (types III-VI)")
     _, slots, flipped = _frame_slots(tri._keys)
     B, row = _FRAME_ADJACENCY[flipped], itemgetter(*slots)
     return tuple(row(B[slot]) for slot in slots)

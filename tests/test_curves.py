@@ -23,7 +23,7 @@ from spherelam.curves import (
     enumerate_curves,
     kappa,
     kappa_inv,
-    _lattice_frame,
+    _frame_slots,
     _slope_keys,
     base_triangulation,
     tag_choices,
@@ -302,8 +302,8 @@ class TestLatticeImage:
     def test_lattice_frame_carries_type_one_onto_base(self):
         # every Farey-1 triple of height <= 4 in every order, under taggings
         # in turn: the frame sends the two least slopes to (1, 0) and (0, 1)
-        # with det 1, and the arc images, key by key, are the base arcs
-        base = {a._key[:3] for a in base_triangulation().arcs}
+        # with det 1, and the image of each arc is the base arc at its slot
+        base = [a._key[:3] for a in base_triangulation().arcs]
         taggings = tag_choices((V00, V01, V10, V11))
         n = 0
         for triple in farey1_triples(enumerate_slopes(4)):
@@ -311,32 +311,40 @@ class TestLatticeImage:
             for order in itertools.permutations(triple):
                 tri = type_i_triangulation(order, taggings[n % 16])
                 n += 1
-                m, images = _lattice_frame([a._key for a in tri.arcs])
-                assert m.det == 1
+                m, slots, flipped = _frame_slots([a._key for a in tri.arcs])
+                assert m.det == 1 and flipped is None
                 assert (m.apply_vector(s.vector), m.apply_vector(t.vector)) == ((1, 0), (0, 1))
-                assert images == [a.image(m)._key for a in tri.arcs]
-                assert {key[:3] for key in images} == base
+                assert [a.image(m)._key[:3] for a in tri.arcs] == [base[k] for k in slots]
+                assert sorted(slots) == list(range(6))
         assert n == 6 * 22
 
     def test_lattice_frame_matches_slope_oracle(self):
         # every all-plain triangulation of height <= 3, in arc order and
         # shuffled: integer cross products pick the pair the Slope order
-        # picked, and six keys without one fail with the oracle's message
-        from spherelam.triangulation import enumerate_triangulations
+        # picked, the oracle's image of arc i is the arc at slots[i] of the
+        # base or of its flip at the flipped slot, and six keys without a
+        # pair fail with the oracle's message
+        from spherelam.triangulation import enumerate_triangulations, flip
 
+        base = base_triangulation()
+        frames = {f: [a._key[:3] for a in (base if f is None else flip(base, f)).arcs]
+                  for f in (None, 2, 5)}
         rng = random.Random(31)
         tris = [t for t in enumerate_triangulations(3) if t.all_plain]
         assert len(tris) == 40
         for t in tris:
             keys = [a._key for a in t.arcs]
             for order in (keys, rng.sample(keys, 6)):
-                assert _lattice_frame(order) == object_oracle.lattice_frame(order)
+                m, slots, flipped = _frame_slots(order)
+                oracle_m, images = object_oracle.lattice_frame(order)
+                assert m == oracle_m
+                assert [key[:3] for key in images] == [frames[flipped][k] for k in slots]
         for slopes in ([(1, 0), (1, 0), (0, 1), (1, 1), (1, -1), (2, 1)],
                        [(1, 0), (1, 0), (1, 2), (1, 2), (0, 1), (1, 1)],
                        [(1, 0), (1, 0), (0, 1), (0, 1), (1, 0), (1, 1)]):
             keys = [(a, b, 0, 0) for a, b in slopes]
             with pytest.raises(InternalError) as got:
-                _lattice_frame(keys)
+                _frame_slots(keys)
             with pytest.raises(InternalError) as expected:
                 object_oracle.lattice_frame(keys)
             assert str(got.value) == str(expected.value)
@@ -361,10 +369,10 @@ class TestLatticeImage:
 
         monkeypatch.setattr(Slope, "__init__", counting)
         for keys in inputs:
-            _lattice_frame(keys)
+            _frame_slots(keys)
         assert calls == 0
         with pytest.raises(InternalError):
-            _lattice_frame([(1, 0, 0, 0)] * 6)
+            _frame_slots([(1, 0, 0, 0)] * 6)
         assert calls > 0
 
 

@@ -352,6 +352,22 @@ class TestShearWrt:
             with pytest.raises(DomainError, match="not type I"):
                 shear_wrt(LAMBDA, flip(base_triangulation(), k))
 
+    def test_type_i_frame_is_shared_by_the_taggings(self):
+        # the 16 taggings of a triple share the map and the slots, and the
+        # frame's mask holds the notched punctures; other types fail first
+        # with the "not type I" DomainError
+        from spherelam.shear import _type_i_frame
+        from spherelam.triangulation import flip
+
+        triple = (Slope(1, 2), Slope(1, 1), INF)
+        m, slots, notched = _type_i_frame(type_i_triangulation(triple))
+        assert notched == 0 and sorted(slots) == list(range(6))
+        for tags in tag_choices(PUNCTURES):
+            mask = sum(1 << 2 * p.i + p.j for p, t in tags if t is Tagging.NOTCHED)
+            assert _type_i_frame(type_i_triangulation(triple, tags)) == (m, slots, mask)
+        with pytest.raises(DomainError, match="not type I"):
+            _type_i_frame(flip(base_triangulation(), 0))
+
     def test_all_notched(self):
         notched = type_i_triangulation(BASE_TRIPLE,
                                        tuple((p, Tagging.NOTCHED) for p in PUNCTURES))
@@ -601,8 +617,8 @@ class TestWitness:
         for tri in tris:
             shown = sum(1 << 2 * p.i + p.j for p in PUNCTURES
                         if any((p, Tagging.NOTCHED) in arc.ends for arc in tri.arcs))
-            monkeypatch.setattr(shear, "_shear_in_frame", lambda weights, frame, notched: (
-                real(weights, frame, notched) if notched == shown else (0,) * 6))
+            monkeypatch.setattr(shear, "_shear_in_frame", lambda weights, frame: (
+                real(weights, frame) if frame[2] == shown else (0,) * 6))
             assert find_witness(Tangle(((LAMBDA_C, 1),)), 1).arcs == tri.arcs
 
     @pytest.mark.parametrize("max_height", range(1, 5))
@@ -636,14 +652,14 @@ class TestWitness:
                    Tangle(((AllowableCurve(INF), 1), (AllowableCurve(Slope(2, -1)), 1)))]
         tangles += [Tangle(tuple((pool[(7 * k + 3 * j) % len(pool)], j - 1) for j in range(3)))
                     for k in range(6)]
-        real, real_slots = shear._shear_in_frame, shear._base_slots
+        real, real_frame = shear._shear_in_frame, shear._type_i_frame
         current = []  # the slopes of the triangulation whose frame was built last
 
-        def slots(tri):
+        def frame(tri):
             current[:] = [frozenset(arc.slope for arc in tri.arcs)]
-            return real_slots(tri)
+            return real_frame(tri)
 
-        monkeypatch.setattr(shear, "_base_slots", slots)
+        monkeypatch.setattr(shear, "_type_i_frame", frame)
         for tangle in tangles:
             # every candidate triple reads zero shear, so the search goes on
             # to its fallback over the Farey-1 triples up to max_height; so do
@@ -658,8 +674,8 @@ class TestWitness:
                 return (slopes in blocked or sum(s.a + 2 * s.b for s in slopes) % 3
                         or notched.bit_count() != 2)
 
-            monkeypatch.setattr(shear, "_shear_in_frame", lambda weights, frame, notched: (
-                (0,) * 6 if hidden(notched) else real(weights, frame, notched)))
+            monkeypatch.setattr(shear, "_shear_in_frame", lambda weights, frame: (
+                (0,) * 6 if hidden(frame[2]) else real(weights, frame)))
             expected = former_sweep(tangle, blocked)
             if expected is None:
                 with pytest.raises(BoundExhausted):

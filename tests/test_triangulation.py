@@ -20,13 +20,12 @@ from spherelam.curves import (
     _FRAME_SLOT,
     _frame_slots,
     _keys_compatible,
-    _lattice_frame,
     _slope_keys,
     base_triangulation,
     endpoint_sets,
 )
 from spherelam.errors import (
-    DomainError, InternalError, InternalNonUnique, InvalidParameters, NotAllPlain,
+    DomainError, InternalError, InternalNonUnique, InvalidParameters,
 )
 from spherelam.lattice import (
     INF, MINUS_ONE, ZERO, Slope, det2, enumerate_slopes, farey1_triples, farey_distance,
@@ -39,7 +38,6 @@ from spherelam.triangulation import (
     build_type,
     classify,
     enumerate_triangulations,
-    f2_companions,
     flip,
     mutate,
     signed_adjacency,
@@ -237,12 +235,11 @@ class TestBuildClassify:
                 build_type(spec)
 
     def test_companions(self):
-        r, s = f2_companions(Slope(1, 1), Slope(1, -1))
-        assert {r, s} == {ZERO, INF}
-        r, s = f2_companions(Slope(1, 3), Slope(1, 1))
-        assert {r, s} == {Slope(1, 2), INF}
-        with pytest.raises(InvalidParameters, match="^0/1, inf is not a Farey-2 pair$"):
-            f2_companions(ZERO, INF)
+        # the companions of a Farey-2 pair, sorted; _frame checks the pair
+        assert triangulation._companions(Slope(1, 1), Slope(1, -1)) == (ZERO, INF)
+        assert triangulation._companions(Slope(1, 3), Slope(1, 1)) == (Slope(1, 2), INF)
+        with pytest.raises(InvalidParameters, match="^types II-V need a Farey-2 pair$"):
+            triangulation._frame("II", (ZERO, INF), V00, None)
 
     def test_farey2_pair_checked_once(self, monkeypatch):
         # _frame checks the pair, then finds the companions unchecked
@@ -478,7 +475,7 @@ class TestKeyReaders:
             real = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda *args: calls.update([name]) or real(*args))
 
-        for name in ("_frame", "f2_companions", "farey_distance", "is_farey1_triple"):
+        for name in ("_frame", "farey_distance", "is_farey1_triple"):
             count(triangulation, name)
         for name in ("farey_distance", "is_farey1_triple"):
             count(lattice, name)
@@ -569,13 +566,6 @@ class TestMatrices:
                 continue
             B = signed_adjacency(t)
             assert all(B[i][j] == -B[j][i] for i in range(6) for j in range(6))
-
-    def test_not_all_plain_rejected(self):
-        t = build_type(
-            TriType("VI", (ZERO, INF, MINUS_ONE), v=V00, taggings=((V00, PLAIN),))
-        )
-        with pytest.raises(NotAllPlain):
-            signed_adjacency(t)
 
     def test_flip_matches_mutation_sample(self):
         for t in enumerate_triangulations(1):
@@ -684,13 +674,17 @@ class TestCanonicalAdjacency:
         assert [k for k, a in flipped if a.height == 1] == [2, 5]
 
     def test_every_frame_image_is_in_the_table(self):
-        # every all-plain or type-I triangulation of height <= 3, in any
-        # tagging: the table is read on slope and endpoints only
-        tris = [t for t in height_three() if t.all_plain or classify(t).tag == "I"]
+        # every type-I or type-II triangulation of height <= 3, in any
+        # tagging: the frame is the oracle's, and the table, read on slope
+        # and endpoints only, holds each image the oracle gives
+        tris = [t for t in height_three() if classify(t).tag in ("I", "II")]
         assert len({t.arc_set for t in tris}) > 40
+        assert not all(t.all_plain for t in tris)
         for t in tris:
-            _, images = _lattice_frame(t._keys)
-            assert all(key[:3] in _FRAME_SLOT for key in images)
+            m, slots, _ = _frame_slots(t._keys)
+            oracle_m, images = object_oracle.lattice_frame(t._keys)
+            assert m == oracle_m
+            assert slots == tuple(_FRAME_SLOT[key[:3]] for key in images)
 
     @pytest.mark.parametrize("slopes", [
         [ZERO, ZERO, INF, Slope(1, 1), MINUS_ONE, Slope(1, 2)],
@@ -699,13 +693,13 @@ class TestCanonicalAdjacency:
     def test_canonical_pair_rejects_a_bad_slope_count(self, slopes):
         # the lattice frame needs a Farey-1 pair of two-arc slopes
         with pytest.raises(InternalError, match="no Farey-1 pair"):
-            _lattice_frame([(s.a, s.b, 0, 0) for s in slopes])
+            _frame_slots([(s.a, s.b, 0, 0) for s in slopes])
 
     def test_lookup_miss_is_internal(self, monkeypatch):
         # a frame image missing from the table is a bug: InternalError, and
         # badj exits 3 with an internal error document
         t = flip(base_triangulation(), 0)
-        _, images = _lattice_frame(t._keys)
+        _, images = object_oracle.lattice_frame(t._keys)
         flipped = next(key[:3] for key in images if key[:2] == (1, 1))
         rest = {k: slot for k, slot in _FRAME_SLOT.items() if k != flipped}
         assert len(rest) == 7
@@ -715,6 +709,65 @@ class TestCanonicalAdjacency:
         code, out = cli.run(["badj", "--tri", json.dumps(t.to_json())])
         assert code == 3 and json.loads(out)["kind"] == "internal", out
         assert signed_adjacency(base_triangulation()) == FIG1_MATRIX  # no base arc missing
+
+
+class TestTaggedAdjacency:
+    """signed_adjacency serves types I and II in any tagging, tags not
+    changing the matrix where no two arcs coincide (Fomin-Shapiro-Thurston,
+    Acta Math. 2008, Sec. 9); types III-VI, which have a coinciding pair,
+    are a DomainError."""
+
+    def test_matches_mutation_along_tagged_walks(self):
+        # 60 seeded walks of 60 random flips from the base, carrying B by
+        # mutate: at every type I or II the matrix is the carried one, and
+        # at every other type signed_adjacency refuses
+        rng = random.Random(32)
+        kinds, tagged = Counter(), 0
+        for _ in range(60):
+            t = base_triangulation()
+            B = signed_adjacency(t)
+            for _ in range(60):
+                k = rng.randrange(6)
+                t, B = flip(t, k), mutate(B, k)
+                kind = classify(t).tag
+                kinds[kind] += 1
+                if kind in ("I", "II"):
+                    assert signed_adjacency(t) == B
+                    tagged += not t.all_plain
+                else:
+                    with pytest.raises(DomainError, match="types III-VI"):
+                        signed_adjacency(t)
+        assert kinds["I"] > 200 and kinds["II"] > 600
+        assert tagged > 600
+        assert set(kinds) == {"I", "II", "III", "IV", "V", "VI"}
+
+    def test_coinciding_pair_rejected(self):
+        t = build_type(
+            TriType("VI", (ZERO, INF, MINUS_ONE), v=V00, taggings=((V00, PLAIN),))
+        )
+        with pytest.raises(DomainError, match="coinciding pair"):
+            signed_adjacency(t)
+
+    def test_types_three_to_six_are_domain_errors(self):
+        # every type III-VI triangulation of height <= 2 is refused before
+        # its frame is read: the frame fails on III and IV, and on V and VI
+        # it returns repeated slots, which would read a wrong matrix
+        kinds = Counter()
+        for spec, t in _enumerate_typed(2):
+            if spec.tag in ("I", "II"):
+                continue
+            kinds[spec.tag] += 1
+            with pytest.raises(DomainError, match="types III-VI"):
+                signed_adjacency(t)
+            if spec.tag in ("III", "IV"):
+                with pytest.raises(InternalError, match="no Farey-1 pair"):
+                    _frame_slots(t._keys)
+            else:
+                assert len(set(_frame_slots(t._keys)[1])) < 6
+        assert kinds == {"III": 80, "IV": 320, "V": 80, "VI": 48}
+        code, out = cli.run(["badj", "--tri", json.dumps(t.to_json())])
+        doc = json.loads(out)
+        assert code == 1 and doc["kind"] == "domain" and "types III-VI" in doc["error"], out
 
 
 class TestJson:
