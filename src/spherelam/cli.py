@@ -205,7 +205,7 @@ def _cmd_cones(args) -> str:
     _check_cone_height(args.max_height)
     from . import fan
 
-    cones = fan.cone_index(args.max_height).cones
+    cones = fan._maximal_cones(args.max_height)  # without locate's sign patterns
     return _doc(
         max_height=args.max_height,
         count=len(cones),

@@ -6,17 +6,18 @@ I-VI, six curves) together with the collections built around one closed
 curve (type VII, five curves).  Their nonnegative spans are the maximal
 cones of the fan; cones, their functionals and every answer are integers.
 
-:func:`cone_index` builds every maximal cone up to a height with its
-membership functionals.  A six-dimensional cone whose generators are a
-``GAMMA24`` coordinate permutation of those of a cone built earlier in the
-same build takes its functionals from that cone, permuted; the others,
-and every kind-VII cone, find theirs by one exact elimination.
+A :class:`Cone` is a frozen value whose membership functionals are found
+when it is built, as its rank check.  :func:`cone_index` builds every
+maximal cone up to a height.  A six-dimensional cone whose generators are
+a ``GAMMA24`` coordinate permutation of those of a cone built earlier in
+the same build takes its functionals from that cone, permuted; the
+others, and every kind-VII cone, find theirs by one exact elimination.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from functools import cached_property
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -37,7 +38,6 @@ from .errors import BoundExhausted, InternalError, InternalNonUnique, MalformedI
     RankDeficient
 from .lattice import Slope, check_height, enumerate_slopes, farey1_triples
 from .shear import (
-    CoordPerm,
     FLIPS,
     GAMMA24,
     GROUP_Y,
@@ -150,87 +150,85 @@ def maximal_collections(max_height: int) -> Iterator[MaximalCollection]:
 # ---------------------------------------------------------------------------
 
 
+_Functionals = tuple[list[tuple[int, ...]], int, tuple[int, ...] | None]
+
+
 class Cone(Frozen):
     """Nonnegative span of the shear vectors of a maximal collection (or a
-    sub-collection); simplicial by construction.  Equal to any cone with
-    the same primitive generators."""
+    sub-collection); simplicial by construction.  Its functionals are found
+    when it is built (:func:`_cone_functionals`), which raises
+    RankDeficient on dependent generators.  Equal to any cone with the same
+    primitive generators."""
 
-    # the __dict__ holds the cached properties
-    __slots__ = ("generators", "kind", "collection", "__dict__")
+    __slots__ = ("generators", "kind", "collection", "_functionals")
     _fields = ("generators", "kind", "collection")
     generators: tuple[ShearVector, ...]
     kind: str
     collection: MaximalCollection | None
+    _functionals: _Functionals
 
     def __init__(self, generators: tuple[ShearVector, ...], kind: str,
                  collection: MaximalCollection | None = None) -> None:
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "collection", collection)
+        self._freeze(generators, kind, collection, _cone_functionals(generators))
+
+    @classmethod
+    def _of_functionals(cls, *fields) -> Cone:
+        """The cone of (generators, kind, collection, functionals), with the
+        functionals :func:`_functionals_by_image` found and checked."""
+        cone = object.__new__(cls)
+        cone._freeze(*fields)
+        return cone
+
+    def _freeze(self, *fields) -> None:
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
         return exactla.rank(self.generators)
 
     def canonical(self) -> tuple[tuple[int, ...], ...]:
-        return self._canonical
-
-    @cached_property
-    def _canonical(self) -> tuple[tuple[int, ...], ...]:
-        # computed on first use, not in the constructor, so building the
-        # cone index does not pay for it
+        # computed when asked, so building the cone index does not pay for it
         return tuple(sorted(exactla.primitive(g) for g in self.generators))
 
-    @cached_property
-    def _functionals(self) -> tuple[list[tuple[int, ...]], int, tuple[int, ...] | None]:
-        # computed once per cone: by cone_of, which needs the invertible
-        # block as its rank check, or on first use for other cones; a cone
-        # index build sets it instead for a GAMMA24 image of a cone it has
-        # computed (_functionals_by_image)
-        return _cone_functionals(self)
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, Cone) and self._canonical == other._canonical
+        return isinstance(other, Cone) and self.canonical() == other.canonical()
 
     def __hash__(self) -> int:
-        return hash(self._canonical)
+        return hash(self.canonical())
 
 
 def cone_of(coll: MaximalCollection, images: _Images | None = None) -> Cone:
     """The maximal cone of a collection; generators stay aligned with the
     collection's curve order.  Rank 6 for kinds I-VI, 5 for kind VII.
 
-    The rank is checked by finding the cone's functionals, which the cone
-    stores: an invertible r x r block of generator coordinates exists
-    exactly when the r generators have rank r.  With ``images`` (one per
-    :func:`cone_index` build), a six-dimensional cone first looks for
-    itself among the ``GAMMA24`` images of the cones built before it
-    (:func:`_functionals_by_image`)."""
+    The rank is checked by finding the cone's functionals: an invertible
+    r x r block of generator coordinates exists exactly when the r
+    generators have rank r.  With ``images`` (one per :func:`cone_index`
+    build), a six-dimensional cone first looks for itself among the
+    ``GAMMA24`` images of the cones built before it
+    (:func:`_functionals_by_image`); on a miss, it finds its functionals
+    by elimination and its images join the memo."""
     gens = tuple(shear_closed_form(c) for c in coll.curves)
     expected = 5 if coll.kind == "VII" else 6
     if len(gens) != expected:
         raise RankDeficient(f"kind {coll.kind} cone has {len(gens)} generators")
-    cone = Cone(gens, coll.kind, coll)
     if images is None or expected == 5:
-        cone._functionals  # raises RankDeficient when rank < r
-    elif not _functionals_by_image(cone, images):
-        cone._functionals  # as above; the cone's images then join the memo
-        total = sum(map(sum, gens))
-        for perm in _GAMMA24_PERMS:
-            images.setdefault(_image_key(map(perm.image, gens), total), cone)
+        return Cone(gens, coll.kind, coll)
+    functionals = _functionals_by_image(gens, images)
+    if functionals is not None:
+        return Cone._of_functionals(gens, coll.kind, coll, functionals)
+    cone = Cone(gens, coll.kind, coll)
+    total = sum(map(sum, gens))
+    for image, _ in _GAMMA24_PERMS:
+        images.setdefault(_image_key(map(image, gens), total), cone)
     return cone
 
 
-class _Perm:
-    """A coordinate permutation of GAMMA24 as ``apply_perm`` applies it,
-    ``image(v)``, and its inverse, ``preimage(v)``, each one C call."""
-
-    def __init__(self, p: CoordPerm):
-        self.image = itemgetter(*sorted(range(6), key=p.__getitem__))
-        self.preimage = itemgetter(*p)
-
-
-_GAMMA24_PERMS = [_Perm(p) for p in sorted(GAMMA24)]
+# Each coordinate permutation p of GAMMA24 as (image, preimage): image(v)
+# is apply_perm(p, v) and preimage(v) its inverse, each one C call.
+_GAMMA24_PERMS = [(itemgetter(*sorted(range(6), key=p.__getitem__)), itemgetter(*p))
+                  for p in sorted(GAMMA24)]
 
 # For one cone_index build: the key of each GAMMA24 image of the
 # generators of a six-dimensional cone, mapped to the cone.
@@ -246,56 +244,49 @@ def _image_key(gens, total: int) -> int:
     return hash((tuple(sorted(gens)), total))
 
 
-def _functionals_by_image(cone: Cone, images: _Images) -> bool:
-    """Set the functionals of a six-dimensional cone from a cone of the
-    memo whose image it is, and return whether one was found.
+def _functionals_by_image(gens, images: _Images) -> _Functionals | None:
+    """The functionals of six generators from the memo's cone R whose
+    image they are, or None.
 
-    If a coordinate permutation P maps the memo's cone R onto ``cone``,
-    generator c of ``cone`` is P applied to generator P^-1 c of R, and the
-    functionals of R, a positive multiple of the inverse of its generator
-    matrix, give those of ``cone`` by P: (P f) . (P g) = f . g, and the
-    determinant's absolute value is unchanged.  The rows of
-    :func:`_cone_functionals` are exactly these, as the rows of
-    |det| M^-1 for the generator matrix M are unique.  The memo keeps R
-    only, and P is the first permutation of ``GAMMA24`` whose inverse maps
-    the generators one to one onto those of R; R has rank 6, so the cone
-    has too.  A key shared by another cone's image, where no P does so, is
-    no hit.  Each hit is checked, with InternalError: row k must give det
-    on generator k."""
-    gens = cone.generators
+    If a coordinate permutation P maps R's generators one to one onto
+    them, generator c is P applied to generator P^-1 c of R, and the rows
+    of R, a positive multiple of the inverse of its generator matrix, give
+    theirs by P: (P f) . (P g) = f . g, and |det| is unchanged.  These are
+    the rows of :func:`_cone_functionals`, as the rows of |det| M^-1 for
+    the generator matrix M are unique; R has rank 6, so the generators
+    have too.  P is the first permutation of ``GAMMA24`` that does so; a
+    key shared by another cone's image, where none does, is no hit.  Each
+    hit is checked, with InternalError: row k must give det on generator k."""
     rep = images.get(_image_key(gens, sum(map(sum, gens))))
     if rep is None:
-        return False
+        return None
     rows, det, _ = rep._functionals
     position = {g: k for k, g in enumerate(rep.generators)}
-    for perm in _GAMMA24_PERMS:
-        if perm.preimage(gens[0]) in position:
-            picked = [position.get(perm.preimage(c)) for c in gens]
+    for image, preimage in _GAMMA24_PERMS:
+        if preimage(gens[0]) in position:
+            picked = [position.get(preimage(c)) for c in gens]
             if None not in picked and len(set(picked)) == len(picked):
                 break
     else:
-        return False
-    functionals = [perm.image(rows[k]) for k in picked]
+        return None
+    functionals = [image(rows[k]) for k in picked]
     for (a, b, c, d, e, f), (g0, g1, g2, g3, g4, g5) in zip(functionals, gens):
         if a * g0 + b * g1 + c * g2 + d * g3 + e * g4 + f * g5 != det:
             raise InternalError(f"permuted functionals do not invert the generators {gens}")
-    cone.__dict__["_functionals"] = (functionals, det, None)
-    return True
+    return functionals, det, None
 
 
-def _cone_functionals(
-    cone: Cone,
-) -> tuple[list[tuple[int, ...]], int, tuple[int, ...] | None]:
-    """(rows, det, normal): integer 6-vectors f_k and det > 0 with
-    coefficient k of v equal to f_k . v / det for every v in the cone's
-    span, and for a 5-dimensional cone a normal n with v in the span iff
-    n . v == 0 (None for a 6-dimensional cone).
+def _cone_functionals(generators: Sequence[ShearVector]) -> _Functionals:
+    """(rows, det, normal) of r independent generators (RankDeficient if
+    they are dependent): integer 6-vectors f_k and det > 0 with coefficient
+    k of v equal to f_k . v / det for every v in their span, and for r = 5
+    a normal n with v in the span iff n . v == 0 (None for r = 6).
 
     The f_k are the adjugate rows of the first r x r block of generator
     coordinates (rows in lexicographic order) that is invertible, signed
     so det > 0, with zeros at the coordinates left out of the block."""
-    cols = [list(col) for col in zip(*cone.generators)]
-    r = len(cone.generators)
+    cols = [list(col) for col in zip(*generators)]
+    r = len(generators)
     for rows in itertools.combinations(range(6), r):
         adj, det = exactla.adjugate([cols[i] for i in rows])
         if adj is not None:
@@ -422,24 +413,19 @@ class _ConeIndex:
                 yield cone, tuple(s), det
 
 
-# The indexes of the last _INDEX_CACHE_SIZE heights used, least recently
-# used first (one index at height 10 holds about 50 MB).
-_INDEX_CACHE: dict[int, _ConeIndex] = {}
-_INDEX_CACHE_SIZE = 4
-
-
 def cone_index(max_height: int) -> _ConeIndex:
-    """The index of every maximal cone at the given height, kept for the
-    last four heights used.  The ``GAMMA24`` images memo of :func:`cone_of`
-    lives for one build and is dropped before the sign patterns are
-    listed."""
-    idx = _INDEX_CACHE.pop(max_height, None)
-    if idx is None:
-        idx = _ConeIndex(_maximal_cones(max_height))
-    _INDEX_CACHE[max_height] = idx
-    while len(_INDEX_CACHE) > _INDEX_CACHE_SIZE:
-        del _INDEX_CACHE[next(iter(_INDEX_CACHE))]
-    return idx
+    """The index of every maximal cone at the given height, checked before
+    the cache.  The last four heights used are kept (one index at h = 10
+    holds about 50 MB): a command line call builds one height, the
+    ``fan-locate`` benchmark uses 3, the self-test 2 and the tests several.
+    The ``GAMMA24`` images memo of :func:`cone_of` lives for one build."""
+    check_height(max_height)
+    return _cached_index(max_height)
+
+
+@functools.lru_cache(maxsize=4)
+def _cached_index(max_height: int) -> _ConeIndex:
+    return _ConeIndex(_maximal_cones(max_height))
 
 
 def _maximal_cones(max_height: int) -> list[Cone]:
@@ -497,7 +483,6 @@ def locate(v: Sequence[int], max_height: int = 6) -> QuasiLamination:
 
 def count_containing_cones(v: Sequence[int], max_height: int = 6) -> int:
     """Number of distinct maximal cones whose span contains v."""
-    check_height(max_height)
     return sum(1 for _ in cone_index(max_height).containing(_shear_vector(v)))
 
 

@@ -173,10 +173,10 @@ def mediant(s: Slope, t: Slope) -> Slope:
 
 
 def check_height(max_height: int) -> None:
-    """Reject a height bound outside 1..MAX_HEIGHT with ValueError; every
-    search bounded by a height checks it before any early return."""
-    if max_height < 1:
-        raise ValueError("max_height must be positive")
+    """Reject a height bound other than an int (not a bool) in 1..MAX_HEIGHT
+    with ValueError; every search bounded by a height checks it first."""
+    if type(max_height) is not int or max_height < 1:
+        raise ValueError(f"max_height must be a positive int, not {max_height!r}")
     if max_height > MAX_HEIGHT:
         raise ValueError(f"max_height capped at {MAX_HEIGHT}")
 

@@ -53,6 +53,15 @@ BOX_BEYOND_HEIGHT_6 = {
 }
 
 
+@pytest.fixture
+def cleared_index_cache():
+    """The cone index cache emptied before the test and after it: the test
+    builds each index it asks for, and no index it built outlives it."""
+    fan._cached_index.cache_clear()
+    yield
+    fan._cached_index.cache_clear()
+
+
 def base_cone():
     t0 = base_triangulation()
     coll = fan.MaximalCollection(tuple(kappa(a) for a in t0.arcs), "I")
@@ -327,6 +336,17 @@ class TestLocateChecks:
             fan.locate((0,) * 6, h)
         with pytest.raises(ValueError):
             fan.count_containing_cones((0,) * 6, h)
+
+    @pytest.mark.parametrize("h", [True, 2.5, 3.0])
+    def test_height_is_an_int(self, h):
+        # True once answered at height 1 and 2.5 ended in a bare TypeError
+        v = shear_closed_form(AllowableCurve(Slope(1, 1)))
+        assert fan.locate(v, 1).weights == ((AllowableCurve(Slope(1, 1)), 1),)
+        for call in (fan.locate, fan.count_containing_cones):
+            with pytest.raises(ValueError, match="must be a positive int"):
+                call(v, h)
+        with pytest.raises(ValueError, match="must be a positive int"):
+            fan.cone_index(h)
 
     def test_any_sequence_of_six_ints(self):
         v = (-3, 2, 1, -3, 2, 1)
@@ -865,8 +885,7 @@ class TestOnePassBuild:
             cones = fan.cone_index(h).cones
             assert {c.kind for c in cones} == {"I", "II", "III", "IV", "V", "VI", "VII"}
             for cone in cones:
-                fresh = fan.Cone(cone.generators, cone.kind)
-                assert cone._functionals == fan._cone_functionals(fresh)
+                assert cone._functionals == fan._cone_functionals(cone.generators)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -877,16 +896,15 @@ class TestOnePassBuild:
         cone = data.draw(st.sampled_from(cones))
         p = data.draw(st.sampled_from(sorted(GAMMA24)))
         order = data.draw(st.permutations(range(6)))
-        rows, det, normal = fan._cone_functionals(cone)
-        image = fan.Cone(tuple(apply_perm(p, cone.generators[i]) for i in order), cone.kind)
+        rows, det, normal = fan._cone_functionals(cone.generators)
+        image = tuple(apply_perm(p, cone.generators[i]) for i in order)
         assert fan._cone_functionals(image) == ([apply_perm(p, rows[i]) for i in order],
                                                 det, None)
 
-    def test_one_elimination_per_orbit(self, monkeypatch):
+    def test_one_elimination_per_orbit(self, monkeypatch, cleared_index_cache):
         sizes = []
         adjugate = exactla.adjugate
         monkeypatch.setattr(exactla, "adjugate", lambda m: sizes.append(len(m)) or adjugate(m))
-        monkeypatch.setattr(fan, "_INDEX_CACHE", {})
         cones = fan.cone_index(3).cones
         assert len(cones) == 2256
         orbits = {min(tuple(sorted(apply_perm(p, g) for g in c.generators)) for p in GAMMA24)
@@ -900,11 +918,11 @@ class TestOnePassBuild:
 
     @pytest.mark.parametrize("key", [lambda gens, total: 0, lambda gens, total: total],
                              ids=["one-key", "total-only"])
-    def test_shared_image_keys(self, monkeypatch, key):
+    def test_shared_image_keys(self, monkeypatch, key, cleared_index_cache):
         # generator sets that share a key are told apart by their
         # generators: a lookup that finds another cone's image computes
         want = fan.cone_index(2)
-        monkeypatch.setattr(fan, "_INDEX_CACHE", {})
+        fan._cached_index.cache_clear()
         monkeypatch.setattr(fan, "_image_key", key)
         got = fan.cone_index(2)
         assert got is not want and len(got.cones) == len(want.cones)
@@ -934,11 +952,11 @@ class TestOnePassBuild:
         assert {id(c) for c in images.values()} == {id(rep)}
         rows, det, normal = rep._functionals
         assert fan.cone_of(coll, images)._functionals == (rows, det, normal)
-        rep.__dict__["_functionals"] = (rows, det + 1, normal)
+        object.__setattr__(rep, "_functionals", (rows, det + 1, normal))
         with pytest.raises(InternalError):
             fan.cone_of(coll, images)
 
-    def test_no_oracle_on_the_hot_path(self, monkeypatch):
+    def test_no_oracle_on_the_hot_path(self, monkeypatch, cleared_index_cache):
         calls = {"classify": 0, "rank": 0}
 
         def counted(name, fn):
@@ -950,7 +968,6 @@ class TestOnePassBuild:
         monkeypatch.setattr(triangulation, "classify",
                             counted("classify", triangulation.classify))
         monkeypatch.setattr(exactla, "rank", counted("rank", exactla.rank))
-        monkeypatch.setattr(fan, "_INDEX_CACHE", {})
         assert len(fan.cone_index(2).cones) == 912
         assert calls == {"classify": 0, "rank": 0}
 
@@ -967,17 +984,32 @@ class TestOnePassBuild:
         triples = farey1_triples(enumerate_slopes(1))
         assert len(calls) == len(triples)
 
-    def test_index_cache_keeps_the_last_four_heights(self, monkeypatch):
-        monkeypatch.setattr(fan, "_INDEX_CACHE", {})
+    def test_index_cache_keeps_the_last_four_heights(self, monkeypatch, cleared_index_cache):
+        # heights above 1 build no cones here, so the policy is checked
+        # without the cost of their builds
+        built = []
+        maximal_cones = fan._maximal_cones
+        monkeypatch.setattr(fan, "_maximal_cones",
+                            lambda h: built.append(h) or (maximal_cones(h) if h == 1 else []))
         first = fan.cone_index(1)
         for h in range(2, 7):
             fan.cone_index(h)
-        assert list(fan._INDEX_CACHE) == [3, 4, 5, 6]
-        assert fan.cone_index(4) is fan._INDEX_CACHE[4]  # a hit is the most recent
-        again = fan.cone_index(1)  # evicted: built again, evicting 3
-        assert again is not first and list(fan._INDEX_CACHE) == [5, 6, 4, 1]
+        assert built == [1, 2, 3, 4, 5, 6]
+        for h in (3, 4, 5, 6, 3):  # the last four are kept; 4 is now the oldest
+            fan.cone_index(h)
+        assert built == [1, 2, 3, 4, 5, 6]
+        fan.cone_index(7)  # evicts 4
+        fan.cone_index(3)
+        fan.cone_index(4)  # built again, evicting 5
+        fan.cone_index(6)
+        assert built == [1, 2, 3, 4, 5, 6, 7, 4]
+        again = fan.cone_index(1)  # evicted long ago: built again
+        assert built[-1] == 1 and again is not first
         assert [(c.kind, c.generators, c.collection) for c in again.cones] == \
             [(c.kind, c.generators, c.collection) for c in first.cones]
+        with pytest.raises(ValueError):
+            fan.cone_index(True)  # no bool reaches the cache as height 1
+        assert built[-1] == 1 and fan._cached_index.cache_info().currsize == 4
 
     def test_fan_check_builds_no_fraction(self, monkeypatch):
         # the fan check and the torus check run on integers only: building

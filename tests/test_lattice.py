@@ -167,6 +167,12 @@ class TestEnumerate:
     def test_deterministic_order(self):
         assert enumerate_slopes(3) == enumerate_slopes(3)
 
+    @pytest.mark.parametrize("h", [True, 2.5, 3.0, "3", None])
+    def test_height_is_an_int(self, h):
+        # 2.5 once ended in a bare TypeError, and True enumerated height 1
+        with pytest.raises(ValueError, match="must be a positive int"):
+            enumerate_slopes(h)
+
 
 def brute_force_separating_ok(M, f, pair):
     lo, mid = pair

@@ -561,6 +561,15 @@ class TestWitness:
             with pytest.raises(ValueError):
                 find_witness(t, h)
 
+    @pytest.mark.parametrize("h", [True, 2.5])
+    def test_height_is_an_int(self, h):
+        # the base triple is a witness here, which 2.5 once returned
+        t = Tangle(((AllowableCurve(Slope(1, 1)), 1),))
+        assert find_witness(t, 1) is not None
+        for tangle in (Tangle(()), t):
+            with pytest.raises(ValueError, match="must be a positive int"):
+                find_witness(tangle, h)
+
     def test_cancelled_returns_none(self):
         assert find_witness(Tangle(((LAMBDA, 1), (LAMBDA, -1)))) is None
 

@@ -5,8 +5,10 @@ order and immutability that frozen dataclasses gave them, kept exactly
 import pytest
 
 from spherelam import fan
+from spherelam._frozen import Frozen
 from spherelam.curves import V00, V01, V10, V11, AllowableCurve, Puncture, SpiralDir, \
     TaggedArc, TaggedTriangulation, Tagging, base_triangulation, kappa
+from spherelam.errors import RankDeficient
 from spherelam.lattice import INF, MINUS_ONE, ZERO, Slope, UnimodularMap
 from spherelam.render import RenderSpec
 from spherelam.shear import QuasiLamination, Tangle
@@ -139,8 +141,34 @@ def test_cone_equality_is_canonical():
     assert repr(cone).startswith(f"Cone(generators={gens!r}, kind='I', collection=Maximal")
     with pytest.raises(AttributeError):
         cone.kind = "II"
-    # the cached properties live in the instance dict
-    assert "_canonical" in cone.__dict__
+    # a frozen value: its functionals sit in a slot, and nothing is cached
+    assert not hasattr(cone, "__dict__")
+
+
+def _frozen_classes(cls=Frozen):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _frozen_classes(sub)
+
+
+def test_no_frozen_value_has_an_instance_dict():
+    # every class on the immutable base declares its own slots, none of
+    # them "__dict__", so no value can be written to after it is built
+    classes = list(_frozen_classes())
+    assert {fan.Cone, fan.MaximalCollection, TaggedArc, Slope} <= set(classes)
+    for cls in classes:
+        slots = vars(cls).get("__slots__", ("__dict__",))
+        assert "__dict__" not in ((slots,) if isinstance(slots, str) else slots), cls
+    assert not hasattr(base_cone(), "__dict__")
+
+
+def test_cone_of_dependent_generators_is_rank_deficient():
+    gens = base_cone().generators
+    doubled = tuple(2 * x for x in gens[0])
+    with pytest.raises(RankDeficient):
+        fan.Cone(gens[:5] + (doubled,), "I")
+    with pytest.raises(RankDeficient):
+        fan.Cone((gens[0], doubled, *gens[2:5]), "VII")
 
 
 def test_fan_report_stays_a_mutable_record():
