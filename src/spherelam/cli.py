@@ -205,7 +205,8 @@ def _cmd_cones(args) -> str:
     _check_cone_height(args.max_height)
     from . import fan
 
-    cones = fan._maximal_cones(args.max_height)  # without locate's sign patterns
+    # without locate's sign-key listing
+    cones = [cone for cone, _ in fan._maximal_cones(args.max_height)]
     return _doc(
         max_height=args.max_height,
         count=len(cones),

@@ -12,12 +12,23 @@ maximal cone up to a height.  A six-dimensional cone whose generators are
 a ``GAMMA24`` coordinate permutation of those of a cone built earlier in
 the same build takes its functionals from that cone, permuted; the
 others, and every kind-VII cone, find theirs by one exact elimination.
+
+The index lists each cone under the sign keys its points can have, over
+nine integer forms: the six coordinates and the three pair differences
+v_i - v_(i+3).  The differences vanish on every closed curve, so they
+split the fan along the kind-VII directions, and ``GAMMA24`` (the
+rotations of the three pairs times the swaps within each pair) permutes
+them up to sign.  So the keys of a cone whose functionals were carried
+from another are that cone's keys with their bits moved, and the listing
+too is found once per ``GAMMA24`` orbit.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from array import array
+from collections import defaultdict
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -49,6 +60,7 @@ from .shear import (
     RHO,
     RHO2,
     compose,
+    CoordPerm,
     QuasiLamination,
     ShearVector,
     _item1,
@@ -185,7 +197,8 @@ class Cone(Frozen):
 
     @property
     def dim(self) -> int:
-        return exactla.rank(self.generators)
+        # the constructor has proved the generators independent
+        return len(self.generators)
 
     def canonical(self) -> tuple[tuple[int, ...], ...]:
         # computed when asked, so building the cone index does not pay for it
@@ -209,30 +222,43 @@ def cone_of(coll: MaximalCollection, images: _Images | None = None) -> Cone:
     ``GAMMA24`` images of the cones built before it
     (:func:`_functionals_by_image`); on a miss, it finds its functionals
     by elimination and its images join the memo."""
+    return _carried_cone(coll, images)[0]
+
+
+def _carried_cone(coll: MaximalCollection, images: _Images | None
+                  ) -> tuple[Cone, _Carry | None]:
+    """:func:`cone_of` with where its functionals came from: (R, p) when
+    they are those of the memo's cone R moved by the ``GAMMA24``
+    permutation p, None when they were found by elimination."""
     gens = tuple(shear_closed_form(c) for c in coll.curves)
     expected = 5 if coll.kind == "VII" else 6
     if len(gens) != expected:
         raise RankDeficient(f"kind {coll.kind} cone has {len(gens)} generators")
     if images is None or expected == 5:
-        return Cone(gens, coll.kind, coll)
-    functionals = _functionals_by_image(gens, images)
-    if functionals is not None:
-        return Cone._of_functionals(gens, coll.kind, coll, functionals)
+        return Cone(gens, coll.kind, coll), None
+    found = _functionals_by_image(gens, images)
+    if found is not None:
+        functionals, carry = found
+        return Cone._of_functionals(gens, coll.kind, coll, functionals), carry
     cone = Cone(gens, coll.kind, coll)
     total = sum(map(sum, gens))
-    for image, _ in _GAMMA24_PERMS:
+    for _, image, _ in _GAMMA24_PERMS:
         images.setdefault(_image_key(map(image, gens), total), cone)
-    return cone
+    return cone, None
 
 
-# Each coordinate permutation p of GAMMA24 as (image, preimage): image(v)
-# is apply_perm(p, v) and preimage(v) its inverse, each one C call.
-_GAMMA24_PERMS = [(itemgetter(*sorted(range(6), key=p.__getitem__)), itemgetter(*p))
+# Each coordinate permutation p of GAMMA24 as (p, image, preimage):
+# image(v) is apply_perm(p, v) and preimage(v) its inverse, each one C call.
+_GAMMA24_PERMS = [(p, itemgetter(*sorted(range(6), key=p.__getitem__)), itemgetter(*p))
                   for p in sorted(GAMMA24)]
 
 # For one cone_index build: the key of each GAMMA24 image of the
 # generators of a six-dimensional cone, mapped to the cone.
 _Images = dict[int, Cone]
+
+# A cone built from an earlier one R: (R, p) with its generators the
+# images of R's under the GAMMA24 permutation p.
+_Carry = tuple[Cone, CoordPerm]
 
 
 def _image_key(gens, total: int) -> int:
@@ -244,9 +270,9 @@ def _image_key(gens, total: int) -> int:
     return hash((tuple(sorted(gens)), total))
 
 
-def _functionals_by_image(gens, images: _Images) -> _Functionals | None:
+def _functionals_by_image(gens, images: _Images) -> tuple[_Functionals, _Carry] | None:
     """The functionals of six generators from the memo's cone R whose
-    image they are, or None.
+    image they are, with (R, P), or None.
 
     If a coordinate permutation P maps R's generators one to one onto
     them, generator c is P applied to generator P^-1 c of R, and the rows
@@ -262,7 +288,7 @@ def _functionals_by_image(gens, images: _Images) -> _Functionals | None:
         return None
     rows, det, _ = rep._functionals
     position = {g: k for k, g in enumerate(rep.generators)}
-    for image, preimage in _GAMMA24_PERMS:
+    for p, image, preimage in _GAMMA24_PERMS:
         if preimage(gens[0]) in position:
             picked = [position.get(preimage(c)) for c in gens]
             if None not in picked and len(set(picked)) == len(picked):
@@ -273,7 +299,7 @@ def _functionals_by_image(gens, images: _Images) -> _Functionals | None:
     for (a, b, c, d, e, f), (g0, g1, g2, g3, g4, g5) in zip(functionals, gens):
         if a * g0 + b * g1 + c * g2 + d * g3 + e * g4 + f * g5 != det:
             raise InternalError(f"permuted functionals do not invert the generators {gens}")
-    return functionals, det, None
+    return (functionals, det, None), (rep, p)
 
 
 def _cone_functionals(generators: Sequence[ShearVector]) -> _Functionals:
@@ -313,66 +339,132 @@ def _cone_functionals(generators: Sequence[ShearVector]) -> _Functionals:
 
 
 def _sign_key(v) -> int:
-    """The signs of a 6-vector as one int: bit i for v_i > 0, bit 6 + i
-    for v_i < 0."""
+    """The signs of the nine forms of a 6-vector as one int: the forms
+    are v_0, ..., v_5 and v_0 - v_3, v_1 - v_4, v_2 - v_5, and form i sets
+    bit i when > 0, bit 9 + i when < 0."""
+    v0, v1, v2, v3, v4, v5 = v
     key = 0
-    for i, x in enumerate(v):
+    for i, x in enumerate((v0, v1, v2, v3, v4, v5, v0 - v3, v1 - v4, v2 - v5)):
         if x > 0:
             key |= 1 << i
         elif x < 0:
-            key |= 64 << i
+            key |= 512 << i
     return key
+
+
+def _key_move(p: CoordPerm) -> tuple[array, array]:
+    """Two 512-entry tables (pos, neg) with _sign_key(apply_perm(p, v))
+    == pos[k & 511] | neg[k >> 9] for k = _sign_key(v).
+
+    apply_perm moves coordinate i to p[i], and the difference of pair i
+    to that of pair p[i] % 3, negated when p[i] >= 3 (p swapped the pair):
+    so each bit of a key goes to one bit, a negated form's to the other
+    sign's."""
+    pos, neg = [0], [0]
+    for i, j in enumerate(p + p[:3]):
+        if i < 6:
+            up, down = 1 << j, 512 << j
+        else:   # the difference of pair i - 6
+            up, down = 1 << 6 + j % 3, 512 << 6 + j % 3
+            if j >= 3:
+                up, down = down, up
+        pos += [k | up for k in pos]
+        neg += [k | down for k in neg]
+    # arrays, as a build holds the tables of all 24 permutations at once,
+    # about 0.8 MB as lists of ints and 0.1 MB as arrays of C ints
+    return array("i", pos), array("i", neg)
 
 
 def _face_patterns(face: int) -> list[int]:
     """The sign keys a positive combination of generators can have, given
-    the OR of their sign keys: a coordinate where they have both signs may
-    take any sign, every other coordinate takes theirs."""
-    pos, neg = face & 63, face >> 6
+    the OR of their sign keys: a form where they have both signs may
+    take any sign, every other form takes theirs."""
+    pos, neg = face & 511, face >> 9
     both = pos & neg
-    out = [(pos ^ both) | (neg ^ both) << 6]
-    for i in range(6):
+    out = [(pos ^ both) | (neg ^ both) << 9]
+    for i in range(9):
         if both >> i & 1:
-            out += [s | 1 << i for s in out] + [s | 64 << i for s in out]
+            out += [s | 1 << i for s in out] + [s | 512 << i for s in out]
     return out
+
+
+def _cone_keys(gen_keys: list[int], face_patterns: dict[int, list[int]]) -> set[int]:
+    """The sign keys of the points of a cone, from its generators' keys:
+    a point is a positive combination of the generators of one face, so
+    its key is one of the ``_face_patterns`` of the OR of theirs, which is
+    that OR itself when no form has both signs on the face.
+    ``face_patterns`` memoises the others across one build."""
+    keys = {0}   # the OR of the sign keys of each face's generators
+    for key in set(gen_keys):
+        keys.update([f | key for f in keys])
+    mixed = [f for f in keys if f & f >> 9]
+    keys.difference_update(mixed)
+    for f in mixed:
+        if f not in face_patterns:
+            face_patterns[f] = _face_patterns(f)
+        keys.update(face_patterns[f])
+    return keys
 
 
 class _ConeIndex:
     """Maximal cones with their integer functionals, listed under the sign
     keys their points can have.
 
-    A point of a cone is a positive combination of the generators of one
-    face, so its sign key is one of that face's ``_face_patterns``.
-    ``patterns[key]`` lists, in ``cones`` order, the cones with a face that
-    allows the key, and ``containing(v)`` tests only the cones listed under
-    v's key.  ``stars[g]`` holds the positions in ``cones`` of the cones
-    with generator g; the build checks that each generator is the shear
-    vector of one curve."""
+    A key holds the signs of nine integer forms of a point v: its six
+    coordinates and the three pair differences v_i - v_(i+3).  The
+    differences vanish on every closed curve's shear vector, so they
+    split the fan along the kind-VII directions, where the coordinates
+    alone list a cone under many keys its points never have: at h = 3 a
+    query tests a mean of 38 to 52 cones, against 77 to 145 by the
+    coordinates alone.
+    ``patterns[key]`` lists, in ``cones`` order, the cones with a point
+    that may have the key (:func:`_cone_keys`), and ``containing(v)``
+    tests only the cones listed under v's key.
 
-    def __init__(self, cones: list[Cone]):
+    ``GAMMA24`` permutes the nine forms up to sign, so when ``carried``
+    gives a cone as (R, p), built from the earlier cone R by the
+    permutation p (:func:`_carried_cone`), its keys are R's moved by the
+    tables of :func:`_key_move`, built here for each p met.  The other
+    cones, and every cone when ``carried`` is empty, have theirs found
+    from their faces.  ``stars[g]`` holds the positions in ``cones`` of
+    the cones with generator g; the build checks that each cone has its
+    collection and that each generator is the shear vector of one curve."""
+
+    def __init__(self, cones: list[Cone], carried: Sequence[_Carry | None] = ()):
         self.cones = cones
-        self.patterns: dict[int, list] = {}
-        self.stars: dict[ShearVector, set[int]] = {}
-        seen: dict[ShearVector, tuple[AllowableCurve, int]] = {}
+        patterns: dict[int, list] = defaultdict(list)
+        # each generator's first curve, sign key and star
+        seen: dict[ShearVector, tuple[AllowableCurve, int, set[int]]] = {}
         face_patterns: dict[int, list[int]] = {}
-        for pos, cone in enumerate(cones):
-            faces = {0}   # the OR of the sign keys of each face's generators
+        moves: dict[CoordPerm, tuple[array, array]] = {}
+        # the keys of each six-dimensional cone listed from its faces, by
+        # id: a cone hashes by its canonical generators
+        listed: dict[int, tuple[int, ...]] = {}
+        for pos, (cone, carry) in enumerate(zip(cones, carried or itertools.repeat(None))):
+            if cone.collection is None:
+                raise InternalError("indexed cone without its collection")
             for curve, g in zip(cone.collection.curves, cone.generators):
                 if g not in seen:
-                    seen[g] = (curve, _sign_key(g))
-                first, key = seen[g]
+                    seen[g] = (curve, _sign_key(g), set())
+                first, _, star = seen[g]
                 if first is not curve and first != curve:
                     raise InternalError(f"{first} and {curve} have one shear vector {g}")
-                self.stars.setdefault(g, set()).add(pos)
-                faces |= {f | key for f in faces}
-            keys = set()
-            for f in faces:
-                if f not in face_patterns:
-                    face_patterns[f] = _face_patterns(f)
-                keys.update(face_patterns[f])
+                star.add(pos)
+            if carry is None:
+                keys = _cone_keys([seen[g][1] for g in cone.generators], face_patterns)
+                if len(cone.generators) == 6:
+                    listed[id(cone)] = tuple(keys)
+            else:
+                rep, p = carry
+                if p not in moves:
+                    moves[p] = _key_move(p)
+                pos_move, neg_move = moves[p]
+                keys = [pos_move[k & 511] | neg_move[k >> 9] for k in listed[id(rep)]]
             entry = (pos, cone, *cone._functionals)
             for key in keys:
-                self.patterns.setdefault(key, []).append(entry)
+                patterns[key].append(entry)
+        self.patterns = dict(patterns)
+        self.stars = {g: star for g, (_, _, star) in seen.items()}
 
     def containing(self, v, distinct: bool = False
                    ) -> Iterator[tuple[Cone, tuple[int, ...], int]]:
@@ -383,7 +475,7 @@ class _ConeIndex:
         if it has one (kind VII), gives n . v == 0 and every functional row
         gives f_k . v >= 0; nums[k] is f_k . v.  Each dot product is
         written out over v's six coordinates, unpacked once, with each row
-        unpacked in the loop header, because a scan tests about 300 rows a
+        unpacked in the loop header, because a scan tests about 100 rows a
         query at h = 3 and ``sum(map(mul, row, v))`` would build an
         iterator for each.  A cone is dropped on its first negative row.
 
@@ -425,12 +517,15 @@ def cone_index(max_height: int) -> _ConeIndex:
 
 @functools.lru_cache(maxsize=4)
 def _cached_index(max_height: int) -> _ConeIndex:
-    return _ConeIndex(_maximal_cones(max_height))
+    built = _maximal_cones(max_height)
+    return _ConeIndex([cone for cone, _ in built], [carry for _, carry in built])
 
 
-def _maximal_cones(max_height: int) -> list[Cone]:
+def _maximal_cones(max_height: int) -> list[tuple[Cone, _Carry | None]]:
+    """Every maximal cone at the height, in build order, each with where
+    its functionals came from (:func:`_carried_cone`)."""
     images: _Images = {}
-    return [cone_of(c, images) for c in maximal_collections(max_height)]
+    return [_carried_cone(c, images) for c in maximal_collections(max_height)]
 
 
 def _shear_vector(v) -> ShearVector:
@@ -461,8 +556,6 @@ def locate(v: Sequence[int], max_height: int = 6) -> QuasiLamination:
     # check and the merge and sort
     found: dict[AllowableCurve, int] | None = None
     for cone, nums, det in index.containing(v, distinct=True):
-        if cone.collection is None:
-            raise InternalError("indexed cone without its collection")
         weights = {}
         for curve, x in zip(cone.collection.curves, nums):
             if x == 0:

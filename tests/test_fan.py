@@ -460,19 +460,31 @@ def listed_keys(index):
     return out
 
 
+def nine_forms(v):
+    """The forms the sign keys are read from: the six coordinates and the
+    three pair differences v_i - v_(i+3)."""
+    return tuple(v) + tuple(v[i] - v[i + 3] for i in range(3))
+
+
+def key_of_signs(signs):
+    """The sign key of nine form signs: bit i for form i > 0, bit 9 + i
+    for form i < 0."""
+    return sum(1 << i if s > 0 else 512 << i for i, s in enumerate(signs) if s)
+
+
 def face_sign_keys(cone):
     """The sign keys of the points of a cone, from each face's generator
-    signs: a coordinate where the face's generators have both signs may
-    take any sign, every other coordinate takes theirs."""
+    signs on the nine forms: a form where the face's generators have both
+    signs may take any sign, every other form takes theirs."""
     keys = {0}
     n = len(cone.generators)
     for r in range(1, n + 1):
-        for face in itertools.combinations(cone.generators, r):
+        for face in itertools.combinations(map(nine_forms, cone.generators), r):
             choices = []
-            for i in range(6):
+            for i in range(9):
                 signs = {(g[i] > 0) - (g[i] < 0) for g in face} - {0}
                 choices.append((-1, 0, 1) if len(signs) == 2 else tuple(signs) or (0,))
-            keys.update(fan._sign_key(signs) for signs in itertools.product(*choices))
+            keys.update(key_of_signs(signs) for signs in itertools.product(*choices))
     return keys
 
 
@@ -510,11 +522,14 @@ class TestSignPatterns:
                 assert fan._sign_key(cone_point(cone, weights)) in listed[pos]
 
     def test_mixed_coordinates_take_any_sign(self):
-        # a*g1 + b*g2 = (a - b, b, a + b): the first coordinate takes every
-        # sign on the face {g1, g2}, and (+, +, +) is on no smaller face
+        # a*g1 + b*g2 = (a - b, b, a + b, 0, 0, 0): the first coordinate,
+        # and with it v_0 - v_3, takes every sign on the face {g1, g2}, and
+        # (+, +, +) is on no smaller face.  Each of the two forms may take
+        # any sign, independently of the other
         g1, g2 = (1, 0, 1, 0, 0, 0), (-1, 1, 1, 0, 0, 0)
         assert sorted(fan._face_patterns(fan._sign_key(g1) | fan._sign_key(g2))) == sorted(
-            fan._sign_key((x, 1, 1, 0, 0, 0)) for x in (-1, 0, 1))
+            key_of_signs((x, 1, 1, 0, 0, 0, d, 1, 1))
+            for x, d in itertools.product((-1, 0, 1), repeat=2))
         gens = (g1, g2, (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0),
                 (0, 0, 0, 0, 0, 1))
         cone = fan.Cone(gens, "I", base_cone().collection)
@@ -524,7 +539,53 @@ class TestSignPatterns:
 
     def test_sign_key(self):
         assert fan._sign_key((0,) * 6) == 0
-        assert fan._sign_key((3, 0, -1, 0, 0, 7)) == 0b100001 | 0b000100 << 6
+        # forms 3, 0, -1, 0, 0, 7 and differences 3, 0, -8
+        assert fan._sign_key((3, 0, -1, 0, 0, 7)) == 0b001100001 | 0b100000100 << 9
+        # a closed curve's differences vanish; one more unit on v_3 does not
+        assert fan._sign_key((2, 0, 0, 2, 0, 0)) == 0b000001001
+        assert fan._sign_key((2, 0, 0, 3, 0, 0)) == 0b000001001 | 0b001000000 << 9
+        assert fan._sign_key((1, -1, 0, 0, 0, 0)) == key_of_signs(nine_forms((1, -1, 0, 0, 0, 0)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=6, max_size=6))
+    def test_key_move_is_the_permuted_sign_key(self, v):
+        # GAMMA24 permutes the nine forms up to sign, so its tables move
+        # the key of v to the key of its image
+        key = fan._sign_key(v)
+        for p in GAMMA24:
+            pos, neg = fan._key_move(p)
+            assert len(pos) == len(neg) == 512
+            assert fan._sign_key(apply_perm(p, v)) == pos[key & 511] | neg[key >> 9]
+
+    @pytest.mark.parametrize("height", [1, 2, 3])
+    def test_carried_listing_is_the_direct_listing(self, height):
+        # the keys moved from each cone's representative are those its
+        # faces give, with every entry in the same order
+        idx = fan.cone_index(height)
+        direct = fan._ConeIndex(idx.cones)
+        assert idx.patterns.keys() == direct.patterns.keys()
+        for key, entries in idx.patterns.items():
+            assert [(e[0], e[1]) for e in entries] == \
+                [(e[0], e[1]) for e in direct.patterns[key]]
+        assert idx.stars == direct.stars
+
+    def test_keys_found_once_per_orbit(self, monkeypatch, cleared_index_cache):
+        # faces and patterns only for the cones the build did not carry:
+        # one six-dimensional representative per GAMMA24 orbit and every
+        # kind-VII cone; the other 1736 take their representative's keys
+        sizes = []
+        cone_keys = fan._cone_keys
+        monkeypatch.setattr(fan, "_cone_keys",
+                            lambda keys, memo: sizes.append(len(keys)) or cone_keys(keys, memo))
+        cones = fan.cone_index(3).cones
+        assert len(cones) == 2256
+        assert sizes.count(6) == 264 and sizes.count(5) == 256 and len(sizes) == 520
+        assert sum(c.kind == "VII" for c in cones) == 256
+
+    def test_cone_without_collection_is_internal_error(self):
+        gens = base_cone().generators
+        with pytest.raises(InternalError, match="without its collection"):
+            fan._ConeIndex([fan.Cone(gens, "I")])
 
     @pytest.mark.parametrize("height", [1, 2, 3])
     def test_stars(self, height):
