@@ -47,8 +47,8 @@ SCHEMA = "sphere-lam/1"
 SHEAR_MAX_HEIGHT = {"word": 50_000, "oracle": 1_000}
 RENDER_MAX_ELEMENTS = 10_000
 # cones and locate build every maximal cone up to their --max-height: about
-# 1.2 s at the default 6, 3.3 s and 59 MB at this cap (same host; a whole
-# `cones` command, JSON included, about 1.4 s and 4.2 s)
+# 0.7-0.9 s at the default 6, 2.0-2.7 s and 54 MB at this cap (same host; a
+# whole `cones` command, JSON included, about 0.9 s and 2.4 s)
 CONE_MAX_HEIGHT = 10
 
 
@@ -206,7 +206,7 @@ def _cmd_cones(args) -> str:
     from . import fan
 
     # without locate's sign-key listing
-    cones = [cone for cone, _ in fan._maximal_cones(args.max_height)]
+    cones = fan._maximal_cones(args.max_height)
     return _doc(
         max_height=args.max_height,
         count=len(cones),

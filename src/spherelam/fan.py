@@ -10,24 +10,22 @@ A :class:`Cone` is a frozen value whose membership functionals are found
 when it is built, as its rank check.  :func:`cone_index` builds every
 maximal cone up to a height.  A six-dimensional cone whose generators are
 a ``GAMMA24`` coordinate permutation of those of a cone built earlier in
-the same build takes its functionals from that cone, permuted; the
-others, and every kind-VII cone, find theirs by one exact elimination.
+the same build takes its functionals from that cone, moved by the
+permutation stored with the image it matched; the others, and every
+kind-VII cone, find theirs by one exact elimination.
 
 The index lists each cone under the sign keys its points can have, over
 nine integer forms: the six coordinates and the three pair differences
-v_i - v_(i+3).  The differences vanish on every closed curve, so they
-split the fan along the kind-VII directions, and ``GAMMA24`` (the
-rotations of the three pairs times the swaps within each pair) permutes
-them up to sign.  So the keys of a cone whose functionals were carried
-from another are that cone's keys with their bits moved, and the listing
-too is found once per ``GAMMA24`` orbit.
+v_i - v_(i+3), which vanish on every closed curve and so split the fan
+along the kind-VII directions.  Every cone's keys are read from its
+faces: the functionals are the one thing a build carries across a
+``GAMMA24`` orbit.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from array import array
 from collections import defaultdict
 from operator import itemgetter
 from typing import Iterator, Sequence
@@ -60,7 +58,6 @@ from .shear import (
     RHO,
     RHO2,
     compose,
-    CoordPerm,
     QuasiLamination,
     ShearVector,
     _item1,
@@ -219,46 +216,37 @@ def cone_of(coll: MaximalCollection, images: _Images | None = None) -> Cone:
     r x r block of generator coordinates exists exactly when the r
     generators have rank r.  With ``images`` (one per :func:`cone_index`
     build), a six-dimensional cone first looks for itself among the
-    ``GAMMA24`` images of the cones built before it
-    (:func:`_functionals_by_image`); on a miss, it finds its functionals
-    by elimination and its images join the memo."""
-    return _carried_cone(coll, images)[0]
-
-
-def _carried_cone(coll: MaximalCollection, images: _Images | None
-                  ) -> tuple[Cone, _Carry | None]:
-    """:func:`cone_of` with where its functionals came from: (R, p) when
-    they are those of the memo's cone R moved by the ``GAMMA24``
-    permutation p, None when they were found by elimination."""
+    ``GAMMA24`` images of the cones built before it, and takes the
+    functionals of the one it matches moved by the permutation stored
+    with that image (:func:`_functionals_by_image`); on a miss, it finds
+    its functionals by elimination and its images join the memo, each
+    with its permutation."""
     gens = tuple(shear_closed_form(c) for c in coll.curves)
     expected = 5 if coll.kind == "VII" else 6
     if len(gens) != expected:
         raise RankDeficient(f"kind {coll.kind} cone has {len(gens)} generators")
     if images is None or expected == 5:
-        return Cone(gens, coll.kind, coll), None
-    found = _functionals_by_image(gens, images)
-    if found is not None:
-        functionals, carry = found
-        return Cone._of_functionals(gens, coll.kind, coll, functionals), carry
+        return Cone(gens, coll.kind, coll)
+    functionals = _functionals_by_image(gens, images)
+    if functionals is not None:
+        return Cone._of_functionals(gens, coll.kind, coll, functionals)
     cone = Cone(gens, coll.kind, coll)
     total = sum(map(sum, gens))
-    for _, image, _ in _GAMMA24_PERMS:
-        images.setdefault(_image_key(map(image, gens), total), cone)
-    return cone, None
+    for image, preimage in _GAMMA24_PERMS:
+        images.setdefault(_image_key(map(image, gens), total), (cone, image, preimage))
+    return cone
 
 
-# Each coordinate permutation p of GAMMA24 as (p, image, preimage):
-# image(v) is apply_perm(p, v) and preimage(v) its inverse, each one C call.
-_GAMMA24_PERMS = [(p, itemgetter(*sorted(range(6), key=p.__getitem__)), itemgetter(*p))
+# Each coordinate permutation p of GAMMA24 as (image, preimage): image(v)
+# is apply_perm(p, v) and preimage(v) its inverse, each one C call.
+_GAMMA24_PERMS = [(itemgetter(*sorted(range(6), key=p.__getitem__)), itemgetter(*p))
                   for p in sorted(GAMMA24)]
 
 # For one cone_index build: the key of each GAMMA24 image of the
-# generators of a six-dimensional cone, mapped to the cone.
-_Images = dict[int, Cone]
-
-# A cone built from an earlier one R: (R, p) with its generators the
-# images of R's under the GAMMA24 permutation p.
-_Carry = tuple[Cone, CoordPerm]
+# generators of a six-dimensional cone, mapped to (cone, image, preimage)
+# of the first cone built, and its first permutation in _GAMMA24_PERMS,
+# that gave the key.
+_Images = dict[int, tuple[Cone, itemgetter, itemgetter]]
 
 
 def _image_key(gens, total: int) -> int:
@@ -270,36 +258,34 @@ def _image_key(gens, total: int) -> int:
     return hash((tuple(sorted(gens)), total))
 
 
-def _functionals_by_image(gens, images: _Images) -> tuple[_Functionals, _Carry] | None:
+def _functionals_by_image(gens, images: _Images) -> _Functionals | None:
     """The functionals of six generators from the memo's cone R whose
-    image they are, with (R, P), or None.
+    image they are under the stored permutation P, or None.
 
-    If a coordinate permutation P maps R's generators one to one onto
-    them, generator c is P applied to generator P^-1 c of R, and the rows
-    of R, a positive multiple of the inverse of its generator matrix, give
-    theirs by P: (P f) . (P g) = f . g, and |det| is unchanged.  These are
-    the rows of :func:`_cone_functionals`, as the rows of |det| M^-1 for
-    the generator matrix M are unique; R has rank 6, so the generators
-    have too.  P is the first permutation of ``GAMMA24`` that does so; a
-    key shared by another cone's image, where none does, is no hit.  Each
-    hit is checked, with InternalError: row k must give det on generator k."""
-    rep = images.get(_image_key(gens, sum(map(sum, gens))))
-    if rep is None:
+    If P maps R's generators one to one onto them, generator c is P
+    applied to generator P^-1 c of R, and the rows of R, a positive
+    multiple of the inverse of its generator matrix, give theirs by P:
+    (P f) . (P g) = f . g, and |det| is unchanged.  These are the rows of
+    :func:`_cone_functionals`, as the rows of |det| M^-1 for the generator
+    matrix M are unique; R has rank 6, so the generators have too.  Only
+    the stored P is tried: a key shared by another generator set, which P
+    does not map onto these, is no hit and costs one elimination, never a
+    wrong row.  Each hit is checked, with InternalError: row k must give
+    det on generator k."""
+    hit = images.get(_image_key(gens, sum(map(sum, gens))))
+    if hit is None:
         return None
+    rep, image, preimage = hit
     rows, det, _ = rep._functionals
     position = {g: k for k, g in enumerate(rep.generators)}
-    for p, image, preimage in _GAMMA24_PERMS:
-        if preimage(gens[0]) in position:
-            picked = [position.get(preimage(c)) for c in gens]
-            if None not in picked and len(set(picked)) == len(picked):
-                break
-    else:
+    picked = [position.get(preimage(c)) for c in gens]
+    if None in picked or len(set(picked)) != len(picked):
         return None
     functionals = [image(rows[k]) for k in picked]
     for (a, b, c, d, e, f), (g0, g1, g2, g3, g4, g5) in zip(functionals, gens):
         if a * g0 + b * g1 + c * g2 + d * g3 + e * g4 + f * g5 != det:
             raise InternalError(f"permuted functionals do not invert the generators {gens}")
-    return (functionals, det, None), (rep, p)
+    return functionals, det, None
 
 
 def _cone_functionals(generators: Sequence[ShearVector]) -> _Functionals:
@@ -352,29 +338,6 @@ def _sign_key(v) -> int:
     return key
 
 
-def _key_move(p: CoordPerm) -> tuple[array, array]:
-    """Two 512-entry tables (pos, neg) with _sign_key(apply_perm(p, v))
-    == pos[k & 511] | neg[k >> 9] for k = _sign_key(v).
-
-    apply_perm moves coordinate i to p[i], and the difference of pair i
-    to that of pair p[i] % 3, negated when p[i] >= 3 (p swapped the pair):
-    so each bit of a key goes to one bit, a negated form's to the other
-    sign's."""
-    pos, neg = [0], [0]
-    for i, j in enumerate(p + p[:3]):
-        if i < 6:
-            up, down = 1 << j, 512 << j
-        else:   # the difference of pair i - 6
-            up, down = 1 << 6 + j % 3, 512 << 6 + j % 3
-            if j >= 3:
-                up, down = down, up
-        pos += [k | up for k in pos]
-        neg += [k | down for k in neg]
-    # arrays, as a build holds the tables of all 24 permutations at once,
-    # about 0.8 MB as lists of ints and 0.1 MB as arrays of C ints
-    return array("i", pos), array("i", neg)
-
-
 def _face_patterns(face: int) -> list[int]:
     """The sign keys a positive combination of generators can have, given
     the OR of their sign keys: a form where they have both signs may
@@ -419,28 +382,19 @@ class _ConeIndex:
     coordinates alone.
     ``patterns[key]`` lists, in ``cones`` order, the cones with a point
     that may have the key (:func:`_cone_keys`), and ``containing(v)``
-    tests only the cones listed under v's key.
+    tests only the cones listed under v's key.  Every cone's keys are read
+    from its faces, with the face patterns memoised across the build.
+    ``stars[g]`` holds the positions in ``cones`` of the cones with
+    generator g; the build checks that each cone has its collection and
+    that each generator is the shear vector of one curve."""
 
-    ``GAMMA24`` permutes the nine forms up to sign, so when ``carried``
-    gives a cone as (R, p), built from the earlier cone R by the
-    permutation p (:func:`_carried_cone`), its keys are R's moved by the
-    tables of :func:`_key_move`, built here for each p met.  The other
-    cones, and every cone when ``carried`` is empty, have theirs found
-    from their faces.  ``stars[g]`` holds the positions in ``cones`` of
-    the cones with generator g; the build checks that each cone has its
-    collection and that each generator is the shear vector of one curve."""
-
-    def __init__(self, cones: list[Cone], carried: Sequence[_Carry | None] = ()):
+    def __init__(self, cones: list[Cone]):
         self.cones = cones
         patterns: dict[int, list] = defaultdict(list)
         # each generator's first curve, sign key and star
         seen: dict[ShearVector, tuple[AllowableCurve, int, set[int]]] = {}
         face_patterns: dict[int, list[int]] = {}
-        moves: dict[CoordPerm, tuple[array, array]] = {}
-        # the keys of each six-dimensional cone listed from its faces, by
-        # id: a cone hashes by its canonical generators
-        listed: dict[int, tuple[int, ...]] = {}
-        for pos, (cone, carry) in enumerate(zip(cones, carried or itertools.repeat(None))):
+        for pos, cone in enumerate(cones):
             if cone.collection is None:
                 raise InternalError("indexed cone without its collection")
             for curve, g in zip(cone.collection.curves, cone.generators):
@@ -450,18 +404,8 @@ class _ConeIndex:
                 if first is not curve and first != curve:
                     raise InternalError(f"{first} and {curve} have one shear vector {g}")
                 star.add(pos)
-            if carry is None:
-                keys = _cone_keys([seen[g][1] for g in cone.generators], face_patterns)
-                if len(cone.generators) == 6:
-                    listed[id(cone)] = tuple(keys)
-            else:
-                rep, p = carry
-                if p not in moves:
-                    moves[p] = _key_move(p)
-                pos_move, neg_move = moves[p]
-                keys = [pos_move[k & 511] | neg_move[k >> 9] for k in listed[id(rep)]]
             entry = (pos, cone, *cone._functionals)
-            for key in keys:
+            for key in _cone_keys([seen[g][1] for g in cone.generators], face_patterns):
                 patterns[key].append(entry)
         self.patterns = dict(patterns)
         self.stars = {g: star for g, (_, _, star) in seen.items()}
@@ -508,8 +452,9 @@ class _ConeIndex:
 def cone_index(max_height: int) -> _ConeIndex:
     """The index of every maximal cone at the given height, checked before
     the cache.  The last four heights used are kept (one index at h = 10
-    holds about 50 MB): a command line call builds one height, the
-    ``fan-locate`` benchmark uses 3, the self-test 2 and the tests several.
+    holds about 38 MB, and its build peaks at about 54 MB of RSS): a
+    command line call builds one height, the ``fan-locate`` benchmark
+    uses 3, the self-test 2 and the tests several.
     The ``GAMMA24`` images memo of :func:`cone_of` lives for one build."""
     check_height(max_height)
     return _cached_index(max_height)
@@ -517,15 +462,14 @@ def cone_index(max_height: int) -> _ConeIndex:
 
 @functools.lru_cache(maxsize=4)
 def _cached_index(max_height: int) -> _ConeIndex:
-    built = _maximal_cones(max_height)
-    return _ConeIndex([cone for cone, _ in built], [carry for _, carry in built])
+    return _ConeIndex(_maximal_cones(max_height))
 
 
-def _maximal_cones(max_height: int) -> list[tuple[Cone, _Carry | None]]:
-    """Every maximal cone at the height, in build order, each with where
-    its functionals came from (:func:`_carried_cone`)."""
+def _maximal_cones(max_height: int) -> list[Cone]:
+    """Every maximal cone at the height, in build order, with one
+    ``GAMMA24`` images memo (:func:`cone_of`)."""
     images: _Images = {}
-    return [_carried_cone(c, images) for c in maximal_collections(max_height)]
+    return [cone_of(c, images) for c in maximal_collections(max_height)]
 
 
 def _shear_vector(v) -> ShearVector:
@@ -603,34 +547,30 @@ def _thm12_item2(a: int, b: int) -> ShearVector:
 THM12_ITEMS = (_item1, _thm12_item2, _item2, _item5)
 
 
+_ZX = perm_product(sorted(GROUP_Z), (PERM_ID, PERM_X))
+
+# Each form's rows: (item, low end open, inf included, permutations).
+_UNIVERSAL_ROWS = {
+    "thm12": [(item, True, True, sorted(GAMMA24)) for item in THM12_ITEMS],
+    "thm81": [
+        (_item1, True, True, _ZX),
+        (_item4, False, False, _ZX),
+        (_item2, True, True, perm_product(sorted(GROUP_Z), sorted(GROUP_Y))),
+        (_item5, True, True, sorted(GROUP_Z)),
+    ],
+}
+
+
 def universal_raw(max_height: int, form: str) -> list[ShearVector]:
     """The universal-coefficient list as generated (before deduplication):
-    one entry per (item, slope, permutation)."""
-    out: list[ShearVector] = []
-    if form == "thm12":
-        for item in THM12_ITEMS:
-            for s in _slopes_in_range(max_height, low_open=True, include_inf=True):
-                base = item(s.a, s.b)
-                for p in sorted(GAMMA24):
-                    out.append(apply_perm(p, base))
-        return out
-    if form == "thm81":
-        zx = perm_product(sorted(GROUP_Z), (PERM_ID, PERM_X))
-        zy = perm_product(sorted(GROUP_Z), sorted(GROUP_Y))
-        z = sorted(GROUP_Z)
-        rows = (
-            (_item1, True, True, zx),
-            (_item4, False, False, zx),
-            (_item2, True, True, zy),
-            (_item5, True, True, z),
-        )
-        for item, low_open, include_inf, perms in rows:
-            for s in _slopes_in_range(max_height, low_open, include_inf):
-                base = item(s.a, s.b)
-                for p in perms:
-                    out.append(apply_perm(p, base))
-        return out
-    raise ValueError(f"unknown form {form!r}")
+    one entry per (item, slope, permutation), in the rows of the form."""
+    if form not in _UNIVERSAL_ROWS:
+        raise ValueError(f"unknown form {form!r}")
+    return [apply_perm(p, base)
+            for item, low_open, include_inf, perms in _UNIVERSAL_ROWS[form]
+            for s in _slopes_in_range(max_height, low_open, include_inf)
+            for base in [item(s.a, s.b)]
+            for p in perms]
 
 
 def universal_coeffs(max_height: int, form: str = "thm81") -> list[ShearVector]:

@@ -500,7 +500,7 @@ class TestSignPatterns:
     """The cone index lists each cone under the sign keys of its faces'
     points; the cones it yields must be those of the unfiltered scan."""
 
-    @pytest.mark.parametrize("height", [1, 2])
+    @pytest.mark.parametrize("height", [1, 2, 3])
     def test_listing_is_the_face_sign_keys(self, height):
         idx = fan.cone_index(height)
         listed = listed_keys(idx)
@@ -546,40 +546,17 @@ class TestSignPatterns:
         assert fan._sign_key((2, 0, 0, 3, 0, 0)) == 0b000001001 | 0b001000000 << 9
         assert fan._sign_key((1, -1, 0, 0, 0, 0)) == key_of_signs(nine_forms((1, -1, 0, 0, 0, 0)))
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.integers(-3, 3), min_size=6, max_size=6))
-    def test_key_move_is_the_permuted_sign_key(self, v):
-        # GAMMA24 permutes the nine forms up to sign, so its tables move
-        # the key of v to the key of its image
-        key = fan._sign_key(v)
-        for p in GAMMA24:
-            pos, neg = fan._key_move(p)
-            assert len(pos) == len(neg) == 512
-            assert fan._sign_key(apply_perm(p, v)) == pos[key & 511] | neg[key >> 9]
-
-    @pytest.mark.parametrize("height", [1, 2, 3])
-    def test_carried_listing_is_the_direct_listing(self, height):
-        # the keys moved from each cone's representative are those its
-        # faces give, with every entry in the same order
-        idx = fan.cone_index(height)
-        direct = fan._ConeIndex(idx.cones)
-        assert idx.patterns.keys() == direct.patterns.keys()
-        for key, entries in idx.patterns.items():
-            assert [(e[0], e[1]) for e in entries] == \
-                [(e[0], e[1]) for e in direct.patterns[key]]
-        assert idx.stars == direct.stars
-
-    def test_keys_found_once_per_orbit(self, monkeypatch, cleared_index_cache):
-        # faces and patterns only for the cones the build did not carry:
-        # one six-dimensional representative per GAMMA24 orbit and every
-        # kind-VII cone; the other 1736 take their representative's keys
+    def test_keys_read_from_faces_of_every_cone(self, monkeypatch, cleared_index_cache):
+        # faces and patterns for every cone, once each and in build order:
+        # 2000 six-dimensional cones and 256 of kind VII at h = 3
         sizes = []
         cone_keys = fan._cone_keys
         monkeypatch.setattr(fan, "_cone_keys",
                             lambda keys, memo: sizes.append(len(keys)) or cone_keys(keys, memo))
         cones = fan.cone_index(3).cones
         assert len(cones) == 2256
-        assert sizes.count(6) == 264 and sizes.count(5) == 256 and len(sizes) == 520
+        assert sizes == [len(c.generators) for c in cones]
+        assert sizes.count(6) == 2000 and sizes.count(5) == 256
         assert sum(c.kind == "VII" for c in cones) == 256
 
     def test_cone_without_collection_is_internal_error(self):
@@ -762,6 +739,8 @@ class TestVectorLists:
     def test_universal_forms_agree(self):
         for h in (1, 2, 4):
             assert fan.universal_coeffs(h, "thm12") == fan.universal_coeffs(h, "thm81")
+        with pytest.raises(ValueError, match="unknown form 'thm13'"):
+            fan.universal_raw(2, "thm13")
 
     def test_thm81_irredundant(self):
         raw = fan.universal_raw(3, "thm81")
@@ -993,6 +972,36 @@ class TestOnePassBuild:
         assert {k: [e[0] for e in v] for k, v in got.patterns.items()} == \
             {k: [e[0] for e in v] for k, v in want.patterns.items()}
 
+    def test_hit_does_not_depend_on_the_registering_permutation(self, monkeypatch,
+                                                                  cleared_index_cache):
+        # a key whose generator set several permutations give is stored
+        # with the first of them; with GAMMA24 in reverse order another
+        # one is stored, and it carries the same rows to the same cones
+        adjugate = exactla.adjugate
+
+        def build():
+            fan._cached_index.cache_clear()
+            sizes = []
+            monkeypatch.setattr(exactla, "adjugate",
+                                lambda m: sizes.append(len(m)) or adjugate(m))
+            images = {}
+            for coll in fan.maximal_collections(2):
+                fan.cone_of(coll, images)
+            return fan.cone_index(2), sizes, images
+
+        want, want_sizes, want_images = build()
+        monkeypatch.setattr(fan, "_GAMMA24_PERMS", fan._GAMMA24_PERMS[::-1])
+        got, got_sizes, got_images = build()
+        assert got_images.keys() == want_images.keys()
+        assert any(got_images[k][1] is not want_images[k][1] for k in want_images)
+        assert got is not want and len(got.cones) == len(want.cones)
+        for g, w in zip(got.cones, want.cones):
+            assert (g.kind, g.generators, g.collection) == (w.kind, w.generators, w.collection)
+            assert g._functionals == w._functionals
+        assert {k: [e[0] for e in v] for k, v in got.patterns.items()} == \
+            {k: [e[0] for e in v] for k, v in want.patterns.items()}
+        assert got_sizes == want_sizes
+
     def test_repeated_generator_is_no_hit(self, monkeypatch):
         # a set with one generator twice is no image of a rank-6 cone,
         # even when its key is the memo's only key
@@ -1010,7 +1019,7 @@ class TestOnePassBuild:
         coll = base_cone().collection
         images = {}
         rep = fan.cone_of(coll, images)
-        assert {id(c) for c in images.values()} == {id(rep)}
+        assert {id(c) for c, _, _ in images.values()} == {id(rep)}
         rows, det, normal = rep._functionals
         assert fan.cone_of(coll, images)._functionals == (rows, det, normal)
         object.__setattr__(rep, "_functionals", (rows, det + 1, normal))
