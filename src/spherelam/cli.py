@@ -1,7 +1,8 @@
 """Command line front end.
 
 Every command emits a single JSON document on stdout (bare arrays for
-vector results, schema-tagged objects otherwise).  Exit codes: 0 success,
+vector results, schema-tagged objects otherwise).  ``cones`` writes its
+document one cone at a time.  Exit codes: 0 success,
 1 bad input (an error document with ``"kind": "domain"``), 2 usage error,
 3 internal error, a bug (an error document with ``"kind": "internal"``).
 
@@ -19,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .curves import AllowableCurve, TaggedArc, TaggedTriangulation, Puncture, Tagging, \
     arcs_compatible, base_triangulation, classify_pair, curves_compatible, json_field, \
@@ -201,20 +202,23 @@ def _check_cone_height(max_height: int) -> None:
         raise DomainError(f"cones and locate need max height at least 1; got {max_height}")
 
 
-def _cmd_cones(args) -> str:
+def _cmd_cones(args) -> Iterator[str]:
+    """The document in pieces joining to its one ``json.dumps``: the head, a
+    piece per cone, the brackets; the cones (no sign-key listing) come first."""
     _check_cone_height(args.max_height)
     from . import fan
 
-    # without locate's sign-key listing
     cones = fan._maximal_cones(args.max_height)
-    return _doc(
-        max_height=args.max_height,
-        count=len(cones),
-        cones=[
-            {"kind": c.kind, "generators": [list(g) for g in c.generators]}
-            for c in cones
-        ],
-    )
+    head = _doc(max_height=args.max_height, count=len(cones), cones=[])
+
+    def pieces() -> Iterator[str]:
+        yield head[:-2]  # up to the open bracket of the list
+        for n, c in enumerate(cones):
+            yield (", " if n else "") + json.dumps(
+                {"kind": c.kind, "generators": [list(g) for g in c.generators]})
+        yield "]}"
+
+    return pieces()
 
 
 def _cmd_locate(args) -> str:
@@ -422,8 +426,10 @@ def _error_doc(message: str, kind: str) -> str:
     return json.dumps({"schema": SCHEMA, "error": message, "kind": kind})
 
 
-def run(argv: list[str]) -> tuple[int, str]:
-    """Dispatch a command line; returns (exit code, stdout text)."""
+def run(argv: list[str], pieces: bool = False) -> tuple[int, str | Iterator[str]]:
+    """Dispatch a command line; returns (exit code, stdout text), or with
+    ``pieces`` the iterator of a document a command writes in pieces
+    (``cones``), each error raised before the first piece."""
     # a command builds its own parser only: building all of them would cost
     # more than a light command's mathematics
     parser = build_parser(_named_command(argv))
@@ -437,16 +443,17 @@ def run(argv: list[str]) -> tuple[int, str]:
         return 3, _error_doc(f"{type(e).__name__}: {e}", "internal")
     except (ValueError, json.JSONDecodeError, SphereLamError) as e:
         return 1, _error_doc(f"{type(e).__name__}: {e}", "domain")
-    if args.plain:
-        return 0, _plain_text(out)
-    return 0, out
+    if not isinstance(out, str) and (args.plain or not pieces):
+        out = "".join(out)
+    return 0, _plain_text(out) if args.plain else out
 
 
 def main(argv: list[str] | None = None) -> int:
-    code, out = run(sys.argv[1:] if argv is None else argv)
+    code, out = run(sys.argv[1:] if argv is None else argv, pieces=True)
     if out:
         try:
-            print(out)
+            sys.stdout.writelines([out] if isinstance(out, str) else out)
+            sys.stdout.write("\n")
             sys.stdout.flush()
         except BrokenPipeError:
             # the reader closed the pipe: what is left of the output, and the

@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from ._frozen import Frozen
 from .errors import ClosedCurveHasNoArc, DomainError, InternalError, MalformedInput, \
@@ -391,44 +391,6 @@ def _keys_compatible(x: tuple[int, int, int, int], y: tuple[int, int, int, int])
     return abs(a * d - b * c) == shared.bit_count() and not differ & shared
 
 
-def _slope_keys(a: int, b: int, rest: Sequence[tuple[int, int, int, int]] = ()
-                ) -> Iterator[tuple[int, int, int, int]]:
-    """The keys of the tagged arcs of the slope with primitive vector
-    (a, b) in standard form that the kernel does not reject outright
-    against any key of ``rest``; all 8 when ``rest`` is empty.
-
-    The endpoint masks are the two of :data:`_SLOPE_MASKS`.  A mask is kept
-    when it shares ``|det|`` endpoints with every key of ``rest`` but one
-    of the same underlying arc, so none is when some ``|det|`` with a
-    slope of ``rest`` exceeds 2: the slope is dropped at the first such
-    key, before any mask is tried.  Its notched ends are those notched in a
-    key of ``rest`` that shares them (the kernel rejects keys of ``rest``
-    that disagree there), plus any subset of the ends no key shares."""
-    dets = []
-    for c, d, _, _ in rest:
-        det = abs(a * d - b * c)
-        if det > 2:
-            return  # no mask can share more than two endpoints
-        dets.append(det)
-    for mask in _SLOPE_MASKS[2 * (a & 1) + (b & 1)]:
-        fixed = marks = 0
-        for (_, _, mask2, marks2), det in zip(rest, dets):
-            shared = mask & mask2
-            if mask2 == mask and not det:
-                continue  # the same underlying arc: the tags differ at one end
-            if shared.bit_count() != det:
-                break
-            fixed |= shared
-            marks |= marks2 & shared
-        else:
-            free = sub = mask ^ fixed
-            while True:
-                yield a, b, mask, marks | sub
-                if not sub:
-                    break
-                sub = (sub - 1) & free
-
-
 # The image of each 4-bit puncture mask under the lattice maps whose matrix
 # is ((p, q), (r, s)) mod 2, which send v_ij to v_(pi+qj, ri+sj): six tables,
 # one for each invertible matrix mod 2, keyed by (p, q, r, s).
@@ -585,61 +547,80 @@ class TaggedTriangulation(Frozen):
     """Six distinct pairwise compatible tagged arcs, in a fixed order;
     equal to any triangulation with the same set of arcs.
 
-    The constructor checks six distinct arcs, the compatibility kernel on
-    all 15 pairs of their integer keys ``_keys`` (see
-    :func:`arcs_compatible`) and an admissible degree sequence.
-    :meth:`_of_flip`, for :func:`triangulation.flip` only, skips the pairs."""
+    It is the integer keys ``_keys`` of its arcs (:func:`arcs_compatible`)
+    in arc order, equal and hashed by their frozenset; ``arcs`` is built
+    from them when first read, unless the constructor or a sweep sharing
+    one object per arc gave the arcs.  The constructor and :meth:`_of_keys`
+    check six distinct keys, each endpoint mask against the slope
+    (:data:`_SLOPE_MASKS`, as an arc's constructor does), the kernel on all
+    15 pairs and the degrees; :func:`triangulation.flip` skips the masks
+    and the pairs."""
 
-    __slots__ = ("arcs", "arc_set", "_keys", "degree_sequence")
+    __slots__ = ("_keys", "_key_set", "_arcs", "degree_sequence")
     _fields = ("arcs",)
-    arcs: tuple[TaggedArc, ...]
-    arc_set: frozenset[TaggedArc]
     _keys: tuple[tuple[int, int, int, int], ...]
+    _key_set: frozenset[tuple[int, int, int, int]]
+    _arcs: tuple[TaggedArc, ...] | None
     degree_sequence: tuple[int, int, int, int]
 
     def __init__(self, arcs: tuple[TaggedArc, ...]) -> None:
-        self._freeze(arcs, check_pairs=True)
+        arcs = tuple(arcs)
+        self._freeze(tuple([arc._key for arc in arcs]), arcs, check=True)
 
     @classmethod
-    def _of_flip(cls, arcs: tuple[TaggedArc, ...]) -> "TaggedTriangulation":
-        """The triangulation :func:`triangulation.flip` found, checked for
-        six distinct arcs and admissible degrees but not pairwise: the 10
-        pairs of kept arcs passed when the immutable input was built, the 5
-        pairs with the new arc are the kernel calls by which flip accepted
-        its key, and ``key not in taken`` made that arc new."""
+    def _of_keys(cls, keys: tuple[tuple[int, int, int, int], ...],
+                 arcs: tuple[TaggedArc, ...] | None = None,
+                 check: bool = True) -> "TaggedTriangulation":
+        """The triangulation of these keys (and arcs, if given); ``check=False``
+        is for :func:`triangulation.flip`, whose new key passed the kernel."""
         tri = object.__new__(cls)
-        tri._freeze(arcs, check_pairs=False)
+        tri._freeze(keys, arcs, check)
         return tri
 
-    def _freeze(self, arcs: tuple[TaggedArc, ...], check_pairs: bool) -> None:
-        object.__setattr__(self, "arcs", arcs)
-        object.__setattr__(self, "arc_set", frozenset(arcs))
-        if len(arcs) != 6 or len(self.arc_set) != 6:
+    def _freeze(self, keys: tuple[tuple[int, int, int, int], ...],
+                arcs: tuple[TaggedArc, ...] | None, check: bool) -> None:
+        key_set = frozenset(keys)
+        if len(keys) != 6 or len(key_set) != 6:
             raise ValueError("a tagged triangulation has exactly 6 distinct arcs")
-        keys = tuple([arc._key for arc in arcs])
-        if check_pairs:
+        if check:
+            for a, b, mask, _ in keys:
+                if mask not in _SLOPE_MASKS.get(2 * (a & 1) + (b & 1), ()):
+                    ends = ",".join(map(str, sorted(_MASK_PUNCTURES[mask])))
+                    raise ValueError(f"endpoints {ends} do not match the parity of slope "
+                                     f"{Slope(a, b)}")
             for i, j in _PAIRS:
                 if not _keys_compatible(keys[i], keys[j]):
-                    raise ValueError(f"incompatible arcs {arcs[i]}, {arcs[j]}")
+                    raise ValueError(f"incompatible arcs {TaggedArc._of_key(keys[i])}, "
+                                     f"{TaggedArc._of_key(keys[j])}")
         degrees = tuple(sorted(_degrees(keys)))
         if degrees not in _DEGREE_TYPES:
             raise ValueError(f"impossible degree sequence {degrees}")
         object.__setattr__(self, "_keys", keys)
+        object.__setattr__(self, "_key_set", key_set)
+        object.__setattr__(self, "_arcs", arcs)
         object.__setattr__(self, "degree_sequence", degrees)
 
     @property
+    def arcs(self) -> tuple[TaggedArc, ...]:
+        arcs = self._arcs
+        if arcs is None:
+            arcs = tuple([TaggedArc._of_key(key) for key in self._keys])
+            object.__setattr__(self, "_arcs", arcs)
+        return arcs
+
+    @property
     def height(self) -> int:
-        return max(max(a, abs(b)) for a, b, _, _ in self._keys)
+        return max([max(a, abs(b)) for a, b, _, _ in self._keys])
 
     @property
     def all_plain(self) -> bool:
-        return not any(marks for _, _, _, marks in self._keys)
+        return not any([key[3] for key in self._keys])
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TaggedTriangulation) and self.arc_set == other.arc_set
+        return isinstance(other, TaggedTriangulation) and self._key_set == other._key_set
 
     def __hash__(self) -> int:
-        return hash(self.arc_set)
+        return hash(self._key_set)
 
     def to_json(self) -> list:
         return [arc.to_json() for arc in self.arcs]

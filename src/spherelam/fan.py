@@ -34,12 +34,10 @@ from . import exactla
 from ._frozen import Frozen
 from .curves import (
     AllowableCurve,
-    TaggedArc,
     TaggedTriangulation,
     Tagging,
     curves_compatible,
     endpoint_sets,
-    kappa,
     kappa_inv,
     type_i_triangulation,
 )
@@ -100,24 +98,23 @@ class MaximalCollection(Frozen):
         cls,
         tri: TaggedTriangulation,
         kind: str,
-        memo: dict[TaggedArc, tuple[tuple, AllowableCurve]] | None = None,
+        memo: dict[tuple[int, int, int, int], tuple[tuple, AllowableCurve]] | None = None,
     ) -> MaximalCollection:
         """The kappa image of a triangulation, with its type tag.
 
         The pairwise check of the constructor is skipped: the
-        triangulation's constructor has run it on the arcs, and two
-        spiraling curves are compatible exactly when their arcs are
-        (:func:`arcs_compatible` with spiral directions in place of tags).
-        ``memo`` maps arcs to their curves and the curves' sort keys
-        across calls, so collections that share an arc share its curve
-        object and the key is computed once."""
+        triangulation's constructor has run it on the arc keys, and two
+        spiraling curves are compatible exactly when their arcs are.  Each
+        curve is built from its arc's key, which ``kappa`` keeps; ``memo``
+        maps keys to curves and their sort keys across calls, so
+        collections that share an arc share its curve object."""
         memo = {} if memo is None else memo
         entries = []
-        for arc in tri.arcs:
-            entry = memo.get(arc)
+        for key in tri._keys:
+            entry = memo.get(key)
             if entry is None:
-                curve = kappa(arc)
-                entry = memo[arc] = (curve.sort_key(), curve)
+                curve = AllowableCurve._of_key(key)
+                entry = memo[key] = (curve.sort_key(), curve)
             entries.append(entry)
         entries.sort(key=itemgetter(0))
         coll = object.__new__(cls)
@@ -129,16 +126,18 @@ class MaximalCollection(Frozen):
 def closed_collections(slope: Slope) -> list[MaximalCollection]:
     """The sixteen type-VII collections around the closed curve of a given
     slope: the kappa image of one coinciding pair of arcs in each of the
-    two endpoint pairs."""
+    two endpoint pairs, one curve object per arc key."""
     from .triangulation import _coinciding_pair
 
     first, second = endpoint_sets(slope)
     closed = AllowableCurve(slope)
-    memo: dict = {}
+    memo: dict[tuple[int, int, int, int], AllowableCurve] = {}
     out = []
     for v, v2, t, t2 in itertools.product(first, second, Tagging, Tagging):
-        arcs = _coinciding_pair(slope, v, t, memo) + _coinciding_pair(slope, v2, t2, memo)
-        out.append(MaximalCollection((closed, *map(kappa, arcs)), "VII"))
+        keys = _coinciding_pair(slope, v, t) + _coinciding_pair(slope, v2, t2)
+        curves = [memo.get(key) or memo.setdefault(key, AllowableCurve._of_key(key, slope))
+                  for key in keys]
+        out.append(MaximalCollection((closed, *curves), "VII"))
     return out
 
 
@@ -147,7 +146,7 @@ def maximal_collections(max_height: int) -> Iterator[MaximalCollection]:
     with slope parameters bounded by max_height."""
     from .triangulation import _enumerate_typed
 
-    memo: dict[TaggedArc, tuple[tuple, AllowableCurve]] = {}
+    memo: dict[tuple[int, int, int, int], tuple[tuple, AllowableCurve]] = {}
     for spec, tri in _enumerate_typed(max_height):
         yield MaximalCollection.of_triangulation(tri, spec.tag, memo)
     for slope in enumerate_slopes(max_height):

@@ -484,35 +484,18 @@ def shear_lamination(lam: QuasiLamination, tri: TaggedTriangulation = _BASE) -> 
 # ---------------------------------------------------------------------------
 
 
-def _torus_base(a: int, b: int) -> tuple[int, int, int]:
-    """Torus shear of the closed curve of nonnegative slope b/a with
-    respect to the plain torus triangulation of triple (0, inf, -1),
-    computed from the cyclic crossing word of one period."""
-    from . import plane
-
-    start, den = plane._closed_lift(a, b, (a, b))
-    xs = plane.segment_crossings(start, (a, b), den, include_lo=True)
-    # the crossed lines y = k (family 0) and x = k (family 1) in curve order
-    letters = [c[0] for c in xs if c[0] < 2]
-    x1 = -letters.count(0)
-    x2 = letters.count(1)
-    pairs = list(zip(letters, letters[1:] + letters[:1]))
-    tt = pairs.count((0, 0))
-    rr = pairs.count((1, 1))
-    if tt and rr:
-        raise InternalError("a torus word never contains both hh and vv pairs")
-    return (x1, x2, tt - rr)
-
-
 def torus_shear(s: Slope) -> tuple[int, int, int]:
     """Shear coordinates of the closed curve of slope s on the
     once-punctured torus, indexed compatibly with the sphere coordinates
-    (slot i of the torus vector matches slots i, i+3 on the sphere)."""
+    (slot i of the torus vector matches slots i, i+3 on the sphere): with
+    respect to the plain torus triangulation of triple (0, inf, -1), a
+    closed form in the vector (a, b), a >= 0, in three pieces."""
     a, b = s.vector
     if b >= 0:
-        return _torus_base(a, b)
-    rot = _rotation_to_nonnegative(s)
-    return apply_perm(_UNROTATE[rot][:3], torus_shear(rot.apply_slope(s)))  # type: ignore
+        return (-b, a, b - a)
+    if b >= -a:
+        return (-b, a + 2 * b, -a - b)
+    return (2 * a + b, -a, -a - b)
 
 
 def sphere_torus_check(s: Slope, tri: TaggedTriangulation) -> bool:

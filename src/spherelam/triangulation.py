@@ -22,12 +22,13 @@ puncture, the types are, in arc order:
 Types are parametrized exactly as enumerated by :func:`enumerate_triangulations`
 and recognized by :func:`classify`; :func:`build_type` inverts classify.
 The first two read u, w, c, c2 and the punctures whose tag the type leaves
-free from :func:`_frame`, which checks a spec; :func:`classify` reads them
-off the arc keys of a valid triangulation and checks nothing again.
+free from :func:`_frame`, which checks a spec, and assemble arc keys, not
+arcs; :func:`classify` reads the keys of a valid triangulation and checks
+nothing again.
 
-Neither kernel depends on the height.  :func:`flip` tries at most 8
-candidate slopes (:func:`_flip_slopes`) and keeps the one key that the
-compatibility kernel accepts against the five remaining arcs, the flip
+Neither kernel depends on the height.  :func:`flip` is one integer pass
+over the five remaining keys: it tries the keys of at most 8 candidate
+slopes and keeps the one that the compatibility kernel accepts, the flip
 being unique (Fomin-Shapiro-Thurston, Acta Math. 2008);
 :func:`signed_adjacency` reads the matrix of a type-I or type-II
 triangulation off the base slots of its height-1 image under its lattice
@@ -52,11 +53,11 @@ from .curves import (
     Tagging,
     _DEGREE_TYPES,
     _PAIRS,
+    _SLOPE_MASKS,
     _arc_key,
     _degrees,
     _frame_slots,
     _keys_compatible,
-    _slope_keys,
     endpoint_sets,
     tag_choices,
 )
@@ -68,14 +69,14 @@ from .errors import (
 )
 from .lattice import (
     Slope,
-    det2,
     enumerate_slopes,
     farey1_triples,
     farey_distance,
     is_farey1_triple,
     standard_form,
-    standard_vector,
 )
+
+Key = tuple[int, int, int, int]
 
 
 def _companions(p: Slope, q: Slope) -> tuple[Slope, Slope]:
@@ -121,22 +122,11 @@ class TriType(Frozen):
         return out
 
 
-def _tagged_arc(slope: Slope, x: Puncture, t: Tagging, y: Puncture, t2: Tagging,
-                memo: dict[tuple[int, int, int, int], TaggedArc]) -> TaggedArc:
-    """The arc of ``slope`` from x tagged t to y tagged t2: the one object
-    of that arc across the calls sharing ``memo`` (integer key to arc, see
-    :func:`arcs_compatible`)."""
-    key = _arc_key(slope, x, t, y, t2)
-    found = memo.get(key)
-    if found is None:
-        found = memo[key] = TaggedArc(slope, ((x, t), (y, t2)))
-    return found
-
-
-def _coinciding_pair(slope: Slope, agree_at: Puncture, tag: Tagging,
-                     memo: dict[tuple[int, int, int, int], TaggedArc]) -> list[TaggedArc]:
+def _coinciding_pair(slope: Slope, agree_at: Puncture, tag: Tagging) -> list[Key]:
+    """The keys of the arcs of ``slope`` tagged ``tag`` at ``agree_at``,
+    plain then notched at the far end."""
     far = agree_at.translate(slope.parity)
-    return [_tagged_arc(slope, agree_at, tag, far, t, memo) for t in Tagging]
+    return [_arc_key(slope, agree_at, tag, far, t) for t in Tagging]
 
 
 def _frame(kind: str, slopes: tuple[Slope, ...], v: Puncture | None,
@@ -179,22 +169,20 @@ def _frame(kind: str, slopes: tuple[Slope, ...], v: Puncture | None,
 
 
 def _assemble(kind: str, slopes: tuple[Slope, ...], v: Puncture | None, frame,
-              tags: dict[Puncture, Tagging],
-              memo: dict[tuple[int, int, int, int], TaggedArc]) -> TaggedTriangulation:
-    """The arcs of the module docstring's table, in its order, for ``slopes``
-    sorted as :class:`TriType` keeps them and a tag at each free puncture.
-    A ``memo`` (see :func:`_tagged_arc`) shared by the calls of one sweep
-    gives their triangulations one object per arc."""
+              tags: dict[Puncture, Tagging]) -> tuple[Key, ...]:
+    """The arc keys of the module docstring's table, in its order, for
+    ``slopes`` sorted as :class:`TriType` keeps them and a tag at each free
+    puncture."""
     u, w, c, c2, _ = frame
 
-    def arc(s: Slope, x: Puncture, y: Puncture) -> TaggedArc:
-        return _tagged_arc(s, x, tags[x], y, tags[y], memo)
+    def arc(s: Slope, x: Puncture, y: Puncture) -> Key:
+        return _arc_key(s, x, tags[x], y, tags[y])
 
-    def both(s: Slope) -> list[TaggedArc]:
+    def both(s: Slope) -> list[Key]:
         return [arc(s, *pair) for pair in endpoint_sets(s)]
 
-    def coinciding(s: Slope, x: Puncture) -> list[TaggedArc]:
-        return _coinciding_pair(s, x, tags[x], memo)
+    def coinciding(s: Slope, x: Puncture) -> list[Key]:
+        return _coinciding_pair(s, x, tags[x])
 
     if kind == "I":
         arcs = [a for s in slopes for a in both(s)]
@@ -210,7 +198,7 @@ def _assemble(kind: str, slopes: tuple[Slope, ...], v: Puncture | None, frame,
             arcs += coinciding(c, v) + [arc(c2, v, w), arc(c, u, w)]
         else:
             arcs += coinciding(c, v) + coinciding(c2, v)
-    return TaggedTriangulation(tuple(arcs))
+    return tuple(arcs)
 
 
 def build_type(spec: TriType) -> TaggedTriangulation:
@@ -228,7 +216,7 @@ def build_type(spec: TriType) -> TaggedTriangulation:
     if set(tags) != set(free):
         raise InvalidParameters(
             f"type {spec.tag} takes tags at " + ", ".join(f"v{x}" for x in free))
-    return _assemble(spec.tag, spec.slopes, spec.v, frame, tags, {})
+    return TaggedTriangulation._of_keys(_assemble(spec.tag, spec.slopes, spec.v, frame, tags))
 
 
 def classify(tri: TaggedTriangulation) -> TriType:
@@ -256,8 +244,8 @@ def classify(tri: TaggedTriangulation) -> TriType:
             pairs.append(mask)
             far |= other ^ marks
     kind = _DEGREE_TYPES[tri.degree_sequence][len(pairs)]
-    slopes = (tri.arcs[f2[0]].slope, tri.arcs[f2[1]].slope) if f2 else \
-        tuple({arc.slope for arc in tri.arcs})
+    vectors = (keys[f2[0]][:2], keys[f2[1]][:2]) if f2 else {key[:2] for key in keys}
+    slopes = tuple([Slope(a, b) for a, b in vectors])
     v = v_prime = None
     if kind in ("II", "III"):
         mask = keys[f2[0]][2]
@@ -317,75 +305,111 @@ def _enumerate_typed(max_height: int) -> Iterator[tuple[TriType, TaggedTriangula
             for v in PUNCTURES:
                 yield "VI", triple, v, None
 
-    memo: dict[tuple[int, int, int, int], TaggedArc] = {}
+    memo: dict[Key, TaggedArc] = {}  # one arc object per key across the sweep
     for kind, spec_slopes, v, v_prime in parameters():
         frame = _frame(kind, spec_slopes, v, v_prime)
         for tags in tag_choices(frame[-1]):
             spec = TriType(kind, spec_slopes, v=v, v_prime=v_prime, taggings=tags)
-            yield spec, _assemble(kind, spec.slopes, v, frame, dict(tags), memo)
+            arcs = tuple([memo.get(key) or memo.setdefault(key, TaggedArc._of_key(key))
+                          for key in _assemble(kind, spec.slopes, v, frame, dict(tags))])
+            yield spec, TaggedTriangulation._of_keys(tuple([a._key for a in arcs]), arcs)
 
 
-# For |d| = 1 and |d| = 2, the (i, j) of one integral (i*s + j*t) / |d|
-# per slope (see _flip_slopes).
-_CANDIDATE_PAIRS = {1: ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (2, -1), (1, 2), (1, -2)),
-                    2: ((2, 0), (0, 2), (1, 1), (1, -1))}
+def _candidate_table(pairs: dict[int, tuple[tuple[int, int], ...]]):
+    """By |d|, ``(pairs[|d|], coords)``: ``coords`` maps the coordinates
+    (u, v) = (det(s, r), det(t, r)) in -2..2 of a remaining slope r to
+    ``(bits, row)``: ``row[c]`` is |det(w, r)| = |i*u + j*v| / |d| for the
+    candidate w of ``pairs[|d|][c] = (i, j)``, and bit c is set where <= 2."""
+    rows = {(ad, u, v): tuple([abs(i * u + j * v) // ad for i, j in ij])
+            for ad, ij in pairs.items() for u, v in itertools.product(range(-2, 3), repeat=2)}
+    return {ad: (ij, {(u, v): (sum(1 << c for c, x in enumerate(row) if x <= 2), row)
+                      for (e, u, v), row in rows.items() if e == ad})
+            for ad, ij in pairs.items()}
 
 
-def _flip_slopes(rest: Sequence[TaggedArc]) -> set[tuple[int, int]]:
-    """The primitive vector (a, b) of every slope the arc completing
-    ``rest`` to a triangulation can have, in standard form: a > 0, or
-    (0, 1).
-
-    Take two distinct slopes s, t of the remaining arcs; they exist because
-    one slope carries at most four arcs (two underlying arcs, each in at
-    most two tagged versions).  Compatible arcs have Farey distance at most
-    2, so d = det(s, t) is +-1 or +-2, and the new slope w has
-    |det(w, s)|, |det(w, t)| <= 2.  Cramer's rule gives
-    d * w = det(w, t) * s + det(s, w) * t, so w is one of the integral
-    vectors (i*s + j*t) / d with |i|, |j| <= 2; (i, j) gives the slope of
-    (-i, -j), and of (2i, 2j) when both are integral.  For |d| = 1 the 8
-    pairs with gcd(i, j) = 1 give every slope.  For |d| = 2, s = t mod 2
-    (primitive, even det), so (i*s + j*t) / 2 is integral iff i + j is
-    even: the slopes of s, t, (s + t) / 2 and (s - t) / 2.
-    """
-    s = rest[0].slope
-    t = next(a.slope for a in rest if a.slope != s)
-    d = abs(det2(s, t))
-    return {standard_vector((i * s.a + j * t.a) // d, (i * s.b + j * t.b) // d)
-            for i, j in _CANDIDATE_PAIRS[d]}
+# The candidates (i*s + j*t) / d of flip, one (i, j) per slope, by |d|.
+_CANDIDATES = _candidate_table({
+    1: ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (2, -1), (1, 2), (1, -2)),
+    2: ((2, 0), (0, 2), (1, 1), (1, -1))})
 
 
 def flip(tri: TaggedTriangulation, k: int) -> TaggedTriangulation:
     """Replace arc k, an int in 0..5, by the unique other arc completing a
-    triangulation.
+    triangulation, in one integer pass over the keys of the other five.
 
-    The new slope is one of the at most 8 candidates of
-    :func:`_flip_slopes`, a set whose size does not depend on the height.
-    Of the 8 keys ``(a, b, mask, marks)`` (see :func:`arcs_compatible`) of
-    a candidate slope, :func:`_slope_keys` keeps only those the kernel's
-    own conditions allow against the five remaining keys: an endpoint mask
-    sharing ``|det|`` endpoints with each remaining arc but one of the same
-    underlying arc (so no ``|det|`` above 2), and the tags of the remaining
-    arcs at shared ends.  A kept key survives if it is neither
-    the removed arc nor a remaining one and passes the compatibility kernel
-    against the five remaining keys.  Six distinct pairwise compatible arcs
-    are a maximal compatible set, that is a triangulation, so each survivor
-    is a flip, and the flip is unique: exactly one key survives, and only
-    its arc is built, by :meth:`TaggedTriangulation._of_flip`.
+    Take the vectors s, t of two distinct slopes among them (one slope
+    carries at most four arcs).  Compatible arcs have Farey distance at
+    most 2, so d = det(s, t) is +-1 or +-2, and by Cramer's rule the new
+    slope w is one of the integral (i*s + j*t) / d with |i|, |j| <= 2, up
+    to sign: for |d| = 1 the 8 pairs with gcd(i, j) = 1; for |d| = 2,
+    s = t mod 2, so s, t, (s + t) / 2 and (s - t) / 2 (:data:`_CANDIDATES`).
+    These are already primitive, so no gcd is taken: each has det +-1 with
+    s or t, or (s + t) / 2 with (s - t) / 2, as s and t span a sublattice
+    of index |d|.  Only the sign is normalised, and nothing depends on the
+    height.  With (u, v) = (det(s, r), det(t, r)) for each remaining slope
+    r, det(w, r) = (i*u + j*v) / d, read off the table, which drops a
+    candidate with some |det| above 2.  Compatible arcs share |det| ends.
+    A remaining key at |det| 2 has w's parity, so it fixes w's endpoint
+    mask to its own; one at |det| 1 has another parity and meets either
+    mask of w (:data:`_SLOPE_MASKS`) in one end, as the endpoint pairs of
+    two parities do; one at det 0 has slope w.  So the mask is that of the
+    |det|-2 keys, or either of w's two; its ends shared with keys at
+    |det| >= 1 take their notches (the kernel rejects keys that disagree
+    there), the others any tag.  A key so made survives if it is not in
+    ``tri`` and the compatibility kernel accepts it against the five
+    remaining keys.  Six distinct pairwise compatible arcs are a
+    triangulation, and the flip is unique (Fomin-Shapiro-Thurston): any
+    other count of survivors is :class:`InternalNonUnique`.  The result
+    has the key at k and the other five keys of ``tri``; its arcs are
+    built when they are read.
     """
     if type(k) is not int or not 0 <= k < 6:
         raise DomainError("arc index must be in 0..5")
-    rest = tri.arcs[:k] + tri.arcs[k + 1:]
     taken = tri._keys
-    rest_keys = taken[:k] + taken[k + 1:]
-    found = [key for a, b in _flip_slopes(rest) for key in _slope_keys(a, b, rest_keys)
-             if key not in taken and all(_keys_compatible(key, r) for r in rest_keys)]
+    rest = taken[:k] + taken[k + 1:]
+    sa, sb = rest[0][0], rest[0][1]
+    ta, tb = next((a, b) for a, b, _, _ in rest if a != sa or b != sb)
+    d = sa * tb - sb * ta
+    pairs, coords = _CANDIDATES[abs(d)]
+    ok, rows = -1, []
+    for x, y, _, _ in rest:
+        bits, row = coords[sa * y - sb * x, ta * y - tb * x]
+        ok &= bits
+        rows.append(row)
+    found = []
+    for c, (i, j) in enumerate(pairs):
+        if not ok >> c & 1:
+            continue  # no arc shares more than two endpoints
+        a, b = (i * sa + j * ta) // d, (i * sb + j * tb) // d
+        if a < 0 or not a and b < 0:
+            a, b = -a, -b
+        ends = notched = 0
+        masks = _SLOPE_MASKS[2 * (a & 1) + (b & 1)]
+        for (_, _, mask2, marks2), row in zip(rest, rows):
+            det = row[c]
+            if det:
+                ends |= mask2
+                notched |= marks2
+                if det == 2:
+                    masks = (mask2,) if mask2 in masks else ()
+        for mask in masks:
+            free = sub = mask & ~ends
+            while True:
+                key = (a, b, mask, mask & notched | sub)
+                if key not in taken:
+                    for r in rest:
+                        if not _keys_compatible(key, r):
+                            break
+                    else:
+                        found.append(key)
+                if not sub:
+                    break
+                sub = (sub - 1) & free
     if len(found) != 1:
         raise InternalNonUnique(
             f"flip produced {len(found)} completions instead of 1"
         )
-    arc = TaggedArc._of_key(found[0])
-    return TaggedTriangulation._of_flip(rest[:k] + (arc,) + rest[k:])
+    return TaggedTriangulation._of_keys(taken[:k] + (found[0],) + taken[k + 1:], check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,22 @@ class TestFanCommands:
         # the former no-op --json flag is a usage error now
         assert run(["cones", "--max-height", "1", "--json"])[0] == 2
 
+    def test_cones_are_written_one_cone_at_a_time(self):
+        # main writes the pieces that run returns with pieces=True: the
+        # head, one per cone and the brackets, joining to run's document;
+        # a bad height is refused before any piece
+        code, text = run(["cones", "--max-height", "2"])
+        code2, pieces = run(["cones", "--max-height", "2"], pieces=True)
+        pieces = list(pieces)
+        assert code == code2 == 0 and "".join(pieces) == text
+        assert len(pieces) == json.loads(text)["count"] + 2 == 914
+        assert [json.loads(p.removeprefix(", ")) for p in pieces[1:-1]] == \
+            json.loads(text)["cones"]
+        code, doc = run(["cones", "--max-height", "0"], pieces=True)
+        assert code == 1 and json.loads(doc)["kind"] == "domain"
+        assert run(["--plain", "cones", "--max-height", "1"], pieces=True)[1] == \
+            run(["--plain", "cones", "--max-height", "1"])[1]
+
     def test_tangle_check(self):
         tangle = json.dumps([{"curve": {"closed": "1/1"}, "weight": 1}])
         doc = ok(["tangle-check", "--tangle", tangle])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import compat_oracle
+import flip_oracle
 import object_oracle
 from spherelam.curves import (
     V00, V01, V10, V11,
@@ -24,7 +25,6 @@ from spherelam.curves import (
     kappa,
     kappa_inv,
     _frame_slots,
-    _slope_keys,
     base_triangulation,
     tag_choices,
     type_i_triangulation,
@@ -227,7 +227,7 @@ class TestKernelAgainstOracle:
 
         arcs = enumerate_arcs(3)
         for s in enumerate_slopes(3):
-            keys = list(_slope_keys(s.a, s.b))
+            keys = list(flip_oracle.slope_keys(s.a, s.b))
             assert sorted(keys) == sorted(a._key for a in arcs if a.slope == s)
             assert [TaggedArc._of_key(key)._key for key in keys] == keys
 
@@ -286,7 +286,7 @@ class TestLatticeImage:
         from object_oracle import triple_to_basis
         from spherelam.triangulation import classify, enumerate_triangulations
 
-        base = base_triangulation().arc_set
+        base = frozenset(base_triangulation().arcs)
         seen = 0
         for tri in enumerate_triangulations(2):
             if classify(tri).tag != "I":

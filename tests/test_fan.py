@@ -895,11 +895,21 @@ class TestOnePassBuild:
             assert classify(tri).tag == spec.tag
 
     def test_one_arc_object_per_arc(self):
+        # the sweep hands each triangulation its shared arcs, whose key
+        # tuples are the triangulation's keys; the sixteen type-VII
+        # collections of a slope share one curve per key
         by_key = {}
         for _, tri in triangulation._enumerate_typed(3):
-            for a in tri.arcs:
-                assert by_key.setdefault(a._key, a) is a
+            assert tri._arcs is not None
+            for a, key in zip(tri.arcs, tri._keys):
+                assert by_key.setdefault(a._key, a) is a and a._key is key
         assert len(by_key) == len(enumerate_arcs(3))
+        for slope in enumerate_slopes(3):
+            spirals = {}
+            for coll in fan.closed_collections(slope):
+                for c in coll.curves[1:]:
+                    assert spirals.setdefault(c._key, c) is c
+            assert len(spirals) == 8
 
     def test_curves_shared_between_collections(self):
         colls = list(fan.maximal_collections(2))

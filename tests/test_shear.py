@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import torus_oracle
 from object_oracle import triple_to_basis
 from spherelam import cli
 from spherelam.curves import (
@@ -509,6 +510,22 @@ class TestTorus:
             if s.b >= 0:
                 a, b = s.vector
                 assert torus_shear(s) == (-b, a, b - a)
+
+    def test_closed_form_matches_the_word_oracle(self):
+        # the three pieces against the crossing word of one period, rotated
+        # for negative slopes, on every slope of height <= 40
+        slopes = enumerate_slopes(40)
+        assert len(slopes) == 1960
+        for s in slopes:
+            assert torus_shear(s) == torus_oracle.torus_shear(s), s
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 12), st.integers(-12, 12))
+    def test_closed_form_matches_the_word_oracle_at_random(self, a, b):
+        assume(math.gcd(a, b) == 1 and (a > 0 or b == 1))
+        s = Slope(a, b)
+        assert torus_shear(s) == torus_oracle.torus_shear(s)
+        assert sum(torus_shear(s)) == 0
 
     def test_negative_slopes_are_rotations(self):
         # the slope rotation RHO permutes the torus coordinates by the

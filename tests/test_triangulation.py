@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import compat_oracle
+import flip_oracle
 import object_oracle
 from box_oracle import box_adjacency
 from spherelam import cli, curves, lattice, triangulation
@@ -20,7 +21,7 @@ from spherelam.curves import (
     _FRAME_SLOT,
     _frame_slots,
     _keys_compatible,
-    _slope_keys,
+    _key_images,
     base_triangulation,
     endpoint_sets,
 )
@@ -43,7 +44,6 @@ from spherelam.triangulation import (
     signed_adjacency,
     _enumerate_typed,
     _farey2_pairs,
-    _flip_slopes,
 )
 
 PLAIN, NOTCHED = Tagging.PLAIN, Tagging.NOTCHED
@@ -156,6 +156,25 @@ def height_three():
     """Every triangulation of height <= 3, built once for the tests that
     sweep all of them."""
     return list(enumerate_triangulations(3))
+
+
+@st.composite
+def unimodular_maps(draw, bound=10**6):
+    """An orientation-preserving lattice map with entries in [-bound, bound]:
+    a primitive first column (p, r), the second column (q, s) with
+    p*s - q*r = 1 from the extended gcd, then moved by a multiple of the
+    first while it stays in bound."""
+    p = draw(st.integers(-bound, bound))
+    r = draw(st.integers(-bound, bound).filter(lambda r: math.gcd(p, r) == 1))
+    x0, x1, y0, y1, a, b = 1, 0, 0, 1, p, r  # a = x0*p + y0*r, b = x1*p + y1*r
+    while b:
+        n = a // b
+        a, b, x0, x1, y0, y1 = b, a - n * b, x1, x0 - n * x1, y1, y0 - n * y1
+    s, q = a * x0, -a * y0  # a = +-1, so p*s - q*r = a * a = 1
+    n = draw(st.integers(-3, 3))
+    if max(abs(q + n * p), abs(s + n * r)) <= bound:
+        q, s = q + n * p, s + n * r
+    return lattice.UnimodularMap(((p, q), (r, s)))
 
 
 def deep_tagged_walks(seed, steps=40):
@@ -309,13 +328,13 @@ class TestFlip:
         for t in list(enumerate_triangulations(1))[::7]:
             for k in range(6):
                 f = flip(t, k)
-                assert flip(f, f.arcs.index(next(iter(f.arc_set - t.arc_set)))) == t
+                assert flip(f, f.arcs.index(next(iter(set(f.arcs) - set(t.arcs))))) == t
 
     def test_matches_sweep_oracle(self):
         for t in enumerate_triangulations(2):
             for k in range(6):
-                rest = t.arcs[:k] + t.arcs[k + 1:]
-                assert len(_flip_slopes(rest)) <= 12
+                rest = t._keys[:k] + t._keys[k + 1:]
+                assert len(flip_oracle.flip_slopes(rest)) <= 12
                 assert flip(t, k).arcs == sweep_flip(t, k).arcs
 
     def test_candidate_vectors_are_the_slopes(self):
@@ -338,7 +357,7 @@ class TestFlip:
         for t in enumerate_triangulations(3):
             for k in range(6):
                 rest = t.arcs[:k] + t.arcs[k + 1:]
-                got = _flip_slopes(rest)
+                got = flip_oracle.flip_slopes([a._key for a in rest])
                 assert got == {w.vector for w in slope_candidates(rest)}
                 assert all(standard_form(a, b).vector == (a, b) for a, b in got)
 
@@ -385,27 +404,56 @@ class TestFlip:
 
     def test_exactly_one_key_survives(self):
         # six distinct pairwise compatible arcs are a triangulation, so the
-        # filter alone leaves one key, and flip builds the arc of that key
+        # kernel alone leaves one of the 8 keys of each candidate slope of
+        # the oracle; the one-pass flip gives the oracle's keys in arc order
         cases = 0
-        for t in enumerate_triangulations(3):
-            taken = {arc._key for arc in t.arcs}
+        for t in height_three():
+            taken = t._keys
             for k in range(6):
-                rest = t.arcs[:k] + t.arcs[k + 1:]
-                survivors = [key for a, b in _flip_slopes(rest) for key in _slope_keys(a, b)
-                             if key not in taken
-                             and all(_keys_compatible(key, r._key) for r in rest)]
+                rest = taken[:k] + taken[k + 1:]
+                survivors = [key for a, b in flip_oracle.flip_slopes(rest)
+                             for key in flip_oracle.slope_keys(a, b)
+                             if key not in taken and all(_keys_compatible(key, r) for r in rest)]
                 assert len(survivors) == 1
-                assert flip(t, k).arcs[k]._key == survivors[0]
+                assert flip(t, k)._keys == flip_oracle.flip_keys(t, k) == \
+                    rest[:k] + (survivors[0],) + rest[k:]
                 cases += 1
         assert cases == 12_000
 
-    @pytest.mark.parametrize("slopes", [
-        lambda rest: [],
-        lambda rest: 2 * list(_flip_slopes(rest)),
+    def test_matches_flip_oracle_on_deep_walks(self):
+        # seeded tagged walks from type-I starts of height 10^3 to 10^7
+        rng = random.Random(37)
+        kinds, heights = Counter(), []
+        for exponent in (3, 4, 5, 6):
+            t = type_i_start(rng, 10**exponent, 10**(exponent + 1))
+            for _ in range(60):
+                k = rng.randrange(6)
+                f = flip(t, k)
+                assert f._keys == flip_oracle.flip_keys(t, k)
+                kinds[classify(f).tag] += 1
+                heights.append(f.height)
+                t = f
+        assert set(kinds) == {"I", "II", "III", "IV", "V", "VI"}
+        assert max(heights) >= 10**6
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 1999), st.integers(0, 5), unimodular_maps())
+    def test_flip_is_equivariant(self, index, k, m):
+        # for T of height <= 3 in any tagging and an orientation-preserving
+        # lattice map m with entries up to 10^6, flip(m.T, k) has the keys of
+        # m.flip(T, k) in arc order: the kernel does not see the height
+        t = height_three()[index]
+        image = TaggedTriangulation._of_keys(tuple(_key_images(t._keys, m)))
+        assert flip(image, k)._keys == tuple(_key_images(flip(t, k)._keys, m))
+
+    @pytest.mark.parametrize("pairs", [
+        {1: (), 2: ()},
+        {d: 2 * pairs for d, (pairs, _) in triangulation._CANDIDATES.items()},
     ], ids=["no key", "two keys"])
-    def test_filter_not_leaving_one_key_is_internal(self, monkeypatch, slopes):
-        monkeypatch.setattr(triangulation, "_flip_slopes", slopes)
-        with pytest.raises(InternalNonUnique):
+    def test_filter_not_leaving_one_key_is_internal(self, monkeypatch, pairs):
+        # an empty candidate table leaves no key, a doubled one each key twice
+        monkeypatch.setattr(triangulation, "_CANDIDATES", triangulation._candidate_table(pairs))
+        with pytest.raises(InternalNonUnique, match=f"produced {2 * bool(pairs[1])} completions"):
             flip(base_triangulation(), 0)
 
     def test_filter_bounds_kernel_calls(self, monkeypatch):
@@ -467,8 +515,11 @@ class TestKeyReaders:
 
     def test_classify_checks_nothing_again(self, monkeypatch):
         # classify reads a valid triangulation's keys: it calls none of the
-        # spec checks and builds no Slope, at height <= 3 and on deep walks
+        # spec checks and builds no Slope but those of its type data, at
+        # height <= 3 and on deep walks
         tris = height_three() + [f for _, _, f in deep_tagged_walks(31)]
+        for t in tris:
+            t.arcs  # built here, so that classify's Slopes are counted alone
         calls = Counter()
 
         def count(owner, name):
@@ -480,10 +531,11 @@ class TestKeyReaders:
         for name in ("farey_distance", "is_farey1_triple"):
             count(lattice, name)
         count(Slope, "__init__")
-        kinds = Counter(classify(t).tag for t in tris)
-        assert set(kinds) == {"I", "II", "III", "IV", "V", "VI"}
+        specs = [classify(t) for t in tris]
+        assert set(spec.tag for spec in specs) == {"I", "II", "III", "IV", "V", "VI"}
         assert max(t.height for t in tris) >= 10**5
-        assert calls == Counter()
+        assert calls == Counter({"__init__": sum(len(spec.slopes) for spec in specs)})
+        calls.clear()
         build_type(classify(flip(tris[0], 0)))  # the counters see a spec's checks
         assert calls["_frame"] == 1 and calls["__init__"] > 0
 
@@ -492,7 +544,9 @@ class TestKeyReaders:
         # still read type II, whose four punctures are all free
         t = build_type(TriType("II", (Slope(1, 1), MINUS_ONE), v=V00, taggings=ALL_PLAIN))
         arcs = (t.arcs[0].retag(V00, NOTCHED),) + t.arcs[1:]
-        bad = TaggedTriangulation._of_flip(arcs)  # skips the pair checks
+        with pytest.raises(ValueError, match="incompatible arcs"):
+            TaggedTriangulation(arcs)
+        bad = TaggedTriangulation._of_keys(tuple(a._key for a in arcs), check=False)
         for reader in (classify, object_oracle.classify):
             with pytest.raises(InternalError, match="mixed tags at v00"):
                 reader(bad)
@@ -517,12 +571,43 @@ class TestKeyReaders:
             assert checked.degree_sequence == f.degree_sequence
 
     def test_flip_constructor_checks_distinct_arcs_and_degrees(self):
-        arcs = base_triangulation().arcs
+        # flip's unchecked key constructor keeps the two checks on the key set
+        keys = base_triangulation()._keys
         with pytest.raises(ValueError, match="exactly 6 distinct arcs"):
-            TaggedTriangulation._of_flip(arcs[:5] + arcs[:1])
+            TaggedTriangulation._of_keys(keys[:5] + keys[:1], check=False)
         notched = TaggedArc(INF, ((V00, NOTCHED), (V01, PLAIN)))  # degrees 2, 3, 3, 4
         with pytest.raises(ValueError, match=r"impossible degree sequence \(2, 3, 3, 4\)"):
-            TaggedTriangulation._of_flip((notched,) + arcs[1:])
+            TaggedTriangulation._of_keys((notched._key,) + keys[1:], check=False)
+
+    def test_key_constructor_checks_what_the_arc_constructors_did(self):
+        # assembled keys pass the checks of TaggedArc and of the arc
+        # constructor: the endpoint mask against the slope's parity, then
+        # the pairs, with the same messages
+        keys = base_triangulation()._keys
+        with pytest.raises(ValueError, match="^endpoints 00,11 do not match the parity of "
+                                             "slope 0/1$"):
+            TaggedTriangulation._of_keys(((1, 0, 0b1001, 0),) + keys[1:])
+        with pytest.raises(ValueError, match="^endpoints 00,11 do not match the parity of "
+                                             "slope 0/1$"):
+            TaggedArc(ZERO, ((V00, PLAIN), (V11, PLAIN)))
+        retagged = (keys[0][:3] + (1,),) + keys[1:]
+        arcs = (base_triangulation().arcs[0].retag(V00, NOTCHED),) + base_triangulation().arcs[1:]
+        with pytest.raises(ValueError) as by_keys:
+            TaggedTriangulation._of_keys(retagged)
+        with pytest.raises(ValueError) as by_arcs:
+            TaggedTriangulation(arcs)
+        assert str(by_keys.value) == str(by_arcs.value)
+        assert str(by_keys.value).startswith("incompatible arcs arc(0/1,{v00*,v10})")
+
+    def test_arcs_are_built_when_read(self):
+        # flip and build_type leave the arcs to the first read, which builds
+        # them once; the sweep and the constructor keep the objects given
+        t = flip(base_triangulation(), 0)
+        assert t._arcs is None
+        assert t.arcs is t.arcs and tuple(a._key for a in t.arcs) == t._keys
+        assert build_type(classify(t))._arcs is None
+        arcs = base_triangulation().arcs
+        assert TaggedTriangulation(arcs).arcs is arcs
 
 
 class TestMatrices:
@@ -629,7 +714,7 @@ class TestCanonicalAdjacency:
                 seen.add(frozenset(a.image(m) for a in f.arcs))
         type_ii = [build_type(TriType("II", (Slope(1, 1), MINUS_ONE), v=v, taggings=ALL_PLAIN))
                    for v in (V00, V01)]
-        assert seen == {t.arc_set for t in (base_triangulation(), *type_ii)}
+        assert seen == {frozenset(t.arcs) for t in (base_triangulation(), *type_ii)}
 
     def test_key_form_matches_arc_images(self):
         # every all-plain triangulation of height <= 3, then seeded plain
@@ -678,7 +763,7 @@ class TestCanonicalAdjacency:
         # tagging: the frame is the oracle's, and the table, read on slope
         # and endpoints only, holds each image the oracle gives
         tris = [t for t in height_three() if classify(t).tag in ("I", "II")]
-        assert len({t.arc_set for t in tris}) > 40
+        assert len(set(tris)) > 40
         assert not all(t.all_plain for t in tris)
         for t in tris:
             m, slots, _ = _frame_slots(t._keys)

@@ -121,14 +121,19 @@ def test_slope_order_and_validation():
 
 
 def test_triangulation_equality_is_by_arc_set():
+    # the set of arcs is the set of their keys, whose hashes are the arcs'
     t0 = base_triangulation()
     arcs = t0.arcs[::-1]
     t1 = TaggedTriangulation(arcs)
     assert t1.arcs == arcs and t1.arcs != t0.arcs
+    assert t1._keys == tuple(a._key for a in arcs) and t1._keys != t0._keys
     assert t1 == t0 and hash(t1) == hash(t0) == hash(frozenset(arcs))
-    assert repr(t0) == f"TaggedTriangulation(arcs={t0.arcs!r})"  # arc_set is not shown
-    with pytest.raises(AttributeError):
-        t0.arc_set = frozenset()
+    assert hash(t0) == hash(frozenset(a._key for a in arcs))
+    # only the arcs are shown, whether or not they were built yet
+    assert repr(t0) == f"TaggedTriangulation(arcs={t0.arcs!r})"
+    for name in ("_keys", "_key_set", "_arcs", "arcs"):
+        with pytest.raises(AttributeError):
+            setattr(t0, name, None)
 
 
 def test_cone_equality_is_canonical():
