@@ -111,8 +111,6 @@ def _parse_tags(items: list[str]):
 
 
 def _cmd_shear(args) -> str:
-    from . import shear
-
     curve = _parse_curve(args.curve)
     base = base_triangulation()
     tri = TaggedTriangulation.from_json(_loads(args.tri)) if args.tri else base
@@ -120,6 +118,8 @@ def _cmd_shear(args) -> str:
     if cap is not None and curve.height > cap:
         raise DomainError(f"the {args.method} method is capped at slope height "
                           f"{cap}; this curve has height {curve.height}")
+    from . import shear
+
     # the word and the oracle give the coordinates at the base arcs in the
     # base order: the same arcs in another order would print them permuted
     if args.method == "formula":
@@ -247,8 +247,6 @@ def _cmd_universal(args) -> str:
 
 
 def _parse_tangle(text: str) -> Tangle:
-    from .shear import Tangle
-
     entries = _loads(text)
     if not isinstance(entries, list):
         raise MalformedInput("a tangle is a JSON array of {curve, weight} objects")
@@ -259,13 +257,15 @@ def _parse_tangle(text: str) -> Tangle:
         if type(e.get("weight")) is not int:
             raise MalformedInput("a tangle weight is an integer")
         weights.append((curve, e["weight"]))
+    from .shear import Tangle
+
     return Tangle(tuple(weights))
 
 
 def _cmd_tangle_check(args) -> str:
+    tangle = _parse_tangle(args.tangle)
     from . import shear
 
-    tangle = _parse_tangle(args.tangle)
     witness = shear.find_witness(tangle, args.max_height)
     if witness is None:
         return _doc(witness=None)

@@ -28,15 +28,14 @@ and :func:`triangulation.classify` read.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 from typing import Sequence
 
 from ._frozen import Frozen
 from .errors import ClosedCurveHasNoArc, DomainError, InternalError, MalformedInput, \
     NotFareyTriple
-from .lattice import BASE_TRIPLE, Slope, UnimodularMap, _slope_cmp, det2, enumerate_slopes, \
-    is_farey1_triple, pair_to_basis, standard_vector
+from .lattice import BASE_TRIPLE, Slope, UnimodularMap, _slope_sorted, enumerate_slopes, \
+    is_farey1_triple, standard_vector
 
 
 class Puncture(Frozen):
@@ -170,15 +169,6 @@ _MASK_BITS = {1 << i | 1 << j: (i, j) for i, j in itertools.combinations(range(4
 _MASK_ENDS = {mask: (PUNCTURES[i], PUNCTURES[j]) for mask, (i, j) in _MASK_BITS.items()}
 
 
-def _arc_key(slope: Slope, p: Puncture, d, q: Puncture, e,
-             marked=Tagging.NOTCHED) -> tuple[int, int, int, int]:
-    """The integer key (see :func:`arcs_compatible`) of the arc or curve of
-    ``slope`` with ends (p, d) and (q, e): the slope vector, the endpoint
-    mask (bit 2*i + j for v_ij) and the mask of the ends marked ``marked``."""
-    i, j = 2 * p.i + p.j, 2 * q.i + q.j
-    return slope.a, slope.b, 1 << i | 1 << j, (d is marked) << i | (e is marked) << j
-
-
 class _ArcOrCurve(Frozen):
     """What tagged arcs and allowable curves share: a slope and, unless the
     curve is closed, two endpoints each with a tag or a spiral direction.
@@ -201,7 +191,9 @@ class _ArcOrCurve(Frozen):
 
     def _freeze(self, slope: Slope, ends: tuple | None) -> None:
         """Check each end is a :class:`Puncture` with one of :attr:`_MARKS`,
-        and the ends against the slope (:data:`_SLOPE_MASKS`); store the key."""
+        and the ends against the slope (:data:`_SLOPE_MASKS`); store the key,
+        with bit 2*i + j for v_ij in the endpoint mask and, if marked
+        ``_MARKS[1]``, in ``marks``."""
         if ends is None:
             key = (slope.a, slope.b, 0, 0)
         else:
@@ -212,7 +204,8 @@ class _ArcOrCurve(Frozen):
                                  f"{' or '.join(map(str, marks))}) pairs, got {ends!r}")
             if p == q:
                 raise ValueError("endpoints must be distinct punctures (no loops)")
-            key = _arc_key(slope, p, d, q, e, marks[1])
+            i, j = 2 * p.i + p.j, 2 * q.i + q.j
+            key = slope.a, slope.b, 1 << i | 1 << j, (d is marks[1]) << i | (e is marks[1]) << j
             if key[2] not in _SLOPE_MASKS[2 * (slope.a & 1) + (slope.b & 1)]:
                 raise ValueError(f"endpoints {min(p, q)},{max(p, q)} do not match "
                                  f"the parity of slope {slope}")
@@ -412,10 +405,6 @@ def _key_images(keys: Sequence[tuple[int, int, int, int]], m: UnimodularMap
             for a, b, mask, marks in keys]
 
 
-# The slope order on vectors in standard form, as Slopes are ordered.
-_BY_SLOPE = functools.cmp_to_key(_slope_cmp)
-
-
 # The base slot of every height-1 arc a lattice frame yields, by (a, b, mask): the
 # six arcs of base_triangulation and the slope-1 arcs its flips at slots 2, 5 put there.
 _FRAME_SLOT = {(1, 0, 5): 0, (0, 1, 3): 1, (1, -1, 9): 2, (1, 0, 10): 3, (0, 1, 12): 4,
@@ -432,24 +421,35 @@ def _frame_slots(keys: Sequence[tuple[int, int, int, int]]
     slopes s < t that carry two arcs each to (1, 0) and (0, 1): for type I
     the two least slopes of its triple, for type II its companion slopes.
     Either way they are a Farey-1 pair and every other slope is +-s +- t,
-    so m carries every arc to height 1 (:func:`_key_images`), type I onto
+    so m carries every arc to height 1, type I onto
     :func:`base_triangulation` (t - s goes to -1) and type II onto the base
     flipped at slot 2 or 5, whatever the tags.  Six keys without such a
     pair, or an image outside the table, are an :class:`InternalError`.
-    The slopes are compared on their vectors (:data:`_BY_SLOPE`)."""
+    All is integer work: s < t by cross-products (:func:`_slope_sorted`),
+    det(s, t) = 1 checked once, m = ((t_b, -t_a), (-s_b, s_a)) built
+    unchecked; m moves each key as :func:`_key_images` does, but the
+    images are primitive, so only their sign is normalised."""
     vectors = [key[:2] for key in keys]
-    doubled = sorted({u for u in vectors if vectors.count(u) == 2}, key=_BY_SLOPE)
-    if len(doubled) < 2 or det2(doubled[0], doubled[1]) != 1:
+    doubled = _slope_sorted({u for u in vectors if vectors.count(u) == 2})
+    if len(doubled) < 2 or doubled[0][0] * doubled[1][1] - doubled[0][1] * doubled[1][0] != 1:
         raise InternalError("no Farey-1 pair of two-arc slopes among "
                             + ", ".join(map(str, sorted({Slope(a, b) for a, b in vectors}))))
-    m = pair_to_basis(doubled[0], doubled[1])
-    images = _key_images(keys, m)
-    try:
-        slots = tuple([_FRAME_SLOT[key[:3]] for key in images])
-    except KeyError as e:
-        raise InternalError(f"lattice frame image {e.args[0]} not in the frame table") from None
-    flipped = next((slot for key, slot in zip(images, slots) if key[:2] == (1, 1)), None)
-    return m, slots, flipped
+    (sa, sb), (ta, tb) = doubled[:2]
+    m = object.__new__(UnimodularMap)
+    object.__setattr__(m, "linear", ((tb, -ta), (-sb, sa)))
+    move = _MASK_MOVES[tb & 1, ta & 1, sb & 1, sa & 1]
+    slots, flipped = [], None
+    for a, b, mask, _ in keys:
+        x, y = tb * a - ta * b, sa * b - sb * a
+        if x < 0 or not x and y < 0:
+            x, y = -x, -y
+        slot = _FRAME_SLOT.get((x, y, move[mask]))
+        if slot is None:
+            raise InternalError(f"lattice frame image {(x, y, move[mask])} not in the frame table")
+        if x == y == 1:
+            flipped = slot
+        slots.append(slot)
+    return m, tuple(slots), flipped
 
 
 def arcs_compatible(
@@ -540,7 +540,7 @@ _PAIRS = tuple(itertools.combinations(range(6), 2))
 def _degrees(keys: Sequence[tuple[int, int, int, int]]) -> list[int]:
     """The degree of each of :data:`PUNCTURES` among arcs with these keys."""
     total = sum([_SPREAD[key[2]] for key in keys])
-    return [total >> 4 * n & 15 for n in range(4)]
+    return [total & 15, total >> 4 & 15, total >> 8 & 15, total >> 12]
 
 
 class TaggedTriangulation(Frozen):

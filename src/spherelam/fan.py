@@ -35,9 +35,9 @@ from ._frozen import Frozen
 from .curves import (
     AllowableCurve,
     TaggedTriangulation,
-    Tagging,
+    _MASK_BITS,
+    _SLOPE_MASKS,
     curves_compatible,
-    endpoint_sets,
     kappa_inv,
     type_i_triangulation,
 )
@@ -129,12 +129,12 @@ def closed_collections(slope: Slope) -> list[MaximalCollection]:
     two endpoint pairs, one curve object per arc key."""
     from .triangulation import _coinciding_pair
 
-    first, second = endpoint_sets(slope)
+    vector, masks = slope.vector, _SLOPE_MASKS[2 * (slope.a & 1) + (slope.b & 1)]
     closed = AllowableCurve(slope)
     memo: dict[tuple[int, int, int, int], AllowableCurve] = {}
     out = []
-    for v, v2, t, t2 in itertools.product(first, second, Tagging, Tagging):
-        keys = _coinciding_pair(slope, v, t) + _coinciding_pair(slope, v2, t2)
+    for v, v2, t, t2 in itertools.product(*[_MASK_BITS[mask] for mask in masks], (0, 1), (0, 1)):
+        keys = _coinciding_pair(vector, v, t << v) + _coinciding_pair(vector, v2, t2 << v2)
         curves = [memo.get(key) or memo.setdefault(key, AllowableCurve._of_key(key, slope))
                   for key in keys]
         out.append(MaximalCollection((closed, *curves), "VII"))

@@ -66,13 +66,13 @@ class Slope(Frozen):
     def parity(self) -> tuple[int, int]:
         return (self.a % 2, self.b % 2)
 
-    # Total order by value, inf the maximum (:func:`_slope_cmp`); s > t and
-    # s >= t fall back on the reflected t < s and t <= s
+    # Total order by value, inf = (0, 1) last: with a, a' >= 0, s < t iff
+    # b*a' < a*b'; s > t and s >= t fall back on the reflected t < s, t <= s
     def __lt__(self, other: "Slope") -> bool:
-        return _slope_cmp((self.a, self.b), (other.a, other.b)) < 0
+        return self.b * other.a < self.a * other.b
 
     def __le__(self, other: "Slope") -> bool:
-        return _slope_cmp((self.a, self.b), (other.a, other.b)) <= 0
+        return self.b * other.a <= self.a * other.b
 
     def __str__(self) -> str:
         return "inf" if self.is_infinite else f"{self.b}/{self.a}"
@@ -91,12 +91,17 @@ class Slope(Frozen):
         return standard_form(1, int(text))
 
 
-def _slope_cmp(u: tuple[int, int], v: tuple[int, int]) -> int:
-    """The slope order on primitive vectors in standard form: negative, 0
-    or positive as the slope of u is less than, equal to or greater than
-    that of v.  With both first entries >= 0, ``b*a' - a*b'`` alone puts
-    inf = (0, 1) last."""
-    return u[1] * v[0] - u[0] * v[1]
+def _slope_sorted(items: Iterable[Sequence]) -> list:
+    """``items`` led by vectors (a, b) in standard form, such as arc keys,
+    in the order of :class:`Slope` (stable): an insertion sort on the
+    cross-products, for the two or three slopes of a type or a frame."""
+    out: list = []
+    for x in items:
+        i = len(out)
+        while i and out[i - 1][1] * x[0] > out[i - 1][0] * x[1]:
+            i -= 1
+        out.insert(i, x)
+    return out
 
 
 INF = Slope(0, 1)
@@ -234,8 +239,8 @@ Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 
 class UnimodularMap(Frozen):
     """An integer-linear relabeling of the lattice plane; punctures move by
-    its reduction mod 2.  |det| = 1 always; the maps produced by
-    :func:`pair_to_basis` have det = +1 (orientation preserving)."""
+    its reduction mod 2.  |det| = 1 always; the lattice frames of
+    :func:`curves._frame_slots` have det = +1 (orientation preserving)."""
 
     __slots__ = _fields = ("linear",)
     linear: Matrix2
@@ -257,16 +262,3 @@ class UnimodularMap(Frozen):
     def apply_slope(self, s: Slope) -> Slope:
         return standard_form(*self.apply_vector(s.vector))
 
-
-def pair_to_basis(
-    s: Slope | tuple[int, int], t: Slope | tuple[int, int]
-) -> UnimodularMap:
-    """Orientation-preserving lattice map L with L(s) = (1, 0) and
-    L(t) = (0, det(s, t)) for a Farey-1 pair s, t (slope objects or their
-    lattice vectors): s goes to slope 0 and t to slope inf."""
-    delta = det2(s, t)
-    if abs(delta) != 1:
-        raise NotFareyNeighbors(f"{s} and {t} are not Farey neighbors")
-    a1, b1 = s.vector if isinstance(s, Slope) else s
-    a2, b2 = t.vector if isinstance(t, Slope) else t
-    return UnimodularMap(((delta * b2, -delta * a2), (-b1, a1)))

@@ -21,10 +21,11 @@ puncture, the types are, in arc order:
 
 Types are parametrized exactly as enumerated by :func:`enumerate_triangulations`
 and recognized by :func:`classify`; :func:`build_type` inverts classify.
-The first two read u, w, c, c2 and the punctures whose tag the type leaves
-free from :func:`_frame`, which checks a spec, and assemble arc keys, not
-arcs; :func:`classify` reads the keys of a valid triangulation and checks
-nothing again.
+:func:`build_type` and the enumeration read a spec as slope vectors, puncture
+bits (2*i + j) and masks, take u, w, c, c2 and the free punctures from
+:func:`_frame`, which checks it, and assemble arc keys, not arcs;
+:func:`classify` reads the keys of a valid triangulation, checks nothing
+again and builds only the Slopes of the spec it returns.
 
 Neither kernel depends on the height.  :func:`flip` is one integer pass
 over the five remaining keys: it tries the keys of at most 8 candidate
@@ -52,13 +53,11 @@ from .curves import (
     TaggedTriangulation,
     Tagging,
     _DEGREE_TYPES,
-    _PAIRS,
+    _MASK_BITS,
     _SLOPE_MASKS,
-    _arc_key,
     _degrees,
     _frame_slots,
     _keys_compatible,
-    endpoint_sets,
     tag_choices,
 )
 from .errors import (
@@ -67,25 +66,23 @@ from .errors import (
     InternalNonUnique,
     InvalidParameters,
 )
-from .lattice import (
-    Slope,
-    enumerate_slopes,
-    farey1_triples,
-    farey_distance,
-    is_farey1_triple,
-    standard_form,
-)
+from .lattice import Slope, _slope_sorted, enumerate_slopes, farey1_triples
 
 Key = tuple[int, int, int, int]
+Vector = tuple[int, int]
+# Each puncture by its bit number 2*i + j, and None for None.
+_PUNCTURE_OF = {None: None, **dict(enumerate(PUNCTURES))}
 
 
-def _companions(p: Slope, q: Slope) -> tuple[Slope, Slope]:
-    """The two slopes Farey-1 adjacent to both members of a pair known to
-    be Farey-2 (unchecked; :func:`_frame` checks a spec's pair): the
-    half-sum and half-difference of the primitive vectors, sorted."""
-    r = standard_form((p.a + q.a) // 2, (p.b + q.b) // 2)
-    s = standard_form((p.a - q.a) // 2, (p.b - q.b) // 2)
-    return (r, s) if r <= s else (s, r)
+def _companions(p: Vector, q: Vector) -> list[Vector]:
+    """The two slope vectors Farey-1 adjacent to both of a pair known to be
+    Farey-2 (unchecked; :func:`_frame` checks a spec's pair): the half-sum,
+    with a > 0, and the half-difference, sign-normalised, sorted.  They
+    have det +-1, so no gcd is taken."""
+    (a, b), (c, d) = p, q
+    x, y = (a - c) // 2, (b - d) // 2
+    return _slope_sorted([((a + c) // 2, (b + d) // 2),
+                          (-x, -y) if x < 0 or not x and y < 0 else (x, y)])
 
 
 class TriType(Frozen):
@@ -93,7 +90,7 @@ class TriType(Frozen):
 
     ``slopes`` is the Farey-1 triple (types I, VI) or the Farey-2 pair
     (II-V), sorted.  ``taggings`` holds only the freely choosable
-    per-puncture tags of the type.
+    per-puncture tags of the type, by puncture.
     """
 
     __slots__ = _fields = ("tag", "slopes", "v", "v_prime", "taggings")
@@ -106,11 +103,13 @@ class TriType(Frozen):
     def __init__(self, tag: str, slopes: tuple[Slope, ...], v: Puncture | None = None,
                  v_prime: Puncture | None = None,
                  taggings: tuple[tuple[Puncture, Tagging], ...] = ()) -> None:
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "slopes", tuple(sorted(slopes)))
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "v_prime", v_prime)
-        object.__setattr__(self, "taggings", tuple(sorted(taggings, key=lambda e: e[0])))
+        self._set(tag, tuple(sorted(slopes)), v, v_prime,
+                  tuple(sorted(taggings, key=lambda e: 2 * e[0].i + e[0].j)))
+
+    def _set(self, *values) -> "TriType":  # in _fields order, slopes and taggings sorted
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        return self
 
     def to_json(self) -> dict:
         out: dict = {"type": self.tag, "slopes": [str(s) for s in self.slopes]}
@@ -122,34 +121,38 @@ class TriType(Frozen):
         return out
 
 
-def _coinciding_pair(slope: Slope, agree_at: Puncture, tag: Tagging) -> list[Key]:
-    """The keys of the arcs of ``slope`` tagged ``tag`` at ``agree_at``,
-    plain then notched at the far end."""
-    far = agree_at.translate(slope.parity)
-    return [_arc_key(slope, agree_at, tag, far, t) for t in Tagging]
+def _coinciding_pair(s: Vector, x: int, notched: int) -> list[Key]:
+    """The keys of the arcs of slope vector s at puncture bit x, notched at x
+    as the mask ``notched`` is, plain then notched at the far end."""
+    far = 1 << (x ^ 2 * (s[0] & 1) ^ s[1] & 1)
+    mask, marks = 1 << x | far, notched & 1 << x
+    return [(*s, mask, marks), (*s, mask, marks | far)]
 
 
-def _frame(kind: str, slopes: tuple[Slope, ...], v: Puncture | None,
-           v_prime: Puncture | None):
-    """(u, w, c, c2, free) of a type with these slopes (in any order), v and v':
-    u ends the Farey-2 pair at v, w is IV's fourth puncture, companion c leads
-    from v to v' and c2 is the other (None where the type has none); free
-    lists the punctures whose tag the type leaves free.  Checks all but tags,
-    for the specs of :func:`build_type`, :func:`_enumerate_typed` and the
-    tests' object oracle; :func:`classify` reads keys instead."""
+def _frame(kind: str, slopes: Sequence[Vector], v: int | None, v_prime: int | None):
+    """(u, w, c, c2, free) of a type with these slope vectors (in any order)
+    and puncture bits v and v' (or None): u ends the Farey-2 pair at v, w is
+    IV's fourth puncture, companion c leads from v to v' and c2 is the other
+    (None where the type has none); free lists the bits whose tag the type
+    leaves free.  A slope of parity 2*(a % 2) + b % 2 moves a bit by XOR.
+    Checks all but tags, for the specs of :func:`build_type`,
+    :func:`_enumerate_typed` and the tests' object oracle."""
     if kind not in ("I", "II", "III", "IV", "V", "VI"):
         raise InvalidParameters(f"unknown type {kind!r}")
-    if kind in ("I", "VI"):
-        if len(slopes) != 3 or not is_farey1_triple(*slopes):
+    if kind in ("I", "VI"):  # a wrong number of slopes reads zero vectors, which fail
+        (a, b), (c, d), (e, f) = slopes if len(slopes) == 3 else [(0, 0)] * 3
+        if not abs(a * d - b * c) == abs(a * f - b * e) == abs(c * f - d * e) == 1:
             raise InvalidParameters("types I and VI need a Farey-1 triple")
-    elif len(slopes) != 2 or farey_distance(*slopes) != 2:
-        raise InvalidParameters("types II-V need a Farey-2 pair")
+    else:
+        (a, b), (c, d) = slopes if len(slopes) == 2 else [(0, 0)] * 2
+        if abs(a * d - b * c) != 2:
+            raise InvalidParameters("types II-V need a Farey-2 pair")
     if (v is None) != (kind == "I"):
         raise InvalidParameters(
             "type I takes no vertex v" if v is not None else f"type {kind} needs a vertex v")
     u = w = c = c2 = None
     if kind not in ("I", "VI"):
-        u = v.translate(slopes[0].parity)
+        u = v ^ 2 * (slopes[0][0] & 1) ^ slopes[0][1] & 1
         c, c2 = _companions(*slopes)
         if kind in ("II", "III") and not v < u:
             raise InvalidParameters(f"type {kind} requires v below its partner mod 2")
@@ -158,47 +161,42 @@ def _frame(kind: str, slopes: tuple[Slope, ...], v: Puncture | None,
             raise InvalidParameters(f"type {kind} needs v' off the Farey-2 pair")
         # p, c and c2 have the three nonzero parities, so v' and w are the
         # translates of v by the two companions
-        if v.translate(c.parity) != v_prime:
+        if v ^ 2 * (c[0] & 1) ^ c[1] & 1 != v_prime:
             c, c2 = c2, c
-        w = v.translate(c2.parity)
+        w = v ^ 2 * (c2[0] & 1) ^ c2[1] & 1
     elif v_prime is not None:
         raise InvalidParameters(f"type {kind} takes no v'")
-    free = {"I": PUNCTURES, "II": PUNCTURES, "III": (v, u), "IV": (v, u, w),
+    free = {"I": (0, 1, 2, 3), "II": (0, 1, 2, 3), "III": (v, u), "IV": (v, u, w),
             "V": (v, u), "VI": (v,)}[kind]
     return u, w, c, c2, free
 
 
-def _assemble(kind: str, slopes: tuple[Slope, ...], v: Puncture | None, frame,
-              tags: dict[Puncture, Tagging]) -> tuple[Key, ...]:
-    """The arc keys of the module docstring's table, in its order, for
-    ``slopes`` sorted as :class:`TriType` keeps them and a tag at each free
-    puncture."""
+def _assemble(kind: str, slopes: Sequence[Vector], v: int | None, frame,
+              notched: int) -> tuple[Key, ...]:
+    """The arc keys of the module docstring's table, in its order, for the
+    slope vectors sorted as :class:`TriType` keeps them and the mask of the
+    notched free punctures: arc(s, x, y) is ``(*s, mask, mask & notched)``
+    for the mask of x and y, and both(s) has the masks of :data:`_SLOPE_MASKS`."""
     u, w, c, c2, _ = frame
-
-    def arc(s: Slope, x: Puncture, y: Puncture) -> Key:
-        return _arc_key(s, x, tags[x], y, tags[y])
-
-    def both(s: Slope) -> list[Key]:
-        return [arc(s, *pair) for pair in endpoint_sets(s)]
-
-    def coinciding(s: Slope, x: Puncture) -> list[Key]:
-        return _coinciding_pair(s, x, tags[x])
-
-    if kind == "I":
-        arcs = [a for s in slopes for a in both(s)]
-    elif kind == "VI":
-        arcs = [a for s in slopes for a in coinciding(s, v)]
+    if kind in ("I", "II"):  # both(s) for each s of the triple, or of c and c2
+        both = [(a, b, m, m & notched) for a, b in (slopes if kind == "I" else (c, c2))
+                for m in _SLOPE_MASKS[2 * (a & 1) + (b & 1)]]
+        if kind == "I":
+            return tuple(both)
+    if kind == "VI":
+        return tuple([key for s in slopes for key in _coinciding_pair(s, v, notched)])
+    mask = 1 << v | 1 << u
+    keys = [(a, b, mask, mask & notched) for a, b in slopes]
+    if kind == "II":
+        keys += both
+    elif kind == "III":
+        keys += _coinciding_pair(c, v, notched) + _coinciding_pair(c, u, notched)
+    elif kind == "IV":
+        vw, uw = 1 << v | 1 << w, 1 << u | 1 << w
+        keys += _coinciding_pair(c, v, notched) + [(*c2, vw, vw & notched), (*c, uw, uw & notched)]
     else:
-        arcs = [arc(s, v, u) for s in slopes]
-        if kind == "II":
-            arcs += both(c) + both(c2)
-        elif kind == "III":
-            arcs += coinciding(c, v) + coinciding(c, u)
-        elif kind == "IV":
-            arcs += coinciding(c, v) + [arc(c2, v, w), arc(c, u, w)]
-        else:
-            arcs += coinciding(c, v) + coinciding(c2, v)
-    return tuple(arcs)
+        keys += _coinciding_pair(c, v, notched) + _coinciding_pair(c2, v, notched)
+    return tuple(keys)
 
 
 def build_type(spec: TriType) -> TaggedTriangulation:
@@ -206,17 +204,24 @@ def build_type(spec: TriType) -> TaggedTriangulation:
     the order of the module docstring.
 
     The spec must give exactly the parameters its type takes, and one tag
-    at each puncture whose tag the type leaves free (:func:`_frame`).
+    at each puncture whose tag the type leaves free (:func:`_frame`).  It
+    is read as slope vectors, puncture bits and masks.
     """
-    frame = _frame(spec.tag, spec.slopes, spec.v, spec.v_prime)
-    free = frame[-1]
-    tags = dict(spec.taggings)
-    if len(tags) != len(spec.taggings):
+    slopes = [(s.a, s.b) for s in spec.slopes]
+    v = None if spec.v is None else 2 * spec.v.i + spec.v.j
+    v_prime = None if spec.v_prime is None else 2 * spec.v_prime.i + spec.v_prime.j
+    frame = _frame(spec.tag, slopes, v, v_prime)
+    tagged = notched = 0
+    for p, t in spec.taggings:
+        tagged |= 1 << 2 * p.i + p.j
+        notched |= (t is Tagging.NOTCHED) << 2 * p.i + p.j
+    if tagged.bit_count() != len(spec.taggings):
         raise InvalidParameters("a puncture is tagged twice")
-    if set(tags) != set(free):
+    free = frame[-1]
+    if tagged != sum([1 << n for n in free]):
         raise InvalidParameters(
-            f"type {spec.tag} takes tags at " + ", ".join(f"v{x}" for x in free))
-    return TaggedTriangulation._of_keys(_assemble(spec.tag, spec.slopes, spec.v, frame, tags))
+            f"type {spec.tag} takes tags at " + ", ".join(f"v{PUNCTURES[n]}" for n in free))
+    return TaggedTriangulation._of_keys(_assemble(spec.tag, slopes, v, frame, notched))
 
 
 def classify(tri: TaggedTriangulation) -> TriType:
@@ -224,53 +229,51 @@ def classify(tri: TaggedTriangulation) -> TriType:
     :func:`build_type` up to arc order).
 
     All is read off the arc keys of the valid ``tri`` and checked no
-    more: a coinciding pair is two keys that differ in the notch mask only,
-    a Farey-2 pair two with one endpoint mask and ``|det|`` 2.  The degrees
-    and the number of coinciding pairs give the type
-    (:data:`curves._DEGREE_TYPES`).  A puncture is free unless it is the far
-    end of a coinciding pair, where its two notch masks differ.
+    more.  Two arcs on one endpoint mask (no mask has three) are a
+    coinciding pair if they have one slope, and else the Farey-2 pair.  The
+    degrees and the number of coinciding pairs give the type
+    (:data:`curves._DEGREE_TYPES`).  A puncture is free unless it is the
+    far end of a coinciding pair, where its two notch masks differ.  The
+    slope vectors are sorted before each ``Slope`` is built, once.
     """
     keys = tri._keys
-    f2 = next(((i, j) for i, j in _PAIRS if keys[i][2] == keys[j][2]
-               and abs(keys[i][0] * keys[j][1] - keys[i][1] * keys[j][0]) == 2), None)
-    first: dict[tuple[int, int, int], int] = {}
+    on_mask: dict[int, Key] = {}
+    f2 = None  # the Farey-2 pair's two keys
     pairs = []  # the endpoint mask of each coinciding pair
     notched = plain = far = 0
-    for a, b, mask, marks in keys:
+    for key in keys:
+        a, b, mask, marks = key
         notched |= marks
         plain |= mask ^ marks
-        other = first.setdefault((a, b, mask), marks)
-        if other != marks:
+        other = on_mask.setdefault(mask, key)
+        if other[0] != a or other[1] != b:
+            f2 = other, key
+        elif other is not key:
             pairs.append(mask)
-            far |= other ^ marks
+            far |= other[3] ^ marks
     kind = _DEGREE_TYPES[tri.degree_sequence][len(pairs)]
-    vectors = (keys[f2[0]][:2], keys[f2[1]][:2]) if f2 else {key[:2] for key in keys}
-    slopes = tuple([Slope(a, b) for a, b in vectors])
+    vectors = _slope_sorted([f2[0][:2], f2[1][:2]] if f2 else {key[:2] for key in keys})
     v = v_prime = None
     if kind in ("II", "III"):
-        mask = keys[f2[0]][2]
-        v = PUNCTURES[(mask & -mask).bit_length() - 1]  # the lower endpoint
+        v = _MASK_BITS[f2[0][2]][0]  # the lower endpoint
     elif kind != "I":
         degrees = _degrees(keys)
-        v = PUNCTURES[degrees.index(max(degrees))]
+        v = degrees.index(max(degrees))
     if kind in ("III", "IV"):
-        bit = 1 << 2 * v.i + v.j
-        v_prime = PUNCTURES[next(mask ^ bit for mask in pairs if mask & bit).bit_length() - 1]
+        v_prime = next(mask ^ 1 << v for mask in pairs if mask >> v & 1).bit_length() - 1
     mixed = notched & plain & ~far
     if mixed:
         p = PUNCTURES[(mixed & -mixed).bit_length() - 1]
         raise InternalError(f"mixed tags at v{p} outside a coinciding end")
-    taggings = tuple((p, Tagging.NOTCHED if notched >> n & 1 else Tagging.PLAIN)
-                     for n, p in enumerate(PUNCTURES) if not far >> n & 1)
-    return TriType(kind, slopes, v=v, v_prime=v_prime, taggings=taggings)
+    taggings = tuple([(p, TaggedArc._MARKS[notched >> n & 1])
+                      for n, p in enumerate(PUNCTURES) if not far >> n & 1])
+    return object.__new__(TriType)._set(kind, tuple([Slope(a, b) for a, b in vectors]),
+                                         _PUNCTURE_OF[v], _PUNCTURE_OF[v_prime], taggings)
 
 
 def _farey2_pairs(slopes: Sequence[Slope]) -> list[tuple[Slope, Slope]]:
-    return [
-        (p, q)
-        for p, q in itertools.combinations(slopes, 2)
-        if farey_distance(p, q) == 2
-    ]
+    return [(p, q) for p, q in itertools.combinations(slopes, 2)
+            if abs(p.a * q.b - p.b * q.a) == 2]
 
 
 def enumerate_triangulations(max_height: int) -> Iterator[TaggedTriangulation]:
@@ -283,35 +286,39 @@ def enumerate_triangulations(max_height: int) -> Iterator[TaggedTriangulation]:
 def _enumerate_typed(max_height: int) -> Iterator[tuple[TriType, TaggedTriangulation]]:
     """The sweep of :func:`enumerate_triangulations`, each triangulation
     with the type data it was built from, so callers need not
-    :func:`classify` it."""
+    :func:`classify` it; the kernels of :func:`build_type` assemble it."""
     slopes = enumerate_slopes(max_height)
     triples = farey1_triples(slopes)
 
     def parameters():
-        """(type, slopes, v, v') of every spec."""
+        """(type, slopes, v, v') of every spec, v and v' as puncture bits."""
         for triple in triples:
             yield "I", triple, None, None
         for p, q in _farey2_pairs(slopes):
-            vs = [min(pair) for pair in endpoint_sets(p)]
-            companions = _companions(p, q)
+            vs = [_MASK_BITS[mask][0] for mask in _SLOPE_MASKS[2 * (p.a & 1) + (p.b & 1)]]
+            companions = _companions(p.vector, q.vector)
             for v in vs:
                 yield "II", (p, q), v, None
-            for kind, kind_vs in (("III", vs), ("IV", PUNCTURES)):
-                for v, c in itertools.product(kind_vs, companions):
-                    yield kind, (p, q), v, v.translate(c.parity)
-            for v in PUNCTURES:
+            for kind, kind_vs in (("III", vs), ("IV", range(4))):
+                for v, (a, b) in itertools.product(kind_vs, companions):
+                    yield kind, (p, q), v, v ^ 2 * (a & 1) ^ b & 1
+            for v in range(4):
                 yield "V", (p, q), v, None
         for triple in triples:
-            for v in PUNCTURES:
+            for v in range(4):
                 yield "VI", triple, v, None
 
     memo: dict[Key, TaggedArc] = {}  # one arc object per key across the sweep
     for kind, spec_slopes, v, v_prime in parameters():
-        frame = _frame(kind, spec_slopes, v, v_prime)
-        for tags in tag_choices(frame[-1]):
-            spec = TriType(kind, spec_slopes, v=v, v_prime=v_prime, taggings=tags)
+        spec_slopes = tuple(sorted(spec_slopes))
+        vectors = [s.vector for s in spec_slopes]
+        frame = _frame(kind, vectors, v, v_prime)
+        free = frame[-1]
+        for tags in tag_choices([PUNCTURES[n] for n in free]):
+            spec = TriType(kind, spec_slopes, _PUNCTURE_OF[v], _PUNCTURE_OF[v_prime], tags)
+            notched = sum([1 << n for n, (_, t) in zip(free, tags) if t is Tagging.NOTCHED])
             arcs = tuple([memo.get(key) or memo.setdefault(key, TaggedArc._of_key(key))
-                          for key in _assemble(kind, spec.slopes, v, frame, dict(tags))])
+                          for key in _assemble(kind, vectors, v, frame, notched)])
             yield spec, TaggedTriangulation._of_keys(tuple([a._key for a in arcs]), arcs)
 
 
@@ -440,7 +447,7 @@ def signed_adjacency(tri: TaggedTriangulation) -> ExchangeMatrix:
                           "has a coinciding pair of arcs (types III-VI)")
     _, slots, flipped = _frame_slots(tri._keys)
     B, row = _FRAME_ADJACENCY[flipped], itemgetter(*slots)
-    return tuple(row(B[slot]) for slot in slots)
+    return tuple([row(B[slot]) for slot in slots])
 
 
 def mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:

@@ -5,7 +5,8 @@ they read integer arc keys; kept as oracles of the key versions.
   slopes, the coinciding pairs by a ``Counter`` of ``underlying``, the
   degrees and the tags by scanning puncture sets and ends;
 - :func:`lattice_frame`: the two-arc slopes ordered as :class:`Slope`
-  objects;
+  objects, and :func:`pair_to_basis`, the basis change of a Farey-1 pair
+  as the lattice module gave it, checking the determinant three times;
 - :func:`degree_sequence`, :func:`all_plain` and :func:`height` on the
   arcs' punctures, tags and slopes;
 - :func:`image`, an arc or curve moved by a lattice map through its slope
@@ -21,9 +22,9 @@ import itertools
 from collections import Counter
 
 from spherelam.curves import PUNCTURES, Puncture, Tagging, _key_images
-from spherelam.errors import InternalError, NotFareyTriple
-from spherelam.lattice import BASE_TRIPLE, Slope, det2, farey_distance, is_farey1_triple, \
-    pair_to_basis, standard_form
+from spherelam.errors import InternalError, NotFareyNeighbors, NotFareyTriple
+from spherelam.lattice import BASE_TRIPLE, Slope, UnimodularMap, det2, farey_distance, \
+    is_farey1_triple, standard_form
 from spherelam.triangulation import TriType, _frame
 
 
@@ -61,12 +62,25 @@ def classify(tri):
     if kind in ("III", "IV"):
         v_prime = next(p for pts in pairs if v in pts for p in pts if p != v)
     taggings = []
-    for p in _frame(kind, slopes, v, v_prime)[-1]:
+    bits = [None if p is None else 2 * p.i + p.j for p in (v, v_prime)]
+    for p in [PUNCTURES[n] for n in _frame(kind, [s.vector for s in slopes], *bits)[-1]]:
         seen = {t for arc in arcs for q, t in arc.ends if q == p}
         if len(seen) != 1:
             raise InternalError(f"mixed tags at v{p} outside a coinciding end")
         taggings.append((p, seen.pop()))
     return TriType(kind, slopes, v=v, v_prime=v_prime, taggings=tuple(taggings))
+
+
+def pair_to_basis(s, t):
+    """Orientation-preserving lattice map L with L(s) = (1, 0) and
+    L(t) = (0, det(s, t)) for a Farey-1 pair s, t (slope objects or their
+    lattice vectors): s goes to slope 0 and t to slope inf."""
+    delta = det2(s, t)
+    if abs(delta) != 1:
+        raise NotFareyNeighbors(f"{s} and {t} are not Farey neighbors")
+    a1, b1 = s.vector if isinstance(s, Slope) else s
+    a2, b2 = t.vector if isinstance(t, Slope) else t
+    return UnimodularMap(((delta * b2, -delta * a2), (-b1, a1)))
 
 
 def lattice_frame(keys):

@@ -646,9 +646,9 @@ class TestWorkCaps:
 SRC = os.path.dirname(os.path.dirname(spherelam.__file__))
 
 
-def _modules_loaded(argv):
-    """The modules a fresh interpreter loads for one command, spherelam's
-    without their package prefix."""
+def _modules_loaded(argv, exit_code="0"):
+    """The modules a fresh interpreter loads for one command that exits
+    with ``exit_code``, spherelam's without their package prefix."""
     code = ("import sys; before = set(sys.modules); from spherelam.cli import run; "
             "code, _ = run(sys.argv[1:]); "
             "print(code, *sorted(m for m in sys.modules if m not in before))")
@@ -656,7 +656,7 @@ def _modules_loaded(argv):
                           text=True, check=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": SRC})
     code, *mods = proc.stdout.split()
-    assert code == "0", proc.stdout
+    assert code == exit_code, proc.stdout
     return {m.removeprefix("spherelam.") for m in mods}
 
 
@@ -724,15 +724,16 @@ class TestColdStart:
             assert _unused_imports(path) == [], path.name
 
     def test_lattice_frame_is_built_in_curves_only(self):
-        # the basis change and the key images are called by the frame
-        # kernel in curves only; every other module reads curves._frame_slots
+        # the key images are called in curves only, where the frame kernel
+        # builds its map and moves the keys inline; every other module reads
+        # curves._frame_slots
         import pathlib
 
         paths = sorted(pathlib.Path(spherelam.__file__).parent.glob("*.py"))
         assert len(paths) >= 12
         for path in paths:
             if path.name != "curves.py":
-                assert not _called_names(path) & {"pair_to_basis", "_key_images"}, path.name
+                assert "_key_images" not in _called_names(path), path.name
 
     def test_each_type_fact_has_one_home(self):
         # the admissible degree sequences are written in curves, the base
@@ -822,6 +823,19 @@ class TestColdStart:
                              "--r=-1", "--v", "00", "--tag", "00=plain"],
                             {"fan", "shear", "exactla", "plane"}),
         }
+        # inputs rejected while parsing import nothing that would compute
+        computing = {"fan", "shear", "triangulation", "exactla", "plane"}
+        rejects = {
+            "shear-curve-list": ["shear", "--curve", "[1,2]"],
+            "shear-closed-int": ["shear", "--curve", '{"closed":3}'],
+            "shear-tri-list": ["shear", "--curve", CURVE_PRIME, "--tri", "[1]"],
+            "tangle-check-object": ["tangle-check", "--tangle", '{"curve":1}'],
+            "tangle-check-weight": ["tangle-check", "--tangle",
+                                    '[{"curve":{"closed":"1/1"},"weight":"1"}]'],
+        }
+        for name, argv in rejects.items():
+            loaded = _modules_loaded(argv, exit_code="1")
+            assert "curves" in loaded and not loaded & computing, (name, sorted(loaded))
         for name, (argv, absent) in cases.items():
             loaded = _modules_loaded(argv)
             assert "curves" in loaded, (name, sorted(loaded))

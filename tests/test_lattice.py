@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from object_oracle import triple_to_basis
 from spherelam import lattice
-from spherelam.curves import _BY_SLOPE
 from spherelam.errors import NotFareyNeighbors, NotFareyTriple, ZeroVector
 from spherelam.lattice import (
     INF,
     MINUS_ONE,
     ZERO,
     Slope,
+    _slope_sorted,
     enumerate_slopes,
     farey1_triples,
     farey_distance,
@@ -135,7 +135,7 @@ class TestSlopeOrder:
 
     def test_comparisons_match_value_order(self):
         # > and >= fall back on the reflected < and <=; Slope's order and
-        # curves' vector order are both _slope_cmp, with inf last
+        # the vector sort _slope_sorted are one cross-product order, inf last
         def value(s):
             return (1, 0) if s.is_infinite else (0, Fraction(s.b, s.a))
 
@@ -143,13 +143,14 @@ class TestSlopeOrder:
         for s, t in itertools.product(slopes, repeat=2):
             x, y = value(s), value(t)
             assert (s < t, s <= t, s > t, s >= t) == (x < y, x <= y, x > y, x >= y)
-            assert (_BY_SLOPE(s.vector) < _BY_SLOPE(t.vector)) == (x < y)
+            assert (_slope_sorted([t.vector, s.vector]) == [s.vector, t.vector]) == (x <= y)
             assert min(s, t) == (s if x <= y else t)
             assert max(s, t) == (t if x <= y else s)
         by_value = sorted(slopes, key=value)
         assert by_value[-1] == INF
         assert sorted(slopes) == by_value
-        assert sorted((s.vector for s in slopes), key=_BY_SLOPE) == [s.vector for s in by_value]
+        assert _slope_sorted(s.vector for s in slopes) == [s.vector for s in by_value]
+        assert _slope_sorted(s.vector for s in reversed(slopes)) == [s.vector for s in by_value]
 
 
 class TestEnumerate:

@@ -30,7 +30,7 @@ from spherelam.errors import (
 )
 from spherelam.lattice import (
     INF, MINUS_ONE, ZERO, Slope, det2, enumerate_slopes, farey1_triples, farey_distance,
-    mediant, pair_to_basis, standard_form,
+    mediant, standard_form,
 )
 from spherelam.triangulation import (
     FIG1_MATRIX,
@@ -113,7 +113,7 @@ def sweep_flip_at_height_two(tri, k):
     Farey distance <= 2), so it is exact at any height of tri."""
     s, t = next((s, t) for s, t in itertools.combinations({a.slope for a in tri.arcs}, 2)
                 if farey_distance(s, t) == 1)
-    m = pair_to_basis(s, t)
+    m = object_oracle.pair_to_basis(s, t)
     image = TaggedTriangulation(tuple(a.image(m) for a in tri.arcs))
     assert image.height <= 2
     return sweep_flip(image, k), m
@@ -254,26 +254,27 @@ class TestBuildClassify:
                 build_type(spec)
 
     def test_companions(self):
-        # the companions of a Farey-2 pair, sorted; _frame checks the pair
-        assert triangulation._companions(Slope(1, 1), Slope(1, -1)) == (ZERO, INF)
-        assert triangulation._companions(Slope(1, 3), Slope(1, 1)) == (Slope(1, 2), INF)
+        # the companion vectors of a Farey-2 pair, sign-normalised and
+        # sorted; _frame checks the pair
+        assert triangulation._companions((1, 1), (1, -1)) == [(1, 0), (0, 1)]
+        assert triangulation._companions((1, -1), (1, 1)) == [(1, 0), (0, 1)]
+        assert triangulation._companions((1, 3), (1, 1)) == [(1, 2), (0, 1)]
         with pytest.raises(InvalidParameters, match="^types II-V need a Farey-2 pair$"):
-            triangulation._frame("II", (ZERO, INF), V00, None)
+            triangulation._frame("II", [(1, 0), (0, 1)], 0, None)
 
     def test_farey2_pair_checked_once(self, monkeypatch):
-        # _frame checks the pair, then finds the companions unchecked
-        calls = 0
-        real = lattice.farey_distance
-
-        def counting(s, t):
-            nonlocal calls
-            calls += 1
-            return real(s, t)
-
-        monkeypatch.setattr(lattice, "farey_distance", counting)
-        monkeypatch.setattr(triangulation, "farey_distance", counting)
-        build_type(TriType("II", (Slope(1, 1), Slope(1, -1)), v=V00, taggings=ALL_PLAIN))
-        assert calls == 1
+        # _frame checks the pair on its vectors, then finds the companions
+        # unchecked: _companions runs once, and no gcd
+        spec = TriType("II", (Slope(1, 1), Slope(1, -1)), v=V00, taggings=ALL_PLAIN)
+        calls = Counter()
+        real_gcd, real_companions = math.gcd, triangulation._companions
+        monkeypatch.setattr(math, "gcd", lambda *args: calls.update(["gcd"]) or real_gcd(*args))
+        monkeypatch.setattr(triangulation, "_companions", lambda p, q: (
+            calls.update(["_companions"]) or real_companions(p, q)))
+        build_type(spec)
+        assert calls == Counter({"_companions": 1})
+        Slope(2, 1)  # the counters are live
+        assert calls["gcd"] == 1
 
 
 class TestEnumeration:
@@ -526,8 +527,7 @@ class TestKeyReaders:
             real = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda *args: calls.update([name]) or real(*args))
 
-        for name in ("_frame", "farey_distance", "is_farey1_triple"):
-            count(triangulation, name)
+        count(triangulation, "_frame")
         for name in ("farey_distance", "is_farey1_triple"):
             count(lattice, name)
         count(Slope, "__init__")
@@ -535,9 +535,58 @@ class TestKeyReaders:
         assert set(spec.tag for spec in specs) == {"I", "II", "III", "IV", "V", "VI"}
         assert max(t.height for t in tris) >= 10**5
         assert calls == Counter({"__init__": sum(len(spec.slopes) for spec in specs)})
+        spec = classify(flip(tris[0], 0))
         calls.clear()
-        build_type(classify(flip(tris[0], 0)))  # the counters see a spec's checks
-        assert calls["_frame"] == 1 and calls["__init__"] > 0
+        build_type(spec)  # the counters see a spec's checks, and no Slope
+        assert calls == Counter({"_frame": 1})
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 1999), unimodular_maps())
+    def test_type_layer_is_equivariant(self, index, m):
+        # for T of height <= 3 of every type in any tagging and an
+        # orientation-preserving lattice map m with entries up to 10^6, the
+        # image m.T in the same arc order has T's type, build_type gives
+        # back m.T from its spec, and on types I and II the signed adjacency
+        # is T's: the integer kernels do not see the height
+        t = height_three()[index]
+        image = TaggedTriangulation._of_keys(tuple(_key_images(t._keys, m)))
+        spec = classify(image)
+        assert spec.tag == classify(t).tag
+        assert build_type(spec) == image
+        if spec.tag in ("I", "II"):
+            assert signed_adjacency(image) == signed_adjacency(t)
+
+    def test_type_layer_work_per_call(self, monkeypatch):
+        # on every triangulation of height <= 3 and on deep walks: build_type
+        # and signed_adjacency build no Slope, classify builds exactly its
+        # spec's slopes, and none of them builds a Puncture, compares two
+        # Slopes or Punctures or makes a cmp_to_key comparator
+        tris = height_three() + [f for _, _, f in deep_tagged_walks(41)]
+        for t in tris:
+            t.arcs  # built here, so that the Slopes of the calls are counted alone
+        specs = [classify(t) for t in tris]
+        plain = [t for t, spec in zip(tris, specs) if spec.tag in ("I", "II")]
+        calls = Counter()
+        for owner, name in itertools.product((Slope, Puncture), ("__init__", "__lt__", "__le__")):
+            real, label = getattr(owner, name), f"{owner.__name__}.{name}"
+            monkeypatch.setattr(owner, name, lambda *args, label=label, real=real: (
+                calls.update([label]) or real(*args)))
+        real_cmp_to_key = functools.cmp_to_key
+        monkeypatch.setattr(functools, "cmp_to_key", lambda cmp: (
+            calls.update(["cmp_to_key"]) or real_cmp_to_key(cmp)))
+        for spec, t in zip(specs, tris):
+            assert build_type(spec) == t
+        for t in plain:
+            signed_adjacency(t)
+        assert calls == Counter()
+        again = [classify(t) for t in tris]
+        assert again == specs
+        assert calls == Counter({"Slope.__init__": sum(len(spec.slopes) for spec in specs)})
+        assert {spec.tag for spec in specs} == {"I", "II", "III", "IV", "V", "VI"}
+        assert len(plain) > 500 and max(t.height for t in plain) >= 10**5
+        calls.clear()
+        TriType("I", (ZERO, INF, MINUS_ONE), taggings=ALL_PLAIN[::-1])  # the counters are live
+        assert calls["Slope.__lt__"] > 0 and not calls["Puncture.__lt__"]
 
     def test_mixed_tags_at_a_free_puncture_are_internal(self):
         # a type-II arc set with one tag changed: its degrees and pairs
