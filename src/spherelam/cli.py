@@ -124,14 +124,11 @@ def _cmd_shear(args) -> str:
     # base order: the same arcs in another order would print them permuted
     if args.method == "formula":
         vec = shear.shear_wrt(curve, tri)
-    elif args.method == "word":
-        if tri.arcs != base.arcs:
-            raise DomainError("the word method computes against the base triangulation")
-        vec = shear.shear_via_word(curve)
+    elif tri._keys != base._keys:
+        what = "word method" if args.method == "word" else "oracle"
+        raise DomainError(f"the {what} computes against the base triangulation")
     else:
-        if tri.arcs != base.arcs:
-            raise DomainError("the oracle computes against the base triangulation")
-        vec = shear.shear_oracle(curve)
+        vec = (shear.shear_via_word if args.method == "word" else shear.shear_oracle)(curve)
     return json.dumps(list(vec))
 
 

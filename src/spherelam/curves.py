@@ -548,37 +548,35 @@ class TaggedTriangulation(Frozen):
     equal to any triangulation with the same set of arcs.
 
     It is the integer keys ``_keys`` of its arcs (:func:`arcs_compatible`)
-    in arc order, equal and hashed by their frozenset; ``arcs`` is built
-    from them when first read, unless the constructor or a sweep sharing
-    one object per arc gave the arcs.  The constructor and :meth:`_of_keys`
-    check six distinct keys, each endpoint mask against the slope
-    (:data:`_SLOPE_MASKS`, as an arc's constructor does), the kernel on all
-    15 pairs and the degrees; :func:`triangulation.flip` skips the masks
-    and the pairs."""
+    in arc order, equal and hashed by their frozenset, and ``arcs`` is
+    built from them on every read.  The constructor takes arcs from
+    outside, :meth:`_of_keys` the keys every builder assembles; both check
+    six distinct keys, each endpoint mask against the slope
+    (:data:`_SLOPE_MASKS`), the kernel on all 15 pairs and the degrees;
+    :func:`triangulation.flip` skips the masks and the pairs."""
 
-    __slots__ = ("_keys", "_key_set", "_arcs", "degree_sequence")
+    __slots__ = ("_keys", "_key_set", "degree_sequence")
     _fields = ("arcs",)
     _keys: tuple[tuple[int, int, int, int], ...]
     _key_set: frozenset[tuple[int, int, int, int]]
-    _arcs: tuple[TaggedArc, ...] | None
     degree_sequence: tuple[int, int, int, int]
 
     def __init__(self, arcs: tuple[TaggedArc, ...]) -> None:
         arcs = tuple(arcs)
-        self._freeze(tuple([arc._key for arc in arcs]), arcs, check=True)
+        for arc in arcs:
+            if arc.__class__ is not TaggedArc:
+                raise ValueError(f"a triangulation takes TaggedArcs, not {type(arc).__name__}")
+        self._freeze(tuple([arc._key for arc in arcs]), check=True)
 
     @classmethod
     def _of_keys(cls, keys: tuple[tuple[int, int, int, int], ...],
-                 arcs: tuple[TaggedArc, ...] | None = None,
                  check: bool = True) -> "TaggedTriangulation":
-        """The triangulation of these keys (and arcs, if given); ``check=False``
-        is for :func:`triangulation.flip`, whose new key passed the kernel."""
+        """The triangulation of these keys (``check=False``: see :func:`triangulation.flip`)."""
         tri = object.__new__(cls)
-        tri._freeze(keys, arcs, check)
+        tri._freeze(keys, check)
         return tri
 
-    def _freeze(self, keys: tuple[tuple[int, int, int, int], ...],
-                arcs: tuple[TaggedArc, ...] | None, check: bool) -> None:
+    def _freeze(self, keys: tuple[tuple[int, int, int, int], ...], check: bool) -> None:
         key_set = frozenset(keys)
         if len(keys) != 6 or len(key_set) != 6:
             raise ValueError("a tagged triangulation has exactly 6 distinct arcs")
@@ -597,16 +595,11 @@ class TaggedTriangulation(Frozen):
             raise ValueError(f"impossible degree sequence {degrees}")
         object.__setattr__(self, "_keys", keys)
         object.__setattr__(self, "_key_set", key_set)
-        object.__setattr__(self, "_arcs", arcs)
         object.__setattr__(self, "degree_sequence", degrees)
 
     @property
     def arcs(self) -> tuple[TaggedArc, ...]:
-        arcs = self._arcs
-        if arcs is None:
-            arcs = tuple([TaggedArc._of_key(key) for key in self._keys])
-            object.__setattr__(self, "_arcs", arcs)
-        return arcs
+        return tuple([TaggedArc._of_key(key) for key in self._keys])
 
     @property
     def height(self) -> int:
@@ -655,16 +648,19 @@ def type_i_triangulation(triple: tuple[Slope, Slope, Slope],
                          ) -> TaggedTriangulation:
     """The type-I triangulation of a Farey-1 triple with one tag at each
     puncture: arcs i and i + 3 have slope ``triple[i]``, and arc i passes
-    through v00 (:func:`endpoint_sets`).  The arcs keep the order of the
-    triple, which :func:`triangulation.build_type` would sort."""
+    through v00 (the first mask of :data:`_SLOPE_MASKS`).  The arcs keep the
+    order of the triple, which :func:`triangulation.build_type` would sort."""
     if not is_farey1_triple(*triple):
         raise NotFareyTriple(f"({', '.join(map(str, triple))}) is not a Farey-1 triple")
     tags = dict(taggings)
     if len(tags) != len(taggings) or set(tags) != set(PUNCTURES):
         raise ValueError("taggings must cover each puncture exactly once")
-    return TaggedTriangulation(tuple(
-        TaggedArc(s, tuple((p, tags[p]) for p in endpoint_sets(s)[which]))  # type: ignore[arg-type]
-        for which in (0, 1) for s in triple))
+    if any([t.__class__ is not Tagging for t in tags.values()]):
+        raise ValueError(f"each tag must be a Tagging, got {taggings!r}")
+    notched = sum([(tags[p] is Tagging.NOTCHED) << n for n, p in enumerate(PUNCTURES)])
+    masks = [(s.a, s.b, _SLOPE_MASKS[2 * (s.a & 1) + (s.b & 1)]) for s in triple]
+    return TaggedTriangulation._of_keys(tuple([(a, b, m[i], m[i] & notched)
+                                               for i in (0, 1) for a, b, m in masks]))
 
 
 def _type_i_triple(tri: TaggedTriangulation) -> tuple[Slope, ...]:
@@ -674,7 +670,7 @@ def _type_i_triple(tri: TaggedTriangulation) -> tuple[Slope, ...]:
     if tri.degree_sequence != _TYPE_I_DEGREES:
         raise DomainError("the triangulation is not type I: its puncture degrees are "
                           f"{tri.degree_sequence}, not {_TYPE_I_DEGREES}")
-    return tuple(arc.slope for arc in tri.arcs if arc._key[2] & 1)
+    return tuple([Slope(a, b) for a, b, mask, _ in tri._keys if mask & 1])
 
 
 def base_triangulation() -> TaggedTriangulation:

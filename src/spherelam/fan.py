@@ -38,7 +38,6 @@ from .curves import (
     _MASK_BITS,
     _SLOPE_MASKS,
     curves_compatible,
-    kappa_inv,
     type_i_triangulation,
 )
 from .errors import BoundExhausted, InternalError, InternalNonUnique, MalformedInput, \
@@ -616,7 +615,7 @@ def flip_adjacency(cone: Cone) -> list[Cone]:
     if cone.kind != "VII":
         from .triangulation import classify, flip
 
-        tri = TaggedTriangulation(tuple(kappa_inv(c) for c in coll.curves))
+        tri = TaggedTriangulation._of_keys(tuple([c._key for c in coll.curves]))
         out = []
         for k in range(6):
             flipped = flip(tri, k)

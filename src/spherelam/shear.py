@@ -526,9 +526,9 @@ def find_witness(tangle: Tangle, max_height: int = 12) -> TaggedTriangulation | 
     tried before giving up; a candidate met again fails again, since the
     order of a triple only permutes the shear coordinates.  The 16
     taggings of a triple share its slopes and endpoints, hence its lattice
-    frame, which is read once per triple off its plain triangulation; each
-    tagging is then only a mask of notched punctures, and the one
-    triangulation built with tags is the witness returned.
+    frame, read once per triple off its plain triangulation; each tagging
+    is then only a mask of notched punctures.  That triangulation and the
+    witness are assembled from keys (:func:`type_i_triangulation`).
     """
     check_height(max_height)
     support = tangle.support

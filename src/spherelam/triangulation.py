@@ -103,6 +103,13 @@ class TriType(Frozen):
     def __init__(self, tag: str, slopes: tuple[Slope, ...], v: Puncture | None = None,
                  v_prime: Puncture | None = None,
                  taggings: tuple[tuple[Puncture, Tagging], ...] = ()) -> None:
+        slopes, taggings = tuple(slopes), tuple(taggings)
+        bad = [x for x in slopes if not isinstance(x, Slope)] + [
+            x for x in (v, v_prime) if not isinstance(x, (Puncture, type(None)))] + [
+            x for x in taggings if type(x) is not tuple or [*map(type, x)] != [Puncture, Tagging]]
+        if bad:
+            raise InvalidParameters("a type takes Slopes, v and v' Punctures or None, and "
+                                    f"(Puncture, Tagging) pairs, got {bad[0]!r}")
         self._set(tag, tuple(sorted(slopes)), v, v_prime,
                   tuple(sorted(taggings, key=lambda e: 2 * e[0].i + e[0].j)))
 
@@ -308,18 +315,18 @@ def _enumerate_typed(max_height: int) -> Iterator[tuple[TriType, TaggedTriangula
             for v in range(4):
                 yield "VI", triple, v, None
 
-    memo: dict[Key, TaggedArc] = {}  # one arc object per key across the sweep
     for kind, spec_slopes, v, v_prime in parameters():
         spec_slopes = tuple(sorted(spec_slopes))
         vectors = [s.vector for s in spec_slopes]
         frame = _frame(kind, vectors, v, v_prime)
         free = frame[-1]
+        by_bit = sorted(range(len(free)), key=free.__getitem__)  # free is unsorted in IV and V
         for tags in tag_choices([PUNCTURES[n] for n in free]):
-            spec = TriType(kind, spec_slopes, _PUNCTURE_OF[v], _PUNCTURE_OF[v_prime], tags)
+            spec = object.__new__(TriType)._set(  # unchecked, its taggings by puncture
+                kind, spec_slopes, _PUNCTURE_OF[v], _PUNCTURE_OF[v_prime],
+                tuple([tags[i] for i in by_bit]))
             notched = sum([1 << n for n, (_, t) in zip(free, tags) if t is Tagging.NOTCHED])
-            arcs = tuple([memo.get(key) or memo.setdefault(key, TaggedArc._of_key(key))
-                          for key in _assemble(kind, vectors, v, frame, notched)])
-            yield spec, TaggedTriangulation._of_keys(tuple([a._key for a in arcs]), arcs)
+            yield spec, TaggedTriangulation._of_keys(_assemble(kind, vectors, v, frame, notched))
 
 
 def _candidate_table(pairs: dict[int, tuple[tuple[int, int], ...]]):
@@ -366,9 +373,9 @@ def flip(tri: TaggedTriangulation, k: int) -> TaggedTriangulation:
     ``tri`` and the compatibility kernel accepts it against the five
     remaining keys.  Six distinct pairwise compatible arcs are a
     triangulation, and the flip is unique (Fomin-Shapiro-Thurston): any
-    other count of survivors is :class:`InternalNonUnique`.  The result
-    has the key at k and the other five keys of ``tri``; its arcs are
-    built when they are read.
+    other count of survivors is :class:`InternalNonUnique`.  The result,
+    the key at k and the other five keys of ``tri``, skips the mask and
+    pair checks (``check=False``): the kernel has passed them all.
     """
     if type(k) is not int or not 0 <= k < 6:
         raise DomainError("arc index must be in 0..5")

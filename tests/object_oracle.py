@@ -15,13 +15,18 @@ they read integer arc keys; kept as oracles of the key versions.
   slope set of a Farey-1 triple onto the base triple, the basis change of
   type-I triangulations before the lattice frame;
 - :func:`sort_key`, the curve order on a curve's slope and ends, as
-  :meth:`AllowableCurve.sort_key` was before it read the key.
+  :meth:`AllowableCurve.sort_key` was before it read the key;
+- :func:`type_i_triangulation`, six validating :class:`TaggedArc` objects
+  through :func:`endpoint_sets` and the arc constructor of
+  :class:`TaggedTriangulation`, as the type-I builder was before it
+  assembled keys.
 """
 
 import itertools
 from collections import Counter
 
-from spherelam.curves import PUNCTURES, Puncture, Tagging, _key_images
+from spherelam.curves import PUNCTURES, Puncture, TaggedArc, TaggedTriangulation, Tagging, \
+    _key_images, endpoint_sets
 from spherelam.errors import InternalError, NotFareyNeighbors, NotFareyTriple
 from spherelam.lattice import BASE_TRIPLE, Slope, UnimodularMap, det2, farey_distance, \
     is_farey1_triple, standard_form
@@ -123,3 +128,14 @@ def sort_key(curve):
         return (curve.slope.a, curve.slope.b, 0, ())
     return (curve.slope.a, curve.slope.b, 1,
             tuple((p.i, p.j, d.value) for p, d in curve.ends))
+
+
+def type_i_triangulation(triple, taggings=tuple((p, Tagging.PLAIN) for p in PUNCTURES)):
+    if not is_farey1_triple(*triple):
+        raise NotFareyTriple(f"({', '.join(map(str, triple))}) is not a Farey-1 triple")
+    tags = dict(taggings)
+    if len(tags) != len(taggings) or set(tags) != set(PUNCTURES):
+        raise ValueError("taggings must cover each puncture exactly once")
+    return TaggedTriangulation(tuple(
+        TaggedArc(s, tuple((p, tags[p]) for p in endpoint_sets(s)[which]))
+        for which in (0, 1) for s in triple))

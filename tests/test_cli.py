@@ -713,7 +713,8 @@ def _called_names(path) -> set:
 class TestColdStart:
     """Each command imports only the modules it runs; none imports
     dataclasses (with inspect), fractions or decimal, or a name it never
-    uses.  One module builds the lattice frame of a triangulation."""
+    uses, and none holds an assert.  One module builds the lattice frame of
+    a triangulation."""
 
     def test_no_module_imports_an_unused_name(self):
         import pathlib
@@ -722,6 +723,19 @@ class TestColdStart:
         assert len(paths) >= 12
         for path in paths:
             assert _unused_imports(path) == [], path.name
+
+    def test_no_module_holds_an_assert(self):
+        # python -O strips assert statements: every check in the package
+        # raises, so it holds under -O too
+        import ast
+        import pathlib
+
+        paths = sorted(pathlib.Path(spherelam.__file__).parent.glob("*.py"))
+        assert len(paths) >= 12
+        for path in paths:
+            asserts = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                       if isinstance(node, ast.Assert)]
+            assert asserts == [], path.name
 
     def test_lattice_frame_is_built_in_curves_only(self):
         # the key images are called in curves only, where the frame kernel

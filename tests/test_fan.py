@@ -894,16 +894,12 @@ class TestOnePassBuild:
         for spec, tri in typed:
             assert classify(tri).tag == spec.tag
 
-    def test_one_arc_object_per_arc(self):
-        # the sweep hands each triangulation its shared arcs, whose key
-        # tuples are the triangulation's keys; the sixteen type-VII
-        # collections of a slope share one curve per key
-        by_key = {}
-        for _, tri in triangulation._enumerate_typed(3):
-            assert tri._arcs is not None
-            for a, key in zip(tri.arcs, tri._keys):
-                assert by_key.setdefault(a._key, a) is a and a._key is key
-        assert len(by_key) == len(enumerate_arcs(3))
+    def test_one_curve_object_per_key(self):
+        # the sweep's triangulations hold the key of every arc of height
+        # <= 3, and store no arc; the sixteen type-VII collections of a
+        # slope share one curve per key
+        keys = {key for _, tri in triangulation._enumerate_typed(3) for key in tri._keys}
+        assert keys == {a._key for a in enumerate_arcs(3)}
         for slope in enumerate_slopes(3):
             spirals = {}
             for coll in fan.closed_collections(slope):

@@ -441,18 +441,18 @@ class TestLaminationsAndTangles:
         # the number of curves; find_witness builds one plain triangulation
         # and its frame per triple it tries, reads the 16 taggings of the
         # triple as notched masks, and builds one more triangulation, the
-        # witness it returns
+        # witness it returns, each from its keys
         from spherelam import curves, shear
 
         frames, tried, built = [], [], []
         real_frame, real_build = shear._frame_slots, shear.type_i_triangulation
-        real_init = curves.TaggedTriangulation.__init__
+        real_of_keys = curves.TaggedTriangulation._of_keys.__func__
         monkeypatch.setattr(shear, "_frame_slots",
                             lambda keys: frames.append(1) or real_frame(keys))
         monkeypatch.setattr(shear, "type_i_triangulation",
                             lambda *a: tried.append(1) or real_build(*a))
-        monkeypatch.setattr(curves.TaggedTriangulation, "__init__",
-                            lambda self, arcs: built.append(1) or real_init(self, arcs))
+        monkeypatch.setattr(curves.TaggedTriangulation, "_of_keys", classmethod(
+            lambda cls, *a: built.append(1) or real_of_keys(cls, *a)))
         tri = type_i_triangulation((Slope(1, 2), Slope(1, 1), INF))
         pool = enumerate_curves(3)
         for n in (0, 1, 4, 30):

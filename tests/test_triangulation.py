@@ -26,7 +26,7 @@ from spherelam.curves import (
     endpoint_sets,
 )
 from spherelam.errors import (
-    DomainError, InternalError, InternalNonUnique, InvalidParameters,
+    DomainError, InternalError, InternalNonUnique, InvalidParameters, NotFareyTriple,
 )
 from spherelam.lattice import (
     INF, MINUS_ONE, ZERO, Slope, det2, enumerate_slopes, farey1_triples, farey_distance,
@@ -252,6 +252,23 @@ class TestBuildClassify:
         for spec in INVALID_SPECS:
             with pytest.raises(InvalidParameters):
                 build_type(spec)
+
+    @pytest.mark.parametrize("args, kwargs", [
+        (("II", _F2), dict(v="00", taggings=ALL_PLAIN)),
+        (("I", ((1, 0), (0, 1), (1, -1))), dict(taggings=ALL_PLAIN)),
+        (("III", _F2), dict(v=V00, v_prime=(0, 1), taggings=_VU)),
+        (("I", _F1), dict(taggings=(("00", PLAIN),) + ALL_PLAIN[1:])),
+        (("I", _F1), dict(taggings=((V00, "plain"),) + ALL_PLAIN[1:])),
+        (("I", _F1), dict(taggings=((V00, PLAIN, PLAIN),) + ALL_PLAIN[1:])),
+        (("I", _F1), dict(taggings=([V00, PLAIN],) + ALL_PLAIN[1:])),
+        (("VI", _F1), dict(v=V00, taggings=(V00, PLAIN))),
+    ])
+    def test_fields_of_the_wrong_class(self, args, kwargs):
+        # a slope that is not a Slope, a v or v' that is not a Puncture or
+        # None, a tagging that is not a (Puncture, Tagging) pair: refused
+        # when the spec is made, not met as an AttributeError in build_type
+        with pytest.raises(InvalidParameters, match="^a type takes Slopes, v and v' "):
+            TriType(*args, **kwargs)
 
     def test_companions(self):
         # the companion vectors of a Farey-2 pair, sign-normalised and
@@ -519,8 +536,6 @@ class TestKeyReaders:
         # spec checks and builds no Slope but those of its type data, at
         # height <= 3 and on deep walks
         tris = height_three() + [f for _, _, f in deep_tagged_walks(31)]
-        for t in tris:
-            t.arcs  # built here, so that classify's Slopes are counted alone
         calls = Counter()
 
         def count(owner, name):
@@ -562,8 +577,6 @@ class TestKeyReaders:
         # spec's slopes, and none of them builds a Puncture, compares two
         # Slopes or Punctures or makes a cmp_to_key comparator
         tris = height_three() + [f for _, _, f in deep_tagged_walks(41)]
-        for t in tris:
-            t.arcs  # built here, so that the Slopes of the calls are counted alone
         specs = [classify(t) for t in tris]
         plain = [t for t, spec in zip(tris, specs) if spec.tag in ("I", "II")]
         calls = Counter()
@@ -648,16 +661,91 @@ class TestKeyReaders:
         assert str(by_keys.value) == str(by_arcs.value)
         assert str(by_keys.value).startswith("incompatible arcs arc(0/1,{v00*,v10})")
 
-    def test_arcs_are_built_when_read(self):
-        # flip and build_type leave the arcs to the first read, which builds
-        # them once; the sweep and the constructor keep the objects given
-        t = flip(base_triangulation(), 0)
-        assert t._arcs is None
-        assert t.arcs is t.arcs and tuple(a._key for a in t.arcs) == t._keys
-        assert build_type(classify(t))._arcs is None
-        arcs = base_triangulation().arcs
-        assert TaggedTriangulation(arcs).arcs is arcs
+    @settings(max_examples=100, deadline=None)
+    @given(unimodular_maps(), st.permutations(range(3)))
+    def test_type_i_builder_matches_object_oracle(self, m, order):
+        # the key-assembled type-I builder gives the keys of the object-built
+        # oracle in its arc order, for Farey-1 triples carried from the base
+        # by maps with entries up to 10^6, in any order, under all 16 taggings
+        triple = tuple(m.apply_slope((ZERO, INF, MINUS_ONE)[i]) for i in order)
+        for tags in curves.tag_choices(curves.PUNCTURES):
+            assert (curves.type_i_triangulation(triple, tags)._keys
+                    == object_oracle.type_i_triangulation(triple, tags)._keys)
 
+    @pytest.mark.parametrize("triple, taggings, error, match", [
+        ((ZERO, INF, Slope(2, 1)), ALL_PLAIN, NotFareyTriple, "is not a Farey-1 triple"),
+        (_F1, ALL_PLAIN[:3], ValueError, "^taggings must cover each puncture exactly once$"),
+        (_F1, ALL_PLAIN + ALL_PLAIN[:1], ValueError, "^taggings must cover each puncture"),
+        (_F1, (("00", PLAIN),) + ALL_PLAIN[1:], ValueError, "^taggings must cover each puncture"),
+        (_F1, ((V00, "plain"),) + ALL_PLAIN[1:], ValueError, "^each tag must be a Tagging"),
+        (_F1, ALL_PLAIN[:3] + ((V11, None),), ValueError, "^each tag must be a Tagging"),
+    ])
+    def test_type_i_builder_errors(self, triple, taggings, error, match):
+        # the errors of the object-built oracle, a tag that is not a
+        # Tagging among them: the string "plain" or None is not plain
+        with pytest.raises(error):
+            object_oracle.type_i_triangulation(triple, taggings)
+        with pytest.raises(error, match=match):
+            curves.type_i_triangulation(triple, taggings)
+
+    @pytest.mark.parametrize("items", [
+        tuple(curves.kappa(a) for a in base_triangulation().arcs),
+        ("arc",) * 6,
+        base_triangulation().arcs[:5] + (None,),
+    ], ids=["kappa images", "strings", "None"])
+    def test_constructor_takes_tagged_arcs_only(self, items):
+        # a kappa image carries an arc's key, but it is a curve: refused by
+        # its class, as any other item that is not a TaggedArc
+        with pytest.raises(ValueError, match="^a triangulation takes TaggedArcs, not "
+                                             f"{type(items[-1]).__name__}$"):
+            TaggedTriangulation(items)
+
+    def test_arcs_are_built_when_read(self):
+        # a triangulation stores its keys only: every read of arcs builds
+        # them from the keys, and the constructor keeps the arcs it is given
+        t = flip(base_triangulation(), 0)
+        for tri in (t, build_type(classify(t)), base_triangulation()):
+            assert not hasattr(tri, "_arcs")
+            assert tri.arcs == tuple(TaggedArc._of_key(k) for k in tri._keys)
+            assert tri.arcs is not tri.arcs
+        arcs = base_triangulation().arcs[::-1]
+        assert TaggedTriangulation(arcs).arcs == arcs
+
+    def test_internal_paths_build_no_arc(self, monkeypatch):
+        # every triangulation built inside the package is assembled from
+        # keys: a cold cone index, the type-I builder, the witness search,
+        # flip adjacency, the shears against a keyed triangulation and the
+        # word method of the command line build no TaggedArc
+        from spherelam import fan, shear
+
+        rng = random.Random(7)
+        pool = curves.enumerate_curves(3)
+        tangle = shear.Tangle(tuple((c, rng.choice((-2, -1, 1, 2))) for c in rng.sample(pool, 4)))
+        triple = (Slope(1, 2), Slope(1, 1), INF)
+        tags = ((V00, PLAIN), (V01, NOTCHED), (V10, PLAIN), (V11, NOTCHED))
+        word_argv = ["shear", "--method", "word", "--curve", json.dumps(
+            {"slope": "1/1", "ends": [{"v": "00", "spiral": "ccw"}, {"v": "11", "spiral": "cw"}]})]
+        built = Counter()
+        real_init, real_of_key = TaggedArc.__init__, curves._ArcOrCurve._of_key.__func__
+        monkeypatch.setattr(TaggedArc, "__init__", lambda self, *args: (
+            built.update(["__init__"]) or real_init(self, *args)))
+        monkeypatch.setattr(TaggedArc, "_of_key", classmethod(lambda cls, *args: (
+            built.update(["_of_key"]) or real_of_key(cls, *args))))
+        fan._cached_index.cache_clear()
+        try:
+            cones = fan.cone_index(2).cones
+        finally:
+            fan._cached_index.cache_clear()
+        keyed = curves.type_i_triangulation(triple, tags)
+        assert shear.find_witness(tangle, 3) is not None
+        assert len(fan.flip_adjacency(next(c for c in cones if c.kind == "IV"))) == 6
+        shear.shear_wrt(pool[-1], keyed)
+        shear.tangle_shear(tangle, keyed)
+        for argv in (word_argv, word_argv + ["--tri", '{"triple": ["0/1", "inf", "-1/1"]}']):
+            assert cli.run(argv) == (0, "[0, 1, 0, -1, 0, 0]")
+        assert built == Counter()
+        assert keyed.arcs == object_oracle.type_i_triangulation(triple, tags).arcs
+        assert built == Counter({"_of_key": 12, "__init__": 6})  # the counters are live
 
 class TestMatrices:
     def test_mutation_involution(self):
