@@ -335,7 +335,7 @@ _COMMANDS = {
         ("--tri", dict(required=True)),
         ("--k", dict(type=int, required=True)),
     )),
-    "badj": (_cmd_badj, "signed adjacency matrix (types I and II, any tags)", (
+    "badj": (_cmd_badj, "signed adjacency matrix (any type, any tags)", (
         ("--tri", dict(required=True)),
     )),
     "mutate": (_cmd_mutate, "matrix mutation", (

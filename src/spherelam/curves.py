@@ -19,10 +19,11 @@ one XOR against their mask.
 
 :class:`TaggedTriangulation` lives here so that ``shear --tri`` and
 ``render --tri`` need not load :mod:`spherelam.triangulation`, with the
-type-I builder :func:`type_i_triangulation`, its reader
-:func:`_type_i_triple`, and :data:`_DEGREE_TYPES`, the admissible degree
-sequences with the types each allows, which the constructor, the reader
-and :func:`triangulation.classify` read.
+type-I builder :func:`type_i_triangulation`, its check
+:func:`_check_type_i` and reader :func:`_type_i_triple`, the lattice frame
+:func:`_lattice_frame` of every type, and :data:`_DEGREE_TYPES`, the
+admissible degree sequences with the types each allows, which the
+constructor, the check and :func:`triangulation.classify` read.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ import itertools
 from typing import Sequence
 
 from ._frozen import Frozen
-from .errors import ClosedCurveHasNoArc, DomainError, InternalError, MalformedInput, \
-    NotFareyTriple
-from .lattice import BASE_TRIPLE, Slope, UnimodularMap, _slope_sorted, enumerate_slopes, \
+from .errors import ClosedCurveHasNoArc, DomainError, InternalError, InvalidParameters, \
+    MalformedInput, NotFareyTriple
+from .lattice import BASE_TRIPLE, Matrix2, Slope, UnimodularMap, _slope_sorted, enumerate_slopes, \
     is_farey1_triple, standard_vector
 
 
@@ -405,51 +406,44 @@ def _key_images(keys: Sequence[tuple[int, int, int, int]], m: UnimodularMap
             for a, b, mask, marks in keys]
 
 
-# The base slot of every height-1 arc a lattice frame yields, by (a, b, mask): the
-# six arcs of base_triangulation and the slope-1 arcs its flips at slots 2, 5 put there.
-_FRAME_SLOT = {(1, 0, 5): 0, (0, 1, 3): 1, (1, -1, 9): 2, (1, 0, 10): 3, (0, 1, 12): 4,
-               (1, -1, 6): 5, (1, 1, 6): 2, (1, 1, 9): 5}
+def _lattice_frame(keys: Sequence[tuple[int, int, int, int]]
+                   ) -> tuple[Matrix2, list[tuple[int, int, int, int]]]:
+    """(m, images): the matrix m of the lattice frame of six arc keys, and
+    the key of each arc's image under m, in arc order, each tag switched at
+    every puncture where the first arc end met there is notched.
 
-
-def _frame_slots(keys: Sequence[tuple[int, int, int, int]]
-                 ) -> tuple[UnimodularMap, tuple[int, ...], int | None]:
-    """(m, slots, flipped): the lattice frame m of the six arcs with these
-    keys, the base slot of each image under m (:data:`_FRAME_SLOT`), and the
-    slot of the one image that is not a base arc (None for type I).
-
-    m is the orientation-preserving lattice map sending the two least
-    slopes s < t that carry two arcs each to (1, 0) and (0, 1): for type I
-    the two least slopes of its triple, for type II its companion slopes.
-    Either way they are a Farey-1 pair and every other slope is +-s +- t,
-    so m carries every arc to height 1, type I onto
-    :func:`base_triangulation` (t - s goes to -1) and type II onto the base
-    flipped at slot 2 or 5, whatever the tags.  Six keys without such a
-    pair, or an image outside the table, are an :class:`InternalError`.
-    All is integer work: s < t by cross-products (:func:`_slope_sorted`),
-    det(s, t) = 1 checked once, m = ((t_b, -t_a), (-s_b, s_a)) built
-    unchecked; m moves each key as :func:`_key_images` does, but the
+    The slopes are ordered by their number of arcs, largest first, then by
+    :func:`_slope_sorted`; m is the orientation-preserving map sending the
+    first pair (s, t) with det(s, t) = +-1 to (1, 0) and +-(0, 1), so every
+    image has height <= 2, and type I lands on :func:`base_triangulation`.
+    Neither m nor the tag switches change the exchange matrix
+    (Fomin-Shapiro-Thurston, Acta Math. 2008, Sec. 9).  Keys without a
+    Farey-1 pair are an :class:`InternalError`.  Integer work only: the
     images are primitive, so only their sign is normalised."""
-    vectors = [key[:2] for key in keys]
-    doubled = _slope_sorted({u for u in vectors if vectors.count(u) == 2})
-    if len(doubled) < 2 or doubled[0][0] * doubled[1][1] - doubled[0][1] * doubled[1][0] != 1:
-        raise InternalError("no Farey-1 pair of two-arc slopes among "
-                            + ", ".join(map(str, sorted({Slope(a, b) for a, b in vectors}))))
-    (sa, sb), (ta, tb) = doubled[:2]
-    m = object.__new__(UnimodularMap)
-    object.__setattr__(m, "linear", ((tb, -ta), (-sb, sa)))
+    vectors = []
+    seen = switch = 0
+    for a, b, mask, marks in keys:
+        vectors.append((a, b))
+        switch |= marks & ~seen
+        seen |= mask
+    slopes = _slope_sorted(set(vectors))
+    slopes.sort(key=vectors.count, reverse=True)
+    for (sa, sb), (ta, tb) in itertools.combinations(slopes, 2):
+        det = sa * tb - sb * ta
+        if det == 1 or det == -1:
+            break
+    else:
+        raise InternalError("no Farey-1 pair of slopes among "
+                            + ", ".join(map(str, sorted([Slope(a, b) for a, b in slopes]))))
+    ta, tb = det * ta, det * tb
     move = _MASK_MOVES[tb & 1, ta & 1, sb & 1, sa & 1]
-    slots, flipped = [], None
-    for a, b, mask, _ in keys:
+    images = []
+    for a, b, mask, marks in keys:
         x, y = tb * a - ta * b, sa * b - sb * a
         if x < 0 or not x and y < 0:
             x, y = -x, -y
-        slot = _FRAME_SLOT.get((x, y, move[mask]))
-        if slot is None:
-            raise InternalError(f"lattice frame image {(x, y, move[mask])} not in the frame table")
-        if x == y == 1:
-            flipped = slot
-        slots.append(slot)
-    return m, tuple(slots), flipped
+        images.append((x, y, move[mask], move[marks ^ switch & mask]))
+    return ((tb, -ta), (-sb, sa)), images
 
 
 def arcs_compatible(
@@ -649,7 +643,11 @@ def type_i_triangulation(triple: tuple[Slope, Slope, Slope],
     """The type-I triangulation of a Farey-1 triple with one tag at each
     puncture: arcs i and i + 3 have slope ``triple[i]``, and arc i passes
     through v00 (the first mask of :data:`_SLOPE_MASKS`).  The arcs keep the
-    order of the triple, which :func:`triangulation.build_type` would sort."""
+    order of the triple, which :func:`triangulation.build_type` would sort.
+    A triple that is not three :class:`Slope` objects is
+    :class:`InvalidParameters`."""
+    if len(triple) != 3 or not all([isinstance(s, Slope) for s in triple]):
+        raise InvalidParameters(f"a triple is three Slopes, got {triple!r}")
     if not is_farey1_triple(*triple):
         raise NotFareyTriple(f"({', '.join(map(str, triple))}) is not a Farey-1 triple")
     tags = dict(taggings)
@@ -663,13 +661,19 @@ def type_i_triangulation(triple: tuple[Slope, Slope, Slope],
                                                for i in (0, 1) for a, b, m in masks]))
 
 
-def _type_i_triple(tri: TaggedTriangulation) -> tuple[Slope, ...]:
-    """The slopes of the arcs through v00 of a type-I ``tri``, the one type
-    with all degrees 3, in arc order (see :func:`type_i_triangulation`);
-    any other triangulation is a DomainError."""
+def _check_type_i(tri: TaggedTriangulation) -> None:
+    """The DomainError of a ``tri`` not of type I, the one type with all
+    degrees 3."""
     if tri.degree_sequence != _TYPE_I_DEGREES:
         raise DomainError("the triangulation is not type I: its puncture degrees are "
                           f"{tri.degree_sequence}, not {_TYPE_I_DEGREES}")
+
+
+def _type_i_triple(tri: TaggedTriangulation) -> tuple[Slope, ...]:
+    """The slopes of the arcs through v00 of a type-I ``tri``, in arc order
+    (see :func:`type_i_triangulation`); any other triangulation is the
+    DomainError of :func:`_check_type_i`."""
+    _check_type_i(tri)
     return tuple([Slope(a, b) for a, b, mask, _ in tri._keys if mask & 1])
 
 

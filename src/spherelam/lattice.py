@@ -240,7 +240,7 @@ Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 class UnimodularMap(Frozen):
     """An integer-linear relabeling of the lattice plane; punctures move by
     its reduction mod 2.  |det| = 1 always; the lattice frames of
-    :func:`curves._frame_slots` have det = +1 (orientation preserving)."""
+    :func:`curves._lattice_frame` have det = +1 (orientation preserving)."""
 
     __slots__ = _fields = ("linear",)
     linear: Matrix2

@@ -33,8 +33,8 @@ from .curves import (
     SpiralDir,
     TaggedTriangulation,
     Tagging,
-    _frame_slots,
-    _type_i_triple,
+    _check_type_i,
+    _lattice_frame,
     base_triangulation,
     curves_compatible,
     tag_choices,
@@ -362,18 +362,22 @@ def shear_oracle(curve: AllowableCurve) -> ShearVector:
 
 
 _BASE = base_triangulation()
+# The base slot of each arc key of the base, onto which the lattice frame
+# carries every type-I triangulation, its tags switched to plain.
+_BASE_SLOT = {key: k for k, key in enumerate(_BASE._keys)}
 
 
 def _type_i_frame(tri: TaggedTriangulation) -> tuple[UnimodularMap, tuple[int, ...], int]:
     """(m, slots, notched) of a type-I ``tri``, any other type being the
-    DomainError of :func:`curves._type_i_triple`: the lattice frame
-    (:func:`curves._frame_slots`) m carrying ``tri`` onto the base, the
+    DomainError of :func:`curves._check_type_i`: the lattice frame
+    (:func:`curves._lattice_frame`) m carrying ``tri`` onto the base, the
     base index of the image of each arc (arcs through v00, which m fixes,
     land on 0-2), and the mask of the notched punctures.  The 16 taggings
     of a triple share m and the slots, which read slopes and endpoints."""
-    _type_i_triple(tri)
-    m, slots, _ = _frame_slots(tri._keys)
-    return m, slots, functools.reduce(operator.or_, [key[3] for key in tri._keys])
+    _check_type_i(tri)
+    linear, images = _lattice_frame(tri._keys)
+    return (UnimodularMap(linear), tuple([_BASE_SLOT[key] for key in images]),
+            functools.reduce(operator.or_, [key[3] for key in tri._keys]))
 
 
 def shear_wrt(curve: AllowableCurve, tri: TaggedTriangulation) -> ShearVector:

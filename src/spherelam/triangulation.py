@@ -31,17 +31,18 @@ Neither kernel depends on the height.  :func:`flip` is one integer pass
 over the five remaining keys: it tries the keys of at most 8 candidate
 slopes and keeps the one that the compatibility kernel accepts, the flip
 being unique (Fomin-Shapiro-Thurston, Acta Math. 2008);
-:func:`signed_adjacency` reads the matrix of a type-I or type-II
-triangulation off the base slots of its height-1 image under its lattice
-frame (:func:`curves._frame_slots`): ``FIG1_MATRIX``, mutated at the one
-slot where the image is the base flipped, if any.  Tags do not change it
-where no two arcs coincide (ibid., Sec. 9), so it serves types I and II in
-any tagging; types III-VI, which have a coinciding pair, are refused.
+:func:`signed_adjacency` serves every tagged triangulation: the lattice
+frame (:func:`curves._lattice_frame`) carries it to height <= 2 with its
+tags switched at some punctures, which changes no matrix (ibid., Sec. 9),
+and the matrix is read off :data:`_TABLE`, which a search from the base
+(:func:`_search`) fills with ``FIG1_MATRIX`` carried by :func:`mutate`, as
+far as the lookups need.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -56,8 +57,9 @@ from .curves import (
     _MASK_BITS,
     _SLOPE_MASKS,
     _degrees,
-    _frame_slots,
+    _lattice_frame,
     _keys_compatible,
+    base_triangulation,
     tag_choices,
 )
 from .errors import (
@@ -434,27 +436,20 @@ ExchangeMatrix = tuple[tuple[int, ...], ...]
 
 
 def signed_adjacency(tri: TaggedTriangulation) -> ExchangeMatrix:
-    """The signed adjacency matrix of a triangulation of type I or II, in
-    any tagging.
+    """The signed adjacency (exchange) matrix of any tagged triangulation,
+    rows and columns in arc order.
 
-    Tags do not change the matrix at a puncture where no two arcs coincide
-    (Fomin-Shapiro-Thurston, Acta Math. 2008, Sec. 9).  Only types III-VI
-    have a coinciding pair (equal slope and endpoints): a DomainError, read
-    off the keys before any frame.  The lattice frame
-    (:func:`curves._frame_slots`) reads slopes and endpoints only and
-    carries the arcs to height 1, onto the base triangulation or the base
-    flipped at slot 2 or 5.  It keeps faces and their orientation, so entry
-    (i, j) is the image's entry at the base slots of arcs i and j: that of
-    ``FIG1_MATRIX`` mutated at the flipped slot, if any, as a flip mutates
-    the matrix (:data:`_FRAME_ADJACENCY`).  The cost does not depend on the
+    The lattice frame (:func:`curves._lattice_frame`) carries the arcs to
+    height <= 2 and switches the tags at some punctures; neither changes
+    the matrix.  The sorted image keys index :data:`_TABLE`, whose matrix
+    is read back in the arcs' order.  The cost does not depend on the
     height.
     """
-    if len({key[:3] for key in tri._keys}) < 6:
-        raise DomainError("signed adjacency covers types I and II: this triangulation "
-                          "has a coinciding pair of arcs (types III-VI)")
-    _, slots, flipped = _frame_slots(tri._keys)
-    B, row = _FRAME_ADJACENCY[flipped], itemgetter(*slots)
-    return tuple([row(B[slot]) for slot in slots])
+    _, images = _lattice_frame(tri._keys)
+    key = sorted(images)
+    B = _TABLE.get(tuple(key)) or _entry(tuple(key))
+    row = itemgetter(*map(key.index, images))  # the entry row of each arc
+    return tuple(map(row, row(B)))
 
 
 def mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
@@ -490,6 +485,54 @@ FIG1_MATRIX: ExchangeMatrix = (
     (1, -1, 0, 1, -1, 0),
 )
 
-# The signed adjacency of each image a lattice frame yields (see
-# signed_adjacency), rows by base slot, keyed by the flipped slot.
-_FRAME_ADJACENCY = {None: FIG1_MATRIX, 2: mutate(FIG1_MATRIX, 2), 5: mutate(FIG1_MATRIX, 5)}
+
+# The exchange matrix of each lattice frame image that _SEARCH has met, keyed
+# by its sorted arc keys, rows in that order.
+_TABLE: dict[tuple[Key, ...], ExchangeMatrix] = {}
+
+
+def _search() -> Iterator[tuple[Key, ...]]:
+    """The breadth-first search that fills :data:`_TABLE`, yielding each key
+    it stores: from :func:`base_triangulation`, whose matrix is
+    ``FIG1_MATRIX``, it carries the matrix along the six flips of each new
+    entry by :func:`mutate`, and ends with 27 entries after 162 flips.  A
+    flip whose matrix disagrees with the entry already there is an
+    :class:`InternalError`."""
+    # (T, B, k): the search visits flip(T, k) with mutate(B, k), or T where k
+    # is None, so that it takes a flip only when it reaches it
+    todo = [(base_triangulation(), FIG1_MATRIX, None)]
+    for tri, B, k in todo:
+        if k is not None:
+            tri, B = flip(tri, k), mutate(B, k)
+        _, images = _lattice_frame(tri._keys)
+        key = tuple(sorted(images))
+        order = list(map(images.index, key))  # the arc at each row of the entry
+        B = tuple([tuple([B[i][j] for j in order]) for i in order])
+        if key in _TABLE:
+            if _TABLE[key] != B:
+                raise InternalError(f"two exchange matrices for the frame image {key}")
+            continue
+        _TABLE[key] = B
+        yield key
+        framed = TaggedTriangulation._of_keys(key)
+        todo += [(framed, B, k) for k in range(6)]
+
+
+# One search per process, run by one thread at a time only as far as the
+# lookups need: a plain walk meets 3 entries, and the whole search takes
+# about 6 ms.
+_SEARCH = _search()
+_SEARCH_LOCK = threading.Lock()
+
+
+def _entry(key: tuple[Key, ...]) -> ExchangeMatrix:
+    """The matrix of a key missing from :data:`_TABLE`, the search run on
+    until it stores it; a key the search never meets is an
+    :class:`InternalError`."""
+    with _SEARCH_LOCK:
+        if key in _TABLE:  # stored while this thread waited
+            return _TABLE[key]
+        for found in _SEARCH:
+            if found == key:
+                return _TABLE[key]
+    raise InternalError(f"lattice frame image {list(key)} not in the adjacency table")

@@ -4,9 +4,12 @@ they read integer arc keys; kept as oracles of the key versions.
 - :func:`classify`: the Farey-2 pair by ``farey_distance`` of the arcs'
   slopes, the coinciding pairs by a ``Counter`` of ``underlying``, the
   degrees and the tags by scanning puncture sets and ends;
-- :func:`lattice_frame`: the two-arc slopes ordered as :class:`Slope`
-  objects, and :func:`pair_to_basis`, the basis change of a Farey-1 pair
-  as the lattice module gave it, checking the determinant three times;
+- :func:`lattice_frame`: the first Farey-1 pair of the slopes ordered as
+  :class:`Slope` objects, by their number of arcs and then by slope; the
+  image arcs by :func:`image`, each tag switched at a puncture whose first
+  arc end is notched, by ``retag``; and :func:`pair_to_basis`, the basis
+  change of a Farey-1 pair as the lattice module gave it, checking the
+  determinant three times;
 - :func:`degree_sequence`, :func:`all_plain` and :func:`height` on the
   arcs' punctures, tags and slopes;
 - :func:`image`, an arc or curve moved by a lattice map through its slope
@@ -26,7 +29,7 @@ import itertools
 from collections import Counter
 
 from spherelam.curves import PUNCTURES, Puncture, TaggedArc, TaggedTriangulation, Tagging, \
-    _key_images, endpoint_sets
+    endpoint_sets
 from spherelam.errors import InternalError, NotFareyNeighbors, NotFareyTriple
 from spherelam.lattice import BASE_TRIPLE, Slope, UnimodularMap, det2, farey_distance, \
     is_farey1_triple, standard_form
@@ -89,13 +92,20 @@ def pair_to_basis(s, t):
 
 
 def lattice_frame(keys):
-    count = Counter(key[:2] for key in keys)
-    doubled = sorted(Slope(a, b) for (a, b), n in count.items() if n == 2)
-    if len(doubled) < 2 or farey_distance(doubled[0], doubled[1]) != 1:
-        raise InternalError("no Farey-1 pair of two-arc slopes among "
-                            + ", ".join(map(str, sorted(Slope(a, b) for a, b in count))))
-    m = pair_to_basis(doubled[0], doubled[1])
-    return m, _key_images(keys, m)
+    count = Counter(Slope(a, b) for a, b, _, _ in keys)
+    slopes = sorted(count, key=lambda s: (-count[s], s))
+    pair = next(((s, t) for s, t in itertools.combinations(slopes, 2)
+                 if farey_distance(s, t) == 1), None)
+    if pair is None:
+        raise InternalError("no Farey-1 pair of slopes among " + ", ".join(map(str, sorted(count))))
+    m = pair_to_basis(*pair)
+    arcs = [TaggedArc._of_key(key) for key in keys]
+    for p in PUNCTURES:
+        first = next(dict(a.ends)[p] for a in arcs if p in a.punctures)
+        if first is Tagging.NOTCHED:
+            arcs = [a.retag(p, Tagging.PLAIN if dict(a.ends)[p] is Tagging.NOTCHED
+                            else Tagging.NOTCHED) if p in a.punctures else a for a in arcs]
+    return m, [image(a, m)._key for a in arcs]
 
 
 def image(x, m):

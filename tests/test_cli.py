@@ -740,7 +740,7 @@ class TestColdStart:
     def test_lattice_frame_is_built_in_curves_only(self):
         # the key images are called in curves only, where the frame kernel
         # builds its map and moves the keys inline; every other module reads
-        # curves._frame_slots
+        # curves._lattice_frame
         import pathlib
 
         paths = sorted(pathlib.Path(spherelam.__file__).parent.glob("*.py"))
@@ -748,6 +748,30 @@ class TestColdStart:
         for path in paths:
             if path.name != "curves.py":
                 assert "_key_images" not in _called_names(path), path.name
+
+    def test_only_the_matrix_builds_its_table(self, monkeypatch):
+        # classify, flip, the shears, the witness search and render leave
+        # the exchange-matrix table empty, through the API and the command
+        # line; signed_adjacency of a type I stores its one entry
+        from spherelam import shear, triangulation
+        from test_triangulation import fresh_table
+
+        fresh_table(monkeypatch)
+        t = type_i_triangulation((Slope(1, 2), Slope(1, 1), INF))
+        tangle = shear.Tangle(((AllowableCurve(Slope(1, 1)), 1),))
+        for tri in (t, flip(t, 0), flip(flip(t, 0), 3)):
+            classify(tri)
+        shear_wrt(AllowableCurve(Slope(2, 3)), t)
+        assert shear.find_witness(tangle, 3) is not None
+        render(RenderSpec((AllowableCurve(Slope(1, 1)),), t))
+        t0 = json.dumps(t.to_json())
+        for argv in (["classify", "--tri", t0], ["flip", "--tri", t0, "--k", "1"],
+                     ["shear", "--curve", CURVE_PRIME, "--tri", t0],
+                     ["tangle-check", "--tangle", '[{"curve":{"closed":"1/1"},"weight":1}]']):
+            assert run(argv)[0] == 0, argv
+        assert triangulation._TABLE == {}
+        signed_adjacency(t)
+        assert len(triangulation._TABLE) == 1
 
     def test_each_type_fact_has_one_home(self):
         # the admissible degree sequences are written in curves, the base

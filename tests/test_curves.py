@@ -24,7 +24,7 @@ from spherelam.curves import (
     enumerate_curves,
     kappa,
     kappa_inv,
-    _frame_slots,
+    _lattice_frame,
     base_triangulation,
     tag_choices,
     type_i_triangulation,
@@ -302,8 +302,9 @@ class TestLatticeImage:
     def test_lattice_frame_carries_type_one_onto_base(self):
         # every Farey-1 triple of height <= 4 in every order, under taggings
         # in turn: the frame sends the two least slopes to (1, 0) and (0, 1)
-        # with det 1, and the image of each arc is the base arc at its slot
-        base = [a._key[:3] for a in base_triangulation().arcs]
+        # with det 1, and the image of each arc, its tags switched to plain,
+        # is the base arc of its slope and endpoints, each base arc once
+        base = base_triangulation()._keys
         taggings = tag_choices((V00, V01, V10, V11))
         n = 0
         for triple in farey1_triples(enumerate_slopes(4)):
@@ -311,53 +312,52 @@ class TestLatticeImage:
             for order in itertools.permutations(triple):
                 tri = type_i_triangulation(order, taggings[n % 16])
                 n += 1
-                m, slots, flipped = _frame_slots([a._key for a in tri.arcs])
-                assert m.det == 1 and flipped is None
+                linear, images = _lattice_frame([a._key for a in tri.arcs])
+                m = UnimodularMap(linear)
+                assert m.det == 1
                 assert (m.apply_vector(s.vector), m.apply_vector(t.vector)) == ((1, 0), (0, 1))
-                assert [a.image(m)._key[:3] for a in tri.arcs] == [base[k] for k in slots]
-                assert sorted(slots) == list(range(6))
+                assert [a.image(m)._key[:3] for a in tri.arcs] == [key[:3] for key in images]
+                assert sorted(images) == sorted(base)
         assert n == 6 * 22
 
     def test_lattice_frame_matches_slope_oracle(self):
-        # every all-plain triangulation of height <= 3, in arc order and
-        # shuffled: integer cross products pick the pair the Slope order
-        # picked, the oracle's image of arc i is the arc at slots[i] of the
-        # base or of its flip at the flipped slot, and six keys without a
-        # pair fail with the oracle's message
-        from spherelam.triangulation import enumerate_triangulations, flip
+        # every triangulation of height <= 3, of all six types, in arc order
+        # and shuffled: integer cross products and counts pick the pair
+        # that the Slope order picks, the images and their tag switches
+        # are the oracle's, and six keys without a Farey-1 pair fail with
+        # the oracle's message
+        from spherelam.triangulation import enumerate_triangulations
 
-        base = base_triangulation()
-        frames = {f: [a._key[:3] for a in (base if f is None else flip(base, f)).arcs]
-                  for f in (None, 2, 5)}
         rng = random.Random(31)
-        tris = [t for t in enumerate_triangulations(3) if t.all_plain]
-        assert len(tris) == 40
+        tris = list(enumerate_triangulations(3))
+        assert len(tris) == 2000
         for t in tris:
-            keys = [a._key for a in t.arcs]
-            for order in (keys, rng.sample(keys, 6)):
-                m, slots, flipped = _frame_slots(order)
-                oracle_m, images = object_oracle.lattice_frame(order)
-                assert m == oracle_m
-                assert [key[:3] for key in images] == [frames[flipped][k] for k in slots]
-        for slopes in ([(1, 0), (1, 0), (0, 1), (1, 1), (1, -1), (2, 1)],
-                       [(1, 0), (1, 0), (1, 2), (1, 2), (0, 1), (1, 1)],
-                       [(1, 0), (1, 0), (0, 1), (0, 1), (1, 0), (1, 1)]):
+            for order in (list(t._keys), rng.sample(t._keys, 6)):
+                linear, images = _lattice_frame(order)
+                oracle_m, oracle_images = object_oracle.lattice_frame(order)
+                assert UnimodularMap(linear) == oracle_m
+                assert images == oracle_images
+        for slopes in ([(1, 0), (1, 0), (1, 2), (1, -2), (3, 2), (3, -2)],
+                       [(1, 0), (1, 0), (1, 2), (1, 2), (3, 2), (1, 2)],
+                       [(1, 1)] * 6):
             keys = [(a, b, 0, 0) for a, b in slopes]
             with pytest.raises(InternalError) as got:
-                _frame_slots(keys)
+                _lattice_frame(keys)
             with pytest.raises(InternalError) as expected:
                 object_oracle.lattice_frame(keys)
             assert str(got.value) == str(expected.value)
 
     def test_lattice_frame_builds_no_slope(self, monkeypatch):
-        # a valid input is read on integer vectors only; a Slope is built
-        # on the error path alone
+        # a valid input of any type is read on integer vectors only; a
+        # Slope is built on the error path alone
         from spherelam.triangulation import TriType, build_type
 
         plain = tuple((p, PLAIN) for p in (V00, V01, V10, V11))
         tris = [base_triangulation(),
                 type_i_triangulation((Slope(5, 3), Slope(2, 1), Slope(3, 2))),
-                build_type(TriType("II", (Slope(1, 1), Slope(1, -1)), v=V00, taggings=plain))]
+                build_type(TriType("II", (Slope(1, 1), Slope(1, -1)), v=V00, taggings=plain)),
+                build_type(TriType("VI", (Slope(5, 3), Slope(2, 1), Slope(3, 2)), v=V01,
+                                   taggings=((V01, NOTCHED),)))]
         inputs = [[a._key for a in t.arcs] for t in tris]
         calls = 0
         real = Slope.__init__
@@ -369,10 +369,10 @@ class TestLatticeImage:
 
         monkeypatch.setattr(Slope, "__init__", counting)
         for keys in inputs:
-            _frame_slots(keys)
+            _lattice_frame(keys)
         assert calls == 0
         with pytest.raises(InternalError):
-            _frame_slots([(1, 0, 0, 0)] * 6)
+            _lattice_frame([(1, 0, 0, 0)] * 6)
         assert calls > 0
 
 

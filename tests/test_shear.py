@@ -353,21 +353,30 @@ class TestShearWrt:
             with pytest.raises(DomainError, match="not type I"):
                 shear_wrt(LAMBDA, flip(base_triangulation(), k))
 
-    def test_type_i_frame_is_shared_by_the_taggings(self):
+    def test_type_i_frame_is_shared_by_the_taggings(self, monkeypatch):
         # the 16 taggings of a triple share the map and the slots, and the
         # frame's mask holds the notched punctures; other types fail first
-        # with the "not type I" DomainError
+        # with the "not type I" DomainError.  The frame builds no Slope and
+        # never the exchange-matrix table.
+        from spherelam import triangulation
         from spherelam.shear import _type_i_frame
-        from spherelam.triangulation import flip
+        from test_triangulation import fresh_table
 
         triple = (Slope(1, 2), Slope(1, 1), INF)
-        m, slots, notched = _type_i_frame(type_i_triangulation(triple))
+        tris = [type_i_triangulation(triple, tags) for tags in tag_choices(PUNCTURES)]
+        other = triangulation.flip(base_triangulation(), 0)
+        built = []
+        real = Slope.__init__
+        monkeypatch.setattr(Slope, "__init__", lambda *args: built.append(1) or real(*args))
+        fresh_table(monkeypatch)
+        m, slots, notched = _type_i_frame(tris[0])
         assert notched == 0 and sorted(slots) == list(range(6))
-        for tags in tag_choices(PUNCTURES):
+        for tags, tri in zip(tag_choices(PUNCTURES), tris):
             mask = sum(1 << 2 * p.i + p.j for p, t in tags if t is Tagging.NOTCHED)
-            assert _type_i_frame(type_i_triangulation(triple, tags)) == (m, slots, mask)
+            assert _type_i_frame(tri) == (m, slots, mask)
         with pytest.raises(DomainError, match="not type I"):
-            _type_i_frame(flip(base_triangulation(), 0))
+            _type_i_frame(other)
+        assert built == [] and triangulation._TABLE == {}
 
     def test_all_notched(self):
         notched = type_i_triangulation(BASE_TRIPLE,
@@ -445,9 +454,9 @@ class TestLaminationsAndTangles:
         from spherelam import curves, shear
 
         frames, tried, built = [], [], []
-        real_frame, real_build = shear._frame_slots, shear.type_i_triangulation
+        real_frame, real_build = shear._lattice_frame, shear.type_i_triangulation
         real_of_keys = curves.TaggedTriangulation._of_keys.__func__
-        monkeypatch.setattr(shear, "_frame_slots",
+        monkeypatch.setattr(shear, "_lattice_frame",
                             lambda keys: frames.append(1) or real_frame(keys))
         monkeypatch.setattr(shear, "type_i_triangulation",
                             lambda *a: tried.append(1) or real_build(*a))
@@ -551,8 +560,8 @@ class TestTorus:
         from spherelam import shear
 
         frames = []
-        real = shear._frame_slots
-        monkeypatch.setattr(shear, "_frame_slots", lambda keys: frames.append(1) or real(keys))
+        real = shear._lattice_frame
+        monkeypatch.setattr(shear, "_lattice_frame", lambda keys: frames.append(1) or real(keys))
         notched = type_i_triangulation((Slope(1, 2), Slope(1, 1), INF),
                                        tuple((p, Tagging.NOTCHED) for p in PUNCTURES))
         for tri in (base_triangulation(), notched):
