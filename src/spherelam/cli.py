@@ -43,8 +43,9 @@ SCHEMA = "sphere-lam/1"
 # their time grows linearly with the slope height; render draws one element
 # per lattice line and puncture that meets the window.  At these caps a
 # command takes under half a second: the oracle on the closed curve 1000/997
-# about 0.11 s for the whole call (0.01 s of it in the oracle), the word on
-# 50000/49999 about 0.3 s (2-core Xeon, Python 3.11).
+# about 0.08 s for the whole call (0.008 s of it in the oracle), the word on
+# 50000/49999 about 0.16 s (0.08 s of it in the word; 2-core Xeon, Python
+# 3.11.7).
 SHEAR_MAX_HEIGHT = {"word": 50_000, "oracle": 1_000}
 RENDER_MAX_ELEMENTS = 10_000
 # cones and locate build every maximal cone up to their --max-height: about

@@ -79,16 +79,25 @@ class Slope(Frozen):
 
     @staticmethod
     def parse(text: str) -> "Slope":
-        """Parse "b/a" ("inf" for the vertical slope, bare "n" for n/1)."""
+        """Parse "b/a" ("inf" for the vertical slope, bare "n" for n/1):
+        after stripping surrounding whitespace, ``[+-]?[0-9]+`` on each side
+        of at most one "/", or one of "inf", "-inf", "1/0" and "-1/0"."""
         if not isinstance(text, str):
             raise MalformedInput(f"a slope is a string, got {text!r:.60}")
         text = text.strip()
         if text in ("inf", "-inf", "1/0", "-1/0"):
             return Slope(0, 1)
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return standard_form(int(den), int(num))
-        return standard_form(1, int(text))
+        num, slash, den = text.partition("/")
+        if not (_is_integer_text(num) and (_is_integer_text(den) or not slash)):
+            raise MalformedInput(f'a slope is "b/a", "n" or "inf", with b, a and n each '
+                                 f'[+-]?[0-9]+; got {text!r:.60}')
+        return standard_form(int(den) if slash else 1, int(num))
+
+
+def _is_integer_text(text: str) -> bool:
+    """``text`` is ``[+-]?[0-9]+``: ASCII digits only, no "_" or space."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    return digits.isascii() and digits.isdigit()
 
 
 def _slope_sorted(items: Iterable[Sequence]) -> list:

@@ -30,7 +30,6 @@ from ._frozen import Frozen
 from .curves import (
     PUNCTURES,
     AllowableCurve,
-    SpiralDir,
     TaggedTriangulation,
     Tagging,
     _check_type_i,
@@ -142,24 +141,27 @@ def parse_word(text: str) -> Word:
     out = []
     for tok in text.split():
         kind, dec = tok[0], int(tok[1:])
-        if (kind, dec) not in (T1, T4, R2, R5):
+        if (kind, dec) not in _ALPHABET:
             raise ValueError(f"bad letter {tok!r}")
         out.append((kind, dec))
     return tuple(out)
+
+
+_ALPHABET = frozenset((T1, T4, R2, R5))
 
 
 def validate_word(w: Word) -> None:
     """Letter alphabet plus the alternation rule: within the non-leading
     suffix, successive r decorations alternate 2,5 and successive t
     decorations alternate 1,4."""
-    for kind, dec in w:
-        if (kind, dec) not in (T1, T4, R2, R5):
-            raise ValueError(f"bad letter {kind}{dec}")
+    if not _ALPHABET.issuperset(w):
+        kind, dec = next(x for x in w if x not in _ALPHABET)
+        raise ValueError(f"bad letter {kind}{dec}")
+    tail = w[1:]
     for kind in "rt":
-        decs = [dec for k, dec in w[1:] if k == kind]
-        for prev, cur in zip(decs, decs[1:]):
-            if prev == cur:
-                raise ValueError(f"{kind}-decorations fail to alternate")
+        decs = [dec for k, dec in tail if k == kind]
+        if any(map(operator.eq, decs, decs[1:])):
+            raise ValueError(f"{kind}-decorations fail to alternate")
 
 
 def word_prime(a: int, b: int) -> Word:
@@ -168,20 +170,17 @@ def word_prime(a: int, b: int) -> Word:
     parity of the line.  w'(1,1) is empty."""
     if a < 1 or b < 1:
         raise UnsupportedBaseCase("word' needs a finite positive slope")
-    # x = k crossed at t = k/a, y = k at t = k/b: both keys scaled by a*b
-    events: list[tuple[int, Letter]] = []
-    for k in range(1, a):
-        events.append((k * b, ("r", 2 if k % 2 == 0 else 5)))
-    for k in range(1, b):
-        events.append((k * a, ("t", 1 if k % 2 == 0 else 4)))
-    events.sort(key=lambda e: e[0])
-    return tuple(letter for _, letter in events)
+    # x = k crossed at t = k/a, y = k at t = k/b: both keys scaled by a*b.
+    # A plain sort: the keys k*b and k*a differ when gcd(a, b) = 1, and at
+    # a tie ("r" < "t") puts the vertical line first.
+    events = [(k * b, R5 if k & 1 else R2) for k in range(1, a)]
+    events += [(k * a, T4 if k & 1 else T1) for k in range(1, b)]
+    events.sort()
+    return tuple([letter for _, letter in events])
 
 
 def _suffix_letters(a: int, b: int) -> tuple[Letter, Letter]:
-    rk: Letter = ("r", 2 if a % 2 == 0 else 5)
-    tl: Letter = ("t", 1 if b % 2 == 0 else 4)
-    return rk, tl
+    return (R5 if a & 1 else R2), (T4 if b & 1 else T1)
 
 
 def word_of_curve(curve: AllowableCurve) -> Word:
@@ -194,10 +193,10 @@ def word_of_curve(curve: AllowableCurve) -> Word:
     wp = word_prime(a, b)
     rk, tl = _suffix_letters(a, b)
     if not mask:
-        return (T1,) + wp + (rk, tl) + tuple(reversed(wp)) + (R2, T1)
+        return (T1, *wp, rk, tl, *wp[::-1], R2, T1)
     if not marks & 1:
         raise UnsupportedBaseCase("open base case needs a CCW spiral at v00")
-    return (T1, R2) + wp + (rk if marks == mask else tl,)
+    return (T1, R2, *wp, rk if marks == mask else tl)
 
 
 def shear_via_word(curve: AllowableCurve) -> ShearVector:
@@ -206,26 +205,15 @@ def shear_via_word(curve: AllowableCurve) -> ShearVector:
     alternating slot assignment."""
     w = word_of_curve(curve)
     validate_word(w)
-    vec = [0] * 6
-    for kind, dec in w[1:]:
-        if (kind, dec) == T1:
-            vec[0] -= 1
-        elif (kind, dec) == R2:
-            vec[1] += 1
-        elif (kind, dec) == T4:
-            vec[3] -= 1
-        else:
-            vec[4] += 1
-    rr = [i for i in range(len(w) - 1) if w[i][0] == "r" and w[i + 1][0] == "r"]
-    tt = [i for i in range(len(w) - 1) if w[i][0] == "t" and w[i + 1][0] == "t"]
+    tail = w[1:]
+    kinds = [kind for kind, _ in w]
+    pairs = list(map(operator.add, kinds, kinds[1:]))
+    rr, tt = pairs.count("rr"), pairs.count("tt")
     if rr and tt:
         raise InternalError("a base word never contains both rr and tt pairs")
     # tt pairs score +1 alternating slots 3,6,...; rr pairs -1 alternating 6,3,...
-    for n, _ in enumerate(tt):
-        vec[2 if n % 2 == 0 else 5] += 1
-    for n, _ in enumerate(rr):
-        vec[5 if n % 2 == 0 else 2] -= 1
-    return tuple(vec)  # type: ignore[return-value]
+    return (-tail.count(T1), tail.count(R2), (tt + 1) // 2 - rr // 2,
+            -tail.count(T4), tail.count(R5), tt // 2 - (rr + 1) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -318,40 +306,46 @@ def shear_oracle(curve: AllowableCurve) -> ShearVector:
 
     Closed curves are lifted to a lattice-avoiding line and scored over one
     period.  Spiraling curves are lifted to the segment between lattice
-    representatives of their punctures; each spiral end contributes its
-    two outermost crossings with the incident arcs, since the deeper ones
-    score 0 (see :func:`plane.spiral_crossings`).  The crossings are plain
-    int tuples ``(family, k, x, y)``, and ``plane.accumulate`` scores each
-    -1/0/+1 from its quadrilateral by the four side tests written out for
-    its family; no closed formulas, words or coordinate permutations are
-    involved.  All points of one lift are integer numerators over one
-    denominator.
+    representatives of their punctures, read off the curve's key (bit
+    2*i + j of the mask for v_ij, and of the marks when its spiral is
+    counterclockwise); each spiral end contributes its two outermost
+    crossings with the incident arcs, since the deeper ones score 0 (see
+    :func:`plane.spiral_crossings`).  The crossings are plain int tuples
+    ``(t, family, k, x, y)`` from the lift to the score, and
+    ``plane.accumulate`` scores each -1/0/+1 from its quadrilateral by one
+    pass over its four sides; no closed formulas, words or coordinate
+    permutations are involved.  All points of one lift are integer
+    numerators over one denominator.
     """
     from . import plane
 
-    a, b = curve.slope.vector
-    if curve.is_closed:
+    a, b, mask, marks = curve._key
+    if not mask:
         period = (2 * a, 2 * b)
         start, den = plane._closed_lift(a, b, period)
         xs = plane.segment_crossings(start, period, den, include_lo=True)
         return tuple(plane.accumulate(xs, den, period))  # type: ignore[return-value]
 
-    (p_punc, p_dir), (q_punc, q_dir) = curve.ends  # type: ignore[misc]
-    base = (p_punc.i, p_punc.j)
+    # the lift runs from the lower bit's puncture p to the higher bit's q
+    p, q = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
+    base = divmod(p, 2)
     tip = (base[0] + a, base[1] + b)
-    if (tip[0] % 2, tip[1] % 2) != (q_punc.i, q_punc.j):
-        raise InternalError(f"the lift of {curve.slope} from v{p_punc} ends off v{q_punc}")
+    if divmod(q, 2) != (tip[0] % 2, tip[1] % 2):
+        raise InternalError(f"the lift of {curve.slope} from v{base[0]}{base[1]} "
+                            f"ends off v{q >> 1}{q & 1}")
     # den makes the segment's crossings and the spiral offsets eps and eps/2
     # exact, with eps / den = 1/(8(h+2)^2), h = |a| + |b|
     eps = 2 * plane._nonzero_product(a, b, a + b)
     den = 8 * (abs(a) + abs(b) + 2) ** 2 * eps
-    side_left = p_dir is SpiralDir.CCW
+    # the straight part runs left of the travel direction iff the starting
+    # spiral winds counterclockwise
+    ccw_p, ccw_q = bool(marks >> p & 1), bool(marks >> q & 1)
     seq = (
-        plane.spiral_crossings(base, (a, b), p_dir is SpiralDir.CCW, at_end=False,
-                               interior_side_left=side_left, eps=eps, den=den)
+        plane.spiral_crossings(base, (a, b), ccw_p, at_end=False,
+                               interior_side_left=ccw_p, eps=eps, den=den)
         + plane.segment_crossings((base[0] * den, base[1] * den), (a, b), den)
-        + plane.spiral_crossings(tip, (a, b), q_dir is SpiralDir.CCW, at_end=True,
-                                 interior_side_left=side_left, eps=eps, den=den)
+        + plane.spiral_crossings(tip, (a, b), ccw_q, at_end=True,
+                                 interior_side_left=ccw_p, eps=eps, den=den)
     )
     return tuple(plane.accumulate(seq, den))  # type: ignore[return-value]
 

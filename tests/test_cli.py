@@ -19,6 +19,7 @@ from spherelam.lattice import INF, MINUS_ONE, ZERO, Slope
 from spherelam.shear import shear_wrt
 from spherelam.triangulation import _enumerate_typed, classify, enumerate_triangulations, flip, \
     signed_adjacency
+from test_lattice import BAD_SLOPE_TEXTS
 from test_triangulation import INVALID_SPECS
 
 
@@ -403,6 +404,14 @@ class TestErrorDocuments:
 
     def test_closed_int(self):
         self.domain_error(["shear", "--curve", '{"closed":3}'])
+
+    @pytest.mark.parametrize("text", BAD_SLOPE_TEXTS)
+    def test_slope_outside_the_grammar(self, text):
+        for curve in ({"closed": text}, {"slope": text, "ends": [{"v": "00", "spiral": "cw"},
+                                                                 {"v": "11", "spiral": "cw"}]}):
+            doc = json.loads(fails(["shear", "--curve", json.dumps(curve)]))
+            assert doc["kind"] == "domain", doc
+            assert doc["error"].startswith('MalformedInput: a slope is "b/a"'), doc
 
     def test_matrix_int(self):
         self.domain_error(["mutate", "--matrix", "5", "--k", "1"])

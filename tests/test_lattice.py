@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from object_oracle import triple_to_basis
 from spherelam import lattice
-from spherelam.errors import NotFareyNeighbors, NotFareyTriple, ZeroVector
+from spherelam.errors import MalformedInput, NotFareyNeighbors, NotFareyTriple, ZeroVector
 from spherelam.lattice import (
     INF,
     MINUS_ONE,
@@ -151,6 +151,35 @@ class TestSlopeOrder:
         assert sorted(slopes) == by_value
         assert _slope_sorted(s.vector for s in slopes) == [s.vector for s in by_value]
         assert _slope_sorted(s.vector for s in reversed(slopes)) == [s.vector for s in by_value]
+
+
+#: spellings outside the slope grammar, which int() alone would accept or
+#: reject with a bare ValueError
+BAD_SLOPE_TEXTS = ["1_0/3", "\uff11/2", "1/\uff12", "1/2/3", "", " ", "3 / 2", "3/", "/3",
+                   "+inf", "1.5", "0x10", "abc", "1/2x", "--1"]
+
+
+class TestSlopeParse:
+    @pytest.mark.parametrize("text,slope", [
+        ("2/3", Slope(3, 2)), ("-1/1", MINUS_ONE), (" 3/2 ", Slope(2, 3)), ("+3/-2", Slope(2, -3)),
+        ("4/6", Slope(3, 2)), ("0", ZERO), ("-0", ZERO), ("007", Slope(1, 7)), ("2/0", INF),
+        ("inf", INF), ("-inf", INF), ("1/0", INF), ("-1/0", INF),
+    ])
+    def test_accepted(self, text, slope):
+        assert Slope.parse(text) == slope
+
+    def test_canonical_spellings_round_trip(self):
+        for s in enumerate_slopes(6):
+            assert Slope.parse(str(s)) == s
+
+    @pytest.mark.parametrize("text", BAD_SLOPE_TEXTS)
+    def test_outside_the_grammar(self, text):
+        with pytest.raises(MalformedInput, match=r"\[\+-\]\?\[0-9\]\+"):
+            Slope.parse(text)
+
+    def test_zero_vector(self):
+        with pytest.raises(ZeroVector):
+            Slope.parse("0/0")
 
 
 class TestEnumerate:

@@ -86,6 +86,29 @@ def ref_spiral_crossings(base, direction, ccw, at_end, interior_side_left, eps):
     return out
 
 
+def offset_sort_spiral_crossings(base, direction, ccw, at_end, interior_side_left, eps, den):
+    """The two outermost crossings of a spiral end as ``plane.spiral_crossings``
+    found them before its scan: the six modular offsets from the travel
+    direction's pseudo-angle, sorted, the two smallest kept."""
+    n, q = plane.pseudo_angle((-direction[0], -direction[1]) if at_end else direction)
+    offsets = []
+    for u, ang in plane._INCIDENT_DIRS:
+        off = (ang * q - n) % (8 * q) if ccw else (n - ang * q) % (8 * q)
+        if off == 0:
+            if at_end:
+                include_first = interior_side_left if ccw else not interior_side_left
+                off = 0 if include_first else 8 * q
+            else:
+                off = 8 * q
+        offsets.append((off, u))
+    offsets.sort()
+    crossings = [plane._dir_crossing(base, u, den, eps >> rank)
+                 for rank, (_, u) in enumerate(offsets[:2])]
+    if not at_end:
+        crossings.reverse()
+    return crossings
+
+
 def ref_quad_cycle(family, k, point):
     fl = math.floor
     if family == "h":
@@ -139,8 +162,8 @@ def slot(family: str, k: int) -> int:
 
 
 def as_fractions(c, den: int):
-    """A kernel crossing (family, k, x, y) as a reference crossing."""
-    f, k, x, y = c
+    """A kernel crossing (t, family, k, x, y) as a reference crossing."""
+    _, f, k, x, y = c
     return (FAMILIES[f], k, (Fraction(x, den), Fraction(y, den)))
 
 
@@ -157,9 +180,9 @@ def score_or_error(score, *args):
 def kernel_score(c, entry, exit, den: int) -> int:
     """The score ``accumulate`` gives c on the open path entry, c, exit
     (a None neighbor leaves c at an end of the path)."""
-    before, after = [None if p is None else (0, 0, *p) for p in (entry, exit)]
+    before, after = [None if p is None else (0, 0, 0, *p) for p in (entry, exit)]
     vec = plane.accumulate([x for x in (before, c, after) if x is not None], den)
-    i = slot(FAMILIES[c[0]], c[1])
+    i = slot(FAMILIES[c[1]], c[2])
     assert all(v == 0 for j, v in enumerate(vec) if j != i), vec
     return vec[i]
 
@@ -198,7 +221,7 @@ class TestSegmentCrossings:
         want = ref_segment_crossings(start, d, include_lo)
         assert [as_fractions(c, den) for c in got] == want
         # and each crossing scores the same between its neighbors
-        pts = [c[2:] for c in got]
+        pts = [c[3:] for c in got]
         ref_pts = [point for _, _, point in want]
         scores = [score_or_error(ref_score_crossing, *ref, entry, exit)
                   for ref, entry, exit in zip(want, [None] + ref_pts[:-1], ref_pts[1:] + [None])]
@@ -222,15 +245,15 @@ class TestSegmentCrossings:
     def test_include_lo_takes_the_start_level(self):
         # start on y = 0 and x + y = 0 at the origin, moving into the plane
         got = plane.segment_crossings((0, 0), (2, 3), 30, include_lo=True)
-        assert got[:3] == [(0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0)]
-        assert all(c[2:] != (0, 0) for c in plane.segment_crossings((0, 0), (2, 3), 30))
+        assert got[:3] == [(0, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 2, 0, 0, 0)]
+        assert all(c[3:] != (0, 0) for c in plane.segment_crossings((0, 0), (2, 3), 30))
 
     def test_negative_directions(self):
         den = lift_den(3, (-4, -1))
         got = plane.segment_crossings((den // 3, 2 * den // 3), (-4, -1), den)
         want = ref_segment_crossings((Fraction(1, 3), Fraction(2, 3)), (-4, -1))
         assert [as_fractions(c, den) for c in got] == want
-        assert [k for f, k, _, _ in got if f == 1] == [0, -1, -2, -3]
+        assert [k for _, f, k, _, _ in got if f == 1] == [0, -1, -2, -3]
 
 
 SIX_DIRECTIONS = [u for u, _ in plane._INCIDENT_DIRS]
@@ -280,6 +303,18 @@ class TestSpiralCrossings:
                 assert [as_fractions(c, den) for c in got] == outermost_two(want, at_end), \
                     (base, ccw, at_end, side)
 
+    def test_scan_matches_offset_sort(self):
+        # every direction with |dx|, |dy| <= 8, the six arc directions and
+        # their multiples among them, under every ccw, at_end and side
+        eps, den = 2 * 7, 8 * 9 * 2 * 7
+        for d in itertools.product(range(-8, 9), repeat=2):
+            if d == (0, 0):
+                continue
+            for base in ((0, 0), (1, -2)):
+                for flags in itertools.product((False, True), repeat=3):
+                    assert plane.spiral_crossings(base, d, *flags, eps, den) == \
+                        offset_sort_spiral_crossings(base, d, *flags, eps, den), (d, base, flags)
+
     def test_integer_pseudo_angle(self):
         for v in itertools.product(range(-9, 10), repeat=2):
             if v != (0, 0):
@@ -309,7 +344,7 @@ class TestSpiralCrossings:
     def test_offsets_shrink_by_halves_toward_the_puncture(self):
         eps = 2 ** 11
         got = plane.spiral_crossings((1, 1), (2, 1), True, True, True, eps, 2 ** 14)
-        dist = [max(abs(x - 2 ** 14), abs(y - 2 ** 14)) for _, _, x, y in got]
+        dist = [max(abs(x - 2 ** 14), abs(y - 2 ** 14)) for _, _, _, x, y in got]
         assert dist == [eps, eps >> 1]
 
 
@@ -323,7 +358,7 @@ class TestQuadCycle:
     ])
     def test_floor_at_negative_coordinates(self, family, k, point):
         den = 12
-        c = (FAMILIES.index(family), k, int(point[0] * den), int(point[1] * den))
+        c = (0, FAMILIES.index(family), k, int(point[0] * den), int(point[1] * den))
         # enter through the middle of side (B,U) and leave through the
         # middle of (A,V) of the reference quad: off any other cell
         U, A, V, B = ref_quad_cycle(family, k, point)
@@ -341,7 +376,7 @@ class TestScoreErrors:
     # the horizontal arc from (0, 0) to (1, 0), crossed at (1/2, 0); its
     # quad is U=(0,0), A=(1,-1), V=(1,0), B=(0,1)
     DEN = 4
-    C = (0, 0, 2, 0)
+    C = (0, 0, 0, 2, 0)
 
     def test_neighbor_off_the_quad(self):
         with pytest.raises(InternalError, match="off the quad boundary"):
@@ -436,7 +471,7 @@ def check_path(path, period=None):
     def over_den(p):
         return None if p is None else (int(p[0] * WALK_DEN), int(p[1] * WALK_DEN))
 
-    got = [(FAMILIES.index(f), k, *over_den(p)) for f, k, p in path]
+    got = [(0, FAMILIES.index(f), k, *over_den(p)) for f, k, p in path]
     pts = [p for _, _, p in path]
     if period is None:
         entries, exits = [None] + pts[:-1], pts[1:] + [None]

@@ -24,7 +24,7 @@ from spherelam.curves import (
     tag_choices,
     type_i_triangulation,
 )
-from spherelam.errors import BoundExhausted, DomainError, UnsupportedBaseCase
+from spherelam.errors import BoundExhausted, DomainError, InternalError, UnsupportedBaseCase
 from spherelam.lattice import INF, MAX_HEIGHT, MINUS_ONE, ZERO, Slope, enumerate_slopes, \
     farey1_triples
 from spherelam.selftest import LAMBDA, LAMBDA_C, LAMBDA_PP, SHEAR_FIXTURES
@@ -87,6 +87,18 @@ class TestWords:
             for b in range(1, 41):
                 events = [(Fraction(k, a), ("r", 2 if k % 2 == 0 else 5)) for k in range(1, a)]
                 events += [(Fraction(k, b), ("t", 1 if k % 2 == 0 else 4)) for k in range(1, b)]
+                events.sort(key=lambda e: e[0])
+                assert word_prime(a, b) == tuple(letter for _, letter in events), (a, b)
+
+    def test_word_prime_plain_sort_matches_keyed_sort(self):
+        # the keyed sort word_prime used before its plain tuple sort: stable
+        # on the key alone, r events first
+        for a in range(1, 61):
+            for b in range(1, 61):
+                if math.gcd(a, b) != 1:
+                    continue
+                events = [(k * b, ("r", 2 if k % 2 == 0 else 5)) for k in range(1, a)]
+                events += [(k * a, ("t", 1 if k % 2 == 0 else 4)) for k in range(1, b)]
                 events.sort(key=lambda e: e[0])
                 assert word_prime(a, b) == tuple(letter for _, letter in events), (a, b)
 
@@ -278,6 +290,13 @@ class TestAgreement:
             for c in [AllowableCurve(s)] + [AllowableCurve(s, ((p, d0), (q, d1)))
                                             for d0 in (CW, CCW) for d1 in (CW, CCW)]:
                 assert shear_oracle(c) == shear_closed_form(c), c
+
+    def test_oracle_far_end_off_the_lift(self):
+        # slope 1/1 joins v00 to v11 or v01 to v10; a key with the ends v00
+        # and v01 puts the far end off the tip of the lift
+        c = AllowableCurve._of_key((1, 1, 0b0011, 0b0001))
+        with pytest.raises(InternalError, match="the lift of 1/1 from v00 ends off v01"):
+            shear_oracle(c)
 
     def test_oracle_at_its_cli_cap(self):
         h = cli.SHEAR_MAX_HEIGHT["oracle"]

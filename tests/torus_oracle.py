@@ -15,7 +15,7 @@ def torus_base(a: int, b: int) -> tuple[int, int, int]:
     start, den = plane._closed_lift(a, b, (a, b))
     xs = plane.segment_crossings(start, (a, b), den, include_lo=True)
     # the crossed lines y = k (family 0) and x = k (family 1) in curve order
-    letters = [c[0] for c in xs if c[0] < 2]
+    letters = [c[1] for c in xs if c[1] < 2]
     x1 = -letters.count(0)
     x2 = letters.count(1)
     pairs = list(zip(letters, letters[1:] + letters[:1]))
