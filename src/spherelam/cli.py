@@ -31,7 +31,7 @@ from .errors import (
     MalformedInput,
     SphereLamError,
 )
-from .lattice import Slope
+from .lattice import Slope, _parse_int
 
 if TYPE_CHECKING:
     from .shear import Tangle
@@ -70,9 +70,10 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 def _loads(text: str):
     """JSON input; json.loads alone would keep the last value of a repeated
     key without a word, so a repeated key is MalformedInput, and it raises
-    RecursionError on deep nesting, which is MalformedInput too."""
+    RecursionError on deep nesting, which is MalformedInput too.  Integers
+    are capped in digits (:func:`lattice._parse_int`)."""
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
+        return json.loads(text, object_pairs_hook=_unique_keys, parse_int=_parse_int)
     except RecursionError:
         raise MalformedInput("JSON input nested too deeply") from None
 
@@ -276,7 +277,7 @@ def _cmd_render(args) -> str:
 
     curves = tuple(_parse_curve(c) for c in args.curve)
     tri = TaggedTriangulation.from_json(_loads(args.tri)) if args.tri else base_triangulation()
-    window = tuple(int(x) for x in args.window.split(","))
+    window = tuple(_parse_int(x) for x in args.window.split(","))
     if len(window) != 4:
         raise DomainError("window must be xmin,xmax,ymin,ymax")
     spec = render.RenderSpec(curves=curves, triangulation=tri, window=window)

@@ -7,11 +7,12 @@ tag (arcs) or a spiral direction (curves).  The bijection ``kappa`` matches
 plain tags with clockwise spirals and notched tags with counterclockwise
 spirals.  Closed curves carry a slope only.
 
-Each arc and curve is stored as its slope and the integer key
-``(a, b, mask, marks)`` of :func:`arcs_compatible`, which ``kappa`` keeps;
-its ends, punctures, underlying arc, hash and curve order are read off the
-key.  :meth:`_ArcOrCurve._of_key` is the one constructor from a key:
-``image`` builds from the key that :func:`_key_images` moves, ``retag``,
+Each arc and curve is stored as its integer key ``(a, b, mask, marks)``
+of :func:`arcs_compatible` alone, which ``kappa`` keeps; its slope, ends,
+punctures, underlying arc, hash and curve order are read off the key.
+:meth:`_ArcOrCurve._of_key` is the one constructor from a key: ``image``
+builds from the key moved by :func:`_key_images`, the one kernel that
+moves keys by a lattice map, the lattice frame's too; ``retag``,
 ``reverse_spiral``, ``kappa`` and ``kappa_inv`` from the key with one
 ``marks`` bit set, cleared or toggled, or none.  Reversing the spirals at
 several punctures, such as the notched punctures of a triangulation, is
@@ -36,7 +37,7 @@ from ._frozen import Frozen
 from .errors import ClosedCurveHasNoArc, DomainError, InternalError, InvalidParameters, \
     MalformedInput, NotFareyTriple
 from .lattice import BASE_TRIPLE, Matrix2, Slope, UnimodularMap, _slope_sorted, enumerate_slopes, \
-    is_farey1_triple, standard_vector
+    is_farey1_triple
 
 
 class Puncture(Frozen):
@@ -174,27 +175,28 @@ class _ArcOrCurve(Frozen):
     """What tagged arcs and allowable curves share: a slope and, unless the
     curve is closed, two endpoints each with a tag or a spiral direction.
 
-    An arc or curve stores its :class:`Slope` and its integer key (see
-    :func:`arcs_compatible`) and nothing else: ``ends``, ``punctures`` and
+    An arc or curve stores its integer key (see :func:`arcs_compatible`)
+    and nothing else: ``slope``, ``height``, ``ends``, ``punctures`` and
     ``underlying`` are read off the key.  Equal keys within a class are
     equal values, and the hash is the hash of the key.  The constructors
-    check their ends; an arc or curve derived from another one (its image
-    under a lattice map, a retagging, a spiral reversal, a ``kappa`` image)
-    is built from its key by :meth:`_of_key`.
+    check their slope and ends; an arc or curve derived from another one
+    (its image under a lattice map, a retagging, a spiral reversal, a
+    ``kappa`` image) is built from its key by :meth:`_of_key`.
     """
 
-    __slots__ = ("slope", "_key")
+    __slots__ = ("_key",)
     _fields = ("slope", "ends", "punctures", "underlying")
-    slope: Slope
     _key: tuple[int, int, int, int]
     #: The tag or spiral direction of an end whose ``marks`` bit is 0 and 1.
     _MARKS: tuple
 
     def _freeze(self, slope: Slope, ends: tuple | None) -> None:
-        """Check each end is a :class:`Puncture` with one of :attr:`_MARKS`,
-        and the ends against the slope (:data:`_SLOPE_MASKS`); store the key,
-        with bit 2*i + j for v_ij in the endpoint mask and, if marked
-        ``_MARKS[1]``, in ``marks``."""
+        """Check the slope is a :class:`Slope`, each end a :class:`Puncture`
+        with one of :attr:`_MARKS`, and the ends against the slope
+        (:data:`_SLOPE_MASKS`); store the key, with bit 2*i + j for v_ij in
+        the endpoint mask and, if marked ``_MARKS[1]``, in ``marks``."""
+        if slope.__class__ is not Slope:
+            raise ValueError(f"a {type(self).__name__} takes a Slope, not {type(slope).__name__}")
         if ends is None:
             key = (slope.a, slope.b, 0, 0)
         else:
@@ -210,18 +212,19 @@ class _ArcOrCurve(Frozen):
             if key[2] not in _SLOPE_MASKS[2 * (slope.a & 1) + (slope.b & 1)]:
                 raise ValueError(f"endpoints {min(p, q)},{max(p, q)} do not match "
                                  f"the parity of slope {slope}")
-        object.__setattr__(self, "slope", slope)
         object.__setattr__(self, "_key", key)
 
     @classmethod
-    def _of_key(cls, key: tuple[int, int, int, int], slope: Slope | None = None):
+    def _of_key(cls, key: tuple[int, int, int, int]):
         """The arc or curve of this class with the valid key ``key``,
-        unchecked; ``slope`` is the :class:`Slope` of (a, b) when the caller
-        holds it.  Endpoint mask 0 is a closed curve."""
+        unchecked.  Endpoint mask 0 is a closed curve."""
         x = object.__new__(cls)
-        object.__setattr__(x, "slope", Slope(key[0], key[1]) if slope is None else slope)
         object.__setattr__(x, "_key", key)
         return x
+
+    @property
+    def slope(self) -> Slope:
+        return Slope(self._key[0], self._key[1])
 
     @property
     def ends(self) -> tuple | None:
@@ -251,14 +254,14 @@ class _ArcOrCurve(Frozen):
 
     @property
     def height(self) -> int:
-        return self.slope.height
+        return max(self._key[0], abs(self._key[1]))
 
     def image(self, m: UnimodularMap):
         """The image under a lattice map: the slope moves by the linear
         part, each puncture by the map mod 2; tags and spiral directions
         stay.  Closed curves stay closed.  Built from the moved key
         (:func:`_key_images`)."""
-        return self._of_key(_key_images((self._key,), m)[0])
+        return self._of_key(_key_images((self._key,), m.linear)[0])
 
 
 class TaggedArc(_ArcOrCurve):
@@ -277,7 +280,7 @@ class TaggedArc(_ArcOrCurve):
         a, b, mask, marks = self._key
         bit = mask & 1 << 2 * p.i + p.j
         marks = marks | bit if tag is Tagging.NOTCHED else marks & ~bit
-        return TaggedArc._of_key((a, b, mask, marks), self.slope)
+        return TaggedArc._of_key((a, b, mask, marks))
 
     def __str__(self) -> str:
         marks = ",".join(
@@ -337,7 +340,7 @@ class AllowableCurve(_ArcOrCurve):
         bits &= mask
         if not bits:
             return self
-        return AllowableCurve._of_key((a, b, mask, marks ^ bits), self.slope)
+        return AllowableCurve._of_key((a, b, mask, marks ^ bits))
 
     def __str__(self) -> str:
         if self.is_closed:
@@ -365,13 +368,13 @@ class AllowableCurve(_ArcOrCurve):
 def kappa(arc: TaggedArc) -> AllowableCurve:
     """Plain tags become clockwise spirals, notched tags counterclockwise:
     the curve with the arc's key (:attr:`_ArcOrCurve._MARKS`)."""
-    return AllowableCurve._of_key(arc._key, arc.slope)
+    return AllowableCurve._of_key(arc._key)
 
 
 def kappa_inv(curve: AllowableCurve) -> TaggedArc:
     if not curve._key[2]:
         raise ClosedCurveHasNoArc(f"{curve} is closed")
-    return TaggedArc._of_key(curve._key, curve.slope)
+    return TaggedArc._of_key(curve._key)
 
 
 def _keys_compatible(x: tuple[int, int, int, int], y: tuple[int, int, int, int]) -> bool:
@@ -393,17 +396,23 @@ _MASK_MOVES = {(p, q, r, s): tuple([sum(1 << 2 * (p * x.i + q * x.j & 1) + (r * 
                for p, q, r, s in itertools.product((0, 1), repeat=4) if p * s != q * r}
 
 
-def _key_images(keys: Sequence[tuple[int, int, int, int]], m: UnimodularMap
+def _key_images(keys: Sequence[tuple[int, int, int, int]], linear: Matrix2, switch: int = 0
                 ) -> list[tuple[int, int, int, int]]:
-    """The keys of the images under ``m`` (see :meth:`_ArcOrCurve.image`)
-    of the arcs with these keys: the slope vector goes through the linear
-    part, then :func:`standard_vector`; the bits of the endpoint and notch
-    masks are permuted as the map mod 2 permutes the four punctures
-    (:data:`_MASK_MOVES`)."""
-    (p, q), (r, s) = m.linear
+    """The keys of the images under the lattice map ``linear`` (see
+    :meth:`_ArcOrCurve.image`) of the arcs with these keys, each mark
+    switched at the punctures of the mask ``switch``.  The slope vector goes
+    through ``linear``, which keeps it primitive, so only its sign is
+    normalised; the bits of the endpoint and marks masks are permuted as
+    the map mod 2 permutes the four punctures (:data:`_MASK_MOVES`)."""
+    (p, q), (r, s) = linear
     move = _MASK_MOVES[p & 1, q & 1, r & 1, s & 1]
-    return [(*standard_vector(p * a + q * b, r * a + s * b), move[mask], move[marks])
-            for a, b, mask, marks in keys]
+    images = []
+    for a, b, mask, marks in keys:
+        x, y = p * a + q * b, r * a + s * b
+        if x < 0 or not x and y < 0:
+            x, y = -x, -y
+        images.append((x, y, move[mask], move[marks ^ switch & mask]))
+    return images
 
 
 def _lattice_frame(keys: Sequence[tuple[int, int, int, int]]
@@ -419,7 +428,7 @@ def _lattice_frame(keys: Sequence[tuple[int, int, int, int]]
     Neither m nor the tag switches change the exchange matrix
     (Fomin-Shapiro-Thurston, Acta Math. 2008, Sec. 9).  Keys without a
     Farey-1 pair are an :class:`InternalError`.  Integer work only: the
-    images are primitive, so only their sign is normalised."""
+    keys are moved by :func:`_key_images`."""
     vectors = []
     seen = switch = 0
     for a, b, mask, marks in keys:
@@ -436,14 +445,8 @@ def _lattice_frame(keys: Sequence[tuple[int, int, int, int]]
         raise InternalError("no Farey-1 pair of slopes among "
                             + ", ".join(map(str, sorted([Slope(a, b) for a, b in slopes]))))
     ta, tb = det * ta, det * tb
-    move = _MASK_MOVES[tb & 1, ta & 1, sb & 1, sa & 1]
-    images = []
-    for a, b, mask, marks in keys:
-        x, y = tb * a - ta * b, sa * b - sb * a
-        if x < 0 or not x and y < 0:
-            x, y = -x, -y
-        images.append((x, y, move[mask], move[marks ^ switch & mask]))
-    return ((tb, -ta), (-sb, sa)), images
+    linear = (tb, -ta), (-sb, sa)
+    return linear, _key_images(keys, linear, switch)
 
 
 def arcs_compatible(

@@ -134,7 +134,7 @@ def closed_collections(slope: Slope) -> list[MaximalCollection]:
     out = []
     for v, v2, t, t2 in itertools.product(*[_MASK_BITS[mask] for mask in masks], (0, 1), (0, 1)):
         keys = _coinciding_pair(vector, v, t << v) + _coinciding_pair(vector, v2, t2 << v2)
-        curves = [memo.get(key) or memo.setdefault(key, AllowableCurve._of_key(key, slope))
+        curves = [memo.get(key) or memo.setdefault(key, AllowableCurve._of_key(key))
                   for key in keys]
         out.append(MaximalCollection((closed, *curves), "VII"))
     return out

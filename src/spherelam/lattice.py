@@ -22,6 +22,12 @@ from .errors import (
 
 #: Hard cap on enumeration heights; keeps accidental sweeps bounded.
 MAX_HEIGHT = 64
+# The most digits of an integer read from text: a slope part, a JSON integer
+# or a render window entry.  A command multiplies at most three of them (a
+# tangle weight by a curve's image under a frame of two input slopes), so
+# no printed integer reaches the 4300 digits past which Python 3.11 refuses
+# to convert an int to text (README, "Work caps").
+_MAX_DIGITS = 1400
 
 
 class Slope(Frozen):
@@ -91,13 +97,22 @@ class Slope(Frozen):
         if not (_is_integer_text(num) and (_is_integer_text(den) or not slash)):
             raise MalformedInput(f'a slope is "b/a", "n" or "inf", with b, a and n each '
                                  f'[+-]?[0-9]+; got {text!r:.60}')
-        return standard_form(int(den) if slash else 1, int(num))
+        return standard_form(_parse_int(den) if slash else 1, _parse_int(num))
 
 
 def _is_integer_text(text: str) -> bool:
     """``text`` is ``[+-]?[0-9]+``: ASCII digits only, no "_" or space."""
     digits = text[1:] if text[:1] in ("+", "-") else text
     return digits.isascii() and digits.isdigit()
+
+
+def _parse_int(text: str) -> int:
+    """``int(text)``; more than :data:`_MAX_DIGITS` characters besides
+    surrounding space and signs is :class:`MalformedInput`."""
+    digits = len(text.strip().lstrip("+-"))
+    if digits > _MAX_DIGITS:
+        raise MalformedInput(f"an integer has at most {_MAX_DIGITS} digits, got {digits}")
+    return int(text)
 
 
 def _slope_sorted(items: Iterable[Sequence]) -> list:

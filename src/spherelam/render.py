@@ -137,10 +137,12 @@ def render(spec: RenderSpec) -> str:
     width = (xmax - xmin) * _SCALE + 2 * _MARGIN
     height = (ymax - ymin) * _SCALE + 2 * _MARGIN
 
-    def to_svg(x, y):
+    def to_svg(x, y, den=1):
+        # the point (x, y) / den, its offsets from the window exact before
+        # the float: a window far from the origin keeps its precision
         return (
-            _MARGIN + (float(x) - xmin) * _SCALE,
-            _MARGIN + (ymax - float(y)) * _SCALE,
+            _MARGIN + (x - xmin * den) / den * _SCALE,
+            _MARGIN + (ymax * den - y) / den * _SCALE,
         )
 
     out = [
@@ -152,8 +154,8 @@ def render(spec: RenderSpec) -> str:
     for fam, segs in enumerate(grid_lines(spec.triangulation, spec.window)):
         out.append(f'<g class="fam{fam}" {_FAMILY_STYLE[fam]}>')
         for (p1, p2, den) in segs:
-            x1, y1 = to_svg(p1[0] / den, p1[1] / den)
-            x2, y2 = to_svg(p2[0] / den, p2[1] / den)
+            x1, y1 = to_svg(*p1, den)
+            x2, y2 = to_svg(*p2, den)
             out.append(
                 '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f"/>' % (x1, y1, x2, y2)
             )
@@ -170,7 +172,7 @@ def render(spec: RenderSpec) -> str:
             continue
         (x1, y1), (x2, y2), den = seg
         ends = ((x1 / den, y1 / den), (x2 / den, y2 / den))
-        p1, p2 = to_svg(*ends[0]), to_svg(*ends[1])
+        p1, p2 = to_svg(x1, y1, den), to_svg(x2, y2, den)
         out.append(f'<g class="curve{i}" stroke="#909" stroke-width="2" fill="none">')
         out.append(
             '<polyline points="%.2f,%.2f %.2f,%.2f"/>' % (p1[0], p1[1], p2[0], p2[1])

@@ -254,13 +254,6 @@ BASE_ITEMS = {(1, 1): _item1, (1, 0): _item2, (0, 1): _item3, (0, 0): _item4}
 _UNROTATE = {RHO: PERM_Z2, RHO2: PERM_Z}
 
 
-def _rotation_to_nonnegative(s: Slope) -> UnimodularMap:
-    """The rotation carrying a negative slope into [0, inf): RHO2 for
-    slopes <= -1, RHO for slopes in (-1, 0)."""
-    a, b = s.vector
-    return RHO2 if -b >= a else RHO
-
-
 def shear_closed_form(curve: AllowableCurve) -> ShearVector:
     """Shear coordinates of any allowable curve with respect to the base
     triangulation, by closed formulas plus coordinate permutations."""
@@ -270,8 +263,9 @@ def shear_closed_form(curve: AllowableCurve) -> ShearVector:
 def _closed_form(curve: AllowableCurve) -> ShearVector:
     a, b, mask, marks = curve._key
     if b < 0:
-        # negative slope: land in the nonnegative range and permute back
-        rot = _rotation_to_nonnegative(curve.slope)
+        # negative slope: land in [0, inf) and permute back, by RHO2 from
+        # slopes <= -1 and by RHO from slopes in (-1, 0)
+        rot = RHO2 if -b >= a else RHO
     elif mask and marks == mask and b == 0:
         # the both-counterclockwise formula starts at slope > 0;
         # slope 0 is the RHO2 image of the infinite slope

@@ -641,6 +641,66 @@ class TestWorkCaps:
             doc = json.loads(fails(argv + ["--max-height", "2"]))
             assert "max height 1;" in doc["error"]
 
+    @staticmethod
+    def digit_inputs(d, svg):
+        """(name, argv) of commands reading integers of d digits each, the
+        worst cases of shear --tri and tangle-check among them."""
+        n = 10**d - 1
+        tri = json.dumps({"triple": [f"{n - 1}/1", "inf", f"{n}/1"], "tags": {"01": "notched"}})
+        spiral = {"slope": f"-{n}/{n - 1}", "ends": [{"v": "00", "spiral": "cw"},
+                                                     {"v": "01", "spiral": "ccw"}]}
+        # closed curves of opposite shear on the base triangulation in every
+        # tagging (test_shear's antipodal pair): the witness is a triple of
+        # d-digit slopes around one of them, whose frame carries the other
+        # curve to a vector of 2d digits, multiplied by a weight of d digits
+        a = 5 * 10**(d - 1) - 1
+        tangle = json.dumps([{"curve": {"closed": f"{a - 1}/{a}"}, "weight": n},
+                             {"curve": {"closed": f"{-a - 1}/{a}"}, "weight": n}])
+        matrix = [[0 if i == j else (n if (i < j) == (i + j) % 2 else -n) for j in range(6)]
+                  for i in range(6)]
+        return [
+            ("numerator", ["shear", "--curve", json.dumps({"closed": f"{n}/1"})]),
+            ("denominator", ["shear", "--curve", json.dumps({"closed": f"-1/{n}"})]),
+            ("shear --tri", ["shear", "--curve", json.dumps(spiral), "--tri", tri]),
+            ("tangle-check", ["tangle-check", "--tangle", tangle]),
+            ("mutate", ["mutate", "--matrix", json.dumps(matrix), "--k", "0"]),
+            ("locate", ["locate", "--vector", json.dumps([-n, 0, n, -n, 0, n]),
+                        "--max-height", "2"]),
+            ("render", ["render", "--window", f"{n - 1},{n},-{n},{1 - n}",
+                        "--curve", '{"closed":"1/1"}', "--out", str(svg)]),
+        ]
+
+    def test_integers_at_the_digit_cap(self, tmp_path):
+        # every command prints its result, and no printed integer reaches the
+        # 4300 digits of Python 3.11's int-to-text limit: on 3.10, which has
+        # no limit, the outputs are the same
+        import re
+
+        from spherelam.lattice import _MAX_DIGITS
+
+        longest = {}
+        for name, argv in self.digit_inputs(_MAX_DIGITS, tmp_path / "cap.svg"):
+            code, out = run(argv)
+            assert code == 0, (name, out[:200])
+            longest[name] = max(map(len, re.findall(r"[0-9]+", out)))
+        assert longest["numerator"] == longest["denominator"] == longest["locate"] == _MAX_DIGITS
+        assert longest["shear --tri"] >= longest["mutate"] >= 2 * _MAX_DIGITS
+        assert 3 * _MAX_DIGITS <= longest["tangle-check"] < 4300
+        svg = (tmp_path / "cap.svg").read_text()
+        assert '<circle cx="20.00" cy="60.00" r="3"/>' in svg and "inf" not in svg
+
+    def test_integers_past_the_digit_cap(self, tmp_path):
+        # one digit more is one error document naming the cap, on every
+        # Python, instead of the interpreter's own limit on 3.11 and up
+        from spherelam.lattice import _MAX_DIGITS
+
+        for name, argv in self.digit_inputs(_MAX_DIGITS + 1, tmp_path / "past.svg"):
+            doc = json.loads(fails(argv))
+            assert doc == {"schema": "sphere-lam/1", "kind": "domain", "error": (
+                f"MalformedInput: an integer has at most {_MAX_DIGITS} digits, "
+                f"got {_MAX_DIGITS + 1}")}, name
+        assert not (tmp_path / "past.svg").exists()
+
     def test_element_count_bounds_render(self):
         from spherelam.render import element_count
 
@@ -747,9 +807,9 @@ class TestColdStart:
             assert asserts == [], path.name
 
     def test_lattice_frame_is_built_in_curves_only(self):
-        # the key images are called in curves only, where the frame kernel
-        # builds its map and moves the keys inline; every other module reads
-        # curves._lattice_frame
+        # the key images are called in curves only, where the one key kernel
+        # moves the keys of an image and of the frame kernel's map; every
+        # other module reads curves._lattice_frame or an arc's image
         import pathlib
 
         paths = sorted(pathlib.Path(spherelam.__file__).parent.glob("*.py"))

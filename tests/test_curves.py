@@ -217,7 +217,7 @@ class TestKernelAgainstOracle:
         spiral = {PLAIN: CW, NOTCHED: CCW}
         for a in enumerate_arcs(4):
             c = kappa(a)
-            assert c._key == a._key and c.slope is a.slope
+            assert c._key == a._key and c.slope == a.slope
             assert c.ends == tuple((p, spiral[t]) for p, t in a.ends)
             back = kappa_inv(c)
             assert back._key == a._key and back.ends == a.ends and hash(back) == hash(a)
@@ -425,7 +425,6 @@ class TestOfKey:
             assert y == x and (y.slope, y.ends, y.punctures, y.underlying) == \
                 (x.slope, x.ends, x.punctures, x.underlying)
             assert hash(y) == hash(x)
-            assert type(x)._of_key(x._key, x.slope).slope is x.slope
 
     def test_reverse_and_retag_change_one_marks_bit(self):
         for x in _LOW:
@@ -458,7 +457,8 @@ class TestOfKey:
         import spherelam
 
         gone = {"apply_parity", "_arc_of_key", "_TAG_TO_SPIRAL", "_SPIRAL_TO_TAG",
-                "triple_to_basis", "_chirality", "spiral_at", "_base_open", "is_identity"}
+                "triple_to_basis", "_chirality", "spiral_at", "_base_open", "is_identity",
+                "_rotation_to_nonnegative"}
         paths = sorted(pathlib.Path(spherelam.__file__).parent.glob("*.py"))
         assert len(paths) >= 12
         for path in paths:
@@ -484,17 +484,54 @@ class TestOfKey:
 
 
 class TestKeyIsTheStoredForm:
-    """An arc or curve stores its slope and its integer key only; its ends,
+    """An arc or curve stores its integer key only; its slope, ends,
     punctures, hash and curve order are read off the key."""
 
-    def test_slope_and_key_are_the_only_state(self):
+    def test_key_is_the_only_state(self):
         from spherelam.curves import _ArcOrCurve
 
-        assert _ArcOrCurve.__slots__ == ("slope", "_key")
+        assert _ArcOrCurve.__slots__ == ("_key",)
         assert TaggedArc.__slots__ == AllowableCurve.__slots__ == ()
         for x in (arc(1, 0, V00, PLAIN, V10, NOTCHED), curve(2, 3, V01, CCW, V00, CW),
                   AllowableCurve(Slope(1, 1))):
             assert not hasattr(x, "__dict__")
+
+    def test_derived_arcs_and_curves_build_no_slope(self, monkeypatch):
+        # _of_key, image, retag, reverse_spiral, kappa, kappa_inv and the
+        # cold closed form of a negative-slope curve move keys only; the
+        # slope is built when it is read
+        from spherelam import shear
+
+        a = arc(3, -5, V01, NOTCHED, V10, PLAIN)
+        c = curve(5, -3, V00, CCW, V11, CW)
+        closed = AllowableCurve(Slope(2, -7))
+        calls = 0
+        real = Slope.__init__
+
+        def counting(self, a, b):
+            nonlocal calls
+            calls += 1
+            real(self, a, b)
+
+        monkeypatch.setattr(Slope, "__init__", counting)
+        rho = shear.RHO
+        derived = [TaggedArc._of_key(a._key), AllowableCurve._of_key(c._key), a.image(rho),
+                   c.image(rho), closed.image(rho), a.retag(V01, PLAIN), a.retag(V00, NOTCHED),
+                   c.reverse_spiral(V00), c.reverse_spiral(V10), kappa(a), kappa_inv(c)]
+        vectors = [shear._closed_form(x) for x in (c, closed, c.reverse_spiral(V11))]
+        assert calls == 0
+        slope = derived[2].slope
+        assert calls == 1 and slope.vector == (5, -2)
+        assert vectors[0] == shear.shear_oracle(c)
+
+    @pytest.mark.parametrize("slope", [(2, 3), "3/2", None], ids=["tuple", "text", "None"])
+    @pytest.mark.parametrize("cls", [TaggedArc, AllowableCurve])
+    def test_constructors_take_a_slope_only(self, cls, slope):
+        ends = ((V00, PLAIN), (V01, NOTCHED)) if cls is TaggedArc else ((V00, CW), (V01, CCW))
+        name = type(slope).__name__
+        for given in (ends, None) if cls is AllowableCurve else (ends,):
+            with pytest.raises(ValueError, match=f"^a {cls.__name__} takes a Slope, not {name}$"):
+                cls(slope, given)
 
     def test_set_order_does_not_follow_the_hash_seed(self):
         import os

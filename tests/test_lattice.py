@@ -181,6 +181,16 @@ class TestSlopeParse:
         with pytest.raises(ZeroVector):
             Slope.parse("0/0")
 
+    def test_digit_cap(self):
+        from spherelam.lattice import _MAX_DIGITS
+
+        n = "9" * _MAX_DIGITS
+        assert Slope.parse(f" -{n}/+{n[1:]}1 ") == Slope(int(n[1:] + "1"), -int(n))
+        for text in (f"{n}0", f"1/-{n}0", f"0{n}/1"):
+            with pytest.raises(MalformedInput, match=f"^an integer has at most {_MAX_DIGITS} "
+                                                     f"digits, got {_MAX_DIGITS + 1}$"):
+                Slope.parse(text)
+
 
 class TestEnumerate:
     def test_height_one(self):

@@ -477,8 +477,8 @@ class TestFlip:
         # lattice map m with entries up to 10^6, flip(m.T, k) has the keys of
         # m.flip(T, k) in arc order: the kernel does not see the height
         t = height_three()[index]
-        image = TaggedTriangulation._of_keys(tuple(_key_images(t._keys, m)))
-        assert flip(image, k)._keys == tuple(_key_images(flip(t, k)._keys, m))
+        image = TaggedTriangulation._of_keys(tuple(_key_images(t._keys, m.linear)))
+        assert flip(image, k)._keys == tuple(_key_images(flip(t, k)._keys, m.linear))
 
     @pytest.mark.parametrize("pairs", [
         {1: (), 2: ()},
@@ -580,7 +580,7 @@ class TestKeyReaders:
         # back m.T from its spec, and the signed adjacency, of every type,
         # is T's: the integer kernels do not see the height
         t = height_three()[index]
-        image = TaggedTriangulation._of_keys(tuple(_key_images(t._keys, m)))
+        image = TaggedTriangulation._of_keys(tuple(_key_images(t._keys, m.linear)))
         spec = classify(image)
         assert spec.tag == classify(t).tag
         assert build_type(spec) == image

@@ -5,7 +5,7 @@ closed curve for nonnegative slopes, a slope rotation for the others."""
 from spherelam import plane
 from spherelam.errors import InternalError
 from spherelam.lattice import Slope
-from spherelam.shear import _UNROTATE, _rotation_to_nonnegative, apply_perm
+from spherelam.shear import _UNROTATE, RHO, RHO2, apply_perm
 
 
 def torus_base(a: int, b: int) -> tuple[int, int, int]:
@@ -32,5 +32,5 @@ def torus_shear(s: Slope) -> tuple[int, int, int]:
     a, b = s.vector
     if b >= 0:
         return torus_base(a, b)
-    rot = _rotation_to_nonnegative(s)
+    rot = RHO2 if -b >= a else RHO
     return apply_perm(_UNROTATE[rot][:3], torus_shear(rot.apply_slope(s)))
