@@ -11,6 +11,7 @@ The main entry points are:
 - :mod:`spherelam.triangulation` -- triangulation types, flips, exchange matrices
 - :mod:`spherelam.shear` -- shear coordinates (three independent computation paths)
 - :mod:`spherelam.fan` -- maximal cones of the rational quasi-lamination fan
+- :mod:`spherelam.coefficients` -- universal coefficient and g-vector lists
 - :mod:`spherelam.cli` -- command line front end
 
 The names below are re-exported from those modules.  A module is imported
@@ -45,9 +46,10 @@ _EXPORTS = {
     ),
     "fan": (
         "MaximalCollection", "Cone", "maximal_collections", "cone_of",
-        "locate", "count_containing_cones", "g_vectors", "universal_coeffs",
+        "locate", "count_containing_cones",
         "flip_adjacency", "fan_check", "induced_torus_check",
     ),
+    "coefficients": ("g_vectors", "universal_coeffs"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -232,16 +232,16 @@ def _cmd_locate(args) -> str:
 
 
 def _cmd_gvectors(args) -> str:
-    from . import fan
+    from . import coefficients
 
     return _doc(max_height=args.max_height,
-                vectors=[list(v) for v in fan.g_vectors(args.max_height)])
+                vectors=[list(v) for v in coefficients.g_vectors(args.max_height)])
 
 
 def _cmd_universal(args) -> str:
-    from . import fan
+    from . import coefficients
 
-    vecs = fan.universal_coeffs(args.max_height, args.form)
+    vecs = coefficients.universal_coeffs(args.max_height, args.form)
     return _doc(max_height=args.max_height, vectors=[list(v) for v in vecs])
 
 
@@ -306,7 +306,15 @@ def _cmd_selftest(_args) -> str:
     return _doc(passed=len(checks), failed=0, failures=[])
 
 
-_HEIGHT = ("--max-height", dict(type=int, default=6))
+def integer(text: str) -> int:
+    """The type of the integer options: ``int`` within the digit cap of the
+    JSON integers (:func:`lattice._parse_int`), so that a longer value is
+    one error document on every Python, not a usage error that echoes it
+    (3.11 and up) or a range error (3.10)."""
+    return _parse_int(text)
+
+
+_HEIGHT = ("--max-height", dict(type=integer, default=6))
 
 # name -> (handler, help, options), each option (flag, add_argument keywords)
 _COMMANDS = {
@@ -335,14 +343,14 @@ _COMMANDS = {
     )),
     "flip": (_cmd_flip, "flip one arc of a triangulation", (
         ("--tri", dict(required=True)),
-        ("--k", dict(type=int, required=True)),
+        ("--k", dict(type=integer, required=True)),
     )),
     "badj": (_cmd_badj, "signed adjacency matrix (any type, any tags)", (
         ("--tri", dict(required=True)),
     )),
     "mutate": (_cmd_mutate, "matrix mutation", (
         ("--matrix", dict(required=True, help="6x6 matrix JSON")),
-        ("--k", dict(type=int, required=True)),
+        ("--k", dict(type=integer, required=True)),
     )),
     "cones": (_cmd_cones, "maximal cones at bounded height", (_HEIGHT,)),
     "locate": (_cmd_locate, "quasi-lamination of an integer vector", (
@@ -436,6 +444,8 @@ def run(argv: list[str], pieces: bool = False) -> tuple[int, str | Iterator[str]
         args = parser.parse_args(argv)
     except SystemExit as e:
         return (int(e.code or 0) and 2, "")
+    except DomainError as e:   # an integer option past the digit cap
+        return 1, _error_doc(f"{type(e).__name__}: {e}", "domain")
     try:
         out = _COMMANDS[args.command][0](args)
     except (InternalError, KeyError) as e:

@@ -15,11 +15,11 @@ permutation stored with the image it matched; the others, and every
 kind-VII cone, find theirs by one exact elimination.
 
 The index lists each cone under the sign keys its points can have, over
-nine integer forms: the six coordinates and the three pair differences
+ten integer forms: the six coordinates, the three pair differences
 v_i - v_(i+3), which vanish on every closed curve and so split the fan
-along the kind-VII directions.  Every cone's keys are read from its
-faces: the functionals are the one thing a build carries across a
-``GAMMA24`` orbit.
+along the kind-VII directions, and the coordinate total, which is a
+lamination's spiral balance.  A build reads the keys of one cone per
+``FLIPS`` orbit from its faces, and carries them to the others.
 """
 
 from __future__ import annotations
@@ -43,28 +43,20 @@ from .curves import (
 from .errors import BoundExhausted, InternalError, InternalNonUnique, MalformedInput, \
     RankDeficient
 from .lattice import Slope, check_height, enumerate_slopes, farey1_triples
-from .shear import (
-    FLIPS,
-    GAMMA24,
-    GROUP_Y,
-    GROUP_Z,
-    PERM_ID,
-    PERM_X,
-    PERM_Z,
-    PERM_Z2,
-    RHO,
-    RHO2,
-    compose,
-    QuasiLamination,
-    ShearVector,
-    _item1,
-    _item2,
-    _item4,
-    _item5,
-    apply_perm,
-    perm_product,
-    shear_closed_form,
-)
+from .shear import FLIPS, GAMMA24, PERM_ID, PERM_X, QuasiLamination, ShearVector, apply_perm, \
+    shear_closed_form
+
+# The coefficient lists live in .coefficients, which nothing here uses;
+# their names are read from this module too, and load it on first use.
+_COEFFICIENT_NAMES = frozenset({"THM12_ITEMS", "g_vectors", "universal_coeffs", "universal_raw"})
+
+
+def __getattr__(name: str):
+    if name in _COEFFICIENT_NAMES:
+        from . import coefficients
+
+        return getattr(coefficients, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 # ---------------------------------------------------------------------------
 # Maximal collections
@@ -206,7 +198,8 @@ class Cone(Frozen):
         return hash(self.canonical())
 
 
-def cone_of(coll: MaximalCollection, images: _Images | None = None) -> Cone:
+def cone_of(coll: MaximalCollection, images: _Images | None = None,
+            shared: _SharedRows | None = None) -> Cone:
     """The maximal cone of a collection; generators stay aligned with the
     collection's curve order.  Rank 6 for kinds I-VI, 5 for kind VII.
 
@@ -218,17 +211,20 @@ def cone_of(coll: MaximalCollection, images: _Images | None = None) -> Cone:
     functionals of the one it matches moved by the permutation stored
     with that image (:func:`_functionals_by_image`); on a miss, it finds
     its functionals by elimination and its images join the memo, each
-    with its permutation."""
-    gens = tuple(shear_closed_form(c) for c in coll.curves)
+    with its permutation.  With ``shared`` (also one per build), every
+    functional row is kept as one tuple per value: 13,280 rows take 402
+    values at h = 3."""
+    gens = tuple(map(shear_closed_form, coll.curves))
     expected = 5 if coll.kind == "VII" else 6
     if len(gens) != expected:
         raise RankDeficient(f"kind {coll.kind} cone has {len(gens)} generators")
+    if images is not None and expected == 6:
+        functionals = _functionals_by_image(gens, images, shared)
+        if functionals is not None:
+            return Cone._of_functionals(gens, coll.kind, coll, functionals)
+    cone = Cone._of_functionals(gens, coll.kind, coll, _cone_functionals(gens, shared))
     if images is None or expected == 5:
-        return Cone(gens, coll.kind, coll)
-    functionals = _functionals_by_image(gens, images)
-    if functionals is not None:
-        return Cone._of_functionals(gens, coll.kind, coll, functionals)
-    cone = Cone(gens, coll.kind, coll)
+        return cone
     total = sum(map(sum, gens))
     for image, preimage in _GAMMA24_PERMS:
         images.setdefault(_image_key(map(image, gens), total), (cone, image, preimage))
@@ -246,17 +242,23 @@ _GAMMA24_PERMS = [(itemgetter(*sorted(range(6), key=p.__getitem__)), itemgetter(
 # that gave the key.
 _Images = dict[int, tuple[Cone, itemgetter, itemgetter]]
 
+# For one cone_index build: each functional row value, mapped to the one
+# tuple that holds it.
+_SharedRows = dict[tuple[int, ...], tuple[int, ...]]
+
 
 def _image_key(gens, total: int) -> int:
     """The key of a generator set in an ``_Images`` memo: a hash of the
-    sorted generators and of their coordinate total, which no coordinate
-    permutation changes.  Two sets may share a key (as ints, -1 and -2
-    hash alike, and the total tells one such swap apart, not every one),
-    so :func:`_functionals_by_image` compares the generators themselves."""
-    return hash((tuple(sorted(gens)), total))
+    set of generators (no sort: a frozenset hashes its members in any
+    order) and of their coordinate total, which no coordinate permutation
+    changes.  Two sets may share a key (as ints, -1 and -2 hash alike, and
+    the total tells one such swap apart, not every one), so
+    :func:`_functionals_by_image` compares the generators themselves."""
+    return hash((frozenset(gens), total))
 
 
-def _functionals_by_image(gens, images: _Images) -> _Functionals | None:
+def _functionals_by_image(gens, images: _Images,
+                          shared: _SharedRows | None = None) -> _Functionals | None:
     """The functionals of six generators from the memo's cone R whose
     image they are under the stored permutation P, or None.
 
@@ -269,24 +271,27 @@ def _functionals_by_image(gens, images: _Images) -> _Functionals | None:
     the stored P is tried: a key shared by another generator set, which P
     does not map onto these, is no hit and costs one elimination, never a
     wrong row.  Each hit is checked, with InternalError: row k must give
-    det on generator k."""
+    det on generator k.  Each row is taken from ``shared`` when given."""
     hit = images.get(_image_key(gens, sum(map(sum, gens))))
     if hit is None:
         return None
     rep, image, preimage = hit
     rows, det, _ = rep._functionals
-    position = {g: k for k, g in enumerate(rep.generators)}
-    picked = [position.get(preimage(c)) for c in gens]
+    position = dict(zip(rep.generators, range(6)))
+    picked = list(map(position.get, map(preimage, gens)))
     if None in picked or len(set(picked)) != len(picked):
         return None
     functionals = [image(rows[k]) for k in picked]
     for (a, b, c, d, e, f), (g0, g1, g2, g3, g4, g5) in zip(functionals, gens):
         if a * g0 + b * g1 + c * g2 + d * g3 + e * g4 + f * g5 != det:
             raise InternalError(f"permuted functionals do not invert the generators {gens}")
+    if shared is not None:
+        functionals = [shared.setdefault(row, row) for row in functionals]
     return functionals, det, None
 
 
-def _cone_functionals(generators: Sequence[ShearVector]) -> _Functionals:
+def _cone_functionals(generators: Sequence[ShearVector],
+                      shared: _SharedRows | None = None) -> _Functionals:
     """(rows, det, normal) of r independent generators (RankDeficient if
     they are dependent): integer 6-vectors f_k and det > 0 with coefficient
     k of v equal to f_k . v / det for every v in their span, and for r = 5
@@ -294,7 +299,8 @@ def _cone_functionals(generators: Sequence[ShearVector]) -> _Functionals:
 
     The f_k are the adjugate rows of the first r x r block of generator
     coordinates (rows in lexicographic order) that is invertible, signed
-    so det > 0, with zeros at the coordinates left out of the block."""
+    so det > 0, with zeros at the coordinates left out of the block.
+    Each row is taken from ``shared`` when given."""
     cols = [list(col) for col in zip(*generators)]
     r = len(generators)
     for rows in itertools.combinations(range(6), r):
@@ -309,7 +315,8 @@ def _cone_functionals(generators: Sequence[ShearVector]) -> _Functionals:
         full = [0] * 6
         for val, i in zip(row, rows):
             full[i] = sign * val
-        functionals.append(tuple(full))
+        row = tuple(full)
+        functionals.append(row if shared is None else shared.setdefault(row, row))
     det *= sign
     if r == 6:
         return functionals, det, None
@@ -323,16 +330,17 @@ def _cone_functionals(generators: Sequence[ShearVector]) -> _Functionals:
 
 
 def _sign_key(v) -> int:
-    """The signs of the nine forms of a 6-vector as one int: the forms
-    are v_0, ..., v_5 and v_0 - v_3, v_1 - v_4, v_2 - v_5, and form i sets
-    bit i when > 0, bit 9 + i when < 0."""
+    """The signs of the ten forms of a 6-vector as one int: the forms
+    are v_0, ..., v_5, v_0 - v_3, v_1 - v_4, v_2 - v_5 and the total
+    v_0 + ... + v_5, and form i sets bit i when > 0, bit 10 + i when < 0."""
     v0, v1, v2, v3, v4, v5 = v
     key = 0
-    for i, x in enumerate((v0, v1, v2, v3, v4, v5, v0 - v3, v1 - v4, v2 - v5)):
+    for i, x in enumerate((v0, v1, v2, v3, v4, v5, v0 - v3, v1 - v4, v2 - v5,
+                           v0 + v1 + v2 + v3 + v4 + v5)):
         if x > 0:
             key |= 1 << i
         elif x < 0:
-            key |= 512 << i
+            key |= 1024 << i
     return key
 
 
@@ -340,48 +348,112 @@ def _face_patterns(face: int) -> list[int]:
     """The sign keys a positive combination of generators can have, given
     the OR of their sign keys: a form where they have both signs may
     take any sign, every other form takes theirs."""
-    pos, neg = face & 511, face >> 9
+    pos, neg = face & 1023, face >> 10
     both = pos & neg
-    out = [(pos ^ both) | (neg ^ both) << 9]
-    for i in range(9):
+    out = [(pos ^ both) | (neg ^ both) << 10]
+    for i in range(10):
         if both >> i & 1:
-            out += [s | 1 << i for s in out] + [s | 512 << i for s in out]
+            out += [s | 1 << i for s in out] + [s | 1024 << i for s in out]
     return out
 
 
-def _cone_keys(gen_keys: list[int], face_patterns: dict[int, list[int]]) -> set[int]:
+def _cone_keys(gen_keys: list[int], memo: _KeyMemo) -> list[int] | set[int]:
     """The sign keys of the points of a cone, from its generators' keys:
     a point is a positive combination of the generators of one face, so
     its key is one of the ``_face_patterns`` of the OR of theirs, which is
     that OR itself when no form has both signs on the face.
-    ``face_patterns`` memoises the others across one build."""
+
+    ``memo`` is one build's (``_KeyMemo``).  A flip of ``FLIPS`` swaps
+    v_i and v_(i+3) for some i, so it moves the coordinate forms, changes
+    the sign of each swapped pair's difference and keeps the total: it
+    maps sign keys by a bit permutation (:func:`_flip_key_maps`) that
+    commutes with OR and with ``_face_patterns``.  So a cone whose
+    generator keys are the image of a set worked out before takes those
+    keys, mapped, and a build walks the faces of one cone per ``FLIPS``
+    orbit (584 of the 2256 cones at h = 3)."""
+    spreads, images, flip_maps, flipped = memo
+    gen_keys = frozenset(gen_keys)
+    hit = images.pop(gen_keys, None)
+    if hit is not None:
+        keys, lo, hi = hit
+        return [lo[k & 1023] | hi[k >> 10] for k in keys]
     keys = {0}   # the OR of the sign keys of each face's generators
-    for key in set(gen_keys):
+    for key in gen_keys:
         keys.update([f | key for f in keys])
-    mixed = [f for f in keys if f & f >> 9]
+    mixed = [f for f in keys if f & f >> 10]
     keys.difference_update(mixed)
     for f in mixed:
-        if f not in face_patterns:
-            face_patterns[f] = _face_patterns(f)
-        keys.update(face_patterns[f])
+        # the patterns of f: its signs on the forms where it has one sign,
+        # OR each pattern of the forms where it has both
+        both = (f & f >> 10) * 1025
+        spread = spreads.get(both)
+        if spread is None:
+            spread = spreads[both] = _face_patterns(both)
+        f &= ~both
+        keys.update([f | s for s in spread])
+    carried = tuple(keys)
+    rows = []   # each generator key's images under the flips
+    for k in gen_keys:
+        row = flipped.get(k)
+        if row is None:
+            row = flipped[k] = [lo[k & 1023] | hi[k >> 10] for lo, hi in flip_maps]
+        rows.append(row)
+    for (lo, hi), image in zip(flip_maps, zip(*rows)):
+        image = frozenset(image)
+        if image != gen_keys:
+            images[image] = carried, lo, hi
     return keys
+
+
+# One build's memo for _cone_keys: the patterns of each set of forms with
+# both signs on a face (as a face key), the generator-key set of each
+# FLIPS image of a cone's generator keys -> (that cone's keys, lo, hi),
+# the (lo, hi) tables of _flip_key_maps, and each generator key -> its
+# images by those tables.
+_KeyMemo = tuple[dict, dict, list, dict]
+
+
+def _flip_key_maps() -> list[tuple[list[int], list[int]]]:
+    """For each flip of ``FLIPS`` but the identity, its map of sign keys
+    as two tables, key -> lo[key & 1023] | hi[key >> 10]: form i of v is
+    form p[i] of the flipped vector for a coordinate, the same form with
+    its sign changed for the difference of a swapped pair, and the same
+    form for the total."""
+    out = []
+    for p in sorted(FLIPS - {PERM_ID}):
+        target = [p[i] for i in range(6)] + [6, 7, 8, 9]
+        flipped = [False] * 6 + [p[i] != i for i in range(3)] + [False]
+        tables = []
+        for negative in (False, True):
+            table = [0]
+            for i in range(10):
+                bit = 1 << target[i] + 10 * (negative != flipped[i])
+                table += [t | bit for t in table]
+            tables.append(table)
+        out.append(tuple(tables))
+    return out
 
 
 class _ConeIndex:
     """Maximal cones with their integer functionals, listed under the sign
     keys their points can have.
 
-    A key holds the signs of nine integer forms of a point v: its six
-    coordinates and the three pair differences v_i - v_(i+3).  The
-    differences vanish on every closed curve's shear vector, so they
-    split the fan along the kind-VII directions, where the coordinates
-    alone list a cone under many keys its points never have: at h = 3 a
-    query tests a mean of 38 to 52 cones, against 77 to 145 by the
-    coordinates alone.
+    A key holds the signs of ten integer forms of a point v: its six
+    coordinates, the three pair differences v_i - v_(i+3) and the total
+    v_0 + ... + v_5.  The differences vanish on every closed curve's shear
+    vector, so they split the fan along the kind-VII directions, where the
+    coordinates alone list a cone under many keys its points never have.
+    The total of a curve's shear vector is half its counterclockwise ends
+    less its clockwise ones (0 when closed), so on a lamination it is the
+    weighted spiral balance.  At h = 3 the 2256 cones have 101,238
+    listings under 5729 keys, and a ``fan-locate`` query finds a mean of
+    37 cones under its key and tests 15 to 24 of them, against 58 and 38
+    to 52 by the first nine forms.
     ``patterns[key]`` lists, in ``cones`` order, the cones with a point
     that may have the key (:func:`_cone_keys`), and ``containing(v)``
-    tests only the cones listed under v's key.  Every cone's keys are read
-    from its faces, with the face patterns memoised across the build.
+    tests only the cones listed under v's key.  The build reads the keys
+    of one cone per ``FLIPS`` orbit from its faces and maps them to the
+    others.
     ``stars[g]`` holds the positions in ``cones`` of the cones with
     generator g; the build checks that each cone has its collection and
     that each generator is the shear vector of one curve."""
@@ -391,21 +463,25 @@ class _ConeIndex:
         patterns: dict[int, list] = defaultdict(list)
         # each generator's first curve, sign key and star
         seen: dict[ShearVector, tuple[AllowableCurve, int, set[int]]] = {}
-        face_patterns: dict[int, list[int]] = {}
+        memo: _KeyMemo = ({}, {}, _flip_key_maps(), {})
         for pos, cone in enumerate(cones):
             if cone.collection is None:
                 raise InternalError("indexed cone without its collection")
+            gen_keys = []
             for curve, g in zip(cone.collection.curves, cone.generators):
-                if g not in seen:
-                    seen[g] = (curve, _sign_key(g), set())
-                first, _, star = seen[g]
+                known = seen.get(g)
+                if known is None:
+                    known = seen[g] = (curve, _sign_key(g), set())
+                first, key, star = known
                 if first is not curve and first != curve:
                     raise InternalError(f"{first} and {curve} have one shear vector {g}")
                 star.add(pos)
+                gen_keys.append(key)
             entry = (pos, cone, *cone._functionals)
-            for key in _cone_keys([seen[g][1] for g in cone.generators], face_patterns):
+            for key in _cone_keys(gen_keys, memo):
                 patterns[key].append(entry)
-        self.patterns = dict(patterns)
+        patterns.default_factory = None   # a plain dict from here on, without a copy
+        self.patterns = patterns
         self.stars = {g: star for g, (_, _, star) in seen.items()}
 
     def containing(self, v, distinct: bool = False
@@ -417,7 +493,7 @@ class _ConeIndex:
         if it has one (kind VII), gives n . v == 0 and every functional row
         gives f_k . v >= 0; nums[k] is f_k . v.  Each dot product is
         written out over v's six coordinates, unpacked once, with each row
-        unpacked in the loop header, because a scan tests about 100 rows a
+        unpacked in the loop header, because a scan tests about 50 rows a
         query at h = 3 and ``sum(map(mul, row, v))`` would build an
         iterator for each.  A cone is dropped on its first negative row.
 
@@ -450,10 +526,11 @@ class _ConeIndex:
 def cone_index(max_height: int) -> _ConeIndex:
     """The index of every maximal cone at the given height, checked before
     the cache.  The last four heights used are kept (one index at h = 10
-    holds about 38 MB, and its build peaks at about 54 MB of RSS): a
-    command line call builds one height, the ``fan-locate`` benchmark
-    uses 3, the self-test 2 and the tests several.
-    The ``GAMMA24`` images memo of :func:`cone_of` lives for one build."""
+    holds about 26 MB, traced, and its build peaks at about 44 MB of
+    RSS): a command line call builds one height, the ``fan-locate``
+    benchmark uses 3, the self-test 2 and the tests several.
+    The ``GAMMA24`` images memo and the shared rows of :func:`cone_of`,
+    and the memo of :func:`_cone_keys`, live for one build."""
     check_height(max_height)
     return _cached_index(max_height)
 
@@ -465,9 +542,10 @@ def _cached_index(max_height: int) -> _ConeIndex:
 
 def _maximal_cones(max_height: int) -> list[Cone]:
     """Every maximal cone at the height, in build order, with one
-    ``GAMMA24`` images memo (:func:`cone_of`)."""
+    ``GAMMA24`` images memo and one table of shared rows (:func:`cone_of`)."""
     images: _Images = {}
-    return [cone_of(c, images) for c in maximal_collections(max_height)]
+    shared: _SharedRows = {}
+    return [cone_of(c, images, shared) for c in maximal_collections(max_height)]
 
 
 def _shear_vector(v) -> ShearVector:
@@ -519,86 +597,6 @@ def locate(v: Sequence[int], max_height: int = 6) -> QuasiLamination:
 def count_containing_cones(v: Sequence[int], max_height: int = 6) -> int:
     """Number of distinct maximal cones whose span contains v."""
     return sum(1 for _ in cone_index(max_height).containing(_shear_vector(v)))
-
-
-# ---------------------------------------------------------------------------
-# Universal coefficient lists and g-vectors
-# ---------------------------------------------------------------------------
-
-
-def _slopes_in_range(max_height: int, low_open: bool, include_inf: bool):
-    """Standard-form slopes of bounded height in [0, inf] with the range
-    endpoints included or not as flagged."""
-    for s in enumerate_slopes(max_height):
-        if s.is_infinite:
-            if include_inf:
-                yield s
-        elif s.b > 0 or (s.b == 0 and not low_open):
-            yield s
-
-
-def _thm12_item2(a: int, b: int) -> ShearVector:
-    # Thm 1.2 item 2 is the closed form's item 4 with a and b swapped
-    return _item4(b, a)
-
-
-THM12_ITEMS = (_item1, _thm12_item2, _item2, _item5)
-
-
-_ZX = perm_product(sorted(GROUP_Z), (PERM_ID, PERM_X))
-
-# Each form's rows: (item, low end open, inf included, permutations).
-_UNIVERSAL_ROWS = {
-    "thm12": [(item, True, True, sorted(GAMMA24)) for item in THM12_ITEMS],
-    "thm81": [
-        (_item1, True, True, _ZX),
-        (_item4, False, False, _ZX),
-        (_item2, True, True, perm_product(sorted(GROUP_Z), sorted(GROUP_Y))),
-        (_item5, True, True, sorted(GROUP_Z)),
-    ],
-}
-
-
-def universal_raw(max_height: int, form: str) -> list[ShearVector]:
-    """The universal-coefficient list as generated (before deduplication):
-    one entry per (item, slope, permutation), in the rows of the form."""
-    if form not in _UNIVERSAL_ROWS:
-        raise ValueError(f"unknown form {form!r}")
-    return [apply_perm(p, base)
-            for item, low_open, include_inf, perms in _UNIVERSAL_ROWS[form]
-            for s in _slopes_in_range(max_height, low_open, include_inf)
-            for base in [item(s.a, s.b)]
-            for p in perms]
-
-
-def universal_coeffs(max_height: int, form: str = "thm81") -> list[ShearVector]:
-    """Deduplicated, sorted universal geometric coefficients at bounded
-    height, in either of the two equivalent listings."""
-    return sorted(set(universal_raw(max_height, form)))
-
-
-def g_vectors(max_height: int) -> list[ShearVector]:
-    """Shear vectors of all non-closed allowable curves at bounded height.
-
-    Items are generated over nonnegative-slope base curves; each slope
-    rotation represents curves of a different slope, so rotated orbit
-    elements are kept only when the slope they stand for is itself within
-    the height bound."""
-    out = set()
-    for s in _slopes_in_range(max_height, low_open=True, include_inf=True):
-        rotated = (
-            (PERM_ID, s),
-            (PERM_Z, RHO.apply_slope(s)),
-            (PERM_Z2, RHO2.apply_slope(s)),
-        )
-        for item in THM12_ITEMS[:3]:
-            base = item(s.a, s.b)
-            for zpow, image_slope in rotated:
-                if image_slope.height > max_height:
-                    continue
-                for tau in FLIPS:
-                    out.add(apply_perm(compose(zpow, tau), base))
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

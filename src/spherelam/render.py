@@ -15,6 +15,12 @@ Window = tuple[int, int, int, int]  # xmin, xmax, ymin, ymax
 _SCALE = 40
 _MARGIN = 20
 _GLYPH_STEPS = 24
+# A spiraling curve's lattice segment is drawn whole when both its ends lie
+# within this many lattice units of the window; otherwise it is cut where it
+# leaves the window grown by this much, 4e7 pixels past the canvas, and its
+# far ends get no glyph.  Uncut, the end of a 400-digit slope, or an end
+# under a 400-digit window, lies beyond every float.
+_REACH = 10**6
 _FAMILY_STYLE = (
     'stroke="#b44" stroke-width="1"',
     'stroke="#47b" stroke-width="1"',
@@ -42,10 +48,11 @@ class RenderSpec(Frozen):
         object.__setattr__(self, "window", window)
 
 
-def _clip_line(p0, q: int, d, window):
+def _clip_line(p0, q: int, d, window, segment: bool = False):
     """Clip the line p0/q + t*d (integer numerators p0 over q > 0, integer
-    direction d) to the window with integer comparisons.  The endpoints
-    come back as numerator pairs over the returned denominator; None when
+    direction d) to the window with integer comparisons; with ``segment``,
+    only its part for 0 <= t <= 1.  The endpoints come back as numerator
+    pairs over the returned denominator, in the direction of d; None when
     the line misses the window or only touches it."""
     xmin, xmax, ymin, ymax = window
     # t is counted in units of 1/(q*m), in which every bound is an integer
@@ -62,6 +69,8 @@ def _clip_line(p0, q: int, d, window):
             t1, t2 = t2, t1
         t_lo = t1 if t_lo is None else max(t_lo, t1)
         t_hi = t2 if t_hi is None else min(t_hi, t2)
+    if segment:
+        t_lo, t_hi = max(t_lo, 0), min(t_hi, q * m)
     if t_lo >= t_hi:
         return None
     x, y = p0[0] * m, p0[1] * m
@@ -109,26 +118,40 @@ def grid_lines(tri: TaggedTriangulation, window: Window):
 def curve_polyline(curve: AllowableCurve, window: Window):
     """The drawn portion of a curve's lift as (p1, p2, den), endpoint
     numerators over den: a clipped full line for closed curves (None when
-    it misses the window), the lattice segment for spiraling ones."""
+    it misses the window), the lattice segment for spiraling ones, cut at
+    ``_REACH`` around the window when an end lies beyond it."""
     a, b = curve.slope.vector
     if curve.is_closed:
         return _clip_line(*_closed_lift(a, b, (a, b)), (a, b), window)
+    ends = _spiral_ends(curve)
+    xmin, xmax, ymin, ymax = window
+    reach = (xmin - _REACH, xmax + _REACH, ymin - _REACH, ymax + _REACH)
+    if all(reach[0] <= x <= reach[1] and reach[2] <= y <= reach[3] for x, y in ends):
+        return (*ends, 1)
+    return _clip_line(ends[0], 1, (a, b), reach, segment=True)
+
+
+def _spiral_ends(curve: AllowableCurve):
+    """The ends of a spiraling curve's lattice segment, in the order of
+    ``curve.ends``: its first puncture, and that point plus the slope."""
+    a, b = curve.slope.vector
     (p, _), _ = curve.ends  # type: ignore[misc]
-    return (p.i, p.j), (p.i + a, p.j + b), 1
+    return (p.i, p.j), (p.i + a, p.j + b)
 
 
 def _spiral_glyph(center, direction: SpiralDir, to_svg):
-    """A small spiral polyline marking a spiral endpoint."""
+    """A small spiral polyline marking a spiral endpoint, the lattice point
+    ``center``, drawn around its place on the canvas."""
     import math
 
-    cx, cy = float(center[0]), float(center[1])
+    cx, cy = to_svg(*center)
     sign = 1.0 if direction is SpiralDir.CCW else -1.0
     pts = []
     for i in range(_GLYPH_STEPS + 1):
         theta = sign * 4.2 * i / _GLYPH_STEPS
-        r = 0.26 * (1 - i / (_GLYPH_STEPS + 2))
-        pts.append((cx + r * math.cos(theta), cy + r * math.sin(theta)))
-    return " ".join("%.2f,%.2f" % to_svg(x, y) for x, y in pts)
+        r = 0.26 * (1 - i / (_GLYPH_STEPS + 2)) * _SCALE
+        pts.append((cx + r * math.cos(theta), cy - r * math.sin(theta)))
+    return " ".join("%.2f,%.2f" % pt for pt in pts)
 
 
 def render(spec: RenderSpec) -> str:
@@ -171,17 +194,18 @@ def render(spec: RenderSpec) -> str:
         if seg is None:
             continue
         (x1, y1), (x2, y2), den = seg
-        ends = ((x1 / den, y1 / den), (x2 / den, y2 / den))
         p1, p2 = to_svg(x1, y1, den), to_svg(x2, y2, den)
         out.append(f'<g class="curve{i}" stroke="#909" stroke-width="2" fill="none">')
         out.append(
             '<polyline points="%.2f,%.2f %.2f,%.2f"/>' % (p1[0], p1[1], p2[0], p2[1])
         )
         if curve.ends is not None:
-            for anchor, (_, d) in zip(ends, curve.ends):
-                out.append(
-                    '<polyline points="%s"/>' % _spiral_glyph(anchor, d, to_svg)
-                )
+            # a glyph at each end the segment reaches, none where it was cut
+            for (x, y), end, (_, d) in zip(seg[:2], _spiral_ends(curve), curve.ends):
+                if (x, y) == (end[0] * den, end[1] * den):
+                    out.append(
+                        '<polyline points="%s"/>' % _spiral_glyph(end, d, to_svg)
+                    )
         out.append("</g>")
     out.append("</svg>")
     return "\n".join(out) + "\n"

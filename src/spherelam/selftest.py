@@ -3,7 +3,7 @@ runtime.  Returns (name, ok) pairs; the CLI ``selftest`` command wraps it."""
 
 from __future__ import annotations
 
-from . import exactla, fan, shear, triangulation
+from . import coefficients, exactla, fan, shear, triangulation
 from .curves import (
     V00, V01, V10, V11,
     PUNCTURES,
@@ -160,13 +160,13 @@ def run_selftest() -> list[tuple[str, bool]]:
 
     check(
         "both universal listings agree at height 2",
-        fan.universal_coeffs(2, "thm12") == fan.universal_coeffs(2, "thm81"),
+        coefficients.universal_coeffs(2, "thm12") == coefficients.universal_coeffs(2, "thm81"),
     )
-    raw = fan.universal_raw(2, "thm81")
+    raw = coefficients.universal_raw(2, "thm81")
     check("irredundant universal listing", len(raw) == len(set(raw)))
 
     check("orbit sizes 6/6/12/3 per slope", all(
-        [len({apply_perm(p, item(a, b)) for p in GAMMA24}) for item in fan.THM12_ITEMS]
+        [len({apply_perm(p, item(a, b)) for p in GAMMA24}) for item in coefficients.THM12_ITEMS]
         == [6, 6, 12, 3] for a, b in ((1, 1), (2, 3), (0, 1))))
 
     vi = triangulation.build_type(

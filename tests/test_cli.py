@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,8 +13,8 @@ import spherelam
 from spherelam import cli
 from spherelam.cli import run
 from spherelam.errors import DomainError, InternalNonUnique
-from spherelam.curves import V01, PUNCTURES, AllowableCurve, TaggedArc, TaggedTriangulation, \
-    Tagging, base_triangulation, tag_choices, type_i_triangulation
+from spherelam.curves import V00, V01, V11, PUNCTURES, AllowableCurve, SpiralDir, TaggedArc, \
+    TaggedTriangulation, Tagging, base_triangulation, tag_choices, type_i_triangulation
 from spherelam.render import RenderSpec, curve_polyline, grid_lines, render
 from spherelam.lattice import INF, MINUS_ONE, ZERO, Slope
 from spherelam.shear import shear_wrt
@@ -383,6 +384,54 @@ class TestRender:
         fams = grid_lines(base_triangulation(), (10**12, 10**12 + 2, 0, 2))
         assert [len(f) for f in fams] == [3, 3, 3]
 
+    @staticmethod
+    def spiral(slope, spirals=("cw", "cw")):
+        return json.dumps({"slope": slope, "ends": [{"v": "00", "spiral": spirals[0]},
+                                                    {"v": "11", "spiral": spirals[1]}]})
+
+    @staticmethod
+    def polylines(svg):
+        return re.findall(r'<polyline points="([^"]*)"/>', svg)
+
+    def test_far_spiral_end_is_cut(self, tmp_path):
+        # the lattice segment of a 400-digit slope ends about 10^400 above
+        # the window: it is cut 10^6 units past the window, and only its
+        # near end has a glyph
+        n = 10**400
+        out = tmp_path / "far.svg"
+        ok(["render", "--curve", self.spiral(f"{n + 1}/1"), "--out", str(out)])
+        segment, *glyphs = self.polylines(out.read_text())
+        assert segment == f"20.00,100.00 20.00,{100 - 40 * (10**6 + 2)}.00"
+        assert len(glyphs) == 1 and glyphs[0].startswith("30.40,100.00 ")
+
+    def test_spirals_under_a_far_window(self, tmp_path):
+        # a window of 400-digit entries: a small spiral lies far below it
+        # and is not drawn; the near end of a 400-digit slope is drawn
+        # where the window's own puncture is, with its glyph
+        n = 10**400
+        out = tmp_path / "far.svg"
+        ok(["render", "--curve", self.spiral("1/1"), "--window", f"{n},{n + 2},{-n - 2},{-n}",
+            "--out", str(out)])
+        assert self.polylines(out.read_text()) == []
+        ok(["render", "--curve", self.spiral(f"{n + 1}/1", ("cw", "ccw")),
+            "--window", f"0,2,{n},{n + 2}", "--out", str(out)])
+        svg = out.read_text()
+        assert '<circle cx="60.00" cy="60.00" r="3"/>' in svg
+        segment, glyph = self.polylines(svg)
+        assert segment == f"60.00,{60 + 40 * (10**6 + 1)}.00 60.00,60.00"
+        assert glyph.startswith("70.40,60.00 69.85,58.26 ")
+
+    def test_spiral_cut_only_past_the_reach(self):
+        # an end 10^6 units past the window is drawn whole; two more, and
+        # the segment ends where it leaves the window grown by 10^6
+        ends = ((V00, SpiralDir.CW), (V11, SpiralDir.CW))
+        whole = AllowableCurve(Slope(1, 10**6 + 1), ends)
+        assert curve_polyline(whole, (0, 2, 0, 2)) == ((0, 0), (1, 10**6 + 1), 1)
+        p1, p2, den = curve_polyline(AllowableCurve(Slope(1, 10**6 + 3), ends), (0, 2, 0, 2))
+        assert p1 == (0, 0)
+        assert (Fraction(p2[0], den), Fraction(p2[1], den)) == (
+            Fraction(10**6 + 2, 10**6 + 3), 10**6 + 2)
+
     def test_nontrivial_triple_grid(self):
         tri = type_i_triangulation((Slope(2, 1), Slope(3, 2), Slope(1, 1)))
         fams = grid_lines(tri, (0, 3, 0, 3))
@@ -701,6 +750,30 @@ class TestWorkCaps:
                 f"got {_MAX_DIGITS + 1}")}, name
         assert not (tmp_path / "past.svg").exists()
 
+    @pytest.mark.parametrize("digits", [1401, 4301, 5000])
+    def test_integer_options_past_the_digit_cap(self, digits, capsys):
+        # --k and --max-height read integers under the cap of the JSON
+        # ones: a longer value is one error document with exit 1, on every
+        # Python, and nothing echoes it
+        from spherelam.lattice import _MAX_DIGITS
+
+        t0 = json.dumps(base_triangulation().to_json())
+        value = "9" * digits
+        argvs = [["flip", "--tri", t0, "--k", value],
+                 ["mutate", "--matrix", json.dumps(_MATRIX), "--k", value]]
+        argvs += [[*command, "--max-height", value] for command in (
+            ["cones"], ["locate", "--vector", "[1,0,0,0,0,0]"], ["gvectors"], ["universal"],
+            ["tangle-check", "--tangle", "[]"])]
+        error = f"MalformedInput: an integer has at most {_MAX_DIGITS} digits, got {digits}"
+        for argv in argvs:
+            assert json.loads(fails(argv)) == {"schema": "sphere-lam/1", "kind": "domain",
+                                               "error": error}
+        assert capsys.readouterr() == ("", "")
+        # text that is no integer is still a usage error
+        assert run(["cones", "--max-height", "1.5"])[0] == 2
+        assert ok(["mutate", "--matrix", json.dumps(_MATRIX), "--k", "0" * 1399 + "2"]) == \
+            ok(["mutate", "--matrix", json.dumps(_MATRIX), "--k", "2"])
+
     def test_element_count_bounds_render(self):
         from spherelam.render import element_count
 
@@ -905,13 +978,15 @@ class TestColdStart:
             "mutate": (["mutate", "--matrix", B, "--k", "2"], {"plane", "shear", "fan"}),
             "badj": (["badj", "--tri", t0], {"plane", "shear", "fan", "exactla"}),
             "flip": (["flip", "--tri", t0, "--k", "0"], {"plane", "shear", "fan"}),
-            "gvectors": (["gvectors", "--max-height", "1"], {"triangulation", "plane"}),
-            "universal": (["universal", "--max-height", "1"], {"triangulation", "plane"}),
+            "gvectors": (["gvectors", "--max-height", "1"],
+                         {"triangulation", "plane", "fan", "exactla"}),
+            "universal": (["universal", "--max-height", "1"],
+                          {"triangulation", "plane", "fan", "exactla"}),
             "universal-thm12": (["universal", "--form", "thm12", "--max-height", "1"],
-                                {"triangulation", "plane"}),
+                                {"triangulation", "plane", "fan", "exactla"}),
             "locate": (["locate", "--vector", "[-1,1,0,-1,1,0]", "--max-height", "1"],
-                       {"plane"}),
-            "cones": (["cones", "--max-height", "1"], {"plane"}),
+                       {"plane", "coefficients"}),
+            "cones": (["cones", "--max-height", "1"], {"plane", "coefficients"}),
             "selftest": (["selftest"], set()),
             "tangle-check": (["tangle-check", "--tangle",
                               '[{"curve":{"closed":"1/1"},"weight":1}]'],

@@ -27,7 +27,7 @@ from spherelam.curves import (
 from spherelam.errors import BoundExhausted, InternalError, InternalNonUnique, \
     MalformedInput, RankDeficient
 from spherelam.lattice import INF, MAX_HEIGHT, Slope, enumerate_slopes, farey1_triples
-from spherelam.shear import GAMMA24, QuasiLamination, Tangle, apply_perm, \
+from spherelam.shear import FLIPS, GAMMA24, QuasiLamination, Tangle, apply_perm, \
     shear_closed_form, shear_lamination, tangle_shear
 from spherelam.triangulation import classify, enumerate_triangulations
 
@@ -460,28 +460,28 @@ def listed_keys(index):
     return out
 
 
-def nine_forms(v):
-    """The forms the sign keys are read from: the six coordinates and the
-    three pair differences v_i - v_(i+3)."""
-    return tuple(v) + tuple(v[i] - v[i + 3] for i in range(3))
+def ten_forms(v):
+    """The forms the sign keys are read from: the six coordinates, the
+    three pair differences v_i - v_(i+3) and the coordinate total."""
+    return tuple(v) + tuple(v[i] - v[i + 3] for i in range(3)) + (sum(v),)
 
 
 def key_of_signs(signs):
-    """The sign key of nine form signs: bit i for form i > 0, bit 9 + i
+    """The sign key of ten form signs: bit i for form i > 0, bit 10 + i
     for form i < 0."""
-    return sum(1 << i if s > 0 else 512 << i for i, s in enumerate(signs) if s)
+    return sum(1 << i if s > 0 else 1024 << i for i, s in enumerate(signs) if s)
 
 
 def face_sign_keys(cone):
     """The sign keys of the points of a cone, from each face's generator
-    signs on the nine forms: a form where the face's generators have both
+    signs on the ten forms: a form where the face's generators have both
     signs may take any sign, every other form takes theirs."""
     keys = {0}
     n = len(cone.generators)
     for r in range(1, n + 1):
-        for face in itertools.combinations(map(nine_forms, cone.generators), r):
+        for face in itertools.combinations(map(ten_forms, cone.generators), r):
             choices = []
-            for i in range(9):
+            for i in range(10):
                 signs = {(g[i] > 0) - (g[i] < 0) for g in face} - {0}
                 choices.append((-1, 0, 1) if len(signs) == 2 else tuple(signs) or (0,))
             keys.update(key_of_signs(signs) for signs in itertools.product(*choices))
@@ -525,11 +525,18 @@ class TestSignPatterns:
         # a*g1 + b*g2 = (a - b, b, a + b, 0, 0, 0): the first coordinate,
         # and with it v_0 - v_3, takes every sign on the face {g1, g2}, and
         # (+, +, +) is on no smaller face.  Each of the two forms may take
-        # any sign, independently of the other
+        # any sign, independently of the other; the total 2a + b is
+        # positive on the whole face
         g1, g2 = (1, 0, 1, 0, 0, 0), (-1, 1, 1, 0, 0, 0)
         assert sorted(fan._face_patterns(fan._sign_key(g1) | fan._sign_key(g2))) == sorted(
-            key_of_signs((x, 1, 1, 0, 0, 0, d, 1, 1))
+            key_of_signs((x, 1, 1, 0, 0, 0, d, 1, 1, 1))
             for x, d in itertools.product((-1, 0, 1), repeat=2))
+        # with g4 = (-2, 0, 1, 0, 0, 0), of total -1, the total 2a - c of
+        # a*g1 + c*g4 takes every sign as well: three forms are mixed
+        g4 = (-2, 0, 1, 0, 0, 0)
+        assert sorted(fan._face_patterns(fan._sign_key(g1) | fan._sign_key(g4))) == sorted(
+            key_of_signs((x, 0, 1, 0, 0, 0, d, 0, 1, t))
+            for x, d, t in itertools.product((-1, 0, 1), repeat=3))
         gens = (g1, g2, (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0),
                 (0, 0, 0, 0, 0, 1))
         cone = fan.Cone(gens, "I", base_cone().collection)
@@ -539,12 +546,17 @@ class TestSignPatterns:
 
     def test_sign_key(self):
         assert fan._sign_key((0,) * 6) == 0
-        # forms 3, 0, -1, 0, 0, 7 and differences 3, 0, -8
-        assert fan._sign_key((3, 0, -1, 0, 0, 7)) == 0b001100001 | 0b100000100 << 9
-        # a closed curve's differences vanish; one more unit on v_3 does not
-        assert fan._sign_key((2, 0, 0, 2, 0, 0)) == 0b000001001
-        assert fan._sign_key((2, 0, 0, 3, 0, 0)) == 0b000001001 | 0b001000000 << 9
-        assert fan._sign_key((1, -1, 0, 0, 0, 0)) == key_of_signs(nine_forms((1, -1, 0, 0, 0, 0)))
+        # forms 3, 0, -1, 0, 0, 7, differences 3, 0, -8 and total 9
+        assert fan._sign_key((3, 0, -1, 0, 0, 7)) == 0b1001100001 | 0b0100000100 << 10
+        # a closed curve's differences and total vanish (the curve of
+        # slope 1/1); one more unit on v_3 makes v_0 - v_3 negative and
+        # the total positive
+        assert fan._sign_key((-1, 1, 0, -1, 1, 0)) == 0b0000010010 | 0b0000001001 << 10
+        assert fan._sign_key((-1, 1, 0, 0, 1, 0)) == 0b1000010010 | 0b0001000001 << 10
+        # v_1, v_1 - v_4 and the total are -1, every other form 0
+        assert fan._sign_key((0, -1, 0, 0, 0, 0)) == 0b1010000010 << 10
+        for v in [(1, -1, 0, 0, 0, 0), (2, -5, 3, -1, 0, 1), (-1, -1, -1, 1, 1, 1)]:
+            assert fan._sign_key(v) == key_of_signs(ten_forms(v))
 
     def test_keys_read_from_faces_of_every_cone(self, monkeypatch, cleared_index_cache):
         # faces and patterns for every cone, once each and in build order:
@@ -558,6 +570,33 @@ class TestSignPatterns:
         assert sizes == [len(c.generators) for c in cones]
         assert sizes.count(6) == 2000 and sizes.count(5) == 256
         assert sum(c.kind == "VII" for c in cones) == 256
+
+    def test_one_face_walk_per_flip_orbit(self, monkeypatch, cleared_index_cache):
+        # a cone whose generator keys are a FLIPS image of a cone's worked
+        # out before takes its keys, mapped: at h = 3 the faces of 584
+        # cones are walked, one per FLIPS orbit, and the listing is still
+        # the face sign keys of every cone (test_listing_is_the_face_sign_keys)
+        walked = []
+        cone_keys = fan._cone_keys
+        monkeypatch.setattr(fan, "_cone_keys", lambda keys, memo: walked.append(
+            frozenset(keys) not in memo[1]) or cone_keys(keys, memo))
+        cones = fan.cone_index(3).cones
+        orbits = {min(tuple(sorted(apply_perm(p, g) for g in c.generators)) for p in FLIPS)
+                  for c in cones}
+        assert len(walked) == len(cones) == 2256
+        assert walked.count(True) == len(orbits) == 584
+
+    def test_flip_key_maps(self):
+        # each table pair maps the sign key of v to that of the flipped v
+        rng = random.Random(15)
+        maps = fan._flip_key_maps()
+        flips = sorted(FLIPS - {(0, 1, 2, 3, 4, 5)})
+        assert len(maps) == len(flips) == 7
+        for p, (lo, hi) in zip(flips, maps):
+            for _ in range(200):
+                v = tuple(rng.choice((0, rng.randint(-3, 3))) for _ in range(6))
+                key = fan._sign_key(v)
+                assert lo[key & 1023] | hi[key >> 10] == fan._sign_key(apply_perm(p, v))
 
     def test_cone_without_collection_is_internal_error(self):
         gens = base_cone().generators
@@ -925,6 +964,17 @@ class TestOnePassBuild:
                 assert fan.MaximalCollection(coll.curves, coll.kind) == coll
                 assert coll.kind == classify(triangulation.TaggedTriangulation(
                     tuple(kappa_inv(c) for c in coll.curves))).tag
+
+    def test_one_tuple_per_row_value(self, cleared_index_cache):
+        # the 13,280 functional rows of h = 3 take 402 values, each held
+        # as one tuple, by the cones and by the index's entries alike
+        idx = fan.cone_index(3)
+        rows = [row for cone in idx.cones for row in cone._functionals[0]]
+        assert len(rows) == 13280
+        assert len(set(rows)) == len({id(row) for row in rows}) == 402
+        listed = {id(row) for entries in idx.patterns.values()
+                  for _, _, entry_rows, _, _ in entries for row in entry_rows}
+        assert listed == {id(row) for row in rows}
 
     def test_stored_functionals(self):
         for h in (2, 3):

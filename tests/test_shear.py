@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -588,6 +589,35 @@ class TestTorus:
                 frames.clear()
                 assert sphere_torus_check(s, tri)
                 assert len(frames) == 1
+
+
+class TestSpiralBalance:
+    """The coordinate total of a curve's shear vector is half the number
+    of its counterclockwise ends less that of its clockwise ones: 0 on a
+    closed curve, -1, 0 or 1 on a spiraling one.  The cone index lists its
+    cones by the sign of this total, among other forms."""
+
+    @staticmethod
+    def balance(curve):
+        if curve.is_closed:
+            return 0
+        ccw = sum(spiral is SpiralDir.CCW for _, spiral in curve.ends)
+        return ccw - 1   # (ccw - cw) / 2, as ccw + cw == 2
+
+    def test_closed_form_up_to_height_12(self):
+        curves = enumerate_curves(12)
+        assert len(curves) == 1656
+        for c in curves:
+            assert sum(shear_closed_form(c)) == self.balance(c), c
+
+    def test_oracle_up_to_height_8(self):
+        curves = enumerate_curves(8)
+        for c in curves:
+            assert sum(shear_oracle(c)) == self.balance(c), c
+        # every value is taken: 88 closed curves, and the spirals with 0,
+        # 1 and 2 counterclockwise ends
+        assert Counter((c.is_closed, self.balance(c)) for c in curves) == {
+            (True, 0): 88, (False, -1): 176, (False, 0): 352, (False, 1): 176}
 
 
 class TestWitness:
