@@ -12,7 +12,8 @@ of :func:`arcs_compatible` alone, which ``kappa`` keeps; its slope, ends,
 punctures, underlying arc, hash and curve order are read off the key.
 :meth:`_ArcOrCurve._of_key` is the one constructor from a key: ``image``
 builds from the key moved by :func:`_key_images`, the one kernel that
-moves keys by a lattice map, the lattice frame's too; ``retag``,
+moves keys by a lattice map, the lattice frame's and, by the inverse map,
+:func:`_key_preimage`'s too; ``retag``,
 ``reverse_spiral``, ``kappa`` and ``kappa_inv`` from the key with one
 ``marks`` bit set, cleared or toggled, or none.  Reversing the spirals at
 several punctures, such as the notched punctures of a triangulation, is
@@ -415,11 +416,29 @@ def _key_images(keys: Sequence[tuple[int, int, int, int]], linear: Matrix2, swit
     return images
 
 
+def _key_preimage(key: tuple[int, int, int, int], linear: Matrix2, switch: int
+                  ) -> tuple[int, int, int, int]:
+    """The key that :func:`_key_images` sends to ``key`` under the det-1 map
+    ``linear`` and the mask ``switch``: its image under the inverse map,
+    switched at the mask that ``linear`` moves ``switch`` to."""
+    (p, q), (r, s) = linear
+    moved = _MASK_MOVES[p & 1, q & 1, r & 1, s & 1][switch]
+    return _key_images((key,), ((s, -q), (-r, p)), moved)[0]
+
+
 def _lattice_frame(keys: Sequence[tuple[int, int, int, int]]
                    ) -> tuple[Matrix2, list[tuple[int, int, int, int]]]:
-    """(m, images): the matrix m of the lattice frame of six arc keys, and
-    the key of each arc's image under m, in arc order, each tag switched at
-    every puncture where the first arc end met there is notched.
+    """(m, images) of :func:`_switched_frame`."""
+    linear, _, images = _switched_frame(keys)
+    return linear, images
+
+
+def _switched_frame(keys: Sequence[tuple[int, int, int, int]]
+                    ) -> tuple[Matrix2, int, list[tuple[int, int, int, int]]]:
+    """(m, switch, images): the matrix m of the lattice frame of six arc
+    keys, the mask of the punctures where the first arc end met there is
+    notched, and the key of each arc's image under m, in arc order, each
+    tag switched at those punctures.
 
     The slopes are ordered by their number of arcs, largest first, then by
     :func:`_slope_sorted`; m is the orientation-preserving map sending the
@@ -446,7 +465,7 @@ def _lattice_frame(keys: Sequence[tuple[int, int, int, int]]
                             + ", ".join(map(str, sorted([Slope(a, b) for a, b in slopes]))))
     ta, tb = det * ta, det * tb
     linear = (tb, -ta), (-sb, sa)
-    return linear, _key_images(keys, linear, switch)
+    return linear, switch, _key_images(keys, linear, switch)
 
 
 def arcs_compatible(
@@ -550,9 +569,11 @@ class TaggedTriangulation(Frozen):
     outside, :meth:`_of_keys` the keys every builder assembles; both check
     six distinct keys, each endpoint mask against the slope
     (:data:`_SLOPE_MASKS`), the kernel on all 15 pairs and the degrees;
-    :func:`triangulation.flip` skips the masks and the pairs."""
+    :func:`triangulation.flip` skips the masks and the pairs.  ``_frame``
+    is None until :mod:`spherelam.triangulation` stores a lattice frame there
+    (see :func:`triangulation.flip`)."""
 
-    __slots__ = ("_keys", "_key_set", "degree_sequence")
+    __slots__ = ("_keys", "_key_set", "degree_sequence", "_frame")
     _fields = ("arcs",)
     _keys: tuple[tuple[int, int, int, int], ...]
     _key_set: frozenset[tuple[int, int, int, int]]
@@ -593,6 +614,7 @@ class TaggedTriangulation(Frozen):
         object.__setattr__(self, "_keys", keys)
         object.__setattr__(self, "_key_set", key_set)
         object.__setattr__(self, "degree_sequence", degrees)
+        object.__setattr__(self, "_frame", None)
 
     @property
     def arcs(self) -> tuple[TaggedArc, ...]:

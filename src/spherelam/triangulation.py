@@ -27,16 +27,21 @@ bits (2*i + j) and masks, take u, w, c, c2 and the free punctures from
 :func:`classify` reads the keys of a valid triangulation, checks nothing
 again and builds only the Slopes of the spec it returns.
 
-Neither kernel depends on the height.  :func:`flip` is one integer pass
-over the five remaining keys: it tries the keys of at most 8 candidate
-slopes and keeps the one that the compatibility kernel accepts, the flip
-being unique (Fomin-Shapiro-Thurston, Acta Math. 2008);
-:func:`signed_adjacency` serves every tagged triangulation: the lattice
-frame (:func:`curves._lattice_frame`) carries it to height <= 2 with its
-tags switched at some punctures, which changes no matrix (ibid., Sec. 9),
-and the matrix is read off :data:`_TABLE`, which a search from the base
+Neither :func:`flip` nor :func:`signed_adjacency` depends on the height:
+both read a triangulation's lattice frame, which it keeps in its
+``_frame`` slot.  The frame is an orientation-preserving lattice map and a
+switch of the tags at some punctures (:func:`curves._switched_frame`);
+it carries the arcs to height <= 2, onto one of the 27 entries of
+:data:`_TABLE`.  Both are symmetries of the tagged arc complex, so they
+change no exchange matrix and commute with flips (Fomin-Shapiro-Thurston,
+Acta Math. 2008, Sec. 9).  :func:`signed_adjacency` reads the matrix of
+the entry off :data:`_TABLE`, which a search from the base
 (:func:`_search`) fills with ``FIG1_MATRIX`` carried by :func:`mutate`, as
-far as the lookups need.
+far as the lookups need.  :func:`flip` reads the flip of the entry off
+:data:`_FLIP_MEMO`, which :func:`_flip_key`, one integer pass over five
+keys, fills one (entry, position) at a time: the kernel runs at most
+27 x 6 times in a process.  The flip carries the frame over to its
+result, so a walk frames its keys afresh only at its start.
 """
 
 from __future__ import annotations
@@ -55,10 +60,12 @@ from .curves import (
     Tagging,
     _DEGREE_TYPES,
     _MASK_BITS,
+    _MASK_MOVES,
     _SLOPE_MASKS,
     _degrees,
-    _lattice_frame,
+    _key_preimage,
     _keys_compatible,
+    _switched_frame,
     base_triangulation,
     tag_choices,
 )
@@ -349,9 +356,9 @@ _CANDIDATES = _candidate_table({
     2: ((2, 0), (0, 2), (1, 1), (1, -1))})
 
 
-def flip(tri: TaggedTriangulation, k: int) -> TaggedTriangulation:
-    """Replace arc k, an int in 0..5, by the unique other arc completing a
-    triangulation, in one integer pass over the keys of the other five.
+def _flip_key(taken: tuple[Key, ...], k: int) -> Key:
+    """The key that replaces ``taken[k]`` in the flip of the triangulation
+    with these keys: one integer pass over the keys of the other five.
 
     Take the vectors s, t of two distinct slopes among them (one slope
     carries at most four arcs).  Compatible arcs have Farey distance at
@@ -372,16 +379,11 @@ def flip(tri: TaggedTriangulation, k: int) -> TaggedTriangulation:
     |det|-2 keys, or either of w's two; its ends shared with keys at
     |det| >= 1 take their notches (the kernel rejects keys that disagree
     there), the others any tag.  A key so made survives if it is not in
-    ``tri`` and the compatibility kernel accepts it against the five
+    ``taken`` and the compatibility kernel accepts it against the five
     remaining keys.  Six distinct pairwise compatible arcs are a
     triangulation, and the flip is unique (Fomin-Shapiro-Thurston): any
-    other count of survivors is :class:`InternalNonUnique`.  The result,
-    the key at k and the other five keys of ``tri``, skips the mask and
-    pair checks (``check=False``): the kernel has passed them all.
+    other count of survivors is :class:`InternalNonUnique`.
     """
-    if type(k) is not int or not 0 <= k < 6:
-        raise DomainError("arc index must be in 0..5")
-    taken = tri._keys
     rest = taken[:k] + taken[k + 1:]
     sa, sb = rest[0][0], rest[0][1]
     ta, tb = next((a, b) for a, b, _, _ in rest if a != sa or b != sb)
@@ -425,7 +427,88 @@ def flip(tri: TaggedTriangulation, k: int) -> TaggedTriangulation:
         raise InternalNonUnique(
             f"flip produced {len(found)} completions instead of 1"
         )
-    return TaggedTriangulation._of_keys(taken[:k] + (found[0],) + taken[k + 1:], check=False)
+    return found[0]
+
+
+# A lattice frame as a triangulation keeps it (curves.TaggedTriangulation._frame):
+# (m, switch, images, entry), the map and switch mask of curves._switched_frame,
+# the image keys in arc order and their sorted tuple, the entry.
+Frame = tuple[tuple[Vector, Vector], int, tuple[Key, ...], tuple[Key, ...]]
+
+
+def _framed(keys: Sequence[Key]) -> Frame:
+    """The lattice frame of these keys (:func:`curves._switched_frame`)."""
+    linear, switch, images = _switched_frame(keys)
+    return linear, switch, tuple(images), tuple(sorted(images))
+
+
+def _store_frame(tri: TaggedTriangulation) -> Frame:
+    """The frame of the keys of ``tri``, stored for it to keep: callers
+    read ``tri._frame or _store_frame(tri)``."""
+    frame = _framed(tri._keys)
+    object.__setattr__(tri, "_frame", frame)
+    return frame
+
+
+# The flips of the entries met so far, keyed by (entry, position):
+# (key, frame), the key that _flip_key puts at that position, in the entry's
+# frame, and the frame of the flipped entry, its images in entry order.  At
+# most 27 x 6 values, one kernel pass each: one thread at a time fills it.
+_FLIP_MEMO: dict[tuple[tuple[Key, ...], int], tuple[Key, Frame]] = {}
+_FLIP_LOCK = threading.Lock()
+
+
+def _flip_entry(entry: tuple[Key, ...], j: int) -> tuple[Key, Frame]:
+    """The memo value of (entry, j), computed and stored unless another
+    thread stored it first."""
+    with _FLIP_LOCK:
+        value = _FLIP_MEMO.get((entry, j))
+        if value is None:
+            key = _flip_key(entry, j)
+            _FLIP_MEMO[entry, j] = value = key, _framed(entry[:j] + (key,) + entry[j + 1:])
+    return value
+
+
+def flip(tri: TaggedTriangulation, k: int) -> TaggedTriangulation:
+    """Replace arc k, an int in 0..5, by the unique other arc completing a
+    triangulation, read off the flips of the lattice-frame entries.
+
+    ``tri`` keeps its lattice frame (m, switch, images, entry): the
+    orientation-preserving map m and the switch of tags at some punctures
+    carry its arcs to the image keys, whose sorted tuple is one of the 27
+    entries of :data:`_TABLE`.  Both are symmetries of the tagged arc
+    complex, so they commute with flips (Fomin-Shapiro-Thurston, Acta
+    Math. 2008): the flip of ``tri`` at k is carried back from the flip of
+    the entry at the position j of arc k's image.  :data:`_FLIP_MEMO` holds
+    that flip's new key and the frame of the flipped entry; it is filled one
+    (entry, j) at a time by :func:`_flip_key`, the integer kernel, which runs
+    at most 162 times in a process, whatever the heights.  The new key is
+    carried back by the inverse of m and the switch
+    (:func:`curves._key_preimage`), and the result gets its frame with no
+    search: the product of the two maps, the switch ``switch ^
+    move_{m^-1}[switch_j]``, and the flipped entry's images read in arc
+    order.  So a walk computes a frame from its keys only at its start.
+    The flip being unique, the result has the keys that the kernel would
+    give on ``tri`` itself, and it skips the mask and pair checks
+    (``check=False``): the kernel has passed them all on the entry, and
+    the frame maps preserve them.
+    """
+    if type(k) is not int or not 0 <= k < 6:
+        raise DomainError("arc index must be in 0..5")
+    linear, switch, images, entry = tri._frame or _store_frame(tri)
+    j = entry.index(images[k])
+    key, (linear_j, switch_j, images_j, entry_j) = (
+        _FLIP_MEMO.get((entry, j)) or _flip_entry(entry, j))
+    taken = tri._keys
+    out = TaggedTriangulation._of_keys(
+        taken[:k] + (_key_preimage(key, linear, switch),) + taken[k + 1:], check=False)
+    (p, q), (r, s) = linear  # m^-1 = ((s, -q), (-r, p)), mod 2 (s, q, r, p)
+    (e, f), (g, h) = linear_j
+    object.__setattr__(out, "_frame", (
+        ((e * p + f * r, e * q + f * s), (g * p + h * r, g * q + h * s)),
+        switch ^ _MASK_MOVES[s & 1, q & 1, r & 1, p & 1][switch_j],
+        tuple([images_j[entry.index(x)] for x in images]), entry_j))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -439,26 +522,31 @@ def signed_adjacency(tri: TaggedTriangulation) -> ExchangeMatrix:
     """The signed adjacency (exchange) matrix of any tagged triangulation,
     rows and columns in arc order.
 
-    The lattice frame (:func:`curves._lattice_frame`) carries the arcs to
-    height <= 2 and switches the tags at some punctures; neither changes
-    the matrix.  The sorted image keys index :data:`_TABLE`, whose matrix
-    is read back in the arcs' order.  The cost does not depend on the
-    height.
+    The lattice frame that ``tri`` keeps (see :func:`flip`) carries the
+    arcs to height <= 2 and switches the tags at some punctures; neither
+    changes the matrix.  The frame is computed from the keys
+    (:func:`curves._switched_frame`) on first use, or carried over by the
+    flip that built ``tri``; either way the sorted image keys, the entry,
+    index :data:`_TABLE`, whose matrix is read back in the arcs' order, so
+    both frames give one matrix.  The cost does not depend on the height.
     """
-    _, images = _lattice_frame(tri._keys)
-    key = sorted(images)
-    B = _TABLE.get(tuple(key)) or _entry(tuple(key))
-    row = itemgetter(*map(key.index, images))  # the entry row of each arc
+    _, _, images, entry = tri._frame or _store_frame(tri)
+    B = _TABLE.get(entry) or _entry(entry)
+    row = itemgetter(*map(entry.index, images))  # the entry row of each arc
     return tuple(map(row, row(B)))
 
 
 def mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
     """Matrix mutation at index k, an int indexing a row of the square
     matrix B: negate row/column k, and add sgn(b_ik) * max(b_ik * b_kj, 0)
-    elsewhere.  An involution."""
+    elsewhere.  An involution.  A matrix that is not square is a
+    :class:`DomainError`."""
     n = len(B)
     if type(k) is not int or not 0 <= k < n:
         raise DomainError(f"mutation index must be in 0..{n - 1}")
+    if set(map(len, B)) != {n}:
+        raise DomainError(f"mutation takes a square matrix, not rows of "
+                          f"{', '.join(map(str, map(len, B)))} entries")
     row_k = B[k]
     out = []
     for i, row in enumerate(B):
@@ -504,8 +592,7 @@ def _search() -> Iterator[tuple[Key, ...]]:
     for tri, B, k in todo:
         if k is not None:
             tri, B = flip(tri, k), mutate(B, k)
-        _, images = _lattice_frame(tri._keys)
-        key = tuple(sorted(images))
+        _, _, images, key = _framed(tri._keys)
         order = list(map(images.index, key))  # the arc at each row of the entry
         B = tuple([tuple([B[i][j] for j in order]) for i in order])
         if key in _TABLE:

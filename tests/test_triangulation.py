@@ -180,10 +180,11 @@ def unimodular_maps(draw, bound=10**6):
 
 
 def fresh_table(monkeypatch):
-    """An empty adjacency table and a new search, the process's own put back
-    after the test."""
+    """An empty adjacency table, a new search and an empty flip memo, the
+    process's own put back after the test."""
     monkeypatch.setattr(triangulation, "_TABLE", {})
     monkeypatch.setattr(triangulation, "_SEARCH", triangulation._search())
+    monkeypatch.setattr(triangulation, "_FLIP_MEMO", {})
 
 
 def full_table():
@@ -485,7 +486,9 @@ class TestFlip:
         {d: 2 * pairs for d, (pairs, _) in triangulation._CANDIDATES.items()},
     ], ids=["no key", "two keys"])
     def test_filter_not_leaving_one_key_is_internal(self, monkeypatch, pairs):
-        # an empty candidate table leaves no key, a doubled one each key twice
+        # an empty candidate table leaves no key, a doubled one each key
+        # twice; the empty flip memo sends the flip to the kernel
+        fresh_table(monkeypatch)
         monkeypatch.setattr(triangulation, "_CANDIDATES", triangulation._candidate_table(pairs))
         with pytest.raises(InternalNonUnique, match=f"produced {2 * bool(pairs[1])} completions"):
             flip(base_triangulation(), 0)
@@ -526,6 +529,155 @@ class TestFlip:
         t = build_type(spec)
         kinds = Counter(classify(flip(t, k)).tag for k in range(6))
         assert dict(kinds) == {"IV": 4, "VI": 2}
+
+
+def full_memo():
+    """The flip memo with every (entry, position) of the full table filled."""
+    for entry in full_table():
+        for j in range(6):
+            triangulation._FLIP_MEMO.get((entry, j)) or triangulation._flip_entry(entry, j)
+    return triangulation._FLIP_MEMO
+
+
+class TestFlipMemo:
+    """flip reads the flips of the 27 lattice-frame entries: a
+    triangulation keeps its frame, the integer kernel (_flip_key) runs once
+    per entry and position, and a flip carries the frame over to its
+    result.  This rests on flips commuting with the frame's lattice maps
+    and tag switches (Fomin-Shapiro-Thurston, Acta Math. 2008)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 1999), unimodular_maps())
+    def test_flip_commutes_with_lattice_maps_and_tag_switches(self, index, m):
+        # for T of height <= 3 in any tagging, every k, an orientation-
+        # preserving lattice map m with entries up to 10^6 and every
+        # puncture set S: the kernel and flip of switch_S(m.T) at k are
+        # switch_S(m.flip(T, k))
+        t = height_three()[index]
+        for switch in range(16):
+            image = TaggedTriangulation._of_keys(tuple(_key_images(t._keys, m.linear, switch)))
+            for k in range(6):
+                moved = tuple(_key_images(flip(t, k)._keys, m.linear, switch))
+                assert triangulation._flip_key(image._keys, k) == moved[k]
+                assert flip(image, k)._keys == moved
+
+    def test_carried_frames_on_deep_walks(self):
+        # seeded tagged walks from type-I starts of height 10^3 to 10^7,
+        # through all six types: each flip is the oracle's, its result
+        # carries a frame that moves its keys onto a table entry by a det-1
+        # map, and its matrix is that of the same keys framed afresh.  With
+        # the memo full, only a walk's start frames its keys
+        table = full_table()
+        full_memo()
+        rng = random.Random(43)
+        kinds, heights, frames = Counter(), [], []
+        real = triangulation._switched_frame
+        for exponent in (3, 4, 5, 6):
+            t = type_i_start(rng, 10**exponent, 10**(exponent + 1))
+            for _ in range(60):
+                k = rng.randrange(6)
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(triangulation, "_switched_frame",
+                                  lambda keys: frames.append(1) or real(keys))
+                    f = flip(t, k)
+                assert f._keys == flip_oracle.flip_keys(t, k)
+                linear, switch, images, entry = f._frame
+                (p, q), (r, s) = linear
+                assert p * s - q * r == 1
+                assert list(images) == _key_images(f._keys, linear, switch)
+                assert entry == tuple(sorted(images)) and entry in table
+                assert signed_adjacency(f) == signed_adjacency(
+                    TaggedTriangulation._of_keys(f._keys))
+                kinds[classify(f).tag] += 1
+                heights.append(f.height)
+                t = f
+        assert set(kinds) == {"I", "II", "III", "IV", "V", "VI"}
+        assert max(heights) >= 10**6
+        assert len(frames) == 4
+
+    def test_kernel_runs_once_per_table_arc(self, monkeypatch):
+        # from an empty memo, every flip of height <= 3 and deep walks run
+        # the kernel at most 27 x 6 times, once per memo value; with the
+        # memo full, a 1,000-flip walk from height 10^6 runs it 0 times
+        fresh_table(monkeypatch)
+        calls = Counter()
+        real = triangulation._flip_key
+        monkeypatch.setattr(triangulation, "_flip_key",
+                            lambda keys, k: calls.update([(keys, k)]) or real(keys, k))
+        for t in height_three():
+            for k in range(6):
+                flip(t, k)
+        for _ in deep_tagged_walks(47):
+            pass
+        assert sum(calls.values()) == len(calls) == len(triangulation._FLIP_MEMO) <= 162
+        assert len(full_memo()) == sum(calls.values()) == 162
+        calls.clear()
+        rng = random.Random(49)
+        t = type_i_start(rng, 10**6, 10**7)
+        for _ in range(1000):
+            t = flip(t, rng.randrange(6))
+        assert calls == Counter() and len(triangulation._FLIP_MEMO) == 162
+
+    def test_threads_share_one_memo(self, monkeypatch):
+        # four threads flip every triangulation of height <= 1 at every k at
+        # once, each from its own place, on an empty memo and with a short
+        # switch interval: each gets the keys of a serial run, and the
+        # kernel runs once per memo value
+        cases = [(t, k) for _, t in _enumerate_typed(1) for k in range(6)]
+        expected = [flip(t, k)._keys for t, k in cases]
+        fresh_table(monkeypatch)
+        calls = Counter()
+        real = triangulation._flip_key
+        monkeypatch.setattr(triangulation, "_flip_key",
+                            lambda keys, k: calls.update([(keys, k)]) or real(keys, k))
+        results = []
+
+        def work(n):
+            try:
+                got = [flip(TaggedTriangulation._of_keys(t._keys), k)._keys
+                       for t, k in cases[n:] + cases[:n]]
+                results.append(got == expected[n:] + expected[:n])
+            except Exception as error:  # a thread's error, reported below
+                results.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(97 * n,)) for n in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [True] * 4
+        assert sum(calls.values()) == len(calls) == len(triangulation._FLIP_MEMO) <= 162
+
+    def test_table_flips_frame_onto_entries(self):
+        # each of the 27 entries flipped at each of its six arcs through
+        # the memo frames onto an entry (162 edges); a breadth-first search
+        # from the type-I entry back along the edges gives each entry's flip
+        # distance to type I, one per type (ROADMAP item 15)
+        table = full_table()
+        memo = full_memo()
+        sources = {entry: [] for entry in table}  # the entries with an edge to each
+        for entry, j in itertools.product(table, range(6)):
+            sources[memo[entry, j][1][3]].append(entry)
+        assert sum(map(len, sources.values())) == 162 and len(memo) == 162
+        kinds = {entry: classify(TaggedTriangulation._of_keys(entry)).tag for entry in table}
+        start, = [entry for entry, kind in kinds.items() if kind == "I"]
+        distance, todo = {start: 0}, [start]
+        for entry in todo:
+            for e in sources[entry]:
+                if e not in distance:
+                    distance[e] = distance[entry] + 1
+                    todo.append(e)
+        by_type = {}
+        for entry, d in distance.items():
+            by_type.setdefault(kinds[entry], set()).add(d)
+        assert len(distance) == 27
+        assert by_type == {"I": {0}, "II": {1}, "IV": {2}, "III": {3}, "V": {3}, "VI": {4}}
 
 
 class TestKeyReaders:
@@ -802,6 +954,15 @@ class TestMatrices:
         # an index in 0..5 outside a smaller matrix is a DomainError too
         with pytest.raises(DomainError, match=r"mutation index must be in 0\.\.1"):
             mutate(((0, 1), (-1, 0)), k)
+
+    @pytest.mark.parametrize("B", [
+        ((0, 1, 1), (-1, 0), (-1, 0, 0)),
+        ((0, 1), (-1,)),
+        ((0, 1, 0), (-1, 0, 0)),
+    ], ids=["ragged", "short row k", "2 x 3"])
+    def test_matrix_must_be_square(self, B):
+        with pytest.raises(DomainError, match="square matrix"):
+            mutate(B, 1 if len(B) == 2 else 0)
 
     def test_smaller_matrix(self):
         assert mutate(((0, 1), (-1, 0)), 1) == ((0, -1), (1, 0))
