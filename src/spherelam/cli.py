@@ -12,6 +12,11 @@ a call pays only for what its command uses.  At import this module loads
 more; each command imports the further modules it runs inside its handler,
 and :func:`run` builds the parser of the named command alone.  No module
 of the package imports :mod:`dataclasses` or :mod:`fractions`.
+
+A call ends through :func:`entry`: it flushes stdout and stderr and leaves
+by ``os._exit``, without the interpreter's teardown, which would cost a light
+command about 8 ms after its output is written.  In one process,
+:func:`main` and :func:`run` return the exit code and never exit.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import argparse
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NoReturn
 
 from .curves import AllowableCurve, TaggedArc, TaggedTriangulation, Puncture, Tagging, \
     arcs_compatible, base_triangulation, classify_pair, curves_compatible, json_field, \
@@ -48,9 +53,10 @@ SCHEMA = "sphere-lam/1"
 # 3.11.7).
 SHEAR_MAX_HEIGHT = {"word": 50_000, "oracle": 1_000}
 RENDER_MAX_ELEMENTS = 10_000
-# cones and locate build every maximal cone up to their --max-height: about
-# 0.7-0.9 s at the default 6, 2.0-2.7 s and 54 MB at this cap (same host; a
-# whole `cones` command, JSON included, about 0.9 s and 2.4 s)
+# cones and locate build every maximal cone up to their --max-height.  A
+# whole `locate` command takes about 0.65-0.95 s at the default 6 and
+# 1.5-1.7 s with a 45 MB peak at this cap; a whole `cones` command, JSON
+# included, about 0.5 s and 1.5-2.0 s with 32 MB (same host)
 CONE_MAX_HEIGHT = 10
 
 
@@ -457,7 +463,18 @@ def run(argv: list[str], pieces: bool = False) -> tuple[int, str | Iterator[str]
     return 0, _plain_text(out) if args.plain else out
 
 
+def _closed_pipe() -> int:
+    """The reader closed the pipe: what is left of the output, and any later
+    flush, go to devnull instead of a traceback."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return 141  # 128 + SIGPIPE, as for a tool the closed pipe stops
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run a command line and write its output; returns the exit code and
+    never exits, so a library caller or a test may call it."""
     code, out = run(sys.argv[1:] if argv is None else argv, pieces=True)
     if out:
         try:
@@ -465,14 +482,31 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write("\n")
             sys.stdout.flush()
         except BrokenPipeError:
-            # the reader closed the pipe: what is left of the output, and the
-            # interpreter's last flush, go to devnull instead of a traceback
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            return 141  # 128 + SIGPIPE, as for a tool the closed pipe stops
+            return _closed_pipe()
     return code
 
 
+def entry() -> NoReturn:
+    """The process entry of ``python -m spherelam.cli`` and the ``spherelam``
+    script: :func:`main`, a flush of stdout and stderr, and ``os._exit``.
+
+    The interpreter's teardown (the last garbage collection, the clearing of
+    every module, the freeing of every object) costs a light command about
+    8 ms and a cold ``locate`` about 40 ms, after its output is written, for
+    a process about to end.  Nothing is lost by skipping it: no module of the
+    package registers an ``atexit`` handler or starts a thread, ``render``
+    closes its SVG before it returns, and the flush below writes what the
+    standard streams still hold, under the closed-pipe rule of :func:`main`.
+    An exception that escapes :func:`main` (a bug) is raised here, before
+    ``os._exit``, so it ends the process with its traceback as usual."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = _closed_pipe()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

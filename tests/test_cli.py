@@ -289,6 +289,152 @@ class TestClosedPipe:
         assert err == b""
 
 
+def _entry(argv, stdout=subprocess.PIPE, code=None, **env):
+    """A child process of the command line's exit entry: ``python -m
+    spherelam.cli argv``, or the ``-c`` program ``code`` with argv as its
+    arguments.  Its stdout is buffered, as a pipe's is by default, so only
+    the entry's flush writes what a command leaves in the buffer; help is
+    wrapped at 80 columns, as in :class:`TestExitEntry`."""
+    head = ["-c", code] if code else ["-m", "spherelam.cli"]
+    env = {**os.environ, "PYTHONPATH": SRC, "COLUMNS": "80", "PYTHONUNBUFFERED": None,
+           **env}
+    return subprocess.run([sys.executable, *head, *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=120,
+                          env={k: v for k, v in env.items() if v is not None})
+
+
+class TestExitEntry:
+    """``python -m spherelam.cli`` and the ``spherelam`` script end through
+    ``cli.entry``: main, one flush of stdout and stderr, and ``os._exit``.
+    Every byte a command writes still reaches its reader, with its code."""
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_large_document_through_a_pipe(self):
+        code, out = run(["cones", "--max-height", "3"])
+        proc = _entry(["cones", "--max-height", "3"])
+        assert (proc.returncode, proc.stderr) == (code, b"") == (0, b"")
+        assert len(out) > 1 << 18  # far more than a pipe buffers (64 kB)
+        assert proc.stdout == (out + "\n").encode()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["shear", "--help"]])
+    def test_help(self, argv):
+        parser = cli.build_parser()
+        if argv[0] == "shear":
+            parser = parser._subparsers._group_actions[0].choices["shear"]
+        proc = _entry(argv)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.decode() == parser.format_help()
+
+    def test_usage_error(self, capsys):
+        assert run(["shear"]) == (2, "")
+        err = capsys.readouterr().err
+        proc = _entry(["shear"])
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.decode() == err
+        assert "the following arguments are required: --curve" in err
+
+    def test_reject(self):
+        argv = ["shear", "--curve", "[1,2]"]
+        code, out = run(argv)
+        proc = _entry(argv)
+        assert (proc.returncode, proc.stderr) == (code, b"") == (1, b"")
+        assert proc.stdout == (out + "\n").encode()
+        assert json.loads(proc.stdout)["kind"] == "domain"
+
+    def test_failed_selftest_is_internal(self):
+        code = ("import spherelam.selftest\n"
+                "spherelam.selftest.run_selftest = lambda: [('fixture a', True), "
+                "('fixture b', False)]\n"
+                "from spherelam import cli\n"
+                "cli.entry()\n")
+        proc = _entry(["selftest"], code=code)
+        assert (proc.returncode, proc.stderr) == (3, b"")
+        assert json.loads(proc.stdout) == {
+            "schema": cli.SCHEMA, "kind": "internal",
+            "error": "InternalError: 1 of 2 selftest checks failed: fixture b"}
+
+    def test_escaping_exception_keeps_its_traceback(self):
+        # a bug escaping main never reaches os._exit: the interpreter ends
+        # the process with the traceback and exit code 1
+        code = ("from spherelam import cli\n"
+                "def main():\n"
+                "    raise RuntimeError('a bug')\n"
+                "cli.main = main\n"
+                "cli.entry()\n")
+        proc = _entry([], code=code)
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr.startswith(b"Traceback")
+        assert proc.stderr.endswith(b"RuntimeError: a bug\n")
+
+    def test_render_file_is_complete(self, tmp_path):
+        out = tmp_path / "lift.svg"
+        proc = _entry(["render", "--curve", '{"closed":"3/2"}', "--window", "0,2,0,3",
+                       "--out", str(out)])
+        svg = render(RenderSpec((AllowableCurve(Slope.parse("3/2")),), base_triangulation(),
+                                (0, 2, 0, 3)))
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert json.loads(proc.stdout) == {"schema": cli.SCHEMA, "written": str(out),
+                                           "bytes": len(svg)}
+        assert out.read_text() == svg
+
+    @pytest.mark.parametrize("unbuffered, code", [("1", 0), (None, 141)])
+    def test_help_into_a_closed_pipe(self, unbuffered, code):
+        # unbuffered, argparse's own write meets the closed pipe and drops
+        # the text; buffered, the entry's flush meets it and ends as main
+        # does (the interpreter's own last flush gave 120 and a message)
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = _entry(["--help"], stdout=w, PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(w)
+        assert (proc.returncode, proc.stderr) == (code, b"")
+
+    def test_main_returns_its_code(self, capsys):
+        # in-process, main and run return the exit code and never exit
+        assert cli.main(["shear", "--curve", '{"closed":"3/2"}']) == 0
+        assert capsys.readouterr().out == "[-3, 2, 1, -3, 2, 1]\n"
+        assert cli.main(["shear", "--curve", "[1,2]"]) == 1
+        assert json.loads(capsys.readouterr().out)["kind"] == "domain"
+        assert cli.main(["shear"]) == 2
+        assert cli.main(["--help"]) == 0
+        assert "selftest" in capsys.readouterr().out
+
+    def test_one_exit_home(self):
+        # os._exit is called once, in cli.entry; no module registers an
+        # atexit handler or starts a thread, whose work the skipped
+        # teardown would lose
+        import ast
+        import pathlib
+
+        paths = sorted(pathlib.Path(spherelam.__file__).parent.glob("*.py"))
+        assert len(paths) >= 12
+        homes, exits = [], 0
+        for path in paths:
+            tree = ast.parse(path.read_text())
+            found = [node for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and node.attr == "_exit"]
+            homes += [(path.name, func.name) for func in tree.body
+                      if isinstance(func, ast.FunctionDef)
+                      and any(node in found for node in ast.walk(func))]
+            exits += len(found)
+            assert "atexit" not in _imported_modules(path), path.name
+            assert not {"register", "Thread", "start_new_thread"} & _called_names(path), \
+                path.name
+        assert homes == [("cli.py", "entry")] and exits == 1
+
+    def test_script_is_the_entry(self):
+        # the installed script ends the way python -m spherelam.cli does
+        import pathlib
+
+        text = (pathlib.Path(SRC).parent / "pyproject.toml").read_text()
+        scripts = text.split("[project.scripts]\n")[1].split("\n\n")[0]
+        assert scripts.splitlines() == ['spherelam = "spherelam.cli:entry"']
+
+
 class TestRender:
     def test_structure(self, tmp_path):
         out = tmp_path / "grid.svg"
