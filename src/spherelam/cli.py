@@ -4,7 +4,9 @@ Every command emits a single JSON document on stdout (bare arrays for
 vector results, schema-tagged objects otherwise).  ``cones`` writes its
 document one cone at a time.  Exit codes: 0 success,
 1 bad input (an error document with ``"kind": "domain"``), 2 usage error,
-3 internal error, a bug (an error document with ``"kind": "internal"``).
+3 internal error, a bug (an error document with ``"kind": "internal"``),
+74 (:data:`OUTPUT_ERROR`) stdout could not be written, its error named in
+one line on stderr, and 141 the reader closed the output early.
 
 Each call is a fresh interpreter that compiles every module it imports, so
 a call pays only for what its command uses.  At import this module loads
@@ -463,13 +465,27 @@ def run(argv: list[str], pieces: bool = False) -> tuple[int, str | Iterator[str]
     return 0, _plain_text(out) if args.plain else out
 
 
-def _closed_pipe() -> int:
-    """The reader closed the pipe: what is left of the output, and any later
-    flush, go to devnull instead of a traceback."""
+# The exit code of an output that could not be written (EX_IOERR of sysexits.h).
+OUTPUT_ERROR = 74
+
+
+def _output_failed(error: OSError) -> int:
+    """Writing stdout failed: what is left of the output, and any later
+    flush, go to devnull instead of a traceback.  A reader that closed the
+    pipe ends the command silently with 141 (128 + SIGPIPE, as for a tool
+    the closed pipe stops); any other error, such as a full device, is
+    named in one line on stderr and ends it with :data:`OUTPUT_ERROR`."""
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, sys.stdout.fileno())
     os.close(devnull)
-    return 141  # 128 + SIGPIPE, as for a tool the closed pipe stops
+    if isinstance(error, BrokenPipeError):
+        return 141
+    try:
+        sys.stderr.write(f"spherelam: output not written: {type(error).__name__}: {error}\n")
+        sys.stderr.flush()
+    except OSError:
+        pass  # stderr fails too: the exit code alone tells
+    return OUTPUT_ERROR
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -481,8 +497,8 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.writelines([out] if isinstance(out, str) else out)
             sys.stdout.write("\n")
             sys.stdout.flush()
-        except BrokenPipeError:
-            return _closed_pipe()
+        except OSError as error:
+            return _output_failed(error)
     return code
 
 
@@ -496,15 +512,15 @@ def entry() -> NoReturn:
     a process about to end.  Nothing is lost by skipping it: no module of the
     package registers an ``atexit`` handler or starts a thread, ``render``
     closes its SVG before it returns, and the flush below writes what the
-    standard streams still hold, under the closed-pipe rule of :func:`main`.
+    standard streams still hold, under the output-error rule of :func:`main`.
     An exception that escapes :func:`main` (a bug) is raised here, before
     ``os._exit``, so it ends the process with its traceback as usual."""
     code = main()
     try:
         sys.stdout.flush()
         sys.stderr.flush()
-    except BrokenPipeError:
-        code = _closed_pipe()
+    except OSError as error:
+        code = _output_failed(error)
     os._exit(code)
 
 

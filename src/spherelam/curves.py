@@ -569,8 +569,8 @@ class TaggedTriangulation(Frozen):
     outside, :meth:`_of_keys` the keys every builder assembles; both check
     six distinct keys, each endpoint mask against the slope
     (:data:`_SLOPE_MASKS`), the kernel on all 15 pairs and the degrees;
-    :func:`triangulation.flip` skips the masks and the pairs.  ``_frame``
-    is None until :mod:`spherelam.triangulation` stores a lattice frame there
+    :func:`triangulation.flip` builds its result itself.  ``_frame`` is
+    None until :mod:`spherelam.triangulation` stores a lattice frame there
     (see :func:`triangulation.flip`)."""
 
     __slots__ = ("_keys", "_key_set", "degree_sequence", "_frame")
@@ -584,30 +584,28 @@ class TaggedTriangulation(Frozen):
         for arc in arcs:
             if arc.__class__ is not TaggedArc:
                 raise ValueError(f"a triangulation takes TaggedArcs, not {type(arc).__name__}")
-        self._freeze(tuple([arc._key for arc in arcs]), check=True)
+        self._freeze(tuple([arc._key for arc in arcs]))
 
     @classmethod
-    def _of_keys(cls, keys: tuple[tuple[int, int, int, int], ...],
-                 check: bool = True) -> "TaggedTriangulation":
-        """The triangulation of these keys (``check=False``: see :func:`triangulation.flip`)."""
+    def _of_keys(cls, keys: tuple[tuple[int, int, int, int], ...]) -> "TaggedTriangulation":
+        """The triangulation of these keys, checked as the constructor checks."""
         tri = object.__new__(cls)
-        tri._freeze(keys, check)
+        tri._freeze(keys)
         return tri
 
-    def _freeze(self, keys: tuple[tuple[int, int, int, int], ...], check: bool) -> None:
+    def _freeze(self, keys: tuple[tuple[int, int, int, int], ...]) -> None:
         key_set = frozenset(keys)
         if len(keys) != 6 or len(key_set) != 6:
             raise ValueError("a tagged triangulation has exactly 6 distinct arcs")
-        if check:
-            for a, b, mask, _ in keys:
-                if mask not in _SLOPE_MASKS.get(2 * (a & 1) + (b & 1), ()):
-                    ends = ",".join(map(str, sorted(_MASK_PUNCTURES[mask])))
-                    raise ValueError(f"endpoints {ends} do not match the parity of slope "
-                                     f"{Slope(a, b)}")
-            for i, j in _PAIRS:
-                if not _keys_compatible(keys[i], keys[j]):
-                    raise ValueError(f"incompatible arcs {TaggedArc._of_key(keys[i])}, "
-                                     f"{TaggedArc._of_key(keys[j])}")
+        for a, b, mask, _ in keys:
+            if mask not in _SLOPE_MASKS.get(2 * (a & 1) + (b & 1), ()):
+                ends = ",".join(map(str, sorted(_MASK_PUNCTURES[mask])))
+                raise ValueError(f"endpoints {ends} do not match the parity of slope "
+                                 f"{Slope(a, b)}")
+        for i, j in _PAIRS:
+            if not _keys_compatible(keys[i], keys[j]):
+                raise ValueError(f"incompatible arcs {TaggedArc._of_key(keys[i])}, "
+                                 f"{TaggedArc._of_key(keys[j])}")
         degrees = tuple(sorted(_degrees(keys)))
         if degrees not in _DEGREE_TYPES:
             raise ValueError(f"impossible degree sequence {degrees}")

@@ -431,15 +431,17 @@ def _flip_key(taken: tuple[Key, ...], k: int) -> Key:
 
 
 # A lattice frame as a triangulation keeps it (curves.TaggedTriangulation._frame):
-# (m, switch, images, entry), the map and switch mask of curves._switched_frame,
-# the image keys in arc order and their sorted tuple, the entry.
-Frame = tuple[tuple[Vector, Vector], int, tuple[Key, ...], tuple[Key, ...]]
+# (m, switch, pos, entry): the map and switch mask of curves._switched_frame,
+# pos[i] the position of arc i's image in the entry, and the entry, the sorted
+# image keys.
+Frame = tuple[tuple[Vector, Vector], int, tuple[int, ...], tuple[Key, ...]]
 
 
 def _framed(keys: Sequence[Key]) -> Frame:
     """The lattice frame of these keys (:func:`curves._switched_frame`)."""
     linear, switch, images = _switched_frame(keys)
-    return linear, switch, tuple(images), tuple(sorted(images))
+    entry = tuple(sorted(images))
+    return linear, switch, tuple(map(entry.index, images)), entry
 
 
 def _store_frame(tri: TaggedTriangulation) -> Frame:
@@ -451,21 +453,28 @@ def _store_frame(tri: TaggedTriangulation) -> Frame:
 
 
 # The flips of the entries met so far, keyed by (entry, position):
-# (key, frame), the key that _flip_key puts at that position, in the entry's
-# frame, and the frame of the flipped entry, its images in entry order.  At
-# most 27 x 6 values, one kernel pass each: one thread at a time fills it.
-_FLIP_MEMO: dict[tuple[tuple[Key, ...], int], tuple[Key, Frame]] = {}
+# (key, frame, degrees), the key that _flip_key puts at that position, in the
+# entry's frame, the frame of the flipped entry, in entry order, and its
+# sorted degree sequence.  At most 27 x 6 values, one kernel pass each: one
+# thread at a time fills it.
+_FLIP_MEMO: dict[tuple[tuple[Key, ...], int],
+                 tuple[Key, Frame, tuple[int, int, int, int]]] = {}
 _FLIP_LOCK = threading.Lock()
 
 
-def _flip_entry(entry: tuple[Key, ...], j: int) -> tuple[Key, Frame]:
+def _flip_entry(entry: tuple[Key, ...], j: int) -> tuple[Key, Frame, tuple[int, int, int, int]]:
     """The memo value of (entry, j), computed and stored unless another
-    thread stored it first."""
+    thread stored it first.  Its degree sequence is checked here, once,
+    with the constructor's text: the frames only permute the punctures,
+    so every flip the value serves has it."""
     with _FLIP_LOCK:
         value = _FLIP_MEMO.get((entry, j))
         if value is None:
-            key = _flip_key(entry, j)
-            _FLIP_MEMO[entry, j] = value = key, _framed(entry[:j] + (key,) + entry[j + 1:])
+            keys = entry[:j] + (_flip_key(entry, j),) + entry[j + 1:]
+            degrees = tuple(sorted(_degrees(keys)))
+            if degrees not in _DEGREE_TYPES:
+                raise ValueError(f"impossible degree sequence {degrees}")
+            _FLIP_MEMO[entry, j] = value = keys[j], _framed(keys), degrees
     return value
 
 
@@ -473,41 +482,49 @@ def flip(tri: TaggedTriangulation, k: int) -> TaggedTriangulation:
     """Replace arc k, an int in 0..5, by the unique other arc completing a
     triangulation, read off the flips of the lattice-frame entries.
 
-    ``tri`` keeps its lattice frame (m, switch, images, entry): the
+    ``tri`` keeps its lattice frame (m, switch, pos, entry): the
     orientation-preserving map m and the switch of tags at some punctures
-    carry its arcs to the image keys, whose sorted tuple is one of the 27
-    entries of :data:`_TABLE`.  Both are symmetries of the tagged arc
+    carry its arcs onto the keys of one of the 27 entries of :data:`_TABLE`,
+    arc i onto ``entry[pos[i]]``.  Both are symmetries of the tagged arc
     complex, so they commute with flips (Fomin-Shapiro-Thurston, Acta
     Math. 2008): the flip of ``tri`` at k is carried back from the flip of
-    the entry at the position j of arc k's image.  :data:`_FLIP_MEMO` holds
-    that flip's new key and the frame of the flipped entry; it is filled one
-    (entry, j) at a time by :func:`_flip_key`, the integer kernel, which runs
-    at most 162 times in a process, whatever the heights.  The new key is
-    carried back by the inverse of m and the switch
+    the entry at j = ``pos[k]``.  :data:`_FLIP_MEMO` holds that flip's new
+    key, the frame of the flipped entry and its degree sequence; it is
+    filled one (entry, j) at a time by :func:`_flip_key`, the integer
+    kernel, which runs at most 162 times in a process, whatever the heights.
+    The new key is carried back by the inverse of m and the switch
     (:func:`curves._key_preimage`), and the result gets its frame with no
     search: the product of the two maps, the switch ``switch ^
-    move_{m^-1}[switch_j]``, and the flipped entry's images read in arc
-    order.  So a walk computes a frame from its keys only at its start.
-    The flip being unique, the result has the keys that the kernel would
-    give on ``tri`` itself, and it skips the mask and pair checks
-    (``check=False``): the kernel has passed them all on the entry, and
-    the frame maps preserve them.
+    move_{m^-1}[switch_j]``, and the positions ``pos_j[pos[i]]``.  So a
+    walk computes a frame from its keys only at its start.  The flip being
+    unique, the result has the keys that the kernel would give on ``tri``
+    itself; it is built here, not by the constructor: the kernel has
+    passed the masks and the pairs on the entry, the memo fill its degree
+    sequence, and the frame maps preserve them.  Only the six keys being
+    distinct is checked again.
     """
     if type(k) is not int or not 0 <= k < 6:
         raise DomainError("arc index must be in 0..5")
-    linear, switch, images, entry = tri._frame or _store_frame(tri)
-    j = entry.index(images[k])
-    key, (linear_j, switch_j, images_j, entry_j) = (
+    linear, switch, pos, entry = tri._frame or _store_frame(tri)
+    j = pos[k]
+    key, (linear_j, switch_j, pos_j, entry_j), degrees = (
         _FLIP_MEMO.get((entry, j)) or _flip_entry(entry, j))
     taken = tri._keys
-    out = TaggedTriangulation._of_keys(
-        taken[:k] + (_key_preimage(key, linear, switch),) + taken[k + 1:], check=False)
+    keys = taken[:k] + (_key_preimage(key, linear, switch),) + taken[k + 1:]
+    key_set = frozenset(keys)
+    if len(key_set) != 6:
+        raise ValueError("a tagged triangulation has exactly 6 distinct arcs")
     (p, q), (r, s) = linear  # m^-1 = ((s, -q), (-r, p)), mod 2 (s, q, r, p)
     (e, f), (g, h) = linear_j
-    object.__setattr__(out, "_frame", (
+    out = object.__new__(TaggedTriangulation)
+    put = object.__setattr__
+    put(out, "_keys", keys)
+    put(out, "_key_set", key_set)
+    put(out, "degree_sequence", degrees)
+    put(out, "_frame", (
         ((e * p + f * r, e * q + f * s), (g * p + h * r, g * q + h * s)),
         switch ^ _MASK_MOVES[s & 1, q & 1, r & 1, p & 1][switch_j],
-        tuple([images_j[entry.index(x)] for x in images]), entry_j))
+        itemgetter(*pos)(pos_j), entry_j))
     return out
 
 
@@ -527,40 +544,45 @@ def signed_adjacency(tri: TaggedTriangulation) -> ExchangeMatrix:
     changes the matrix.  The frame is computed from the keys
     (:func:`curves._switched_frame`) on first use, or carried over by the
     flip that built ``tri``; either way the sorted image keys, the entry,
-    index :data:`_TABLE`, whose matrix is read back in the arcs' order, so
-    both frames give one matrix.  The cost does not depend on the height.
+    index :data:`_TABLE`, whose matrix is read back at the arcs' positions
+    in the entry, so both frames give one matrix.  The cost does not
+    depend on the height.
     """
-    _, _, images, entry = tri._frame or _store_frame(tri)
+    _, _, pos, entry = tri._frame or _store_frame(tri)
     B = _TABLE.get(entry) or _entry(entry)
-    row = itemgetter(*map(entry.index, images))  # the entry row of each arc
+    row = itemgetter(*pos)  # the entry row of each arc
     return tuple(map(row, row(B)))
 
 
 def mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
-    """Matrix mutation at index k, an int indexing a row of the square
-    matrix B: negate row/column k, and add sgn(b_ik) * max(b_ik * b_kj, 0)
-    elsewhere.  An involution.  A matrix that is not square is a
-    :class:`DomainError`."""
-    n = len(B)
+    """Matrix mutation at index k, an int indexing a column of the
+    extended (n + m) x n matrix B, whose first n rows are the square
+    exchange matrix and the other m its coefficient rows: negate row and
+    column k, and add sgn(b_ik) * max(b_ik * b_kj, 0) elsewhere.  An
+    involution.  The coefficient rows change by the rule of every row other
+    than k, so they carry shear coordinates of laminations along flips
+    (Fomin-Thurston, Mem. AMS 2018, Sec. 13).  A matrix with fewer rows
+    than columns, or with rows of other lengths, is a :class:`DomainError`."""
+    n = len(B[0]) if B else 0
     if type(k) is not int or not 0 <= k < n:
         raise DomainError(f"mutation index must be in 0..{n - 1}")
-    if set(map(len, B)) != {n}:
-        raise DomainError(f"mutation takes a square matrix, not rows of "
-                          f"{', '.join(map(str, map(len, B)))} entries")
+    if len(B) < n or set(map(len, B)) != {n}:
+        raise DomainError(f"mutation takes an (n + m) x n matrix, its top n x n square, "
+                          f"not {len(B)} rows of {', '.join(map(str, map(len, B)))} entries")
     row_k = B[k]
     out = []
-    for i, row in enumerate(B):
+    for row in B:
         b = row[k]
-        if i == k:
-            new = [-x for x in row]
-        elif b > 0:
+        if b > 0:
             new = [x + b * y if y > 0 else x for x, y in zip(row, row_k)]
         elif b < 0:
             new = [x - b * y if y < 0 else x for x, y in zip(row, row_k)]
         else:
-            new = list(row)
+            out.append(tuple(row))
+            continue
         new[k] = -b
         out.append(tuple(new))
+    out[k] = tuple([-x for x in row_k])  # over what the loop made of row k
     return tuple(out)
 
 
@@ -592,8 +614,8 @@ def _search() -> Iterator[tuple[Key, ...]]:
     for tri, B, k in todo:
         if k is not None:
             tri, B = flip(tri, k), mutate(B, k)
-        _, _, images, key = _framed(tri._keys)
-        order = list(map(images.index, key))  # the arc at each row of the entry
+        _, _, pos, key = _framed(tri._keys)
+        order = list(map(pos.index, range(6)))  # the arc at each row of the entry
         B = tuple([tuple([B[i][j] for j in order]) for i in order])
         if key in _TABLE:
             if _TABLE[key] != B:

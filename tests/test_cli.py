@@ -393,6 +393,25 @@ class TestExitEntry:
             os.close(w)
         assert (proc.returncode, proc.stderr) == (code, b"")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["shear", "--curve", '{"closed":"3/2"}'], ["--help"]],
+                             ids=["shear", "help"])
+    def test_output_error(self, argv, unbuffered):
+        # a stdout that fails otherwise than by a closed pipe (a full
+        # device): one stderr line naming the error class and exit 74, no
+        # traceback.  Unbuffered, argparse's own write of --help meets the
+        # error and drops the text, as for a closed pipe: exit 0
+        with open("/dev/full", "wb") as full:
+            proc = _entry(argv, stdout=full, PYTHONUNBUFFERED=unbuffered)
+        assert b"Traceback" not in proc.stderr and b"Exception ignored" not in proc.stderr
+        if argv == ["--help"] and unbuffered:
+            assert (proc.returncode, proc.stderr) == (0, b"")
+        else:
+            assert proc.returncode == cli.OUTPUT_ERROR == 74
+            assert proc.stderr.startswith(b"spherelam: output not written: OSError: ")
+            assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n")
+
     def test_main_returns_its_code(self, capsys):
         # in-process, main and run return the exit code and never exit
         assert cli.main(["shear", "--curve", '{"closed":"3/2"}']) == 0

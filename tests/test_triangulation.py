@@ -15,7 +15,7 @@ import compat_oracle
 import flip_oracle
 import object_oracle
 from box_oracle import box_adjacency
-from spherelam import cli, curves, lattice, triangulation
+from spherelam import cli, curves, lattice, shear, triangulation
 from spherelam.curves import (
     V00, V01, V10, V11,
     Puncture,
@@ -565,8 +565,9 @@ class TestFlipMemo:
         # seeded tagged walks from type-I starts of height 10^3 to 10^7,
         # through all six types: each flip is the oracle's, its result
         # carries a frame that moves its keys onto a table entry by a det-1
-        # map, and its matrix is that of the same keys framed afresh.  With
-        # the memo full, only a walk's start frames its keys
+        # map, arc i onto the entry key at its position pos[i], and its
+        # matrix is that of the same keys framed afresh.  With the memo
+        # full, only a walk's start frames its keys
         table = full_table()
         full_memo()
         rng = random.Random(43)
@@ -581,10 +582,11 @@ class TestFlipMemo:
                                   lambda keys: frames.append(1) or real(keys))
                     f = flip(t, k)
                 assert f._keys == flip_oracle.flip_keys(t, k)
-                linear, switch, images, entry = f._frame
+                linear, switch, pos, entry = f._frame
                 (p, q), (r, s) = linear
                 assert p * s - q * r == 1
-                assert list(images) == _key_images(f._keys, linear, switch)
+                images = [entry[i] for i in pos]
+                assert images == _key_images(f._keys, linear, switch)
                 assert entry == tuple(sorted(images)) and entry in table
                 assert signed_adjacency(f) == signed_adjacency(
                     TaggedTriangulation._of_keys(f._keys))
@@ -775,7 +777,11 @@ class TestKeyReaders:
         arcs = (t.arcs[0].retag(V00, NOTCHED),) + t.arcs[1:]
         with pytest.raises(ValueError, match="incompatible arcs"):
             TaggedTriangulation(arcs)
-        bad = TaggedTriangulation._of_keys(tuple(a._key for a in arcs), check=False)
+        keys = tuple(a._key for a in arcs)
+        bad = object.__new__(TaggedTriangulation)  # unchecked, built as flip builds
+        for name, value in (("_keys", keys), ("_key_set", frozenset(keys)),
+                            ("degree_sequence", t.degree_sequence), ("_frame", None)):
+            object.__setattr__(bad, name, value)
         for reader in (classify, object_oracle.classify):
             with pytest.raises(InternalError, match="mixed tags at v00"):
                 reader(bad)
@@ -799,14 +805,55 @@ class TestKeyReaders:
             assert checked == f and checked.arcs == f.arcs
             assert checked.degree_sequence == f.degree_sequence
 
-    def test_flip_constructor_checks_distinct_arcs_and_degrees(self):
-        # flip's unchecked key constructor keeps the two checks on the key set
-        keys = base_triangulation()._keys
+    def test_flip_constructor_checks_distinct_arcs_and_degrees(self, monkeypatch):
+        # flip builds its result itself and keeps the two checks on the key
+        # set: the memo fill refuses a flipped entry of an impossible degree
+        # sequence, with the constructor's text, and stores nothing; every
+        # flip refuses keys that are not distinct
+        fresh_table(monkeypatch)
+        base = base_triangulation()
+        _, _, pos, entry = triangulation._store_frame(base)
+        k = pos.index(entry.index((1, 0, 0b0101, 0)))  # the arc framed onto 0/1 at v00, v10
+        notched = TaggedArc(INF, ((V00, NOTCHED), (V01, PLAIN)))  # in its place: 2, 3, 3, 4
+        monkeypatch.setattr(triangulation, "_flip_key", lambda keys, j: notched._key)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"impossible degree sequence \(2, 3, 3, 4\)"):
+                flip(base, k)
+        assert triangulation._FLIP_MEMO == {}
+        # a key that repeats another on its endpoint mask keeps the degrees
+        t = next(t for spec, t in _enumerate_typed(1) if spec.tag == "VI")
+        _, _, pos, entry = triangulation._store_frame(t)
+        j, i = next((j, i) for j, i in itertools.permutations(range(6), 2)
+                    if entry[j][2] == entry[i][2])
+        monkeypatch.setattr(triangulation, "_flip_key", lambda keys, k: keys[i])
         with pytest.raises(ValueError, match="exactly 6 distinct arcs"):
-            TaggedTriangulation._of_keys(keys[:5] + keys[:1], check=False)
-        notched = TaggedArc(INF, ((V00, NOTCHED), (V01, PLAIN)))  # degrees 2, 3, 3, 4
-        with pytest.raises(ValueError, match=r"impossible degree sequence \(2, 3, 3, 4\)"):
-            TaggedTriangulation._of_keys((notched._key,) + keys[1:], check=False)
+            flip(t, pos.index(j))
+
+    def test_warm_flip_runs_no_constructor(self, monkeypatch):
+        # with the memo full, a flip reads its degree sequence off the memo:
+        # a tagged walk from height 10^6 through all six types counts no
+        # degrees and runs none of the constructor's checks
+        full_memo()
+        rng = random.Random(53)
+        t = type_i_start(rng, 10**6, 10**7)
+        triangulation._store_frame(t)
+        calls = Counter()
+        for owner, name in ((curves, "_degrees"), (triangulation, "_degrees"),
+                            (TaggedTriangulation, "_freeze")):
+            real, label = getattr(owner, name), f"{owner.__name__}.{name}"
+            monkeypatch.setattr(owner, name, lambda *args, label=label, real=real: (
+                calls.update([label]) or real(*args)))
+        walk = []
+        for _ in range(300):
+            t = flip(t, rng.randrange(6))
+            walk.append(t)
+        assert calls == Counter()
+        TaggedTriangulation._of_keys(t._keys)  # the counters are live
+        assert calls == Counter({"spherelam.curves._degrees": 1,
+                                 "TaggedTriangulation._freeze": 1})
+        monkeypatch.undo()
+        assert {classify(f).tag for f in walk} == {"I", "II", "III", "IV", "V", "VI"}
+        assert min(f.height for f in walk) >= 10**5
 
     def test_key_constructor_checks_what_the_arc_constructors_did(self):
         # assembled keys pass the checks of TaggedArc and of the arc
@@ -901,7 +948,7 @@ class TestKeyReaders:
         # keys: a cold cone index, the type-I builder, the witness search,
         # flip adjacency, the shears against a keyed triangulation and the
         # word method of the command line build no TaggedArc
-        from spherelam import fan, shear
+        from spherelam import fan
 
         rng = random.Random(7)
         pool = curves.enumerate_curves(3)
@@ -955,14 +1002,62 @@ class TestMatrices:
         with pytest.raises(DomainError, match=r"mutation index must be in 0\.\.1"):
             mutate(((0, 1), (-1, 0)), k)
 
-    @pytest.mark.parametrize("B", [
-        ((0, 1, 1), (-1, 0), (-1, 0, 0)),
-        ((0, 1), (-1,)),
-        ((0, 1, 0), (-1, 0, 0)),
+    @pytest.mark.parametrize("B, rows", [
+        (((0, 1, 1), (-1, 0), (-1, 0, 0)), "3 rows of 3, 2, 3"),
+        (((0, 1), (-1,)), "2 rows of 2, 1"),
+        (((0, 1, 0), (-1, 0, 0)), "2 rows of 3, 3"),
     ], ids=["ragged", "short row k", "2 x 3"])
-    def test_matrix_must_be_square(self, B):
-        with pytest.raises(DomainError, match="square matrix"):
+    def test_matrix_must_be_square(self, B, rows):
+        # the top n rows of an (n + m) x n matrix must be square: fewer rows
+        # than columns, or rows of other lengths, are a DomainError
+        with pytest.raises(DomainError, match="^" + re.escape(
+                f"mutation takes an (n + m) x n matrix, its top n x n square, "
+                f"not {rows} entries") + "$"):
             mutate(B, 1 if len(B) == 2 else 0)
+
+    def test_extended_matrix(self):
+        # coefficient rows below the square part: the top block mutates as
+        # alone, a coefficient row by the rule of every row other than k,
+        # the index ranges over the columns, and mutation is an involution
+        rows = ((1, 0, -2, 0, 3, -1), (0, 0, 0, 0, 0, 0), (-4, 2, 1, 0, 0, 5))
+        for k in range(6):
+            M = mutate(FIG1_MATRIX + rows, k)
+            assert M[:6] == mutate(FIG1_MATRIX, k)
+            for row, new in zip(rows, M[6:]):
+                b = row[k]
+                sign = (b > 0) - (b < 0)
+                assert new == tuple(-b if j == k else x + sign * max(b * y, 0)
+                                    for j, (x, y) in enumerate(zip(row, FIG1_MATRIX[k])))
+            assert mutate(M, k) == FIG1_MATRIX + rows
+        assert mutate(((0, 1), (-1, 0), (2, -3)), 0) == ((0, -1), (1, 0), (-2, -1))
+        with pytest.raises(DomainError, match=r"^mutation index must be in 0\.\.5$"):
+            mutate(FIG1_MATRIX + rows, 6)
+
+    def test_carried_rows_are_shear_coordinates(self):
+        # the base shear vectors of the 216 curves of height <= 4, carried
+        # as coefficient rows by mutate along seeded tagged walks from the
+        # base through all six types: at every type-I state they are the
+        # curves' shear coordinates there, and the top block is the signed
+        # adjacency at every state (Fomin-Thurston, Mem. AMS 2018, Sec. 13)
+        curve_list = curves.enumerate_curves(4)
+        base = base_triangulation()
+        rows = tuple(shear.shear_wrt(c, base) for c in curve_list)
+        assert len(rows) == 216
+        kinds, checks = Counter(), 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            t, M = base, FIG1_MATRIX + rows
+            for _ in range(50):
+                k = rng.randrange(6)
+                t, M = flip(t, k), mutate(M, k)
+                assert M[:6] == signed_adjacency(t)
+                kind = classify(t).tag
+                kinds[kind] += 1
+                if kind == "I":
+                    assert M[6:] == tuple(shear.shear_wrt(c, t) for c in curve_list)
+                    checks += 1
+        assert set(kinds) == {"I", "II", "III", "IV", "V", "VI"}
+        assert checks >= 100
 
     def test_smaller_matrix(self):
         assert mutate(((0, 1), (-1, 0)), 1) == ((0, -1), (1, 0))
