@@ -385,10 +385,24 @@ _COMMANDS = {
 }
 
 
+class _Help(Exception):
+    """The help text a ``--help`` asked for, raised to :func:`run`."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose ``--help`` raises its text as :class:`_Help`
+    instead of printing it, so that :func:`run` returns the text as the
+    command's document and :func:`main` writes it, meeting a failing
+    stdout as for any document: argparse's own write drops an OSError."""
+
+    def print_help(self, file=None) -> NoReturn:
+        raise _Help(self.format_help()[:-1])  # main ends the document with "\n"
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every command or, given a ``command``, of that one
     alone under the same usage line."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="spherelam",
         description="Exact curves, triangulations and shear coordinates "
         "on the four-punctured sphere.",
@@ -442,15 +456,17 @@ def _error_doc(message: str, kind: str) -> str:
 
 
 def run(argv: list[str], pieces: bool = False) -> tuple[int, str | Iterator[str]]:
-    """Dispatch a command line; returns (exit code, stdout text), or with
-    ``pieces`` the iterator of a document a command writes in pieces
-    (``cones``), each error raised before the first piece."""
+    """Dispatch a command line; returns (exit code, stdout text), the help
+    text included, or with ``pieces`` the iterator of a document a command
+    writes in pieces (``cones``), each error raised before the first piece."""
     # a command builds its own parser only: building all of them would cost
     # more than a light command's mathematics
     parser = build_parser(_named_command(argv))
     try:
         args = parser.parse_args(argv)
-    except SystemExit as e:
+    except _Help as e:
+        return 0, str(e)
+    except SystemExit as e:   # a usage error, written to stderr
         return (int(e.code or 0) and 2, "")
     except DomainError as e:   # an integer option past the digit cap
         return 1, _error_doc(f"{type(e).__name__}: {e}", "domain")

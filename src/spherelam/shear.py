@@ -11,7 +11,9 @@ Three mutually checking computation paths are provided:
 - :func:`shear_via_word` -- the crossing word of a base-case curve and
   letter/double-letter counting;
 - :func:`shear_oracle` -- fully geometric crossing enumeration in the
-  lifted plane with quadrilateral scoring.
+  lifted plane with quadrilateral scoring; the segment that the four
+  spiraling curves of one slope and endpoint pair lift to is lifted and
+  scored once per process, in a memo of at most 1024 segments.
 
 All three agree exactly on their common domains; the acceptance suite
 sweeps this identity over all curves of bounded height.  The closed form
@@ -310,6 +312,16 @@ def shear_oracle(curve: AllowableCurve) -> ShearVector:
     pass over its four sides; no closed formulas, words or coordinate
     permutations are involved.  All points of one lift are integer
     numerators over one denominator.
+
+    The four spiraling curves of one slope and endpoint pair share their
+    segment, lifted once per process (:func:`_spiral_lift`, a memo of at
+    most 1024 segments).  ``accumulate`` scores a crossing from its two
+    neighbors alone, so the score of a crossing list splits at any two
+    consecutive crossings: a curve scores its start spiral with the
+    segment's first two crossings and the segment's last two with its end
+    spiral, and adds the memo's score of the crossings in between.  A
+    segment with fewer than two crossings, and a closed curve, which is its
+    own lift, are scored whole.
     """
     from . import plane
 
@@ -320,28 +332,52 @@ def shear_oracle(curve: AllowableCurve) -> ShearVector:
         xs = plane.segment_crossings(start, period, den, include_lo=True)
         return tuple(plane.accumulate(xs, den, period))  # type: ignore[return-value]
 
-    # the lift runs from the lower bit's puncture p to the higher bit's q
+    p, q, base, tip, lift = _cached_spiral_lift(a, b, mask)
+    if lift is None:
+        raise InternalError(f"the lift of {curve.slope} from v{base[0]}{base[1]} "
+                            f"ends off v{q >> 1}{q & 1}")
+    eps, den, head, tail, inner = lift
+    # the straight part runs left of the travel direction iff the starting
+    # spiral winds counterclockwise
+    ccw_p, ccw_q = bool(marks >> p & 1), bool(marks >> q & 1)
+    start = plane.spiral_crossings(base, (a, b), ccw_p, at_end=False,
+                                   interior_side_left=ccw_p, eps=eps, den=den)
+    end = plane.spiral_crossings(tip, (a, b), ccw_q, at_end=True,
+                                 interior_side_left=ccw_p, eps=eps, den=den)
+    if inner is None:
+        return tuple(plane.accumulate([*start, *head, *end], den))  # type: ignore[return-value]
+    first, last = plane.accumulate([*start, *head], den), plane.accumulate([*tail, *end], den)
+    return tuple([x + y + z for x, y, z in zip(first, inner, last)])  # type: ignore[return-value]
+
+
+def _spiral_lift(a: int, b: int, mask: int):
+    """(p, q, base, tip, lift) of the spiraling curves of slope (a, b) on
+    the endpoint ``mask``: their segment runs from ``base``, the puncture of
+    the lower bit p, to ``tip``; lift is None when the tip is off the
+    puncture of the higher bit q, and otherwise (eps, den, head, tail,
+    inner): the segment's first two and last two crossings and the score
+    of those between them, or its crossings, () and None when there are
+    fewer than two; all tuples, as every caller shares them."""
+    from . import plane
+
     p, q = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
     base = divmod(p, 2)
     tip = (base[0] + a, base[1] + b)
     if divmod(q, 2) != (tip[0] % 2, tip[1] % 2):
-        raise InternalError(f"the lift of {curve.slope} from v{base[0]}{base[1]} "
-                            f"ends off v{q >> 1}{q & 1}")
+        return p, q, base, tip, None
     # den makes the segment's crossings and the spiral offsets eps and eps/2
     # exact, with eps / den = 1/(8(h+2)^2), h = |a| + |b|
     eps = 2 * plane._nonzero_product(a, b, a + b)
     den = 8 * (abs(a) + abs(b) + 2) ** 2 * eps
-    # the straight part runs left of the travel direction iff the starting
-    # spiral winds counterclockwise
-    ccw_p, ccw_q = bool(marks >> p & 1), bool(marks >> q & 1)
-    seq = (
-        plane.spiral_crossings(base, (a, b), ccw_p, at_end=False,
-                               interior_side_left=ccw_p, eps=eps, den=den)
-        + plane.segment_crossings((base[0] * den, base[1] * den), (a, b), den)
-        + plane.spiral_crossings(tip, (a, b), ccw_q, at_end=True,
-                                 interior_side_left=ccw_p, eps=eps, den=den)
-    )
-    return tuple(plane.accumulate(seq, den))  # type: ignore[return-value]
+    xs = plane.segment_crossings((base[0] * den, base[1] * den), (a, b), den)
+    if len(xs) < 2:
+        return p, q, base, tip, (eps, den, tuple(xs), (), None)
+    return p, q, base, tip, (eps, den, tuple(xs[:2]), tuple(xs[-2:]),
+                             tuple(plane.accumulate(xs, den)))
+
+
+# above the 368 segments of the 1656 curves of height <= 12
+_cached_spiral_lift = functools.lru_cache(maxsize=1024)(_spiral_lift)
 
 
 # ---------------------------------------------------------------------------

@@ -501,6 +501,28 @@ class TestWholePaths:
         if closed is not None:
             check_path(*closed)
 
+    @settings(max_examples=400, derandomize=True)
+    @given(walk_steps)
+    def test_open_walks_split_at_two_consecutive_crossings(self, steps):
+        # a crossing scores from its two neighbors alone, so a path scores
+        # as its part up to crossing i + 1 plus its part from crossing i:
+        # the split by which the shear oracle scores a memoised segment
+        path = [(0, FAMILIES.index(f), k, int(x * WALK_DEN), int(y * WALK_DEN))
+                for f, k, (x, y) in walk(steps)]
+        whole = score_or_error(plane.accumulate, path, WALK_DEN)
+        for i in range(len(path)):
+            first = score_or_error(plane.accumulate, path[:i + 2], WALK_DEN)
+            if isinstance(first, str):
+                # the first failing crossing of the path fails in the first
+                # part that holds it, with the same neighbors
+                assert first == whole
+                continue
+            last = score_or_error(plane.accumulate, path[i:], WALK_DEN)
+            if isinstance(last, str):
+                assert last == whole
+            else:
+                assert [x + y for x, y in zip(first, last)] == whole
+
     @pytest.mark.parametrize("steps,closed,error", [
         ([(0, Fraction(1, 2)), (0, Fraction(3, 2))], False, "off the quad boundary"),
         ([(2, Fraction(1, 2)), (0, Fraction(0))], False, "degenerate sign test"),

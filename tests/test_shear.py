@@ -45,6 +45,7 @@ from spherelam.shear import (
     RHO2,
     QuasiLamination,
     Tangle,
+    _cached_spiral_lift,
     apply_perm,
     compose,
     find_witness,
@@ -235,6 +236,39 @@ class TestAgreement:
         info = shear._cached_closed_form.cache_info()
         assert info.currsize == info.maxsize == 4096
 
+    def test_oracle_lift_memo_is_bounded(self):
+        from spherelam import shear
+
+        shear._cached_spiral_lift.cache_clear()
+        curves = enumerate_curves(22)
+        assert len({c._key[:3] for c in curves if not c.is_closed}) > 1024
+        for c in curves:
+            assert shear_oracle(c) == shear_closed_form(c), c
+        info = shear._cached_spiral_lift.cache_info()
+        assert info.currsize == info.maxsize == 1024
+
+    def test_oracle_lifts_each_segment_once(self, monkeypatch):
+        # the four spiraling curves of a slope and endpoint pair share one
+        # lift of their segment; each closed curve is its own lift
+        from spherelam import plane, shear
+
+        calls = Counter()
+        segment_crossings = plane.segment_crossings
+
+        def counted(*args, **kwargs):
+            calls["segment_crossings"] += 1
+            return segment_crossings(*args, **kwargs)
+
+        monkeypatch.setattr(plane, "segment_crossings", counted)
+        shear._cached_spiral_lift.cache_clear()
+        curves = list(enumerate_curves(12))
+        random.Random(46).shuffle(curves)
+        for c in curves:
+            assert shear_oracle(c) == shear_closed_form(c), c
+        closed = sum(c.is_closed for c in curves)
+        assert (closed, len(curves) - closed) == (184, 1472)
+        assert calls["segment_crossings"] == 184 + 368 == 552
+
     def test_degenerate_slopes_exhaustive(self):
         # every curve on the three arc-parallel slopes, against the oracle
         from spherelam.curves import endpoint_sets
@@ -269,6 +303,9 @@ class TestAgreement:
         ]
         for c in curves:
             f = shear_closed_form(c)
+            # the segment lifted afresh, then read from the memo
+            _cached_spiral_lift.cache_clear()
+            assert shear_oracle(c) == f, c
             assert shear_oracle(c) == f, c
             try:
                 assert shear_via_word(c) == f, c
@@ -296,8 +333,10 @@ class TestAgreement:
         # slope 1/1 joins v00 to v11 or v01 to v10; a key with the ends v00
         # and v01 puts the far end off the tip of the lift
         c = AllowableCurve._of_key((1, 1, 0b0011, 0b0001))
-        with pytest.raises(InternalError, match="the lift of 1/1 from v00 ends off v01"):
-            shear_oracle(c)
+        # the memo keeps the failed check, and each call raises it again
+        for _ in range(2):
+            with pytest.raises(InternalError, match="the lift of 1/1 from v00 ends off v01"):
+                shear_oracle(c)
 
     def test_oracle_at_its_cli_cap(self):
         h = cli.SHEAR_MAX_HEIGHT["oracle"]
