@@ -8,18 +8,20 @@ cones of the fan; cones, their functionals and every answer are integers.
 
 A :class:`Cone` is a frozen value whose membership functionals are found
 when it is built, as its rank check.  :func:`cone_index` builds every
-maximal cone up to a height.  A six-dimensional cone whose generators are
-a ``GAMMA24`` coordinate permutation of those of a cone built earlier in
-the same build takes its functionals from that cone, moved by the
-permutation stored with the image it matched; the others, and every
-kind-VII cone, find theirs by one exact elimination.
+maximal cone up to a height with one memo under the coordinate group
+``GAMMA24``: the first cone of each orbit, of either kind, finds its
+functionals by one exact elimination, and each later cone of the orbit
+takes them from it, moved by the permutation that maps one onto the
+other.
 
 The index lists each cone under the sign keys its points can have, over
 ten integer forms: the six coordinates, the three pair differences
 v_i - v_(i+3), which vanish on every closed curve and so split the fan
 along the kind-VII directions, and the coordinate total, which is a
-lamination's spiral balance.  A build reads the keys of one cone per
-``FLIPS`` orbit from its faces, and carries them to the others.
+lamination's spiral balance.  ``GAMMA24`` maps the ten forms to forms,
+some negated, so it maps sign keys by a signed bit permutation: the index
+reads the keys of each orbit's first cone from its faces, and carries
+them to the others through the link the cone build left.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import defaultdict
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
 from . import exactla
@@ -43,7 +45,7 @@ from .curves import (
 from .errors import BoundExhausted, InternalError, InternalNonUnique, MalformedInput, \
     RankDeficient
 from .lattice import Slope, check_height, enumerate_slopes, farey1_triples
-from .shear import FLIPS, GAMMA24, PERM_ID, PERM_X, QuasiLamination, ShearVector, apply_perm, \
+from .shear import GAMMA24, PERM_X, QuasiLamination, ShearVector, apply_perm, \
     shear_closed_form
 
 # The coefficient lists live in .coefficients, which nothing here uses;
@@ -153,27 +155,28 @@ _Functionals = tuple[list[tuple[int, ...]], int, tuple[int, ...] | None]
 
 
 class Cone(Frozen):
-    """Nonnegative span of the shear vectors of a maximal collection (or a
-    sub-collection); simplicial by construction.  Its functionals are found
+    """Nonnegative span of the five or six shear vectors of a maximal
+    collection; simplicial by construction.  Its functionals are found
     when it is built (:func:`_cone_functionals`), which raises
-    RankDeficient on dependent generators.  Equal to any cone with the same
-    primitive generators."""
+    RankDeficient on dependent generators or on any other count of them.
+    Equal to any cone with the same primitive generators."""
 
-    __slots__ = ("generators", "kind", "collection", "_functionals")
+    __slots__ = ("generators", "kind", "collection", "_functionals", "_orbit")
     _fields = ("generators", "kind", "collection")
     generators: tuple[ShearVector, ...]
     kind: str
     collection: MaximalCollection | None
     _functionals: _Functionals
+    _orbit: tuple[Cone, _Perm] | None   # the link of :func:`_build_cone`, if any
 
     def __init__(self, generators: tuple[ShearVector, ...], kind: str,
                  collection: MaximalCollection | None = None) -> None:
-        self._freeze(generators, kind, collection, _cone_functionals(generators))
+        self._freeze(generators, kind, collection, _cone_functionals(generators), None)
 
     @classmethod
     def _of_functionals(cls, *fields) -> Cone:
-        """The cone of (generators, kind, collection, functionals), with the
-        functionals :func:`_functionals_by_image` found and checked."""
+        """The cone of (generators, kind, collection, functionals, orbit),
+        with the functionals found and checked by the caller."""
         cone = object.__new__(cls)
         cone._freeze(*fields)
         return cone
@@ -198,111 +201,142 @@ class Cone(Frozen):
         return hash(self.canonical())
 
 
-def cone_of(coll: MaximalCollection, images: _Images | None = None,
-            shared: _SharedRows | None = None) -> Cone:
-    """The maximal cone of a collection; generators stay aligned with the
-    collection's curve order.  Rank 6 for kinds I-VI, 5 for kind VII.
-
-    The rank is checked by finding the cone's functionals: an invertible
-    r x r block of generator coordinates exists exactly when the r
-    generators have rank r.  With ``images`` (one per :func:`cone_index`
-    build), a six-dimensional cone first looks for itself among the
-    ``GAMMA24`` images of the cones built before it, and takes the
-    functionals of the one it matches moved by the permutation stored
-    with that image (:func:`_functionals_by_image`); on a miss, it finds
-    its functionals by elimination and its images join the memo, each
-    with its permutation.  With ``shared`` (also one per build), every
-    functional row is kept as one tuple per value: 13,280 rows take 402
-    values at h = 3."""
+def _generators(coll: MaximalCollection) -> tuple[ShearVector, ...]:
+    """The shear vectors of a collection's curves, in its curve order:
+    six for kinds I-VI, five for kind VII, else RankDeficient."""
     gens = tuple(map(shear_closed_form, coll.curves))
-    expected = 5 if coll.kind == "VII" else 6
-    if len(gens) != expected:
+    if len(gens) != (5 if coll.kind == "VII" else 6):
         raise RankDeficient(f"kind {coll.kind} cone has {len(gens)} generators")
-    if images is not None and expected == 6:
-        functionals = _functionals_by_image(gens, images, shared)
-        if functionals is not None:
-            return Cone._of_functionals(gens, coll.kind, coll, functionals)
-    cone = Cone._of_functionals(gens, coll.kind, coll, _cone_functionals(gens, shared))
-    if images is None or expected == 5:
-        return cone
-    total = sum(map(sum, gens))
-    for image, preimage in _GAMMA24_PERMS:
-        images.setdefault(_image_key(map(image, gens), total), (cone, image, preimage))
-    return cone
+    return gens
 
 
-# Each coordinate permutation p of GAMMA24 as (image, preimage): image(v)
-# is apply_perm(p, v) and preimage(v) its inverse, each one C call.
-_GAMMA24_PERMS = [(itemgetter(*sorted(range(6), key=p.__getitem__)), itemgetter(*p))
-                  for p in sorted(GAMMA24)]
+def cone_of(coll: MaximalCollection) -> Cone:
+    """The maximal cone of a collection; generators stay aligned with the
+    collection's curve order.  Rank 6 for kinds I-VI, 5 for kind VII,
+    checked by finding the cone's functionals by one exact elimination:
+    an invertible r x r block of generator coordinates exists exactly when
+    the r generators have rank r."""
+    return Cone(_generators(coll), coll.kind, coll)
 
-# For one cone_index build: the key of each GAMMA24 image of the
-# generators of a six-dimensional cone, mapped to (cone, image, preimage)
-# of the first cone built, and its first permutation in _GAMMA24_PERMS,
-# that gave the key.
-_Images = dict[int, tuple[Cone, itemgetter, itemgetter]]
 
-# For one cone_index build: each functional row value, mapped to the one
-# tuple that holds it.
+# For each permutation p of GAMMA24 (:func:`_perm_table`): (image, preimage,
+# lo, hi), image(v) = apply_perm(p, v) and preimage its inverse, each one C
+# call, and the sign key of image(v) is lo[key & 1023] | hi[key >> 10].
+_Perm = tuple[itemgetter, itemgetter, list[int], list[int]]
+# For one cone_index build: the key of each GAMMA24 image of a
+# representative's generators -> (the first representative, and its first
+# entry, that gave the key).
+_Images = dict[int, tuple[Cone, _Perm]]
+# For one cone_index build: each functional row value -> the one tuple that holds it.
 _SharedRows = dict[tuple[int, ...], tuple[int, ...]]
+
+
+@functools.cache
+def _perm_table() -> list[_Perm]:
+    """The entry of each permutation p of ``GAMMA24``, in sorted order.
+
+    p keeps the pairs {i, i + 3}, so it maps the ten forms of
+    :func:`_sign_key` to forms: form i of v is form p[i] of
+    apply_perm(p, v) for a coordinate; v_i - v_(i+3) is difference
+    p[i] mod 3, negated when p[i] >= 3; the total stays.  The two tables
+    are that bit permutation on the positive and on the negative bits,
+    each value held once across the 48 tables."""
+    out, values = [], {}
+    for p in sorted(GAMMA24):
+        target = [*p, *(6 + p[i] % 3 for i in range(3)), 9]
+        negated = [False] * 6 + [p[i] >= 3 for i in range(3)] + [False]
+        tables = []
+        for negative in (False, True):
+            table = [0]
+            for i in range(10):
+                bit = 1 << target[i] + 10 * (negative != negated[i])
+                table += [t | bit for t in table]
+            tables.append([values.setdefault(t, t) for t in table])
+        out.append((itemgetter(*sorted(range(6), key=p.__getitem__)), itemgetter(*p), *tables))
+    return out
 
 
 def _image_key(gens, total: int) -> int:
     """The key of a generator set in an ``_Images`` memo: a hash of the
     set of generators (no sort: a frozenset hashes its members in any
     order) and of their coordinate total, which no coordinate permutation
-    changes.  Two sets may share a key (as ints, -1 and -2 hash alike, and
-    the total tells one such swap apart, not every one), so
-    :func:`_functionals_by_image` compares the generators themselves."""
+    changes.  Two sets may share a key (as ints, -1 and -2 hash alike),
+    so :func:`_moved_functionals` compares the generators themselves."""
     return hash((frozenset(gens), total))
 
 
-def _functionals_by_image(gens, images: _Images,
-                          shared: _SharedRows | None = None) -> _Functionals | None:
-    """The functionals of six generators from the memo's cone R whose
-    image they are under the stored permutation P, or None.
+def _build_cone(coll: MaximalCollection, images: _Images, shared: _SharedRows) -> Cone:
+    """The cone of :func:`cone_of`, in one :func:`cone_index` build.
 
-    If P maps R's generators one to one onto them, generator c is P
-    applied to generator P^-1 c of R, and the rows of R, a positive
-    multiple of the inverse of its generator matrix, give theirs by P:
-    (P f) . (P g) = f . g, and |det| is unchanged.  These are the rows of
-    :func:`_cone_functionals`, as the rows of |det| M^-1 for the generator
-    matrix M are unique; R has rank 6, so the generators have too.  Only
-    the stored P is tried: a key shared by another generator set, which P
-    does not map onto these, is no hit and costs one elimination, never a
-    wrong row.  Each hit is checked, with InternalError: row k must give
-    det on generator k.  Each row is taken from ``shared`` when given."""
-    hit = images.get(_image_key(gens, sum(map(sum, gens))))
-    if hit is None:
-        return None
-    rep, image, preimage = hit
-    rows, det, _ = rep._functionals
-    position = dict(zip(rep.generators, range(6)))
+    A cone whose generators are a ``GAMMA24`` image of those of a
+    representative built before it takes the representative's functionals
+    moved (:func:`_moved_functionals`), and keeps (representative, entry)
+    in ``_orbit``, by which the index carries the representative's sign
+    keys.  Any other cone is a representative: one elimination finds its
+    functionals, and its images under all 24 permutations join ``images``.
+    Every row is taken from ``shared``."""
+    gens = _generators(coll)
+    total = sum(map(sum, gens))
+    hit = images.get(_image_key(gens, total))
+    if hit is not None:
+        # two images of one representative can share a key: the stored
+        # permutation first, then every other
+        rep, first = hit
+        for entry in (first, *_perm_table()):
+            functionals = _moved_functionals(gens, rep, entry, shared)
+            if functionals is not None:
+                link = hit if entry is first else (rep, entry)
+                return Cone._of_functionals(gens, coll.kind, coll, functionals, link)
+    cone = Cone._of_functionals(gens, coll.kind, coll, _cone_functionals(gens, shared), None)
+    for entry in _perm_table():
+        images.setdefault(_image_key(map(entry[0], gens), total), (cone, entry))
+    return cone
+
+
+def _moved_functionals(gens, rep: Cone, entry: _Perm,
+                       shared: _SharedRows) -> _Functionals | None:
+    """The functionals of the generators from the representative R, if
+    the entry's permutation P maps R's generators one to one onto them;
+    else None.  Generator c is then P applied to generator P^-1 c of R,
+    and (P f) . (P g) = f . g: R's rows and normal, moved by P, give the
+    same coefficients on the span and vanish on it.  For r = 6 these are
+    the rows of :func:`_cone_functionals`, as |det| M^-1 for the generator
+    matrix M is unique; for r = 5 they are those of the block P moves R's
+    block to.  Each hit is checked, with InternalError: row k must give
+    det on generator k, and the normal 0 on every generator."""
+    image, preimage = entry[0], entry[1]
+    rows, det, normal = rep._functionals
+    position = dict(zip(rep.generators, range(len(rows))))
     picked = list(map(position.get, map(preimage, gens)))
-    if None in picked or len(set(picked)) != len(picked):
+    if len(picked) != len(rows) or set(picked) != set(range(len(rows))):
         return None
-    functionals = [image(rows[k]) for k in picked]
+    functionals = [shared.setdefault(row, row) for row in [image(rows[k]) for k in picked]]
     for (a, b, c, d, e, f), (g0, g1, g2, g3, g4, g5) in zip(functionals, gens):
         if a * g0 + b * g1 + c * g2 + d * g3 + e * g4 + f * g5 != det:
             raise InternalError(f"permuted functionals do not invert the generators {gens}")
-    if shared is not None:
-        functionals = [shared.setdefault(row, row) for row in functionals]
-    return functionals, det, None
+    if normal is not None:
+        normal = image(normal)
+        if any(sum(map(mul, normal, g)) for g in gens):
+            raise InternalError(f"permuted normal is not normal to the generators {gens}")
+    return functionals, det, normal
 
 
 def _cone_functionals(generators: Sequence[ShearVector],
                       shared: _SharedRows | None = None) -> _Functionals:
-    """(rows, det, normal) of r independent generators (RankDeficient if
-    they are dependent): integer 6-vectors f_k and det > 0 with coefficient
-    k of v equal to f_k . v / det for every v in their span, and for r = 5
-    a normal n with v in the span iff n . v == 0 (None for r = 6).
+    """(rows, det, normal) of r independent generators, r = 5 or 6
+    (RankDeficient for any other r, or if they are dependent): integer
+    6-vectors f_k and det > 0 with coefficient k of v equal to
+    f_k . v / det for every v in their span, and for r = 5 a normal n with
+    v in the span iff n . v == 0 (None for r = 6).
 
     The f_k are the adjugate rows of the first r x r block of generator
     coordinates (rows in lexicographic order) that is invertible, signed
     so det > 0, with zeros at the coordinates left out of the block.
     Each row is taken from ``shared`` when given."""
-    cols = [list(col) for col in zip(*generators)]
     r = len(generators)
+    if r not in (5, 6):
+        raise RankDeficient(f"a maximal cone has 5 or 6 generators, not {r}")
+    cols = [list(col) for col in zip(*generators)]
     for rows in itertools.combinations(range(6), r):
         adj, det = exactla.adjugate([cols[i] for i in rows])
         if adj is not None:
@@ -357,26 +391,13 @@ def _face_patterns(face: int) -> list[int]:
     return out
 
 
-def _cone_keys(gen_keys: list[int], memo: _KeyMemo) -> list[int] | set[int]:
+def _cone_keys(gen_keys: list[int], spreads: dict[int, list[int]]) -> set[int]:
     """The sign keys of the points of a cone, from its generators' keys:
     a point is a positive combination of the generators of one face, so
     its key is one of the ``_face_patterns`` of the OR of theirs, which is
-    that OR itself when no form has both signs on the face.
-
-    ``memo`` is one build's (``_KeyMemo``).  A flip of ``FLIPS`` swaps
-    v_i and v_(i+3) for some i, so it moves the coordinate forms, changes
-    the sign of each swapped pair's difference and keeps the total: it
-    maps sign keys by a bit permutation (:func:`_flip_key_maps`) that
-    commutes with OR and with ``_face_patterns``.  So a cone whose
-    generator keys are the image of a set worked out before takes those
-    keys, mapped, and a build walks the faces of one cone per ``FLIPS``
-    orbit (584 of the 2256 cones at h = 3)."""
-    spreads, images, flip_maps, flipped = memo
-    gen_keys = frozenset(gen_keys)
-    hit = images.pop(gen_keys, None)
-    if hit is not None:
-        keys, lo, hi = hit
-        return [lo[k & 1023] | hi[k >> 10] for k in keys]
+    that OR itself when no form has both signs on the face.  ``spreads``
+    (one per build) holds the patterns of each set of forms with both
+    signs, as a face key."""
     keys = {0}   # the OR of the sign keys of each face's generators
     for key in gen_keys:
         keys.update([f | key for f in keys])
@@ -391,47 +412,7 @@ def _cone_keys(gen_keys: list[int], memo: _KeyMemo) -> list[int] | set[int]:
             spread = spreads[both] = _face_patterns(both)
         f &= ~both
         keys.update([f | s for s in spread])
-    carried = tuple(keys)
-    rows = []   # each generator key's images under the flips
-    for k in gen_keys:
-        row = flipped.get(k)
-        if row is None:
-            row = flipped[k] = [lo[k & 1023] | hi[k >> 10] for lo, hi in flip_maps]
-        rows.append(row)
-    for (lo, hi), image in zip(flip_maps, zip(*rows)):
-        image = frozenset(image)
-        if image != gen_keys:
-            images[image] = carried, lo, hi
     return keys
-
-
-# One build's memo for _cone_keys: the patterns of each set of forms with
-# both signs on a face (as a face key), the generator-key set of each
-# FLIPS image of a cone's generator keys -> (that cone's keys, lo, hi),
-# the (lo, hi) tables of _flip_key_maps, and each generator key -> its
-# images by those tables.
-_KeyMemo = tuple[dict, dict, list, dict]
-
-
-def _flip_key_maps() -> list[tuple[list[int], list[int]]]:
-    """For each flip of ``FLIPS`` but the identity, its map of sign keys
-    as two tables, key -> lo[key & 1023] | hi[key >> 10]: form i of v is
-    form p[i] of the flipped vector for a coordinate, the same form with
-    its sign changed for the difference of a swapped pair, and the same
-    form for the total."""
-    out = []
-    for p in sorted(FLIPS - {PERM_ID}):
-        target = [p[i] for i in range(6)] + [6, 7, 8, 9]
-        flipped = [False] * 6 + [p[i] != i for i in range(3)] + [False]
-        tables = []
-        for negative in (False, True):
-            table = [0]
-            for i in range(10):
-                bit = 1 << target[i] + 10 * (negative != flipped[i])
-                table += [t | bit for t in table]
-            tables.append(table)
-        out.append(tuple(tables))
-    return out
 
 
 class _ConeIndex:
@@ -452,18 +433,23 @@ class _ConeIndex:
     ``patterns[key]`` lists, in ``cones`` order, the cones with a point
     that may have the key (:func:`_cone_keys`), and ``containing(v)``
     tests only the cones listed under v's key.  The build reads the keys
-    of one cone per ``FLIPS`` orbit from its faces and maps them to the
-    others.
+    of a cone without an orbit link (``Cone._orbit``, left by
+    :func:`_build_cone`) from its faces, 312 of the 2256 at h = 3, one per
+    ``GAMMA24`` orbit; a linked cone takes its representative's keys
+    through its permutation's two key tables.
     ``stars[g]`` holds the positions in ``cones`` of the cones with
     generator g; the build checks that each cone has its collection and
     that each generator is the shear vector of one curve."""
 
     def __init__(self, cones: list[Cone]):
+        from array import array
+
         self.cones = cones
         patterns: dict[int, list] = defaultdict(list)
         # each generator's first curve, sign key and star
         seen: dict[ShearVector, tuple[AllowableCurve, int, set[int]]] = {}
-        memo: _KeyMemo = ({}, {}, _flip_key_maps(), {})
+        spreads: dict[int, list[int]] = {}
+        walked: dict[int, array] = {}   # id of each walked cone -> its keys, as C longs
         for pos, cone in enumerate(cones):
             if cone.collection is None:
                 raise InternalError("indexed cone without its collection")
@@ -478,7 +464,14 @@ class _ConeIndex:
                 star.add(pos)
                 gen_keys.append(key)
             entry = (pos, cone, *cone._functionals)
-            for key in _cone_keys(gen_keys, memo):
+            link = cone._orbit
+            keys = None if link is None else walked.get(id(link[0]))
+            if keys is None:
+                keys = walked[id(cone)] = array("l", _cone_keys(gen_keys, spreads))
+            else:
+                lo, hi = link[1][2], link[1][3]
+                keys = [lo[k & 1023] | hi[k >> 10] for k in keys]
+            for key in keys:
                 patterns[key].append(entry)
         patterns.default_factory = None   # a plain dict from here on, without a copy
         self.patterns = patterns
@@ -526,11 +519,12 @@ class _ConeIndex:
 def cone_index(max_height: int) -> _ConeIndex:
     """The index of every maximal cone at the given height, checked before
     the cache.  The last four heights used are kept (one index at h = 10
-    holds about 26 MB, traced, and its build peaks at about 44 MB of
+    holds about 28 MB, traced, and its build peaks at about 46 MB of
     RSS): a command line call builds one height, the ``fan-locate``
     benchmark uses 3, the self-test 2 and the tests several.
-    The ``GAMMA24`` images memo and the shared rows of :func:`cone_of`,
-    and the memo of :func:`_cone_keys`, live for one build."""
+    One build makes one exact elimination and one face walk per
+    ``GAMMA24`` orbit of its cones (:func:`_build_cone`); its memos live
+    for that build."""
     check_height(max_height)
     return _cached_index(max_height)
 
@@ -542,10 +536,11 @@ def _cached_index(max_height: int) -> _ConeIndex:
 
 def _maximal_cones(max_height: int) -> list[Cone]:
     """Every maximal cone at the height, in build order, with one
-    ``GAMMA24`` images memo and one table of shared rows (:func:`cone_of`)."""
+    ``GAMMA24`` images memo and one table of shared rows
+    (:func:`_build_cone`)."""
     images: _Images = {}
     shared: _SharedRows = {}
-    return [cone_of(c, images, shared) for c in maximal_collections(max_height)]
+    return [_build_cone(c, images, shared) for c in maximal_collections(max_height)]
 
 
 def _shear_vector(v) -> ShearVector:
@@ -595,8 +590,10 @@ def locate(v: Sequence[int], max_height: int = 6) -> QuasiLamination:
 
 
 def count_containing_cones(v: Sequence[int], max_height: int = 6) -> int:
-    """Number of distinct maximal cones whose span contains v."""
-    return sum(1 for _ in cone_index(max_height).containing(_shear_vector(v)))
+    """Number of distinct maximal cones whose span contains v, which is
+    checked before any index is built."""
+    v = _shear_vector(v)
+    return sum(1 for _ in cone_index(max_height).containing(v))
 
 
 # ---------------------------------------------------------------------------

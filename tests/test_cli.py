@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -1317,6 +1318,62 @@ class TestGoldenOutput:
             if argv[0] == "render":
                 out = out.replace(str(svg), "OUT") + svg.read_text()
             digest.update(f"{code}\n{out}\n".encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
+def _fan_argvs() -> list:
+    """The fixed command set of :class:`TestFanGoldenOutput`: ``cones`` at
+    h = 3, and ``locate`` at h = 1, 2, 3 on seeded vectors built from the
+    collections alone (never from the cones or the index): interior
+    points of kind-VII cones, curves' shear vectors (rays, in the fan at
+    their height and not below it), points of faces, and malformed input."""
+    from spherelam.fan import maximal_collections
+    from spherelam.shear import shear_closed_form
+
+    rng = random.Random(47)
+    argvs = [["cones", "--max-height", "3"]]
+
+    def point(weighted):
+        return [sum(w * x for w, x in zip([w for w, _ in weighted], col))
+                for col in zip(*[shear_closed_form(c) for _, c in weighted])]
+
+    colls = list(maximal_collections(3))
+    vii = [coll for coll in colls if coll.kind == "VII"]
+    vectors = [point([(rng.randint(1, 4), c) for c in coll.curves])
+               for coll in rng.sample(vii, 12)]
+    vectors += [list(shear_closed_form(c)) for coll in rng.sample(colls, 8)
+                for c in rng.sample(coll.curves, 2)]
+    for coll in rng.sample(colls, 16):
+        face = rng.sample(coll.curves, rng.randint(2, len(coll.curves) - 1))
+        vectors.append(point([(rng.randint(1, 3), c) for c in face]))
+    vectors += [[rng.choice((0, rng.randint(-3, 3))) for _ in range(6)] for _ in range(8)]
+    texts = [json.dumps(v) for v in vectors]
+    texts += ["[0,0,0,0,0,0]", "[1.5,0,0,0,0,0]", "[1,2,3]", "[true,0,0,0,0,0]", "{}", "[",
+              '"[-3,2,1,-3,2,1]"']
+    for h in ("1", "2", "3"):
+        argvs += [["locate", "--vector", text, "--max-height", h] for text in texts]
+    return argvs
+
+
+class TestFanGoldenOutput:
+    """The exit codes and stdout of ``cones`` and ``locate`` on a fixed
+    command set (:func:`_fan_argvs`), digested: both read the cones'
+    functionals and the index's sign-key listing, and stay byte-identical.
+    The digest was taken at the commit before the cone build carried each
+    ``GAMMA24`` orbit's functionals and sign keys from one representative."""
+
+    DIGEST = "2f9ab16032c9792f8aa686d838eb52afe5a29fa52b3f2b9a4ded4b92a4193d27"
+
+    def test_outputs_unchanged(self):
+        digest = hashlib.sha256()
+        argvs = _fan_argvs()
+        assert len(argvs) == 1 + 3 * 59
+        codes = []
+        for argv in argvs:
+            code, out = run(argv)
+            codes.append(code)
+            digest.update(f"{code}\n{out}\n".encode())
+        assert codes.count(0) > codes.count(1) > 0
         assert digest.hexdigest() == self.DIGEST
 
 

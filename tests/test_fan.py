@@ -27,7 +27,7 @@ from spherelam.curves import (
 from spherelam.errors import BoundExhausted, InternalError, InternalNonUnique, \
     MalformedInput, RankDeficient
 from spherelam.lattice import INF, MAX_HEIGHT, Slope, enumerate_slopes, farey1_triples
-from spherelam.shear import FLIPS, GAMMA24, QuasiLamination, Tangle, apply_perm, \
+from spherelam.shear import GAMMA24, QuasiLamination, Tangle, apply_perm, \
     shear_closed_form, shear_lamination, tangle_shear
 from spherelam.triangulation import classify, enumerate_triangulations
 
@@ -430,6 +430,34 @@ def oracle_containing(index, v):
             yield cone, tuple(s), det
 
 
+def check_functionals(cone):
+    """The cone's stored (rows, det, normal) are functionals of its
+    generators: rows . gens = det I with det > 0, and for five generators
+    a nonzero normal orthogonal to each of them (None for six)."""
+    rows, det, normal = cone._functionals
+    assert det > 0 and len(rows) == len(cone.generators)
+    assert [[sum(map(mul, f, g)) for g in cone.generators] for f in rows] == \
+        [[det * (i == j) for j in range(len(rows))] for i in range(len(rows))]
+    if len(rows) == 6:
+        assert normal is None
+    else:
+        assert any(normal) and all(sum(map(mul, normal, g)) == 0 for g in cone.generators)
+
+
+def same_cones(got, want):
+    """Two builds of one index give the same cones, each with the same
+    functionals (six generators) or valid ones (kind VII), and the same
+    sign-key listing."""
+    assert got is not want and len(got.cones) == len(want.cones)
+    for g, w in zip(got.cones, want.cones):
+        assert (g.kind, g.generators, g.collection) == (w.kind, w.generators, w.collection)
+        check_functionals(g)
+        if g.kind != "VII":
+            assert g._functionals == w._functionals
+    assert {k: [e[0] for e in v] for k, v in got.patterns.items()} == \
+        {k: [e[0] for e in v] for k, v in want.patterns.items()}
+
+
 def cone_point(cone, weights):
     return tuple(sum(w * g[i] for w, g in zip(weights, cone.generators)) for i in range(6))
 
@@ -559,42 +587,58 @@ class TestSignPatterns:
             assert fan._sign_key(v) == key_of_signs(ten_forms(v))
 
     def test_keys_read_from_faces_of_every_cone(self, monkeypatch, cleared_index_cache):
-        # faces and patterns for every cone, once each and in build order:
-        # 2000 six-dimensional cones and 256 of kind VII at h = 3
-        sizes = []
-        cone_keys = fan._cone_keys
-        monkeypatch.setattr(fan, "_cone_keys",
-                            lambda keys, memo: sizes.append(len(keys)) or cone_keys(keys, memo))
-        cones = fan.cone_index(3).cones
-        assert len(cones) == 2256
-        assert sizes == [len(c.generators) for c in cones]
-        assert sizes.count(6) == 2000 and sizes.count(5) == 256
-        assert sum(c.kind == "VII" for c in cones) == 256
-
-    def test_one_face_walk_per_flip_orbit(self, monkeypatch, cleared_index_cache):
-        # a cone whose generator keys are a FLIPS image of a cone's worked
-        # out before takes its keys, mapped: at h = 3 the faces of 584
-        # cones are walked, one per FLIPS orbit, and the listing is still
-        # the face sign keys of every cone (test_listing_is_the_face_sign_keys)
+        # faces and patterns for every cone without an orbit link, once
+        # each, in build order and from its own generators' keys; every
+        # other cone links to a representative built before it with as
+        # many generators (of kind VII when it is; a six-dimensional orbit
+        # may hold several types), which is among them: of the 2000
+        # six-dimensional cones and 256 of kind VII at h = 3, 264 and 48
         walked = []
         cone_keys = fan._cone_keys
-        monkeypatch.setattr(fan, "_cone_keys", lambda keys, memo: walked.append(
-            frozenset(keys) not in memo[1]) or cone_keys(keys, memo))
+        monkeypatch.setattr(fan, "_cone_keys", lambda keys, spreads: walked.append(
+            list(keys)) or cone_keys(keys, spreads))
         cones = fan.cone_index(3).cones
-        orbits = {min(tuple(sorted(apply_perm(p, g) for g in c.generators)) for p in FLIPS)
-                  for c in cones}
-        assert len(walked) == len(cones) == 2256
-        assert walked.count(True) == len(orbits) == 584
+        assert len(cones) == 2256
+        reps = [c for c in cones if c._orbit is None]
+        assert walked == [[fan._sign_key(g) for g in c.generators] for c in reps]
+        position = {id(c): pos for pos, c in enumerate(cones)}
+        for pos, cone in enumerate(cones):
+            if cone._orbit is not None:
+                rep = cone._orbit[0]
+                assert rep._orbit is None and position[id(rep)] < pos
+                assert len(rep.generators) == len(cone.generators)
+                assert (rep.kind == "VII") == (cone.kind == "VII")
+        sizes = [len(keys) for keys in walked]
+        assert sizes.count(6) == 264 and sizes.count(5) == 48
+        assert sum(c.kind == "VII" for c in cones) == 256
 
-    def test_flip_key_maps(self):
-        # each table pair maps the sign key of v to that of the flipped v
+    def test_one_face_walk_per_orbit(self, monkeypatch, cleared_index_cache):
+        # a cone whose generators are a GAMMA24 image of a representative's
+        # takes its keys, mapped: at h = 3 the faces of 312 cones are
+        # walked, one per GAMMA24 orbit of either kind, and the listing is
+        # still the face sign keys of every cone
+        # (test_listing_is_the_face_sign_keys)
+        walked = []
+        cone_keys = fan._cone_keys
+        monkeypatch.setattr(fan, "_cone_keys", lambda keys, spreads: walked.append(
+            len(keys)) or cone_keys(keys, spreads))
+        cones = fan.cone_index(3).cones
+        orbits = {min(tuple(sorted(apply_perm(p, g) for g in c.generators)) for p in GAMMA24)
+                  for c in cones}
+        assert len(cones) == 2256
+        assert len(walked) == len(orbits) == 312
+
+    def test_key_tables(self):
+        # each of the 24 entries maps v by its permutation and back, and
+        # its table pair maps the sign key of v to that of the moved v
         rng = random.Random(15)
-        maps = fan._flip_key_maps()
-        flips = sorted(FLIPS - {(0, 1, 2, 3, 4, 5)})
-        assert len(maps) == len(flips) == 7
-        for p, (lo, hi) in zip(flips, maps):
+        table = fan._perm_table()
+        perms = sorted(GAMMA24)
+        assert len(table) == len(perms) == 24
+        for p, (image, preimage, lo, hi) in zip(perms, table):
             for _ in range(200):
                 v = tuple(rng.choice((0, rng.randint(-3, 3))) for _ in range(6))
+                assert image(v) == apply_perm(p, v) and preimage(image(v)) == v
                 key = fan._sign_key(v)
                 assert lo[key & 1023] | hi[key >> 10] == fan._sign_key(apply_perm(p, v))
 
@@ -966,22 +1010,26 @@ class TestOnePassBuild:
                     tuple(kappa_inv(c) for c in coll.curves))).tag
 
     def test_one_tuple_per_row_value(self, cleared_index_cache):
-        # the 13,280 functional rows of h = 3 take 402 values, each held
+        # the 13,280 functional rows of h = 3 take 473 values, each held
         # as one tuple, by the cones and by the index's entries alike
         idx = fan.cone_index(3)
         rows = [row for cone in idx.cones for row in cone._functionals[0]]
         assert len(rows) == 13280
-        assert len(set(rows)) == len({id(row) for row in rows}) == 402
+        assert len(set(rows)) == len({id(row) for row in rows}) == 473
         listed = {id(row) for entries in idx.patterns.values()
                   for _, _, entry_rows, _, _ in entries for row in entry_rows}
         assert listed == {id(row) for row in rows}
 
     def test_stored_functionals(self):
-        for h in (2, 3):
+        # a six-dimensional cone's rows are those of its own elimination
+        # (they are unique); a kind-VII cone's are valid functionals
+        for h in (1, 2, 3, 4):
             cones = fan.cone_index(h).cones
             assert {c.kind for c in cones} == {"I", "II", "III", "IV", "V", "VI", "VII"}
             for cone in cones:
-                assert cone._functionals == fan._cone_functionals(cone.generators)
+                check_functionals(cone)
+                if cone.kind != "VII":
+                    assert cone._functionals == fan._cone_functionals(cone.generators)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -1003,14 +1051,15 @@ class TestOnePassBuild:
         monkeypatch.setattr(exactla, "adjugate", lambda m: sizes.append(len(m)) or adjugate(m))
         cones = fan.cone_index(3).cones
         assert len(cones) == 2256
-        orbits = {min(tuple(sorted(apply_perm(p, g) for g in c.generators)) for p in GAMMA24)
-                  for c in cones if c.kind != "VII"}
-        assert len(orbits) == 264
-        # one 6 x 6 elimination per GAMMA24 orbit, one 5 x 5 block try per
-        # kind-VII cone (2272 eliminations without the memo)
-        assert sizes.count(6) == len(orbits)
-        assert sizes.count(5) == 272
-        assert len(sizes) <= 536
+        orbits = Counter(c.kind == "VII" for c in {
+            min(tuple(sorted(apply_perm(p, g) for g in c.generators)) for p in GAMMA24): c
+            for c in cones}.values())
+        assert orbits == {False: 264, True: 48}
+        # one elimination per GAMMA24 orbit of either kind, each on its
+        # first block (2272 eliminations without the memo)
+        assert sizes.count(6) == orbits[False]
+        assert sizes.count(5) == orbits[True]
+        assert len(sizes) == 312
 
     @pytest.mark.parametrize("key", [lambda gens, total: 0, lambda gens, total: total],
                              ids=["one-key", "total-only"])
@@ -1022,18 +1071,16 @@ class TestOnePassBuild:
         monkeypatch.setattr(fan, "_image_key", key)
         got = fan.cone_index(2)
         assert got is not want and len(got.cones) == len(want.cones)
-        for g, w in zip(got.cones, want.cones):
-            assert (g.kind, g.generators, g.collection) == (w.kind, w.generators, w.collection)
-            assert g._functionals == w._functionals
-        assert {k: [e[0] for e in v] for k, v in got.patterns.items()} == \
-            {k: [e[0] for e in v] for k, v in want.patterns.items()}
+        same_cones(got, want)
 
     def test_hit_does_not_depend_on_the_registering_permutation(self, monkeypatch,
                                                                   cleared_index_cache):
         # a key whose generator set several permutations give is stored
         # with the first of them; with GAMMA24 in reverse order another
-        # one is stored, and it carries the same rows to the same cones
+        # one is stored, and it carries the same rows (valid ones for kind
+        # VII) and the same sign keys to the same cones
         adjugate = exactla.adjugate
+        table = fan._perm_table()
 
         def build():
             fan._cached_index.cache_clear()
@@ -1042,20 +1089,17 @@ class TestOnePassBuild:
                                 lambda m: sizes.append(len(m)) or adjugate(m))
             images = {}
             for coll in fan.maximal_collections(2):
-                fan.cone_of(coll, images)
+                fan._build_cone(coll, images, {})
             return fan.cone_index(2), sizes, images
 
         want, want_sizes, want_images = build()
-        monkeypatch.setattr(fan, "_GAMMA24_PERMS", fan._GAMMA24_PERMS[::-1])
+        monkeypatch.setattr(fan, "_perm_table", lambda: table[::-1])
         got, got_sizes, got_images = build()
         assert got_images.keys() == want_images.keys()
         assert any(got_images[k][1] is not want_images[k][1] for k in want_images)
-        assert got is not want and len(got.cones) == len(want.cones)
-        for g, w in zip(got.cones, want.cones):
-            assert (g.kind, g.generators, g.collection) == (w.kind, w.generators, w.collection)
-            assert g._functionals == w._functionals
-        assert {k: [e[0] for e in v] for k, v in got.patterns.items()} == \
-            {k: [e[0] for e in v] for k, v in want.patterns.items()}
+        assert any(g._orbit and g._orbit[1] is not w._orbit[1]
+                   for g, w in zip(got.cones, want.cones))
+        same_cones(got, want)
         assert got_sizes == want_sizes
 
     def test_repeated_generator_is_no_hit(self, monkeypatch):
@@ -1064,23 +1108,33 @@ class TestOnePassBuild:
         coll = base_cone().collection
         images = {}
         monkeypatch.setattr(fan, "_image_key", lambda gens, total: 0)
-        fan.cone_of(coll, images)
+        fan._build_cone(coll, images, {})
         gens = [shear_closed_form(c) for c in coll.curves]
         table = dict(zip(coll.curves, gens[:5] + gens[:1]))
         monkeypatch.setattr(fan, "shear_closed_form", table.__getitem__)
         with pytest.raises(RankDeficient):
-            fan.cone_of(coll, images)
+            fan._build_cone(coll, images, {})
 
     def test_hit_is_checked(self):
-        coll = base_cone().collection
-        images = {}
-        rep = fan.cone_of(coll, images)
-        assert {id(c) for c, _, _ in images.values()} == {id(rep)}
-        rows, det, normal = rep._functionals
-        assert fan.cone_of(coll, images)._functionals == (rows, det, normal)
-        object.__setattr__(rep, "_functionals", (rows, det + 1, normal))
-        with pytest.raises(InternalError):
-            fan.cone_of(coll, images)
+        # a hit links to its representative; a row that does not give det
+        # on its generator, or a normal that does not vanish on every
+        # generator (kind VII), raises InternalError, also under python -O
+        for coll in (base_cone().collection, fan.closed_collections(Slope(2, 3))[0]):
+            images = {}
+            rep = fan._build_cone(coll, images, {})
+            assert rep._orbit is None
+            assert {id(c) for c, _ in images.values()} == {id(rep)}
+            rows, det, normal = rep._functionals
+            again = fan._build_cone(coll, images, {})
+            assert again._functionals == (rows, det, normal) and again._orbit[0] is rep
+            object.__setattr__(rep, "_functionals", (rows, det + 1, normal))
+            with pytest.raises(InternalError, match="functionals"):
+                fan._build_cone(coll, images, {})
+            if coll.kind == "VII":
+                shifted = tuple(x + (i == 0) for i, x in enumerate(normal))
+                object.__setattr__(rep, "_functionals", (rows, det, shifted))
+                with pytest.raises(InternalError, match="normal"):
+                    fan._build_cone(coll, images, {})
 
     def test_no_oracle_on_the_hot_path(self, monkeypatch, cleared_index_cache):
         calls = {"classify": 0, "rank": 0}
@@ -1109,6 +1163,16 @@ class TestOnePassBuild:
         assert fan.induced_torus_check(1)
         triples = farey1_triples(enumerate_slopes(1))
         assert len(calls) == len(triples)
+
+    def test_count_checks_the_vector_before_the_index(self, monkeypatch, cleared_index_cache):
+        # a malformed vector raises before any cone is built, as in locate
+        built = []
+        monkeypatch.setattr(fan, "_maximal_cones", lambda h: built.append(h) or [])
+        for v in ([1.5, 0, 0, 0, 0, 0], [1, 2, 3], None):
+            with pytest.raises(MalformedInput):
+                fan.count_containing_cones(v, 5)
+        assert built == []
+        assert fan.count_containing_cones((1, 0, 0, 0, 0, 0), 5) == 0 and built == [5]
 
     def test_index_cache_keeps_the_last_four_heights(self, monkeypatch, cleared_index_cache):
         # heights above 1 build no cones here, so the policy is checked

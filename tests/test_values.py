@@ -176,6 +176,15 @@ def test_cone_of_dependent_generators_is_rank_deficient():
         fan.Cone((gens[0], doubled, *gens[2:5]), "VII")
 
 
+@pytest.mark.parametrize("count", [0, 1, 4, 7])
+def test_cone_of_other_generator_counts_is_rank_deficient(count):
+    # only five or six generators span a maximal cone; any other count is
+    # refused up front, with the count named
+    gens = base_cone().generators + ((1, 1, 1, 1, 1, 1),)
+    with pytest.raises(RankDeficient, match=f"5 or 6 generators, not {count}$"):
+        fan.Cone(gens[:count], "I")
+
+
 def test_fan_report_stays_a_mutable_record():
     report = fan.FanReport(3, 0)
     assert report == fan.FanReport(3, 0) and report != fan.FanReport(3, 1)
